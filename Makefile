@@ -8,7 +8,7 @@
 # gated at a wider p99 threshold — see cmd/benchdiff) on the ROADMAP
 # watchlist (Table2 / Table4 / Clone / PageRank /
 # SandboxGoldenQuery / NQLVM / StreamSweep / GatewayThroughput /
-# ServiceQuery / FederatedJoin / FederatedGoldenQuery).
+# ServiceQuery / FederatedJoin / FederatedGoldenQuery / InstanceBind).
 
 GO        ?= go
 BENCH_OUT ?= BENCH_10.json
@@ -28,12 +28,16 @@ verify:
 test:
 	$(GO) test ./...
 
-# Static analysis beyond vet: the NQL semantic analyzer over every golden
+# Static analysis beyond vet: gofmt (any file it would reformat fails the
+# target), the NQL semantic analyzer over every golden
 # program x backend in the query catalog (any error-severity finding fails
 # the target), then staticcheck over the Go code. staticcheck is optional
 # locally (the CI job installs the pinned version via install-staticcheck);
 # the target degrades gracefully with a notice when absent.
 lint:
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt would reformat:"; echo "$$unformatted"; exit 1; \
+	fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/nqlvet -registry
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -73,7 +77,7 @@ race:
 # of *identical* code diff at +10-20%.
 bench:
 	$(GO) test -run '^$$' -bench 'Table|Figure|Ablation|EndToEnd|StreamSweep' -benchmem -benchtime=1x -count=5 -json . | tee $(BENCH_OUT)
-	$(GO) test -run '^$$' -bench 'Graph|Dataframe|SQL|NQL|Sandbox|Federated|Token|ObsOverhead|GatewayThroughput' -benchmem -benchtime=0.5s -count=9 -json . | tee -a $(BENCH_OUT)
+	$(GO) test -run '^$$' -bench 'Graph|Dataframe|SQL|NQL|Sandbox|Federated|Token|ObsOverhead|GatewayThroughput|InstanceBind' -benchmem -benchtime=0.5s -count=9 -json . | tee -a $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'ServiceQuery' -benchmem -benchtime=0.5s -count=5 -json ./internal/service | tee -a $(BENCH_OUT)
 
 # Stable-ish numbers for the substrate micro-benchmarks only.

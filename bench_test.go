@@ -270,6 +270,22 @@ func BenchmarkGraphClone(b *testing.B) {
 	}
 }
 
+// instanceBindSink keeps BenchmarkInstanceBind's result live.
+var instanceBindSink map[string]nql.Value
+
+// BenchmarkInstanceBind measures the per-request instance layer at the
+// federated-analytics scale (600 nodes, 6000 edges): build one traffic
+// instance — the graph clone plus frame and table clones — and bind the
+// federated backend's globals, which forces every representation.
+func BenchmarkInstanceBind(b *testing.B) {
+	build := nemoeval.TrafficDataset(traffic.Config{Nodes: 600, Edges: 6000, Seed: 42})
+	build().Bindings(prompt.BackendFederated) // one-time derivations stay untimed
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		instanceBindSink = build().Bindings(prompt.BackendFederated)
+	}
+}
+
 // BenchmarkGraphCloneDeep measures a full deep copy (no Freeze): every
 // attribute map is duplicated eagerly.
 func BenchmarkGraphCloneDeep(b *testing.B) {

@@ -98,23 +98,23 @@ func writeStmt(sb *strings.Builder, st nql.Stmt, depth int) {
 
 // methodPhrases gives domain phrasing for well-known binding calls.
 var methodPhrases = map[string]string{
-	"nodes":                 "all nodes of %s",
-	"edges":                 "all edges of %s",
-	"neighbors":             "the neighbors of",
-	"degree":                "the degree of",
-	"shortest_path":         "the shortest path between",
-	"connected_components":  "the connected components of %s",
-	"remove_node":           "remove node",
-	"remove_edge":           "remove the edge",
-	"add_node":              "add node",
-	"add_edge":              "add an edge",
-	"set_node_attr":         "set a node attribute",
-	"query":                 "run the SQL query",
-	"exec":                  "execute the SQL statement",
-	"filter":                "keep the rows of %s where the condition holds",
-	"groupby":               "group %s by",
-	"sort_values":           "sort %s by",
-	"merge":                 "join %s with",
+	"nodes":                "all nodes of %s",
+	"edges":                "all edges of %s",
+	"neighbors":            "the neighbors of",
+	"degree":               "the degree of",
+	"shortest_path":        "the shortest path between",
+	"connected_components": "the connected components of %s",
+	"remove_node":          "remove node",
+	"remove_edge":          "remove the edge",
+	"add_node":             "add node",
+	"add_edge":             "add an edge",
+	"set_node_attr":        "set a node attribute",
+	"query":                "run the SQL query",
+	"exec":                 "execute the SQL statement",
+	"filter":               "keep the rows of %s where the condition holds",
+	"groupby":              "group %s by",
+	"sort_values":          "sort %s by",
+	"merge":                "join %s with",
 }
 
 func expr(e nql.Expr) string {

@@ -8,14 +8,19 @@
 // insertion order) with slice-based adjacency lists, so the traversal and
 // centrality algorithms run over int loops instead of nested string maps.
 // Attribute maps support copy-on-write sharing: Freeze marks a graph as an
-// immutable master, after which Clone is nearly allocation-free and safe to
-// call concurrently; any mutation of a clone (or of the master) first
-// copies the affected attribute map, so graphs never observe each other's
-// writes.
+// immutable master, after which Clone shares every attribute map and is
+// safe to call concurrently; any mutation of a clone (or of the master)
+// first copies the affected attribute map, so graphs never observe each
+// other's writes. The bookkeeping records what a graph owns rather than
+// what it shares: a frozen master and a fresh clone own nothing, so
+// Freeze costs one flag per node and Clone copies the index maps whole
+// instead of rebuilding per-edge state.
 package graph
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -96,14 +101,19 @@ type Graph struct {
 	succ [][]int32 // out-neighbor indices (all neighbors if undirected), insertion order
 	pred [][]int32 // in-neighbor indices (mirror of succ if undirected)
 
-	// Copy-on-write bookkeeping. When nodeShared is non-nil, nodeShared[i]
-	// reports that nodeAttrs[i] is shared with another graph and must be
-	// copied before the first write; edgeShared mirrors this for edges and
-	// attrsShared for the graph-level map. Freshly constructed graphs own
-	// everything (all three fields nil/false).
-	nodeShared  []bool
-	edgeShared  map[EdgeKey]bool
-	attrsShared bool
+	// Copy-on-write bookkeeping, kept as ownership sets. A graph with cow
+	// unset owns every attribute map (freshly constructed graphs). With cow
+	// set, a map is shared with other graphs — and copied before its first
+	// write — unless the graph owns it: nodeOwned[i] for nodeAttrs[i]
+	// (parallel to nodeOrder), membership in edgeOwned for edges[k], and
+	// attrsOwned for the graph-level map. Freeze and Clone start with
+	// nothing owned, so edgeOwned stays nil until the graph writes to (or
+	// adds) its first edge; new nodes and edges, and maps a write copied,
+	// join the owned sets.
+	cow        bool
+	nodeOwned  []bool
+	edgeOwned  map[EdgeKey]struct{}
+	attrsOwned bool
 
 	// version counts structural changes (node/edge insertions and
 	// removals, not attribute writes), letting bindings cache derived
@@ -136,12 +146,12 @@ func (g *Graph) Directed() bool { return g.directed }
 
 // GraphAttrs returns the graph-level attribute map (mutable).
 func (g *Graph) GraphAttrs() Attrs {
-	if g.attrsShared {
+	if g.cow && !g.attrsOwned {
 		g.attrs = g.attrs.Clone()
 		if g.attrs == nil {
 			g.attrs = Attrs{}
 		}
-		g.attrsShared = false
+		g.attrsOwned = true
 	}
 	return g.attrs
 }
@@ -158,44 +168,47 @@ func (g *Graph) key(u, v string) EdgeKey {
 // instead of copying them (and are safe to issue from multiple goroutines),
 // while the first write to any map — in g or in any clone — copies it
 // first, so no graph ever observes another's mutations. Freeze itself must
-// not race with writes to g.
+// not race with writes to g. It costs one flag per node and nothing per
+// edge: g simply stops owning anything.
 //
 // Freeze is incremental: a master extended with further nodes or edges
 // (e.g. by applying streamed batches or Merge) can be re-frozen, which
 // marks the newly added maps shared too. Existing clones stay valid — the
-// maps they share were already marked, and re-marking an exclusively owned
-// map only re-enables sharing for future clones.
+// maps they share were already shared, and giving up ownership of a map g
+// owned exclusively only re-enables sharing for future clones.
 func (g *Graph) Freeze() {
-	g.nodeShared = make([]bool, len(g.nodeOrder))
-	for i := range g.nodeShared {
-		g.nodeShared[i] = true
-	}
-	g.edgeShared = make(map[EdgeKey]bool, len(g.edges))
-	for k := range g.edges {
-		g.edgeShared[k] = true
-	}
-	g.attrsShared = true
-}
-
-// sharesAttrs reports whether any attribute map may be shared.
-func (g *Graph) sharesAttrs() bool {
-	return g.nodeShared != nil || g.edgeShared != nil || g.attrsShared
+	g.cow = true
+	g.nodeOwned = make([]bool, len(g.nodeOrder))
+	g.edgeOwned = nil
+	g.attrsOwned = false
 }
 
 // ownNode ensures nodeAttrs[i] is exclusively owned before a write.
 func (g *Graph) ownNode(i int) {
-	if g.nodeShared != nil && g.nodeShared[i] {
+	if g.cow && !g.nodeOwned[i] {
 		g.nodeAttrs[i] = g.nodeAttrs[i].Clone()
-		g.nodeShared[i] = false
+		g.nodeOwned[i] = true
 	}
 }
 
 // ownEdge ensures edges[k] is exclusively owned before a write.
 func (g *Graph) ownEdge(k EdgeKey) {
-	if g.edgeShared != nil && g.edgeShared[k] {
-		g.edges[k] = g.edges[k].Clone()
-		g.edgeShared[k] = false
+	if !g.cow {
+		return
 	}
+	if _, owned := g.edgeOwned[k]; owned {
+		return
+	}
+	g.edges[k] = g.edges[k].Clone()
+	g.markEdgeOwned(k)
+}
+
+// markEdgeOwned adds k to the owned edge set, creating it on first use.
+func (g *Graph) markEdgeOwned(k EdgeKey) {
+	if g.edgeOwned == nil {
+		g.edgeOwned = make(map[EdgeKey]struct{})
+	}
+	g.edgeOwned[k] = struct{}{}
 }
 
 // AddNode inserts a node if absent and merges attrs into its attribute map.
@@ -209,8 +222,8 @@ func (g *Graph) AddNode(id string, attrs Attrs) {
 		g.nodeAttrs = append(g.nodeAttrs, Attrs{})
 		g.succ = append(g.succ, nil)
 		g.pred = append(g.pred, nil)
-		if g.nodeShared != nil {
-			g.nodeShared = append(g.nodeShared, false)
+		if g.cow {
+			g.nodeOwned = append(g.nodeOwned, true)
 		}
 	}
 	if len(attrs) == 0 {
@@ -303,8 +316,8 @@ func (g *Graph) RemoveNode(id string) error {
 	g.nodeAttrs = append(g.nodeAttrs[:i], g.nodeAttrs[i+1:]...)
 	g.succ = append(g.succ[:i], g.succ[i+1:]...)
 	g.pred = append(g.pred[:i], g.pred[i+1:]...)
-	if g.nodeShared != nil {
-		g.nodeShared = append(g.nodeShared[:i], g.nodeShared[i+1:]...)
+	if g.cow {
+		g.nodeOwned = append(g.nodeOwned[:i], g.nodeOwned[i+1:]...)
 	}
 	// Reindex: nodes after position i shift down by one, and every
 	// adjacency entry referencing a higher index must follow.
@@ -338,6 +351,9 @@ func (g *Graph) AddEdge(u, v string, attrs Attrs) {
 		cur = Attrs{}
 		g.edges[k] = cur
 		g.edgeOrder = append(g.edgeOrder, k)
+		if g.cow {
+			g.markEdgeOwned(k)
+		}
 		ui, vi := g.nodeIdx[u], g.nodeIdx[v]
 		g.succ[ui] = append(g.succ[ui], int32(vi))
 		g.pred[vi] = append(g.pred[vi], int32(ui))
@@ -396,9 +412,7 @@ func (g *Graph) RemoveEdge(u, v string) error {
 func (g *Graph) removeEdgeKey(k EdgeKey) {
 	g.version++
 	delete(g.edges, k)
-	if g.edgeShared != nil {
-		delete(g.edgeShared, k)
-	}
+	delete(g.edgeOwned, k)
 	for i, e := range g.edgeOrder {
 		if e == k {
 			g.edgeOrder = append(g.edgeOrder[:i], g.edgeOrder[i+1:]...)
@@ -536,55 +550,47 @@ func (g *Graph) OutDegree(id string) int {
 // Clone returns a deep copy of the graph (attribute maps are copied one
 // level deep, matching Attrs.Clone). Cloning a frozen graph — or a clone of
 // one — shares attribute maps copy-on-write instead of copying them, which
-// makes cloning an immutable master nearly free and safe to do from many
-// goroutines at once.
+// makes cloning an immutable master cheap and safe to do from many
+// goroutines at once: the index maps are copied whole, and only the maps
+// the source owns are copied one by one.
 func (g *Graph) Clone() *Graph {
-	n := len(g.nodeOrder)
 	c := &Graph{
 		directed:  g.directed,
 		version:   g.version,
-		nodeOrder: append([]string(nil), g.nodeOrder...),
-		nodeIdx:   make(map[string]int, n),
-		nodeAttrs: make([]Attrs, n),
-		edgeOrder: append([]EdgeKey(nil), g.edgeOrder...),
-		edges:     make(map[EdgeKey]Attrs, len(g.edges)),
+		cow:       g.cow,
+		nodeOrder: slices.Clone(g.nodeOrder),
+		nodeIdx:   maps.Clone(g.nodeIdx),
+		nodeAttrs: slices.Clone(g.nodeAttrs),
+		edgeOrder: slices.Clone(g.edgeOrder),
+		edges:     maps.Clone(g.edges),
 		succ:      cloneAdjacency(g.succ),
 		pred:      cloneAdjacency(g.pred),
 	}
-	for id, i := range g.nodeIdx {
-		c.nodeIdx[id] = i
-	}
-	if g.sharesAttrs() {
-		// COW mode: share every map the source does not exclusively own.
-		c.nodeShared = make([]bool, n)
-		c.edgeShared = make(map[EdgeKey]bool, len(g.edges))
-		for i, a := range g.nodeAttrs {
-			if g.nodeShared != nil && g.nodeShared[i] {
-				c.nodeAttrs[i] = a
-				c.nodeShared[i] = true
-			} else {
-				c.nodeAttrs[i] = a.Clone()
+	if g.cow {
+		// COW mode: the clone shares every map the source shares, and gets
+		// (and owns) a copy of every map the source owns.
+		c.nodeOwned = slices.Clone(g.nodeOwned)
+		for i, owned := range g.nodeOwned {
+			if owned {
+				c.nodeAttrs[i] = g.nodeAttrs[i].Clone()
 			}
 		}
-		for k, a := range g.edges {
-			if g.edgeShared != nil && g.edgeShared[k] {
-				c.edges[k] = a
-				c.edgeShared[k] = true
-			} else {
-				c.edges[k] = a.Clone()
+		if len(g.edgeOwned) > 0 {
+			c.edgeOwned = make(map[EdgeKey]struct{}, len(g.edgeOwned))
+			for k := range g.edgeOwned {
+				c.edges[k] = g.edges[k].Clone()
+				c.edgeOwned[k] = struct{}{}
 			}
 		}
-		if g.attrsShared {
-			c.attrs = g.attrs
-			c.attrsShared = true
-		} else {
+		c.attrs, c.attrsOwned = g.attrs, g.attrsOwned
+		if g.attrsOwned {
 			c.attrs = g.attrs.Clone()
 		}
 	} else {
-		for i, a := range g.nodeAttrs {
+		for i, a := range c.nodeAttrs {
 			c.nodeAttrs[i] = a.Clone()
 		}
-		for k, a := range g.edges {
+		for k, a := range c.edges {
 			c.edges[k] = a.Clone()
 		}
 		c.attrs = g.attrs.Clone()

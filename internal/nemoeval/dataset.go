@@ -5,6 +5,8 @@
 package nemoeval
 
 import (
+	"sync"
+
 	"repro/internal/dataframe"
 	"repro/internal/diagnosis"
 	"repro/internal/federate"
@@ -23,12 +25,18 @@ import (
 // generated code cannot contaminate the comparison. Probes fields are set
 // only for the diagnosis extension application.
 //
-// The relational representations may be populated lazily: dataset builders
-// install lazyFrames/lazyDB thunks and the Frames/Database accessors force
-// them on first use, so a NetworkX-backend evaluation never pays for
-// building dataframes and SQL tables it will not touch. Constructing an
-// Instance with all fields set eagerly (as package core does) keeps
-// working — the thunks are only consulted while a field is nil.
+// The traffic and MALT builders derive each representation once per
+// dataset — a frozen master graph, frozen node/edge frames and a frozen
+// database (for traffic, the frames double as its tables) — and give every
+// instance copy-on-write clones of those masters: a graph clone shares
+// attribute maps, and a frame or table clone shares column storage, each
+// copying only what the instance writes. The clones are made lazily:
+// builders install lazyGraph/lazyFrames/lazyDB thunks that the
+// G/Frames/Database accessors force on first use, so a NetworkX-backend
+// evaluation never pays for dataframes and SQL tables it will not touch.
+// Constructing an Instance with all fields set eagerly (as package core
+// does) keeps working — the thunks are only consulted while a field is
+// nil.
 type Instance struct {
 	App     string
 	Wrapper prompt.AppWrapper
@@ -186,14 +194,38 @@ type InstanceBuilder func() *Instance
 // the given scale. The default benchmark scale follows the paper's small
 // graph: 80 nodes and 80 edges ("80 nodes and edges").
 func TrafficDataset(cfg traffic.Config) InstanceBuilder {
-	// Generate once, freeze, then clone per instance: cloning a frozen
-	// master shares attribute maps copy-on-write, is safe from concurrent
-	// workers, and keeps every instance bit-identical. The relational
-	// representations are derived lazily from the clone so a NetworkX run
-	// never builds them.
 	master := traffic.Generate(cfg)
 	master.Freeze()
+	return trafficBuilder(master)
+}
+
+// trafficBuilder returns the instance builder over one frozen traffic
+// master graph. Each instance clones the graph: cloning a frozen master
+// shares attribute maps copy-on-write, is safe from concurrent workers,
+// and keeps every instance bit-identical. The relational masters — the
+// node and edge frames, frozen, and a database whose nodes/edges tables
+// are those same frames — are derived from the master once, when the
+// first instance binds a frame or a table, so NetworkX-only traffic never
+// builds them; every instance then gets O(columns) clones of them.
+//
+// The master must not change once the builder exists: a master extended
+// and re-frozen needs a new builder, which also gives the new generation a
+// fresh federated epoch.
+func trafficBuilder(master *graph.Graph) InstanceBuilder {
 	epoch := federate.NewEpoch()
+	var (
+		once           sync.Once
+		nodes0, edges0 *dataframe.Frame
+		db0            *sqldb.DB
+	)
+	relational := func() {
+		once.Do(func() {
+			nodes0, edges0 = traffic.Frames(master)
+			nodes0.Freeze()
+			edges0.Freeze()
+			db0 = traffic.DatabaseOf(nodes0, edges0)
+		})
+	}
 	return func() *Instance {
 		g := master.Clone()
 		return &Instance{
@@ -202,10 +234,13 @@ func TrafficDataset(cfg traffic.Config) InstanceBuilder {
 			Graph:    g,
 			FedEpoch: epoch,
 			lazyFrames: func() (*dataframe.Frame, *dataframe.Frame) {
-				nodes, edges := traffic.Frames(g)
-				return nodes, edges
+				relational()
+				return nodes0.Clone(), edges0.Clone()
 			},
-			lazyDB: func() *sqldb.DB { return traffic.Database(g) },
+			lazyDB: func() *sqldb.DB {
+				relational()
+				return db0.Clone()
+			},
 		}
 	}
 }
@@ -327,24 +362,10 @@ func BuildShardedTraffic(cfg traffic.Config, shards, batchSize int) (*ShardedTra
 
 // ShardDataset returns an instance builder over one shard's frozen master:
 // workers clone only that shard instead of the full graph, with the
-// relational representations derived lazily exactly like TrafficDataset.
+// relational representations derived once and cloned exactly like
+// TrafficDataset. Make the builder after the shard's last Apply and Freeze.
 func (d *ShardedTraffic) ShardDataset(shard int) InstanceBuilder {
-	master := d.Shards[shard].Master
-	epoch := federate.NewEpoch()
-	return func() *Instance {
-		g := master.Clone()
-		return &Instance{
-			App:      queries.AppTraffic,
-			Wrapper:  traffic.NewWrapper(g),
-			Graph:    g,
-			FedEpoch: epoch,
-			lazyFrames: func() (*dataframe.Frame, *dataframe.Frame) {
-				nodes, edges := traffic.Frames(g)
-				return nodes, edges
-			},
-			lazyDB: func() *sqldb.DB { return traffic.Database(g) },
-		}
-	}
+	return trafficBuilder(d.Shards[shard].Master)
 }
 
 // MALTDataset returns a builder for the lifecycle-management application

@@ -135,6 +135,10 @@ var builtinEnv = func() *Env {
 // Stdout returns everything print() wrote during the run.
 func (in *Interp) Stdout() string { return in.stdout.String() }
 
+// Steps returns the evaluation steps executed so far (one per VM
+// instruction), the count charged against Limits.MaxSteps.
+func (in *Interp) Steps() int { return in.steps }
+
 // Run parses and executes src, returning the script's result: the value of
 // a top-level `return`, or nil.
 func (in *Interp) Run(src string) (Value, error) {

@@ -53,7 +53,7 @@ type Result struct {
 	Err      error     // nil on success
 	ErrClass string    // categorized error class ("" on success)
 	Duration time.Duration
-	Steps    int // reserved for future accounting
+	Steps    int // evaluation steps executed, on success and error alike
 }
 
 // OK reports whether the run completed without error.
@@ -194,6 +194,7 @@ func RunProgram(prog *nql.Program, globals map[string]nql.Value, policy Policy) 
 	}, globals)
 	v, err := in.RunProgram(prog)
 	res.Stdout = in.Stdout()
+	res.Steps = in.Steps()
 	if err != nil {
 		res.Err = err
 		res.ErrClass = nql.ClassOf(err)

@@ -18,6 +18,9 @@ func TestRunSuccess(t *testing.T) {
 	if res.Duration <= 0 {
 		t.Fatal("duration not recorded")
 	}
+	if res.Steps <= 0 {
+		t.Fatalf("steps = %d, want > 0", res.Steps)
+	}
 }
 
 func TestRunCapturesStdout(t *testing.T) {
@@ -48,6 +51,9 @@ func TestRunawayContained(t *testing.T) {
 	res := Run("while true { }", nil, policy)
 	if res.OK() || res.ErrClass != "limit" {
 		t.Fatalf("res = %+v", res)
+	}
+	if res.Steps <= policy.MaxSteps {
+		t.Fatalf("steps on the error path = %d, want past the %d-step budget", res.Steps, policy.MaxSteps)
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("containment too slow")

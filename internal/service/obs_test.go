@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -164,6 +165,34 @@ func TestTraceSamplingRing(t *testing.T) {
 	}
 	if got := len(off.RecentTraces()); got != 1 {
 		t.Fatalf("profiled request not traced: ring has %d", got)
+	}
+}
+
+// TestExecuteSpanCountsSteps checks that the execute span's steps tag
+// carries the program's step count rather than a constant zero.
+func TestExecuteSpanCountsSteps(t *testing.T) {
+	s := newTestService(t, func(c *Config) { c.TraceSample = 1.0 })
+	loop := "let i = 0\nwhile i < 1000 { i = i + 1 }\nreturn i"
+	if _, err := s.Do(context.Background(), &Request{Tenant: "acme", Query: loop}); err != nil {
+		t.Fatalf("Do: %v", err)
+	}
+	traces := s.RecentTraces()
+	if len(traces) != 1 {
+		t.Fatalf("traced %d requests, want 1", len(traces))
+	}
+	steps := ""
+	for _, sp := range traces[0].Snapshot() {
+		if sp.Name != "execute" {
+			continue
+		}
+		for _, tag := range sp.Tags {
+			if tag.Key == "steps" {
+				steps = tag.Value
+			}
+		}
+	}
+	if n, err := strconv.Atoi(steps); err != nil || n < 1000 {
+		t.Fatalf("execute span steps = %q, want at least one per loop iteration (1000)", steps)
 	}
 }
 

@@ -231,16 +231,21 @@ func drawPrefixes(r *rand.Rand, count int) []string {
 // frame has (src, dst, bytes, connections, packets).
 func Frames(g *graph.Graph) (nodes, edges *dataframe.Frame) {
 	nodes = dataframe.New("id", "ip")
+	// Each node ID is boxed once: the src/dst cells of its edges reuse that
+	// interface value instead of each allocating its own.
+	ids := make(map[string]any, g.NumNodes())
 	for _, n := range g.Nodes() {
 		// Read-only views: frame building copies the values out, so it
 		// must not force copy-on-write copies of the attribute maps.
 		attrs := g.NodeAttrsView(n)
 		ip, _ := attrs["ip"].(string)
-		nodes.AppendRow(n, ip)
+		id := any(n)
+		ids[n] = id
+		nodes.AppendRow(id, ip)
 	}
 	edges = dataframe.New("src", "dst", "bytes", "connections", "packets")
 	for _, e := range g.EdgesView() {
-		edges.AppendRow(e.U, e.V, e.Attrs["bytes"], e.Attrs["connections"], e.Attrs["packets"])
+		edges.AppendRow(ids[e.U], ids[e.V], e.Attrs["bytes"], e.Attrs["connections"], e.Attrs["packets"])
 	}
 	return nodes, edges
 }
@@ -248,9 +253,14 @@ func Frames(g *graph.Graph) (nodes, edges *dataframe.Frame) {
 // Database converts a communication graph into the relational form the SQL
 // backend queries: tables "nodes" and "edges" with the same schemas as
 // Frames.
-func Database(g *graph.Graph) *sqldb.DB {
+func Database(g *graph.Graph) *sqldb.DB { return DatabaseOf(Frames(g)) }
+
+// DatabaseOf registers node and edge frames (as Frames builds them) as the
+// "nodes" and "edges" tables of a new database. The tables are the frames
+// themselves, not copies, so one pair of frozen frames can back both the
+// frames and the tables of every clone.
+func DatabaseOf(nodes, edges *dataframe.Frame) *sqldb.DB {
 	db := sqldb.NewDB()
-	nodes, edges := Frames(g)
 	db.CreateTable("nodes", nodes)
 	db.CreateTable("edges", edges)
 	return db
