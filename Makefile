@@ -8,7 +8,8 @@
 # gated at a wider p99 threshold — see cmd/benchdiff) on the ROADMAP
 # watchlist (Table2 / Table4 / Clone / PageRank /
 # SandboxGoldenQuery / NQLVM / StreamSweep / GatewayThroughput /
-# ServiceQuery / FederatedJoin / FederatedGoldenQuery / InstanceBind).
+# ServiceQuery / FederatedJoin / FederatedGoldenQuery / FederatedAnalytics /
+# InstanceBind).
 
 GO        ?= go
 BENCH_OUT ?= BENCH_10.json
@@ -50,7 +51,8 @@ install-staticcheck:
 	$(GO) install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 
 # Race-exercise the concurrent evaluation pipeline and its substrates
-# (includes the stream/shard sweep's parallel aggregation and PageRank,
+# (includes concurrent lazy clones of frozen graph masters, the
+# stream/shard sweep's parallel aggregation and PageRank,
 # the model-serving gateway's batching/rate-limit/retry scheduler, and the
 # netqueryd service's chaos suite — swap under load, client disconnects,
 # backend stalls, tenant isolation, and the burn-rate alert full loop

@@ -286,6 +286,22 @@ func BenchmarkInstanceBind(b *testing.B) {
 	}
 }
 
+// BenchmarkGraphCloneWrite measures what a lazy clone defers: cloning a
+// frozen federated-analytics-scale master (600 nodes, 6000 edges) plus the
+// first write, which copies the shared containers.
+func BenchmarkGraphCloneWrite(b *testing.B) {
+	g := benchGraph(600, 6000)
+	g.Freeze()
+	e := g.EdgesView()[0]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := g.Clone()
+		if err := c.SetEdgeAttr(e.U, e.V, "bytes", i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGraphCloneDeep measures a full deep copy (no Freeze): every
 // attribute map is duplicated eagerly.
 func BenchmarkGraphCloneDeep(b *testing.B) {
@@ -576,6 +592,55 @@ func BenchmarkFederatedGoldenQuery(b *testing.B) {
 		if !res.OK() {
 			b.Fatal(res.Err)
 		}
+	}
+}
+
+// fedAnalyticsTemplates are the three raw federated programs of the
+// fed-analytics service workload (a pushed-down scan+filter+count, a
+// sql×graph join with sort and limit, a dataframe prefix-filtered group-by),
+// each over one node ID.
+var fedAnalyticsTemplates = []struct {
+	name string
+	src  func(id string) string
+}{
+	{"count", func(id string) string {
+		return fmt.Sprintf(`return fed.scan("sql", "edges").filter("src", "==", %q).count()`, id)
+	}},
+	{"join", func(id string) string {
+		return fmt.Sprintf(`let rows = fed.scan("sql", "edges").filter("src", "==", %q).join(fed.scan("graph", "nodes"), "dst", "id").project("dst", "ip", "bytes").sort("dst").sort("bytes", false).limit(5).collect()
+let out = []
+for r in rows { push(out, [r["dst"], r["ip"], r["bytes"]]) }
+return out`, id)
+	}},
+	{"agg", func(id string) string {
+		return fmt.Sprintf(`let f = fed.scan("frame", "edges").filter("src", "prefix", %q).agg(["dst"], ["bytes", "sum", "b"], ["packets", "sum", "p"], ["src", "count", "n"])
+return f.sort("dst").collect()`, id[:3])
+	}},
+}
+
+// BenchmarkFederatedAnalytics runs each fed-analytics template through
+// sandbox.RunProgram on a fresh 600-node, 6000-edge traffic instance per
+// iteration: the per-request instance and federated execution cost netqueryd
+// pays, without HTTP. Selective lookups should cost what their answer
+// costs, not what the network costs.
+func BenchmarkFederatedAnalytics(b *testing.B) {
+	build := nemoeval.TrafficDataset(traffic.Config{Nodes: 600, Edges: 6000, Seed: 42})
+	id := build().Graph.Nodes()[7]
+	for _, tmpl := range fedAnalyticsTemplates {
+		prog, err := sandbox.Compile(tmpl.src(id))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tmpl.name, func(b *testing.B) {
+			build().Bindings(prompt.BackendFederated) // one-time derivations stay untimed
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res := sandbox.RunProgram(prog, build().Bindings(prompt.BackendFederated), sandbox.DefaultPolicy)
+				if !res.OK() {
+					b.Fatal(res.Err)
+				}
+			}
+		})
 	}
 }
 

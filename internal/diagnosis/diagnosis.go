@@ -118,7 +118,7 @@ func (w *Workload) Frames() (nodes, edges, probes *dataframe.Frame) {
 	nodes, edges = traffic.Frames(w.G)
 	var err error
 	edges, err = edges.Mutate("status", func(row map[string]any) (any, error) {
-		return w.G.EdgeAttrs(row["src"].(string), row["dst"].(string))["status"], nil
+		return w.G.EdgeAttrsView(row["src"].(string), row["dst"].(string))["status"], nil
 	})
 	if err != nil {
 		panic(err) // columns are guaranteed present

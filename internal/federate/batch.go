@@ -38,26 +38,6 @@ func (b *batch) row(r int, dst []nql.Value) []nql.Value {
 	return dst
 }
 
-// liftColumns lifts a native columnar scan result into a relation
-// (row-major, for stages that still need the legacy row pipeline).
-func liftColumns(names []string, data [][]any) *Relation {
-	rel := &Relation{Cols: names}
-	n := 0
-	if len(data) > 0 {
-		n = len(data[0])
-	}
-	rows := make([][]nql.Value, n)
-	for r := 0; r < n; r++ {
-		row := make([]nql.Value, len(names))
-		for i := range names {
-			row[i] = liftValue(data[i][r])
-		}
-		rows[r] = row
-	}
-	rel.Rows = rows
-	return rel
-}
-
 // batchWriter accumulates rows into batches and sends them downstream,
 // flushing at batchRows. Once the pipeline is tearing down (a send fails)
 // it keeps counting rows for the profile but stops building batches.

@@ -24,7 +24,7 @@ const SourceAny = "any"
 type decision struct {
 	Kind      byte    // node kind tag, validated when replaying from cache
 	Source    string  // scans: resolved source (copied from the node unless SourceAny)
-	Native    bool    // scans: serve via sqldb's columnar pushdown entry points
+	Native    bool    // scans: nativeScanOK holds, so execScan uses sqldb's columnar scan (read by costing, fusion and Explain)
 	BuildLeft bool    // joins: hash the smaller (left) input
 	Fuse      byte    // fuseNone, fuseSQLJoin or fuseSQLAgg
 	EstRows   float64 // estimated output rows
@@ -70,9 +70,9 @@ func nodeKind(n Node) byte {
 	}
 }
 
-// liftCost is the per-row cost of lifting substrate rows into the
-// relation's value domain; the native columnar path skips the lift until
-// the batch boundary and row-major scope evaluation entirely.
+// liftCost is the per-row cost of scanning substrate rows into the
+// relation's value domain; the native columnar path skips SQL parsing and
+// the per-row scope maps of the text path entirely.
 const (
 	liftCostText   = 4.0  // SQL text path: parse + scopes + result frame + lift
 	liftCostNative = 0.5  // sqldb columnar pushdown

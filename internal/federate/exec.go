@@ -2,6 +2,7 @@ package federate
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/nql"
 	"repro/internal/obs"
+	"repro/internal/sqldb"
 )
 
 // Run optimizes a logical plan, plans it against the catalog's statistics
@@ -130,66 +132,125 @@ func execNode(cat *Catalog, plan Node) (*Relation, error) {
 
 // --- scans -----------------------------------------------------------------
 
+// execScan is the scan operator of both executors: the row interpreter
+// calls it directly and the pipeline's scan stage streams its result.
 func execScan(cat *Catalog, s *Scan) (*Relation, error) {
-	var rel *Relation
-	var err error
 	switch s.Source {
 	case SourceGraph:
-		rel, err = scanGraph(cat, s)
+		return scanGraph(cat, s)
 	case SourceFrame:
-		rel, err = scanFrame(cat, s)
+		return scanFrame(cat, s)
 	case SourceSQL:
 		return scanSQL(cat, s)
 	default:
 		return nil, fmt.Errorf("federate: unknown scan source %q (have graph, frame, sql)", s.Source)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return finishScan(cat, rel, s.Pushed, s.Cols)
 }
 
-// finishScan applies pushed predicates and the projected column list to a
-// fully-lifted relation (the graph and frame scans filter during lift; the
-// SQL scan compiles both into the query and skips this).
-func finishScan(cat *Catalog, rel *Relation, pushed []Cmp, cols []string) (*Relation, error) {
+// columns is a scan source in column-major form: n rows of the named
+// columns, lifted one cell at a time, so a scan can test its pushed
+// predicates on the condition cells before it lifts a whole row.
+type columns struct {
+	names []string
+	n     int
+	cell  func(c, r int) nql.Value
+}
+
+// dataColumns adapts one value slice per column (a frame's storage or a
+// native sqldb scan result) to a scan source.
+func dataColumns(names []string, data [][]any) columns {
+	n := 0
+	if len(data) > 0 {
+		n = len(data[0])
+	}
+	return columns{names: names, n: n, cell: func(c, r int) nql.Value { return liftValue(data[c][r]) }}
+}
+
+// relColumns reads an already lifted relation as a scan source.
+func relColumns(rel *Relation) columns {
+	return columns{names: rel.Cols, n: len(rel.Rows), cell: func(c, r int) nql.Value { return rel.Rows[r][c] }}
+}
+
+// selectRows is the scan filter of both executors: it evaluates the pushed
+// predicates on the cells of their condition columns only, then lifts just
+// the surviving rows, narrowed to cols when it is non-nil. Errors are those
+// of filtering the fully lifted relation row by row: predicates run in
+// order with short-circuit, a condition column is resolved the first time
+// its predicate runs (so an empty table never fails on one), the context
+// is polled at the same row checkpoints, and projection columns are
+// resolved once filtering succeeded.
+func selectRows(cat *Catalog, src columns, pushed []Cmp, cols []string) (*Relation, error) {
+	shape := &Relation{Cols: src.names}
+	n := src.n
+	var keep []int
 	if len(pushed) > 0 {
-		kept := rel.Rows[:0:0]
-		for i, row := range rel.Rows {
-			if err := cat.cancelled(i); err != nil {
+		at := make([]int, len(pushed))
+		for i := range at {
+			at[i] = -1
+		}
+	rows:
+		for r := 0; r < src.n; r++ {
+			if err := cat.cancelled(r); err != nil {
 				return nil, err
 			}
-			ok, err := rowMatches(rel, row, pushed)
+			for i, c := range pushed {
+				if at[i] < 0 {
+					j, err := shape.colIndex(c.Col)
+					if err != nil {
+						return nil, err
+					}
+					at[i] = j
+				}
+				ok, err := evalCmp(c.Op, src.cell(at[i], r), c.Value)
+				if err != nil {
+					return nil, err
+				}
+				if !ok {
+					continue rows
+				}
+			}
+			keep = append(keep, r)
+		}
+		n = len(keep)
+	}
+	out := &Relation{Cols: src.names}
+	var idx []int
+	if cols != nil {
+		idx = make([]int, len(cols))
+		for i, c := range cols {
+			j, err := shape.colIndex(c)
 			if err != nil {
 				return nil, err
 			}
-			if ok {
-				kept = append(kept, row)
-			}
+			idx[i] = j
 		}
-		rel = &Relation{Cols: rel.Cols, Rows: kept}
-	}
-	if cols == nil {
-		return rel, nil
-	}
-	return projectRelation(rel, cols)
-}
-
-func rowMatches(rel *Relation, row []nql.Value, cmps []Cmp) (bool, error) {
-	for _, c := range cmps {
-		i, err := rel.colIndex(c.Col)
-		if err != nil {
-			return false, err
-		}
-		ok, err := evalCmp(c.Op, row[i], c.Value)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
+		out.Cols = append([]string(nil), cols...)
+	} else {
+		idx = make([]int, len(src.names))
+		for i := range idx {
+			idx[i] = i
 		}
 	}
-	return true, nil
+	if n == 0 {
+		return out, nil
+	}
+	// One backing array for every lifted row; each row is capped so an
+	// append by a later operator reallocates instead of overrunning.
+	w := len(idx)
+	backing := make([]nql.Value, n*w)
+	out.Rows = make([][]nql.Value, n)
+	for k := range out.Rows {
+		r := k
+		if keep != nil {
+			r = keep[k]
+		}
+		row := backing[k*w : (k+1)*w : (k+1)*w]
+		for i, j := range idx {
+			row[i] = src.cell(j, r)
+		}
+		out.Rows[k] = row
+	}
+	return out, nil
 }
 
 func scanGraph(cat *Catalog, s *Scan) (*Relation, error) {
@@ -202,51 +263,48 @@ func scanGraph(cat *Catalog, s *Scan) (*Relation, error) {
 	if err := cat.cancelled(0); err != nil {
 		return nil, err
 	}
+	var rel *Relation
 	switch s.Table {
 	case GraphTableNodes:
-		cols := []string{"id"}
-		cols = append(cols, attrKeyUnion(g, true)...)
-		rel := &Relation{Cols: cols}
-		for _, id := range g.Nodes() {
-			attrs := g.NodeAttrsView(id)
-			row := make([]nql.Value, len(cols))
-			row[0] = id
-			for i, k := range cols[1:] {
-				row[i+1] = liftValue(attrs[k])
-			}
-			rel.Rows = append(rel.Rows, row)
+		ids := g.Nodes()
+		attrs := make([]graph.Attrs, len(ids))
+		for i, id := range ids {
+			attrs[i] = g.NodeAttrsView(id)
 		}
-		return rel, nil
+		names := append([]string{"id"}, attrKeyUnion(len(attrs), func(i int) graph.Attrs { return attrs[i] })...)
+		return selectRows(cat, columns{names: names, n: len(ids), cell: func(c, r int) nql.Value {
+			if c == 0 {
+				return ids[r]
+			}
+			return liftValue(attrs[r][names[c]])
+		}}, s.Pushed, s.Cols)
 	case GraphTableEdges:
-		cols := []string{"src", "dst"}
-		cols = append(cols, attrKeyUnion(g, false)...)
-		rel := &Relation{Cols: cols}
-		for _, e := range g.EdgesView() {
-			row := make([]nql.Value, len(cols))
-			row[0], row[1] = e.U, e.V
-			for i, k := range cols[2:] {
-				row[i+2] = liftValue(e.Attrs[k])
+		edges := g.EdgesView()
+		names := append([]string{"src", "dst"}, attrKeyUnion(len(edges), func(i int) graph.Attrs { return edges[i].Attrs })...)
+		return selectRows(cat, columns{names: names, n: len(edges), cell: func(c, r int) nql.Value {
+			switch c {
+			case 0:
+				return edges[r].U
+			case 1:
+				return edges[r].V
 			}
-			rel.Rows = append(rel.Rows, row)
-		}
-		return rel, nil
+			return liftValue(edges[r].Attrs[names[c]])
+		}}, s.Pushed, s.Cols)
 	case GraphTableDegree:
-		rel := &Relation{Cols: []string{"id", "degree", "in_degree", "out_degree"}}
+		rel = &Relation{Cols: []string{"id", "degree", "in_degree", "out_degree"}}
 		for _, id := range g.Nodes() {
 			rel.Rows = append(rel.Rows, []nql.Value{
 				id, int64(g.Degree(id)), int64(g.InDegree(id)), int64(g.OutDegree(id)),
 			})
 		}
-		return rel, nil
 	case GraphTablePageRank:
 		// Same parameters as the networkx binding's pagerank() so federated
 		// plans agree with per-backend goldens.
 		pr := g.PageRank(0.85, 100, 1e-9)
-		rel := &Relation{Cols: []string{"id", "pagerank"}}
+		rel = &Relation{Cols: []string{"id", "pagerank"}}
 		for _, id := range g.Nodes() {
 			rel.Rows = append(rel.Rows, []nql.Value{id, pr[id]})
 		}
-		return rel, nil
 	case GraphTableComponents:
 		comp := map[string]int64{}
 		for i, members := range g.ConnectedComponents() {
@@ -254,31 +312,22 @@ func scanGraph(cat *Catalog, s *Scan) (*Relation, error) {
 				comp[id] = int64(i)
 			}
 		}
-		rel := &Relation{Cols: []string{"id", "component"}}
+		rel = &Relation{Cols: []string{"id", "component"}}
 		for _, id := range g.Nodes() {
 			rel.Rows = append(rel.Rows, []nql.Value{id, comp[id]})
 		}
-		return rel, nil
 	default:
 		return nil, fmt.Errorf("federate: unknown graph table %q (have nodes, edges, degree, pagerank, components)", s.Table)
 	}
+	return selectRows(cat, relColumns(rel), s.Pushed, s.Cols)
 }
 
-// attrKeyUnion returns the sorted union of attribute keys over all nodes
-// (or edges) of the graph.
-func attrKeyUnion(g *graph.Graph, nodes bool) []string {
+// attrKeyUnion returns the sorted union of the keys of n attribute maps.
+func attrKeyUnion(n int, attrs func(i int) graph.Attrs) []string {
 	seen := map[string]bool{}
-	if nodes {
-		for _, id := range g.Nodes() {
-			for k := range g.NodeAttrsView(id) {
-				seen[k] = true
-			}
-		}
-	} else {
-		for _, e := range g.EdgesView() {
-			for k := range e.Attrs {
-				seen[k] = true
-			}
+	for i := 0; i < n; i++ {
+		for k := range attrs(i) {
+			seen[k] = true
 		}
 	}
 	keys := make([]string, 0, len(seen))
@@ -299,52 +348,61 @@ func scanFrame(cat *Catalog, s *Scan) (*Relation, error) {
 		sort.Strings(names)
 		return nil, fmt.Errorf("federate: unknown frame table %q (have %v)", s.Table, names)
 	}
-	return frameRelation(f), nil
+	return selectRows(cat, frameColumns(f), s.Pushed, s.Cols)
 }
 
-func frameRelation(f *dataframe.Frame) *Relation {
-	cols := f.Columns()
-	rel := &Relation{Cols: cols}
-	columns := make([][]any, len(cols))
-	for i, c := range cols {
-		columns[i], _ = f.Column(c)
+// frameColumns reads a frame's live column storage as a scan source.
+func frameColumns(f *dataframe.Frame) columns {
+	names := f.Columns()
+	data := make([][]any, len(names))
+	for i, c := range names {
+		data[i], _ = f.Column(c)
 	}
-	for r := 0; r < f.NumRows(); r++ {
-		row := make([]nql.Value, len(cols))
-		for i := range cols {
-			row[i] = liftValue(columns[i][r])
-		}
-		rel.Rows = append(rel.Rows, row)
-	}
-	return rel
+	return dataColumns(names, data)
 }
 
-// scanSQL pushes the scan into the SQL engine: projected columns become the
-// SELECT list and every pushed predicate that has a SQL rendering becomes a
-// WHERE conjunct. Predicates the dialect cannot express (bool/nil literals,
+// scanSQL pushes the scan into the SQL engine: projected columns narrow the
+// scan and every pushed predicate that has a SQL rendering becomes a WHERE
+// conjunct. Predicates the dialect cannot express (bool/nil literals,
 // strings containing quotes, contains) are applied locally afterwards.
+// Scans nativeScanOK admits run through sqldb's columnar ScanColumns; the
+// rest, and any scan it answers with ErrPushdown, render SQL text.
 func scanSQL(cat *Catalog, s *Scan) (*Relation, error) {
 	if cat.DB == nil {
 		return nil, fmt.Errorf("federate: catalog has no sql source")
 	}
-	var local []Cmp
-	var where []string
-	for _, c := range s.Pushed {
-		if sqlCond, ok := sqlCompile(c); ok {
-			where = append(where, sqlCond)
-		} else {
-			local = append(local, c)
-		}
-	}
+	native, local := splitConds(s.Pushed)
 	// Local predicates may reference columns outside the projection, so the
-	// narrowed SELECT list is only safe when everything was pushed.
-	sel := "*"
+	// narrowed scan is only safe when everything was pushed.
+	narrow := s.Cols != nil && len(local) == 0
 	project := s.Cols
-	if project != nil && len(local) == 0 {
-		sel = strings.Join(project, ", ")
+	if narrow {
 		project = nil
 	}
+	if nativeScanOK(cat, s) {
+		spec := sqldb.ScanSpec{Table: s.Table, Conds: native}
+		if narrow {
+			spec.Cols = s.Cols
+		}
+		names, data, err := cat.DB.ScanColumns(cat.context(), spec)
+		if err == nil {
+			return selectRows(cat, dataColumns(names, data), local, project)
+		}
+		if !errors.Is(err, sqldb.ErrPushdown) {
+			return nil, err
+		}
+	}
+	sel := "*"
+	if narrow {
+		sel = strings.Join(s.Cols, ", ")
+	}
 	q := fmt.Sprintf("SELECT %s FROM %s", sel, s.Table)
+	var where []string
+	for _, c := range s.Pushed {
+		if cond, ok := sqlCompile(c); ok {
+			where = append(where, cond)
+		}
+	}
 	if len(where) > 0 {
 		q += " WHERE " + strings.Join(where, " AND ")
 	}
@@ -352,7 +410,7 @@ func scanSQL(cat *Catalog, s *Scan) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return finishScan(cat, frameRelation(f), local, project)
+	return selectRows(cat, frameColumns(f), local, project)
 }
 
 // sqlCompile renders a structured predicate as a SQL condition; ok is false
@@ -401,9 +459,7 @@ func execFilter(cat *Catalog, f *Filter) (*Relation, error) {
 		return nil, err
 	}
 	switch p := f.Pred.(type) {
-	case Cmp:
-		return finishScan(cat, in, []Cmp{p}, nil)
-	case FuncPred, And:
+	case Cmp, FuncPred, And:
 		out := &Relation{Cols: in.Cols}
 		for i, row := range in.Rows {
 			if err := cat.cancelled(i); err != nil {
@@ -424,7 +480,7 @@ func execFilter(cat *Catalog, f *Filter) (*Relation, error) {
 }
 
 // evalPred evaluates one predicate against a row: Cmp resolves its column
-// lazily (like rowMatches), FuncPred lifts the row to a map, And
+// lazily (like selectRows), FuncPred lifts the row to a map, And
 // short-circuits left to right.
 func evalPred(rel *Relation, row []nql.Value, pred Pred) (bool, error) {
 	switch p := pred.(type) {

@@ -7,8 +7,9 @@
 // limit — is planned across heterogeneous sources: every scan names a
 // (source, table) pair, the optimizer pushes filters and projections down
 // into the scans (compiling them to native WHERE clauses for the SQL
-// substrate, running them during row lift for the graph and frame
-// substrates), and the executor evaluates the remaining stages over a
+// substrate, testing them on source cells before a row is lifted for the
+// graph and frame substrates), and the executor evaluates the remaining
+// stages over a
 // uniform relation of nql.Value rows. Graph scans can also push whole
 // computations down — degree, PageRank, connected components — so a plan
 // can join, say, a SQL probe table against graph centrality, which none of

@@ -16,9 +16,10 @@ import (
 // This file is the pipelined executor: every operator of a prepared plan
 // runs as its own goroutine, streaming column-major batches downstream over
 // bounded channels, so a scan can lift rows while the join above it hashes
-// and the aggregate above that folds. Scans serve from sqldb's native
-// columnar entry points when the planner marked them Native (falling back
-// to the general path on ErrPushdown), and planner-fused join/aggregate
+// and the aggregate above that folds. A scan stage runs execScan, the same
+// scan the row interpreter calls: it filters on source columns before it
+// lifts a row, and serves SQL tables from sqldb's native columnar scan
+// (falling back to SQL text on ErrPushdown). Planner-fused join/aggregate
 // stages push the whole subtree into the SQL substrate.
 //
 // The pipeline is observationally identical to the legacy recursive
@@ -28,7 +29,7 @@ import (
 //
 //   - Resolution timing: stages resolve column names when the schema
 //     message arrives (before any rows), except per-row predicates, which
-//     resolve lazily with short-circuiting exactly like rowMatches.
+//     resolve lazily with short-circuiting exactly like selectRows.
 //   - Error precedence: a stage hitting its own error keeps draining its
 //     input; if the input ends with an error, that upstream error wins —
 //     the legacy executor evaluates inputs fully before the parent stage.
@@ -105,7 +106,7 @@ func (pl *pipeline) build(n Node, decs []decision, pos *int, parent *obs.ProfNod
 	out := make(chan pmsg, pipeChanCap)
 	switch x := n.(type) {
 	case *Scan:
-		pl.scanStage(x, d, frame, out)
+		pl.scanStage(x, frame, out)
 	case *Filter:
 		in := pl.build(x.Input, decs, pos, frame)
 		pl.filterStage(x, frame, in, out)
@@ -305,41 +306,9 @@ func (pl *pipeline) streamColumns(out chan<- pmsg, names []string, data [][]any)
 
 // --- stages --------------------------------------------------------------
 
-func (pl *pipeline) scanStage(s *Scan, d decision, frame *obs.ProfNode, out chan<- pmsg) {
+func (pl *pipeline) scanStage(s *Scan, frame *obs.ProfNode, out chan<- pmsg) {
 	pl.spawn(out, func(out chan<- pmsg) {
-		cat := pl.stageCat(frame)
-		if d.Native && s.Source == SourceSQL && cat.DB != nil {
-			native, local := splitConds(s.Pushed)
-			spec := sqldb.ScanSpec{Table: s.Table, Conds: native}
-			project := s.Cols
-			if local == nil && project != nil {
-				// Everything pushed: narrow the scan itself, exactly like
-				// the text path narrows the SELECT list.
-				spec.Cols = project
-				project = nil
-			}
-			names, data, err := cat.DB.ScanColumns(cat.context(), spec)
-			switch {
-			case err == nil && local == nil && project == nil:
-				rows := pl.streamColumns(out, names, data)
-				pl.finishStage(frame, out, rows, nil)
-				return
-			case err == nil:
-				rel, ferr := finishScan(cat, liftColumns(names, data), local, project)
-				if ferr != nil {
-					pl.finishStage(frame, out, 0, ferr)
-					return
-				}
-				pl.streamRel(out, rel)
-				pl.finishStage(frame, out, int64(len(rel.Rows)), nil)
-				return
-			case !errors.Is(err, sqldb.ErrPushdown):
-				pl.finishStage(frame, out, 0, err)
-				return
-			}
-			// ErrPushdown: fall through to the general path.
-		}
-		rel, err := execScan(cat, s)
+		rel, err := execScan(pl.stageCat(frame), s)
 		if err != nil {
 			pl.finishStage(frame, out, 0, err)
 			return

@@ -93,9 +93,10 @@ func Prepare(cat *Catalog, plan Node) *Prepared {
 // pipeline: a single node estimated at or above batchRows enables it, and
 // so does any fusion decision — a fused subtree collapses into one
 // substrate call only the pipelined executor can issue, which beats the
-// interpreter at any volume (a native-scan decision alone does not
-// qualify: at sub-batch volume the text path with its pushed-down WHERE
-// costs about the same).
+// interpreter at any volume. A native-scan decision alone does not
+// qualify: both executors run a scan through the same execScan, which
+// filters on source columns before lifting a row, so a scan costs the same
+// in either and the interpreter saves the stage machinery.
 func worthPipelining(decs []decision) bool {
 	for _, d := range decs {
 		if d.EstRows >= batchRows || d.Fuse != fuseNone {

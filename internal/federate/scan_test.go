@@ -1,0 +1,278 @@
+package federate
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/dataframe"
+	"repro/internal/nql"
+	"repro/internal/obs"
+)
+
+// scanCatalog extends testCatalog with three small tables, each present as
+// both a frame and a SQL table: "empty" (the edges schema, no rows),
+// "mixed" (column v holds strings on rows 0-2 and an int on row 3) and
+// "kw" (a column named after the SQL keyword ORDER).
+func scanCatalog() *Catalog {
+	cat := testCatalog()
+	empty := dataframe.New("src", "dst", "bytes")
+	mixed := dataframe.New("src", "v")
+	for i := 0; i < 3; i++ {
+		mixed.AppendRow("a", fmt.Sprintf("a%d", i))
+	}
+	mixed.AppendRow("a", int64(3))
+	kw := dataframe.New("src", "order")
+	kw.AppendRow("a", int64(1))
+	for name, f := range map[string]*dataframe.Frame{"empty": empty, "mixed": mixed, "kw": kw} {
+		cat.Frames[name] = f
+		cat.DB.CreateTable(name, f.Clone())
+	}
+	return cat
+}
+
+// fallibleTrue is an opaque predicate that keeps every row. It is not
+// stamped NoErr, so over a join it keeps a plan on the row interpreter.
+var fallibleTrue = FuncPred{Fn: func(*nql.Map) (bool, error) { return true, nil }}
+
+// inLegacy wraps a scan so that Prepare picks the row interpreter without
+// any test override: a fallible FuncPred over a join of the scan with the
+// graph's node IDs on key. Every scanned row matches exactly one node, and
+// the right side contributes no column, so the result is the scan's own.
+func inLegacy(t *testing.T, cat *Catalog, scan *Scan, key string) *Prepared {
+	t.Helper()
+	plan := &Filter{Pred: fallibleTrue, Input: &Join{
+		Left:     scan,
+		Right:    &Project{Cols: []string{"id"}, Input: &Scan{Source: SourceGraph, Table: GraphTableNodes}},
+		LeftKey:  key,
+		RightKey: "id",
+	}}
+	p := Prepare(cat, plan)
+	if p.mode != modeLegacy {
+		t.Fatalf("plan over %s runs in mode %d, want legacy", scan.label(), p.mode)
+	}
+	return p
+}
+
+// inPipeline prepares the bare scan (no FuncPred anywhere) and forces it
+// past the volume rule onto the staged executor.
+func inPipeline(t *testing.T, cat *Catalog, scan *Scan) *Prepared {
+	t.Helper()
+	p := forcePipeline(cat, scan)
+	if p == nil {
+		t.Fatalf("scan %s classified legacy", scan.label())
+	}
+	return p
+}
+
+// modes runs body once per executor, each time over a fresh copy of scan.
+func modes(t *testing.T, cat *Catalog, scan func() *Scan, key string, body func(t *testing.T, p *Prepared)) {
+	t.Run("legacy", func(t *testing.T) { body(t, inLegacy(t, cat, scan(), key)) })
+	t.Run("pipeline", func(t *testing.T) { body(t, inPipeline(t, cat, scan())) })
+}
+
+// TestScanPinnedRelations pins the exact relation of sql and frame scans
+// with pushed conditions and projections under both executors.
+func TestScanPinnedRelations(t *testing.T) {
+	cat := scanCatalog()
+	cases := []struct {
+		name   string
+		pushed []Cmp
+		cols   []string
+		key    string
+		want   string
+	}{
+		{
+			name:   "one condition",
+			pushed: []Cmp{{Col: "bytes", Op: ">=", Value: int64(100)}},
+			key:    "src",
+			want:   `src,dst,bytes|"a","b",100|"b","c",250|"c","d",400`,
+		},
+		{
+			name:   "two conditions",
+			pushed: []Cmp{{Col: "src", Op: "==", Value: "a"}, {Col: "bytes", Op: "<", Value: int64(100)}},
+			key:    "src",
+			want:   `src,dst,bytes|"a","c",50`,
+		},
+		{
+			name:   "condition outside the projection",
+			pushed: []Cmp{{Col: "bytes", Op: ">", Value: int64(200)}},
+			cols:   []string{"dst"},
+			key:    "dst",
+			want:   `dst|"c"|"d"`,
+		},
+		{
+			name:   "local predicate with projection",
+			pushed: []Cmp{{Col: "dst", Op: "contains", Value: "c"}},
+			cols:   []string{"src", "dst"},
+			key:    "src",
+			want:   `src,dst|"b","c"|"a","c"`,
+		},
+		{
+			name:   "no row survives",
+			pushed: []Cmp{{Col: "bytes", Op: ">", Value: int64(1000)}},
+			key:    "src",
+			want:   `src,dst,bytes`,
+		},
+	}
+	for _, source := range []string{SourceSQL, SourceFrame} {
+		for _, c := range cases {
+			scan := func() *Scan {
+				return &Scan{Source: source, Table: "edges", Pushed: append([]Cmp(nil), c.pushed...), Cols: c.cols}
+			}
+			t.Run(source+"/"+c.name, func(t *testing.T) {
+				modes(t, cat, scan, c.key, func(t *testing.T, p *Prepared) {
+					rel, err := p.ExecuteContext(context.Background(), cat)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := renderRel(rel); got != c.want {
+						t.Errorf("got  %s\nwant %s", got, c.want)
+					}
+				})
+			})
+		}
+	}
+}
+
+// renderRel renders a relation as "cols|row|row..." with NQL reprs.
+func renderRel(rel *Relation) string {
+	parts := []string{strings.Join(rel.Cols, ",")}
+	for _, row := range rel.Rows {
+		cells := make([]string, len(row))
+		for i, v := range row {
+			cells[i] = nql.Repr(v)
+		}
+		parts = append(parts, strings.Join(cells, ","))
+	}
+	return strings.Join(parts, "|")
+}
+
+// TestScanPinnedErrors pins the exact error (or its absence) of scans whose
+// pushed conditions fail, under both executors.
+func TestScanPinnedErrors(t *testing.T) {
+	cat := scanCatalog()
+	cases := []struct {
+		name, source, table string
+		pushed              []Cmp
+		want                string // "" means the scan must succeed
+	}{
+		{
+			name: "missing column", source: SourceFrame, table: "edges",
+			pushed: []Cmp{{Col: "ghost", Op: "==", Value: int64(1)}},
+			want:   `federate: column "ghost" does not exist (have [src dst bytes])`,
+		},
+		{
+			name: "missing column", source: SourceSQL, table: "edges",
+			pushed: []Cmp{{Col: "ghost", Op: "==", Value: int64(1)}},
+			want:   `sql: unknown column "ghost" (available: [edges.bytes edges.dst edges.src])`,
+		},
+		{
+			name: "missing column on an empty table", source: SourceFrame, table: "empty",
+			pushed: []Cmp{{Col: "ghost", Op: "==", Value: int64(1)}},
+		},
+		{
+			name: "missing column on an empty table", source: SourceSQL, table: "empty",
+			pushed: []Cmp{{Col: "ghost", Op: "==", Value: int64(1)}},
+		},
+		{
+			name: "missing column behind a condition false on row 0", source: SourceFrame, table: "edges",
+			pushed: []Cmp{{Col: "src", Op: "==", Value: "b"}, {Col: "ghost", Op: "==", Value: int64(1)}},
+			want:   `federate: column "ghost" does not exist (have [src dst bytes])`,
+		},
+		{
+			name: "missing column behind a condition false on row 0", source: SourceSQL, table: "edges",
+			pushed: []Cmp{{Col: "src", Op: "==", Value: "b"}, {Col: "ghost", Op: "==", Value: int64(1)}},
+			want:   `sql: unknown column "ghost" (available: [edges.bytes edges.dst edges.src])`,
+		},
+		{
+			name: "missing column behind a condition false on every row", source: SourceFrame, table: "edges",
+			pushed: []Cmp{{Col: "src", Op: "==", Value: "z"}, {Col: "ghost", Op: "==", Value: int64(1)}},
+		},
+		{
+			name: "type error on row 3", source: SourceFrame, table: "mixed",
+			pushed: []Cmp{{Col: "v", Op: "contains", Value: "a"}},
+			want:   `federate: contains requires strings, got int and string`,
+		},
+		{
+			name: "type error on row 3", source: SourceSQL, table: "mixed",
+			pushed: []Cmp{{Col: "v", Op: "contains", Value: "a"}},
+			want:   `federate: contains requires strings, got int and string`,
+		},
+		{
+			name: "keyword column takes the text fallback", source: SourceSQL, table: "kw",
+			pushed: []Cmp{{Col: "order", Op: "==", Value: int64(1)}},
+			want:   `sql syntax error at offset 23: unexpected token "ORDER" in expression`,
+		},
+	}
+	for _, c := range cases {
+		scan := func() *Scan {
+			return &Scan{Source: c.source, Table: c.table, Pushed: append([]Cmp(nil), c.pushed...)}
+		}
+		t.Run(c.source+"/"+c.name, func(t *testing.T) {
+			modes(t, cat, scan, "src", func(t *testing.T, p *Prepared) {
+				_, err := p.ExecuteContext(context.Background(), cat)
+				switch {
+				case c.want == "" && err != nil:
+					t.Errorf("unexpected error: %v", err)
+				case c.want != "" && err == nil:
+					t.Errorf("no error, want %q", c.want)
+				case c.want != "" && err.Error() != c.want:
+					t.Errorf("error %q, want %q", err, c.want)
+				}
+			})
+		})
+	}
+	t.Run("cancelled context", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		for _, source := range []string{SourceSQL, SourceFrame} {
+			scan := func() *Scan {
+				return &Scan{Source: source, Table: "edges", Pushed: []Cmp{{Col: "bytes", Op: ">", Value: int64(0)}}}
+			}
+			modes(t, cat, scan, "src", func(t *testing.T, p *Prepared) {
+				_, err := p.ExecuteContext(ctx, cat)
+				if err == nil || err.Error() != "federate: context canceled" {
+					t.Errorf("%s scan: error %v, want federate: context canceled", source, err)
+				}
+			})
+		}
+	})
+}
+
+// TestScanProfileFramesMatchAcrossModes: a SQL scan emits the same sql.*
+// EXPLAIN ANALYZE frames, nested the same way under its scan frame, in
+// both executors, because both run the one columnar scan.
+func TestScanProfileFramesMatchAcrossModes(t *testing.T) {
+	cat := scanCatalog()
+	scan := func() *Scan {
+		return &Scan{Source: SourceSQL, Table: "edges", Pushed: []Cmp{{Col: "bytes", Op: ">=", Value: int64(100)}}}
+	}
+	frames := func(p *Prepared) []string {
+		prof := obs.NewProfile()
+		if _, err := p.ExecuteContext(obs.WithProfile(context.Background(), prof), cat); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		scanDepth := -1
+		for _, fr := range prof.Flatten() {
+			switch {
+			case fr.Op == "scan":
+				scanDepth = fr.Depth
+			case strings.HasPrefix(fr.Op, "sql."):
+				out = append(out, fmt.Sprintf("%s(%s) depth+%d rows=%d", fr.Op, fr.Detail, fr.Depth-scanDepth, fr.Rows))
+			}
+		}
+		return out
+	}
+	legacy := frames(inLegacy(t, cat, scan(), "src"))
+	pipeline := frames(inPipeline(t, cat, scan()))
+	want := "sql.select(edges) depth+1 rows=3,sql.scan(edges) depth+2 rows=4,sql.filter() depth+2 rows=3"
+	if got := strings.Join(legacy, ","); got != want {
+		t.Errorf("legacy frames:\n  got  %s\n  want %s", got, want)
+	}
+	if got := strings.Join(pipeline, ","); got != want {
+		t.Errorf("pipeline frames:\n  got  %s\n  want %s", got, want)
+	}
+}

@@ -2,7 +2,11 @@ package graph
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -22,16 +26,16 @@ func cowMaster(n, k int) *Graph {
 	return g
 }
 
-// TestFreezeAllocatesPerNodeNotPerEdge pins the cost of Freeze: one flag
-// per node, nothing per edge, so freezing a 600-node, 6000-edge master
-// makes a single small allocation.
+// TestFreezeAllocatesPerNodeNotPerEdge pins the cost of Freeze: it only
+// flips the sharing flags, so freezing a 600-node, 6000-edge master
+// allocates nothing at all.
 func TestFreezeAllocatesPerNodeNotPerEdge(t *testing.T) {
 	g := cowMaster(600, 10)
 	if g.NumEdges() != 6000 {
 		t.Fatalf("master has %d edges, want 6000", g.NumEdges())
 	}
-	if allocs := testing.AllocsPerRun(20, g.Freeze); allocs > 1 {
-		t.Fatalf("Freeze made %v allocations per run, want at most 1", allocs)
+	if allocs := testing.AllocsPerRun(20, g.Freeze); allocs > 0 {
+		t.Fatalf("Freeze made %v allocations per run, want none", allocs)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -58,6 +62,9 @@ func TestReadOnlyCloneOwnsNoEdges(t *testing.T) {
 	}
 	if c.edgeOwned != nil {
 		t.Fatalf("read-only clone owns %d edges, want edgeOwned == nil", len(c.edgeOwned))
+	}
+	if !c.shared {
+		t.Fatal("a read unshared the clone's containers")
 	}
 	if err := c.SetEdgeAttr("n0000", "n0001", "bytes", 0); err != nil {
 		t.Fatal(err)
@@ -172,5 +179,227 @@ func TestRefreezeAfterExtensionIsolatesEarlierClones(t *testing.T) {
 	}
 	if !Equal(early, earlyWant) {
 		t.Fatalf("earlier clone observed the extension: %s", Diff(early, earlyWant))
+	}
+}
+
+// cowMutators writes through every exported mutator of *Graph once, each
+// one visibly changing the graph it is applied to (a cowMaster of at least
+// 11 nodes and 3 out-edges per node).
+var cowMutators = []struct {
+	name  string
+	write func(g *Graph) error
+}{
+	{"AddNode/new", func(g *Graph) error { g.AddNode("new", Attrs{"ip": "x"}); return nil }},
+	{"AddNode/existing", func(g *Graph) error { g.AddNode("n0001", Attrs{"ip": "changed"}); return nil }},
+	{"SetNodeAttr", func(g *Graph) error { return g.SetNodeAttr("n0001", "ip", "changed") }},
+	{"NodeAttrs", func(g *Graph) error { g.NodeAttrs("n0001")["ip"] = "changed"; return nil }},
+	{"AddEdge/new", func(g *Graph) error { g.AddEdge("n0000", "n0010", Attrs{"bytes": 1}); return nil }},
+	{"AddEdge/existing", func(g *Graph) error { g.AddEdge("n0000", "n0001", Attrs{"bytes": -1}); return nil }},
+	{"SetEdgeAttr", func(g *Graph) error { return g.SetEdgeAttr("n0000", "n0001", "bytes", -1) }},
+	{"EdgeAttrs", func(g *Graph) error { g.EdgeAttrs("n0000", "n0001")["bytes"] = int64(-1); return nil }},
+	{"Edges", func(g *Graph) error { g.Edges()[0].Attrs["bytes"] = int64(-1); return nil }},
+	{"RemoveNode", func(g *Graph) error { return g.RemoveNode("n0001") }},
+	{"RemoveEdge", func(g *Graph) error { return g.RemoveEdge("n0000", "n0001") }},
+	{"GraphAttrs", func(g *Graph) error { g.GraphAttrs()["app"] = "changed"; return nil }},
+	{"Merge", func(g *Graph) error {
+		other := NewDirected()
+		other.AddEdge("n0000", "n0001", Attrs{"bytes": -1})
+		other.AddEdge("x", "y", nil)
+		g.Merge(other)
+		return nil
+	}},
+	{"UnmarshalJSON", func(g *Graph) error {
+		src := cowMaster(12, 3)
+		if err := src.SetNodeAttr("n0001", "ip", "changed"); err != nil {
+			return err
+		}
+		data, err := src.MarshalJSON()
+		if err != nil {
+			return err
+		}
+		return g.UnmarshalJSON(data)
+	}},
+}
+
+// TestCloneWritesStayIsolated writes through each mutator on a lazy clone
+// of a frozen master and checks that the master, a sibling clone and a
+// clone taken before the write are unchanged; then it clones the written
+// clone and checks that writes on either side stay on that side.
+func TestCloneWritesStayIsolated(t *testing.T) {
+	for _, m := range cowMutators {
+		t.Run(m.name, func(t *testing.T) {
+			want := cowMaster(12, 3)
+			master := cowMaster(12, 3)
+			master.GraphAttrs()["app"] = "master"
+			want.GraphAttrs()["app"] = "master"
+			master.Freeze()
+			sibling := master.Clone()
+			c := master.Clone()
+			before := c.Clone()
+
+			if err := m.write(c); err != nil {
+				t.Fatal(err)
+			}
+			if Equal(c, want) {
+				t.Fatal("the write did not change the clone")
+			}
+			for name, g := range map[string]*Graph{"master": master, "sibling": sibling, "clone-before-write": before} {
+				if !Equal(g, want) {
+					t.Errorf("%s changed: %s", name, Diff(g, want))
+				}
+				if err := checkIndexes(g); err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+			}
+
+			after := c.Clone()
+			cWant := c.Clone()
+			after.AddNode("after", Attrs{"ip": "after"})
+			after.AddEdge("after", "n0002", Attrs{"bytes": 9})
+			if err := after.SetNodeAttr("n0003", "ip", "after"); err != nil {
+				t.Fatal(err)
+			}
+			if !Equal(c, cWant) {
+				t.Errorf("clone-after-write write leaked into its source: %s", Diff(c, cWant))
+			}
+			afterWant := after.Clone()
+			c.AddNode("source", nil)
+			if err := c.SetNodeAttr("n0004", "ip", "source"); err != nil {
+				t.Fatal(err)
+			}
+			if !Equal(after, afterWant) {
+				t.Errorf("source write leaked into its clone: %s", Diff(after, afterWant))
+			}
+			if !Equal(master, want) {
+				t.Errorf("master changed: %s", Diff(master, want))
+			}
+		})
+	}
+}
+
+// checkIndexes verifies that a graph's index containers agree with its
+// order slices, which Equal alone does not see: a write leaking into a
+// shared index map would leave an entry no order slice lists.
+func checkIndexes(g *Graph) error {
+	n := len(g.nodeOrder)
+	if len(g.nodeIdx) != n || len(g.nodeAttrs) != n || len(g.succ) != n || len(g.pred) != n {
+		return fmt.Errorf("node containers disagree: order %d, index %d, attrs %d, succ %d, pred %d",
+			n, len(g.nodeIdx), len(g.nodeAttrs), len(g.succ), len(g.pred))
+	}
+	for i, id := range g.nodeOrder {
+		if g.nodeIdx[id] != i {
+			return fmt.Errorf("node %q at position %d is indexed at %d", id, i, g.nodeIdx[id])
+		}
+	}
+	if len(g.edges) != len(g.edgeOrder) {
+		return fmt.Errorf("edge map has %d entries for %d ordered edges", len(g.edges), len(g.edgeOrder))
+	}
+	adj := 0
+	for _, s := range g.succ {
+		adj += len(s)
+	}
+	if g.directed && adj != len(g.edgeOrder) {
+		return fmt.Errorf("adjacency lists hold %d edges, want %d", adj, len(g.edgeOrder))
+	}
+	return nil
+}
+
+// TestGraphMethodsClassified fails when an exported *Graph method is
+// listed neither as a reader nor as a mutator, so a new mutator cannot skip
+// unshare unnoticed: every mutator must have an entry in cowMutators.
+func TestGraphMethodsClassified(t *testing.T) {
+	readers := map[string]bool{}
+	for _, name := range []string{
+		"AsUndirected", "AverageClustering", "AverageShortestPathLength", "BFS",
+		"BetweennessCentrality", "ClosenessCentrality", "ClusterNodesBy",
+		"ClusteringCoefficient", "ConnectedComponents", "DFS", "DOT", "Degree",
+		"DegreeCentrality", "Density", "Diameter", "DijkstraPath", "Directed",
+		"EdgeAttrsView", "EdgesView", "Fingerprint", "HasCycle", "HasEdge",
+		"HasNode", "HopCount", "InDegree", "IsolatedNodes", "MarshalJSON", "MaxBy",
+		"Neighbors", "NodeAttrsView", "Nodes", "NumEdges", "NumNodes", "OutDegree",
+		"PageRank", "Predecessors", "Reverse", "SelfLoops", "ShortestPath",
+		"String", "StronglyConnectedComponents", "Subgraph", "TopNByDegree",
+		"TopologicalSort", "Version", "WeightedDegree",
+		// The sharing machinery itself, covered by the tests above.
+		"Clone", "Freeze",
+	} {
+		readers[name] = true
+	}
+	mutators := map[string]bool{}
+	for _, m := range cowMutators {
+		name, _, _ := strings.Cut(m.name, "/")
+		mutators[name] = true
+	}
+	typ := reflect.TypeOf((*Graph)(nil))
+	var unlisted []string
+	for i := 0; i < typ.NumMethod(); i++ {
+		name := typ.Method(i).Name
+		if !readers[name] && !mutators[name] {
+			unlisted = append(unlisted, name)
+		}
+		if readers[name] && mutators[name] {
+			t.Errorf("%s is listed as both reader and mutator", name)
+		}
+	}
+	sort.Strings(unlisted)
+	if len(unlisted) > 0 {
+		t.Errorf("exported *Graph methods neither reader nor mutator: %v (a mutator must call unshare and get a cowMutators entry)", unlisted)
+	}
+	for name := range mutators {
+		if _, ok := typ.MethodByName(name); !ok {
+			t.Errorf("cowMutators lists %s, which is not a *Graph method", name)
+		}
+	}
+}
+
+// TestCloneOfFrozenAllocatesOnce pins the lazy clone's cost: cloning a
+// frozen 600-node, 6000-edge master copies only the Graph struct.
+func TestCloneOfFrozenAllocatesOnce(t *testing.T) {
+	g := cowMaster(600, 10)
+	g.Freeze()
+	var sink *Graph
+	if allocs := testing.AllocsPerRun(100, func() { sink = g.Clone() }); allocs > 2 {
+		t.Fatalf("Clone of a frozen master made %v allocations per run, want at most 2", allocs)
+	}
+	if !Equal(sink, g) {
+		t.Fatal("clone differs from its master")
+	}
+}
+
+// TestConcurrentClonesOfFrozenMaster clones one frozen master from many
+// goroutines, each writing its own clone, while the master is read; run
+// under -race it proves lazy clones share nothing a write touches.
+func TestConcurrentClonesOfFrozenMaster(t *testing.T) {
+	master := cowMaster(40, 3)
+	master.Freeze()
+	want := cowMaster(40, 3)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				c := master.Clone()
+				_ = master.PageRank(0.85, 5, 1e-6)
+				id := fmt.Sprintf("n%04d", (w+i)%40)
+				if err := c.SetNodeAttr(id, "ip", w); err != nil {
+					t.Error(err)
+					return
+				}
+				c.AddEdge(id, "w", Attrs{"bytes": i})
+				if err := c.RemoveNode(fmt.Sprintf("n%04d", (w+i+1)%40)); err != nil {
+					t.Error(err)
+					return
+				}
+				if got := c.NodeAttrsView(id)["ip"]; got != int64(w) {
+					t.Errorf("worker %d reads ip %v after its own write", w, got)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if !Equal(master, want) {
+		t.Fatalf("master changed: %s", Diff(master, want))
 	}
 }

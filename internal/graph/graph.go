@@ -7,14 +7,18 @@
 // Internally nodes are stored under dense integer indices (position in
 // insertion order) with slice-based adjacency lists, so the traversal and
 // centrality algorithms run over int loops instead of nested string maps.
-// Attribute maps support copy-on-write sharing: Freeze marks a graph as an
-// immutable master, after which Clone shares every attribute map and is
-// safe to call concurrently; any mutation of a clone (or of the master)
-// first copies the affected attribute map, so graphs never observe each
-// other's writes. The bookkeeping records what a graph owns rather than
-// what it shares: a frozen master and a fresh clone own nothing, so
-// Freeze costs one flag per node and Clone copies the index maps whole
-// instead of rebuilding per-edge state.
+// Graphs support copy-on-write sharing at two levels. Freeze marks a graph
+// as an immutable master whose containers (node order and index, the
+// attribute-map slots, edge order and map, adjacency lists) are shared:
+// Clone of a shared graph copies only the Graph struct, so it costs the
+// same at any size and is safe to call concurrently. The first write to a
+// shared graph — a clone, or the master itself written after Freeze —
+// copies the containers once (unshare), and from then on individual
+// attribute maps are copied before their first write, so graphs never
+// observe each other's writes. The map-level bookkeeping records what a
+// graph owns rather than what it shares: a frozen master and a fresh clone
+// own nothing, so Freeze allocates nothing and a clone's first write pays
+// only the container copy, not a per-edge rebuild.
 package graph
 
 import (
@@ -101,15 +105,22 @@ type Graph struct {
 	succ [][]int32 // out-neighbor indices (all neighbors if undirected), insertion order
 	pred [][]int32 // in-neighbor indices (mirror of succ if undirected)
 
-	// Copy-on-write bookkeeping, kept as ownership sets. A graph with cow
-	// unset owns every attribute map (freshly constructed graphs). With cow
-	// set, a map is shared with other graphs — and copied before its first
+	// Copy-on-write bookkeeping. shared means the containers above are
+	// shared with other graphs: Freeze sets it, Clone of a shared graph
+	// inherits it, and every write path calls unshare first, which copies
+	// the containers and clears it. A shared graph therefore owns no
+	// attribute map.
+	//
+	// Attribute maps are tracked as ownership sets. A graph with cow unset
+	// owns every attribute map (freshly constructed graphs). With cow set,
+	// a map is shared with other graphs — and copied before its first
 	// write — unless the graph owns it: nodeOwned[i] for nodeAttrs[i]
-	// (parallel to nodeOrder), membership in edgeOwned for edges[k], and
-	// attrsOwned for the graph-level map. Freeze and Clone start with
-	// nothing owned, so edgeOwned stays nil until the graph writes to (or
-	// adds) its first edge; new nodes and edges, and maps a write copied,
-	// join the owned sets.
+	// (parallel to nodeOrder once unshared), membership in edgeOwned for
+	// edges[k], and attrsOwned for the graph-level map. Freeze and unshare
+	// start with nothing owned, so edgeOwned stays nil until the graph
+	// writes to (or adds) its first edge; new nodes and edges, and maps a
+	// write copied, join the owned sets.
+	shared     bool
 	cow        bool
 	nodeOwned  []bool
 	edgeOwned  map[EdgeKey]struct{}
@@ -146,6 +157,7 @@ func (g *Graph) Directed() bool { return g.directed }
 
 // GraphAttrs returns the graph-level attribute map (mutable).
 func (g *Graph) GraphAttrs() Attrs {
+	g.unshare()
 	if g.cow && !g.attrsOwned {
 		g.attrs = g.attrs.Clone()
 		if g.attrs == nil {
@@ -163,28 +175,49 @@ func (g *Graph) key(u, v string) EdgeKey {
 	return EdgeKey{U: u, V: v}
 }
 
-// Freeze marks every attribute map in the graph as shared, turning g into
-// an immutable master: subsequent Clone calls share the attribute maps
-// instead of copying them (and are safe to issue from multiple goroutines),
-// while the first write to any map — in g or in any clone — copies it
-// first, so no graph ever observes another's mutations. Freeze itself must
-// not race with writes to g. It costs one flag per node and nothing per
-// edge: g simply stops owning anything.
+// Freeze turns g into an immutable master: its containers and attribute
+// maps become shared, so subsequent Clone calls copy only the Graph struct
+// (and are safe to issue from multiple goroutines), while the first write
+// to any graph sharing them — g or any clone — copies the containers once
+// and then each attribute map before its first write, so no graph ever
+// observes another's mutations. Freeze itself must not race with writes to
+// g, and allocates nothing: g simply stops owning anything.
 //
 // Freeze is incremental: a master extended with further nodes or edges
-// (e.g. by applying streamed batches or Merge) can be re-frozen, which
-// marks the newly added maps shared too. Existing clones stay valid — the
-// maps they share were already shared, and giving up ownership of a map g
-// owned exclusively only re-enables sharing for future clones.
+// (e.g. by applying streamed batches or Merge) can be re-frozen. The first
+// write after Freeze copies the master's containers once, so clones taken
+// earlier keep the containers they share and never observe the extension;
+// re-freezing marks the newly added maps shared for future clones.
 func (g *Graph) Freeze() {
+	g.shared = true
 	g.cow = true
-	g.nodeOwned = make([]bool, len(g.nodeOrder))
+	g.nodeOwned = nil
 	g.edgeOwned = nil
 	g.attrsOwned = false
 }
 
+// unshare gives g private copies of its containers before a write when
+// they are shared with other graphs. The attribute maps themselves stay
+// shared (nothing is owned yet); ownNode and ownEdge copy them one by one.
+func (g *Graph) unshare() {
+	if !g.shared {
+		return
+	}
+	g.nodeOrder = slices.Clone(g.nodeOrder)
+	g.nodeIdx = maps.Clone(g.nodeIdx)
+	g.nodeAttrs = slices.Clone(g.nodeAttrs)
+	g.edgeOrder = slices.Clone(g.edgeOrder)
+	g.edges = maps.Clone(g.edges)
+	g.succ = cloneAdjacency(g.succ)
+	g.pred = cloneAdjacency(g.pred)
+	g.nodeOwned = make([]bool, len(g.nodeOrder))
+	g.edgeOwned = nil
+	g.shared = false
+}
+
 // ownNode ensures nodeAttrs[i] is exclusively owned before a write.
 func (g *Graph) ownNode(i int) {
+	g.unshare()
 	if g.cow && !g.nodeOwned[i] {
 		g.nodeAttrs[i] = g.nodeAttrs[i].Clone()
 		g.nodeOwned[i] = true
@@ -193,6 +226,7 @@ func (g *Graph) ownNode(i int) {
 
 // ownEdge ensures edges[k] is exclusively owned before a write.
 func (g *Graph) ownEdge(k EdgeKey) {
+	g.unshare()
 	if !g.cow {
 		return
 	}
@@ -215,6 +249,7 @@ func (g *Graph) markEdgeOwned(k EdgeKey) {
 func (g *Graph) AddNode(id string, attrs Attrs) {
 	i, ok := g.nodeIdx[id]
 	if !ok {
+		g.unshare()
 		g.version++
 		i = len(g.nodeOrder)
 		g.nodeIdx[id] = i
@@ -300,6 +335,7 @@ func (g *Graph) RemoveNode(id string) error {
 	if !ok {
 		return fmt.Errorf("graph: node %q does not exist", id)
 	}
+	g.unshare()
 	// Collect incident edges first to avoid mutating while iterating.
 	var doomed []EdgeKey
 	for k := range g.edges {
@@ -347,6 +383,7 @@ func (g *Graph) AddEdge(u, v string, attrs Attrs) {
 	k := g.key(u, v)
 	cur, ok := g.edges[k]
 	if !ok {
+		g.unshare()
 		g.version++
 		cur = Attrs{}
 		g.edges[k] = cur
@@ -405,6 +442,7 @@ func (g *Graph) RemoveEdge(u, v string) error {
 	if _, ok := g.edges[k]; !ok {
 		return fmt.Errorf("graph: edge (%q,%q) does not exist", u, v)
 	}
+	g.unshare()
 	g.removeEdgeKey(k)
 	return nil
 }
@@ -548,12 +586,24 @@ func (g *Graph) OutDegree(id string) int {
 }
 
 // Clone returns a deep copy of the graph (attribute maps are copied one
-// level deep, matching Attrs.Clone). Cloning a frozen graph — or a clone of
-// one — shares attribute maps copy-on-write instead of copying them, which
-// makes cloning an immutable master cheap and safe to do from many
-// goroutines at once: the index maps are copied whole, and only the maps
-// the source owns are copied one by one.
+// level deep, matching Attrs.Clone). Cloning a frozen graph — or an
+// unwritten clone of one — copies only the Graph struct: containers and
+// attribute maps stay shared until the clone's first write, which copies
+// the containers once and then each attribute map it writes. That makes
+// cloning an immutable master cheap at any size and safe to do from many
+// goroutines at once. Cloning a graph that was written after sharing copies
+// its containers now, sharing every attribute map the source shares and
+// copying the ones it owns.
 func (g *Graph) Clone() *Graph {
+	if g.shared {
+		// A shared graph owns no map, the graph-level one included: every
+		// write path, GraphAttrs too, unshares first.
+		c := *g
+		if c.attrs == nil {
+			c.attrs = Attrs{}
+		}
+		return &c
+	}
 	c := &Graph{
 		directed:  g.directed,
 		version:   g.version,

@@ -103,6 +103,58 @@ func TestShardedBuildResumesFromCursor(t *testing.T) {
 	}
 }
 
+// TestApplyAfterFreezeIsolatesLiveClones resumes a frozen sharded build
+// while clones of its masters are live: the first Apply after Freeze must
+// copy each master's shared containers, so the live clones keep the
+// pre-resume graph, and writes to a live clone never reach its master.
+func TestApplyAfterFreezeIsolatesLiveClones(t *testing.T) {
+	cfg := traffic.Config{Nodes: 300, Edges: 1800, Seed: 5}
+	build := func(edges int) *ShardedTraffic {
+		d, err := NewShardedTraffic(cfg, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := traffic.NewStream(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Apply(st.Next(edges))
+		d.Freeze()
+		return d
+	}
+	half := build(900)
+	d := build(900)
+	live := make([]*graph.Graph, len(d.Shards))
+	for i, sh := range d.Shards {
+		live[i] = sh.Master.Clone()
+	}
+
+	st, err := traffic.NewStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Next(900)
+	d.Apply(st.Next(900))
+	d.Freeze()
+
+	full := build(1800)
+	for i := range d.Shards {
+		if !graph.Equal(live[i], half.Shards[i].Master) {
+			t.Errorf("shard %d: live clone observed the resumed batch: %s", i, graph.Diff(live[i], half.Shards[i].Master))
+		}
+		if !graph.Equal(d.Shards[i].Master, full.Shards[i].Master) {
+			t.Errorf("shard %d: resumed master differs from a straight build: %s", i, graph.Diff(d.Shards[i].Master, full.Shards[i].Master))
+		}
+		id := live[i].Nodes()[0]
+		if err := live[i].SetNodeAttr(id, "ip", "written"); err != nil {
+			t.Fatal(err)
+		}
+		if d.Shards[i].Master.NodeAttrsView(id)["ip"] == "written" {
+			t.Errorf("shard %d: a live clone's write reached its master", i)
+		}
+	}
+}
+
 // TestShardPartitionInvariants checks the dataset layer's structural
 // contract: shards tile the node range, own every edge they hold by
 // destination, and the shard-count choice never loses an edge.
