@@ -69,107 +69,6 @@ func diffRun(t *testing.T, cat *Catalog, plan Node) {
 	}
 }
 
-// TestPipelineMatchesLegacyCorpus is the differential corpus: every plan
-// shape the pipeline accepts must be observationally identical to the
-// legacy executor — results, schemas, and error text alike.
-func TestPipelineMatchesLegacyCorpus(t *testing.T) {
-	cat := testCatalog()
-	sqlEdges := func() Node { return &Scan{Source: SourceSQL, Table: "edges"} }
-	okFn := FuncPred{Fn: func(row *nql.Map) (bool, error) {
-		v, _ := row.Get("n")
-		i, _ := v.(int64)
-		return i >= 1, nil
-	}}
-	plans := []Node{
-		// Scans of every substrate and virtual tables.
-		sqlEdges(),
-		&Scan{Source: SourceFrame, Table: "edges"},
-		&Scan{Source: SourceGraph, Table: "edges"},
-		&Scan{Source: SourceGraph, Table: "degree"},
-		&Scan{Source: SourceAny, Table: "nodes"},
-		// Filter folds (And-conjunctions) with residuals, projections.
-		&Project{Cols: []string{"src", "bytes"}, Input: &Filter{
-			Pred: And{Preds: []Pred{
-				Cmp{Col: "bytes", Op: ">", Value: int64(60)},
-				Cmp{Col: "src", Op: "!=", Value: "o'brien"},
-			}},
-			Input: sqlEdges(),
-		}},
-		// Cross-substrate join + sort.
-		&Sort{Ascending: true, Cols: []string{"dst"}, Input: &Join{
-			Left:    &Filter{Input: sqlEdges(), Pred: Cmp{Col: "bytes", Op: ">=", Value: int64(100)}},
-			Right:   &Scan{Source: SourceGraph, Table: "degree"},
-			LeftKey: "dst", RightKey: "id",
-		}},
-		// Self-join with colliding columns (fused sql-join candidate).
-		&Join{Left: sqlEdges(), Right: sqlEdges(), LeftKey: "dst", RightKey: "src"},
-		// Aggregates: grouped, global, empty-input global.
-		&Aggregate{Input: sqlEdges(), GroupBy: []string{"src"}, Aggs: []AggSpec{
-			{Col: "bytes", Fn: AggSum, As: "total"},
-			{Col: "bytes", Fn: AggMean, As: "avg"},
-			{Col: "bytes", Fn: AggMin, As: "lo"},
-			{Col: "bytes", Fn: AggMax, As: "hi"},
-			{Fn: AggCount, As: "n"},
-		}},
-		&Aggregate{Input: &Filter{
-			Input: sqlEdges(), Pred: Cmp{Col: "bytes", Op: ">", Value: int64(1 << 40)},
-		}, Aggs: []AggSpec{{Fn: AggCount, As: "n"}, {Col: "bytes", Fn: AggSum, As: "s"}}},
-		// Sort stability (two-pass) + limit, limit 0, negative limit.
-		&Limit{N: 2, Input: &Sort{Ascending: false, Cols: []string{"out_degree"},
-			Input: &Sort{Ascending: true, Cols: []string{"id"},
-				Input: &Scan{Source: SourceGraph, Table: "degree"}}}},
-		&Limit{N: 0, Input: sqlEdges()},
-		&Limit{N: -3, Input: sqlEdges()},
-		&Limit{N: 100, Input: sqlEdges()},
-		// FuncPred above an aggregate (the ta-h7 shape; pipeline-safe).
-		&Sort{Ascending: true, Cols: []string{"src"}, Input: &Filter{
-			Pred: okFn,
-			Input: &Aggregate{Input: sqlEdges(), GroupBy: []string{"src"},
-				Aggs: []AggSpec{{Col: "bytes", Fn: AggCount, As: "n"}}},
-		}},
-		// FuncPred with a join: classified legacy, must still agree.
-		&Filter{Pred: okFn, Input: &Join{
-			Left: sqlEdges(), Right: sqlEdges(), LeftKey: "dst", RightKey: "src"}},
-		// The same join shape with an analyzer-proven (NoErr) predicate:
-		// newly classified pipeline by the effect widening, so this is the
-		// plan family that must stay observationally identical now that it
-		// runs staged.
-		&Filter{Pred: FuncPred{Fn: okFn.Fn, NoErr: true}, Input: &Join{
-			Left: sqlEdges(), Right: sqlEdges(), LeftKey: "dst", RightKey: "src"}},
-		// Stacked NoErr predicates (previously legacy via the two-FuncPred
-		// rule).
-		&Filter{Pred: FuncPred{Fn: okFn.Fn, NoErr: true},
-			Input: &Filter{Pred: FuncPred{Fn: okFn.Fn, NoErr: true}, Input: sqlEdges()}},
-		// NoErr predicate above a join feeding an aggregate and sort.
-		&Sort{Ascending: true, Cols: []string{"src"}, Input: &Filter{
-			Pred: FuncPred{Fn: okFn.Fn, NoErr: true},
-			Input: &Aggregate{
-				Input: &Join{Left: sqlEdges(), Right: sqlEdges(),
-					LeftKey: "dst", RightKey: "src"},
-				GroupBy: []string{"src"},
-				Aggs:    []AggSpec{{Col: "bytes", Fn: AggCount, As: "n"}}},
-		}},
-		// Error cases: text must match the legacy executor verbatim.
-		&Scan{Source: "mongo", Table: "edges"},
-		&Scan{Source: SourceSQL, Table: "ghost"},
-		&Sort{Cols: []string{"ghost"}, Input: sqlEdges()},
-		&Project{Cols: []string{"ghost"}, Input: sqlEdges()},
-		&Aggregate{Input: sqlEdges(), GroupBy: []string{"ghost"},
-			Aggs: []AggSpec{{Fn: AggCount, As: "n"}}},
-		&Aggregate{Input: sqlEdges(),
-			Aggs: []AggSpec{{Col: "ghost", Fn: AggSum, As: "s"}}},
-		&Aggregate{Input: sqlEdges(),
-			Aggs: []AggSpec{{Col: "bytes", Fn: "median", As: "m"}}},
-		&Join{Left: sqlEdges(), Right: sqlEdges(), LeftKey: "ghost", RightKey: "src"},
-		&Join{Left: sqlEdges(), Right: sqlEdges(), LeftKey: "dst", RightKey: "ghost"},
-		// Upstream error precedence: the scan's error, not the sort's.
-		&Sort{Cols: []string{"ghost"}, Input: &Scan{Source: SourceSQL, Table: "missing"}},
-	}
-	for _, plan := range plans {
-		diffRun(t, cat, plan)
-	}
-}
-
 // TestPipelineNaNKeys pins NaN canonicalization across join and group keys
 // in both executors: every NaN payload is one equivalence class, and
 // int64/float64 collapse.
