@@ -2,17 +2,17 @@
 # (build + vet + tests); `make lint` adds the NQL registry vet (nqlvet
 # over every golden program x backend) and staticcheck when installed;
 # `make bench` records the benchmark suite as JSON so successive PRs can
-# track the perf trajectory (BENCH_10.json for this PR, bump BENCH_OUT for
-# the next); `make benchdiff` compares the two most recent snapshots and
-# fails on >10% regressions of ns/op, B/op or allocs/op (tail latency is
-# gated at a wider p99 threshold — see cmd/benchdiff) on the ROADMAP
-# watchlist (Table2 / Table4 / Clone / PageRank /
+# track the perf trajectory (BENCH_11.json is the next snapshot; bump
+# BENCH_OUT after recording it); `make benchdiff` compares the two most
+# recent snapshots and fails on >10% regressions of ns/op, B/op or
+# allocs/op (tail latency is gated at a wider p99 threshold — see
+# cmd/benchdiff) on the ROADMAP watchlist (Table2 / Table4 / Clone / PageRank /
 # SandboxGoldenQuery / NQLVM / StreamSweep / GatewayThroughput /
 # ServiceQuery / FederatedJoin / FederatedGoldenQuery / FederatedAnalytics /
-# InstanceBind).
+# FederatedPipeline / InstanceBind).
 
 GO        ?= go
-BENCH_OUT ?= BENCH_10.json
+BENCH_OUT ?= BENCH_11.json
 
 # One pinned staticcheck for local lint and CI: an unpinned @latest can
 # start flagging new checks the day a release lands and break CI with no

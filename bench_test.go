@@ -529,11 +529,9 @@ func BenchmarkFederatedJoin(b *testing.B) {
 	}
 }
 
-// BenchmarkFederatedPipeline compares the staged columnar executor against
-// the legacy row-at-a-time recursive executor on the same prepared plan —
-// a filtered scan aggregated and sorted over a larger traffic graph, where
-// batching and stage overlap should pay. Run keeps routing through Prepare
-// (pipeline mode); Exec is the retained recursive path.
+// BenchmarkFederatedPipeline runs a filtered SQL scan aggregated and
+// sorted over a larger traffic graph. The planner fuses the aggregate and
+// its scan into one sqldb group-by, so this gates the fused path.
 func BenchmarkFederatedPipeline(b *testing.B) {
 	cfg := nemoeval.DefaultTrafficConfig
 	cfg.Nodes, cfg.Edges = 600, 6000
@@ -553,29 +551,15 @@ func BenchmarkFederatedPipeline(b *testing.B) {
 			},
 		},
 	})
-	b.Run("pipeline", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rel, err := federate.Run(cat, plan)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rel.NumRows() == 0 {
-				b.Fatal("empty result")
-			}
+	for i := 0; i < b.N; i++ {
+		rel, err := federate.Run(cat, plan)
+		if err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("legacy", func(b *testing.B) {
-		opt := federate.Optimize(plan)
-		for i := 0; i < b.N; i++ {
-			rel, err := federate.Exec(cat, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rel.NumRows() == 0 {
-				b.Fatal("empty result")
-			}
+		if rel.NumRows() == 0 {
+			b.Fatal("empty result")
 		}
-	})
+	}
 }
 
 // BenchmarkFederatedGoldenQuery runs a complete federated golden (plan

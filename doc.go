@@ -28,10 +28,11 @@
 // pushdown, and scan+join / scan+aggregate fusion into single sqldb calls,
 // with the decision list cached process-wide per (plan fingerprint,
 // catalog epoch) so clones of one frozen dataset master plan once.
-// Execution streams columnar batches through pipelined operator stages on
-// bounded channels, overlapping scan, filter, join and aggregation while
-// preserving the row interpreter's exact results, cancellation behavior
-// and explain-analyze profile frames. Plans can join tables living in
+// One recursive executor runs the decided plan: scans filter on source
+// columns before lifting a row, fused subtrees become single sqldb calls
+// (falling back to the unfused subtree when sqldb cannot answer exactly),
+// and every operator polls cancellation at row checkpoints and emits one
+// explain-analyze profile frame. Plans can join tables living in
 // different substrates, e.g.
 //
 //	fed.scan("sql", "edges").filter("bytes", ">", 500000).
@@ -74,15 +75,11 @@
 // `nqlvet -registry` (run by `make lint` and CI) holds every golden
 // program x backend in the query catalog to zero findings.
 //
-// The effect bits feed the federated planner: nqlbind marks a
-// fed.where(fn) predicate NoErr when analysis proved its closure pure and
-// row-total, and the executor-mode classifier ignores proven predicates
-// when deciding whether a plan must fall back to the row-at-a-time legacy
-// executor — so analyzer-vetted filters keep joins on the pipelined
-// columnar path. sandbox.Vet shares one cached compile+analyze entry
-// point with sandbox.Compile, so the service, the evaluation matrix and
-// the CLIs (`nqlvet`, `nemoeval -vet`) all see identical diagnostics for
-// identical source.
+// The analyzer also stamps effect bits (pure, total, row-total) on
+// lambdas; they currently have no runtime consumer. sandbox.Vet shares
+// one cached compile+analyze entry point with sandbox.Compile, so the
+// service, the evaluation matrix and the CLIs (`nqlvet`, `nemoeval -vet`)
+// all see identical diagnostics for identical source.
 //
 // # Streaming and sharded datasets
 //

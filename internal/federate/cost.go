@@ -372,7 +372,7 @@ func fuseableJoin(cat *Catalog, j *Join, childDecs []decision) bool {
 
 // fuseableAgg reports whether an aggregate over a native SQL scan can run
 // as one sqldb group-by. Invalid aggregate functions stay unfused so the
-// aggregate stage raises the canonical error.
+// unfused aggregate raises the canonical error.
 func fuseableAgg(cat *Catalog, a *Aggregate, childDecs []decision) bool {
 	s, ok := a.Input.(*Scan)
 	if !ok || len(childDecs) < 1 || !childDecs[0].Native || !fullyPushed(s) {

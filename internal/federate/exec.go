@@ -18,10 +18,8 @@ import (
 
 // Run optimizes a logical plan, plans it against the catalog's statistics
 // (recalling cached decisions when the catalog carries an epoch) and
-// executes it — through the pipelined columnar executor where classify
-// allows, the recursive row executor otherwise. The catalog is only read:
-// scans lift rows out of the substrates, every later stage operates on the
-// lifted relation.
+// executes it. The catalog is only read: scans lift rows out of the
+// substrates, every later stage operates on the lifted relation.
 func Run(cat *Catalog, plan Node) (*Relation, error) {
 	return Prepare(cat, plan).ExecuteContext(context.Background(), cat)
 }
@@ -36,20 +34,15 @@ func RunContext(ctx context.Context, cat *Catalog, plan Node) (*Relation, error)
 
 // ExecuteContext executes a prepared plan against a catalog sharing the
 // Prepare-time catalog's epoch (any catalog works — decisions re-validate
-// against live state at execution time).
+// against live state at execution time). When ctx carries an obs.Profile,
+// every operator contributes an Enter/Exit frame recording its label,
+// output rows and wall/own time — the raw material for the EXPLAIN
+// ANALYZE-style query profile; an unprofiled run takes the direct path
+// with zero extra work.
 func (p *Prepared) ExecuteContext(ctx context.Context, cat *Catalog) (*Relation, error) {
 	if n := PlanNotesFrom(ctx); n != nil {
 		n.add(p.Fingerprint())
 	}
-	if p.mode != modePipeline {
-		return ExecContext(ctx, cat, p.plan)
-	}
-	return runPipeline(ctx, cat, p)
-}
-
-// ExecContext executes an already-optimized plan under a cancellable
-// context (see RunContext).
-func ExecContext(ctx context.Context, cat *Catalog, plan Node) (*Relation, error) {
 	prof := obs.ProfileFrom(ctx)
 	if (ctx != nil && ctx != context.Background()) || prof != nil {
 		run := *cat
@@ -62,16 +55,12 @@ func ExecContext(ctx context.Context, cat *Catalog, plan Node) (*Relation, error
 			return nil, err
 		}
 	}
-	return Exec(cat, plan)
+	return execute(cat, p.plan)
 }
 
-// Exec executes an already-optimized plan. When the catalog carries an
-// operator profile (installed by ExecContext from an obs.WithProfile
-// context), every node contributes an Enter/Exit frame recording its
-// label, output rows and wall/own time — the raw material for the
-// EXPLAIN ANALYZE-style query profile; an unprofiled run takes the
-// direct path with zero extra work.
-func Exec(cat *Catalog, plan Node) (*Relation, error) {
+// execute runs one plan node, inside its profile frame when the catalog
+// carries a profile.
+func execute(cat *Catalog, plan Node) (*Relation, error) {
 	if cat.prof == nil {
 		return execNode(cat, plan)
 	}
@@ -118,8 +107,22 @@ func execNode(cat *Catalog, plan Node) (*Relation, error) {
 	case *Project:
 		return execProject(cat, x)
 	case *Join:
+		// A fused plan may run against a catalog without the database it
+		// was prepared with; the unfused path reports that.
+		if x.fused && cat.DB != nil {
+			if rel, err := fusedJoin(cat, x); !errors.Is(err, sqldb.ErrPushdown) {
+				return rel, err
+			}
+			return execJoin(unprofiled(cat), x)
+		}
 		return execJoin(cat, x)
 	case *Aggregate:
+		if x.fused && cat.DB != nil {
+			if rel, err := fusedAggregate(cat, x); !errors.Is(err, sqldb.ErrPushdown) {
+				return rel, err
+			}
+			return execAggregate(unprofiled(cat), x)
+		}
 		return execAggregate(cat, x)
 	case *Sort:
 		return execSort(cat, x)
@@ -130,10 +133,59 @@ func execNode(cat *Catalog, plan Node) (*Relation, error) {
 	}
 }
 
+// unprofiled is the catalog a fused operator's ErrPushdown fallback runs
+// its unfused subtree on: the fused operator's frame stands for the whole
+// subtree, so the fallback's operators open no frames of their own (the
+// substrate's frames still nest under the fused one).
+func unprofiled(cat *Catalog) *Catalog {
+	if cat.prof == nil {
+		return cat
+	}
+	c := *cat
+	c.prof = nil
+	return &c
+}
+
+// fusedJoin runs a join of two native SQL scans as one sqldb hash join.
+func fusedJoin(cat *Catalog, j *Join) (*Relation, error) {
+	ls, rs := j.Left.(*Scan), j.Right.(*Scan)
+	lnat, _ := splitConds(ls.Pushed)
+	rnat, _ := splitConds(rs.Pushed)
+	names, data, err := cat.DB.JoinColumns(cat.context(), sqldb.JoinSpec{
+		Left:      sqldb.ScanSpec{Table: ls.Table, Conds: lnat, Cols: ls.Cols},
+		Right:     sqldb.ScanSpec{Table: rs.Table, Conds: rnat, Cols: rs.Cols},
+		LeftKey:   j.LeftKey,
+		RightKey:  j.RightKey,
+		BuildLeft: j.buildLeft,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return selectRows(cat, dataColumns(names, data), nil, nil)
+}
+
+// fusedAggregate runs an aggregate over a native SQL scan as one sqldb
+// group-by.
+func fusedAggregate(cat *Catalog, a *Aggregate) (*Relation, error) {
+	s := a.Input.(*Scan)
+	native, _ := splitConds(s.Pushed)
+	spec := sqldb.GroupSpec{
+		Input:   sqldb.ScanSpec{Table: s.Table, Conds: native, Cols: s.Cols},
+		GroupBy: a.GroupBy,
+	}
+	for _, sp := range a.Aggs {
+		spec.Aggs = append(spec.Aggs, sqldb.GroupAgg{Col: sp.Col, Fn: sp.Fn, As: sp.As})
+	}
+	names, data, err := cat.DB.GroupColumns(cat.context(), spec)
+	if err != nil {
+		return nil, err
+	}
+	return selectRows(cat, dataColumns(names, data), nil, nil)
+}
+
 // --- scans -----------------------------------------------------------------
 
-// execScan is the scan operator of both executors: the row interpreter
-// calls it directly and the pipeline's scan stage streams its result.
+// execScan is the scan operator.
 func execScan(cat *Catalog, s *Scan) (*Relation, error) {
 	switch s.Source {
 	case SourceGraph:
@@ -171,7 +223,7 @@ func relColumns(rel *Relation) columns {
 	return columns{names: rel.Cols, n: len(rel.Rows), cell: func(c, r int) nql.Value { return rel.Rows[r][c] }}
 }
 
-// selectRows is the scan filter of both executors: it evaluates the pushed
+// selectRows is the scan filter: it evaluates the pushed
 // predicates on the cells of their condition columns only, then lifts just
 // the surviving rows, narrowed to cols when it is non-nil. Errors are those
 // of filtering the fully lifted relation row by row: predicates run in
@@ -454,7 +506,7 @@ func sqlCompile(c Cmp) (string, bool) {
 // --- relational operators --------------------------------------------------
 
 func execFilter(cat *Catalog, f *Filter) (*Relation, error) {
-	in, err := Exec(cat, f.Input)
+	in, err := execute(cat, f.Input)
 	if err != nil {
 		return nil, err
 	}
@@ -514,7 +566,7 @@ func evalPred(rel *Relation, row []nql.Value, pred Pred) (bool, error) {
 }
 
 func execProject(cat *Catalog, p *Project) (*Relation, error) {
-	in, err := Exec(cat, p.Input)
+	in, err := execute(cat, p.Input)
 	if err != nil {
 		return nil, err
 	}
@@ -542,24 +594,24 @@ func projectRelation(in *Relation, cols []string) (*Relation, error) {
 }
 
 func execJoin(cat *Catalog, j *Join) (*Relation, error) {
-	left, err := Exec(cat, j.Left)
+	left, err := execute(cat, j.Left)
 	if err != nil {
 		return nil, err
 	}
-	right, err := Exec(cat, j.Right)
+	right, err := execute(cat, j.Right)
 	if err != nil {
 		return nil, err
 	}
-	return joinRelations(cat, j, false, left, right)
+	return joinRelations(cat, j, left, right)
 }
 
-// joinRelations is the hash equi-join over two materialized inputs, shared
-// by the recursive executor (always build-right) and the pipelined join
-// stage (build side chosen by the planner). Output is identical either
-// way: left-major, each left row's matches in right-row order; key errors
-// keep their legacy precedence (all right keys are computed before any
-// left key) regardless of the build side.
-func joinRelations(cat *Catalog, j *Join, buildLeft bool, left, right *Relation) (*Relation, error) {
+// joinRelations is the hash equi-join over two materialized inputs,
+// hashing the side the planner chose (the right one for a plan that was
+// not prepared). Output is identical either way: left-major, each left
+// row's matches in right-row order; key errors keep one precedence (all
+// right keys are computed before any left key) regardless of the build
+// side.
+func joinRelations(cat *Catalog, j *Join, left, right *Relation) (*Relation, error) {
 	li, err := left.colIndex(j.LeftKey)
 	if err != nil {
 		return nil, err
@@ -612,7 +664,7 @@ func joinRelations(cat *Catalog, j *Join, buildLeft bool, left, right *Relation)
 	// matches[i] lists, in right-row order, the right rows joining left row
 	// i; built by probing whichever side is hashed.
 	matches := make([][]int, len(left.Rows))
-	if buildLeft {
+	if j.buildLeft {
 		index := make(map[vkey][]int, len(left.Rows))
 		for i, k := range lkeys {
 			index[k] = append(index[k], i)
@@ -712,11 +764,11 @@ func (k vkey) appendTo(buf []byte) []byte {
 }
 
 func execAggregate(cat *Catalog, a *Aggregate) (*Relation, error) {
-	in, err := Exec(cat, a.Input)
+	in, err := execute(cat, a.Input)
 	if err != nil {
 		return nil, err
 	}
-	st, err := newAggState(a, in.Cols)
+	st, err := newAggState(a, in)
 	if err != nil {
 		return nil, err
 	}
@@ -737,10 +789,9 @@ type aggGroup struct {
 	accs []*agg
 }
 
-// aggState is the streaming core of Aggregate, shared by the recursive
-// executor and the pipelined aggregate stage: column resolution happens at
-// construction (so an unknown column errors even over empty input, in the
-// legacy order — group keys first, then each spec's function before its
+// aggState is the core of Aggregate: column resolution happens
+// at construction (so an unknown column errors even over empty input, in a
+// fixed order — group keys first, then each spec's function before its
 // column), rows fold in one at a time, and finish emits groups in
 // first-appearance order.
 type aggState struct {
@@ -756,8 +807,7 @@ type aggState struct {
 	kbuf   []byte
 }
 
-func newAggState(a *Aggregate, cols []string) (*aggState, error) {
-	in := &Relation{Cols: cols}
+func newAggState(a *Aggregate, in *Relation) (*aggState, error) {
 	gidx := make([]int, len(a.GroupBy))
 	for i, c := range a.GroupBy {
 		j, err := in.colIndex(c)
@@ -782,7 +832,7 @@ func newAggState(a *Aggregate, cols []string) (*aggState, error) {
 		aidx[i] = j
 	}
 	return &aggState{
-		a: a, cols: cols, gidx: gidx, aidx: aidx,
+		a: a, cols: in.Cols, gidx: gidx, aidx: aidx,
 		single: map[vkey]*aggGroup{}, groups: map[string]*aggGroup{},
 	}, nil
 }
@@ -956,7 +1006,7 @@ func (g *agg) result(fn string) nql.Value {
 }
 
 func execSort(cat *Catalog, s *Sort) (*Relation, error) {
-	in, err := Exec(cat, s.Input)
+	in, err := execute(cat, s.Input)
 	if err != nil {
 		return nil, err
 	}
@@ -988,7 +1038,7 @@ func execSort(cat *Catalog, s *Sort) (*Relation, error) {
 }
 
 func execLimit(cat *Catalog, l *Limit) (*Relation, error) {
-	in, err := Exec(cat, l.Input)
+	in, err := execute(cat, l.Input)
 	if err != nil {
 		return nil, err
 	}

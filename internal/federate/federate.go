@@ -9,8 +9,7 @@
 // into the scans (compiling them to native WHERE clauses for the SQL
 // substrate, testing them on source cells before a row is lifted for the
 // graph and frame substrates), and the executor evaluates the remaining
-// stages over a
-// uniform relation of nql.Value rows. Graph scans can also push whole
+// operators over a uniform relation of nql.Value rows. Graph scans can also push whole
 // computations down — degree, PageRank, connected components — so a plan
 // can join, say, a SQL probe table against graph centrality, which none of
 // the single-substrate backends can express.
@@ -24,16 +23,18 @@
 // SourceAny scan, whether a SQL scan takes the native columnar path or the
 // text path, which side of a hash join builds the table (the smaller
 // estimated input), and whether a join or aggregate over native SQL scans
-// fuses into a single sqldb pushdown call. Execution then runs the decided
-// plan either on the legacy row-at-a-time interpreter (Exec) or, for plans
-// without blocking Go predicates in awkward positions, on the pipelined
-// executor: each operator stage is a goroutine streaming columnar batches
-// (up to batchRows rows, one []nql.Value per column) over bounded channels,
-// so scan, filter, join and aggregation overlap instead of materializing
-// between stages. Both executors honor context cancellation at row-loop
-// checkpoints and emit identical obs.Profile operator frames, and the
-// pipeline is differentially tested against the legacy interpreter for
-// byte-identical results, schemas and error text.
+// fuses into a single sqldb pushdown call. Prepared.ExecuteContext then
+// runs the decided plan on one recursive executor, single-goroutine per
+// query: each operator executes its inputs, then works on the
+// materialized relations. A scan filters on source columns before it
+// lifts a row (and takes sqldb's columnar scan where the native path
+// applies), a join hashes the side the planner chose, and a fused join or
+// aggregate issues its one sqldb call, running the unfused subtree
+// instead when sqldb answers ErrPushdown. Every operator honors context
+// cancellation at row-loop checkpoints and, under an obs.Profile, emits
+// one operator frame; a fused operator's frame has no scan children. The
+// expected results, error text and frame trees of a plan corpus are
+// pinned in the package tests.
 //
 // # Statistics and the plan cache
 //
@@ -106,7 +107,7 @@ type Catalog struct {
 	// execution time, falling back to the generic path on any mismatch.
 	Epoch uint64
 
-	// ctx is the execution context installed by RunContext/ExecContext on
+	// ctx is the execution context installed by Prepared.ExecuteContext on
 	// a per-run shallow copy of the catalog (the caller's catalog is never
 	// mutated). Operator row loops poll it at cancelCheckEvery-row
 	// checkpoints so a cancelled request abandons a large join or
@@ -114,7 +115,7 @@ type Catalog struct {
 	ctx context.Context
 
 	// prof is the per-operator execution profile, installed alongside ctx
-	// by ExecContext when the context carries an obs.Profile. Nil (the
+	// by ExecuteContext when the context carries an obs.Profile. Nil (the
 	// default) keeps execution on the unprofiled fast path.
 	prof *obs.Profile
 }

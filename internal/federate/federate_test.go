@@ -85,7 +85,7 @@ func TestFilterPushdownMatchesLocalFilter(t *testing.T) {
 		filtered := &Filter{Input: base, Pred: Cmp{Col: "bytes", Op: ">=", Value: int64(100)}}
 		// Optimized path (pushdown) vs unoptimized path must agree.
 		opt := run(t, cat, filtered)
-		raw, err := Exec(cat, filtered)
+		raw, err := execute(cat, filtered)
 		if err != nil {
 			t.Fatalf("%s: unoptimized exec: %v", source, err)
 		}
@@ -342,7 +342,7 @@ func TestFilterAfterProjectKeepsUnknownColumnError(t *testing.T) {
 			Input: &Scan{Source: SourceFrame, Table: "edges"},
 		},
 	}
-	if _, err := Exec(cat, plan); err == nil {
+	if _, err := execute(cat, plan); err == nil {
 		t.Error("unoptimized exec: expected unknown-column error")
 	}
 	if _, err := Run(cat, plan); err == nil {

@@ -46,17 +46,6 @@ func (c Cmp) predLabel() string { return fmt.Sprintf("%s %s %s", c.Col, c.Op, nq
 // never pushed down.
 type FuncPred struct {
 	Fn func(row *nql.Map) (bool, error)
-
-	// NoErr marks a predicate proven pure and row-total by the NQL
-	// semantic analyzer (a single-parameter lambda whose body cannot fail
-	// or observe side effects when applied to a row map; see
-	// internal/nql/analysis). Calling a NoErr predicate earlier, later,
-	// or on rows the legacy executor would never reach is unobservable,
-	// so the pipeline-safety classifier ignores NoErr predicates when
-	// counting divergence risks. Resource-budget aborts (step/alloc/
-	// wall-clock) are excluded from the proof by contract: both executors
-	// share one budget and an abort cancels the whole run.
-	NoErr bool
 }
 
 func (FuncPred) predLabel() string { return "fn(row)" }
@@ -124,6 +113,11 @@ func (p *Project) label() string    { return "project (" + strings.Join(p.Cols, 
 type Join struct {
 	Left, Right       Node
 	LeftKey, RightKey string
+
+	// The planner's decisions, set by Prepare on the copy it executes:
+	// hash the left input instead of the right, and run the join of two
+	// native SQL scans as one sqldb hash join.
+	buildLeft, fused bool
 }
 
 func (j *Join) children() []Node { return []Node{j.Left, j.Right} }
@@ -154,6 +148,11 @@ type Aggregate struct {
 	Input   Node
 	GroupBy []string
 	Aggs    []AggSpec
+
+	// fused is the planner's decision, set by Prepare on the copy it
+	// executes, to run the aggregate over a native SQL scan as one sqldb
+	// group-by.
+	fused bool
 }
 
 func (a *Aggregate) children() []Node { return []Node{a.Input} }

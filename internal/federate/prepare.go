@@ -7,19 +7,14 @@ import (
 	"sync/atomic"
 )
 
-// This file is the prepare/execute seam: Prepare optimizes a logical plan,
-// attaches the cost model's per-node decisions (from the shared plan cache
-// when the catalog carries an epoch), and classifies the plan for the
-// pipelined executor. Decisions are positional pure data — no closures, no
-// substrate handles — which is what makes one cache entry reusable across
-// every session sharing a dataset generation, the same way the sandbox
-// shares compiled bytecode across runs of one source text.
-
-// Execution modes for a prepared plan.
-const (
-	modePipeline = byte(0) // staged columnar pipeline (pipeline.go)
-	modeLegacy   = byte(1) // row-at-a-time recursive executor (exec.go)
-)
+// This file is the prepare/execute seam: Prepare optimizes a logical plan
+// and attaches the cost model's per-node decisions (from the shared plan
+// cache when the catalog carries an epoch). Decisions are positional pure
+// data — no closures, no substrate handles — which is what makes one cache
+// entry reusable across every session sharing a dataset generation, the
+// same way the sandbox shares compiled bytecode across runs of one source
+// text. applyDecisions then copies the decisions the executor acts on
+// (resolved sources, join build sides, fusion) onto the plan it runs.
 
 // Prepared is an optimized plan bound to planner decisions, ready to
 // execute any number of times. It still carries the caller's closures
@@ -28,7 +23,6 @@ const (
 type Prepared struct {
 	plan Node
 	decs []decision
-	mode byte
 
 	// opt is the optimized, pre-decision plan — the identity the shared
 	// plan cache keys on. fphash is the hex FNV-64a of Explain(opt),
@@ -78,32 +72,7 @@ func Prepare(cat *Catalog, plan Node) *Prepared {
 		decs = annotate(cat, opt)
 		resolved, _ = applyDecisions(opt, decs)
 	}
-	mode := classify(resolved)
-	if mode == modePipeline && !worthPipelining(decs) {
-		mode = modeLegacy
-	}
-	return &Prepared{plan: resolved, decs: decs, mode: mode, opt: opt}
-}
-
-// worthPipelining is the cost model's executor-mode rule: stage goroutines,
-// channels and batch buffers only pay for themselves once some operator is
-// expected to see at least one full batch of rows. Below that, every batch
-// in the plan is partial and the row interpreter wins on constant factors,
-// so tiny plans keep the legacy path. Two exceptions err toward the
-// pipeline: a single node estimated at or above batchRows enables it, and
-// so does any fusion decision — a fused subtree collapses into one
-// substrate call only the pipelined executor can issue, which beats the
-// interpreter at any volume. A native-scan decision alone does not
-// qualify: both executors run a scan through the same execScan, which
-// filters on source columns before lifting a row, so a scan costs the same
-// in either and the interpreter saves the stage machinery.
-func worthPipelining(decs []decision) bool {
-	for _, d := range decs {
-		if d.EstRows >= batchRows || d.Fuse != fuseNone {
-			return true
-		}
-	}
-	return false
+	return &Prepared{plan: resolved, decs: decs, opt: opt}
 }
 
 // Explain renders the prepared plan with the cost model's annotations:
@@ -149,8 +118,9 @@ func explainCostInto(sb *strings.Builder, n Node, depth int, decs []decision, po
 }
 
 // applyDecisions validates a decision list against the plan (kind tags in
-// pre-order) and resolves SourceAny scans to their decided source,
-// rebuilding only the spine above a rewritten scan. ok is false when the
+// pre-order), resolves SourceAny scans to their decided source, and records
+// each join's build side and each join's or aggregate's fusion on the node,
+// rebuilding only the spine above a rewritten node. ok is false when the
 // list does not align with the plan — a stale or colliding cache entry.
 func applyDecisions(plan Node, decs []decision) (Node, bool) {
 	pos := 0
@@ -205,19 +175,22 @@ func applyNode(n Node, decs []decision, pos *int) (Node, bool) {
 		if !ok {
 			return n, false
 		}
-		if l == x.Left && r == x.Right {
+		buildLeft, fused := decs[idx].BuildLeft, decs[idx].Fuse == fuseSQLJoin
+		if l == x.Left && r == x.Right && buildLeft == x.buildLeft && fused == x.fused {
 			return x, true
 		}
-		return &Join{Left: l, Right: r, LeftKey: x.LeftKey, RightKey: x.RightKey}, true
+		return &Join{Left: l, Right: r, LeftKey: x.LeftKey, RightKey: x.RightKey,
+			buildLeft: buildLeft, fused: fused}, true
 	case *Aggregate:
 		in, ok := applyNode(x.Input, decs, pos)
 		if !ok {
 			return n, false
 		}
-		if in == x.Input {
+		fused := decs[idx].Fuse == fuseSQLAgg
+		if in == x.Input && fused == x.fused {
 			return x, true
 		}
-		return &Aggregate{Input: in, GroupBy: x.GroupBy, Aggs: x.Aggs}, true
+		return &Aggregate{Input: in, GroupBy: x.GroupBy, Aggs: x.Aggs, fused: fused}, true
 	case *Sort:
 		in, ok := applyNode(x.Input, decs, pos)
 		if !ok {
@@ -239,121 +212,6 @@ func applyNode(n Node, decs []decision, pos *int) (Node, bool) {
 	default:
 		return n, false
 	}
-}
-
-// --- pipeline-safety classification -------------------------------------
-
-// classify decides whether the pipelined executor can run the plan with
-// observable behavior identical to the legacy recursive executor. The one
-// divergence risk is an opaque FuncPred: the legacy executor never calls
-// it when an input stage fails, while a pipelined filter sees input
-// batches before upstream completion. The pipeline is therefore safe when
-// no FuncPred exists; a single FuncPred is still safe when no join is
-// present and every streaming operator strictly below it (project, limit)
-// cannot fail mid-stream — the first materializing operator below (scan,
-// aggregate, sort) absorbs upstream errors before emitting any batch.
-//
-// Predicates the semantic analyzer proved pure and row-total
-// (FuncPred.NoErr) carry no divergence risk at all — extra, fewer, or
-// reordered calls are unobservable — so they are invisible here: only
-// fallible FuncPreds count. This is what keeps join plans with vetted
-// NQL filter lambdas on the pipelined executor.
-func classify(plan Node) byte {
-	if !kindsKnown(plan) {
-		return modeLegacy
-	}
-	switch countFuncPreds(plan) {
-	case 0:
-		return modePipeline
-	case 1:
-		if hasJoin(plan) {
-			return modeLegacy
-		}
-		cur := plan
-		for cur != nil {
-			if f, ok := cur.(*Filter); ok && predFuncCount(f.Pred) > 0 {
-				return classifyBelow(f.Input)
-			}
-			ch := cur.children()
-			if len(ch) != 1 {
-				return modeLegacy
-			}
-			cur = ch[0]
-		}
-		return modeLegacy
-	default:
-		return modeLegacy
-	}
-}
-
-func classifyBelow(n Node) byte {
-	for {
-		switch x := n.(type) {
-		case *Scan, *Aggregate, *Sort:
-			return modePipeline
-		case *Project:
-			n = x.Input
-		case *Limit:
-			n = x.Input
-		default:
-			return modeLegacy
-		}
-	}
-}
-
-func kindsKnown(n Node) bool {
-	if nodeKind(n) == kindOther {
-		return false
-	}
-	for _, c := range n.children() {
-		if !kindsKnown(c) {
-			return false
-		}
-	}
-	return true
-}
-
-func countFuncPreds(n Node) int {
-	c := 0
-	if f, ok := n.(*Filter); ok {
-		c += predFuncCount(f.Pred)
-	}
-	for _, ch := range n.children() {
-		c += countFuncPreds(ch)
-	}
-	return c
-}
-
-// predFuncCount counts the fallible opaque predicates in p; NoErr
-// predicates are classification-invisible (see classify).
-func predFuncCount(p Pred) int {
-	switch x := p.(type) {
-	case FuncPred:
-		if x.NoErr {
-			return 0
-		}
-		return 1
-	case And:
-		n := 0
-		for _, sub := range x.Preds {
-			n += predFuncCount(sub)
-		}
-		return n
-	default:
-		return 0
-	}
-}
-
-func hasJoin(n Node) bool {
-	if _, ok := n.(*Join); ok {
-		return true
-	}
-	for _, c := range n.children() {
-		if hasJoin(c) {
-			return true
-		}
-	}
-	return false
 }
 
 // --- shared plan cache ---------------------------------------------------

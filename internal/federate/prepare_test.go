@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/dataframe"
 	"repro/internal/nql"
-	"repro/internal/sqldb"
 )
 
 // TestResolveSourceAny pins SourceAny resolution: a table in every
@@ -79,7 +78,7 @@ func TestCostDecisions(t *testing.T) {
 	}
 
 	// Aggregate over a native scan fuses; an invalid agg fn must not (the
-	// aggregate stage owns the canonical error).
+	// unfused aggregate owns the canonical error).
 	a := &Aggregate{
 		Input:   &Scan{Source: SourceSQL, Table: "edges"},
 		GroupBy: []string{"src"},
@@ -281,90 +280,48 @@ func TestPlanCacheFIFOEviction(t *testing.T) {
 	}
 }
 
-// TestClassify pins the pipeline-safety rule around opaque predicates.
-func TestClassify(t *testing.T) {
-	fn := FuncPred{Fn: func(*nql.Map) (bool, error) { return true, nil }}
-	scan := func() Node { return &Scan{Source: SourceSQL, Table: "edges"} }
-	cases := []struct {
-		name string
-		plan Node
-		want byte
-	}{
-		{"no funcpred", &Sort{Cols: []string{"src"}, Input: scan()}, modePipeline},
-		{"fn over scan", &Filter{Pred: fn, Input: scan()}, modePipeline},
-		{"fn over agg", &Sort{Cols: []string{"src"}, Input: &Filter{Pred: fn,
-			Input: &Aggregate{Input: scan(), GroupBy: []string{"src"},
-				Aggs: []AggSpec{{Col: "bytes", Fn: AggSum, As: "t"}}}}}, modePipeline},
-		{"fn over project", &Filter{Pred: fn,
-			Input: &Project{Cols: []string{"src"}, Input: scan()}}, modePipeline},
-		{"fn over filter", &Filter{Pred: fn,
-			Input: &Filter{Pred: fn, Input: scan()}}, modeLegacy},
-		{"fn with join", &Filter{Pred: fn, Input: &Join{
-			Left: scan(), Right: scan(), LeftKey: "dst", RightKey: "src"}}, modeLegacy},
-		{"two funcpreds", &Filter{Pred: And{Preds: []Pred{fn, fn}},
-			Input: scan()}, modeLegacy},
+// TestPreparedPlanCarriesDecisions: Prepare copies the join build side
+// and fusion decisions onto the plan it executes, and leaves the caller's
+// plan nodes untouched.
+func TestPreparedPlanCarriesDecisions(t *testing.T) {
+	cat := testCatalog()
+	join := &Join{
+		Left: &Filter{
+			Input: &Scan{Source: SourceSQL, Table: "edges"},
+			Pred:  Cmp{Col: "src", Op: "==", Value: "b"},
+		},
+		Right:    &Scan{Source: SourceSQL, Table: "edges"},
+		LeftKey:  "dst",
+		RightKey: "src",
 	}
-	// Predicates the analyzer proved pure and row-total are invisible to
-	// the classifier: every legacy-forcing shape above widens back to the
-	// pipeline when its predicates carry the NoErr proof.
-	noerr := FuncPred{Fn: fn.Fn, NoErr: true}
-	cases = append(cases,
-		struct {
-			name string
-			plan Node
-			want byte
-		}{"noerr fn with join", &Filter{Pred: noerr, Input: &Join{
-			Left: scan(), Right: scan(), LeftKey: "dst", RightKey: "src"}}, modePipeline},
-		struct {
-			name string
-			plan Node
-			want byte
-		}{"noerr fn over filter", &Filter{Pred: noerr,
-			Input: &Filter{Pred: noerr, Input: scan()}}, modePipeline},
-		struct {
-			name string
-			plan Node
-			want byte
-		}{"noerr plus fallible fn with join", &Filter{Pred: And{Preds: []Pred{noerr, fn}},
-			Input: &Join{Left: scan(), Right: scan(),
-				LeftKey: "dst", RightKey: "src"}}, modeLegacy},
-	)
-	for _, c := range cases {
-		if got := classify(c.plan); got != c.want {
-			t.Errorf("classify(%s) = %d, want %d", c.name, got, c.want)
-		}
+	j, ok := Prepare(cat, join).plan.(*Join)
+	if !ok || !j.buildLeft || !j.fused {
+		t.Fatalf("prepared join = %+v, want build-left and fused", j)
 	}
-}
-
-// TestModeVolumeRule pins the cost model's executor-mode choice: a plan
-// whose every operator is expected to see less than one batch of rows runs
-// on the row interpreter, and crossing the one-batch estimate anywhere in
-// the plan enables the pipeline.
-func TestModeVolumeRule(t *testing.T) {
-	small := testCatalog() // a handful of rows, far below batchRows
-	plan := &Sort{Cols: []string{"src"}, Input: &Scan{Source: SourceSQL, Table: "edges"}}
-	if p := Prepare(small, plan); p.mode != modeLegacy {
-		t.Errorf("sub-batch plan mode = %d, want legacy (pipeline overhead cannot pay)", p.mode)
+	if join.buildLeft || join.fused {
+		t.Fatal("Prepare wrote decisions onto the caller's join")
 	}
-	big := sqldb.NewDB()
-	f := dataframe.New("src", "bytes")
-	for i := 0; i < batchRows; i++ {
-		f.AppendRow(fmt.Sprintf("s%d", i%7), int64(i))
+	unfused := &Join{
+		Left:    &Scan{Source: SourceGraph, Table: "edges"},
+		Right:   &Scan{Source: SourceSQL, Table: "edges"},
+		LeftKey: "dst", RightKey: "src",
 	}
-	big.CreateTable("edges", f)
-	if p := Prepare(&Catalog{DB: big}, plan); p.mode != modePipeline {
-		t.Errorf("one-batch plan mode = %d, want pipeline", p.mode)
+	if p := Prepare(cat, unfused); p.plan != Node(unfused) {
+		t.Errorf("a join with default decisions was copied: %+v", p.plan)
 	}
-	// A fusion decision keeps the pipeline even at sub-batch volume: only
-	// the pipelined executor can issue the single fused substrate call.
-	fused := &Aggregate{
-		Input:   &Scan{Source: SourceSQL, Table: "edges"},
-		GroupBy: []string{"src"},
-		Aggs:    []AggSpec{{Col: "bytes", Fn: AggSum, As: "total"}},
+	agg := &Aggregate{
+		Input: &Scan{Source: SourceSQL, Table: "edges"},
+		Aggs:  []AggSpec{{Col: "bytes", Fn: AggSum, As: "t"}},
 	}
-	if p := Prepare(small, fused); p.mode != modePipeline || p.decs[0].Fuse != fuseSQLAgg {
-		t.Errorf("tiny fused-agg plan mode = %d (fuse %d), want pipeline with sql-agg fusion",
-			p.mode, p.decs[0].Fuse)
+	p := Prepare(cat, agg)
+	if a, ok := p.plan.(*Aggregate); !ok || !a.fused || agg.fused {
+		t.Errorf("prepared aggregate = %+v (caller's fused=%v), want a fused copy", a, agg.fused)
+	}
+	// Run against a catalog without the database, a fused plan takes the
+	// unfused path, which reports the missing source.
+	_, err := p.ExecuteContext(context.Background(), &Catalog{Graph: cat.Graph})
+	if err == nil || err.Error() != "federate: catalog has no sql source" {
+		t.Errorf("fused aggregate without a database: err = %v", err)
 	}
 }
 

@@ -4,23 +4,31 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/nql"
 	"repro/internal/obs"
 )
 
+// TestExecProfileOperatorTree: every operator emits one frame, nested
+// like the plan, with its output rows and wall/own time.
 func TestExecProfileOperatorTree(t *testing.T) {
 	cat := testCatalog()
+	// An opaque predicate does not fold into the scan, so the plan keeps
+	// three operators.
 	plan := &Sort{
 		Cols: []string{"bytes"},
 		Input: &Filter{
 			Input: &Scan{Source: SourceGraph, Table: "edges"},
-			Pred:  Cmp{Col: "bytes", Op: ">=", Value: int64(100)},
+			Pred: FuncPred{Fn: func(row *nql.Map) (bool, error) {
+				v, _ := row.Get("bytes")
+				return v.(int64) >= 100, nil
+			}},
 		},
 	}
 	prof := obs.NewProfile()
 	ctx := obs.WithProfile(context.Background(), prof)
-	rel, err := ExecContext(ctx, cat, plan)
+	rel, err := RunContext(ctx, cat, plan)
 	if err != nil {
-		t.Fatalf("ExecContext: %v", err)
+		t.Fatalf("RunContext: %v", err)
 	}
 	if len(rel.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(rel.Rows))
@@ -53,13 +61,13 @@ func TestExecProfileOperatorTree(t *testing.T) {
 	}
 	// The caller's catalog must stay pristine (profile rides the run copy).
 	if cat.prof != nil || cat.ctx != nil {
-		t.Fatal("ExecContext mutated the caller's catalog")
+		t.Fatal("RunContext mutated the caller's catalog")
 	}
 }
 
 func TestExecUnprofiledNoFrames(t *testing.T) {
 	cat := testCatalog()
-	rel, err := ExecContext(context.Background(), cat, &Scan{Source: SourceSQL, Table: "edges"})
+	rel, err := RunContext(context.Background(), cat, &Scan{Source: SourceSQL, Table: "edges"})
 	if err != nil || len(rel.Rows) != 4 {
 		t.Fatalf("unprofiled run: rel=%v err=%v", rel, err)
 	}

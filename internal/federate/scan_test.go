@@ -32,48 +32,33 @@ func scanCatalog() *Catalog {
 	return cat
 }
 
-// fallibleTrue is an opaque predicate that keeps every row. It is not
-// stamped NoErr, so over a join it keeps a plan on the row interpreter.
-var fallibleTrue = FuncPred{Fn: func(*nql.Map) (bool, error) { return true, nil }}
+// keepAll is an opaque predicate that keeps every row.
+var keepAll = FuncPred{Fn: func(*nql.Map) (bool, error) { return true, nil }}
 
-// inLegacy wraps a scan so that Prepare picks the row interpreter without
-// any test override: a fallible FuncPred over a join of the scan with the
-// graph's node IDs on key. Every scanned row matches exactly one node, and
-// the right side contributes no column, so the result is the scan's own.
-func inLegacy(t *testing.T, cat *Catalog, scan *Scan, key string) *Prepared {
-	t.Helper()
-	plan := &Filter{Pred: fallibleTrue, Input: &Join{
+// underJoin prepares the scan as a join input below an opaque filter: a
+// join of the scan with the graph's node IDs on key, where every scanned
+// row matches exactly one node and the right side contributes no column,
+// so the result is the scan's own.
+func underJoin(cat *Catalog, scan *Scan, key string) *Prepared {
+	return Prepare(cat, &Filter{Pred: keepAll, Input: &Join{
 		Left:     scan,
 		Right:    &Project{Cols: []string{"id"}, Input: &Scan{Source: SourceGraph, Table: GraphTableNodes}},
 		LeftKey:  key,
 		RightKey: "id",
-	}}
-	p := Prepare(cat, plan)
-	if p.mode != modeLegacy {
-		t.Fatalf("plan over %s runs in mode %d, want legacy", scan.label(), p.mode)
-	}
-	return p
+	}})
 }
 
-// inPipeline prepares the bare scan (no FuncPred anywhere) and forces it
-// past the volume rule onto the staged executor.
-func inPipeline(t *testing.T, cat *Catalog, scan *Scan) *Prepared {
-	t.Helper()
-	p := forcePipeline(cat, scan)
-	if p == nil {
-		t.Fatalf("scan %s classified legacy", scan.label())
-	}
-	return p
-}
-
-// modes runs body once per executor, each time over a fresh copy of scan.
+// modes runs body over a fresh copy of scan in two plan positions: as a
+// join input below an opaque filter, and bare. The subtest names are the
+// executors that ran each position when these pins were recorded; they
+// are kept so the test IDs stay stable.
 func modes(t *testing.T, cat *Catalog, scan func() *Scan, key string, body func(t *testing.T, p *Prepared)) {
-	t.Run("legacy", func(t *testing.T) { body(t, inLegacy(t, cat, scan(), key)) })
-	t.Run("pipeline", func(t *testing.T) { body(t, inPipeline(t, cat, scan())) })
+	t.Run("legacy", func(t *testing.T) { body(t, underJoin(cat, scan(), key)) })
+	t.Run("pipeline", func(t *testing.T) { body(t, Prepare(cat, scan())) })
 }
 
 // TestScanPinnedRelations pins the exact relation of sql and frame scans
-// with pushed conditions and projections under both executors.
+// with pushed conditions and projections, bare and as a join input.
 func TestScanPinnedRelations(t *testing.T) {
 	cat := scanCatalog()
 	cases := []struct {
@@ -150,7 +135,7 @@ func renderRel(rel *Relation) string {
 }
 
 // TestScanPinnedErrors pins the exact error (or its absence) of scans whose
-// pushed conditions fail, under both executors.
+// pushed conditions fail, bare and as a join input.
 func TestScanPinnedErrors(t *testing.T) {
 	cat := scanCatalog()
 	cases := []struct {
@@ -242,8 +227,8 @@ func TestScanPinnedErrors(t *testing.T) {
 }
 
 // TestScanProfileFramesMatchAcrossModes: a SQL scan emits the same sql.*
-// EXPLAIN ANALYZE frames, nested the same way under its scan frame, in
-// both executors, because both run the one columnar scan.
+// EXPLAIN ANALYZE frames, nested the same way under its scan frame, bare
+// and as a join input.
 func TestScanProfileFramesMatchAcrossModes(t *testing.T) {
 	cat := scanCatalog()
 	scan := func() *Scan {
@@ -266,13 +251,13 @@ func TestScanProfileFramesMatchAcrossModes(t *testing.T) {
 		}
 		return out
 	}
-	legacy := frames(inLegacy(t, cat, scan(), "src"))
-	pipeline := frames(inPipeline(t, cat, scan()))
+	joined := frames(underJoin(cat, scan(), "src"))
+	bare := frames(Prepare(cat, scan()))
 	want := "sql.select(edges) depth+1 rows=3,sql.scan(edges) depth+2 rows=4,sql.filter() depth+2 rows=3"
-	if got := strings.Join(legacy, ","); got != want {
-		t.Errorf("legacy frames:\n  got  %s\n  want %s", got, want)
+	if got := strings.Join(joined, ","); got != want {
+		t.Errorf("join input frames:\n  got  %s\n  want %s", got, want)
 	}
-	if got := strings.Join(pipeline, ","); got != want {
-		t.Errorf("pipeline frames:\n  got  %s\n  want %s", got, want)
+	if got := strings.Join(bare, ","); got != want {
+		t.Errorf("bare scan frames:\n  got  %s\n  want %s", got, want)
 	}
 }

@@ -4,9 +4,9 @@
 // the prepare step of the parse → prepare → execute pipeline: the sandbox
 // caches its diagnostics next to the compiled program (sandbox.Vet),
 // netqueryd rejects error-bearing programs before admission control
-// spends tenant quota, nqlvet runs it over the golden-program registry in
-// CI, and the federated planner consumes its effect proofs to widen the
-// pipelined executor's safety classification.
+// spends tenant quota, and nqlvet runs it over the golden-program registry
+// in CI. It also stamps effect proofs on lambdas, which nothing at run
+// time reads yet (see Effects below).
 //
 // # Rule catalogue
 //
@@ -48,21 +48,21 @@
 // (should the code execute; code behind a never-true branch is still
 // flagged, the same trade every prepare-time checker makes).
 //
-// # Effects and the FuncPred NoErr contract
+// # Effects
 //
 // Alongside diagnostics the analyzer computes, per expression, whether it
 // is pure (no print, no mutation, no call of anything but provably-pure
 // builtins) and total (cannot fail). Lambda expressions get the result
 // stamped on the AST (nql.LambdaExpr.SetEffect): EffectPure, EffectTotal,
 // and EffectRowTotal — totality under the assumption every parameter is a
-// map, which is the calling convention of federate.FuncPred. A predicate
-// built from a pure, row-total, single-parameter lambda can be marked
-// FuncPred.NoErr: calling it more times, fewer times, or at different
-// moments than the legacy executor is unobservable, which is exactly the
-// divergence the pipeline classifier's FuncPred rule guards against.
-// Totality always excludes the sandbox's own resource budget (step,
-// allocation, wall-clock and cancellation limits): those are accounted to
-// the run as a whole, and both executors already share them.
+// map, which is the calling convention of federate.FuncPred. For a pure,
+// row-total lambda, calling it more times, fewer times, or at different
+// moments is unobservable, so a consumer could reorder or hoist such calls
+// without a dynamic re-check. The stamps currently have no runtime
+// consumer: the federated executor calls every predicate in plan order
+// and needs no proof. Totality always excludes the sandbox's own resource
+// budget (step, allocation, wall-clock and cancellation limits): those
+// are accounted to the run as a whole.
 package analysis
 
 import (

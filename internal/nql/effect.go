@@ -7,10 +7,9 @@ package nql
 //
 // The bits are *proofs*, not hints: a set bit is only stamped when the
 // analyzer can show the property holds for every execution of the lambda
-// body (given the bit's argument assumption). Consumers that relax
-// behavior on the strength of a bit — the federated planner's pipeline
-// classification being the motivating one — may do so without a dynamic
-// re-check.
+// body (given the bit's argument assumption). A consumer that relaxes
+// behavior on the strength of a bit may do so without a dynamic re-check;
+// none does yet.
 type Effect uint32
 
 const (

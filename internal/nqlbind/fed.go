@@ -167,16 +167,6 @@ func (p *PlanObject) Member(name string) (nql.Value, bool) {
 				}
 				return nql.Truthy(v), nil
 			}}
-			// Carry the semantic analyzer's proof onto the plan: a pure,
-			// row-total single-parameter lambda cannot fail or observe
-			// side effects on any row, so the pipeline classifier may
-			// ignore it (federate.FuncPred.NoErr). Programs that skipped
-			// analysis simply have a zero stamp and stay conservative.
-			if cl, ok := fn.(*nql.Closure); ok && cl.NumParams() == 1 {
-				if e := cl.Effect(); e.Pure() && e.RowTotal() {
-					pred.NoErr = true
-				}
-			}
 			return p.derive(&federate.Filter{Input: p.Plan, Pred: pred}), nil
 		}), true
 	case "project", "select":

@@ -8,7 +8,6 @@ import (
 	"repro/internal/federate"
 	"repro/internal/graph"
 	"repro/internal/nql"
-	"repro/internal/nql/analysis"
 	"repro/internal/sqldb"
 )
 
@@ -156,54 +155,5 @@ func TestFedExplainAnalyze(t *testing.T) {
 	// The SQL substrate's own frames nest under the federated scan.
 	if !strings.Contains(s, "sql.select") {
 		t.Errorf("explain_analyze missing nested sqldb frames:\n%s", s)
-	}
-}
-
-// TestFedWhereStampsNoErr: a filter lambda the semantic analyzer proved
-// pure and row-total arrives on the plan as a NoErr FuncPred — the proof
-// that lets the pipeline-safety classifier keep join plans on the staged
-// executor — while a fallible lambda (raw indexing can miss) and an
-// unanalyzed program both stay conservative.
-func TestFedWhereStampsNoErr(t *testing.T) {
-	join := `fed.scan("sql", "edges").join(fed.scan("sql", "edges"), "dst", "src")`
-	cases := []struct {
-		pred    string
-		analyze bool
-		noerr   bool
-	}{
-		{`fn(r) => get(r, "src", "") != "zzz"`, true, true},
-		{`fn(r) => r["bytes"] > 60`, true, false},
-		{`fn(r) => get(r, "src", "") != "zzz"`, false, false},
-	}
-	for _, c := range cases {
-		src := "return " + join + ".where(" + c.pred + ")"
-		prog, err := nql.Parse(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c.analyze {
-			analysis.Analyze(prog, analysis.Options{})
-		}
-		in := nql.NewInterp(nql.DefaultLimits, fedGlobals())
-		v, err := in.RunProgram(prog)
-		if err != nil {
-			t.Fatalf("program failed: %v\n%s", err, src)
-		}
-		po, ok := v.(*PlanObject)
-		if !ok {
-			t.Fatalf("result %T, want plan", v)
-		}
-		filter, ok := po.Plan.(*federate.Filter)
-		if !ok {
-			t.Fatalf("plan root %T, want filter", po.Plan)
-		}
-		fp, ok := filter.Pred.(federate.FuncPred)
-		if !ok {
-			t.Fatalf("pred %T, want FuncPred", filter.Pred)
-		}
-		if fp.NoErr != c.noerr {
-			t.Errorf("pred %s (analyzed=%v): NoErr = %v, want %v",
-				c.pred, c.analyze, fp.NoErr, c.noerr)
-		}
 	}
 }

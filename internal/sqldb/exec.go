@@ -39,9 +39,9 @@ type workingSet struct {
 }
 
 // enterFrame opens a profile frame, parenting it under the context's
-// explicit frame when one is set (concurrent callers — the federated
-// pipeline's operator stages — pre-wire parents that way) and falling back
-// to the cursor-based Enter for plain sequential execution. Nil-safe.
+// explicit frame when one is set (a caller that cannot rely on the
+// cursor, such as this package's own nested steps, pre-wires parents that
+// way) and falling back to the cursor-based Enter otherwise. Nil-safe.
 func enterFrame(ctx context.Context, prof *obs.Profile, name, detail string) *obs.ProfNode {
 	if parent := obs.FrameFrom(ctx); parent != nil {
 		return prof.EnterChild(parent, name, detail)
