@@ -431,6 +431,21 @@ func TestAllocLimit(t *testing.T) {
 	}
 }
 
+// TestConcatChargesAllocs pins that string and list concatenation charge
+// their result length to the allocation budget, so a doubling loop fails
+// with a limit error instead of exhausting memory.
+func TestConcatChargesAllocs(t *testing.T) {
+	for _, src := range []string{
+		"let s = \"x\"\nwhile true { s = s + s }",
+		"let l = [1]\nwhile true { l = l + l }",
+	} {
+		_, err := NewInterp(Limits{MaxAllocs: 1 << 20}, nil).Run(src)
+		if err == nil || err.Error() != "nql limit error on line 2: allocation budget exceeded" {
+			t.Errorf("%q: err = %v, want the allocation budget error", src, err)
+		}
+	}
+}
+
 func TestDeadline(t *testing.T) {
 	in := NewInterp(Limits{MaxDuration: 10 * time.Millisecond, MaxSteps: 1 << 60}, nil)
 	start := time.Now()

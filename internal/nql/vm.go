@@ -451,6 +451,11 @@ func (m *machine) run(in *Interp, entry int) (Value, error) {
 			r := m.stack[m.sp]
 			m.stack[m.sp] = nil
 			l := m.stack[m.sp-1]
+			if ins.op == opAdd {
+				if err := in.chargeConcat(l, r, line); err != nil {
+					return nil, err
+				}
+			}
 			v, err := binaryOp(binOpName[ins.op-opAdd], l, r, line)
 			if err != nil {
 				return nil, err
@@ -669,4 +674,21 @@ func (m *machine) run(in *Interp, entry int) (Value, error) {
 			return nil, errf(ErrInternal, line, "unknown opcode %d", ins.op)
 		}
 	}
+}
+
+// chargeConcat charges the length of a string or list concatenation's
+// result to the allocation budget. Without it a loop that doubles a value
+// (`s = s + s`) exhausts memory long before the step budget runs out.
+func (in *Interp) chargeConcat(l, r Value, line int) error {
+	switch a := l.(type) {
+	case string:
+		if b, ok := r.(string); ok {
+			return in.alloc(line, len(a)+len(b))
+		}
+	case *List:
+		if b, ok := r.(*List); ok {
+			return in.alloc(line, len(a.Items)+len(b.Items))
+		}
+	}
+	return nil
 }
