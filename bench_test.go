@@ -362,27 +362,14 @@ func BenchmarkSQLHashJoin(b *testing.B) {
 	}
 }
 
-// nqlBenchSrc is the shared engine micro-benchmark program: arithmetic,
-// branching and a loop — the interpreter's historic hot shape.
+// nqlBenchSrc is the NQL micro-benchmark program: arithmetic, branching
+// and a loop.
 const nqlBenchSrc = `
 let total = 0
 for i in range(1000) {
   if i % 3 == 0 { total = total + i }
 }
 return total`
-
-// BenchmarkNQLInterpreter measures the reference tree-walking engine
-// (parse + execute per iteration, as it always has).
-func BenchmarkNQLInterpreter(b *testing.B) {
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		in := nql.NewInterp(nql.Limits{}, nil)
-		in.Engine = nql.EngineInterp
-		if _, err := in.Run(nqlBenchSrc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkNQLVM measures the bytecode engine on the cached-program path
 // the evaluation matrix actually runs: the program is compiled once and

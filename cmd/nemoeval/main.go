@@ -15,7 +15,6 @@
 //	nemoeval -all -log out.jsonl   # also dump evaluation records
 //	nemoeval -table 2 -workers 4   # bound the evaluation worker pool
 //	nemoeval -table 4 -cpuprofile cpu.out -memprofile mem.out
-//	nemoeval -table 2 -engine interp   # force the reference NQL engine
 //	nemoeval -stream -shards 8     # streamed, sharded Figure-4-scale sweep
 //	nemoeval -stream -stream-nodes 10000 -stream-edges 100000 -stream-seed 42
 //	nemoeval -table 2 -provider sim                 # route the matrix through the gateway
@@ -83,7 +82,6 @@ func run() int {
 	vet := flag.Bool("vet", false, "after the run, print static-diagnostic counts for generated programs to stderr")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	engine := flag.String("engine", "vm", "NQL execution engine: vm (bytecode, default) or interp (reference tree-walker)")
 	stream := flag.Bool("stream", false, "run the streamed, sharded dataset sweep instead of a table/figure")
 	shards := flag.Int("shards", 1, "shard count for -stream (1 = unsharded)")
 	streamNodes := flag.Int("stream-nodes", 10000, "node count for -stream")
@@ -112,11 +110,6 @@ func run() int {
 	fail := func(format string, args ...any) int {
 		fmt.Fprintf(os.Stderr, "error: "+format+"\n", args...)
 		return 2
-	}
-	switch *engine {
-	case "vm", "interp":
-	default:
-		return fail("unknown -engine %q (want vm or interp)", *engine)
 	}
 	if *table != "" {
 		switch *table {
@@ -189,13 +182,6 @@ func run() int {
 		if len(set) > 0 {
 			return fail("%s only apply to the serving gateway: add -provider sim, http or replay", strings.Join(set, "/"))
 		}
-	}
-
-	switch *engine {
-	case "vm":
-		nql.DefaultEngine = nql.EngineVM
-	case "interp":
-		nql.DefaultEngine = nql.EngineInterp
 	}
 
 	// Profiling hooks so perf PRs can attach pprof evidence without

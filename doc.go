@@ -53,11 +53,13 @@
 // is compiled once on first execution and cached on the Program; every
 // trial of the evaluation matrix then runs the shared bytecode on a
 // pooled slot-based VM with per-run state only (internal/nql vm.go). The
-// original tree-walking interpreter remains behind nql.DefaultEngine /
-// Interp.Engine as the reference semantics — `nemoeval -engine interp`
-// forces it, and the engine parity tests in internal/nql and
-// internal/nemoeval hold the two engines to identical values, stdout,
-// error strings and post-run state over every golden program.
+// VM is NQL's only engine. Pinned expectations define what it must do:
+// the corpora in internal/nql hold values, stdout and exact error strings
+// over the whole language surface, and internal/nemoeval pins every
+// golden program's value, stdout, error and a digest of the post-run
+// state of every bound substrate. FuzzRun (`make fuzz`) checks that
+// arbitrary programs fail only as syntax, compile or categorized runtime
+// errors.
 //
 // # Static analysis
 //

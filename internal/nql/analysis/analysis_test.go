@@ -132,33 +132,28 @@ func TestEffectStamping(t *testing.T) {
 	}
 }
 
-// TestClosureEffectBothEngines: the stamp must be reachable from the
-// runtime closure value under both the tree-walking interpreter and the
-// bytecode VM.
-func TestClosureEffectBothEngines(t *testing.T) {
+// TestClosureEffect: the stamp and the parameter count must be reachable
+// from the runtime closure value the VM returns.
+func TestClosureEffect(t *testing.T) {
 	src := "let p = fn(x) => x == 1\nreturn p"
 	prog, err := nql.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	Analyze(prog, Options{})
-	for _, engine := range []nql.ExecEngine{nql.EngineInterp, nql.EngineVM} {
-		in := nql.NewInterp(nql.Limits{}, nil)
-		in.Engine = engine
-		v, err := in.RunProgram(prog)
-		if err != nil {
-			t.Fatalf("engine %v: %v", engine, err)
-		}
-		cl, ok := v.(*nql.Closure)
-		if !ok {
-			t.Fatalf("engine %v: result %T, want closure", engine, v)
-		}
-		if e := cl.Effect(); !e.Pure() || !e.RowTotal() {
-			t.Errorf("engine %v: effect %b lost through the closure", engine, e)
-		}
-		if cl.NumParams() != 1 {
-			t.Errorf("engine %v: NumParams = %d, want 1", engine, cl.NumParams())
-		}
+	v, err := nql.NewInterp(nql.Limits{}, nil).RunProgram(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, ok := v.(*nql.Closure)
+	if !ok {
+		t.Fatalf("result %T, want closure", v)
+	}
+	if e := cl.Effect(); !e.Pure() || !e.RowTotal() {
+		t.Errorf("effect %b lost through the closure", e)
+	}
+	if cl.NumParams() != 1 {
+		t.Errorf("NumParams = %d, want 1", cl.NumParams())
 	}
 }
 

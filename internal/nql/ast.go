@@ -143,27 +143,22 @@ type Ident struct {
 	Name string
 }
 
-// IntLit is an integer literal. box holds the value pre-converted to the
-// Value interface: the parser fills it once so evaluation does not re-box
-// (and so re-allocate) on every visit of a shared, cached program.
+// IntLit is an integer literal.
 type IntLit struct {
 	base
 	Value int64
-	box   Value
 }
 
 // FloatLit is a floating-point literal.
 type FloatLit struct {
 	base
 	Value float64
-	box   Value
 }
 
 // StringLit is a string literal.
 type StringLit struct {
 	base
 	Value string
-	box   Value
 }
 
 // BoolLit is true/false.

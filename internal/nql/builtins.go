@@ -8,10 +8,10 @@ import (
 	"strings"
 )
 
-// installBuiltins defines the NQL standard library in the given scope.
-func installBuiltins(env *Env) {
+// installBuiltins registers the NQL standard library in m.
+func installBuiltins(m map[string]*Builtin) {
 	reg := func(name string, fn func(in *Interp, line int, args []Value) (Value, error)) {
-		env.Define(name, &Builtin{Name: name, Fn: fn})
+		m[name] = &Builtin{Name: name, Fn: fn}
 	}
 
 	argErr := func(line int, name, want string, got int) error {

@@ -13,83 +13,61 @@ import (
 // budget outlives any test deadline, so only cancellation can stop it.
 const cancelSpin = "let i = 0\nwhile i < 100000000 { i = i + 1 }\nreturn i"
 
-func engines() map[string]ExecEngine {
-	return map[string]ExecEngine{"vm": EngineVM, "interp": EngineInterp}
-}
-
-// TestCancelledContextAbortsPromptly runs the spin loop on both engines
-// under an already-cancelled context: the run must abort at its first
+// TestCancelledContextAbortsPromptly runs the spin loop under an
+// already-cancelled context: the run must abort at its first
 // dispatch-quantum checkpoint (well under a second), with the cancelled
 // class wrapping context.Canceled.
 func TestCancelledContextAbortsPromptly(t *testing.T) {
-	for name, engine := range engines() {
-		t.Run(name, func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			in := NewInterp(Limits{Context: ctx}, nil)
-			in.Engine = engine
-			start := time.Now()
-			_, err := in.Run(cancelSpin)
-			elapsed := time.Since(start)
-			var re *RuntimeError
-			if !errors.As(err, &re) || re.Class != ErrCancel {
-				t.Fatalf("error = %v, want %s-class RuntimeError", err, ErrCancel)
-			}
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("error does not wrap context.Canceled: %v", err)
-			}
-			if elapsed > time.Second {
-				t.Fatalf("cancelled run took %v, want one dispatch quantum", elapsed)
-			}
-		})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	in := NewInterp(Limits{Context: ctx}, nil)
+	start := time.Now()
+	_, err := in.Run(cancelSpin)
+	elapsed := time.Since(start)
+	var re *RuntimeError
+	if !errors.As(err, &re) || re.Class != ErrCancel {
+		t.Fatalf("error = %v, want %s-class RuntimeError", err, ErrCancel)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error does not wrap context.Canceled: %v", err)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("cancelled run took %v, want one dispatch quantum", elapsed)
 	}
 }
 
 // TestContextDeadlineAbortsMidRun arms a deadline shorter than the spin
-// loop on both engines: the abort must carry context.DeadlineExceeded and
-// land within one quantum of the deadline, not at the loop's end.
+// loop: the abort must carry context.DeadlineExceeded and land within one
+// quantum of the deadline, not at the loop's end.
 func TestContextDeadlineAbortsMidRun(t *testing.T) {
-	for name, engine := range engines() {
-		t.Run(name, func(t *testing.T) {
-			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-			defer cancel()
-			in := NewInterp(Limits{Context: ctx}, nil)
-			in.Engine = engine
-			start := time.Now()
-			_, err := in.Run(cancelSpin)
-			elapsed := time.Since(start)
-			var re *RuntimeError
-			if !errors.As(err, &re) || re.Class != ErrCancel {
-				t.Fatalf("error = %v, want %s-class RuntimeError", err, ErrCancel)
-			}
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("error does not wrap context.DeadlineExceeded: %v", err)
-			}
-			if elapsed > time.Second {
-				t.Fatalf("deadline abort took %v, want prompt return", elapsed)
-			}
-		})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	in := NewInterp(Limits{Context: ctx}, nil)
+	start := time.Now()
+	_, err := in.Run(cancelSpin)
+	elapsed := time.Since(start)
+	var re *RuntimeError
+	if !errors.As(err, &re) || re.Class != ErrCancel {
+		t.Fatalf("error = %v, want %s-class RuntimeError", err, ErrCancel)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("error does not wrap context.DeadlineExceeded: %v", err)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("deadline abort took %v, want prompt return", elapsed)
 	}
 }
 
-// TestCancelMessageEngineIdentical asserts the two engines render the exact
-// same error for the same cancellation — the VM/tree-walker parity contract
-// extends to the cancel path.
+// TestCancelMessageEngineIdentical pins the exact error a cancelled run
+// renders (the message both engines agreed on while NQL had two): the
+// first dispatch-quantum checkpoint reports the cause.
 func TestCancelMessageEngineIdentical(t *testing.T) {
-	msgs := map[string]string{}
-	for name, engine := range engines() {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		in := NewInterp(Limits{Context: ctx}, nil)
-		in.Engine = engine
-		_, err := in.Run(cancelSpin)
-		if err == nil {
-			t.Fatalf("%s: cancelled run succeeded", name)
-		}
-		msgs[name] = err.Error()
-	}
-	if msgs["vm"] != msgs["interp"] {
-		t.Fatalf("engines disagree on the cancel error:\n  vm:     %s\n  interp: %s", msgs["vm"], msgs["interp"])
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := NewInterp(Limits{Context: ctx}, nil).Run(cancelSpin)
+	const want = "nql cancelled error on line 2: query cancelled: context canceled"
+	if err == nil || err.Error() != want {
+		t.Fatalf("cancel error = %v, want %q", err, want)
 	}
 }
 

@@ -1,35 +1,17 @@
 // Package nql implements the Network Query Language the framework's LLMs
-// generate: lexer, parser, and two execution engines. The default engine
-// compiles a parsed Program once into slot-based bytecode (Program.Compiled,
-// cached on the Program, which the sandbox in turn caches by source) and
-// executes it on a pooled stack VM (vm.go) — identifiers resolve to
-// frame-local slot indices at compile time, literals are pre-boxed into a
-// constant pool, builtins are pre-bound per global reference, and the VM's
-// stacks, frames and iterator snapshots are recycled via sync.Pool so
-// steady-state execution of a cached program allocates almost nothing. The
-// original tree-walking interpreter (interp.go) remains available behind
-// the ExecEngine switch as the reference semantics: set DefaultEngine (or
-// Interp.Engine) to EngineInterp to cross-check results, as the engine
-// parity tests do. Both engines share one value model, one builtin library
-// and one error taxonomy, so results and error strings are identical.
+// generate: lexer, parser, bytecode compiler and VM. A parsed Program is
+// compiled once into slot-based bytecode (Program.Compiled, cached on the
+// Program, which the sandbox in turn caches by source) and executed on a
+// pooled stack VM (vm.go): identifiers resolve to frame-local slot indices
+// at compile time, literals are boxed once into a constant pool, builtins
+// are pre-bound per global reference, and the VM's stacks, frames and
+// iterator snapshots are recycled via sync.Pool so steady-state execution
+// of a cached program allocates almost nothing. The pinned corpora in
+// vm_test.go and internal/nemoeval's golden pins define the language's
+// observable behaviour: values, stdout, error strings and post-run state.
 package nql
 
 import "fmt"
-
-// ExecEngine selects how RunProgram executes a parsed program.
-type ExecEngine uint8
-
-const (
-	// EngineVM compiles to bytecode and runs on the slot-based VM. Default.
-	EngineVM ExecEngine = iota
-	// EngineInterp tree-walks the AST — the reference engine, kept for
-	// differential testing and debugging of the VM.
-	EngineInterp
-)
-
-// DefaultEngine is the engine NewInterp installs. Tests and tools may flip
-// it to EngineInterp to force the reference interpreter everywhere.
-var DefaultEngine = EngineVM
 
 // opcode is one VM instruction kind.
 type opcode uint8
@@ -84,12 +66,12 @@ const (
 	opIterPop      // discard innermost iterator (break out of a for loop)
 )
 
-// binOpName maps opAdd..opIn to the interpreter's operator spelling so the
-// VM reuses binaryOp and produces byte-identical error messages.
+// binOpName maps opAdd..opIn to the operator spelling binaryOp takes and
+// its error messages print.
 var binOpName = [...]string{"+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=", "in"}
 
 // instr is one VM instruction; line carries the source line for errors and
-// resource accounting, matching the tree-walker's error positions.
+// resource accounting.
 type instr struct {
 	op   opcode
 	a    int32
@@ -109,11 +91,11 @@ type Code struct {
 
 // globalRef is one referenced global name. builtin holds the standard
 // library binding pre-resolved at compile time (nil when the name is not a
-// builtin); host globals are resolved per run and take precedence, matching
-// the interpreter's script → host → builtin scope chain.
+// builtin); script stores and host globals are resolved per run and take
+// precedence, in that order.
 type globalRef struct {
 	name    string
-	builtin Value
+	builtin *Builtin
 }
 
 // FuncProto is the compiled form of one function body (or the top level).
@@ -227,12 +209,8 @@ func (c *compiler) globalIndex(name string) int32 {
 	if i, ok := c.globIdx[name]; ok {
 		return i
 	}
-	var pre Value
-	if v, ok := builtinEnv.Get(name); ok {
-		pre = v
-	}
 	i := int32(len(c.code.globals))
-	c.code.globals = append(c.code.globals, globalRef{name: name, builtin: pre})
+	c.code.globals = append(c.code.globals, globalRef{name: name, builtin: builtins[name]})
 	c.globIdx[name] = i
 	return i
 }
@@ -277,13 +255,10 @@ type loopCtx struct {
 
 // fnc compiles one function body. Lexical blocks are compile-time only:
 // each declaration gets a fresh frame slot, so shadowing needs no runtime
-// scope chain. Name resolution is sequential — a reference binds to the
-// declaration that textually precedes it, which matches the interpreter's
-// execute-in-order Define semantics for every program whose closures read
-// enclosing variables declared before the closure (the only deviation is a
-// closure referencing a name `let`-declared *after* it in an enclosing
-// block, which the reference engine resolves dynamically at call time; the
-// engine parity tests pin that no benchmark program does this).
+// scope chain. Name resolution is lexical and sequential: a reference binds
+// to the declaration that textually precedes it, so a closure naming a
+// variable that an enclosing block declares only after the closure
+// resolves that name as a global.
 type fnc struct {
 	c      *compiler
 	parent *fnc
@@ -306,7 +281,7 @@ func (f *fnc) pushBlock() { f.blocks = append(f.blocks, map[string]*binding{}) }
 func (f *fnc) popBlock()  { f.blocks = f.blocks[:len(f.blocks)-1] }
 
 // declare binds name in the innermost block; reused reports that the block
-// already declared it (re-let overwrites the same storage, like Env.Define).
+// already declared it (re-let overwrites the same storage).
 func (f *fnc) declare(name string) (b *binding, reused bool) {
 	blk := f.blocks[len(f.blocks)-1]
 	if b, ok := blk[name]; ok {
@@ -414,8 +389,7 @@ func (f *fnc) emitStore(name string, line int) {
 
 // emitLet compiles `let name = <top of stack>`. A fresh declaration of a
 // captured variable creates a new cell per execution — that is what gives
-// loop bodies their per-iteration capture semantics, mirroring the
-// interpreter's per-iteration environments.
+// loop bodies their per-iteration capture semantics.
 func (f *fnc) emitLet(name string, line int) {
 	b, reused := f.declare(name)
 	kind := siteLet
@@ -446,8 +420,8 @@ func (f *fnc) compileStmt(st Stmt) {
 		f.compileExpr(s.Init)
 		f.emitLet(s.Name, s.Line)
 	case *AssignStmt:
-		// The interpreter evaluates the assigned value before the target's
-		// container and index; preserve that order exactly.
+		// The assigned value is evaluated before the target's container
+		// and index.
 		f.compileExpr(s.Value)
 		switch t := s.Target.(type) {
 		case *Ident:
@@ -543,9 +517,8 @@ func (f *fnc) compileStmt(st Stmt) {
 		f.emit(opReturn, 0, s.Line)
 	case *BreakStmt:
 		if len(f.loops) == 0 {
-			// Control flowing out of a function (or the script) without an
-			// enclosing loop ends it with nil, as the interpreter's control
-			// propagation does.
+			// break or continue outside a loop ends the function (or the
+			// script) with nil.
 			f.emit(opReturnNil, 0, s.Line)
 			return
 		}
@@ -574,8 +547,7 @@ func (f *fnc) compileFunction(name string, params []string, body []Stmt, lam *La
 	nf.pushBlock()
 	for i, p := range params {
 		// Every parameter owns its positional slot; a repeated name rebinds
-		// to the later slot, matching the interpreter's Define-overwrites
-		// semantics (the last duplicate argument wins).
+		// to the later slot (the last duplicate argument wins).
 		b := &binding{slot: int32(i)}
 		nf.blocks[0][p] = b
 		nf.params = append(nf.params, b)
@@ -595,11 +567,11 @@ func (f *fnc) compileFunction(name string, params []string, body []Stmt, lam *La
 func (f *fnc) compileExpr(e Expr) {
 	switch x := e.(type) {
 	case *IntLit:
-		f.emitConst(x.box, x.Value, x.Line)
+		f.emit(opConst, f.c.constIndex(x.Value), x.Line)
 	case *FloatLit:
-		f.emitConst(x.box, x.Value, x.Line)
+		f.emit(opConst, f.c.constIndex(x.Value), x.Line)
 	case *StringLit:
-		f.emitConst(x.box, x.Value, x.Line)
+		f.emit(opConst, f.c.constIndex(x.Value), x.Line)
 	case *BoolLit:
 		if x.Value {
 			f.emit(opTrue, 0, x.Line)
@@ -611,8 +583,8 @@ func (f *fnc) compileExpr(e Expr) {
 	case *Ident:
 		f.emitLoad(x.Name, x.Line)
 	case *ListLit:
-		// The interpreter charges the alloc budget before evaluating the
-		// items; keep that order so budget errors win identically.
+		// The alloc budget is charged before the items are evaluated, so a
+		// budget error wins over any error the items raise.
 		f.emit(opAllocCheck, int32(len(x.Items)), x.Line)
 		for _, it := range x.Items {
 			f.compileExpr(it)
@@ -679,16 +651,6 @@ func (f *fnc) compileExpr(e Expr) {
 	default:
 		panic(compilePanicf("unknown expression %T", e))
 	}
-}
-
-// emitConst pushes a pre-boxed literal; raw covers literals constructed
-// without the parser's boxing.
-func (f *fnc) emitConst(box Value, raw Value, line int) {
-	v := box
-	if v == nil {
-		v = raw
-	}
-	f.emit(opConst, f.c.constIndex(v), line)
 }
 
 func binOpcode(op string) opcode {

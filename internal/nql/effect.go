@@ -49,23 +49,14 @@ func (x *LambdaExpr) SetEffect(e Effect) { x.eff.Store(uint32(e)) }
 func (x *LambdaExpr) Effect() Effect { return Effect(x.eff.Load()) }
 
 // Effect reports the static effect stamped on the closure's source
-// lambda, for closures produced by either engine (tree-walking
-// interpreter or VM). Named functions and closures from unanalyzed
-// programs report zero.
+// lambda. Named functions and closures from unanalyzed programs report
+// zero.
 func (c *Closure) Effect() Effect {
-	if c.lambda != nil {
-		return c.lambda.Effect()
-	}
-	if c.proto != nil && c.proto.lambda != nil {
+	if c.proto.lambda != nil {
 		return c.proto.lambda.Effect()
 	}
 	return 0
 }
 
-// NumParams reports the closure's parameter count for either engine.
-func (c *Closure) NumParams() int {
-	if c.proto != nil {
-		return c.proto.nparams
-	}
-	return len(c.Params)
-}
+// NumParams reports the closure's parameter count.
+func (c *Closure) NumParams() int { return c.proto.nparams }

@@ -53,9 +53,9 @@ func errf(class ErrClass, line int, format string, args ...any) *RuntimeError {
 }
 
 // CancelError builds the ErrCancel-class error surfaced when a host
-// context is cancelled mid-run. Both engines and every cancellable host
-// binding construct it the same way, so the rendered message depends only
-// on the cause and stays engine-identical; errors.Is sees the cause.
+// context is cancelled mid-run. The VM and every cancellable host binding
+// construct it the same way, so the rendered message depends only on the
+// cause; errors.Is sees the cause.
 func CancelError(line int, cause error) *RuntimeError {
 	return &RuntimeError{Class: ErrCancel, Line: line, Msg: "query cancelled: " + cause.Error(), Cause: cause}
 }

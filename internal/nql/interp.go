@@ -14,8 +14,8 @@ type Limits struct {
 	MaxAllocs   int           // container element allocations (0 = default)
 	MaxDuration time.Duration // wall clock (0 = default)
 
-	// Context, when non-nil, is polled at the interpreter's periodic
-	// checkpoint (every 4096 steps, one dispatch quantum): a cancelled or
+	// Context, when non-nil, is polled at the VM's periodic checkpoint
+	// (every 4096 steps, one dispatch quantum): a cancelled or
 	// deadline-expired context aborts the run with an ErrCancel-class
 	// error wrapping ctx.Err(). Its deadline also tightens the wall-clock
 	// budget when sooner than MaxDuration. Host bindings that run long
@@ -25,8 +25,7 @@ type Limits struct {
 
 	// Profile, when non-nil, collects an opcode-class and builtin
 	// time/alloc profile for the run (see VMProfile). Strictly opt-in:
-	// a nil Profile costs the VM one predictable branch per instruction
-	// and the tree-walker nothing.
+	// a nil Profile costs the VM one predictable branch per instruction.
 	Profile *VMProfile
 }
 
@@ -39,18 +38,14 @@ var DefaultLimits = Limits{
 	MaxDuration: 30 * time.Second,
 }
 
-// Interp executes parsed NQL programs under resource limits. Engine
-// selects the execution strategy: the default EngineVM compiles (once,
-// cached on the Program) and runs bytecode; EngineInterp tree-walks the
-// AST. Both engines share this struct's resource accounting, stdout
-// capture and call dispatch, so builtins and host bindings are
-// engine-agnostic.
+// Interp runs parsed NQL programs on the bytecode VM under resource
+// limits. It holds one run's state: the host globals, the resource
+// accounting, captured stdout, and the pooled VM machine while a run is
+// in progress. Builtins and host bindings receive it to charge allocations,
+// print, and call back into script functions.
 type Interp struct {
-	Engine ExecEngine
-
 	host     map[string]Value // injected host globals (never mutated)
-	xglobals map[string]Value // per-run global overrides from foreign-Code closures
-	genv     *Env             // lazily built scope chain for the tree-walk engine
+	xglobals map[string]Value // global stores, kept across runs on this Interp
 	m        *machine         // VM state, pooled; non-nil only during a VM run
 	limits   Limits
 	steps    int
@@ -58,32 +53,6 @@ type Interp struct {
 	depth    int
 	deadline time.Time
 	stdout   *strings.Builder
-	// argPool recycles call-argument slices (LIFO). Callees — builtins,
-	// host-object methods and closures — must not retain the args slice
-	// beyond the call; they may retain its elements.
-	argPool [][]Value
-}
-
-// getArgs returns a zeroed-length arg slice of length n, reusing a pooled
-// backing array when one is large enough.
-func (in *Interp) getArgs(n int) []Value {
-	if k := len(in.argPool); k > 0 && cap(in.argPool[k-1]) >= n {
-		s := in.argPool[k-1][:n]
-		in.argPool = in.argPool[:k-1]
-		return s
-	}
-	if n < 4 {
-		return make([]Value, n, 4)
-	}
-	return make([]Value, n)
-}
-
-// putArgs returns a slice obtained from getArgs to the pool.
-func (in *Interp) putArgs(s []Value) {
-	for i := range s {
-		s[i] = nil // drop references so finished values can be collected
-	}
-	in.argPool = append(in.argPool, s)
 }
 
 // NewInterp creates an interpreter with the standard builtins installed plus
@@ -102,34 +71,21 @@ func NewInterp(limits Limits, globals map[string]Value) *Interp {
 		limits.MaxDuration = DefaultLimits.MaxDuration
 	}
 	return &Interp{
-		Engine: DefaultEngine,
 		host:   globals,
 		limits: limits,
 		stdout: &strings.Builder{},
 	}
 }
 
-// globalsEnv builds the tree-walk engine's host scope on first use; the VM
-// resolves globals through slot tables instead and never pays for it.
-func (in *Interp) globalsEnv() *Env {
-	if in.genv == nil {
-		in.genv = NewEnv(builtinEnv)
-		for k, v := range in.host {
-			in.genv.Define(k, v)
-		}
-	}
-	return in.genv
-}
-
-// builtinEnv holds the standard library, installed once and shared by every
-// interpreter as a frozen root scope. Builtins are stateless (per-run state
-// arrives via the *Interp argument), so sharing is safe across goroutines;
-// Env.Assign shadows instead of writing when a script rebinds a builtin.
-var builtinEnv = func() *Env {
-	e := NewEnv(nil)
-	installBuiltins(e)
-	e.frozen = true
-	return e
+// builtins holds the standard library, installed once and shared by every
+// interpreter. Builtins are stateless (per-run state arrives via the
+// *Interp argument), so sharing is safe across goroutines. The compiler
+// pre-binds each global name it finds here; host globals and script
+// stores take precedence at run time.
+var builtins = func() map[string]*Builtin {
+	m := map[string]*Builtin{}
+	installBuiltins(m)
+	return m
 }()
 
 // Stdout returns everything print() wrote during the run.
@@ -149,7 +105,9 @@ func (in *Interp) Run(src string) (Value, error) {
 	return in.RunProgram(prog)
 }
 
-// RunProgram executes an already-parsed program on the configured engine.
+// RunProgram executes an already-parsed program: it compiles the program
+// on first use (the bytecode is cached on the Program) and runs it on the
+// VM.
 func (in *Interp) RunProgram(prog *Program) (Value, error) {
 	in.deadline = time.Now().Add(in.limits.MaxDuration)
 	if in.limits.Context != nil {
@@ -157,51 +115,15 @@ func (in *Interp) RunProgram(prog *Program) (Value, error) {
 			in.deadline = dl
 		}
 	}
-	if in.Engine == EngineVM {
-		code, err := prog.Compiled()
-		if err != nil {
-			return nil, err
-		}
-		return in.runCode(code)
-	}
-	env := NewEnv(in.globalsEnv())
-	res, err := in.execBlock(prog.Stmts, env)
+	code, err := prog.Compiled()
 	if err != nil {
 		return nil, err
 	}
-	if res != nil && res.kind == ctlReturn {
-		return res.value, nil
-	}
-	return nil, nil
-}
-
-// control signals flowing out of statement execution.
-type ctlKind int
-
-const (
-	ctlReturn ctlKind = iota
-	ctlBreak
-	ctlContinue
-)
-
-type control struct {
-	kind  ctlKind
-	value Value
-}
-
-func (in *Interp) step(line int) error {
-	in.steps++
-	if in.steps > in.limits.MaxSteps {
-		return errf(ErrLimit, line, "step budget exceeded (%d steps)", in.limits.MaxSteps)
-	}
-	if in.steps%4096 == 0 {
-		return in.checkpoint(line)
-	}
-	return nil
+	return in.runCode(code)
 }
 
 // checkpoint is the periodic cooperative-cancellation and wall-clock test
-// both engines run every 4096 steps (one dispatch quantum). Context
+// the VM runs every 4096 steps (one dispatch quantum). Context
 // cancellation is checked first so a cancelled request reports ErrCancel
 // even when its context deadline also tightened the wall-clock budget.
 func (in *Interp) checkpoint(line int) error {
@@ -240,198 +162,6 @@ func (in *Interp) alloc(line, n int) error {
 		return errf(ErrLimit, line, "allocation budget exceeded")
 	}
 	return nil
-}
-
-func (in *Interp) execBlock(stmts []Stmt, env *Env) (*control, error) {
-	for _, st := range stmts {
-		ctl, err := in.execStmt(st, env)
-		if err != nil {
-			return nil, err
-		}
-		if ctl != nil {
-			return ctl, nil
-		}
-	}
-	return nil, nil
-}
-
-func (in *Interp) execStmt(st Stmt, env *Env) (*control, error) {
-	if err := in.step(st.Pos()); err != nil {
-		return nil, err
-	}
-	switch s := st.(type) {
-	case *LetStmt:
-		v, err := in.eval(s.Init, env)
-		if err != nil {
-			return nil, err
-		}
-		env.Define(s.Name, v)
-		return nil, nil
-	case *AssignStmt:
-		return nil, in.assign(s, env)
-	case *ExprStmt:
-		_, err := in.eval(s.X, env)
-		return nil, err
-	case *IfStmt:
-		cond, err := in.eval(s.Cond, env)
-		if err != nil {
-			return nil, err
-		}
-		if Truthy(cond) {
-			return in.execBlock(s.Then, NewEnv(env))
-		}
-		if s.Else != nil {
-			return in.execBlock(s.Else, NewEnv(env))
-		}
-		return nil, nil
-	case *WhileStmt:
-		for {
-			cond, err := in.eval(s.Cond, env)
-			if err != nil {
-				return nil, err
-			}
-			if !Truthy(cond) {
-				return nil, nil
-			}
-			ctl, err := in.execBlock(s.Body, NewEnv(env))
-			if err != nil {
-				return nil, err
-			}
-			if ctl != nil {
-				switch ctl.kind {
-				case ctlBreak:
-					return nil, nil
-				case ctlReturn:
-					return ctl, nil
-				}
-			}
-			if err := in.step(s.Line); err != nil {
-				return nil, err
-			}
-		}
-	case *ForStmt:
-		iter, err := in.eval(s.Iter, env)
-		if err != nil {
-			return nil, err
-		}
-		items, seconds, err := iterate(iter, s.Line, s.Var2 != "")
-		if err != nil {
-			return nil, err
-		}
-		for i, item := range items {
-			loopEnv := NewEnv(env)
-			loopEnv.Define(s.Var, item)
-			if s.Var2 != "" {
-				loopEnv.Define(s.Var2, seconds[i])
-			}
-			ctl, err := in.execBlock(s.Body, loopEnv)
-			if err != nil {
-				return nil, err
-			}
-			if ctl != nil {
-				switch ctl.kind {
-				case ctlBreak:
-					return nil, nil
-				case ctlReturn:
-					return ctl, nil
-				}
-			}
-			if err := in.step(s.Line); err != nil {
-				return nil, err
-			}
-		}
-		return nil, nil
-	case *FuncStmt:
-		env.Define(s.Name, &Closure{Name: s.Name, Params: s.Params, Body: s.Body, Env: env})
-		return nil, nil
-	case *ReturnStmt:
-		var v Value
-		if s.Value != nil {
-			var err error
-			v, err = in.eval(s.Value, env)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return &control{kind: ctlReturn, value: v}, nil
-	case *BreakStmt:
-		return &control{kind: ctlBreak}, nil
-	case *ContinueStmt:
-		return &control{kind: ctlContinue}, nil
-	default:
-		return nil, errf(ErrInternal, st.Pos(), "unknown statement %T", st)
-	}
-}
-
-// iterate expands an iterable into items (and parallel second values when
-// two loop variables are used: map yields key/value, list-of-pairs yields
-// pair elements).
-func iterate(v Value, line int, wantPairs bool) (items, seconds []Value, err error) {
-	switch x := v.(type) {
-	case *List:
-		if wantPairs {
-			for _, it := range x.Items {
-				pair, ok := it.(*List)
-				if !ok || len(pair.Items) != 2 {
-					return nil, nil, errf(ErrOp, line, "two-variable for over a list requires [a, b] pairs, got %s", TypeName(it))
-				}
-				items = append(items, pair.Items[0])
-				seconds = append(seconds, pair.Items[1])
-			}
-			return items, seconds, nil
-		}
-		return append([]Value(nil), x.Items...), nil, nil
-	case *Map:
-		if wantPairs {
-			return x.Keys(), x.Values(), nil
-		}
-		return x.Keys(), nil, nil
-	case string:
-		for _, r := range x {
-			items = append(items, string(r))
-		}
-		if wantPairs {
-			return nil, nil, errf(ErrOp, line, "cannot unpack string iteration into two variables")
-		}
-		return items, nil, nil
-	default:
-		return nil, nil, errf(ErrOp, line, "value of type %s is not iterable", TypeName(v))
-	}
-}
-
-func (in *Interp) assign(s *AssignStmt, env *Env) error {
-	v, err := in.eval(s.Value, env)
-	if err != nil {
-		return err
-	}
-	switch target := s.Target.(type) {
-	case *Ident:
-		if !env.Assign(target.Name, v) {
-			return errf(ErrName, s.Line, "cannot assign to undefined variable %q (use let)", target.Name)
-		}
-		return nil
-	case *IndexExpr:
-		container, err := in.eval(target.X, env)
-		if err != nil {
-			return err
-		}
-		idx, err := in.eval(target.Index, env)
-		if err != nil {
-			return err
-		}
-		return setIndex(container, idx, v, s.Line)
-	case *AttrExpr:
-		container, err := in.eval(target.X, env)
-		if err != nil {
-			return err
-		}
-		if setter, ok := container.(AttrSettable); ok {
-			return setter.SetMember(target.Name, v, s.Line)
-		}
-		return errf(ErrOp, s.Line, "cannot assign attribute %q on %s", target.Name, TypeName(container))
-	default:
-		return errf(ErrInternal, s.Line, "bad assignment target %T", s.Target)
-	}
 }
 
 // AttrSettable is implemented by host objects that allow `obj.name = v`.
@@ -477,120 +207,6 @@ type Indexable interface {
 	Index(idx Value, line int) (Value, error)
 }
 
-func (in *Interp) eval(e Expr, env *Env) (Value, error) {
-	if err := in.step(e.Pos()); err != nil {
-		return nil, err
-	}
-	switch x := e.(type) {
-	case *IntLit:
-		if x.box != nil {
-			return x.box, nil
-		}
-		return x.Value, nil
-	case *FloatLit:
-		if x.box != nil {
-			return x.box, nil
-		}
-		return x.Value, nil
-	case *StringLit:
-		if x.box != nil {
-			return x.box, nil
-		}
-		return x.Value, nil
-	case *BoolLit:
-		return x.Value, nil
-	case *NilLit:
-		return nil, nil
-	case *Ident:
-		v, ok := env.Get(x.Name)
-		if !ok {
-			return nil, errf(ErrName, x.Line, "undefined name %q", x.Name)
-		}
-		return v, nil
-	case *ListLit:
-		if err := in.alloc(x.Line, len(x.Items)); err != nil {
-			return nil, err
-		}
-		items := make([]Value, len(x.Items))
-		for i, it := range x.Items {
-			v, err := in.eval(it, env)
-			if err != nil {
-				return nil, err
-			}
-			items[i] = v
-		}
-		return &List{Items: items}, nil
-	case *MapLit:
-		if err := in.alloc(x.Line, len(x.Keys)); err != nil {
-			return nil, err
-		}
-		m := NewMap()
-		for i := range x.Keys {
-			k, err := in.eval(x.Keys[i], env)
-			if err != nil {
-				return nil, err
-			}
-			v, err := in.eval(x.Values[i], env)
-			if err != nil {
-				return nil, err
-			}
-			if err := m.Set(k, v); err != nil {
-				return nil, errf(ErrIndex, x.Line, "%s", err)
-			}
-		}
-		return m, nil
-	case *UnaryExpr:
-		v, err := in.eval(x.X, env)
-		if err != nil {
-			return nil, err
-		}
-		switch x.Op {
-		case "-":
-			switch n := v.(type) {
-			case int64:
-				return -n, nil
-			case float64:
-				return -n, nil
-			default:
-				return nil, errf(ErrOp, x.Line, "cannot negate %s", TypeName(v))
-			}
-		case "not":
-			return !Truthy(v), nil
-		}
-		return nil, errf(ErrInternal, x.Line, "unknown unary op %q", x.Op)
-	case *BinaryExpr:
-		return in.evalBinary(x, env)
-	case *IndexExpr:
-		return in.evalIndex(x, env)
-	case *AttrExpr:
-		v, err := in.eval(x.X, env)
-		if err != nil {
-			return nil, err
-		}
-		return memberOf(v, x.Name, x.Line)
-	case *LambdaExpr:
-		return &Closure{Params: x.Params, Expr: x.Body, Env: env, lambda: x}, nil
-	case *CallExpr:
-		fn, err := in.eval(x.Fn, env)
-		if err != nil {
-			return nil, err
-		}
-		args := in.getArgs(len(x.Args))
-		for i, a := range x.Args {
-			v, err := in.eval(a, env)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
-		}
-		v, err := in.Call(fn, args, x.Line)
-		in.putArgs(args)
-		return v, err
-	default:
-		return nil, errf(ErrInternal, e.Pos(), "unknown expression %T", e)
-	}
-}
-
 // memberOf resolves `v.name`: host objects dispatch through Member; maps
 // allow dot-lookup of string keys (matching attribute-dict ergonomics);
 // lists and strings expose no members.
@@ -612,10 +228,12 @@ func memberOf(v Value, name string, line int) (Value, error) {
 	}
 }
 
-// Call invokes a callable value with the given arguments. Compiled
-// closures are dispatched onto the VM; everything else tree-walks.
+// Call invokes a callable value with the given arguments: compiled
+// closures run on the VM, builtins directly. Builtins and host bindings use
+// it to call back into script functions (sorted key functions,
+// frame.apply, fed.where, ...).
 func (in *Interp) Call(fn Value, args []Value, line int) (Value, error) {
-	if f, ok := fn.(*Closure); ok && f.proto != nil {
+	if f, ok := fn.(*Closure); ok {
 		return in.vmCall(f, args, line)
 	}
 	in.depth++
@@ -623,57 +241,21 @@ func (in *Interp) Call(fn Value, args []Value, line int) (Value, error) {
 	if in.depth > in.limits.MaxDepth {
 		return nil, errf(ErrLimit, line, "call depth exceeded (%d)", in.limits.MaxDepth)
 	}
-	switch f := fn.(type) {
-	case *Builtin:
-		if p := in.limits.Profile; p != nil {
-			t0 := time.Now()
-			a0 := in.allocs
-			v, err := f.Fn(in, line, args)
-			p.noteBuiltin(f.Name, time.Since(t0), in.allocs-a0)
-			return v, err
-		}
-		return f.Fn(in, line, args)
-	case *Closure:
-		if len(args) != len(f.Params) {
-			name := f.Name
-			if name == "" {
-				name = "<lambda>"
-			}
-			return nil, errf(ErrArg, line, "%s takes %d argument(s), got %d", name, len(f.Params), len(args))
-		}
-		env := NewEnv(f.Env)
-		for i, p := range f.Params {
-			env.Define(p, args[i])
-		}
-		if f.Expr != nil { // lambda
-			return in.eval(f.Expr, env)
-		}
-		ctl, err := in.execBlock(f.Body, env)
-		if err != nil {
-			return nil, err
-		}
-		if ctl != nil && ctl.kind == ctlReturn {
-			return ctl.value, nil
-		}
-		return nil, nil
-	default:
+	f, ok := fn.(*Builtin)
+	if !ok {
 		return nil, errf(ErrOp, line, "%s is not callable", TypeName(fn))
 	}
+	if p := in.limits.Profile; p != nil {
+		t0 := time.Now()
+		a0 := in.allocs
+		v, err := f.Fn(in, line, args)
+		p.noteBuiltin(f.Name, time.Since(t0), in.allocs-a0)
+		return v, err
+	}
+	return f.Fn(in, line, args)
 }
 
-func (in *Interp) evalIndex(x *IndexExpr, env *Env) (Value, error) {
-	container, err := in.eval(x.X, env)
-	if err != nil {
-		return nil, err
-	}
-	idx, err := in.eval(x.Index, env)
-	if err != nil {
-		return nil, err
-	}
-	return indexValue(container, idx, x.Line)
-}
-
-// indexValue implements `container[idx]` for both engines.
+// indexValue implements `container[idx]`.
 func indexValue(container, idx Value, line int) (Value, error) {
 	switch c := container.(type) {
 	case *List:
@@ -713,36 +295,6 @@ func indexValue(container, idx Value, line int) (Value, error) {
 	default:
 		return nil, errf(ErrOp, line, "value of type %s is not indexable", TypeName(container))
 	}
-}
-
-func (in *Interp) evalBinary(x *BinaryExpr, env *Env) (Value, error) {
-	// Short-circuit logic.
-	if x.Op == "and" || x.Op == "or" {
-		l, err := in.eval(x.Left, env)
-		if err != nil {
-			return nil, err
-		}
-		if x.Op == "and" && !Truthy(l) {
-			return false, nil
-		}
-		if x.Op == "or" && Truthy(l) {
-			return true, nil
-		}
-		r, err := in.eval(x.Right, env)
-		if err != nil {
-			return nil, err
-		}
-		return Truthy(r), nil
-	}
-	l, err := in.eval(x.Left, env)
-	if err != nil {
-		return nil, err
-	}
-	r, err := in.eval(x.Right, env)
-	if err != nil {
-		return nil, err
-	}
-	return binaryOp(x.Op, l, r, x.Line)
 }
 
 func binaryOp(op string, l, r Value, line int) (Value, error) {

@@ -422,17 +422,17 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err != nil {
 			return nil, &SyntaxError{Line: t.Line, Msg: "integer out of range"}
 		}
-		return &IntLit{base: base{t.Line}, Value: v, box: v}, nil
+		return &IntLit{base: base{t.Line}, Value: v}, nil
 	case t.Kind == TokFloat:
 		p.next()
 		v, err := strconv.ParseFloat(t.Text, 64)
 		if err != nil {
 			return nil, &SyntaxError{Line: t.Line, Msg: "bad float literal"}
 		}
-		return &FloatLit{base: base{t.Line}, Value: v, box: v}, nil
+		return &FloatLit{base: base{t.Line}, Value: v}, nil
 	case t.Kind == TokString:
 		p.next()
-		return &StringLit{base: base{t.Line}, Value: t.Text, box: t.Text}, nil
+		return &StringLit{base: base{t.Line}, Value: t.Text}, nil
 	case p.accept(TokKeyword, "true"):
 		return &BoolLit{base: base{t.Line}, Value: true}, nil
 	case p.accept(TokKeyword, "false"):

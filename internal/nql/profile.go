@@ -52,7 +52,7 @@ func NewVMProfile() *VMProfile {
 }
 
 // Opcode classes group the VM's opcodes by what they do, the granularity
-// at which "where did the interpreter spend its time" is answerable from
+// at which "where did the VM spend its time" is answerable from
 // sampled deltas.
 const (
 	opClassLoad  = iota // constants, locals, cells, globals, stack shuffling

@@ -62,23 +62,25 @@ func TestVMProfileCollects(t *testing.T) {
 	}
 }
 
-func TestTreeWalkerBuiltinProfile(t *testing.T) {
+// TestCallBuiltinProfile covers builtins a builtin calls back through
+// Interp.Call (here len as sorted's key function): they are profiled like
+// builtins the VM calls directly.
+func TestCallBuiltinProfile(t *testing.T) {
 	prof := NewVMProfile()
 	in := NewInterp(Limits{Profile: prof}, nil)
-	in.Engine = EngineInterp
-	if _, err := in.Run(`return len(sorted([3, 1, 2]))`); err != nil {
+	v, err := in.Run(`return sorted([[1, 2], [3], []], len)`)
+	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	rep := prof.Report()
+	if Repr(v) != "[[], [3], [1, 2]]" {
+		t.Fatalf("got %s", Repr(v))
+	}
 	names := map[string]int64{}
-	for _, b := range rep.Builtins {
+	for _, b := range prof.Report().Builtins {
 		names[b.Name] = b.Calls
 	}
-	if names["sorted"] != 1 || names["len"] != 1 {
-		t.Fatalf("tree-walker builtin profile missing calls: %v", names)
-	}
-	if len(rep.Opcodes) != 0 {
-		t.Fatalf("tree-walker should count no opcodes, got %+v", rep.Opcodes)
+	if names["sorted"] != 1 || names["len"] != 3 {
+		t.Fatalf("builtin profile calls = %v, want sorted once and len three times", names)
 	}
 }
 

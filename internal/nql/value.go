@@ -185,21 +185,14 @@ func (m *Map) Keys() []Value { return append([]Value(nil), m.keys...) }
 // Values returns the values in insertion order (copy).
 func (m *Map) Values() []Value { return append([]Value(nil), m.vals...) }
 
-// Closure is a user-defined function or lambda with its captured scope.
-// The tree-walking engine fills Params/Body/Expr/Env; the VM fills proto
-// and free (captured variable cells) instead. Interp.Call dispatches on
-// proto, so closures from either engine are callable anywhere a function
-// value flows (sorted keys, frame.apply, fed.where, ...).
+// Closure is a user-defined function or lambda: a compiled function proto
+// plus the cells of the variables it captured. Interp.Call runs it on the
+// VM, so a closure is callable anywhere a function value flows (sorted
+// keys, frame.apply, fed.where, ...).
 type Closure struct {
-	Name   string // "" for lambdas
-	Params []string
-	Body   []Stmt // nil for lambdas
-	Expr   Expr   // lambda body
-	Env    *Env
-
-	proto  *FuncProto
-	free   []*cell
-	lambda *LambdaExpr // source lambda (interp closures; VM closures reach it via proto)
+	Name  string // "" for lambdas
+	proto *FuncProto
+	free  []*cell
 }
 
 // Builtin is a native function exposed to scripts.
@@ -338,82 +331,4 @@ func ToStr(v Value) string {
 		return s
 	}
 	return Repr(v)
-}
-
-// Env is a lexical scope chain. A frozen Env (the shared builtin scope) is
-// never written: assignments that resolve to a frozen scope shadow the
-// binding in the innermost non-frozen scope above it instead.
-//
-// The first binding of a scope lives in an inline slot (v0name/v0): loop
-// bodies and single-parameter calls create one scope per iteration, and
-// the inline slot spares them a map allocation each time.
-type Env struct {
-	v0name string
-	v0     Value
-	vars   map[string]Value
-	parent *Env
-	frozen bool
-}
-
-// NewEnv creates a scope with an optional parent. The variable map is
-// allocated lazily on first Define: block and loop scopes are created per
-// iteration on the interpreter's hottest path, and most never declare
-// anything.
-func NewEnv(parent *Env) *Env {
-	return &Env{parent: parent}
-}
-
-// Get resolves a name up the scope chain.
-func (e *Env) Get(name string) (Value, bool) {
-	for env := e; env != nil; env = env.parent {
-		if env.v0name == name {
-			return env.v0, true
-		}
-		if v, ok := env.vars[name]; ok {
-			return v, true
-		}
-	}
-	return nil, false
-}
-
-// Define binds a name in this scope (shadowing outer scopes).
-func (e *Env) Define(name string, v Value) {
-	if e.v0name == name || (e.v0name == "" && e.vars == nil) {
-		e.v0name, e.v0 = name, v
-		return
-	}
-	if e.vars == nil {
-		e.vars = make(map[string]Value, 4)
-	}
-	e.vars[name] = v
-}
-
-// Assign updates an existing binding, searching up the chain; ok is false
-// when the name is not bound anywhere. A binding found in a frozen scope
-// (the shared builtins) is shadowed in the deepest non-frozen scope visited
-// before it, so concurrent interpreters never mutate shared state.
-func (e *Env) Assign(name string, v Value) bool {
-	last := e
-	for env := e; env != nil; env = env.parent {
-		if !env.frozen {
-			last = env
-		}
-		if env.v0name == name {
-			if env.frozen {
-				last.Define(name, v)
-			} else {
-				env.v0 = v
-			}
-			return true
-		}
-		if _, ok := env.vars[name]; ok {
-			if env.frozen {
-				last.Define(name, v)
-			} else {
-				env.vars[name] = v
-			}
-			return true
-		}
-	}
-	return false
 }

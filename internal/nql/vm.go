@@ -7,9 +7,9 @@ import (
 
 // cell boxes a variable captured by a closure. The compiler promotes a
 // binding to a cell when any nested function references it; a fresh cell is
-// created every time its `let` executes, which reproduces the reference
-// interpreter's per-iteration loop environments (each closure created in a
-// loop iteration sees that iteration's value).
+// created every time its `let` executes, which gives loops per-iteration
+// capture (each closure created in a loop iteration sees that iteration's
+// value).
 type cell struct{ v Value }
 
 // frame is one activation record. Locals live on the shared value stack at
@@ -25,9 +25,8 @@ type frame struct {
 	depthInc bool // this frame holds one Interp.depth increment
 }
 
-// iterState is one active for-loop: a snapshot of the iterable (matching
-// the interpreter's iterate(), which materializes before the first
-// iteration) held in machine-pooled buffers.
+// iterState is one active for-loop: a snapshot of the iterable, taken
+// before the first iteration and held in machine-pooled buffers.
 type iterState struct {
 	items   []Value
 	seconds []Value
@@ -136,8 +135,10 @@ func (m *machine) iterPop() {
 	m.iters = m.iters[:n-1]
 }
 
-// makeIter snapshots an iterable exactly like the interpreter's iterate()
-// (same semantics, same error messages) but into pooled buffers.
+// makeIter snapshots an iterable into pooled buffers. A list, a map's keys
+// or a string's characters give one value per iteration; the two-variable
+// form takes a map's keys and values, or the elements of a list of [a, b]
+// pairs.
 func (m *machine) makeIter(v Value, line int, wantPairs bool) (iterState, error) {
 	switch x := v.(type) {
 	case *List:
@@ -177,17 +178,16 @@ func (m *machine) makeIter(v Value, line int, wantPairs bool) (iterState, error)
 }
 
 // globalLoad resolves global idx of code, caching the resolution in the
-// run's slot table. Resolution order matches the interpreter's scope chain:
-// host globals first, then the pre-bound builtin.
+// run's slot table. A value stored by a script on this Interp wins, then
+// the injected host global, then the pre-bound builtin.
 func (m *machine) globalLoad(in *Interp, code *Code, idx int32, line int32) (Value, error) {
 	if code == m.gcode {
 		if m.gok[idx] != 0 {
 			return m.gslots[idx], nil
 		}
 		g := &code.globals[idx]
-		// Overrides written by a previous run on this Interp win over the
-		// injected host globals, matching the tree-walker's persistent
-		// host scope.
+		// Stores written by a previous run on this Interp win over the
+		// injected host globals: global state persists across runs.
 		if in.xglobals != nil {
 			if v, ok := in.xglobals[g.name]; ok {
 				m.gslots[idx] = v
@@ -208,7 +208,8 @@ func (m *machine) globalLoad(in *Interp, code *Code, idx int32, line int32) (Val
 		return nil, errf(ErrName, int(line), "undefined name %q", g.name)
 	}
 	// A closure compiled under a different Code (a function value injected
-	// through the globals) resolves uncached against its own name table.
+	// through the globals, or kept from an earlier run) resolves uncached
+	// against its own name table.
 	g := &code.globals[idx]
 	if v, ok := in.xglobals[g.name]; ok {
 		return v, nil
@@ -239,10 +240,10 @@ func (m *machine) globalStore(in *Interp, code *Code, idx int32, line int32, v V
 			}
 		}
 	}
-	// Mirror the store into the Interp-level override map (never the
-	// caller's globals map): slot tables die with the pooled machine at the
-	// end of the run, but a later RunProgram on the same Interp must still
-	// observe the assignment, exactly as the tree-walker's host scope does.
+	// Mirror the store into the Interp-level store map (never the caller's
+	// globals map): slot tables die with the pooled machine at the end of
+	// the run, but a later RunProgram on the same Interp must still observe
+	// the assignment, and so must a closure compiled under another Code.
 	if in.xglobals == nil {
 		in.xglobals = map[string]Value{}
 	}
@@ -372,10 +373,10 @@ func (m *machine) run(in *Interp, entry int) (Value, error) {
 			prof.note(ins.op)
 		}
 
-		// Resource accounting mirrors Interp.step: one step per
-		// instruction, with the wall clock and the host context sampled
-		// every 4096 steps (the dispatch quantum that bounds how late a
-		// cancelled request can return).
+		// Resource accounting: one step per instruction, with the wall
+		// clock and the host context sampled every 4096 steps (the
+		// dispatch quantum that bounds how late a cancelled request can
+		// return).
 		in.steps++
 		if in.steps > in.limits.MaxSteps {
 			return nil, errf(ErrLimit, line, "step budget exceeded (%d steps)", in.limits.MaxSteps)
@@ -573,29 +574,11 @@ func (m *machine) run(in *Interp, entry int) (Value, error) {
 				m.sp = fnPos
 				m.push(v)
 			case *Closure:
-				if f.proto != nil {
-					if err := m.pushFrame(in, f, n, fnPos+1, fnPos, line); err != nil {
-						return nil, err
-					}
-					fr = &m.frames[len(m.frames)-1]
-					code = fr.proto.owner
-				} else {
-					// A tree-walk closure (created under EngineInterp)
-					// crossing into a VM run: route through Interp.Call.
-					args := in.getArgs(n)
-					copy(args, m.stack[m.sp-n:m.sp])
-					v, err := in.Call(f, args, line)
-					in.putArgs(args)
-					fr = &m.frames[len(m.frames)-1]
-					if err != nil {
-						return nil, err
-					}
-					for i := fnPos; i < m.sp; i++ {
-						m.stack[i] = nil
-					}
-					m.sp = fnPos
-					m.push(v)
+				if err := m.pushFrame(in, f, n, fnPos+1, fnPos, line); err != nil {
+					return nil, err
 				}
+				fr = &m.frames[len(m.frames)-1]
+				code = fr.proto.owner
 			default:
 				return nil, errf(ErrOp, line, "%s is not callable", TypeName(m.stack[fnPos]))
 			}

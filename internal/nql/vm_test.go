@@ -323,7 +323,6 @@ func TestEngineParityLimits(t *testing.T) {
 // through builtins that call back into the engine (sorted key functions).
 func TestVMClosureCallableFromBuiltins(t *testing.T) {
 	in := NewInterp(Limits{}, nil)
-	in.Engine = EngineVM
 	v, err := in.Run(`
 let xs = [3, 1, 2]
 return sorted(xs, fn(x) => 0 - x)`)
@@ -355,17 +354,5 @@ func TestProgramCompiledOnce(t *testing.T) {
 	c2, err2 := prog.Compiled()
 	if err1 != nil || err2 != nil || c1 == nil || c1 != c2 {
 		t.Fatalf("Compiled not cached: %p %p (%v %v)", c1, c2, err1, err2)
-	}
-}
-
-// TestDefaultEngineIsVM guards the wiring: a fresh interpreter must run on
-// the VM unless explicitly switched to the reference engine.
-func TestDefaultEngineIsVM(t *testing.T) {
-	if DefaultEngine != EngineVM {
-		t.Fatalf("DefaultEngine = %v, want EngineVM", DefaultEngine)
-	}
-	in := NewInterp(Limits{}, nil)
-	if in.Engine != EngineVM {
-		t.Fatalf("NewInterp engine = %v, want EngineVM", in.Engine)
 	}
 }
