@@ -59,8 +59,7 @@ func TestContextDeadlineAbortsMidRun(t *testing.T) {
 }
 
 // TestCancelMessageEngineIdentical pins the exact error a cancelled run
-// renders (the message both engines agreed on while NQL had two): the
-// first dispatch-quantum checkpoint reports the cause.
+// renders: the first dispatch-quantum checkpoint reports the cause.
 func TestCancelMessageEngineIdentical(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
