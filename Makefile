@@ -10,7 +10,7 @@
 # cmd/benchdiff) on the ROADMAP watchlist (Table2 / Table4 / Clone / PageRank /
 # SandboxGoldenQuery / NQLVM / StreamSweep / GatewayThroughput /
 # ServiceQuery / FederatedJoin / FederatedGoldenQuery / FederatedAnalytics /
-# FederatedPipeline / InstanceBind).
+# FederatedPipeline / InstanceBind / DataframeRecords / SQLJoinWhere).
 
 GO        ?= go
 BENCH_OUT ?= BENCH_11.json
@@ -57,9 +57,11 @@ install-staticcheck:
 # the model-serving gateway's batching/rate-limit/retry scheduler, and the
 # netqueryd service's chaos suite — swap under load, client disconnects,
 # backend stalls, tenant isolation, and the burn-rate alert full loop
-# against the SLO engine in internal/obs/health).
+# against the SLO engine in internal/obs/health), plus the SQL and
+# dataframe substrates whose frozen tables every concurrent trial clones
+# copy-on-write.
 race:
-	$(GO) test -race ./internal/nemoeval ./internal/graph ./internal/nql ./internal/nql/analysis ./internal/sandbox ./internal/nqlbind ./internal/traffic ./internal/modelserve ./internal/federate ./internal/limiter ./internal/service ./internal/obs ./internal/obs/health
+	$(GO) test -race ./internal/nemoeval ./internal/graph ./internal/nql ./internal/nql/analysis ./internal/sandbox ./internal/nqlbind ./internal/traffic ./internal/modelserve ./internal/federate ./internal/limiter ./internal/service ./internal/obs ./internal/obs/health ./internal/sqldb ./internal/dataframe
 
 # Coverage-guided fuzzing of the NQL front end and VM, 30 s per target:
 # FuzzAnalyze (the semantic analyzer never panics) and FuzzRun (a program

@@ -76,7 +76,7 @@ var (
 )
 
 // defaultWatch is the ROADMAP's regression watchlist.
-const defaultWatch = "Table2,Table4,GraphClone,GraphPageRank,SandboxGoldenQuery,NQLVM,StreamSweep,GatewayThroughput,ServiceQuery,ObsOverhead/disabled,FederatedJoin,FederatedGoldenQuery,FederatedAnalytics,FederatedPipeline,InstanceBind"
+const defaultWatch = "Table2,Table4,GraphClone,GraphPageRank,SandboxGoldenQuery,NQLVM,StreamSweep,GatewayThroughput,ServiceQuery,ObsOverhead/disabled,FederatedJoin,FederatedGoldenQuery,FederatedAnalytics,FederatedPipeline,InstanceBind,DataframeRecords,SQLJoinWhere"
 
 func main() {
 	oldPath := flag.String("old", "", "baseline BENCH_<n>.json (default: second-newest in .)")

@@ -261,31 +261,10 @@ func (f *Frame) ensureOwned() {
 	f.shared = false
 }
 
-// Filter returns the rows for which pred returns true.
-func (f *Frame) Filter(pred func(row map[string]any) (bool, error)) (*Frame, error) {
-	out := New(f.cols...)
-	for i := 0; i < f.nrows; i++ {
-		row := f.Row(i)
-		keep, err := pred(row)
-		if err != nil {
-			return nil, err
-		}
-		if keep {
-			vals := make([]any, len(f.cols))
-			for j, c := range f.cols {
-				vals[j] = f.data[c][i]
-			}
-			out.AppendRow(vals...)
-		}
-	}
-	return out, nil
-}
-
-// FilterIdx returns the rows for which pred(i) is true. Unlike Filter it
-// never materializes row maps — predicates read columns directly, which is
-// what the NQL bindings do on the evaluation matrix's hot path. Kept rows
-// are copied at visit time, exactly like Filter, so a predicate that
-// mutates the frame observes the same semantics either way.
+// FilterIdx returns the rows for which pred(i) is true. It never
+// materializes row maps: predicates read columns directly. Kept rows are
+// copied at visit time, so rows a predicate appends are visited too, and
+// cells it sets in rows not yet visited show in the result.
 func (f *Frame) FilterIdx(pred func(i int) (bool, error)) (*Frame, error) {
 	out := New(f.cols...)
 	vals := make([]any, len(f.cols))
@@ -310,8 +289,9 @@ func (f *Frame) FilterEq(col string, value any) (*Frame, error) {
 		return nil, fmt.Errorf("dataframe: column %q does not exist", col)
 	}
 	want := normalize(value)
-	return f.Filter(func(row map[string]any) (bool, error) {
-		return CompareValues(row[col], want) == 0 && typedSameKind(row[col], want), nil
+	c := f.data[col]
+	return f.FilterIdx(func(i int) (bool, error) {
+		return CompareValues(c[i], want) == 0 && typedSameKind(c[i], want), nil
 	})
 }
 
@@ -355,10 +335,11 @@ func (f *Frame) SortBy(ascending bool, cols ...string) (*Frame, error) {
 		}
 		return false
 	})
-	return f.take(idx), nil
+	return f.Take(idx), nil
 }
 
-func (f *Frame) take(idx []int) *Frame {
+// Take returns a new frame holding rows idx of f, in that order.
+func (f *Frame) Take(idx []int) *Frame {
 	out := New(f.cols...)
 	for _, c := range f.cols {
 		col := make([]any, len(idx))

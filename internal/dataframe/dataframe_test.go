@@ -96,8 +96,9 @@ func TestFromRecords(t *testing.T) {
 
 func TestFilter(t *testing.T) {
 	f := sample()
-	big, err := f.Filter(func(r map[string]any) (bool, error) {
-		return r["bytes"].(int64) >= 200, nil
+	bytes, _ := f.Column("bytes")
+	big, err := f.FilterIdx(func(i int) (bool, error) {
+		return bytes[i].(int64) >= 200, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +117,7 @@ func TestFilter(t *testing.T) {
 
 func TestFilterPropagatesError(t *testing.T) {
 	f := sample()
-	if _, err := f.Filter(func(map[string]any) (bool, error) {
+	if _, err := f.FilterIdx(func(int) (bool, error) {
 		return false, fmt.Errorf("boom")
 	}); err == nil {
 		t.Fatal("expected error propagation")
@@ -496,8 +497,9 @@ func TestPropFilterComplement(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		fr := randFrame(r, 1+r.Intn(50))
 		cut := int64(r.Intn(1000))
-		lo, err1 := fr.Filter(func(row map[string]any) (bool, error) { return row["val"].(int64) < cut, nil })
-		hi, err2 := fr.Filter(func(row map[string]any) (bool, error) { return row["val"].(int64) >= cut, nil })
+		val, _ := fr.Column("val")
+		lo, err1 := fr.FilterIdx(func(i int) (bool, error) { return val[i].(int64) < cut, nil })
+		hi, err2 := fr.FilterIdx(func(i int) (bool, error) { return val[i].(int64) >= cut, nil })
 		if err1 != nil || err2 != nil {
 			return false
 		}

@@ -229,7 +229,7 @@ func (f *Frame) ValueCounts(col string) (*Frame, error) {
 		}
 		return CompareValues(valCol[a], valCol[b]) < 0
 	})
-	return counts.take(idx), nil
+	return counts.Take(idx), nil
 }
 
 func sortStableBy(idx []int, less func(a, b int) bool) {

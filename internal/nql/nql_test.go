@@ -639,3 +639,60 @@ func TestPropMapSetGet(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMapShapeMatchesSetBoxed pins that a shaped map equals the map
+// SetBoxed builds from the same keys and values, including a repeated key
+// (first position, later value), an int/float key collision and an
+// unhashable key (dropped), and that writes to one shaped map leave its
+// siblings alone past the index threshold.
+func TestMapShapeMatchesSetBoxed(t *testing.T) {
+	keys := []Value{"a", "b", "a", 1.0, int64(1), NewList(), "c"}
+	for n := 9; n < 12; n++ {
+		keys = append(keys, string(rune('d'+n)))
+	}
+	shape := NewMapShape(keys)
+	build := func(base int64) (*Map, *Map) {
+		want := NewMapCap(len(keys))
+		vals := make([]Value, shape.Len())
+		for i, k := range keys {
+			v := base + int64(i)
+			want.SetBoxed(k, v)
+			if slot := shape.Slot(i); slot >= 0 {
+				vals[slot] = v
+			}
+		}
+		return shape.Map(vals), want
+	}
+	m1, want1 := build(0)
+	m2, want2 := build(100)
+	for _, c := range []struct{ got, want *Map }{{m1, want1}, {m2, want2}} {
+		if Repr(c.got) != Repr(c.want) || !ValuesEqual(c.got, c.want) {
+			t.Fatalf("shaped map %s, want %s", Repr(c.got), Repr(c.want))
+		}
+	}
+	if shape.Slot(5) != -1 {
+		t.Fatalf("unhashable key got slot %d, want -1", shape.Slot(5))
+	}
+	before := Repr(m2)
+	_ = m1.Set("a", "x")
+	_ = m1.Set("new", "y")
+	m1.Delete("b")
+	if Repr(m2) != before {
+		t.Fatalf("sibling changed by writes: %s, want %s", Repr(m2), before)
+	}
+	_ = want1.Set("a", "x")
+	_ = want1.Set("new", "y")
+	want1.Delete("b")
+	if Repr(m1) != Repr(want1) {
+		t.Fatalf("after writes %s, want %s", Repr(m1), Repr(want1))
+	}
+	for _, k := range want1.Keys() {
+		wv, _ := want1.Get(k)
+		if gv, ok := m1.Get(k); !ok || !ValuesEqual(gv, wv) {
+			t.Fatalf("m1[%v] = %v, %v; want %v", k, gv, ok, wv)
+		}
+	}
+	if _, ok := m2.Get("new"); ok {
+		t.Fatal("key added to one shaped map is visible in its sibling")
+	}
+}

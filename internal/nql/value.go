@@ -25,10 +25,16 @@ func NewList(items ...Value) *List { return &List{Items: items} }
 // Small maps (the millions of per-row attribute dicts the evaluation matrix
 // builds) stay index-free and resolve keys by linear scan; the hash index
 // is built lazily once a map outgrows mapIndexThreshold.
+//
+// A map made by MapShape.Map shares its keys and index with every other
+// map of that shape (the rows of one frame) and owns only its values.
+// Overwriting an existing key writes the map's own values; the first
+// insert or delete copies the keys and index, so the map stops sharing.
 type Map struct {
-	keys  []Value
-	vals  []Value
-	index map[mkey]int // nil while small
+	keys   []Value
+	vals   []Value
+	index  map[mkey]int // nil while small
+	shared bool         // keys and index belong to a MapShape
 }
 
 // mapIndexThreshold is the entry count beyond which a Map switches from
@@ -99,8 +105,22 @@ func (m *Map) buildIndex() {
 	}
 }
 
+// own gives a shaped map private copies of its keys and index before they
+// change.
+func (m *Map) own() {
+	if !m.shared {
+		return
+	}
+	m.keys = append(make([]Value, 0, len(m.keys)+1), m.keys...)
+	if m.index != nil {
+		m.buildIndex()
+	}
+	m.shared = false
+}
+
 // insert appends a key known to be absent.
 func (m *Map) insert(ks mkey, k, v Value) {
+	m.own()
 	if m.index == nil && len(m.keys) >= mapIndexThreshold {
 		m.buildIndex()
 	}
@@ -148,6 +168,7 @@ func (m *Map) Delete(k Value) {
 	if !ok {
 		return
 	}
+	m.own()
 	m.keys = append(m.keys[:i], m.keys[i+1:]...)
 	m.vals = append(m.vals[:i], m.vals[i+1:]...)
 	if m.index == nil {
@@ -174,6 +195,77 @@ func (m *Map) SetBoxed(key Value, v Value) {
 		return
 	}
 	m.insert(ks, key, v)
+}
+
+// MapShape is the key layout shared by many maps with the same keys in the
+// same order, such as the rows of one frame: the boxed keys plus, past
+// mapIndexThreshold, one hash index built once for all of them.
+type MapShape struct {
+	keys  []Value
+	index map[mkey]int
+	slots []int // slots[i] is the position of the i-th key given to NewMapShape
+}
+
+// NewMapShape returns the layout of a map built by calling SetBoxed with
+// keys in order: a repeated key keeps its first position (and the later
+// value wins when a caller fills the slots in key order), and an unhashable
+// key is dropped.
+func NewMapShape(keys []Value) *MapShape {
+	s := &MapShape{keys: make([]Value, 0, len(keys)), slots: make([]int, len(keys))}
+	seen := make(map[mkey]int, len(keys))
+	for i, k := range keys {
+		ks, err := mapKey(k)
+		if err != nil {
+			s.slots[i] = -1
+			continue
+		}
+		slot, dup := seen[ks]
+		if !dup {
+			slot = len(s.keys)
+			seen[ks] = slot
+			s.keys = append(s.keys, k)
+		}
+		s.slots[i] = slot
+	}
+	if len(s.keys) > mapIndexThreshold {
+		s.index = seen
+	}
+	return s
+}
+
+// Len returns the number of distinct keys, the length Map expects.
+func (s *MapShape) Len() int { return len(s.keys) }
+
+// Slot returns the value position of the i-th key given to NewMapShape, or
+// -1 if that key was dropped as unhashable.
+func (s *MapShape) Slot(i int) int { return s.slots[i] }
+
+// Map returns a map with the shape's keys and the given values, which the
+// map takes ownership of; len(vals) must equal Len.
+func (s *MapShape) Map(vals []Value) *Map {
+	if len(vals) != len(s.keys) {
+		panic(fmt.Sprintf("nql: MapShape.Map got %d values for %d keys", len(vals), len(s.keys)))
+	}
+	return &Map{keys: s.keys, vals: vals, index: s.index, shared: true}
+}
+
+// Rows returns n maps of the shape, as list items, after fill has stored
+// map i's values (Len of them, in slot order) into vals. The maps and
+// their values are carved from two allocations; each map's values have
+// their capacity clipped, so a key one map adds reallocates instead of
+// writing over the next map's values.
+func (s *MapShape) Rows(n int, fill func(i int, vals []Value)) []Value {
+	w := len(s.keys)
+	buf := make([]Value, n*w)
+	maps := make([]Map, n)
+	items := make([]Value, n)
+	for i := range items {
+		vals := buf[i*w : (i+1)*w : (i+1)*w]
+		fill(i, vals)
+		maps[i] = Map{keys: s.keys, vals: vals, index: s.index, shared: true}
+		items[i] = &maps[i]
+	}
+	return items
 }
 
 // Len returns the entry count.

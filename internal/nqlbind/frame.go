@@ -29,17 +29,20 @@ func (o *FrameObject) String() string { return o.F.String() }
 // Size implements nql.Sizer: len(frame) is the row count.
 func (o *FrameObject) Size() int { return o.F.NumRows() }
 
-// rowView caches a frame's column slices so row maps assemble straight from
-// columnar storage — no intermediate map[string]any per row. This is the
+// rowView caches a frame's column slices and one nql.MapShape for its
+// columns, so a row map is just the row's boxed cells wrapped in the shared
+// key layout: no per-row key copies and no per-row hash index. This is the
 // single hottest allocation site of the evaluation matrix (every records()/
-// filter()/mutate() call builds one NQL map per row per trial). Callers
-// whose per-row callback can mutate the frame (filter/mutate predicates)
-// must refresh() before each row so in-flight appends or copy-on-write
-// column replacements stay visible, as they were with per-row map reads.
+// filter()/mutate() call builds one NQL map per row per trial). Each row map
+// owns its values, and the first key it adds or deletes copies the shared
+// keys, so rows stay as isolated as separately built maps. Callers whose
+// per-row callback can mutate the frame (filter/mutate predicates) must
+// refresh() before each row so in-flight appends or copy-on-write column
+// replacements stay visible.
 type rowView struct {
 	f     *dataframe.Frame
 	names []string
-	cols  []nql.Value // column names pre-boxed once for SetBoxed
+	shape *nql.MapShape
 	data  [][]any
 }
 
@@ -51,7 +54,7 @@ func newRowView(f *dataframe.Frame) rowView {
 		boxed[i] = c
 		data[i], _ = f.Column(c)
 	}
-	return rowView{f: f, names: cols, cols: boxed, data: data}
+	return rowView{f: f, names: cols, shape: nql.NewMapShape(boxed), data: data}
 }
 
 // refresh re-reads the column slices (cheap: no allocation) so the next
@@ -62,12 +65,20 @@ func (rv *rowView) refresh() {
 	}
 }
 
+// mapAt returns row i as a map.
 func (rv *rowView) mapAt(i int) *nql.Map {
-	m := nql.NewMapCap(len(rv.cols))
-	for j, c := range rv.cols {
-		m.SetBoxed(c, fromGoValue(rv.data[j][i]))
+	vals := make([]nql.Value, rv.shape.Len())
+	rv.fill(i, vals)
+	return rv.shape.Map(vals)
+}
+
+// fill stores row i's boxed cells into vals, slot for slot.
+func (rv *rowView) fill(i int, vals []nql.Value) {
+	for j, col := range rv.data {
+		if slot := rv.shape.Slot(j); slot >= 0 {
+			vals[slot] = fromGoValue(col[i])
+		}
 	}
-	return m
 }
 
 func colsFromArgs(line int, name string, args []nql.Value) ([]string, error) {
@@ -121,11 +132,7 @@ func (o *FrameObject) member(name string) (nql.Value, bool) {
 	case "records", "to_records":
 		return method(name, func(in *nql.Interp, line int, args []nql.Value) (nql.Value, error) {
 			rv := newRowView(f)
-			items := make([]nql.Value, f.NumRows())
-			for i := range items {
-				items[i] = rv.mapAt(i)
-			}
-			return nql.NewList(items...), nil
+			return nql.NewList(rv.shape.Rows(f.NumRows(), rv.fill)...), nil
 		}), true
 	case "row":
 		return method("row", func(in *nql.Interp, line int, args []nql.Value) (nql.Value, error) {

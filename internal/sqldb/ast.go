@@ -94,9 +94,12 @@ type ColumnRef struct {
 	Table string // "" when unqualified
 	Name  string
 
-	// resolved caches the qualified key an unqualified reference bound to,
-	// valid for the single statement execution that owns this AST.
-	resolved string
+	// sch and slot cache where the reference last resolved: the slot of the
+	// row schema sch. Every row of one working set shares its schema, so
+	// the rest of the rows skip resolution; the cache is valid for the
+	// single statement execution that owns this AST.
+	sch  *schema
+	slot int
 }
 
 // BinaryExpr applies Op to Left and Right. Op is upper-case: =, !=, <, <=,

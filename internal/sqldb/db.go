@@ -142,7 +142,7 @@ func (db *DB) execInsert(s *InsertStmt) (int64, error) {
 		}
 		vals := make(map[string]any, len(cols))
 		for i, c := range cols {
-			v, err := evalExpr(row[i], nil)
+			v, err := evalExpr(row[i], scope{})
 			if err != nil {
 				return n, err
 			}
@@ -168,14 +168,19 @@ func (db *DB) execUpdate(ctx context.Context, s *UpdateStmt) (int64, error) {
 			return 0, fmt.Errorf("sql: column %q does not exist in table %q (have %v)", set.Col, s.Table, f.Columns())
 		}
 	}
+	// Column slices are read once: SetCell on row i leaves every later row
+	// of them intact, even when it copies a copy-on-write column.
+	data := columnSlices(f)
+	row := scope{sch: newSchema(f.Columns()), vals: make([]any, len(data))}
 	var n int64
 	for i := 0; i < f.NumRows(); i++ {
 		if err := cancelled(ctx, i); err != nil {
 			return n, err
 		}
-		row := f.Row(i)
+		// Every SET reads the row as it was before this statement wrote it.
+		row.load(data, i)
 		if s.Where != nil {
-			ok, err := evalBool(s.Where, scopeFromRow(row))
+			ok, err := evalBool(s.Where, row)
 			if err != nil {
 				return n, err
 			}
@@ -184,7 +189,7 @@ func (db *DB) execUpdate(ctx context.Context, s *UpdateStmt) (int64, error) {
 			}
 		}
 		for _, set := range s.Sets {
-			v, err := evalExpr(set.Expr, scopeFromRow(row))
+			v, err := evalExpr(set.Expr, row)
 			if err != nil {
 				return n, err
 			}
@@ -202,11 +207,14 @@ func (db *DB) execDelete(s *DeleteStmt) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	kept, err := f.Filter(func(row map[string]any) (bool, error) {
+	data := columnSlices(f)
+	row := scope{sch: newSchema(f.Columns()), vals: make([]any, len(data))}
+	kept, err := f.FilterIdx(func(i int) (bool, error) {
 		if s.Where == nil {
 			return false, nil
 		}
-		ok, err := evalBool(s.Where, scopeFromRow(row))
+		row.load(data, i)
+		ok, err := evalBool(s.Where, row)
 		return !ok, err
 	})
 	if err != nil {
@@ -217,57 +225,84 @@ func (db *DB) execDelete(s *DeleteStmt) (int64, error) {
 	return n, nil
 }
 
-// scope resolves column references during evaluation. Keys are stored both
-// unqualified and qualified ("alias.col").
-type scope map[string]any
+// schema is the key layout every row of one working set shares: the slot
+// names in slot order (a join's left slots, then its right slots) and each
+// name's slot. A name that appears in several slots resolves to the last,
+// as a later map assignment used to overwrite an earlier one.
+type schema struct {
+	slots []string
+	slot  map[string]int
+}
 
-func scopeFromRow(row map[string]any) scope {
-	s := make(scope, len(row))
-	for k, v := range row {
-		s[k] = v
+func newSchema(slots []string) *schema {
+	s := &schema{slots: slots, slot: make(map[string]int, len(slots))}
+	for i, name := range slots {
+		s.slot[name] = i
 	}
 	return s
 }
 
+// scope is one row of a working set: its values, slot for slot with the
+// shared schema. The zero scope (nil schema) allows only constants.
+type scope struct {
+	sch  *schema
+	vals []any
+}
+
+// load copies row i of a table's column slices into the scope's values.
+func (s scope) load(cols [][]any, i int) {
+	for j, col := range cols {
+		s.vals[j] = col[i]
+	}
+}
+
+// lookup resolves a column reference. Keys are qualified ("alias.col") for
+// SELECT rows and bare column names for UPDATE/DELETE rows; an unqualified
+// reference also matches a unique qualified key by its column suffix. The
+// reference caches the slot it resolved to in this scope's schema, so the
+// remaining rows of the statement skip resolution.
 func (s scope) lookup(ref *ColumnRef) (any, error) {
+	if ref.sch != s.sch {
+		slot, err := s.sch.resolve(ref)
+		if err != nil {
+			return nil, err
+		}
+		ref.sch, ref.slot = s.sch, slot
+	}
+	return s.vals[ref.slot], nil
+}
+
+func (sch *schema) resolve(ref *ColumnRef) (int, error) {
 	if ref.Table != "" {
-		if v, ok := s[ref.Table+"."+ref.Name]; ok {
-			return v, nil
+		if i, ok := sch.slot[ref.Table+"."+ref.Name]; ok {
+			return i, nil
 		}
-		return nil, fmt.Errorf("sql: unknown column %s.%s (available: %v)", ref.Table, ref.Name, s.keys())
+		return 0, fmt.Errorf("sql: unknown column %s.%s (available: %v)", ref.Table, ref.Name, sch.keys())
 	}
-	if v, ok := s[ref.Name]; ok {
-		return v, nil
-	}
-	// Every row of one working set shares a key set, so once an unqualified
-	// reference resolved to a qualified key the cached key short-circuits
-	// the suffix scan for the remaining rows of the statement.
-	if ref.resolved != "" {
-		if v, ok := s[ref.resolved]; ok {
-			return v, nil
-		}
+	if i, ok := sch.slot[ref.Name]; ok {
+		return i, nil
 	}
 	// Unqualified name that is unique among qualified entries.
 	var found []string
-	for k := range s {
+	for k := range sch.slot {
 		if idx := lastDot(k); idx >= 0 && k[idx+1:] == ref.Name {
 			found = append(found, k)
 		}
 	}
 	if len(found) == 1 {
-		ref.resolved = found[0]
-		return s[found[0]], nil
+		return sch.slot[found[0]], nil
 	}
 	if len(found) > 1 {
 		sort.Strings(found)
-		return nil, fmt.Errorf("sql: ambiguous column %q (matches %v)", ref.Name, found)
+		return 0, fmt.Errorf("sql: ambiguous column %q (matches %v)", ref.Name, found)
 	}
-	return nil, fmt.Errorf("sql: unknown column %q (available: %v)", ref.Name, s.keys())
+	return 0, fmt.Errorf("sql: unknown column %q (available: %v)", ref.Name, sch.keys())
 }
 
-func (s scope) keys() []string {
-	out := make([]string, 0, len(s))
-	for k := range s {
+// keys returns the schema's distinct names, sorted.
+func (sch *schema) keys() []string {
+	out := make([]string, 0, len(sch.slot))
+	for k := range sch.slot {
 		out = append(out, k)
 	}
 	sort.Strings(out)

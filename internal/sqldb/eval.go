@@ -8,14 +8,14 @@ import (
 	"repro/internal/dataframe"
 )
 
-// evalExpr evaluates a non-aggregate expression against a row scope (nil
-// scope allows only constants).
+// evalExpr evaluates a non-aggregate expression against a row scope (the
+// zero scope allows only constants).
 func evalExpr(e Expr, s scope) (any, error) {
 	switch x := e.(type) {
 	case *Literal:
 		return normalizeVal(x.Value), nil
 	case *ColumnRef:
-		if s == nil {
+		if s.sch == nil {
 			return nil, fmt.Errorf("sql: column reference %q outside row context", x.Name)
 		}
 		return s.lookup(x)

@@ -30,12 +30,12 @@ func cancelled(ctx context.Context, i int) error {
 }
 
 // workingSet is the intermediate relation a SELECT pipeline operates on:
-// rows are scopes with qualified keys, plus ordered output metadata so star
-// expansion is deterministic.
+// rows are scopes over one shared schema, whose slots are the qualified
+// column names in deterministic order (e.g. "n.id"), so star expansion is
+// deterministic.
 type workingSet struct {
 	rows []scope
-	// qualified column names in deterministic order, e.g. "n.id".
-	cols []string
+	sch  *schema
 }
 
 // enterFrame opens a profile frame, parenting it under the context's
@@ -134,27 +134,18 @@ func (db *DB) execSelectBody(ctx context.Context, prof *obs.Profile, s *SelectSt
 		for i := start; i < end; i++ {
 			idx = append(idx, i)
 		}
-		trimmed := dataframe.New(out.Columns()...)
-		for _, i := range idx {
-			row := out.Row(i)
-			vals := make([]any, 0, out.NumCols())
-			for _, c := range out.Columns() {
-				vals = append(vals, row[c])
-			}
-			trimmed.AppendRow(vals...)
-		}
-		out = trimmed
+		out = out.Take(idx)
 	}
 	return out, nil
 }
 
 // buildFrom materializes the FROM clause (with joins) into a working set.
 func (db *DB) buildFrom(ctx context.Context, s *SelectStmt) (*workingSet, error) {
-	ws := &workingSet{}
 	if s.From == nil {
-		// SELECT without FROM: one empty row so constant expressions work.
-		ws.rows = []scope{{}}
-		return ws, nil
+		// SELECT without FROM: one empty row so constant expressions work
+		// (and column references fail as unknown columns).
+		sch := newSchema(nil)
+		return &workingSet{rows: []scope{{sch: sch}}, sch: sch}, nil
 	}
 	base, err := db.Table(s.From.Name)
 	if err != nil {
@@ -166,11 +157,8 @@ func (db *DB) buildFrom(ctx context.Context, s *SelectStmt) (*workingSet, error)
 	}
 	prof := obs.ProfileFrom(ctx)
 	scan := enterFrame(ctx, prof, "sql.scan", s.From.Name)
-	ws.rows = tableScopes(base, alias)
+	ws := tableScopes(base, alias)
 	prof.Exit(scan, int64(len(ws.rows)))
-	for _, c := range base.Columns() {
-		ws.cols = append(ws.cols, alias+"."+c)
-	}
 	for _, j := range s.Joins {
 		right, err := db.Table(j.Table.Name)
 		if err != nil {
@@ -182,18 +170,15 @@ func (db *DB) buildFrom(ctx context.Context, s *SelectStmt) (*workingSet, error)
 		}
 		jf := enterFrame(ctx, prof, "sql.join", joinDetail(j))
 		rscan := enterFrame(obs.WithFrame(ctx, jf), prof, "sql.scan", j.Table.Name)
-		rightRows := tableScopes(right, ralias)
-		prof.Exit(rscan, int64(len(rightRows)))
-		joined, err := joinRows(ctx, ws, j, right, rightRows, ralias)
+		rws := tableScopes(right, ralias)
+		prof.Exit(rscan, int64(len(rws.rows)))
+		joined, err := joinRows(ctx, ws, j, right, rws, ralias)
 		if err != nil {
 			prof.Exit(jf, -1)
 			return nil, err
 		}
-		ws.rows = joined
-		prof.Exit(jf, int64(len(joined)))
-		for _, c := range right.Columns() {
-			ws.cols = append(ws.cols, ralias+"."+c)
-		}
+		ws = joined
+		prof.Exit(jf, int64(len(joined.rows)))
 	}
 	return ws, nil
 }
@@ -221,12 +206,13 @@ func selectDetail(s *SelectStmt) string {
 
 // joinRows joins ws against one table per the JOIN clause, via the hash
 // fast path when equiJoinKeys finds a usable equality.
-func joinRows(ctx context.Context, ws *workingSet, j JoinClause, right *dataframe.Frame, rightRows []scope, ralias string) ([]scope, error) {
+func joinRows(ctx context.Context, ws *workingSet, j JoinClause, right *dataframe.Frame, rws *workingSet, ralias string) (*workingSet, error) {
+	rightRows := rws.rows
 	// Hash-join fast path: when the ON clause contains an equality
 	// between a left column and a right column, bucket the right side
 	// by that key and probe instead of the quadratic nested loop. Any
 	// remaining ON conjuncts are still evaluated per candidate pair.
-	leftKey, rightKey, residual := equiJoinKeys(j.On, ws.cols, right.Columns(), ralias)
+	leftKey, rightKey, residual := equiJoinKeys(j.On, ws.sch.slots, right.Columns(), ralias)
 	var rightIndex map[joinKey][]scope
 	if leftKey != nil {
 		rightIndex = make(map[joinKey][]scope, len(rightRows))
@@ -238,6 +224,15 @@ func joinRows(ctx context.Context, ws *workingSet, j JoinClause, right *datafram
 			k := keyOf(v)
 			rightIndex[k] = append(rightIndex[k], r)
 		}
+	}
+	// Every merged row has the left slots, then the right slots; a name on
+	// both sides reads the right one, as when merging maps.
+	sch := newSchema(append(append([]string(nil), ws.sch.slots...), rws.sch.slots...))
+	var slab rowSlab
+	merge := func(l scope, r []any) scope {
+		vals := slab.next(len(l.vals) + len(r))
+		copy(vals[copy(vals, l.vals):], r)
+		return scope{sch: sch, vals: vals}
 	}
 	var joined []scope
 	for li, l := range ws.rows {
@@ -254,7 +249,7 @@ func joinRows(ctx context.Context, ws *workingSet, j JoinClause, right *datafram
 		}
 		matched := false
 		for _, r := range candidates {
-			merged := mergeScopes(l, r)
+			merged := merge(l, r.vals)
 			cond := residual
 			if rightIndex == nil {
 				cond = j.On
@@ -273,14 +268,28 @@ func joinRows(ctx context.Context, ws *workingSet, j JoinClause, right *datafram
 			}
 		}
 		if !matched && j.Kind == "left" {
-			nulls := scope{}
-			for _, c := range right.Columns() {
-				nulls[ralias+"."+c] = nil
-			}
-			joined = append(joined, mergeScopes(l, nulls))
+			joined = append(joined, merge(l, make([]any, len(rws.sch.slots))))
 		}
 	}
-	return joined, nil
+	return &workingSet{rows: joined, sch: sch}, nil
+}
+
+// rowSlab hands out fixed-width value rows carved from chunks that double
+// in size, so a join allocates its merged rows O(log n) times rather than
+// once per row. Each row's capacity is clipped to its width.
+type rowSlab struct {
+	buf  []any
+	rows int
+}
+
+func (s *rowSlab) next(w int) []any {
+	if len(s.buf) < w {
+		s.rows = min(max(2*s.rows, 16), 1024)
+		s.buf = make([]any, s.rows*w)
+	}
+	v := s.buf[:w:w]
+	s.buf = s.buf[w:]
+	return v
 }
 
 // equiJoinKeys extracts one "left.col = right.col" equality from an ON
@@ -397,37 +406,25 @@ func keyOf(v any) joinKey {
 }
 
 // tableScopes materializes a table scan as qualified scopes straight from
-// the frame's columns — no per-row intermediate map, no per-row qualified
-// name building. This is the SQL backend's hottest path: every db.query()
-// of every trial rescans its base tables.
-func tableScopes(f *dataframe.Frame, alias string) []scope {
+// the frame's columns: one schema for the scan, and every row's values cut
+// from one backing array. This is the SQL backend's hottest path: every
+// db.query() of every trial rescans its base tables.
+func tableScopes(f *dataframe.Frame, alias string) *workingSet {
 	cols := f.Columns()
 	qnames := make([]string, len(cols))
-	data := make([][]any, len(cols))
 	for j, c := range cols {
 		qnames[j] = alias + "." + c
-		data[j], _ = f.Column(c)
 	}
+	sch := newSchema(qnames)
+	data := columnSlices(f)
+	w := len(cols)
+	buf := make([]any, f.NumRows()*w)
 	out := make([]scope, f.NumRows())
 	for i := range out {
-		s := make(scope, len(cols))
-		for j := range cols {
-			s[qnames[j]] = data[j][i]
-		}
-		out[i] = s
+		out[i] = scope{sch: sch, vals: buf[i*w : (i+1)*w : (i+1)*w]}
+		out[i].load(data, i)
 	}
-	return out
-}
-
-func mergeScopes(a, b scope) scope {
-	out := make(scope, len(a)+len(b))
-	for k, v := range a {
-		out[k] = v
-	}
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
+	return &workingSet{rows: out, sch: sch}
 }
 
 func selectHasAggregate(items []SelectItem) bool {
@@ -510,8 +507,8 @@ func projectPlain(ctx context.Context, s *SelectStmt, ws *workingSet) (*datafram
 	var exprs []Expr
 	for i, it := range s.Items {
 		if it.Star {
-			for _, qc := range ws.cols {
-				names = append(names, unqualifiedName(qc, ws.cols))
+			for _, qc := range ws.sch.slots {
+				names = append(names, unqualifiedName(qc, ws.sch.slots))
 				dot := lastDot(qc)
 				exprs = append(exprs, &ColumnRef{Table: qc[:dot], Name: qc[dot+1:]})
 			}
@@ -653,7 +650,7 @@ func evalAggExpr(e Expr, rows []scope) (any, error) {
 				}
 				args[i] = &Literal{Value: v}
 			}
-			return evalScalarFunc(&FuncCall{Name: x.Name, Args: args}, nil)
+			return evalScalarFunc(&FuncCall{Name: x.Name, Args: args}, scope{})
 		}
 		return evalAggregateFunc(x, rows)
 	case *BinaryExpr:
@@ -682,13 +679,13 @@ func evalAggExpr(e Expr, rows []scope) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		return evalBinary(&BinaryExpr{Op: x.Op, Left: &Literal{Value: l}, Right: &Literal{Value: r}}, nil)
+		return evalBinary(&BinaryExpr{Op: x.Op, Left: &Literal{Value: l}, Right: &Literal{Value: r}}, scope{})
 	case *UnaryExpr:
 		v, err := evalAggExpr(x.X, rows)
 		if err != nil {
 			return nil, err
 		}
-		return evalExpr(&UnaryExpr{Op: x.Op, X: &Literal{Value: v}}, nil)
+		return evalExpr(&UnaryExpr{Op: x.Op, X: &Literal{Value: v}}, scope{})
 	case *CaseExpr:
 		for _, w := range x.Whens {
 			c, err := evalAggExpr(w.Cond, rows)
@@ -843,16 +840,17 @@ func orderResult(s *SelectStmt, ws *workingSet, out *dataframe.Frame, aggregated
 		}
 		return false
 	})
-	sorted := dataframe.New(out.Columns()...)
-	for _, i := range idx {
-		row := out.Row(i)
-		vals := make([]any, 0, out.NumCols())
-		for _, c := range out.Columns() {
-			vals = append(vals, row[c])
-		}
-		sorted.AppendRow(vals...)
+	return out.Take(idx), nil
+}
+
+// columnSlices returns f's column slices in column order.
+func columnSlices(f *dataframe.Frame) [][]any {
+	cols := f.Columns()
+	data := make([][]any, len(cols))
+	for j, c := range cols {
+		data[j], _ = f.Column(c)
 	}
-	return sorted, nil
+	return data
 }
 
 // writeValKey appends one value's bucketing key: a type tag plus its
@@ -886,22 +884,19 @@ func writeValKey(kb *strings.Builder, v any) {
 }
 
 func distinctRows(f *dataframe.Frame) *dataframe.Frame {
-	out := dataframe.New(f.Columns()...)
 	seen := map[string]bool{}
-	cols := f.Columns()
+	data := columnSlices(f)
+	var idx []int
 	var kb strings.Builder
 	for i := 0; i < f.NumRows(); i++ {
-		row := f.Row(i)
 		kb.Reset()
-		vals := make([]any, 0, len(cols))
-		for _, c := range cols {
-			writeValKey(&kb, row[c])
-			vals = append(vals, row[c])
+		for _, col := range data {
+			writeValKey(&kb, col[i])
 		}
 		if !seen[kb.String()] {
 			seen[kb.String()] = true
-			out.AppendRow(vals...)
+			idx = append(idx, i)
 		}
 	}
-	return out
+	return f.Take(idx)
 }

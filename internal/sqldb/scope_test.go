@@ -1,0 +1,159 @@
+package sqldb
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/dataframe"
+)
+
+// frameText renders a frame's columns and rows for exact comparison.
+func frameText(f *dataframe.Frame) string {
+	var sb strings.Builder
+	fmt.Fprint(&sb, f.Columns())
+	for i := 0; i < f.NumRows(); i++ {
+		sb.WriteString(" ")
+		vals := make([]any, 0, f.NumCols())
+		for _, c := range f.Columns() {
+			v, _ := f.Cell(i, c)
+			vals = append(vals, v)
+		}
+		fmt.Fprint(&sb, vals)
+	}
+	return sb.String()
+}
+
+// kvDB is testDB plus t(k, v) with three rows and an empty table e(k, w).
+func kvDB() *DB {
+	db := testDB()
+	tf := dataframe.New("k", "v")
+	tf.AppendRow(1, "x")
+	tf.AppendRow(2, "y")
+	tf.AppendRow(3, "z")
+	db.CreateTable("t", tf)
+	db.CreateTable("e", dataframe.New("k", "w"))
+	return db
+}
+
+// TestSchemaScopeResults pins what SELECTs over scans and joins return,
+// including the cases where two slots of one row schema carry the same
+// name.
+func TestSchemaScopeResults(t *testing.T) {
+	cases := []struct{ name, sql, want string }{
+		{"self-join through two aliases",
+			"SELECT a.v, b.v AS next FROM t a JOIN t b ON b.k = a.k + 1 ORDER BY a.k",
+			"[v next] [x y] [y z]"},
+		{"self-join unqualified unique names",
+			"SELECT src, dst FROM edges a JOIN nodes b ON a.dst = b.id WHERE dc = 'west' ORDER BY src",
+			"[src dst] [a b] [a d] [c d]"},
+		// Both sides are aliased t, so every merged row holds t.k and t.v
+		// twice; a name reads the later (right) slot, as a later map
+		// assignment overwrote the earlier one.
+		{"FROM t JOIN t collision reads the right slot",
+			"SELECT t.v, v FROM t JOIN t ON t.k < 3",
+			"[v v_2] [x x] [y y] [x x] [y y] [x x] [y y]"},
+		{"FROM t JOIN t star expansion",
+			"SELECT * FROM t JOIN t ON t.k = t.k",
+			"[t_k t_v t_k_2 t_v_2] [1 x 1 x] [2 y 2 y] [3 z 3 z]"},
+		{"LEFT JOIN against an empty right table",
+			"SELECT t.k, e.k AS ek, w FROM t LEFT JOIN e ON t.k = e.k",
+			"[k ek w] [1 <nil> <nil>] [2 <nil> <nil>] [3 <nil> <nil>]"},
+		{"LEFT JOIN against an empty right table, no equality",
+			"SELECT v, w FROM t LEFT JOIN e ON e.w > t.k WHERE w IS NULL",
+			"[v w] [x <nil>] [y <nil>] [z <nil>]"},
+		{"constant SELECT without FROM",
+			"SELECT 1 + 2 AS three, 'a' AS s",
+			"[three s] [3 a]"},
+		{"aggregate over a join",
+			"SELECT a.k, COUNT(*) AS n FROM t a JOIN t b ON b.k <= a.k GROUP BY a.k ORDER BY n DESC",
+			"[k n] [3 3] [2 2] [1 1]"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := frameText(mustQuery(t, kvDB(), c.sql)); got != c.want {
+				t.Errorf("%s\n got %s\nwant %s", c.sql, got, c.want)
+			}
+		})
+	}
+}
+
+// TestSchemaScopeErrors pins the exact text of column-resolution errors:
+// the "available" list is the row's distinct names, sorted.
+func TestSchemaScopeErrors(t *testing.T) {
+	cases := []struct{ sql, want string }{
+		{"SELECT id FROM nodes a JOIN nodes b ON a.id = b.id",
+			`sql: ambiguous column "id" (matches [a.id b.id])`},
+		{"SELECT k FROM t a JOIN t b ON a.k = b.k",
+			`sql: ambiguous column "k" (matches [a.k b.k])`},
+		{"SELECT nope FROM t JOIN t ON t.k < 3",
+			`sql: unknown column "nope" (available: [t.k t.v])`},
+		{"SELECT t.nope FROM t JOIN t u ON t.k = u.k",
+			`sql: unknown column t.nope (available: [t.k t.v u.k u.v])`},
+		{"SELECT v FROM t WHERE x.k = 1",
+			`sql: unknown column x.k (available: [t.k t.v])`},
+		{"SELECT x",
+			`sql: unknown column "x" (available: [])`},
+		{"SELECT t.x",
+			`sql: unknown column t.x (available: [])`},
+		{"INSERT INTO t VALUES (k, 'q')",
+			`sql: column reference "k" outside row context`},
+		{"UPDATE t SET v = 'q' WHERE zz = 1",
+			`sql: unknown column "zz" (available: [k v])`},
+		{"UPDATE t SET v = t.k",
+			`sql: unknown column t.k (available: [k v])`},
+		{"DELETE FROM t WHERE zz = 1",
+			`sql: unknown column "zz" (available: [k v])`},
+	}
+	for _, c := range cases {
+		_, err := kvDB().Exec(c.sql)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s\n got %v\nwant %s", c.sql, err, c.want)
+		}
+	}
+}
+
+// TestUpdateWideTableReadsRowBeforeWrite updates a table of more than eight
+// columns, a frozen master's copy-on-write clone, with SETs that read
+// columns other SETs of the same row write: every SET reads the row as it
+// was before the statement.
+func TestUpdateWideTableReadsRowBeforeWrite(t *testing.T) {
+	cols := make([]string, 10)
+	for j := range cols {
+		cols[j] = fmt.Sprintf("c%d", j)
+	}
+	f := dataframe.New(cols...)
+	for i := 0; i < 4; i++ {
+		row := make([]any, len(cols))
+		for j := range row {
+			row[j] = i*10 + j
+		}
+		f.AppendRow(row...)
+	}
+	master := NewDB()
+	master.CreateTable("w", f)
+	master.Freeze()
+	db := master.Clone()
+	res, err := db.Exec("UPDATE w SET c0 = c9, c9 = c0 + c9, c5 = c5 * -1 WHERE c1 >= 11 AND c8 < 38")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Affected != 2 {
+		t.Errorf("affected = %d, want 2", res.Affected)
+	}
+	got := frameText(mustQuery(t, db, "SELECT c0, c5, c9, c1 FROM w"))
+	want := "[c0 c5 c9 c1] [0 5 9 1] [19 -15 29 11] [29 -25 49 21] [30 35 39 31]"
+	if got != want {
+		t.Errorf("after UPDATE\n got %s\nwant %s", got, want)
+	}
+	if orig := frameText(mustQuery(t, master, "SELECT c0, c5, c9 FROM w")); orig != "[c0 c5 c9] [0 5 9] [10 15 19] [20 25 29] [30 35 39]" {
+		t.Errorf("frozen master changed: %s", orig)
+	}
+	res, err = db.Exec("DELETE FROM w WHERE c9 > 40 OR c0 = 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := frameText(mustQuery(t, db, "SELECT c0, c9 FROM w")); res.Affected != 2 || got != "[c0 c9] [19 29] [30 39]" {
+		t.Errorf("after DELETE (%d rows): %s", res.Affected, got)
+	}
+}
