@@ -3,11 +3,12 @@
 // watched benchmarks, per the ROADMAP's perf-trajectory gate: >10% worse
 // on any gated metric of Table2 / Table4 / GraphClone / GraphPageRank /
 // SandboxGoldenQuery / NQLVM / StreamSweep / GatewayThroughput /
-// ServiceQuery / FederatedJoin / FederatedGoldenQuery fails the diff.
+// ServiceQuery / FederatedJoin / FederatedSQLJoin / FederatedGoldenQuery
+// fails the diff.
 // Time (ns/op) and the allocation bill (B/op, allocs/op) are gated at
 // -threshold; tail latency (the p99-ns custom metric, when a benchmark
-// reports one — open-loop load benchmarks pin ns/op to the arrival
-// schedule, so their tail is the real signal) is gated at the wider
+// reports one — an open-loop load benchmark pins ns/op to the arrival
+// schedule, so its tail is the real signal) is gated at the wider
 // -p99-threshold, because p99 is an order statistic rendered from
 // log-bucketed histograms whose bucket step (~12% in the observed range)
 // exceeds the base threshold: identical code wobbles one bucket run to
@@ -76,7 +77,7 @@ var (
 )
 
 // defaultWatch is the ROADMAP's regression watchlist.
-const defaultWatch = "Table2,Table4,GraphClone,GraphPageRank,SandboxGoldenQuery,NQLVM,StreamSweep,GatewayThroughput,ServiceQuery,ObsOverhead/disabled,FederatedJoin,FederatedGoldenQuery,FederatedAnalytics,FederatedPipeline,InstanceBind,DataframeRecords,SQLJoinWhere"
+const defaultWatch = "Table2,Table4,GraphClone,GraphPageRank,SandboxGoldenQuery,NQLVM,StreamSweep,GatewayThroughput,ServiceQuery,ObsOverhead/disabled,FederatedJoin,FederatedGoldenQuery,FederatedAnalytics,FederatedPipeline,FederatedSQLJoin,InstanceBind,DataframeRecords,SQLJoinWhere"
 
 func main() {
 	oldPath := flag.String("old", "", "baseline BENCH_<n>.json (default: second-newest in .)")

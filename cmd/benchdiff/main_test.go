@@ -182,7 +182,7 @@ func TestFinalizeMedianP99(t *testing.T) {
 }
 
 func TestDefaultWatchCoversVMAndTable4(t *testing.T) {
-	for _, want := range []string{"Table2", "Table4", "NQLVM", "SandboxGoldenQuery", "StreamSweep", "InstanceBind", "FederatedAnalytics", "FederatedPipeline", "DataframeRecords", "SQLJoinWhere"} {
+	for _, want := range []string{"Table2", "Table4", "NQLVM", "SandboxGoldenQuery", "StreamSweep", "InstanceBind", "FederatedAnalytics", "FederatedPipeline", "FederatedSQLJoin", "DataframeRecords", "SQLJoinWhere"} {
 		if !strings.Contains(defaultWatch, want) {
 			t.Errorf("defaultWatch %q is missing %s", defaultWatch, want)
 		}

@@ -24,15 +24,14 @@
 // compile to WHERE clauses, graph scans push whole computations such as
 // PageRank down into the graph library) and a shared executor lifts rows
 // into NQL values. Preparation is cost-based: per-epoch table statistics
-// drive join build-side choice, SourceAny resolution, native columnar SQL
-// pushdown, and scan+join / scan+aggregate fusion into single sqldb calls,
-// with the decision list cached process-wide per (plan fingerprint,
-// catalog epoch) so clones of one frozen dataset master plan once.
-// One recursive executor runs the decided plan: scans filter on source
-// columns before lifting a row, fused subtrees become single sqldb calls
-// (falling back to the unfused subtree when sqldb cannot answer exactly),
-// and every operator polls cancellation at row checkpoints and emits one
-// explain-analyze profile frame. Plans can join tables living in
+// drive join build-side choice, SourceAny resolution and native columnar
+// SQL pushdown, with the decision list cached process-wide per (plan
+// fingerprint, catalog epoch) so clones of one frozen dataset master plan
+// once. One recursive executor with one join and one aggregate runs the
+// decided plan over every source: scans filter on source columns before
+// lifting a row, a join or aggregate reads its scan children's cells in
+// place, and every operator polls cancellation at row checkpoints and
+// emits one explain-analyze profile frame. Plans can join tables living in
 // different substrates, e.g.
 //
 //	fed.scan("sql", "edges").filter("bytes", ">", 500000).

@@ -71,38 +71,36 @@ func corpusCases() []corpusCase {
 			Right:   &Scan{Source: SourceGraph, Table: "degree"},
 			LeftKey: "dst", RightKey: "id",
 		}}},
-		// Fused sql-join: a self-join with colliding columns, and one whose
-		// filtered left side is the planner's build side.
-		{name: "fused join", plan: &Join{Left: sqlEdges(), Right: sqlEdges(), LeftKey: "dst", RightKey: "src"}},
-		{name: "fused join build left", plan: &Join{
+		// Joins of two SQL scans: a self-join with colliding columns, and one
+		// whose filtered left side is the planner's build side.
+		{name: "sql join", plan: &Join{Left: sqlEdges(), Right: sqlEdges(), LeftKey: "dst", RightKey: "src"}},
+		{name: "sql join build left", plan: &Join{
 			Left:    &Filter{Input: sqlEdges(), Pred: Cmp{Col: "src", Op: "==", Value: "b"}},
 			Right:   sqlEdges(),
 			LeftKey: "dst", RightKey: "src",
 		}},
-		// An unfused join whose build side is the smaller left input.
-		{name: "unfused join build left", plan: &Join{
+		// A frame×graph join whose build side is the smaller left input.
+		{name: "frame-graph join build left", plan: &Join{
 			Left:    &Filter{Input: &Scan{Source: SourceFrame, Table: "edges"}, Pred: Cmp{Col: "src", Op: "==", Value: "b"}},
 			Right:   &Scan{Source: SourceGraph, Table: "edges"},
 			LeftKey: "dst", RightKey: "src",
 		}},
-		// Fused sql-agg: grouped, global, empty-input global.
-		{name: "fused agg", plan: &Aggregate{Input: sqlEdges(), GroupBy: []string{"src"}, Aggs: []AggSpec{
+		// Aggregates over a SQL scan: grouped, global, empty-input global.
+		{name: "sql agg", plan: &Aggregate{Input: sqlEdges(), GroupBy: []string{"src"}, Aggs: []AggSpec{
 			{Col: "bytes", Fn: AggSum, As: "total"},
 			{Col: "bytes", Fn: AggMean, As: "avg"},
 			{Col: "bytes", Fn: AggMin, As: "lo"},
 			{Col: "bytes", Fn: AggMax, As: "hi"},
 			{Fn: AggCount, As: "n"},
 		}}},
-		{name: "fused global agg over no rows", plan: &Aggregate{Input: &Filter{
+		{name: "sql global agg over no rows", plan: &Aggregate{Input: &Filter{
 			Input: sqlEdges(), Pred: Cmp{Col: "bytes", Op: ">", Value: int64(1 << 40)},
 		}, Aggs: []AggSpec{{Fn: AggCount, As: "n"}, {Col: "bytes", Fn: AggSum, As: "s"}}}},
-		// ErrPushdown fallbacks: sqldb refuses a fused call it cannot answer
-		// exactly, and the unfused subtree raises the canonical error. Frame
-		// cells are scalars, so every refusal the substrate makes ends in an
-		// error of the unfused plan too.
-		{name: "fused agg fallback", plan: &Aggregate{Input: sqlEdges(), GroupBy: []string{"dst"},
+		// Errors raised while an operator reads a SQL scan's cells: a
+		// non-numeric sum input and an unknown left join key.
+		{name: "sql agg non-numeric sum", plan: &Aggregate{Input: sqlEdges(), GroupBy: []string{"dst"},
 			Aggs: []AggSpec{{Col: "src", Fn: AggSum, As: "s"}}}},
-		{name: "fused join fallback", plan: &Join{Left: sqlEdges(), Right: sqlEdges(), LeftKey: "ghost", RightKey: "src"}},
+		{name: "join unknown left key", plan: &Join{Left: sqlEdges(), Right: sqlEdges(), LeftKey: "ghost", RightKey: "src"}},
 		// Sort stability (two-pass) + limit, limit 0, negative limit.
 		{name: "two-pass sort limit", plan: &Limit{N: 2, Input: &Sort{Ascending: false, Cols: []string{"out_degree"},
 			Input: &Sort{Ascending: true, Cols: []string{"id"},
@@ -214,58 +212,62 @@ var corpusPins = map[string]corpusPin{
         sql.filter rows=3
     scan graph.degree rows=4
 `},
-	"fused join": {cols: "src,dst,bytes,dst_r,bytes_r",
+	"sql join": {cols: "src,dst,bytes,dst_r,bytes_r",
 		repr: `[{"src": "a", "dst": "b", "bytes": 100, "dst_r": "c", "bytes_r": 250}, {"src": "b", "dst": "c", "bytes": 250, "dst_r": "d", "bytes_r": 400}, {"src": "a", "dst": "c", "bytes": 50, "dst_r": "d", "bytes_r": 400}]`,
 		frames: `join on dst = src rows=3
-  sql.select edges rows=3
-    sql.scan edges rows=4
-    sql.join inner edges rows=3
+  scan sql.edges rows=4
+    sql.select edges rows=4
+      sql.scan edges rows=4
+  scan sql.edges rows=4
+    sql.select edges rows=4
       sql.scan edges rows=4
 `},
-	"fused join build left": {cols: "src,dst,bytes,dst_r,bytes_r",
+	"sql join build left": {cols: "src,dst,bytes,dst_r,bytes_r",
 		repr: `[{"src": "b", "dst": "c", "bytes": 250, "dst_r": "d", "bytes_r": 400}]`,
 		frames: `join on dst = src rows=1
-  sql.select edges rows=1
-    sql.scan edges rows=4
-    sql.join inner edges rows=1
+  scan sql.edges [src == "b"] rows=1
+    sql.select edges rows=1
+      sql.scan edges rows=4
+      sql.filter rows=1
+  scan sql.edges rows=4
+    sql.select edges rows=4
       sql.scan edges rows=4
 `},
-	"unfused join build left": {cols: "src,dst,bytes,dst_r,bytes_r",
+	"frame-graph join build left": {cols: "src,dst,bytes,dst_r,bytes_r",
 		repr: `[{"src": "b", "dst": "c", "bytes": 250, "dst_r": "d", "bytes_r": 400}]`,
 		frames: `join on dst = src rows=1
   scan frame.edges [src == "b"] rows=1
   scan graph.edges rows=4
 `},
-	"fused agg": {cols: "src,total,avg,lo,hi,n",
+	"sql agg": {cols: "src,total,avg,lo,hi,n",
 		repr: `[{"src": "a", "total": 150, "avg": 75.0, "lo": 50, "hi": 100, "n": 2}, {"src": "b", "total": 250, "avg": 250.0, "lo": 250, "hi": 250, "n": 1}, {"src": "c", "total": 400, "avg": 400.0, "lo": 400, "hi": 400, "n": 1}]`,
 		frames: `aggregate group=(src) aggs=(sum(bytes) as total, mean(bytes) as avg, min(bytes) as lo, max(bytes) as hi, count() as n) rows=3
-  sql.select edges rows=3
-    sql.scan edges rows=4
+  scan sql.edges rows=4
+    sql.select edges rows=4
+      sql.scan edges rows=4
 `},
-	"fused global agg over no rows": {cols: "n,s",
+	"sql global agg over no rows": {cols: "n,s",
 		repr: `[{"n": 0, "s": nil}]`,
 		frames: `aggregate group=() aggs=(count() as n, sum(bytes) as s) rows=1
-  sql.select edges rows=1
-    sql.scan edges rows=4
-    sql.filter rows=0
-`},
-	"fused agg fallback": {err: `federate: sum(src): value must be a number, got string`,
-		frames: `aggregate group=(dst) aggs=(sum(src) as s) rows=-1
-  sql.select edges rows=-1
-    sql.scan edges rows=4
-  sql.select edges rows=4
-    sql.scan edges rows=4
-`},
-	"fused join fallback": {err: `federate: column "ghost" does not exist (have [src dst bytes])`,
-		frames: `join on ghost = src rows=-1
-  sql.select edges rows=-1
-    sql.scan edges rows=4
-    sql.join inner edges rows=-1
+  scan sql.edges [bytes > 1099511627776] rows=0
+    sql.select edges rows=0
       sql.scan edges rows=4
-  sql.select edges rows=4
-    sql.scan edges rows=4
-  sql.select edges rows=4
-    sql.scan edges rows=4
+      sql.filter rows=0
+`},
+	"sql agg non-numeric sum": {err: `federate: sum(src): value must be a number, got string`,
+		frames: `aggregate group=(dst) aggs=(sum(src) as s) rows=-1
+  scan sql.edges rows=4
+    sql.select edges rows=4
+      sql.scan edges rows=4
+`},
+	"join unknown left key": {err: `federate: column "ghost" does not exist (have [src dst bytes])`,
+		frames: `join on ghost = src rows=-1
+  scan sql.edges rows=4
+    sql.select edges rows=4
+      sql.scan edges rows=4
+  scan sql.edges rows=4
+    sql.select edges rows=4
+      sql.scan edges rows=4
 `},
 	"two-pass sort limit": {cols: "id,degree,in_degree,out_degree",
 		repr: `[{"id": "a", "degree": 2, "in_degree": 0, "out_degree": 2}, {"id": "b", "degree": 2, "in_degree": 1, "out_degree": 1}]`,
@@ -300,16 +302,19 @@ var corpusPins = map[string]corpusPin{
 		frames: `sort (src) asc rows=3
   filter fn(row) rows=3
     aggregate group=(src) aggs=(count(bytes) as n) rows=3
-      sql.select edges rows=3
-        sql.scan edges rows=4
+      scan sql.edges rows=4
+        sql.select edges rows=4
+          sql.scan edges rows=4
 `},
 	"funcpred over join": {cols: "src,dst,bytes,dst_r,bytes_r",
 		repr: `[]`,
 		frames: `filter fn(row) rows=0
   join on dst = src rows=3
-    sql.select edges rows=3
-      sql.scan edges rows=4
-      sql.join inner edges rows=3
+    scan sql.edges rows=4
+      sql.select edges rows=4
+        sql.scan edges rows=4
+    scan sql.edges rows=4
+      sql.select edges rows=4
         sql.scan edges rows=4
 `},
 	"stacked funcpreds": {cols: "src,dst,bytes",
@@ -326,9 +331,11 @@ var corpusPins = map[string]corpusPin{
   filter fn(row) rows=2
     aggregate group=(src) aggs=(count(bytes) as n) rows=2
       join on dst = src rows=3
-        sql.select edges rows=3
-          sql.scan edges rows=4
-          sql.join inner edges rows=3
+        scan sql.edges rows=4
+          sql.select edges rows=4
+            sql.scan edges rows=4
+        scan sql.edges rows=4
+          sql.select edges rows=4
             sql.scan edges rows=4
 `},
 	"unknown source": {err: `federate: unknown scan source "mongo" (have graph, frame, sql)`,
@@ -353,17 +360,15 @@ var corpusPins = map[string]corpusPin{
 `},
 	"group unknown column": {err: `federate: column "ghost" does not exist (have [src dst bytes])`,
 		frames: `aggregate group=(ghost) aggs=(count() as n) rows=-1
-  sql.select edges rows=-1
-    sql.scan edges rows=4
-  sql.select edges rows=4
-    sql.scan edges rows=4
+  scan sql.edges rows=4
+    sql.select edges rows=4
+      sql.scan edges rows=4
 `},
 	"agg unknown column": {err: `federate: column "ghost" does not exist (have [src dst bytes])`,
 		frames: `aggregate group=() aggs=(sum(ghost) as s) rows=-1
-  sql.select edges rows=-1
-    sql.scan edges rows=4
-  sql.select edges rows=4
-    sql.scan edges rows=4
+  scan sql.edges rows=4
+    sql.select edges rows=4
+      sql.scan edges rows=4
 `},
 	"unknown agg function": {err: `federate: unknown aggregate "median" (have count, sum, mean, min, max)`,
 		frames: `aggregate group=() aggs=(median(bytes) as m) rows=-1
@@ -373,14 +378,12 @@ var corpusPins = map[string]corpusPin{
 `},
 	"join unknown right key": {err: `federate: column "ghost" does not exist (have [src dst bytes])`,
 		frames: `join on dst = ghost rows=-1
-  sql.select edges rows=-1
-    sql.scan edges rows=4
-    sql.join inner edges rows=-1
+  scan sql.edges rows=4
+    sql.select edges rows=4
       sql.scan edges rows=4
-  sql.select edges rows=4
-    sql.scan edges rows=4
-  sql.select edges rows=4
-    sql.scan edges rows=4
+  scan sql.edges rows=4
+    sql.select edges rows=4
+      sql.scan edges rows=4
 `},
 	"scan error before sort error": {err: `sql: table "missing" does not exist (have [nodes edges])`,
 		frames: `sort (ghost) desc rows=-1

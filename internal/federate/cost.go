@@ -8,11 +8,10 @@ import (
 
 // This file is the cost model: it walks an optimized logical plan and
 // produces one decision per node (pre-order) — resolved source for
-// SourceAny scans, native-pushdown eligibility, join build side, and
-// scan+join / scan+aggregate fusion into the SQL substrate — plus row and
-// cost estimates for explain output. Decisions are pure data, independent
-// of any closure in the plan, which is what makes them cacheable across
-// sessions (see prepare.go).
+// SourceAny scans, native-pushdown eligibility and join build side — plus
+// row and cost estimates for explain output. Decisions are pure data,
+// independent of any closure in the plan, which is what makes them
+// cacheable across sessions (see prepare.go).
 
 // SourceAny lets a scan defer its substrate: the planner resolves it to
 // the cheapest source exposing the table (preferring sql, then frame,
@@ -24,18 +23,11 @@ const SourceAny = "any"
 type decision struct {
 	Kind      byte    // node kind tag, validated when replaying from cache
 	Source    string  // scans: resolved source (copied from the node unless SourceAny)
-	Native    bool    // scans: nativeScanOK holds, so execScan uses sqldb's columnar scan (read by costing, fusion and Explain)
+	Native    bool    // scans: nativeScanOK holds, so execScan uses sqldb's columnar scan (read by costing and Explain)
 	BuildLeft bool    // joins: hash the smaller (left) input
-	Fuse      byte    // fuseNone, fuseSQLJoin or fuseSQLAgg
 	EstRows   float64 // estimated output rows
 	EstCost   float64 // estimated cumulative cost (arbitrary units)
 }
-
-const (
-	fuseNone    = byte(0)
-	fuseSQLJoin = byte(1) // join of two native SQL scans runs as one sqldb hash join
-	fuseSQLAgg  = byte(2) // aggregate over a native SQL scan runs as one sqldb group-by
-)
 
 // Node kind tags for decision validation.
 const (
@@ -118,19 +110,12 @@ func costNode(cat *Catalog, cs *catalogStats, n Node, decs *[]decision) nodeEst 
 		r := costNode(cat, cs, x.Right, decs)
 		d := &(*decs)[idx]
 		d.BuildLeft = l.rows < r.rows
-		if fuseableJoin(cat, x, (*decs)[idx+1:]) {
-			d.Fuse = fuseSQLJoin
-		}
 		dl := keyDistinct(l, x.LeftKey)
 		dr := keyDistinct(r, x.RightKey)
 		dmax := math.Max(math.Max(dl, dr), 1)
 		est = nodeEst{rows: l.rows * r.rows / dmax, cost: l.cost + r.cost + l.rows + r.rows}
 	case *Aggregate:
 		in := costNode(cat, cs, x.Input, decs)
-		d := &(*decs)[idx]
-		if fuseableAgg(cat, x, (*decs)[idx+1:]) {
-			d.Fuse = fuseSQLAgg
-		}
 		rows := 1.0
 		if len(x.GroupBy) > 0 {
 			rows = 1
@@ -353,44 +338,4 @@ func splitConds(pushed []Cmp) (native []sqldb.Cond, local []Cmp) {
 		native = append(native, sqldb.Cond{Col: c.Col, Op: op, Value: c.Value})
 	}
 	return native, local
-}
-
-// fuseableJoin reports whether a join of two native SQL scans can run as
-// one sqldb hash join: both children native with fully-pushed conditions
-// (a local residual would evaluate on lifted rows mid-scan).
-func fuseableJoin(cat *Catalog, j *Join, childDecs []decision) bool {
-	l, lok := j.Left.(*Scan)
-	r, rok := j.Right.(*Scan)
-	if !lok || !rok || len(childDecs) < 2 {
-		return false
-	}
-	if !childDecs[0].Native || !childDecs[1].Native {
-		return false
-	}
-	return fullyPushed(l) && fullyPushed(r)
-}
-
-// fuseableAgg reports whether an aggregate over a native SQL scan can run
-// as one sqldb group-by. Invalid aggregate functions stay unfused so the
-// unfused aggregate raises the canonical error.
-func fuseableAgg(cat *Catalog, a *Aggregate, childDecs []decision) bool {
-	s, ok := a.Input.(*Scan)
-	if !ok || len(childDecs) < 1 || !childDecs[0].Native || !fullyPushed(s) {
-		return false
-	}
-	for _, sp := range a.Aggs {
-		if !validAggFn(sp.Fn) {
-			return false
-		}
-	}
-	return true
-}
-
-func fullyPushed(s *Scan) bool {
-	for _, c := range s.Pushed {
-		if _, ok := sqlCompile(c); !ok {
-			return false
-		}
-	}
-	return true
 }

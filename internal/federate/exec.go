@@ -18,8 +18,8 @@ import (
 
 // Run optimizes a logical plan, plans it against the catalog's statistics
 // (recalling cached decisions when the catalog carries an epoch) and
-// executes it. The catalog is only read: scans lift rows out of the
-// substrates, every later stage operates on the lifted relation.
+// executes it. The catalog is only read: operators lift cells out of the
+// substrates and never write back.
 func Run(cat *Catalog, plan Node) (*Relation, error) {
 	return Prepare(cat, plan).ExecuteContext(context.Background(), cat)
 }
@@ -58,21 +58,54 @@ func (p *Prepared) ExecuteContext(ctx context.Context, cat *Catalog) (*Relation,
 	return execute(cat, p.plan)
 }
 
-// execute runs one plan node, inside its profile frame when the catalog
-// carries a profile.
+// execute runs one plan node as a lifted relation, inside its profile
+// frame when the catalog carries a profile.
 func execute(cat *Catalog, plan Node) (*Relation, error) {
-	if cat.prof == nil {
-		return execNode(cat, plan)
+	frame := cat.enter(plan)
+	rel, err := execNode(cat, plan)
+	if frame != nil {
+		rows := int64(-1)
+		if err == nil && rel != nil {
+			rows = int64(len(rel.Rows))
+		}
+		cat.prof.Exit(frame, rows)
+	}
+	return rel, err
+}
+
+// input runs an operator's child as a column source. A scan is read in
+// place: its surviving cells are lifted only when the operator reads them,
+// and its profile frame counts the surviving rows. Any other child is
+// executed into a relation and read through relColumns.
+func input(cat *Catalog, n Node) (columns, error) {
+	s, ok := n.(*Scan)
+	if !ok {
+		rel, err := execute(cat, n)
+		if err != nil {
+			return columns{}, err
+		}
+		return relColumns(rel), nil
+	}
+	frame := cat.enter(s)
+	src, err := execScan(cat, s)
+	if frame != nil {
+		rows := int64(-1)
+		if err == nil {
+			rows = int64(src.n)
+		}
+		cat.prof.Exit(frame, rows)
+	}
+	return src, err
+}
+
+// enter opens plan's operator frame, or returns nil when the catalog
+// carries no profile.
+func (c *Catalog) enter(plan Node) *obs.ProfNode {
+	if c.prof == nil {
+		return nil
 	}
 	name := opName(plan)
-	frame := cat.prof.Enter(name, strings.TrimPrefix(strings.TrimPrefix(plan.label(), name), " "))
-	rel, err := execNode(cat, plan)
-	rows := int64(-1)
-	if err == nil && rel != nil {
-		rows = int64(len(rel.Rows))
-	}
-	cat.prof.Exit(frame, rows)
-	return rel, err
+	return c.prof.Enter(name, strings.TrimPrefix(strings.TrimPrefix(plan.label(), name), " "))
 }
 
 // opName is the operator-kind half of a profile frame (the node label
@@ -101,28 +134,18 @@ func opName(plan Node) string {
 func execNode(cat *Catalog, plan Node) (*Relation, error) {
 	switch x := plan.(type) {
 	case *Scan:
-		return execScan(cat, x)
+		src, err := execScan(cat, x)
+		if err != nil {
+			return nil, err
+		}
+		return src.relation(), nil
 	case *Filter:
 		return execFilter(cat, x)
 	case *Project:
 		return execProject(cat, x)
 	case *Join:
-		// A fused plan may run against a catalog without the database it
-		// was prepared with; the unfused path reports that.
-		if x.fused && cat.DB != nil {
-			if rel, err := fusedJoin(cat, x); !errors.Is(err, sqldb.ErrPushdown) {
-				return rel, err
-			}
-			return execJoin(unprofiled(cat), x)
-		}
 		return execJoin(cat, x)
 	case *Aggregate:
-		if x.fused && cat.DB != nil {
-			if rel, err := fusedAggregate(cat, x); !errors.Is(err, sqldb.ErrPushdown) {
-				return rel, err
-			}
-			return execAggregate(unprofiled(cat), x)
-		}
 		return execAggregate(cat, x)
 	case *Sort:
 		return execSort(cat, x)
@@ -133,60 +156,11 @@ func execNode(cat *Catalog, plan Node) (*Relation, error) {
 	}
 }
 
-// unprofiled is the catalog a fused operator's ErrPushdown fallback runs
-// its unfused subtree on: the fused operator's frame stands for the whole
-// subtree, so the fallback's operators open no frames of their own (the
-// substrate's frames still nest under the fused one).
-func unprofiled(cat *Catalog) *Catalog {
-	if cat.prof == nil {
-		return cat
-	}
-	c := *cat
-	c.prof = nil
-	return &c
-}
-
-// fusedJoin runs a join of two native SQL scans as one sqldb hash join.
-func fusedJoin(cat *Catalog, j *Join) (*Relation, error) {
-	ls, rs := j.Left.(*Scan), j.Right.(*Scan)
-	lnat, _ := splitConds(ls.Pushed)
-	rnat, _ := splitConds(rs.Pushed)
-	names, data, err := cat.DB.JoinColumns(cat.context(), sqldb.JoinSpec{
-		Left:      sqldb.ScanSpec{Table: ls.Table, Conds: lnat, Cols: ls.Cols},
-		Right:     sqldb.ScanSpec{Table: rs.Table, Conds: rnat, Cols: rs.Cols},
-		LeftKey:   j.LeftKey,
-		RightKey:  j.RightKey,
-		BuildLeft: j.buildLeft,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return selectRows(cat, dataColumns(names, data), nil, nil)
-}
-
-// fusedAggregate runs an aggregate over a native SQL scan as one sqldb
-// group-by.
-func fusedAggregate(cat *Catalog, a *Aggregate) (*Relation, error) {
-	s := a.Input.(*Scan)
-	native, _ := splitConds(s.Pushed)
-	spec := sqldb.GroupSpec{
-		Input:   sqldb.ScanSpec{Table: s.Table, Conds: native, Cols: s.Cols},
-		GroupBy: a.GroupBy,
-	}
-	for _, sp := range a.Aggs {
-		spec.Aggs = append(spec.Aggs, sqldb.GroupAgg{Col: sp.Col, Fn: sp.Fn, As: sp.As})
-	}
-	names, data, err := cat.DB.GroupColumns(cat.context(), spec)
-	if err != nil {
-		return nil, err
-	}
-	return selectRows(cat, dataColumns(names, data), nil, nil)
-}
-
 // --- scans -----------------------------------------------------------------
 
-// execScan is the scan operator.
-func execScan(cat *Catalog, s *Scan) (*Relation, error) {
+// execScan is the scan operator: it returns the table's filtered,
+// projected cells without lifting them.
+func execScan(cat *Catalog, s *Scan) (columns, error) {
 	switch s.Source {
 	case SourceGraph:
 		return scanGraph(cat, s)
@@ -195,17 +169,58 @@ func execScan(cat *Catalog, s *Scan) (*Relation, error) {
 	case SourceSQL:
 		return scanSQL(cat, s)
 	default:
-		return nil, fmt.Errorf("federate: unknown scan source %q (have graph, frame, sql)", s.Source)
+		return columns{}, fmt.Errorf("federate: unknown scan source %q (have graph, frame, sql)", s.Source)
 	}
 }
 
-// columns is a scan source in column-major form: n rows of the named
-// columns, lifted one cell at a time, so a scan can test its pushed
-// predicates on the condition cells before it lifts a whole row.
+// columns is an operator input in column-major form: n rows of the named
+// columns, lifted one cell at a time as an operator reads them. Column
+// storage (a frame, a native sqldb scan) sits in data; graph tables and
+// lifted relations read through cell. rows, when non-nil, maps each row to
+// the source row that survived the scan's predicates.
 type columns struct {
 	names []string
 	n     int
+	data  [][]any
 	cell  func(c, r int) nql.Value
+	rows  []int
+}
+
+// at reads the cell of column c in row r.
+func (s *columns) at(c, r int) nql.Value {
+	if s.rows != nil {
+		r = s.rows[r]
+	}
+	if s.data != nil {
+		return liftValue(s.data[c][r])
+	}
+	return s.cell(c, r)
+}
+
+// colIndex resolves a column name with the relation's error text.
+func (s *columns) colIndex(name string) (int, error) {
+	return colIndex(s.names, name)
+}
+
+// relation lifts every row. One backing array holds all the cells; each
+// row is capped so an append by a later operator reallocates instead of
+// overrunning.
+func (s *columns) relation() *Relation {
+	out := &Relation{Cols: s.names}
+	if s.n == 0 {
+		return out
+	}
+	w := len(s.names)
+	backing := make([]nql.Value, s.n*w)
+	out.Rows = make([][]nql.Value, s.n)
+	for r := range out.Rows {
+		row := backing[r*w : (r+1)*w : (r+1)*w]
+		for c := range row {
+			row[c] = s.at(c, r)
+		}
+		out.Rows[r] = row
+	}
+	return out
 }
 
 // dataColumns adapts one value slice per column (a frame's storage or a
@@ -215,47 +230,45 @@ func dataColumns(names []string, data [][]any) columns {
 	if len(data) > 0 {
 		n = len(data[0])
 	}
-	return columns{names: names, n: n, cell: func(c, r int) nql.Value { return liftValue(data[c][r]) }}
+	return columns{names: names, n: n, data: data}
 }
 
-// relColumns reads an already lifted relation as a scan source.
+// relColumns reads an already lifted relation as a column source.
 func relColumns(rel *Relation) columns {
 	return columns{names: rel.Cols, n: len(rel.Rows), cell: func(c, r int) nql.Value { return rel.Rows[r][c] }}
 }
 
-// selectRows is the scan filter: it evaluates the pushed
-// predicates on the cells of their condition columns only, then lifts just
-// the surviving rows, narrowed to cols when it is non-nil. Errors are those
-// of filtering the fully lifted relation row by row: predicates run in
-// order with short-circuit, a condition column is resolved the first time
-// its predicate runs (so an empty table never fails on one), the context
-// is polled at the same row checkpoints, and projection columns are
-// resolved once filtering succeeded.
-func selectRows(cat *Catalog, src columns, pushed []Cmp, cols []string) (*Relation, error) {
-	shape := &Relation{Cols: src.names}
-	n := src.n
-	var keep []int
+// selectRows is the scan filter over a whole table: it evaluates the
+// pushed predicates on the cells of their condition columns only, and
+// narrows the survivors to cols when it is non-nil. Nothing else is lifted. Errors are those of
+// filtering the fully lifted relation row by row: predicates run in order
+// with short-circuit, a condition column is resolved the first time its
+// predicate runs (so an empty table never fails on one), the context is
+// polled at the same row checkpoints, and projection columns are resolved
+// once filtering succeeded.
+func selectRows(cat *Catalog, src columns, pushed []Cmp, cols []string) (columns, error) {
 	if len(pushed) > 0 {
 		at := make([]int, len(pushed))
 		for i := range at {
 			at[i] = -1
 		}
+		var keep []int
 	rows:
 		for r := 0; r < src.n; r++ {
 			if err := cat.cancelled(r); err != nil {
-				return nil, err
+				return columns{}, err
 			}
 			for i, c := range pushed {
 				if at[i] < 0 {
-					j, err := shape.colIndex(c.Col)
+					j, err := src.colIndex(c.Col)
 					if err != nil {
-						return nil, err
+						return columns{}, err
 					}
 					at[i] = j
 				}
-				ok, err := evalCmp(c.Op, src.cell(at[i], r), c.Value)
+				ok, err := evalCmp(c.Op, src.at(at[i], r), c.Value)
 				if err != nil {
-					return nil, err
+					return columns{}, err
 				}
 				if !ok {
 					continue rows
@@ -263,57 +276,42 @@ func selectRows(cat *Catalog, src columns, pushed []Cmp, cols []string) (*Relati
 			}
 			keep = append(keep, r)
 		}
-		n = len(keep)
+		src.rows, src.n = keep, len(keep)
 	}
-	out := &Relation{Cols: src.names}
-	var idx []int
-	if cols != nil {
-		idx = make([]int, len(cols))
-		for i, c := range cols {
-			j, err := shape.colIndex(c)
-			if err != nil {
-				return nil, err
-			}
-			idx[i] = j
-		}
-		out.Cols = append([]string(nil), cols...)
-	} else {
-		idx = make([]int, len(src.names))
-		for i := range idx {
-			idx[i] = i
-		}
+	if cols == nil {
+		return src, nil
 	}
-	if n == 0 {
-		return out, nil
-	}
-	// One backing array for every lifted row; each row is capped so an
-	// append by a later operator reallocates instead of overrunning.
-	w := len(idx)
-	backing := make([]nql.Value, n*w)
-	out.Rows = make([][]nql.Value, n)
-	for k := range out.Rows {
-		r := k
-		if keep != nil {
-			r = keep[k]
+	idx := make([]int, len(cols))
+	for i, c := range cols {
+		j, err := src.colIndex(c)
+		if err != nil {
+			return columns{}, err
 		}
-		row := backing[k*w : (k+1)*w : (k+1)*w]
+		idx[i] = j
+	}
+	src.names = append([]string(nil), cols...)
+	if src.data != nil {
+		data := make([][]any, len(idx))
 		for i, j := range idx {
-			row[i] = src.cell(j, r)
+			data[i] = src.data[j]
 		}
-		out.Rows[k] = row
+		src.data = data
+	} else {
+		cell := src.cell
+		src.cell = func(c, r int) nql.Value { return cell(idx[c], r) }
 	}
-	return out, nil
+	return src, nil
 }
 
-func scanGraph(cat *Catalog, s *Scan) (*Relation, error) {
+func scanGraph(cat *Catalog, s *Scan) (columns, error) {
 	g := cat.Graph
 	if g == nil {
-		return nil, fmt.Errorf("federate: catalog has no graph source")
+		return columns{}, fmt.Errorf("federate: catalog has no graph source")
 	}
 	// The computed virtual tables (pagerank, components) run whole graph
 	// algorithms; refuse to start one on an already-dead context.
 	if err := cat.cancelled(0); err != nil {
-		return nil, err
+		return columns{}, err
 	}
 	var rel *Relation
 	switch s.Table {
@@ -369,7 +367,7 @@ func scanGraph(cat *Catalog, s *Scan) (*Relation, error) {
 			rel.Rows = append(rel.Rows, []nql.Value{id, comp[id]})
 		}
 	default:
-		return nil, fmt.Errorf("federate: unknown graph table %q (have nodes, edges, degree, pagerank, components)", s.Table)
+		return columns{}, fmt.Errorf("federate: unknown graph table %q (have nodes, edges, degree, pagerank, components)", s.Table)
 	}
 	return selectRows(cat, relColumns(rel), s.Pushed, s.Cols)
 }
@@ -390,7 +388,7 @@ func attrKeyUnion(n int, attrs func(i int) graph.Attrs) []string {
 	return keys
 }
 
-func scanFrame(cat *Catalog, s *Scan) (*Relation, error) {
+func scanFrame(cat *Catalog, s *Scan) (columns, error) {
 	f := cat.Frames[s.Table]
 	if f == nil {
 		names := make([]string, 0, len(cat.Frames))
@@ -398,7 +396,7 @@ func scanFrame(cat *Catalog, s *Scan) (*Relation, error) {
 			names = append(names, name)
 		}
 		sort.Strings(names)
-		return nil, fmt.Errorf("federate: unknown frame table %q (have %v)", s.Table, names)
+		return columns{}, fmt.Errorf("federate: unknown frame table %q (have %v)", s.Table, names)
 	}
 	return selectRows(cat, frameColumns(f), s.Pushed, s.Cols)
 }
@@ -419,9 +417,9 @@ func frameColumns(f *dataframe.Frame) columns {
 // strings containing quotes, contains) are applied locally afterwards.
 // Scans nativeScanOK admits run through sqldb's columnar ScanColumns; the
 // rest, and any scan it answers with ErrPushdown, render SQL text.
-func scanSQL(cat *Catalog, s *Scan) (*Relation, error) {
+func scanSQL(cat *Catalog, s *Scan) (columns, error) {
 	if cat.DB == nil {
-		return nil, fmt.Errorf("federate: catalog has no sql source")
+		return columns{}, fmt.Errorf("federate: catalog has no sql source")
 	}
 	native, local := splitConds(s.Pushed)
 	// Local predicates may reference columns outside the projection, so the
@@ -441,7 +439,7 @@ func scanSQL(cat *Catalog, s *Scan) (*Relation, error) {
 			return selectRows(cat, dataColumns(names, data), local, project)
 		}
 		if !errors.Is(err, sqldb.ErrPushdown) {
-			return nil, err
+			return columns{}, err
 		}
 	}
 	sel := "*"
@@ -460,7 +458,7 @@ func scanSQL(cat *Catalog, s *Scan) (*Relation, error) {
 	}
 	f, err := cat.DB.QueryContext(cat.context(), q)
 	if err != nil {
-		return nil, err
+		return columns{}, err
 	}
 	return selectRows(cat, frameColumns(f), local, project)
 }
@@ -594,24 +592,23 @@ func projectRelation(in *Relation, cols []string) (*Relation, error) {
 }
 
 func execJoin(cat *Catalog, j *Join) (*Relation, error) {
-	left, err := execute(cat, j.Left)
+	left, err := input(cat, j.Left)
 	if err != nil {
 		return nil, err
 	}
-	right, err := execute(cat, j.Right)
+	right, err := input(cat, j.Right)
 	if err != nil {
 		return nil, err
 	}
-	return joinRelations(cat, j, left, right)
+	return joinRelations(cat, j, &left, &right)
 }
 
-// joinRelations is the hash equi-join over two materialized inputs,
-// hashing the side the planner chose (the right one for a plan that was
-// not prepared). Output is identical either way: left-major, each left
-// row's matches in right-row order; key errors keep one precedence (all
-// right keys are computed before any left key) regardless of the build
-// side.
-func joinRelations(cat *Catalog, j *Join, left, right *Relation) (*Relation, error) {
+// joinRelations is the hash equi-join over two column sources, hashing the
+// side the planner chose (the right one for a plan that was not prepared).
+// Output is identical either way: left-major, each left row's matches in
+// right-row order; key errors keep one precedence (all right keys are
+// computed before any left key) regardless of the build side.
+func joinRelations(cat *Catalog, j *Join, left, right *columns) (*Relation, error) {
 	li, err := left.colIndex(j.LeftKey)
 	if err != nil {
 		return nil, err
@@ -622,13 +619,13 @@ func joinRelations(cat *Catalog, j *Join, left, right *Relation) (*Relation, err
 	}
 	// Output schema: left columns, then right columns minus the join key;
 	// collisions with a left name get the "_r" suffix.
-	cols := append([]string(nil), left.Cols...)
+	cols := append([]string(nil), left.names...)
 	taken := map[string]bool{}
 	for _, c := range cols {
 		taken[c] = true
 	}
 	var rightCols []int
-	for i, c := range right.Cols {
+	for i, c := range right.names {
 		if i == ri {
 			continue
 		}
@@ -639,33 +636,33 @@ func joinRelations(cat *Catalog, j *Join, left, right *Relation) (*Relation, err
 		taken[c] = true
 		cols = append(cols, c)
 	}
-	rkeys := make([]vkey, len(right.Rows))
-	for i, row := range right.Rows {
-		if err := cat.cancelled(i); err != nil {
+	rkeys := make([]vkey, right.n)
+	for r := range rkeys {
+		if err := cat.cancelled(r); err != nil {
 			return nil, err
 		}
-		k, err := valueKey(row[ri])
+		k, err := valueKey(right.at(ri, r))
 		if err != nil {
 			return nil, fmt.Errorf("federate: join key %s: %w", j.RightKey, err)
 		}
-		rkeys[i] = k
+		rkeys[r] = k
 	}
-	lkeys := make([]vkey, len(left.Rows))
-	for i, row := range left.Rows {
-		if err := cat.cancelled(i); err != nil {
+	lkeys := make([]vkey, left.n)
+	for r := range lkeys {
+		if err := cat.cancelled(r); err != nil {
 			return nil, err
 		}
-		k, err := valueKey(row[li])
+		k, err := valueKey(left.at(li, r))
 		if err != nil {
 			return nil, fmt.Errorf("federate: join key %s: %w", j.LeftKey, err)
 		}
-		lkeys[i] = k
+		lkeys[r] = k
 	}
 	// matches[i] lists, in right-row order, the right rows joining left row
 	// i; built by probing whichever side is hashed.
-	matches := make([][]int, len(left.Rows))
+	matches := make([][]int, left.n)
 	if j.buildLeft {
-		index := make(map[vkey][]int, len(left.Rows))
+		index := make(map[vkey][]int, left.n)
 		for i, k := range lkeys {
 			index[k] = append(index[k], i)
 		}
@@ -675,7 +672,7 @@ func joinRelations(cat *Catalog, j *Join, left, right *Relation) (*Relation, err
 			}
 		}
 	} else {
-		index := make(map[vkey][]int, len(right.Rows))
+		index := make(map[vkey][]int, right.n)
 		for ji, k := range rkeys {
 			index[k] = append(index[k], ji)
 		}
@@ -683,22 +680,36 @@ func joinRelations(cat *Catalog, j *Join, left, right *Relation) (*Relation, err
 			matches[i] = index[k]
 		}
 	}
+	n := 0
+	for _, m := range matches {
+		n += len(m)
+	}
 	out := &Relation{Cols: cols}
-	for i, lrow := range left.Rows {
-		for _, ji := range matches[i] {
+	if n == 0 {
+		return out, nil
+	}
+	// One backing array for every output row, each capped like the scan's.
+	w, lw := len(cols), len(left.names)
+	backing := make([]nql.Value, n*w)
+	out.Rows = make([][]nql.Value, 0, n)
+	for i, m := range matches {
+		for _, ji := range m {
 			// Checkpoint on output rows too: a skewed key can fan one left
 			// row out to millions of matches, and the per-left-row poll
 			// alone would leave cancellation latency unbounded. The nil
 			// test stays inline so context-free runs pay no call per row.
+			k := len(out.Rows)
 			if cat.ctx != nil {
-				if err := cat.cancelled(len(out.Rows)); err != nil {
+				if err := cat.cancelled(k); err != nil {
 					return nil, err
 				}
 			}
-			row := make([]nql.Value, 0, len(cols))
-			row = append(row, lrow...)
-			for _, c := range rightCols {
-				row = append(row, right.Rows[ji][c])
+			row := backing[k*w : (k+1)*w : (k+1)*w]
+			for c := 0; c < lw; c++ {
+				row[c] = left.at(c, i)
+			}
+			for c, rc := range rightCols {
+				row[lw+c] = right.at(rc, ji)
 			}
 			out.Rows = append(out.Rows, row)
 		}
@@ -764,39 +775,39 @@ func (k vkey) appendTo(buf []byte) []byte {
 }
 
 func execAggregate(cat *Catalog, a *Aggregate) (*Relation, error) {
-	in, err := execute(cat, a.Input)
+	in, err := input(cat, a.Input)
 	if err != nil {
 		return nil, err
 	}
-	st, err := newAggState(a, in)
+	st, err := newAggState(a, &in)
 	if err != nil {
 		return nil, err
 	}
-	for ri, row := range in.Rows {
-		if err := cat.cancelled(ri); err != nil {
+	for r := 0; r < in.n; r++ {
+		if err := cat.cancelled(r); err != nil {
 			return nil, err
 		}
-		if err := st.add(row); err != nil {
+		if err := st.add(r); err != nil {
 			return nil, err
 		}
 	}
 	return st.finish(), nil
 }
 
-// aggGroup is one group's key values and accumulators.
+// aggGroup is one group's key values and its accumulators, held inline.
 type aggGroup struct {
 	key  []nql.Value
-	accs []*agg
+	accs []agg
 }
 
-// aggState is the core of Aggregate: column resolution happens
-// at construction (so an unknown column errors even over empty input, in a
+// aggState is the core of Aggregate: column resolution happens at
+// construction (so an unknown column errors even over empty input, in a
 // fixed order — group keys first, then each spec's function before its
 // column), rows fold in one at a time, and finish emits groups in
 // first-appearance order.
 type aggState struct {
 	a    *Aggregate
-	cols []string
+	in   *columns
 	gidx []int
 	aidx []int
 	// Single-column groups hash on the comparable struct key directly;
@@ -807,7 +818,7 @@ type aggState struct {
 	kbuf   []byte
 }
 
-func newAggState(a *Aggregate, in *Relation) (*aggState, error) {
+func newAggState(a *Aggregate, in *columns) (*aggState, error) {
 	gidx := make([]int, len(a.GroupBy))
 	for i, c := range a.GroupBy {
 		j, err := in.colIndex(c)
@@ -832,61 +843,59 @@ func newAggState(a *Aggregate, in *Relation) (*aggState, error) {
 		aidx[i] = j
 	}
 	return &aggState{
-		a: a, cols: in.Cols, gidx: gidx, aidx: aidx,
+		a: a, in: in, gidx: gidx, aidx: aidx,
 		single: map[vkey]*aggGroup{}, groups: map[string]*aggGroup{},
 	}, nil
 }
 
-func (st *aggState) newGroup(row []nql.Value) *aggGroup {
-	g := &aggGroup{key: make([]nql.Value, len(st.gidx)), accs: make([]*agg, len(st.a.Aggs))}
+// newGroup appends a group keyed by row r's group-by cells.
+func (st *aggState) newGroup(r int) *aggGroup {
+	g := &aggGroup{key: make([]nql.Value, len(st.gidx)), accs: make([]agg, len(st.a.Aggs))}
 	for i, j := range st.gidx {
-		g.key[i] = row[j]
-	}
-	for i := range g.accs {
-		g.accs[i] = &agg{}
+		g.key[i] = st.in.at(j, r)
 	}
 	st.order = append(st.order, g)
 	return g
 }
 
-func (st *aggState) lookup(row []nql.Value) (*aggGroup, error) {
+func (st *aggState) lookup(r int) (*aggGroup, error) {
 	if len(st.gidx) == 1 {
-		k, err := valueKey(row[st.gidx[0]])
+		k, err := valueKey(st.in.at(st.gidx[0], r))
 		if err != nil {
-			return nil, fmt.Errorf("federate: group key %s: %w", st.cols[st.gidx[0]], err)
+			return nil, fmt.Errorf("federate: group key %s: %w", st.in.names[st.gidx[0]], err)
 		}
 		g, ok := st.single[k]
 		if !ok {
-			g = st.newGroup(row)
+			g = st.newGroup(r)
 			st.single[k] = g
 		}
 		return g, nil
 	}
 	st.kbuf = st.kbuf[:0]
 	for _, j := range st.gidx {
-		k, err := valueKey(row[j])
+		k, err := valueKey(st.in.at(j, r))
 		if err != nil {
-			return nil, fmt.Errorf("federate: group key %s: %w", st.cols[j], err)
+			return nil, fmt.Errorf("federate: group key %s: %w", st.in.names[j], err)
 		}
 		st.kbuf = k.appendTo(st.kbuf)
 	}
 	g, ok := st.groups[string(st.kbuf)]
 	if !ok {
-		g = st.newGroup(row)
+		g = st.newGroup(r)
 		st.groups[string(st.kbuf)] = g
 	}
 	return g, nil
 }
 
-func (st *aggState) add(row []nql.Value) error {
-	g, err := st.lookup(row)
+func (st *aggState) add(r int) error {
+	g, err := st.lookup(r)
 	if err != nil {
 		return err
 	}
 	for i, sp := range st.a.Aggs {
 		var v nql.Value
 		if st.aidx[i] >= 0 {
-			v = row[st.aidx[i]]
+			v = st.in.at(st.aidx[i], r)
 		}
 		if err := g.accs[i].add(sp.Fn, v); err != nil {
 			return fmt.Errorf("federate: %s(%s): %w", sp.Fn, sp.Col, err)
@@ -895,28 +904,32 @@ func (st *aggState) add(row []nql.Value) error {
 	return nil
 }
 
+// finish emits one row per group, every row carved from one backing array.
 func (st *aggState) finish() *Relation {
 	order := st.order
 	if len(st.gidx) == 0 && len(order) == 0 {
 		// A global aggregate always emits one row, even over zero input
 		// rows (count 0, other aggregates nil — SQL semantics).
-		g := &aggGroup{accs: make([]*agg, len(st.a.Aggs))}
-		for i := range g.accs {
-			g.accs[i] = &agg{}
-		}
-		order = append(order, g)
+		order = []*aggGroup{{accs: make([]agg, len(st.a.Aggs))}}
 	}
 	cols := append([]string(nil), st.a.GroupBy...)
 	for _, sp := range st.a.Aggs {
 		cols = append(cols, sp.As)
 	}
 	out := &Relation{Cols: cols}
-	for _, g := range order {
-		row := append([]nql.Value(nil), g.key...)
+	if len(order) == 0 {
+		return out
+	}
+	w := len(cols)
+	backing := make([]nql.Value, len(order)*w)
+	out.Rows = make([][]nql.Value, len(order))
+	for gi, g := range order {
+		row := backing[gi*w : (gi+1)*w : (gi+1)*w]
+		n := copy(row, g.key)
 		for i, sp := range st.a.Aggs {
-			row = append(row, g.accs[i].result(sp.Fn))
+			row[n+i] = g.accs[i].result(sp.Fn)
 		}
-		out.Rows = append(out.Rows, row)
+		out.Rows[gi] = row
 	}
 	return out
 }

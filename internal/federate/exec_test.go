@@ -10,14 +10,15 @@ import (
 	"time"
 
 	"repro/internal/dataframe"
+	"repro/internal/graph"
 	"repro/internal/nql"
 	"repro/internal/obs"
 	"repro/internal/sqldb"
 )
 
 // TestPipelineNaNKeys pins NaN canonicalization across join and group keys
-// on both the fused SQL calls and the executor's own hash tables: every NaN
-// payload is one equivalence class, and int64/float64 collapse.
+// over frame and SQL scans: every NaN payload is one equivalence class, and
+// int64/float64 collapse.
 func TestPipelineNaNKeys(t *testing.T) {
 	f := dataframe.New("k", "v")
 	f.AppendRow(math.NaN(), int64(1))
@@ -114,43 +115,54 @@ func bigCatalog(rows int) *Catalog {
 }
 
 // TestPipelineStageCancellation arms a short deadline against plans whose
-// hot loop sits in each operator in turn, fused SQL calls included; every
-// one must abort with the deadline error instead of running to completion.
+// hot loop sits in each operator in turn, joins and aggregates over SQL
+// scans included; every one must abort with the deadline error instead of
+// running to completion, and the error must surface from that operator:
+// its profile frame fails while the scans under it complete.
 func TestPipelineStageCancellation(t *testing.T) {
 	const rows = 400_000
 	cat := bigCatalog(rows)
 	slowFn := FuncPred{Fn: func(row *nql.Map) (bool, error) { return true, nil }}
 	stages := []struct {
-		name string
-		plan Node
+		name, op string
+		plan     Node
 	}{
-		{"filter-funcpred", &Filter{Pred: slowFn, Input: &Scan{Source: SourceFrame, Table: "t"}}},
-		{"aggregate", &Aggregate{Input: &Scan{Source: SourceFrame, Table: "t"},
+		{"filter-funcpred", "filter", &Filter{Pred: slowFn, Input: &Scan{Source: SourceFrame, Table: "t"}}},
+		{"aggregate", "aggregate", &Aggregate{Input: &Scan{Source: SourceFrame, Table: "t"},
 			GroupBy: []string{"k"}, Aggs: []AggSpec{{Col: "v", Fn: AggSum, As: "s"}}}},
-		{"sort", &Sort{Cols: []string{"v"}, Ascending: false,
+		{"sort", "sort", &Sort{Cols: []string{"v"}, Ascending: false,
 			Input: &Scan{Source: SourceFrame, Table: "t"}}},
-		{"fused-agg", &Aggregate{Input: &Scan{Source: SourceSQL, Table: "t"},
+		{"sql-aggregate", "aggregate", &Aggregate{Input: &Scan{Source: SourceSQL, Table: "t"},
 			GroupBy: []string{"k"}, Aggs: []AggSpec{{Col: "v", Fn: AggSum, As: "s"}}}},
-		{"fused-join", &Limit{N: 1, Input: &Join{
+		{"sql-join", "join", &Limit{N: 1, Input: &Join{
 			Left:    &Scan{Source: SourceSQL, Table: "t"},
 			Right:   &Scan{Source: SourceSQL, Table: "t"},
 			LeftKey: "k", RightKey: "k"}}},
 	}
 	for _, st := range stages {
 		t.Run(st.name, func(t *testing.T) {
-			explain := Prepare(cat, st.plan).Explain()
-			if fused := strings.Contains(explain, " fused="); fused != strings.HasPrefix(st.name, "fused-") {
-				t.Fatalf("plan fused = %v, want the operator the case names:\n%s", fused, explain)
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+			// Prepare (statistics over the whole table) runs before the
+			// deadline is armed, so the deadline falls inside execution.
+			p := Prepare(cat, st.plan)
+			prof := obs.NewProfile()
+			ctx, cancel := context.WithTimeout(obs.WithProfile(context.Background(), prof), 2*time.Millisecond)
 			defer cancel()
 			start := time.Now()
-			_, err := RunContext(ctx, cat, st.plan)
+			_, err := p.ExecuteContext(ctx, cat)
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("err = %v, want wrapped DeadlineExceeded", err)
 			}
 			if elapsed := time.Since(start); elapsed > 2*time.Second {
 				t.Fatalf("abort took %v, want a prompt checkpoint return", elapsed)
+			}
+			failed := ""
+			for _, fr := range prof.Flatten() {
+				if fr.Rows < 0 {
+					failed = fr.Op // the deepest failed frame, in pre-order
+				}
+			}
+			if failed != st.op {
+				t.Errorf("cancellation surfaced from %q, want %q:\n%s", failed, st.op, prof.String())
 			}
 		})
 	}
@@ -244,33 +256,31 @@ func TestPipelineProfileNativeScanFrames(t *testing.T) {
 	}
 }
 
-// TestPipelineFusedAggProfile: a fused sql group-by emits the aggregate's
-// logical frame with the substrate frames under it and no separate scan
-// frame.
-func TestPipelineFusedAggProfile(t *testing.T) {
+// TestPipelineSQLAggProfile: an aggregate that reads a SQL scan's cells in
+// place still nests the scan's own frame, counting the rows that survived
+// its predicates, with the substrate frames under the scan.
+func TestPipelineSQLAggProfile(t *testing.T) {
 	cat := testCatalog()
 	plan := &Aggregate{
-		Input:   &Scan{Source: SourceSQL, Table: "edges"},
+		Input: &Filter{
+			Input: &Scan{Source: SourceSQL, Table: "edges"},
+			Pred:  Cmp{Col: "bytes", Op: ">=", Value: int64(100)},
+		},
 		GroupBy: []string{"src"},
 		Aggs:    []AggSpec{{Col: "bytes", Fn: AggSum, As: "total"}},
 	}
-	p := Prepare(cat, plan)
-	if p.decs[0].Fuse != fuseSQLAgg {
-		t.Fatalf("plan not a fused aggregate:\n%s", p.Explain())
-	}
 	prof := obs.NewProfile()
 	ctx := obs.WithProfile(context.Background(), prof)
-	if _, err := p.ExecuteContext(ctx, cat); err != nil {
+	if _, err := RunContext(ctx, cat, plan); err != nil {
 		t.Fatal(err)
 	}
-	flat := prof.Flatten()
-	if len(flat) == 0 || flat[0].Op != "aggregate" || flat[0].Rows != 3 {
-		t.Fatalf("fused agg root frame = %+v, want aggregate rows=3:\n%s", flat, prof.String())
+	var got []string
+	for _, fr := range prof.Flatten() {
+		got = append(got, fmt.Sprintf("%d:%s:%d", fr.Depth, fr.Op, fr.Rows))
 	}
-	for _, fr := range flat[1:] {
-		if fr.Op == "scan" {
-			t.Errorf("fused aggregate emitted a separate scan frame:\n%s", prof.String())
-		}
+	want := "0:aggregate:3,1:scan:3,2:sql.select:3,3:sql.scan:4,3:sql.filter:3"
+	if strings.Join(got, ",") != want {
+		t.Errorf("frames = %s, want %s\n%s", strings.Join(got, ","), want, prof.String())
 	}
 }
 
@@ -311,5 +321,102 @@ func TestPipelineLargeResultRoundTrip(t *testing.T) {
 		check(&Project{Cols: []string{"v"}, Input: scan()}, "v", 0, rows)
 		check(&Limit{N: 1024 + 5, Input: scan()}, "k,v", 0, 1024+5)
 		check(&Filter{Pred: Cmp{Col: "v", Op: ">=", Value: int64(1024)}, Input: scan()}, "k,v", 1024, rows-1024)
+	}
+}
+
+// keyCatalog holds one table, "nodes", in all three sources: key cells k
+// that collapse across int64/float64 and carry two NaN payloads, value
+// cells v with a nil (a missing graph attribute), and a list cell in bad.
+// Only the graph keeps the list; a frame stores it as its string form.
+func keyCatalog() *Catalog {
+	rows := []struct {
+		id   string
+		bad  any
+		k, v any
+	}{
+		{"a", "x", int64(3), int64(10)},
+		{"b", []any{int64(1)}, 3.0, nil},
+		{"c", "y", math.NaN(), 2.5},
+		{"d", "z", math.Float64frombits(0x7ff8000000000001), int64(4)},
+		{"e", "w", "s", int64(7)},
+	}
+	g := graph.NewDirected()
+	f := dataframe.New("id", "bad", "k", "v")
+	for _, r := range rows {
+		attrs := graph.Attrs{"bad": r.bad, "k": r.k}
+		if r.v != nil {
+			attrs["v"] = r.v
+		}
+		g.AddNode(r.id, attrs)
+		f.AppendRow(r.id, r.bad, r.k, r.v)
+	}
+	db := sqldb.NewDB()
+	db.CreateTable("nodes", f.Clone())
+	return &Catalog{Graph: g, Frames: map[string]*dataframe.Frame{"nodes": f}, DB: db}
+}
+
+// TestOperatorsReadScanLikeRelation runs Aggregate and Join over a bare
+// scan, whose cells they read in place, and over the same scan behind a
+// Project, which lifts its rows first, for every scan source. Both must
+// give the pinned columns, repr and error text. The unhashable-key cases
+// run on the graph only, the one source that can hold a list cell.
+func TestOperatorsReadScanLikeRelation(t *testing.T) {
+	cat := keyCatalog()
+	all := []string{"id", "bad", "k", "v"}
+	aggs := []AggSpec{
+		{Fn: AggCount, As: "n"}, {Col: "v", Fn: AggSum, As: "s"}, {Col: "v", Fn: AggMean, As: "m"},
+		{Col: "v", Fn: AggMin, As: "lo"}, {Col: "v", Fn: AggMax, As: "hi"},
+	}
+	none := Cmp{Col: "id", Op: "==", Value: "zzz"}
+	cases := []struct {
+		name      string
+		graphOnly bool
+		plan      func(in func() Node) Node
+		want      corpusPin
+	}{
+		{"group int/float and NaN keys, nil values", false, func(in func() Node) Node {
+			return &Aggregate{Input: in(), GroupBy: []string{"k"}, Aggs: aggs}
+		}, corpusPin{cols: "k,n,s,m,lo,hi",
+			repr: `[{"k": 3, "n": 2, "s": 10, "m": 10.0, "lo": 10, "hi": 10}, {"k": NaN, "n": 2, "s": 6.5, "m": 3.25, "lo": 2.5, "hi": 4}, {"k": "s", "n": 1, "s": 7, "m": 7.0, "lo": 7, "hi": 7}]`}},
+		{"global aggregate", false, func(in func() Node) Node {
+			return &Aggregate{Input: in(), Aggs: aggs}
+		}, corpusPin{cols: "n,s,m,lo,hi",
+			repr: `[{"n": 5, "s": 23.5, "m": 5.875, "lo": 2.5, "hi": 10}]`}},
+		{"join int/float and NaN keys", false, func(in func() Node) Node {
+			return &Project{Cols: []string{"id", "id_r"}, Input: &Join{Left: in(), Right: in(), LeftKey: "k", RightKey: "k"}}
+		}, corpusPin{cols: "id,id_r",
+			repr: `[{"id": "a", "id_r": "a"}, {"id": "a", "id_r": "b"}, {"id": "b", "id_r": "a"}, {"id": "b", "id_r": "b"}, {"id": "c", "id_r": "c"}, {"id": "c", "id_r": "d"}, {"id": "d", "id_r": "c"}, {"id": "d", "id_r": "d"}, {"id": "e", "id_r": "e"}]`}},
+		{"unhashable group key", true, func(in func() Node) Node {
+			return &Aggregate{Input: in(), GroupBy: []string{"bad"}, Aggs: aggs}
+		}, corpusPin{err: `federate: group key bad: unhashable value of type list`}},
+		{"unhashable join key", true, func(in func() Node) Node {
+			return &Join{Left: in(), Right: in(), LeftKey: "bad", RightKey: "bad"}
+		}, corpusPin{err: `federate: join key bad: unhashable value of type list`}},
+		{"unknown group column over no rows", false, func(in func() Node) Node {
+			return &Aggregate{Input: &Filter{Input: in(), Pred: none}, GroupBy: []string{"ghost"}, Aggs: aggs}
+		}, corpusPin{err: `federate: column "ghost" does not exist (have [id bad k v])`}},
+		{"unknown join key over no rows", false, func(in func() Node) Node {
+			return &Join{Left: &Filter{Input: in(), Pred: none}, Right: in(), LeftKey: "ghost", RightKey: "id"}
+		}, corpusPin{err: `federate: column "ghost" does not exist (have [id bad k v])`}},
+	}
+	for _, src := range []string{SourceSQL, SourceFrame, SourceGraph} {
+		inputs := map[string]func() Node{
+			"scan": func() Node { return &Scan{Source: src, Table: "nodes"} },
+			"lifted": func() Node {
+				return &Project{Cols: all, Input: &Scan{Source: src, Table: "nodes", Cols: all}}
+			},
+		}
+		for _, c := range cases {
+			if c.graphOnly && src != SourceGraph {
+				continue
+			}
+			for _, via := range []string{"scan", "lifted"} {
+				cols, repr, errText, _ := outcome(cat, c.plan(inputs[via]))
+				if cols != c.want.cols || repr != c.want.repr || errText != c.want.err {
+					t.Errorf("%s %s via %s:\n  got  %q %s %q\n  want %q %s %q", src, c.name, via,
+						cols, repr, errText, c.want.cols, c.want.repr, c.want.err)
+				}
+			}
+		}
 	}
 }

@@ -21,18 +21,17 @@
 // folding), collects table statistics from the catalog, and derives a
 // per-node decision list from a simple cost model: which source serves a
 // SourceAny scan, whether a SQL scan takes the native columnar path or the
-// text path, which side of a hash join builds the table (the smaller
-// estimated input), and whether a join or aggregate over native SQL scans
-// fuses into a single sqldb pushdown call. Prepared.ExecuteContext then
-// runs the decided plan on one recursive executor, single-goroutine per
-// query: each operator executes its inputs, then works on the
-// materialized relations. A scan filters on source columns before it
-// lifts a row (and takes sqldb's columnar scan where the native path
-// applies), a join hashes the side the planner chose, and a fused join or
-// aggregate issues its one sqldb call, running the unfused subtree
-// instead when sqldb answers ErrPushdown. Every operator honors context
-// cancellation at row-loop checkpoints and, under an obs.Profile, emits
-// one operator frame; a fused operator's frame has no scan children. The
+// text path, and which side of a hash join builds the table (the smaller
+// estimated input). Prepared.ExecuteContext then runs the decided plan on
+// one recursive executor, single-goroutine per query: each operator
+// executes its inputs, then works on the materialized results. A scan
+// filters on source columns before it lifts a row (and takes sqldb's
+// columnar scan where the native path applies). A join or aggregate reads
+// a scan child's surviving cells in place, lifting only the cells it
+// uses; every other child arrives as a lifted relation. There is one join
+// (hashing the side the planner chose) and one aggregate for every
+// source. Every operator honors context cancellation at row-loop
+// checkpoints and, under an obs.Profile, emits one operator frame. The
 // expected results, error text and frame trees of a plan corpus are
 // pinned in the package tests.
 //
@@ -49,8 +48,7 @@
 // closures in the plan (FuncPred, custom aggregates) are rebound on every
 // execution, never captured by the cache. Explain on a prepared plan
 // annotates each node with the cost model's view: "rows~N cost~C", a
-// "native" marker on pushdown scans, "build=left|right" on joins, and
-// "fused=sql-join|sql-agg" where a subtree collapsed into one SQL call.
+// "native" marker on pushdown scans and "build=left|right" on joins.
 //
 // The planner is read-only by construction: scans lift rows out of the
 // substrates and never write back, so running a federated plan against the
@@ -201,12 +199,16 @@ type Relation struct {
 // colIndex resolves a column name; the error names the available columns so
 // generated-plan failures are self-explanatory.
 func (r *Relation) colIndex(name string) (int, error) {
-	for i, c := range r.Cols {
+	return colIndex(r.Cols, name)
+}
+
+func colIndex(cols []string, name string) (int, error) {
+	for i, c := range cols {
 		if c == name {
 			return i, nil
 		}
 	}
-	return -1, fmt.Errorf("federate: column %q does not exist (have %v)", name, r.Cols)
+	return -1, fmt.Errorf("federate: column %q does not exist (have %v)", name, cols)
 }
 
 // NumRows returns the row count.

@@ -114,10 +114,9 @@ type Join struct {
 	Left, Right       Node
 	LeftKey, RightKey string
 
-	// The planner's decisions, set by Prepare on the copy it executes:
-	// hash the left input instead of the right, and run the join of two
-	// native SQL scans as one sqldb hash join.
-	buildLeft, fused bool
+	// buildLeft is the planner's decision, set by Prepare on the copy it
+	// executes, to hash the left input instead of the right.
+	buildLeft bool
 }
 
 func (j *Join) children() []Node { return []Node{j.Left, j.Right} }
@@ -148,11 +147,6 @@ type Aggregate struct {
 	Input   Node
 	GroupBy []string
 	Aggs    []AggSpec
-
-	// fused is the planner's decision, set by Prepare on the copy it
-	// executes, to run the aggregate over a native SQL scan as one sqldb
-	// group-by.
-	fused bool
 }
 
 func (a *Aggregate) children() []Node { return []Node{a.Input} }

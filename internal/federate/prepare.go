@@ -14,7 +14,7 @@ import (
 // entry reusable across every session sharing a dataset generation, the
 // same way the sandbox shares compiled bytecode across runs of one source
 // text. applyDecisions then copies the decisions the executor acts on
-// (resolved sources, join build sides, fusion) onto the plan it runs.
+// (resolved sources, join build sides) onto the plan it runs.
 
 // Prepared is an optimized plan bound to planner decisions, ready to
 // execute any number of times. It still carries the caller's closures
@@ -76,8 +76,8 @@ func Prepare(cat *Catalog, plan Node) *Prepared {
 }
 
 // Explain renders the prepared plan with the cost model's annotations:
-// estimated rows and cumulative cost per operator, native-pushdown and
-// fusion marks on scans/joins/aggregates, and the join build side.
+// estimated rows and cumulative cost per operator, native-pushdown marks
+// on scans, and the join build side.
 func (p *Prepared) Explain() string {
 	var sb strings.Builder
 	pos := 0
@@ -96,12 +96,6 @@ func explainCostInto(sb *strings.Builder, n Node, depth int, decs []decision, po
 		if d.Native {
 			sb.WriteString(" native")
 		}
-		switch d.Fuse {
-		case fuseSQLJoin:
-			sb.WriteString(" fused=sql-join")
-		case fuseSQLAgg:
-			sb.WriteString(" fused=sql-agg")
-		}
 		if _, isJoin := n.(*Join); isJoin {
 			if d.BuildLeft {
 				sb.WriteString(" build=left")
@@ -119,8 +113,8 @@ func explainCostInto(sb *strings.Builder, n Node, depth int, decs []decision, po
 
 // applyDecisions validates a decision list against the plan (kind tags in
 // pre-order), resolves SourceAny scans to their decided source, and records
-// each join's build side and each join's or aggregate's fusion on the node,
-// rebuilding only the spine above a rewritten node. ok is false when the
+// each join's build side on the node, rebuilding only the spine above a
+// rewritten node. ok is false when the
 // list does not align with the plan — a stale or colliding cache entry.
 func applyDecisions(plan Node, decs []decision) (Node, bool) {
 	pos := 0
@@ -175,22 +169,20 @@ func applyNode(n Node, decs []decision, pos *int) (Node, bool) {
 		if !ok {
 			return n, false
 		}
-		buildLeft, fused := decs[idx].BuildLeft, decs[idx].Fuse == fuseSQLJoin
-		if l == x.Left && r == x.Right && buildLeft == x.buildLeft && fused == x.fused {
+		buildLeft := decs[idx].BuildLeft
+		if l == x.Left && r == x.Right && buildLeft == x.buildLeft {
 			return x, true
 		}
-		return &Join{Left: l, Right: r, LeftKey: x.LeftKey, RightKey: x.RightKey,
-			buildLeft: buildLeft, fused: fused}, true
+		return &Join{Left: l, Right: r, LeftKey: x.LeftKey, RightKey: x.RightKey, buildLeft: buildLeft}, true
 	case *Aggregate:
 		in, ok := applyNode(x.Input, decs, pos)
 		if !ok {
 			return n, false
 		}
-		fused := decs[idx].Fuse == fuseSQLAgg
-		if in == x.Input && fused == x.fused {
+		if in == x.Input {
 			return x, true
 		}
-		return &Aggregate{Input: in, GroupBy: x.GroupBy, Aggs: x.Aggs, fused: fused}, true
+		return &Aggregate{Input: in, GroupBy: x.GroupBy, Aggs: x.Aggs}, true
 	case *Sort:
 		in, ok := applyNode(x.Input, decs, pos)
 		if !ok {

@@ -41,7 +41,7 @@ func TestResolveSourceAny(t *testing.T) {
 	}
 }
 
-// TestCostDecisions pins build-side choice and SQL fusion gating.
+// TestCostDecisions pins build-side choice and native scan marks.
 func TestCostDecisions(t *testing.T) {
 	cat := testCatalog()
 	// Left side filtered to ~1 row, right side the full table: hash the left.
@@ -59,40 +59,26 @@ func TestCostDecisions(t *testing.T) {
 	if !decs[0].BuildLeft {
 		t.Errorf("filtered-left join: BuildLeft = false, want true\n%+v", decs)
 	}
-	if decs[0].Fuse != fuseSQLJoin {
-		t.Errorf("two native sql scans: Fuse = %d, want fuseSQLJoin", decs[0].Fuse)
-	}
 	if !decs[1].Native || !decs[2].Native {
 		t.Errorf("sql scans not native: %+v", decs)
 	}
 
-	// A graph side blocks fusion.
+	// A graph scan is never native.
 	j2 := &Join{
 		Left:     &Scan{Source: SourceSQL, Table: "edges"},
 		Right:    &Scan{Source: SourceGraph, Table: "degree"},
 		LeftKey:  "dst",
 		RightKey: "id",
 	}
-	if d := annotate(cat, j2); d[0].Fuse != fuseNone {
-		t.Errorf("sql+graph join fused: %+v", d[0])
+	if d := annotate(cat, j2); !d[1].Native || d[2].Native {
+		t.Errorf("sql+graph join native marks: %+v", d)
 	}
 
-	// Aggregate over a native scan fuses; an invalid agg fn must not (the
-	// unfused aggregate owns the canonical error).
-	a := &Aggregate{
-		Input:   &Scan{Source: SourceSQL, Table: "edges"},
-		GroupBy: []string{"src"},
-		Aggs:    []AggSpec{{Col: "bytes", Fn: AggSum, As: "t"}},
-	}
-	if d := annotate(cat, a); d[0].Fuse != fuseSQLAgg {
-		t.Errorf("agg over native scan: Fuse = %d, want fuseSQLAgg", d[0].Fuse)
-	}
+	// An invalid aggregate function plans like any other; the aggregate
+	// raises the canonical error at execution.
 	bad := &Aggregate{
 		Input: &Scan{Source: SourceSQL, Table: "edges"},
 		Aggs:  []AggSpec{{Col: "bytes", Fn: "median", As: "m"}},
-	}
-	if d := annotate(cat, bad); d[0].Fuse != fuseNone {
-		t.Errorf("invalid agg fn fused: %+v", d[0])
 	}
 	if _, err := Run(cat, bad); err == nil || !strings.Contains(err.Error(), "unknown aggregate") {
 		t.Errorf("invalid agg fn error = %v, want unknown aggregate", err)
@@ -281,8 +267,7 @@ func TestPlanCacheFIFOEviction(t *testing.T) {
 }
 
 // TestPreparedPlanCarriesDecisions: Prepare copies the join build side
-// and fusion decisions onto the plan it executes, and leaves the caller's
-// plan nodes untouched.
+// onto the plan it executes, and leaves the caller's plan nodes untouched.
 func TestPreparedPlanCarriesDecisions(t *testing.T) {
 	cat := testCatalog()
 	join := &Join{
@@ -295,18 +280,18 @@ func TestPreparedPlanCarriesDecisions(t *testing.T) {
 		RightKey: "src",
 	}
 	j, ok := Prepare(cat, join).plan.(*Join)
-	if !ok || !j.buildLeft || !j.fused {
-		t.Fatalf("prepared join = %+v, want build-left and fused", j)
+	if !ok || !j.buildLeft {
+		t.Fatalf("prepared join = %+v, want build-left", j)
 	}
-	if join.buildLeft || join.fused {
+	if join.buildLeft {
 		t.Fatal("Prepare wrote decisions onto the caller's join")
 	}
-	unfused := &Join{
+	buildRight := &Join{
 		Left:    &Scan{Source: SourceGraph, Table: "edges"},
 		Right:   &Scan{Source: SourceSQL, Table: "edges"},
 		LeftKey: "dst", RightKey: "src",
 	}
-	if p := Prepare(cat, unfused); p.plan != Node(unfused) {
+	if p := Prepare(cat, buildRight); p.plan != Node(buildRight) {
 		t.Errorf("a join with default decisions was copied: %+v", p.plan)
 	}
 	agg := &Aggregate{
@@ -314,20 +299,19 @@ func TestPreparedPlanCarriesDecisions(t *testing.T) {
 		Aggs:  []AggSpec{{Col: "bytes", Fn: AggSum, As: "t"}},
 	}
 	p := Prepare(cat, agg)
-	if a, ok := p.plan.(*Aggregate); !ok || !a.fused || agg.fused {
-		t.Errorf("prepared aggregate = %+v (caller's fused=%v), want a fused copy", a, agg.fused)
+	if p.plan != Node(agg) {
+		t.Errorf("an aggregate was copied: %+v", p.plan)
 	}
-	// Run against a catalog without the database, a fused plan takes the
-	// unfused path, which reports the missing source.
+	// Run against a catalog without the database, the prepared plan
+	// reports the missing source.
 	_, err := p.ExecuteContext(context.Background(), &Catalog{Graph: cat.Graph})
 	if err == nil || err.Error() != "federate: catalog has no sql source" {
-		t.Errorf("fused aggregate without a database: err = %v", err)
+		t.Errorf("aggregate without a database: err = %v", err)
 	}
 }
 
 // TestPreparedExplainAnnotations checks the cost annotations on the
-// prepared rendering: row/cost estimates, native and fusion marks, build
-// side.
+// prepared rendering: row/cost estimates, native marks, build side.
 func TestPreparedExplainAnnotations(t *testing.T) {
 	cat := testCatalog()
 	p := Prepare(cat, &Join{
@@ -340,16 +324,9 @@ func TestPreparedExplainAnnotations(t *testing.T) {
 		RightKey: "src",
 	})
 	out := p.Explain()
-	for _, want := range []string{"rows~", "cost~", " native", " fused=sql-join", " build=left"} {
+	for _, want := range []string{"rows~", "cost~", " native", " build=left"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prepared explain missing %q:\n%s", want, out)
 		}
-	}
-	agg := Prepare(cat, &Aggregate{
-		Input: &Scan{Source: SourceSQL, Table: "edges"},
-		Aggs:  []AggSpec{{Col: "bytes", Fn: AggSum, As: "t"}},
-	})
-	if !strings.Contains(agg.Explain(), " fused=sql-agg") {
-		t.Errorf("agg explain missing fusion mark:\n%s", agg.Explain())
 	}
 }

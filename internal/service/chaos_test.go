@@ -17,6 +17,11 @@ import (
 	"repro/internal/obs/health"
 )
 
+func isShed(err error) bool {
+	var shed *ShedError
+	return errors.As(err, &shed)
+}
+
 // TestChaosSwapUnderLoad drives sustained concurrent load (Zipf-skewed
 // across tenants) while the dataset is swapped back and forth underneath
 // it. Every response must be dropped-free and consistent: the node count a

@@ -119,15 +119,18 @@ func (db *DB) execSelectBody(ctx context.Context, prof *obs.Profile, s *SelectSt
 		out = distinctRows(out)
 	}
 	if s.Offset != nil || s.Limit != nil {
+		// Compare in int64 against the rows that are left, never by adding:
+		// a huge LIMIT or OFFSET literal must clamp, not overflow.
+		n := out.NumRows()
 		start := 0
 		if s.Offset != nil {
-			start = int(*s.Offset)
+			start = n
+			if *s.Offset < int64(n) {
+				start = int(*s.Offset)
+			}
 		}
-		if start > out.NumRows() {
-			start = out.NumRows()
-		}
-		end := out.NumRows()
-		if s.Limit != nil && start+int(*s.Limit) < end {
+		end := n
+		if s.Limit != nil && *s.Limit < int64(n-start) {
 			end = start + int(*s.Limit)
 		}
 		idx := make([]int, 0, end-start)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/dataframe"
@@ -12,25 +11,21 @@ import (
 )
 
 // This file is the native pushdown surface the federated planner drives:
-// columnar scan, equi-join and group-by aggregation entry points that skip
-// SQL text, the parser and the per-row scope maps entirely and work
-// directly on the frames backing the tables. Semantics are pinned to the
+// one columnar table scan that skips SQL text, the parser and the per-row
+// scope maps and reads the frames backing the tables directly. Joins and
+// aggregates over its output run in the federated executor, the same
+// operators that serve frame and graph scans. Semantics are pinned to the
 // equivalent SELECT: conditions evaluate exactly like WHERE conjuncts
-// (CompareValues plus sameKind for equality, LIKE-prefix for "prefix"),
-// join and group keys use the same struct-key numeric collapsing as the
-// hash-join fast path, and the aggregate accumulators replicate the
-// federated executor's contract (nil cells skipped, integer-preserving
-// sums, first-appearance group order).
+// (CompareValues plus sameKind for equality, LIKE-prefix for "prefix").
 //
-// Anything these fast paths cannot reproduce bit-for-bit — a missing table
-// or column, a non-scalar key cell, a non-numeric sum input — returns
-// ErrPushdown instead of a best-effort answer. The caller falls back to
-// the general path, which produces the exact legacy result or error. The
-// sentinel must therefore never surface to users.
+// Anything the scan cannot reproduce bit-for-bit — a missing table or
+// column, a duplicate projection — returns ErrPushdown instead of a
+// best-effort answer. The caller falls back to SQL text, which produces
+// the exact result or error of the general path. The sentinel must
+// therefore never surface to users.
 
-// ErrPushdown reports that a native pushdown entry point cannot handle the
-// request; the caller must retry via the general (SQL-text or federated)
-// path. It carries no user-facing meaning.
+// ErrPushdown reports that the native scan cannot handle the request; the
+// caller must retry via SQL text. It carries no user-facing meaning.
 var ErrPushdown = errors.New("sqldb: native pushdown unsupported")
 
 // IsKeyword reports whether the name collides with a reserved word of the
@@ -177,37 +172,27 @@ func (db *DB) scanTable(ctx context.Context, spec ScanSpec) ([]string, [][]any, 
 // ScanColumns executes a native table scan, emitting the same profile
 // frames as the equivalent SELECT (sql.select > sql.scan [> sql.filter]).
 func (db *DB) ScanColumns(ctx context.Context, spec ScanSpec) ([]string, [][]any, error) {
-	if _, err := db.Table(spec.Table); err != nil {
+	f, err := db.Table(spec.Table)
+	if err != nil {
 		return nil, nil, ErrPushdown
 	}
 	prof := obs.ProfileFrom(ctx)
 	sel := enterFrame(ctx, prof, "sql.select", spec.Table)
-	names, data, err := db.scanColumnsBody(obs.WithFrame(ctx, sel), spec)
+	ctx = obs.WithFrame(ctx, sel)
+	if prof != nil {
+		scan := enterFrame(ctx, prof, "sql.scan", spec.Table)
+		prof.Exit(scan, int64(f.NumRows()))
+	}
+	names, data, err := db.scanTable(ctx, spec)
 	rows := int64(-1)
 	if err == nil {
 		rows = scanLen(data)
 	}
-	prof.Exit(sel, rows)
-	return names, data, err
-}
-
-func (db *DB) scanColumnsBody(ctx context.Context, spec ScanSpec) ([]string, [][]any, error) {
-	prof := obs.ProfileFrom(ctx)
-	if prof != nil {
-		if f, err := db.Table(spec.Table); err == nil {
-			scan := enterFrame(ctx, prof, "sql.scan", spec.Table)
-			prof.Exit(scan, int64(f.NumRows()))
-		}
-	}
-	names, data, err := db.scanTable(ctx, spec)
 	if prof != nil && len(spec.Conds) > 0 {
 		filt := enterFrame(ctx, prof, "sql.filter", "")
-		rows := int64(-1)
-		if err == nil {
-			rows = scanLen(data)
-		}
 		prof.Exit(filt, rows)
 	}
+	prof.Exit(sel, rows)
 	return names, data, err
 }
 
@@ -216,433 +201,4 @@ func scanLen(data [][]any) int64 {
 		return 0
 	}
 	return int64(len(data[0]))
-}
-
-// pushKey builds the comparable hash key for a join or group cell. The
-// equivalence classes match the federated executor's historical string
-// keys exactly: nil, bools, numbers collapsed across int64/float64, and
-// strings; everything else punts to the general path (which raises the
-// canonical "unhashable" error).
-func pushKey(cell any) (joinKey, error) {
-	v := normalizeVal(cell)
-	// Canonicalize NaN so every NaN payload lands in one key class (the
-	// federated executor's historical string keys rendered all NaNs alike).
-	if f, ok := v.(float64); ok && math.IsNaN(f) {
-		v = math.NaN()
-	}
-	k := keyOf(v)
-	if k.kind == 4 {
-		return joinKey{}, ErrPushdown
-	}
-	return k, nil
-}
-
-// JoinSpec is one native inner equi-join: Left JOIN Right ON LeftKey =
-// RightKey over two scanned tables. BuildLeft hashes the left input and
-// streams the right (the planner sets it when the left side is estimated
-// smaller); output rows are identical either way — left-major, with each
-// left row's matches in right-row order.
-type JoinSpec struct {
-	Left, Right       ScanSpec
-	LeftKey, RightKey string
-	BuildLeft         bool
-}
-
-// JoinColumns executes a native equi-join, with the federated join's
-// output schema: left columns, then right columns minus the right key,
-// collisions suffixed "_r".
-func (db *DB) JoinColumns(ctx context.Context, spec JoinSpec) ([]string, [][]any, error) {
-	if _, err := db.Table(spec.Left.Table); err != nil {
-		return nil, nil, ErrPushdown
-	}
-	if _, err := db.Table(spec.Right.Table); err != nil {
-		return nil, nil, ErrPushdown
-	}
-	prof := obs.ProfileFrom(ctx)
-	sel := enterFrame(ctx, prof, "sql.select", spec.Left.Table)
-	names, data, err := db.joinColumnsBody(obs.WithFrame(ctx, sel), spec)
-	rows := int64(-1)
-	if err == nil {
-		rows = scanLen(data)
-	}
-	prof.Exit(sel, rows)
-	return names, data, err
-}
-
-func (db *DB) joinColumnsBody(ctx context.Context, spec JoinSpec) ([]string, [][]any, error) {
-	prof := obs.ProfileFrom(ctx)
-	if prof != nil {
-		if f, err := db.Table(spec.Left.Table); err == nil {
-			scan := enterFrame(ctx, prof, "sql.scan", spec.Left.Table)
-			prof.Exit(scan, int64(f.NumRows()))
-		}
-	}
-	lNames, lData, err := db.scanTable(ctx, spec.Left)
-	if err != nil {
-		return nil, nil, err
-	}
-	jf := enterFrame(ctx, prof, "sql.join", "inner "+spec.Right.Table)
-	names, data, err := db.joinRight(obs.WithFrame(ctx, jf), spec, lNames, lData)
-	rows := int64(-1)
-	if err == nil {
-		rows = scanLen(data)
-	}
-	prof.Exit(jf, rows)
-	return names, data, err
-}
-
-func (db *DB) joinRight(ctx context.Context, spec JoinSpec, lNames []string, lData [][]any) ([]string, [][]any, error) {
-	prof := obs.ProfileFrom(ctx)
-	if prof != nil {
-		if f, err := db.Table(spec.Right.Table); err == nil {
-			scan := enterFrame(ctx, prof, "sql.scan", spec.Right.Table)
-			prof.Exit(scan, int64(f.NumRows()))
-		}
-	}
-	rNames, rData, err := db.scanTable(ctx, spec.Right)
-	if err != nil {
-		return nil, nil, err
-	}
-	li, ri := -1, -1
-	for i, c := range lNames {
-		if c == spec.LeftKey {
-			li = i
-			break
-		}
-	}
-	for i, c := range rNames {
-		if c == spec.RightKey {
-			ri = i
-			break
-		}
-	}
-	if li < 0 || ri < 0 {
-		return nil, nil, ErrPushdown
-	}
-	// Output schema: the federated join contract.
-	outNames := append([]string(nil), lNames...)
-	taken := map[string]bool{}
-	for _, c := range outNames {
-		taken[c] = true
-	}
-	var rightCols []int
-	for i, c := range rNames {
-		if i == ri {
-			continue
-		}
-		rightCols = append(rightCols, i)
-		if taken[c] {
-			c += "_r"
-		}
-		taken[c] = true
-		outNames = append(outNames, c)
-	}
-	nl, nr := int(scanLen(lData)), int(scanLen(rData))
-	// matches[i] lists, in right-row order, the right rows joining left
-	// row i; built by probing whichever side the planner chose to hash.
-	matches := make([][]int, nl)
-	if spec.BuildLeft {
-		index := make(map[joinKey][]int, nl)
-		for i := 0; i < nl; i++ {
-			if err := cancelled(ctx, i); err != nil {
-				return nil, nil, err
-			}
-			k, err := pushKey(lData[li][i])
-			if err != nil {
-				return nil, nil, err
-			}
-			index[k] = append(index[k], i)
-		}
-		for j := 0; j < nr; j++ {
-			if err := cancelled(ctx, j); err != nil {
-				return nil, nil, err
-			}
-			k, err := pushKey(rData[ri][j])
-			if err != nil {
-				return nil, nil, err
-			}
-			for _, i := range index[k] {
-				matches[i] = append(matches[i], j)
-			}
-		}
-	} else {
-		index := make(map[joinKey][]int, nr)
-		for j := 0; j < nr; j++ {
-			if err := cancelled(ctx, j); err != nil {
-				return nil, nil, err
-			}
-			k, err := pushKey(rData[ri][j])
-			if err != nil {
-				return nil, nil, err
-			}
-			index[k] = append(index[k], j)
-		}
-		for i := 0; i < nl; i++ {
-			if err := cancelled(ctx, i); err != nil {
-				return nil, nil, err
-			}
-			k, err := pushKey(lData[li][i])
-			if err != nil {
-				return nil, nil, err
-			}
-			matches[i] = index[k]
-		}
-	}
-	out := make([][]any, len(outNames))
-	for i := range out {
-		out[i] = []any{}
-	}
-	emitted := 0
-	for i := 0; i < nl; i++ {
-		for _, j := range matches[i] {
-			if err := cancelled(ctx, emitted); err != nil {
-				return nil, nil, err
-			}
-			emitted++
-			for c := range lNames {
-				out[c] = append(out[c], lData[c][i])
-			}
-			for c, rc := range rightCols {
-				out[len(lNames)+c] = append(out[len(lNames)+c], rData[rc][j])
-			}
-		}
-	}
-	return outNames, out, nil
-}
-
-// GroupAgg is one aggregation of a native group-by: Fn (count, sum, mean,
-// min, max) over Col, emitted as As. Count ignores Col.
-type GroupAgg struct {
-	Col string
-	Fn  string
-	As  string
-}
-
-// GroupSpec is one native group-by aggregation over a scanned table.
-// Empty GroupBy computes one global group (emitting a single row even
-// over empty input, per SQL semantics).
-type GroupSpec struct {
-	Input   ScanSpec
-	GroupBy []string
-	Aggs    []GroupAgg
-}
-
-// GroupColumns executes a native group-by with the federated aggregate
-// contract: groups in first-appearance order, nil cells skipped, sums
-// integer-preserving, mean always float, min/max by CompareValues.
-func (db *DB) GroupColumns(ctx context.Context, spec GroupSpec) ([]string, [][]any, error) {
-	if _, err := db.Table(spec.Input.Table); err != nil {
-		return nil, nil, ErrPushdown
-	}
-	prof := obs.ProfileFrom(ctx)
-	sel := enterFrame(ctx, prof, "sql.select", spec.Input.Table)
-	names, data, err := db.groupColumnsBody(obs.WithFrame(ctx, sel), spec)
-	rows := int64(-1)
-	if err == nil {
-		rows = scanLen(data)
-	}
-	prof.Exit(sel, rows)
-	return names, data, err
-}
-
-func (db *DB) groupColumnsBody(ctx context.Context, spec GroupSpec) ([]string, [][]any, error) {
-	inNames, inData, err := db.scanColumnsBody(ctx, spec.Input)
-	if err != nil {
-		return nil, nil, err
-	}
-	colIdx := func(name string) (int, bool) {
-		for i, c := range inNames {
-			if c == name {
-				return i, true
-			}
-		}
-		return -1, false
-	}
-	gidx := make([]int, len(spec.GroupBy))
-	for i, c := range spec.GroupBy {
-		j, ok := colIdx(c)
-		if !ok {
-			return nil, nil, ErrPushdown
-		}
-		gidx[i] = j
-	}
-	aidx := make([]int, len(spec.Aggs))
-	for i, sp := range spec.Aggs {
-		switch sp.Fn {
-		case "count":
-			aidx[i] = -1
-			continue
-		case "sum", "mean", "min", "max":
-		default:
-			return nil, nil, ErrPushdown
-		}
-		j, ok := colIdx(sp.Col)
-		if !ok {
-			return nil, nil, ErrPushdown
-		}
-		aidx[i] = j
-	}
-	type group struct {
-		key  []any
-		accs []pushAgg
-	}
-	var order []*group
-	groups := map[string]*group{}
-	single := map[joinKey]*group{}
-	n := int(scanLen(inData))
-	var kbuf []joinKey
-	for r := 0; r < n; r++ {
-		if err := cancelled(ctx, r); err != nil {
-			return nil, nil, err
-		}
-		var g *group
-		if len(gidx) == 1 {
-			k, err := pushKey(inData[gidx[0]][r])
-			if err != nil {
-				return nil, nil, err
-			}
-			g = single[k]
-			if g == nil {
-				g = &group{key: []any{normalizeVal(inData[gidx[0]][r])}, accs: make([]pushAgg, len(spec.Aggs))}
-				single[k] = g
-				order = append(order, g)
-			}
-		} else if len(gidx) > 0 {
-			kbuf = kbuf[:0]
-			for _, j := range gidx {
-				k, err := pushKey(inData[j][r])
-				if err != nil {
-					return nil, nil, err
-				}
-				kbuf = append(kbuf, k)
-			}
-			ks := fmt.Sprintf("%v", kbuf)
-			g = groups[ks]
-			if g == nil {
-				g = &group{key: make([]any, len(gidx)), accs: make([]pushAgg, len(spec.Aggs))}
-				for i, j := range gidx {
-					g.key[i] = normalizeVal(inData[j][r])
-				}
-				groups[ks] = g
-				order = append(order, g)
-			}
-		} else {
-			if len(order) == 0 {
-				order = append(order, &group{accs: make([]pushAgg, len(spec.Aggs))})
-			}
-			g = order[0]
-		}
-		for i, sp := range spec.Aggs {
-			var v any
-			if aidx[i] >= 0 {
-				v = normalizeVal(inData[aidx[i]][r])
-			}
-			if err := g.accs[i].add(sp.Fn, v); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-	if len(gidx) == 0 && len(order) == 0 {
-		order = append(order, &group{accs: make([]pushAgg, len(spec.Aggs))})
-	}
-	outNames := append([]string(nil), spec.GroupBy...)
-	for _, sp := range spec.Aggs {
-		outNames = append(outNames, sp.As)
-	}
-	out := make([][]any, len(outNames))
-	for i := range out {
-		out[i] = make([]any, len(order))
-	}
-	for r, g := range order {
-		for i := range gidx {
-			out[i][r] = g.key[i]
-		}
-		for i, sp := range spec.Aggs {
-			out[len(gidx)+i][r] = g.accs[i].result(sp.Fn)
-		}
-	}
-	return outNames, out, nil
-}
-
-// pushAgg replicates the federated executor's aggregate accumulator: nil
-// cells are skipped (SQL NULL), sums stay integral while every input is an
-// int64, mean is always float, min/max compare via CompareValues. Inputs
-// outside the scalar domain punt to the general path via ErrPushdown.
-type pushAgg struct {
-	count    int64
-	sumF     float64
-	sumI     int64
-	allInt   bool
-	seen     bool
-	best     any
-	haveBest bool
-}
-
-func (g *pushAgg) add(fn string, v any) error {
-	if fn == "count" {
-		g.count++
-		return nil
-	}
-	if v == nil {
-		return nil
-	}
-	switch fn {
-	case "sum", "mean":
-		switch x := v.(type) {
-		case int64:
-			if !g.seen {
-				g.allInt = true
-			}
-			g.sumI += x
-			g.sumF += float64(x)
-		case float64:
-			g.allInt = false
-			g.sumF += x
-		default:
-			return ErrPushdown
-		}
-		g.seen = true
-		g.count++
-	case "min", "max":
-		switch v.(type) {
-		case bool, int64, float64, string:
-		default:
-			return ErrPushdown
-		}
-		if !g.haveBest {
-			g.best, g.haveBest = v, true
-			return nil
-		}
-		cmp := dataframe.CompareValues(g.best, v)
-		if (fn == "min" && cmp > 0) || (fn == "max" && cmp < 0) {
-			g.best = v
-		}
-	}
-	return nil
-}
-
-func (g *pushAgg) result(fn string) any {
-	switch fn {
-	case "count":
-		return g.count
-	case "sum":
-		if !g.seen {
-			return nil
-		}
-		if g.allInt {
-			return g.sumI
-		}
-		return g.sumF
-	case "mean":
-		if !g.seen {
-			return nil
-		}
-		return g.sumF / float64(g.count)
-	case "min", "max":
-		if !g.haveBest {
-			return nil
-		}
-		return g.best
-	}
-	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"testing"
 
@@ -93,150 +92,6 @@ func TestScanColumnsErrPushdown(t *testing.T) {
 	_, werr := db.Query("SELECT * FROM edges WHERE bytes LIKE '1%'")
 	if werr == nil || err.Error() != werr.Error() {
 		t.Errorf("native LIKE error %q != text path %q", err, werr)
-	}
-}
-
-// TestJoinColumnsMatchesJoin compares the native equi-join against the
-// SELECT JOIN text path modulo the federated schema difference (the
-// federated join drops the right key and suffixes collisions with _r).
-func TestJoinColumnsMatchesJoin(t *testing.T) {
-	db := testDB()
-	ctx := context.Background()
-	for _, buildLeft := range []bool{false, true} {
-		spec := JoinSpec{
-			Left:      ScanSpec{Table: "edges"},
-			Right:     ScanSpec{Table: "nodes"},
-			LeftKey:   "dst",
-			RightKey:  "id",
-			BuildLeft: buildLeft,
-		}
-		names, data, err := db.JoinColumns(ctx, spec)
-		if err != nil {
-			t.Fatalf("JoinColumns(buildLeft=%v): %v", buildLeft, err)
-		}
-		wantCols := []string{"src", "dst", "bytes", "packets", "prefix", "dc", "load"}
-		if strings.Join(names, ",") != strings.Join(wantCols, ",") {
-			t.Fatalf("join cols %v, want %v", names, wantCols)
-		}
-		got := frameOf(names, data)
-		if got.NumRows() != 4 {
-			t.Fatalf("join rows %d, want 4", got.NumRows())
-		}
-		// Left-major order with matches in right-row order, independent of
-		// the build side: the first output row joins edge (a,b) to node b.
-		if cell, _ := got.Cell(0, "dc"); cell != "west" {
-			t.Errorf("buildLeft=%v first row dc = %v, want west (node b)", buildLeft, cell)
-		}
-	}
-}
-
-// TestJoinColumnsKeyClasses pins the key equivalence classes: int64/float64
-// collapse, every NaN payload is one class, and unhashable keys refuse.
-func TestJoinColumnsKeyClasses(t *testing.T) {
-	db := NewDB()
-	l := dataframe.New("k", "lv")
-	l.AppendRow(1, "int")
-	l.AppendRow(math.NaN(), "nan")
-	db.CreateTable("l", l)
-	r := dataframe.New("k", "rv")
-	r.AppendRow(1.0, "float")
-	r.AppendRow(math.NaN(), "nan2")
-	db.CreateTable("r", r)
-	names, data, err := db.JoinColumns(context.Background(), JoinSpec{
-		Left: ScanSpec{Table: "l"}, Right: ScanSpec{Table: "r"},
-		LeftKey: "k", RightKey: "k",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := frameOf(names, data)
-	if f.NumRows() != 2 {
-		t.Fatalf("rows = %d, want 2 (1==1.0 and NaN~NaN):\n%v", f.NumRows(), data)
-	}
-	// pushKey itself refuses non-scalar cells (a frame stringifies them at
-	// append, but the guard keeps the entry points total).
-	if _, err := pushKey([]any{1}); !errors.Is(err, ErrPushdown) {
-		t.Errorf("pushKey(non-scalar): err = %v, want ErrPushdown", err)
-	}
-}
-
-// TestGroupColumnsMatchesGroupBy compares the native group-by against the
-// text path for every aggregate function, plus the empty-input global row.
-func TestGroupColumnsMatchesGroupBy(t *testing.T) {
-	db := testDB()
-	ctx := context.Background()
-	names, data, err := db.GroupColumns(ctx, GroupSpec{
-		Input:   ScanSpec{Table: "edges"},
-		GroupBy: []string{"src"},
-		Aggs: []GroupAgg{
-			{Col: "bytes", Fn: "sum", As: "total"},
-			{Col: "bytes", Fn: "count", As: "n"},
-			{Col: "bytes", Fn: "mean", As: "avg"},
-			{Col: "bytes", Fn: "min", As: "lo"},
-			{Col: "bytes", Fn: "max", As: "hi"},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := frameOf(names, data)
-	want := mustQuery(t, db,
-		"SELECT src, SUM(bytes) AS total, COUNT(bytes) AS n, AVG(bytes) AS avg, MIN(bytes) AS lo, MAX(bytes) AS hi FROM edges GROUP BY src")
-	// The text path may order groups differently; compare as sets of rows.
-	if got.NumRows() != want.NumRows() {
-		t.Fatalf("group rows %d, want %d", got.NumRows(), want.NumRows())
-	}
-	index := map[string][]any{}
-	for r := 0; r < want.NumRows(); r++ {
-		key, _ := want.Cell(r, "src")
-		row := make([]any, 0, len(names))
-		for _, c := range names {
-			cell, _ := want.Cell(r, c)
-			row = append(row, cell)
-		}
-		index[fmt.Sprint(key)] = row
-	}
-	for r := 0; r < got.NumRows(); r++ {
-		key, _ := got.Cell(r, "src")
-		wrow, ok := index[fmt.Sprint(key)]
-		if !ok {
-			t.Fatalf("native group %v missing from text result", key)
-		}
-		for i, c := range names {
-			cell, _ := got.Cell(r, c)
-			if dataframe.CompareValues(cell, wrow[i]) != 0 {
-				t.Errorf("group %v col %s: native %v, text %v", key, c, cell, wrow[i])
-			}
-		}
-	}
-	// Empty input, no GroupBy: one global row (SQL semantics).
-	names, data, err = db.GroupColumns(ctx, GroupSpec{
-		Input: ScanSpec{Table: "edges", Conds: []Cond{{Col: "bytes", Op: ">", Value: int64(1 << 40)}}},
-		Aggs:  []GroupAgg{{Col: "bytes", Fn: "count", As: "n"}, {Col: "bytes", Fn: "sum", As: "s"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scanLen(data) != 1 || data[0][0] != int64(0) || data[1][0] != nil {
-		t.Errorf("empty global group: names=%v data=%v, want one row (0, nil)", names, data)
-	}
-}
-
-// TestGroupColumnsErrPushdown pins group-by refusals: unknown group or agg
-// columns, unknown functions, unhashable group keys.
-func TestGroupColumnsErrPushdown(t *testing.T) {
-	db := testDB()
-	ctx := context.Background()
-	cases := []GroupSpec{
-		{Input: ScanSpec{Table: "edges"}, GroupBy: []string{"ghost"}},
-		{Input: ScanSpec{Table: "edges"}, Aggs: []GroupAgg{{Col: "ghost", Fn: "sum", As: "s"}}},
-		{Input: ScanSpec{Table: "edges"}, Aggs: []GroupAgg{{Col: "bytes", Fn: "median", As: "m"}}},
-		{Input: ScanSpec{Table: "ghost"}},
-	}
-	for _, spec := range cases {
-		if _, _, err := db.GroupColumns(ctx, spec); !errors.Is(err, ErrPushdown) {
-			t.Errorf("GroupColumns(%+v): err = %v, want ErrPushdown", spec, err)
-		}
 	}
 }
 

@@ -196,6 +196,27 @@ func TestOrderByLimitOffset(t *testing.T) {
 	if !reflect.DeepEqual(ids2, []any{"d", "a"}) {
 		t.Fatalf("ids = %v", ids2)
 	}
+	// LIMIT and OFFSET literals up to MaxInt64 clamp to the rows left
+	// instead of overflowing the end index.
+	for _, c := range []struct {
+		sql  string
+		want []any
+	}{
+		{"SELECT id FROM nodes LIMIT 9223372036854775807 OFFSET 1", []any{"b", "c", "d"}},
+		{"SELECT id FROM nodes LIMIT 9223372036854775807", []any{"a", "b", "c", "d"}},
+		{"SELECT id FROM nodes LIMIT 2 OFFSET 9223372036854775807", []any{}},
+		{"SELECT id FROM nodes LIMIT 9223372036854775807 OFFSET 9223372036854775807", []any{}},
+		{"SELECT id FROM nodes LIMIT 9223372036854775807 OFFSET 4", []any{}},
+	} {
+		f, err := db.Query(c.sql)
+		if err != nil {
+			t.Fatalf("query %q: %v", c.sql, err)
+		}
+		got, _ := f.Column("id")
+		if len(got) != len(c.want) || (len(got) > 0 && !reflect.DeepEqual(got, c.want)) {
+			t.Errorf("%s: ids = %v, want %v", c.sql, got, c.want)
+		}
+	}
 	// ORDER BY an expression not in the output.
 	f3 := mustQuery(t, db, "SELECT id FROM nodes ORDER BY load * -1")
 	ids3, _ := f3.Column("id")
