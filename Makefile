@@ -1,7 +1,7 @@
 # Build/verify/benchmark entry points. `make verify` is the tier-1 gate
 # (build + vet + tests); `make lint` adds the NQL registry vet (nqlvet
 # over every golden program x backend) and staticcheck when installed;
-# `make fuzz` runs the NQL fuzz targets for a fixed time each;
+# `make fuzz` runs the fuzz targets for a fixed time each;
 # `make bench` records the benchmark suite as JSON so successive PRs can
 # track the perf trajectory (BENCH_11.json is the next snapshot; bump
 # BENCH_OUT after recording it); `make benchdiff` compares the two most
@@ -10,7 +10,8 @@
 # cmd/benchdiff) on the ROADMAP watchlist (Table2 / Table4 / Clone / PageRank /
 # SandboxGoldenQuery / NQLVM / StreamSweep / GatewayThroughput /
 # ServiceQuery / FederatedJoin / FederatedGoldenQuery / FederatedAnalytics /
-# FederatedPipeline / InstanceBind / DataframeRecords / SQLJoinWhere).
+# FederatedPipeline / FederatedSQLJoin / InstanceBind / DataframeRecords /
+# SQLJoinWhere).
 
 GO        ?= go
 BENCH_OUT ?= BENCH_11.json
@@ -63,15 +64,17 @@ install-staticcheck:
 race:
 	$(GO) test -race ./internal/nemoeval ./internal/graph ./internal/nql ./internal/nql/analysis ./internal/sandbox ./internal/nqlbind ./internal/traffic ./internal/modelserve ./internal/federate ./internal/limiter ./internal/service ./internal/obs ./internal/obs/health ./internal/sqldb ./internal/dataframe
 
-# Coverage-guided fuzzing of the NQL front end and VM, 30 s per target:
-# FuzzAnalyze (the semantic analyzer never panics) and FuzzRun (a program
-# fails only as a syntax, compile or categorized runtime error, never with
-# a panic or an internal-class error). go test -fuzz takes one target per
-# run. A failing input is written to the package's testdata/fuzz, where
-# plain `go test` replays it from then on.
+# Coverage-guided fuzzing, 30 s per target: FuzzAnalyze (the NQL semantic
+# analyzer never panics), FuzzRun (an NQL program fails only as a syntax,
+# compile or categorized runtime error, never with a panic or an
+# internal-class error) and FuzzScanColumns (sqldb's columnar scan gives
+# the equivalent SELECT's rows, error text and profile frames). go test
+# -fuzz takes one target per run. A failing input is written to the
+# package's testdata/fuzz, where plain `go test` replays it from then on.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyze$$' -fuzztime 30s ./internal/nql/analysis
 	$(GO) test -run '^$$' -fuzz '^FuzzRun$$' -fuzztime 30s ./internal/nql
+	$(GO) test -run '^$$' -fuzz '^FuzzScanColumns$$' -fuzztime 30s ./internal/sqldb
 
 # Record the benchmark suite as test2json records for tooling: the macro
 # benchmarks (whole tables/figures/ablations) run one iteration, while the

@@ -560,7 +560,7 @@ func BenchmarkFederatedJoin(b *testing.B) {
 }
 
 // BenchmarkFederatedPipeline runs a filtered SQL scan aggregated and
-// sorted over a larger traffic graph. The aggregate reads the native SQL
+// sorted over a larger traffic graph. The aggregate reads the columnar SQL
 // scan's cells in place, so this gates the aggregate over column storage.
 func BenchmarkFederatedPipeline(b *testing.B) {
 	cfg := nemoeval.DefaultTrafficConfig
@@ -594,7 +594,7 @@ func BenchmarkFederatedPipeline(b *testing.B) {
 
 // BenchmarkFederatedSQLJoin joins the SQL edges table with the SQL nodes
 // table on dst = id over the 600-node, 6000-edge traffic instance: the
-// join reads both native SQL scans' cells in place and lifts only its
+// join reads both columnar SQL scans' cells in place and lifts only its
 // output rows.
 func BenchmarkFederatedSQLJoin(b *testing.B) {
 	cfg := nemoeval.DefaultTrafficConfig

@@ -21,11 +21,11 @@
 // cross-substrate query planner (internal/federate, bound as `fed`): one
 // logical plan — scan/filter/project/join/aggregate/sort/limit — is
 // planned across the substrates with per-source pushdown (SQL filters
-// compile to WHERE clauses, graph scans push whole computations such as
-// PageRank down into the graph library) and a shared executor lifts rows
-// into NQL values. Preparation is cost-based: per-epoch table statistics
-// drive join build-side choice, SourceAny resolution and native columnar
-// SQL pushdown, with the decision list cached process-wide per (plan
+// become conditions of sqldb's columnar scan, graph scans push whole
+// computations such as PageRank down into the graph library) and a shared
+// executor lifts rows into NQL values. Preparation is cost-based:
+// per-epoch table statistics drive join build-side choice and SourceAny
+// resolution, with the decision list cached process-wide per (plan
 // fingerprint, catalog epoch) so clones of one frozen dataset master plan
 // once. One recursive executor with one join and one aggregate runs the
 // decided plan over every source: scans filter on source columns before

@@ -131,6 +131,7 @@ func corpusCases() []corpusCase {
 		{name: "unknown table", plan: &Scan{Source: SourceSQL, Table: "ghost"}},
 		{name: "sort unknown column", plan: &Sort{Cols: []string{"ghost"}, Input: sqlEdges()}},
 		{name: "project unknown column", plan: &Project{Cols: []string{"ghost"}, Input: sqlEdges()}},
+		{name: "sql scan unknown column", plan: &Filter{Input: sqlEdges(), Pred: Cmp{Col: "ghost", Op: "==", Value: int64(1)}}},
 		{name: "group unknown column", plan: &Aggregate{Input: sqlEdges(), GroupBy: []string{"ghost"},
 			Aggs: []AggSpec{{Fn: AggCount, As: "n"}}}},
 		{name: "agg unknown column", plan: &Aggregate{Input: sqlEdges(),
@@ -355,8 +356,12 @@ var corpusPins = map[string]corpusPin{
 		frames: `scan sql.edges cols=(ghost) rows=-1
   sql.select edges rows=-1
     sql.scan edges rows=4
+`},
+	"sql scan unknown column": {err: `sql: unknown column "ghost" (available: [edges.bytes edges.dst edges.src])`,
+		frames: `scan sql.edges [ghost == 1] rows=-1
   sql.select edges rows=-1
     sql.scan edges rows=4
+    sql.filter rows=-1
 `},
 	"group unknown column": {err: `federate: column "ghost" does not exist (have [src dst bytes])`,
 		frames: `aggregate group=(ghost) aggs=(count() as n) rows=-1

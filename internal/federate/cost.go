@@ -1,17 +1,13 @@
 package federate
 
-import (
-	"math"
-
-	"repro/internal/sqldb"
-)
+import "math"
 
 // This file is the cost model: it walks an optimized logical plan and
 // produces one decision per node (pre-order) — resolved source for
-// SourceAny scans, native-pushdown eligibility and join build side — plus
-// row and cost estimates for explain output. Decisions are pure data,
-// independent of any closure in the plan, which is what makes them
-// cacheable across sessions (see prepare.go).
+// SourceAny scans and join build side — plus row and cost estimates for
+// explain output. Decisions are pure data, independent of any closure in
+// the plan, which is what makes them cacheable across sessions (see
+// prepare.go).
 
 // SourceAny lets a scan defer its substrate: the planner resolves it to
 // the cheapest source exposing the table (preferring sql, then frame,
@@ -23,7 +19,6 @@ const SourceAny = "any"
 type decision struct {
 	Kind      byte    // node kind tag, validated when replaying from cache
 	Source    string  // scans: resolved source (copied from the node unless SourceAny)
-	Native    bool    // scans: nativeScanOK holds, so execScan uses sqldb's columnar scan (read by costing and Explain)
 	BuildLeft bool    // joins: hash the smaller (left) input
 	EstRows   float64 // estimated output rows
 	EstCost   float64 // estimated cumulative cost (arbitrary units)
@@ -62,15 +57,13 @@ func nodeKind(n Node) byte {
 	}
 }
 
-// liftCost is the per-row cost of scanning substrate rows into the
-// relation's value domain; the native columnar path skips SQL parsing and
-// the per-row scope maps of the text path entirely.
+// Per-row costs of scanning substrate rows into the relation's value
+// domain.
 const (
-	liftCostText   = 4.0  // SQL text path: parse + scopes + result frame + lift
-	liftCostNative = 0.5  // sqldb columnar pushdown
-	liftCostFrame  = 1.0  // direct frame lift
-	liftCostGraph  = 1.5  // graph attr lift
-	computeCost    = 25.0 // per-row surcharge for whole-graph virtual tables
+	liftCostSQL   = 0.5  // sqldb columnar scan
+	liftCostFrame = 1.0  // direct frame lift
+	liftCostGraph = 1.5  // graph attr lift
+	computeCost   = 25.0 // per-row surcharge for whole-graph virtual tables
 )
 
 // annotate computes the decision list for an optimized plan. It never
@@ -141,8 +134,8 @@ func costNode(cat *Catalog, cs *catalogStats, n Node, decs *[]decision) nodeEst 
 	return est
 }
 
-// costScan resolves the scan's source (for SourceAny), decides native
-// pushdown, and estimates output rows after the pushed predicates.
+// costScan resolves the scan's source (for SourceAny) and estimates output
+// rows after the pushed predicates.
 func costScan(cat *Catalog, cs *catalogStats, s *Scan, d *decision) nodeEst {
 	source := s.Source
 	if source == SourceAny {
@@ -158,22 +151,21 @@ func costScan(cat *Catalog, cs *catalogStats, s *Scan, d *decision) nodeEst {
 	for _, c := range s.Pushed {
 		sel *= cmpSelectivity(c, st)
 	}
-	lift := liftCostFrame
+	return nodeEst{rows: rows * sel, cost: rows * liftCost(source, st), scan: st}
+}
+
+// liftCost is the per-row cost of a scan of source (st may be nil).
+func liftCost(source string, st *TableStats) float64 {
 	switch source {
 	case SourceSQL:
-		if nativeScanOK(cat, s) {
-			d.Native = true
-			lift = liftCostNative
-		} else {
-			lift = liftCostText
-		}
+		return liftCostSQL
 	case SourceGraph:
-		lift = liftCostGraph
 		if st != nil && st.Compute {
-			lift += computeCost
+			return liftCostGraph + computeCost
 		}
+		return liftCostGraph
 	}
-	return nodeEst{rows: rows * sel, cost: rows * lift, scan: st}
+	return liftCostFrame
 }
 
 // resolveSource picks the cheapest substrate exposing the table for a
@@ -186,20 +178,7 @@ func resolveSource(cat *Catalog, cs *catalogStats, s *Scan) string {
 		if st == nil {
 			continue
 		}
-		lift := liftCostFrame
-		switch source {
-		case SourceSQL:
-			lift = liftCostText
-			if nativeScanOK(cat, &Scan{Source: SourceSQL, Table: s.Table, Pushed: s.Pushed, Cols: s.Cols}) {
-				lift = liftCostNative
-			}
-		case SourceGraph:
-			lift = liftCostGraph
-			if st.Compute {
-				lift += computeCost
-			}
-		}
-		if c := float64(st.Rows) * lift; c < bestCost {
+		if c := float64(st.Rows) * liftCost(source, st); c < bestCost {
 			best, bestCost = source, c
 		}
 	}
@@ -264,78 +243,4 @@ func cmpSelectivity(c Cmp, st *TableStats) float64 {
 	default:
 		return 1.0 / 3
 	}
-}
-
-// --- native pushdown gates ---------------------------------------------
-
-// identOK reports whether a name lexes as a plain SQL identifier and is
-// not a reserved word — required for any name the text path would embed
-// in generated SQL, so the native path never succeeds where the text path
-// would raise a parse error.
-func identOK(name string) bool {
-	if name == "" || sqldb.IsKeyword(name) {
-		return false
-	}
-	for i, r := range name {
-		switch {
-		case r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z'):
-		case r >= '0' && r <= '9':
-			if i == 0 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// nativeScanOK gates the sqldb columnar pushdown for one SQL scan. The
-// native path must be observationally identical to the text path, so any
-// shape whose generated SQL would not parse — or whose narrowed SELECT
-// has duplicate columns — stays on text.
-func nativeScanOK(cat *Catalog, s *Scan) bool {
-	if cat.DB == nil || !identOK(s.Table) {
-		return false
-	}
-	allPushed := true
-	for _, c := range s.Pushed {
-		if _, ok := sqlCompile(c); !ok {
-			allPushed = false
-			continue
-		}
-		// This predicate lands in the WHERE text on the text path.
-		if !identOK(c.Col) {
-			return false
-		}
-	}
-	if s.Cols != nil && allPushed {
-		// The text path would narrow the SELECT list.
-		seen := map[string]bool{}
-		for _, c := range s.Cols {
-			if !identOK(c) || seen[c] {
-				return false
-			}
-			seen[c] = true
-		}
-	}
-	return true
-}
-
-// splitConds partitions a native scan's pushed predicates into the
-// sqldb-native conditions and the residual local predicates (evaluated on
-// lifted batches, exactly like the text path's local remainder).
-func splitConds(pushed []Cmp) (native []sqldb.Cond, local []Cmp) {
-	for _, c := range pushed {
-		if _, ok := sqlCompile(c); !ok {
-			local = append(local, c)
-			continue
-		}
-		op := c.Op
-		if op == "==" {
-			op = "="
-		}
-		native = append(native, sqldb.Cond{Col: c.Col, Op: op, Value: c.Value})
-	}
-	return native, local
 }

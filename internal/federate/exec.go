@@ -2,11 +2,9 @@ package federate
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/dataframe"
@@ -175,7 +173,7 @@ func execScan(cat *Catalog, s *Scan) (columns, error) {
 
 // columns is an operator input in column-major form: n rows of the named
 // columns, lifted one cell at a time as an operator reads them. Column
-// storage (a frame, a native sqldb scan) sits in data; graph tables and
+// storage (a frame, a sqldb scan) sits in data; graph tables and
 // lifted relations read through cell. rows, when non-nil, maps each row to
 // the source row that survived the scan's predicates.
 type columns struct {
@@ -224,7 +222,7 @@ func (s *columns) relation() *Relation {
 }
 
 // dataColumns adapts one value slice per column (a frame's storage or a
-// native sqldb scan result) to a scan source.
+// sqldb scan result) to a scan source.
 func dataColumns(names []string, data [][]any) columns {
 	n := 0
 	if len(data) > 0 {
@@ -411,94 +409,53 @@ func frameColumns(f *dataframe.Frame) columns {
 	return dataColumns(names, data)
 }
 
-// scanSQL pushes the scan into the SQL engine: projected columns narrow the
-// scan and every pushed predicate that has a SQL rendering becomes a WHERE
-// conjunct. Predicates the dialect cannot express (bool/nil literals,
-// strings containing quotes, contains) are applied locally afterwards.
-// Scans nativeScanOK admits run through sqldb's columnar ScanColumns; the
-// rest, and any scan it answers with ErrPushdown, render SQL text.
+// scanSQL runs the scan as sqldb's columnar ScanColumns. Every pushed
+// predicate sqlCond maps becomes a WHERE condition there; the rest
+// (contains, bool and nil literals) filter its result locally with NQL
+// semantics.
 func scanSQL(cat *Catalog, s *Scan) (columns, error) {
 	if cat.DB == nil {
 		return columns{}, fmt.Errorf("federate: catalog has no sql source")
 	}
-	native, local := splitConds(s.Pushed)
-	// Local predicates may reference columns outside the projection, so the
-	// narrowed scan is only safe when everything was pushed.
-	narrow := s.Cols != nil && len(local) == 0
-	project := s.Cols
-	if narrow {
-		project = nil
-	}
-	if nativeScanOK(cat, s) {
-		spec := sqldb.ScanSpec{Table: s.Table, Conds: native}
-		if narrow {
-			spec.Cols = s.Cols
-		}
-		names, data, err := cat.DB.ScanColumns(cat.context(), spec)
-		if err == nil {
-			return selectRows(cat, dataColumns(names, data), local, project)
-		}
-		if !errors.Is(err, sqldb.ErrPushdown) {
-			return columns{}, err
-		}
-	}
-	sel := "*"
-	if narrow {
-		sel = strings.Join(s.Cols, ", ")
-	}
-	q := fmt.Sprintf("SELECT %s FROM %s", sel, s.Table)
-	var where []string
+	spec := sqldb.ScanSpec{Table: s.Table}
+	var local []Cmp
 	for _, c := range s.Pushed {
-		if cond, ok := sqlCompile(c); ok {
-			where = append(where, cond)
+		if cond, ok := sqlCond(c); ok {
+			spec.Conds = append(spec.Conds, cond)
+		} else {
+			local = append(local, c)
 		}
 	}
-	if len(where) > 0 {
-		q += " WHERE " + strings.Join(where, " AND ")
+	// Local predicates may reference columns outside the projection, so the
+	// scan narrows only when everything was pushed.
+	project := s.Cols
+	if len(local) == 0 {
+		spec.Cols, project = s.Cols, nil
 	}
-	f, err := cat.DB.QueryContext(cat.context(), q)
+	names, data, err := cat.DB.ScanColumns(cat.context(), spec)
 	if err != nil {
 		return columns{}, err
 	}
-	return selectRows(cat, frameColumns(f), local, project)
+	return selectRows(cat, dataColumns(names, data), local, project)
 }
 
-// sqlCompile renders a structured predicate as a SQL condition; ok is false
-// when the dialect cannot express it and it must run locally.
-func sqlCompile(c Cmp) (string, bool) {
-	var op string
-	switch c.Op {
+// sqlCond maps a pushed predicate onto a sqldb condition: a comparison or
+// prefix against an int64, float64 or string literal. ok is false for
+// every other predicate.
+func sqlCond(c Cmp) (sqldb.Cond, bool) {
+	op := c.Op
+	switch op {
 	case "==":
 		op = "="
-	case "!=", "<", "<=", ">", ">=":
-		op = c.Op
-	case "prefix":
-		s, ok := c.Value.(string)
-		if !ok || strings.ContainsAny(s, "%_'") {
-			return "", false
-		}
-		return fmt.Sprintf("%s LIKE '%s%%'", c.Col, s), true
+	case "!=", "<", "<=", ">", ">=", "prefix":
 	default:
-		return "", false
+		return sqldb.Cond{}, false
 	}
-	switch v := c.Value.(type) {
-	case int64:
-		return fmt.Sprintf("%s %s %d", c.Col, op, v), true
-	case float64:
-		// The dialect's lexer has no exponent syntax, so the literal must
-		// be plain decimal digits; NaN/Inf have no rendering at all.
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return "", false
-		}
-		return fmt.Sprintf("%s %s %s", c.Col, op, strconv.FormatFloat(v, 'f', -1, 64)), true
-	case string:
-		if strings.Contains(v, "'") {
-			return "", false
-		}
-		return fmt.Sprintf("%s %s '%s'", c.Col, op, v), true
-	default:
-		return "", false
+	switch c.Value.(type) {
+	case int64, float64, string:
+		return sqldb.Cond{Col: c.Col, Op: op, Value: c.Value}, true
 	}
+	return sqldb.Cond{}, false
 }
 
 // --- relational operators --------------------------------------------------

@@ -218,7 +218,7 @@ func TestPipelineProfileOperatorTree(t *testing.T) {
 
 // TestPipelineProfileNativeScanFrames: a pushed-down SQL scan nests the
 // substrate's frames (sql.select > sql.scan > sql.filter) under the scan
-// operator, exactly like the text path would.
+// operator, exactly like the equivalent SELECT would.
 func TestPipelineProfileNativeScanFrames(t *testing.T) {
 	cat := testCatalog()
 	plan := &Filter{

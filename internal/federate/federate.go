@@ -6,13 +6,14 @@
 // A single logical plan — scan, filter, project, join, aggregate, sort,
 // limit — is planned across heterogeneous sources: every scan names a
 // (source, table) pair, the optimizer pushes filters and projections down
-// into the scans (compiling them to native WHERE clauses for the SQL
-// substrate, testing them on source cells before a row is lifted for the
-// graph and frame substrates), and the executor evaluates the remaining
-// operators over a uniform relation of nql.Value rows. Graph scans can also push whole
-// computations down — degree, PageRank, connected components — so a plan
-// can join, say, a SQL probe table against graph centrality, which none of
-// the single-substrate backends can express.
+// into the scans (mapping them onto the conditions of sqldb's columnar
+// scan for the SQL substrate, testing them on source cells before a row is
+// lifted for the graph and frame substrates), and the executor evaluates
+// the remaining operators over a uniform relation of nql.Value rows. Graph
+// scans can also push whole computations down — degree, PageRank,
+// connected components — so a plan can join, say, a SQL probe table
+// against graph centrality, which none of the single-substrate backends
+// can express.
 //
 // # Prepare and execute
 //
@@ -20,20 +21,19 @@
 // Prepare optimizes the plan (filter and projection pushdown, conjunction
 // folding), collects table statistics from the catalog, and derives a
 // per-node decision list from a simple cost model: which source serves a
-// SourceAny scan, whether a SQL scan takes the native columnar path or the
-// text path, and which side of a hash join builds the table (the smaller
-// estimated input). Prepared.ExecuteContext then runs the decided plan on
-// one recursive executor, single-goroutine per query: each operator
-// executes its inputs, then works on the materialized results. A scan
-// filters on source columns before it lifts a row (and takes sqldb's
-// columnar scan where the native path applies). A join or aggregate reads
-// a scan child's surviving cells in place, lifting only the cells it
-// uses; every other child arrives as a lifted relation. There is one join
-// (hashing the side the planner chose) and one aggregate for every
-// source. Every operator honors context cancellation at row-loop
-// checkpoints and, under an obs.Profile, emits one operator frame. The
-// expected results, error text and frame trees of a plan corpus are
-// pinned in the package tests.
+// SourceAny scan and which side of a hash join builds the table (the
+// smaller estimated input). Prepared.ExecuteContext then runs the decided
+// plan on one recursive executor, single-goroutine per query: each
+// operator executes its inputs, then works on the materialized results. A
+// scan filters on source columns before it lifts a row; a SQL scan reads
+// its table through sqldb's columnar ScanColumns, never through SQL text.
+// A join or aggregate reads a scan child's surviving cells in place,
+// lifting only the cells it uses; every other child arrives as a lifted
+// relation. There is one join (hashing the side the planner chose) and one
+// aggregate for every source. Every operator honors context cancellation
+// at row-loop checkpoints and, under an obs.Profile, emits one operator
+// frame. The expected results, error text and frame trees of a plan corpus
+// are pinned in the package tests.
 //
 // # Statistics and the plan cache
 //
@@ -47,8 +47,8 @@
 // applied, so a stale or poisoned entry degrades to a fresh cost pass, and
 // closures in the plan (FuncPred, custom aggregates) are rebound on every
 // execution, never captured by the cache. Explain on a prepared plan
-// annotates each node with the cost model's view: "rows~N cost~C", a
-// "native" marker on pushdown scans and "build=left|right" on joins.
+// annotates each node with the cost model's view: "rows~N cost~C", and
+// "build=left|right" on joins.
 //
 // The planner is read-only by construction: scans lift rows out of the
 // substrates and never write back, so running a federated plan against the

@@ -76,8 +76,8 @@ func Prepare(cat *Catalog, plan Node) *Prepared {
 }
 
 // Explain renders the prepared plan with the cost model's annotations:
-// estimated rows and cumulative cost per operator, native-pushdown marks
-// on scans, and the join build side.
+// estimated rows and cumulative cost per operator and the join build
+// side.
 func (p *Prepared) Explain() string {
 	var sb strings.Builder
 	pos := 0
@@ -93,9 +93,6 @@ func explainCostInto(sb *strings.Builder, n Node, depth int, decs []decision, po
 	if *pos < len(decs) {
 		d := decs[*pos]
 		fmt.Fprintf(sb, "  -- rows~%.0f cost~%.0f", d.EstRows, d.EstCost)
-		if d.Native {
-			sb.WriteString(" native")
-		}
 		if _, isJoin := n.(*Join); isJoin {
 			if d.BuildLeft {
 				sb.WriteString(" build=left")

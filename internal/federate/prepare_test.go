@@ -11,8 +11,8 @@ import (
 )
 
 // TestResolveSourceAny pins SourceAny resolution: a table in every
-// substrate resolves to the cheapest (sql when the native pushdown
-// applies), and a frame-only table resolves to frame.
+// substrate resolves to the cheapest (sql, whose columnar scan lifts
+// cheapest), and a frame-only table resolves to frame.
 func TestResolveSourceAny(t *testing.T) {
 	cat := testCatalog()
 	cat.Epoch = NewEpoch()
@@ -41,7 +41,7 @@ func TestResolveSourceAny(t *testing.T) {
 	}
 }
 
-// TestCostDecisions pins build-side choice and native scan marks.
+// TestCostDecisions pins build-side choice.
 func TestCostDecisions(t *testing.T) {
 	cat := testCatalog()
 	// Left side filtered to ~1 row, right side the full table: hash the left.
@@ -59,20 +59,6 @@ func TestCostDecisions(t *testing.T) {
 	if !decs[0].BuildLeft {
 		t.Errorf("filtered-left join: BuildLeft = false, want true\n%+v", decs)
 	}
-	if !decs[1].Native || !decs[2].Native {
-		t.Errorf("sql scans not native: %+v", decs)
-	}
-
-	// A graph scan is never native.
-	j2 := &Join{
-		Left:     &Scan{Source: SourceSQL, Table: "edges"},
-		Right:    &Scan{Source: SourceGraph, Table: "degree"},
-		LeftKey:  "dst",
-		RightKey: "id",
-	}
-	if d := annotate(cat, j2); !d[1].Native || d[2].Native {
-		t.Errorf("sql+graph join native marks: %+v", d)
-	}
 
 	// An invalid aggregate function plans like any other; the aggregate
 	// raises the canonical error at execution.
@@ -82,36 +68,6 @@ func TestCostDecisions(t *testing.T) {
 	}
 	if _, err := Run(cat, bad); err == nil || !strings.Contains(err.Error(), "unknown aggregate") {
 		t.Errorf("invalid agg fn error = %v, want unknown aggregate", err)
-	}
-}
-
-// TestIdentOK pins the identifier gate keeping native pushdown off names
-// the SQL text path would fail to parse.
-func TestIdentOK(t *testing.T) {
-	for name, want := range map[string]bool{
-		"edges": true, "a_b": true, "x1": true, "A": true,
-		"": false, "1x": false, "a-b": false, "a b": false,
-		"select": false, "WHERE": false, "naïve": false,
-	} {
-		if got := identOK(name); got != want {
-			t.Errorf("identOK(%q) = %v, want %v", name, got, want)
-		}
-	}
-	// A keyword table name keeps the whole scan off the native path.
-	cat := testCatalog()
-	if nativeScanOK(cat, &Scan{Source: SourceSQL, Table: "select"}) {
-		t.Error("nativeScanOK accepted a keyword table name")
-	}
-	// A non-compilable pushed predicate (quote in the literal) leaves the
-	// scan native with a residual; a bad column name in a compilable one
-	// disables native entirely.
-	if !nativeScanOK(cat, &Scan{Source: SourceSQL, Table: "edges",
-		Pushed: []Cmp{{Col: "src", Op: "!=", Value: "o'brien"}}}) {
-		t.Error("residual predicate should keep native scan (with local filter)")
-	}
-	if nativeScanOK(cat, &Scan{Source: SourceSQL, Table: "edges",
-		Pushed: []Cmp{{Col: "a-b", Op: "==", Value: int64(1)}}}) {
-		t.Error("bad predicate column accepted for native scan")
 	}
 }
 
@@ -311,7 +267,7 @@ func TestPreparedPlanCarriesDecisions(t *testing.T) {
 }
 
 // TestPreparedExplainAnnotations checks the cost annotations on the
-// prepared rendering: row/cost estimates, native marks, build side.
+// prepared rendering: row/cost estimates and build side.
 func TestPreparedExplainAnnotations(t *testing.T) {
 	cat := testCatalog()
 	p := Prepare(cat, &Join{
@@ -324,7 +280,7 @@ func TestPreparedExplainAnnotations(t *testing.T) {
 		RightKey: "src",
 	})
 	out := p.Explain()
-	for _, want := range []string{"rows~", "cost~", " native", " build=left"} {
+	for _, want := range []string{"rows~", "cost~", " build=left"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prepared explain missing %q:\n%s", want, out)
 		}

@@ -11,10 +11,11 @@ import (
 	"repro/internal/obs"
 )
 
-// scanCatalog extends testCatalog with three small tables, each present as
+// scanCatalog extends testCatalog with four small tables, each present as
 // both a frame and a SQL table: "empty" (the edges schema, no rows),
-// "mixed" (column v holds strings on rows 0-2 and an int on row 3) and
-// "kw" (a column named after the SQL keyword ORDER).
+// "mixed" (column v holds strings on rows 0-2 and an int on row 3), "kw"
+// (a column named after the SQL keyword ORDER) and "select" (a table
+// named after a keyword).
 func scanCatalog() *Catalog {
 	cat := testCatalog()
 	empty := dataframe.New("src", "dst", "bytes")
@@ -25,7 +26,9 @@ func scanCatalog() *Catalog {
 	mixed.AppendRow("a", int64(3))
 	kw := dataframe.New("src", "order")
 	kw.AppendRow("a", int64(1))
-	for name, f := range map[string]*dataframe.Frame{"empty": empty, "mixed": mixed, "kw": kw} {
+	sel := dataframe.New("src", "dst")
+	sel.AppendRow("a", "b")
+	for name, f := range map[string]*dataframe.Frame{"empty": empty, "mixed": mixed, "kw": kw, "select": sel} {
 		cat.Frames[name] = f
 		cat.DB.CreateTable(name, f.Clone())
 	}
@@ -58,15 +61,21 @@ func modes(t *testing.T, cat *Catalog, scan func() *Scan, key string, body func(
 }
 
 // TestScanPinnedRelations pins the exact relation of sql and frame scans
-// with pushed conditions and projections, bare and as a join input.
+// with pushed conditions and projections, bare and as a join input. A case
+// reads edges unless it names a table, and runs on both sources unless it
+// is sql-only. SQL scans read names as they are, so keywords serve as
+// table and column names, and a condition keeps SQL semantics whatever
+// its literal's spelling.
 func TestScanPinnedRelations(t *testing.T) {
 	cat := scanCatalog()
 	cases := []struct {
-		name   string
-		pushed []Cmp
-		cols   []string
-		key    string
-		want   string
+		name    string
+		table   string
+		pushed  []Cmp
+		cols    []string
+		key     string
+		want    string
+		sqlOnly bool
 	}{
 		{
 			name:   "one condition",
@@ -100,11 +109,43 @@ func TestScanPinnedRelations(t *testing.T) {
 			key:    "src",
 			want:   `src,dst,bytes`,
 		},
+		{
+			name: "keyword column", table: "kw",
+			pushed: []Cmp{{Col: "order", Op: "==", Value: int64(1)}},
+			key:    "src",
+			want:   `src,order|"a",1`,
+		},
+		{
+			name: "projection onto a keyword column", table: "kw",
+			cols: []string{"order", "src"},
+			key:  "src",
+			want: `order,src|1,"a"`,
+		},
+		{
+			name: "keyword table", table: "select",
+			key:  "src",
+			want: `src,dst|"a","b"`,
+		},
+		{
+			// SQL orders an int before every string, as it does for "a1".
+			name: "ordering against a literal with an apostrophe", table: "mixed",
+			pushed:  []Cmp{{Col: "v", Op: "<", Value: "a1'"}},
+			key:     "src",
+			want:    `src,v|"a","a0"|"a","a1"|"a",3`,
+			sqlOnly: true,
+		},
 	}
 	for _, source := range []string{SourceSQL, SourceFrame} {
 		for _, c := range cases {
+			if c.sqlOnly && source != SourceSQL {
+				continue
+			}
+			table := c.table
+			if table == "" {
+				table = "edges"
+			}
 			scan := func() *Scan {
-				return &Scan{Source: source, Table: "edges", Pushed: append([]Cmp(nil), c.pushed...), Cols: c.cols}
+				return &Scan{Source: source, Table: table, Pushed: append([]Cmp(nil), c.pushed...), Cols: c.cols}
 			}
 			t.Run(source+"/"+c.name, func(t *testing.T) {
 				modes(t, cat, scan, c.key, func(t *testing.T, p *Prepared) {
@@ -176,6 +217,10 @@ func TestScanPinnedErrors(t *testing.T) {
 			pushed: []Cmp{{Col: "src", Op: "==", Value: "z"}, {Col: "ghost", Op: "==", Value: int64(1)}},
 		},
 		{
+			name: "missing column behind a condition false on every row", source: SourceSQL, table: "edges",
+			pushed: []Cmp{{Col: "src", Op: "==", Value: "z"}, {Col: "ghost", Op: "==", Value: int64(1)}},
+		},
+		{
 			name: "type error on row 3", source: SourceFrame, table: "mixed",
 			pushed: []Cmp{{Col: "v", Op: "contains", Value: "a"}},
 			want:   `federate: contains requires strings, got int and string`,
@@ -186,9 +231,9 @@ func TestScanPinnedErrors(t *testing.T) {
 			want:   `federate: contains requires strings, got int and string`,
 		},
 		{
-			name: "keyword column takes the text fallback", source: SourceSQL, table: "kw",
-			pushed: []Cmp{{Col: "order", Op: "==", Value: int64(1)}},
-			want:   `sql syntax error at offset 23: unexpected token "ORDER" in expression`,
+			name: "prefix of a number", source: SourceSQL, table: "edges",
+			pushed: []Cmp{{Col: "src", Op: "prefix", Value: int64(1)}},
+			want:   `sql: LIKE requires strings, got string and int64`,
 		},
 	}
 	for _, c := range cases {

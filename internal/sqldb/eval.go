@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 
 	"repro/internal/dataframe"
@@ -51,7 +52,7 @@ func evalExpr(e Expr, s scope) (any, error) {
 			if err != nil {
 				return nil, err
 			}
-			if dataframe.CompareValues(v, w) == 0 && sameKind(v, w) {
+			if equal(v, w) {
 				found = true
 				break
 			}
@@ -108,18 +109,38 @@ func normalizeVal(v any) any {
 	}
 }
 
+// sameKind reports whether = may find a and b equal: two numbers, or two
+// values of one dynamic type.
 func sameKind(a, b any) bool {
-	isNum := func(v any) bool {
-		switch v.(type) {
-		case int64, float64:
-			return true
-		}
-		return false
+	_, aNum := numAsFloat(a)
+	_, bNum := numAsFloat(b)
+	return aNum && bNum || reflect.TypeOf(a) == reflect.TypeOf(b)
+}
+
+// equal is SQL's =: the values compare equal and are of one kind.
+func equal(a, b any) bool {
+	return dataframe.CompareValues(a, b) == 0 && sameKind(a, b)
+}
+
+// compare evaluates `l op r` for the comparison operators =, !=, <, <=, >
+// and >=; ok is false for any other operator. WHERE and ScanColumns both
+// compare through it.
+func compare(op string, l, r any) (result, ok bool) {
+	switch op {
+	case "=":
+		return equal(l, r), true
+	case "!=":
+		return !equal(l, r), true
+	case "<":
+		return dataframe.CompareValues(l, r) < 0, true
+	case "<=":
+		return dataframe.CompareValues(l, r) <= 0, true
+	case ">":
+		return dataframe.CompareValues(l, r) > 0, true
+	case ">=":
+		return dataframe.CompareValues(l, r) >= 0, true
 	}
-	if isNum(a) && isNum(b) {
-		return true
-	}
-	return fmt.Sprintf("%T", a) == fmt.Sprintf("%T", b)
+	return false, false
 }
 
 func truthy(v any) bool {
@@ -177,19 +198,10 @@ func evalBinary(x *BinaryExpr, s scope) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	if b, ok := compare(x.Op, l, r); ok {
+		return b, nil
+	}
 	switch x.Op {
-	case "=":
-		return dataframe.CompareValues(l, r) == 0 && sameKind(l, r), nil
-	case "!=":
-		return !(dataframe.CompareValues(l, r) == 0 && sameKind(l, r)), nil
-	case "<":
-		return dataframe.CompareValues(l, r) < 0, nil
-	case "<=":
-		return dataframe.CompareValues(l, r) <= 0, nil
-	case ">":
-		return dataframe.CompareValues(l, r) > 0, nil
-	case ">=":
-		return dataframe.CompareValues(l, r) >= 0, nil
 	case "LIKE":
 		ls, ok1 := l.(string)
 		rs, ok2 := r.(string)

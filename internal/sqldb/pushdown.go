@@ -2,203 +2,183 @@ package sqldb
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"sort"
 	"strings"
 
-	"repro/internal/dataframe"
 	"repro/internal/obs"
 )
 
-// This file is the native pushdown surface the federated planner drives:
-// one columnar table scan that skips SQL text, the parser and the per-row
-// scope maps and reads the frames backing the tables directly. Joins and
-// aggregates over its output run in the federated executor, the same
-// operators that serve frame and graph scans. Semantics are pinned to the
-// equivalent SELECT: conditions evaluate exactly like WHERE conjuncts
-// (CompareValues plus sameKind for equality, LIKE-prefix for "prefix").
-//
-// Anything the scan cannot reproduce bit-for-bit — a missing table or
-// column, a duplicate projection — returns ErrPushdown instead of a
-// best-effort answer. The caller falls back to SQL text, which produces
-// the exact result or error of the general path. The sentinel must
-// therefore never surface to users.
+// This file is the columnar table scan the federated planner drives: it
+// skips SQL text, the parser and the per-row scopes and reads the frames
+// backing the tables directly. Joins and aggregates over its output run in
+// the federated executor, the same operators that serve frame and graph
+// scans. Its rows, error text and profile frames are those of the
+// equivalent SELECT (`SELECT cols FROM table WHERE c1 AND c2 ...`):
+// conditions compare like WHERE (the shared compare, LIKE's type error for
+// prefix), a condition column is resolved the first time its conjunct
+// runs, a projection column only when rows survive, and a repeated
+// projection is renamed like SELECT's output columns. Names are taken as
+// they are, never parsed, so a keyword or a dotted name is a plain table
+// or column name.
 
-// ErrPushdown reports that the native scan cannot handle the request; the
-// caller must retry via SQL text. It carries no user-facing meaning.
-var ErrPushdown = errors.New("sqldb: native pushdown unsupported")
-
-// IsKeyword reports whether the name collides with a reserved word of the
-// SQL dialect (case-insensitive). Planners deciding between native
-// pushdown and SQL text use it to gate names that would not parse as
-// identifiers.
-func IsKeyword(name string) bool { return keywords[strings.ToUpper(name)] }
-
-// Cond is one WHERE-equivalent conjunct over a scanned table: Col <Op>
-// Value with Op one of =, !=, <, <=, >, >= or prefix (LIKE 'v%'). Value
-// must be an int64, float64 or string — exactly the literals the federated
-// optimizer can compile into SQL text.
+// Cond is one WHERE conjunct over a scanned table: Col <Op> Value with Op
+// one of =, !=, <, <=, >, >= or prefix (LIKE 'v%' with v taken literally).
 type Cond struct {
 	Col   string
 	Op    string
 	Value any
 }
 
-// matchCond evaluates one condition against a cell with the same semantics
-// as the SELECT executor's WHERE evaluation of `col op literal`.
+// matchCond evaluates one condition against a cell like the SELECT
+// executor's WHERE evaluation of `col op literal`.
 func matchCond(c Cond, cell any) (bool, error) {
-	switch c.Op {
-	case "=":
-		return dataframe.CompareValues(cell, c.Value) == 0 && sameKind(cell, c.Value), nil
-	case "!=":
-		return !(dataframe.CompareValues(cell, c.Value) == 0 && sameKind(cell, c.Value)), nil
-	case "<":
-		return dataframe.CompareValues(cell, c.Value) < 0, nil
-	case "<=":
-		return dataframe.CompareValues(cell, c.Value) <= 0, nil
-	case ">":
-		return dataframe.CompareValues(cell, c.Value) > 0, nil
-	case ">=":
-		return dataframe.CompareValues(cell, c.Value) >= 0, nil
-	case "prefix":
-		p, ok := c.Value.(string)
-		if !ok {
-			return false, ErrPushdown
-		}
-		s, ok := cell.(string)
-		if !ok {
-			// The error the WHERE path raises for `cell LIKE 'p%'`.
-			return false, fmt.Errorf("sql: LIKE requires strings, got %T and %T", cell, p+"%")
+	if c.Op == "prefix" {
+		s, ok1 := cell.(string)
+		p, ok2 := c.Value.(string)
+		if !ok1 || !ok2 {
+			return false, fmt.Errorf("sql: LIKE requires strings, got %T and %T", cell, c.Value)
 		}
 		return strings.HasPrefix(s, p), nil
-	default:
-		return false, ErrPushdown
 	}
+	if m, ok := compare(c.Op, cell, c.Value); ok {
+		return m, nil
+	}
+	return false, fmt.Errorf("sql: unknown operator %q", c.Op)
 }
 
-// ScanSpec names one table scan: WHERE-equivalent conditions (applied in
-// order, short-circuiting like AND) and an optional projection (nil keeps
-// every column in table order; duplicate names are not supported).
+// ScanSpec names one table scan: WHERE conditions (applied in order,
+// short-circuiting like AND) and an optional projection (nil keeps every
+// column in table order).
 type ScanSpec struct {
 	Table string
 	Conds []Cond
 	Cols  []string
 }
 
-// scanTable resolves a spec against the database without profile frames:
-// names plus one value slice per column. When the scan has no conditions
+// ScanColumns executes a table scan: the output names plus one value slice
+// per column, under the profile frames of the equivalent SELECT
+// (sql.select > sql.scan [> sql.filter]). When the scan has no conditions
 // the returned slices alias the table's storage — callers must not mutate.
-func (db *DB) scanTable(ctx context.Context, spec ScanSpec) ([]string, [][]any, error) {
-	f, err := db.Table(spec.Table)
-	if err != nil {
-		return nil, nil, ErrPushdown
-	}
-	names := f.Columns()
-	data := make([][]any, len(names))
-	for i, c := range names {
-		data[i], _ = f.Column(c)
-	}
-	// Resolve condition and projection columns up front; any miss (or a
-	// duplicate projection) is a job for the general path.
-	colIdx := func(name string) (int, bool) {
-		for i, c := range names {
-			if c == name {
-				return i, true
-			}
-		}
-		return -1, false
-	}
-	condIdx := make([]int, len(spec.Conds))
-	for i, c := range spec.Conds {
-		j, ok := colIdx(c.Col)
-		if !ok {
-			return nil, nil, ErrPushdown
-		}
-		condIdx[i] = j
-	}
-	if len(spec.Conds) > 0 {
-		if err := cancelled(ctx, 0); err != nil {
-			return nil, nil, err
-		}
-		n := f.NumRows()
-		keep := make([]int, 0, n)
-		for r := 0; r < n; r++ {
-			if err := cancelled(ctx, r); err != nil {
-				return nil, nil, err
-			}
-			ok := true
-			for ci, c := range spec.Conds {
-				m, err := matchCond(c, data[condIdx[ci]][r])
-				if err != nil {
-					return nil, nil, err
-				}
-				if !m {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				keep = append(keep, r)
-			}
-		}
-		filtered := make([][]any, len(names))
-		for i := range names {
-			col := make([]any, len(keep))
-			for k, r := range keep {
-				col[k] = data[i][r]
-			}
-			filtered[i] = col
-		}
-		data = filtered
-	}
-	if spec.Cols == nil {
-		return names, data, nil
-	}
-	outNames := make([]string, len(spec.Cols))
-	outData := make([][]any, len(spec.Cols))
-	seen := make(map[string]bool, len(spec.Cols))
-	for i, c := range spec.Cols {
-		j, ok := colIdx(c)
-		if !ok || seen[c] {
-			return nil, nil, ErrPushdown
-		}
-		seen[c] = true
-		outNames[i] = c
-		outData[i] = data[j]
-	}
-	return outNames, outData, nil
-}
-
-// ScanColumns executes a native table scan, emitting the same profile
-// frames as the equivalent SELECT (sql.select > sql.scan [> sql.filter]).
 func (db *DB) ScanColumns(ctx context.Context, spec ScanSpec) ([]string, [][]any, error) {
-	f, err := db.Table(spec.Table)
-	if err != nil {
-		return nil, nil, ErrPushdown
-	}
 	prof := obs.ProfileFrom(ctx)
 	sel := enterFrame(ctx, prof, "sql.select", spec.Table)
-	ctx = obs.WithFrame(ctx, sel)
-	if prof != nil {
-		scan := enterFrame(ctx, prof, "sql.scan", spec.Table)
-		prof.Exit(scan, int64(f.NumRows()))
-	}
-	names, data, err := db.scanTable(ctx, spec)
+	names, data, err := db.scanColumns(obs.WithFrame(ctx, sel), prof, spec)
 	rows := int64(-1)
 	if err == nil {
-		rows = scanLen(data)
-	}
-	if prof != nil && len(spec.Conds) > 0 {
-		filt := enterFrame(ctx, prof, "sql.filter", "")
-		prof.Exit(filt, rows)
+		rows = 0
+		if len(data) > 0 {
+			rows = int64(len(data[0]))
+		}
 	}
 	prof.Exit(sel, rows)
 	return names, data, err
 }
 
-func scanLen(data [][]any) int64 {
-	if len(data) == 0 {
-		return 0
+func (db *DB) scanColumns(ctx context.Context, prof *obs.Profile, spec ScanSpec) ([]string, [][]any, error) {
+	f, err := db.Table(spec.Table)
+	if err != nil {
+		return nil, nil, err
 	}
-	return int64(len(data[0]))
+	scan := enterFrame(ctx, prof, "sql.scan", spec.Table)
+	names := f.Columns()
+	data := columnSlices(f)
+	n := f.NumRows()
+	prof.Exit(scan, int64(n))
+	var keep []int // surviving rows; nil keeps every row
+	if len(spec.Conds) > 0 {
+		filt := enterFrame(ctx, prof, "sql.filter", "")
+		keep, err = filterRows(ctx, spec, names, data, n)
+		if err != nil {
+			prof.Exit(filt, -1)
+			return nil, nil, err
+		}
+		n = len(keep)
+		prof.Exit(filt, int64(n))
+	}
+	// SELECT evaluates its list on each surviving row: it polls the context
+	// there, and an unknown column fails only when a row survives.
+	if n > 0 {
+		if err := cancelled(ctx, 0); err != nil {
+			return nil, nil, err
+		}
+	}
+	cols, outNames := names, names
+	if spec.Cols != nil {
+		cols, outNames = spec.Cols, dedupeNames(spec.Cols)
+	}
+	out := make([][]any, len(cols))
+	var buf []any
+	if keep != nil {
+		buf = make([]any, n*len(cols))
+	}
+	for i, c := range cols {
+		j := colIndex(names, c)
+		switch {
+		case j < 0 && n > 0:
+			return nil, nil, unknownColumn(spec.Table, names, c)
+		case j < 0:
+			// An unknown column of an empty result is an empty column.
+		case keep == nil:
+			out[i] = data[j]
+		default:
+			col := buf[i*n : (i+1)*n : (i+1)*n]
+			for k, r := range keep {
+				col[k] = data[j][r]
+			}
+			out[i] = col
+		}
+	}
+	return outNames, out, nil
+}
+
+// filterRows returns the rows of an n-row table that pass every condition.
+func filterRows(ctx context.Context, spec ScanSpec, names []string, data [][]any, n int) ([]int, error) {
+	at := make([]int, len(spec.Conds))
+	for i := range at {
+		at[i] = -1
+	}
+	keep := make([]int, 0, n)
+rows:
+	for r := 0; r < n; r++ {
+		if err := cancelled(ctx, r); err != nil {
+			return nil, err
+		}
+		for i, c := range spec.Conds {
+			if at[i] < 0 {
+				if at[i] = colIndex(names, c.Col); at[i] < 0 {
+					return nil, unknownColumn(spec.Table, names, c.Col)
+				}
+			}
+			m, err := matchCond(c, data[at[i]][r])
+			if err != nil {
+				return nil, err
+			}
+			if !m {
+				continue rows
+			}
+		}
+		keep = append(keep, r)
+	}
+	return keep, nil
+}
+
+func colIndex(names []string, name string) int {
+	for i, c := range names {
+		if c == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// unknownColumn is SELECT's error for a column the table lacks: it lists
+// the table's columns qualified by the table name.
+func unknownColumn(table string, names []string, col string) error {
+	keys := make([]string, len(names))
+	for i, c := range names {
+		keys[i] = table + "." + c
+	}
+	sort.Strings(keys)
+	return fmt.Errorf("sql: unknown column %q (available: %v)", col, keys)
 }

@@ -2,8 +2,8 @@ package sqldb
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -11,93 +11,204 @@ import (
 	"repro/internal/obs"
 )
 
-// frameOf converts a columnar pushdown result into a frame so it can be
-// compared cell-for-cell against the text path's result frame.
-func frameOf(names []string, data [][]any) *dataframe.Frame {
-	f := dataframe.New(names...)
-	n := 0
-	if len(data) > 0 {
-		n = len(data[0])
+// scanDB is testDB plus "empty" (the edges schema, no rows) and "mixed"
+// (column v holds strings, numbers, a bool and a nil).
+func scanDB() *DB {
+	db := testDB()
+	db.CreateTable("empty", dataframe.New("src", "dst", "bytes", "packets"))
+	mixed := dataframe.New("k", "v")
+	for i, v := range []any{"a0", int64(2), "a1", 2.5, nil, "b", true, int64(-1)} {
+		mixed.AppendRow(int64(i), v)
 	}
-	row := make([]any, len(names))
-	for r := 0; r < n; r++ {
-		for i := range names {
-			row[i] = data[i][r]
-		}
-		f.AppendRow(row...)
-	}
-	return f
+	db.CreateTable("mixed", mixed)
+	return db
 }
 
-// TestScanColumnsMatchesSelect drives the native scan and the equivalent
-// SELECT text over the same table and requires identical frames — the
-// planner's contract for choosing the native path.
-func TestScanColumnsMatchesSelect(t *testing.T) {
-	db := testDB()
-	ctx := context.Background()
-	cases := []struct {
-		spec ScanSpec
-		sql  string
-	}{
-		{ScanSpec{Table: "edges"}, "SELECT * FROM edges"},
-		{ScanSpec{Table: "edges", Conds: []Cond{{Col: "bytes", Op: ">", Value: int64(100)}}},
-			"SELECT * FROM edges WHERE bytes > 100"},
-		{ScanSpec{Table: "edges", Conds: []Cond{{Col: "bytes", Op: ">=", Value: int64(100)}, {Col: "src", Op: "!=", Value: "a"}}},
-			"SELECT * FROM edges WHERE bytes >= 100 AND src != 'a'"},
-		{ScanSpec{Table: "edges", Conds: []Cond{{Col: "src", Op: "=", Value: "a"}}, Cols: []string{"dst", "bytes"}},
-			"SELECT dst, bytes FROM edges WHERE src = 'a'"},
-		{ScanSpec{Table: "nodes", Conds: []Cond{{Col: "prefix", Op: "prefix", Value: "15."}}},
-			"SELECT * FROM nodes WHERE prefix LIKE '15.%'"},
-		{ScanSpec{Table: "nodes", Conds: []Cond{{Col: "load", Op: "<", Value: 0.6}}},
-			"SELECT * FROM nodes WHERE load < 0.6"},
+// selectText renders a scan spec as the SELECT it stands for. Literals
+// must be spellable: no apostrophes, no wildcards in a prefix, finite
+// floats.
+func selectText(spec ScanSpec) string {
+	cols := "*"
+	if spec.Cols != nil {
+		cols = strings.Join(spec.Cols, ", ")
 	}
-	for _, c := range cases {
-		names, data, err := db.ScanColumns(ctx, c.spec)
-		if err != nil {
-			t.Errorf("ScanColumns(%+v): %v", c.spec, err)
+	q := fmt.Sprintf("SELECT %s FROM %s", cols, spec.Table)
+	for i, c := range spec.Conds {
+		if i == 0 {
+			q += " WHERE "
+		} else {
+			q += " AND "
+		}
+		if c.Op == "prefix" {
+			q += fmt.Sprintf("%s LIKE '%s%%'", c.Col, c.Value)
 			continue
 		}
-		want := mustQuery(t, db, c.sql)
-		if got := frameOf(names, data); !dataframe.Equal(got, want) {
-			t.Errorf("native scan diverges from %q:\n  native: %v %v\n  text:   %v", c.sql, names, data, want)
+		var lit string
+		switch v := c.Value.(type) {
+		case string:
+			lit = "'" + v + "'"
+		case float64:
+			lit = strconv.FormatFloat(v, 'f', -1, 64)
+			if !strings.Contains(lit, ".") {
+				lit += ".0"
+			}
+		default:
+			lit = fmt.Sprint(v)
 		}
+		q += fmt.Sprintf("%s %s %s", c.Col, c.Op, lit)
 	}
+	return q
 }
 
-// TestScanColumnsErrPushdown pins the shapes the native path must refuse
-// (so the caller falls back to text and reproduces the canonical error).
-func TestScanColumnsErrPushdown(t *testing.T) {
-	db := testDB()
-	ctx := context.Background()
+// outcomeText renders a scan's result with each cell's dynamic type, or
+// its exact error text, followed by its profile frames.
+func outcomeText(names []string, data [][]any, err error, prof *obs.Profile) string {
+	var sb strings.Builder
+	if err != nil {
+		fmt.Fprintf(&sb, "error: %v\n", err)
+	} else {
+		fmt.Fprintln(&sb, names)
+		n := 0
+		if len(data) > 0 {
+			n = len(data[0])
+		}
+		for r := 0; r < n; r++ {
+			for c := range names {
+				fmt.Fprintf(&sb, "%T:%v ", data[c][r], data[c][r])
+			}
+			sb.WriteString("\n")
+		}
+	}
+	for _, fr := range prof.Flatten() {
+		fmt.Fprintf(&sb, "%s%s(%s) rows=%d\n", strings.Repeat("  ", fr.Depth), fr.Op, fr.Detail, fr.Rows)
+	}
+	return sb.String()
+}
+
+// scanOutcomes runs a spec through ScanColumns and its SELECT through the
+// SQL engine, each under its own profile, and renders both outcomes.
+func scanOutcomes(ctx context.Context, db *DB, spec ScanSpec) (scan, sel string) {
+	prof := obs.NewProfile()
+	names, data, err := db.ScanColumns(obs.WithProfile(ctx, prof), spec)
+	scan = outcomeText(names, data, err, prof)
+	prof = obs.NewProfile()
+	f, err := db.QueryContext(obs.WithProfile(ctx, prof), selectText(spec))
+	if err == nil {
+		names = f.Columns()
+		data = columnSlices(f)
+	}
+	return scan, outcomeText(names, data, err, prof)
+}
+
+// TestScanColumnsMatchesSelect requires ScanColumns to give the equivalent
+// SELECT's exact rows, error text and profile frames, under a live and a
+// cancelled context. The SQL engine is its independent oracle.
+func TestScanColumnsMatchesSelect(t *testing.T) {
+	db := scanDB()
+	ghost := Cond{Col: "ghost", Op: "=", Value: int64(1)}
 	cases := []ScanSpec{
+		{Table: "edges"},
+		{Table: "edges", Conds: []Cond{{Col: "bytes", Op: ">", Value: int64(100)}}},
+		{Table: "edges", Conds: []Cond{{Col: "bytes", Op: ">=", Value: int64(100)}, {Col: "src", Op: "!=", Value: "a"}}},
+		{Table: "edges", Conds: []Cond{{Col: "src", Op: "=", Value: "a"}}, Cols: []string{"dst", "bytes"}},
+		{Table: "nodes", Conds: []Cond{{Col: "prefix", Op: "prefix", Value: "15."}}},
+		{Table: "nodes", Conds: []Cond{{Col: "load", Op: "<", Value: 0.6}}},
+		// Unknown tables and columns.
 		{Table: "ghost"},
-		{Table: "edges", Conds: []Cond{{Col: "ghost", Op: "=", Value: int64(1)}}},
-		{Table: "edges", Conds: []Cond{{Col: "bytes", Op: "~", Value: int64(1)}}},
-		{Table: "edges", Cols: []string{"src", "src"}},
-		{Table: "edges", Cols: []string{"ghost"}},
+		{Table: "edges", Conds: []Cond{ghost}},
+		{Table: "empty", Conds: []Cond{ghost}},
+		{Table: "edges", Conds: []Cond{{Col: "src", Op: "=", Value: "z"}, ghost}},
+		{Table: "edges", Conds: []Cond{{Col: "src", Op: "=", Value: "b"}, ghost}},
+		{Table: "edges", Cols: []string{"src", "ghost"}},
+		{Table: "edges", Conds: []Cond{{Col: "bytes", Op: ">", Value: int64(1000)}}, Cols: []string{"src", "ghost"}},
+		{Table: "empty", Cols: []string{"ghost"}},
+		// A repeated projection is renamed.
+		{Table: "edges", Cols: []string{"src", "src", "dst", "src"}},
+		{Table: "edges", Conds: []Cond{{Col: "bytes", Op: "<", Value: int64(250)}}, Cols: []string{"src", "src"}},
+		// Comparisons across types on a mixed column.
+		{Table: "mixed", Conds: []Cond{{Col: "v", Op: "<", Value: "a1"}}},
+		{Table: "mixed", Conds: []Cond{{Col: "v", Op: ">=", Value: int64(2)}}},
+		{Table: "mixed", Conds: []Cond{{Col: "v", Op: "=", Value: 2.0}}},
+		{Table: "mixed", Conds: []Cond{{Col: "v", Op: "!=", Value: "b"}}, Cols: []string{"v"}},
+		// prefix over a non-string cell raises LIKE's type error.
+		{Table: "edges", Conds: []Cond{{Col: "bytes", Op: "prefix", Value: "1"}}},
+		{Table: "mixed", Conds: []Cond{{Col: "k", Op: ">", Value: int64(3)}, {Col: "v", Op: "prefix", Value: "b"}}},
 	}
-	for _, spec := range cases {
-		if _, _, err := db.ScanColumns(ctx, spec); !errors.Is(err, ErrPushdown) {
-			t.Errorf("ScanColumns(%+v): err = %v, want ErrPushdown", spec, err)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, ctx := range []context.Context{context.Background(), cancelled} {
+		for _, spec := range cases {
+			scan, sel := scanOutcomes(ctx, db, spec)
+			if scan != sel {
+				t.Errorf("%s (context error %v):\nScanColumns:\n%sSELECT:\n%s", selectText(spec), ctx.Err(), scan, sel)
+			}
 		}
 	}
-	// A non-string cell under prefix reproduces the LIKE error verbatim —
-	// real user-facing errors pass through, never ErrPushdown.
-	_, _, err := db.ScanColumns(ctx, ScanSpec{
-		Table: "edges", Conds: []Cond{{Col: "bytes", Op: "prefix", Value: "1"}},
+	// An operator SQL has no spelling for fails when it first runs, with
+	// WHERE's error for an unknown operator.
+	_, _, err := db.ScanColumns(context.Background(), ScanSpec{
+		Table: "edges", Conds: []Cond{{Col: "bytes", Op: "~", Value: int64(1)}},
 	})
-	if err == nil || !strings.Contains(err.Error(), "LIKE requires strings") {
-		t.Errorf("prefix over ints: err = %v, want LIKE type error", err)
-	}
-	_, werr := db.Query("SELECT * FROM edges WHERE bytes LIKE '1%'")
-	if werr == nil || err.Error() != werr.Error() {
-		t.Errorf("native LIKE error %q != text path %q", err, werr)
+	if want := `sql: unknown operator "~"`; err == nil || err.Error() != want {
+		t.Errorf("unknown operator: err = %v, want %s", err, want)
 	}
 }
 
-// TestPushdownProfileFramesMatchText requires the native scan to emit the
-// text path's exact frame tree (sql.select > sql.scan > sql.filter) so
-// explain-analyze output cannot reveal which path served a query.
+// FuzzScanColumns checks ScanColumns against the SQL engine on generated
+// scans of a small mixed-type table: conds holds three bytes per
+// condition (column, operator and literal kind, literal value) and cols
+// one byte per projected column (none keeps every column).
+func FuzzScanColumns(f *testing.F) {
+	db := NewDB()
+	tf := dataframe.New("i", "f", "s", "m")
+	tf.AppendRow(int64(1), 0.5, "a", int64(2))
+	tf.AppendRow(int64(2), 1.5, "ab", 2.5)
+	tf.AppendRow(int64(3), -1.0, "b", "a1")
+	tf.AppendRow(int64(-2), 2.0, "", nil)
+	tf.AppendRow(int64(0), 3.0, "a1", true)
+	db.CreateTable("t", tf)
+	db.CreateTable("e", dataframe.New("i", "f", "s", "m"))
+
+	tables := []string{"t", "t", "e", "ghost"}
+	names := []string{"i", "f", "s", "m", "ghost"}
+	ops := []string{"=", "!=", "<", "<=", ">", ">=", "prefix"}
+	strs := []string{"", "a", "a1", "ab", "b", "z"}
+	f.Add(uint8(0), []byte{}, []byte{})
+	f.Add(uint8(0), []byte{0, 2, 3}, []byte{2, 0})
+	f.Add(uint8(0), []byte{2, 6, 1, 1, 11, 5}, []byte{})
+	f.Add(uint8(0), []byte{3, 16, 2, 3, 4, 0}, []byte{3, 3})
+	f.Add(uint8(2), []byte{4, 0, 1}, []byte{4})
+	f.Add(uint8(0), []byte{3, 6, 0}, []byte{})
+	f.Add(uint8(0), []byte{2, 0, 9, 4, 0, 1}, []byte{0, 4})
+	f.Add(uint8(3), []byte{}, []byte{})
+	f.Fuzz(func(t *testing.T, table uint8, conds, cols []byte) {
+		spec := ScanSpec{Table: tables[int(table)%len(tables)]}
+		for k := 0; k+2 < len(conds) && k < 12; k += 3 {
+			c := Cond{Col: names[int(conds[k])%len(names)], Op: ops[int(conds[k+1])%len(ops)]}
+			v := int8(conds[k+2])
+			switch kind := int(conds[k+1]) / len(ops) % 3; {
+			case kind == 0 || c.Op == "prefix":
+				c.Value = strs[int(conds[k+2])%len(strs)]
+			case kind == 1:
+				c.Value = int64(v % 6)
+			default:
+				c.Value = float64(v%12) / 2
+			}
+			spec.Conds = append(spec.Conds, c)
+		}
+		for k := 0; k < len(cols) && k < 5; k++ {
+			spec.Cols = append(spec.Cols, names[int(cols[k])%len(names)])
+		}
+		scan, sel := scanOutcomes(context.Background(), db, spec)
+		if scan != sel {
+			t.Fatalf("%s:\nScanColumns:\n%sSELECT:\n%s", selectText(spec), scan, sel)
+		}
+	})
+}
+
+// TestPushdownProfileFramesMatchText requires ScanColumns to emit the exact
+// frame tree of the equivalent SELECT text (sql.select > sql.scan >
+// sql.filter), so explain-analyze output reads the same for both.
 func TestPushdownProfileFramesMatchText(t *testing.T) {
 	db := testDB()
 	shape := func(run func(ctx context.Context) error) []string {

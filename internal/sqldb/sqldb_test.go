@@ -593,3 +593,21 @@ func TestPropLimitClamps(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSameKind pins which value pairs = may find equal: any two numbers,
+// otherwise two values of one dynamic type. It must not allocate.
+func TestSameKind(t *testing.T) {
+	vals := []any{nil, true, int64(1), 1.0, "1", []any{int64(1)}}
+	kind := []int{0, 1, 2, 2, 3, 4} // equal kinds may compare equal
+	for i, a := range vals {
+		for j, b := range vals {
+			if got, want := sameKind(a, b), kind[i] == kind[j]; got != want {
+				t.Errorf("sameKind(%#v, %#v) = %v, want %v", a, b, got, want)
+			}
+		}
+	}
+	a, b := any("x"), any("y")
+	if n := testing.AllocsPerRun(100, func() { sameKind(a, b) }); n != 0 {
+		t.Errorf("sameKind allocates %v times per call", n)
+	}
+}
