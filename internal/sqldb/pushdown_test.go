@@ -144,13 +144,43 @@ func TestScanColumnsMatchesSelect(t *testing.T) {
 			}
 		}
 	}
-	// An operator SQL has no spelling for fails when it first runs, with
-	// WHERE's error for an unknown operator.
-	_, _, err := db.ScanColumns(context.Background(), ScanSpec{
+}
+
+// TestScanColumnsErrPushdown pins the shapes that are not a plain column
+// scan: an unknown table or column, an operator SQL has no spelling for,
+// a repeated projection and a prefix over non-string cells. Each gives
+// the equivalent SELECT's exact answer; no shape is refused.
+func TestScanColumnsErrPushdown(t *testing.T) {
+	db := testDB()
+	ctx := context.Background()
+	cases := []ScanSpec{
+		{Table: "ghost"},
+		{Table: "edges", Conds: []Cond{{Col: "ghost", Op: "=", Value: int64(1)}}},
+		{Table: "edges", Cols: []string{"src", "src"}},
+		{Table: "edges", Cols: []string{"ghost"}},
+	}
+	for _, spec := range cases {
+		if scan, sel := scanOutcomes(ctx, db, spec); scan != sel {
+			t.Errorf("%s:\nScanColumns:\n%sSELECT:\n%s", selectText(spec), scan, sel)
+		}
+	}
+	// An unknown operator fails when it first runs, with WHERE's error.
+	_, _, err := db.ScanColumns(ctx, ScanSpec{
 		Table: "edges", Conds: []Cond{{Col: "bytes", Op: "~", Value: int64(1)}},
 	})
 	if want := `sql: unknown operator "~"`; err == nil || err.Error() != want {
 		t.Errorf("unknown operator: err = %v, want %s", err, want)
+	}
+	// A non-string cell under prefix raises LIKE's type error verbatim.
+	_, _, err = db.ScanColumns(ctx, ScanSpec{
+		Table: "edges", Conds: []Cond{{Col: "bytes", Op: "prefix", Value: "1"}},
+	})
+	if err == nil || !strings.Contains(err.Error(), "LIKE requires strings") {
+		t.Errorf("prefix over ints: err = %v, want LIKE type error", err)
+	}
+	_, werr := db.Query("SELECT * FROM edges WHERE bytes LIKE '1%'")
+	if werr == nil || err == nil || err.Error() != werr.Error() {
+		t.Errorf("ScanColumns LIKE error %v != SELECT's %v", err, werr)
 	}
 }
 
