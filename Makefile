@@ -11,7 +11,7 @@
 # SandboxGoldenQuery / NQLVM / StreamSweep / GatewayThroughput /
 # ServiceQuery / FederatedJoin / FederatedGoldenQuery / FederatedAnalytics /
 # FederatedPipeline / FederatedSQLJoin / InstanceBind / DataframeRecords /
-# SQLJoinWhere).
+# SQLJoinWhere / SQLScan).
 
 GO        ?= go
 BENCH_OUT ?= BENCH_11.json
@@ -67,8 +67,9 @@ race:
 # Coverage-guided fuzzing, 30 s per target: FuzzAnalyze (the NQL semantic
 # analyzer never panics), FuzzRun (an NQL program fails only as a syntax,
 # compile or categorized runtime error, never with a panic or an
-# internal-class error) and FuzzScanColumns (sqldb's columnar scan gives
-# the equivalent SELECT's rows, error text and profile frames). go test
+# internal-class error) and FuzzScanColumns (the SELECT that sqldb's
+# ScanColumns builds from a scan spec gives the same rows, error text and
+# profile frames as the parser's SELECT of the equivalent text). go test
 # -fuzz takes one target per run. A failing input is written to the
 # package's testdata/fuzz, where plain `go test` replays it from then on.
 fuzz:

@@ -820,3 +820,23 @@ func BenchmarkEndToEndAsk(b *testing.B) {
 // sanity: the sqldb package is exercised via traffic.Database above; keep a
 // direct reference so the import list stays honest if benches change.
 var _ = sqldb.NewDB
+
+// BenchmarkSQLScan runs single-table SELECTs over the 500-node, 2,000-edge
+// traffic instance: the plain two-column read the paper's SQL goldens
+// issue most often, and the same read behind a WHERE that keeps a few rows.
+func BenchmarkSQLScan(b *testing.B) {
+	db := traffic.Database(benchGraph(500, 2000))
+	for _, c := range []struct{ name, q string }{
+		{"plain", "SELECT src, dst FROM edges"},
+		{"where", "SELECT src, dst FROM edges WHERE bytes > 1000"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Query(c.q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

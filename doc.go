@@ -21,7 +21,7 @@
 // cross-substrate query planner (internal/federate, bound as `fed`): one
 // logical plan — scan/filter/project/join/aggregate/sort/limit — is
 // planned across the substrates with per-source pushdown (SQL filters
-// become conditions of sqldb's columnar scan, graph scans push whole
+// become WHERE conditions of sqldb's ScanColumns, graph scans push whole
 // computations such as PageRank down into the graph library) and a shared
 // executor lifts rows into NQL values. Preparation is cost-based:
 // per-epoch table statistics drive join build-side choice and SourceAny

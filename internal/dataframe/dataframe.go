@@ -56,6 +56,25 @@ func FromRecords(cols []string, records []map[string]any) *Frame {
 	return f
 }
 
+// FromColumns builds a frame of rows rows that takes over the given column
+// slices, one per name and each rows long, whose cells are already in the
+// frame's value domain (as read from another frame). The caller must not
+// use the slices afterwards.
+func FromColumns(cols []string, data [][]any, rows int) *Frame {
+	f := New(cols...)
+	if len(data) != len(cols) {
+		panic(fmt.Sprintf("dataframe: FromColumns got %d columns for %d names", len(data), len(cols)))
+	}
+	for i, c := range cols {
+		if len(data[i]) != rows {
+			panic(fmt.Sprintf("dataframe: FromColumns column %q has %d rows, want %d", c, len(data[i]), rows))
+		}
+		f.data[c] = data[i]
+	}
+	f.nrows = rows
+	return f
+}
+
 // normalize coerces values into the frame's value domain.
 func normalize(v any) any {
 	switch x := v.(type) {

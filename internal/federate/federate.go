@@ -6,9 +6,9 @@
 // A single logical plan — scan, filter, project, join, aggregate, sort,
 // limit — is planned across heterogeneous sources: every scan names a
 // (source, table) pair, the optimizer pushes filters and projections down
-// into the scans (mapping them onto the conditions of sqldb's columnar
-// scan for the SQL substrate, testing them on source cells before a row is
-// lifted for the graph and frame substrates), and the executor evaluates
+// into the scans (mapping them onto the WHERE conditions of sqldb's
+// ScanColumns for the SQL substrate, testing them on source cells before a
+// row is lifted for the graph and frame substrates), and the executor evaluates
 // the remaining operators over a uniform relation of nql.Value rows. Graph
 // scans can also push whole computations down — degree, PageRank,
 // connected components — so a plan can join, say, a SQL probe table
@@ -26,7 +26,9 @@
 // plan on one recursive executor, single-goroutine per query: each
 // operator executes its inputs, then works on the materialized results. A
 // scan filters on source columns before it lifts a row; a SQL scan reads
-// its table through sqldb's columnar ScanColumns, never through SQL text.
+// its table through sqldb's ScanColumns, never through SQL text, which runs
+// the SELECT it stands for on sqldb's one executor over the table's
+// columns.
 // A join or aggregate reads a scan child's surviving cells in place,
 // lifting only the cells it uses; every other child arrives as a lifted
 // relation. There is one join (hashing the side the planner chose) and one

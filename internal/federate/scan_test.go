@@ -11,11 +11,11 @@ import (
 	"repro/internal/obs"
 )
 
-// scanCatalog extends testCatalog with four small tables, each present as
+// scanCatalog extends testCatalog with five small tables, each present as
 // both a frame and a SQL table: "empty" (the edges schema, no rows),
 // "mixed" (column v holds strings on rows 0-2 and an int on row 3), "kw"
-// (a column named after the SQL keyword ORDER) and "select" (a table
-// named after a keyword).
+// (a column named after the SQL keyword ORDER), "select" (a table named
+// after a keyword) and "dotted" (a column name holding a dot).
 func scanCatalog() *Catalog {
 	cat := testCatalog()
 	empty := dataframe.New("src", "dst", "bytes")
@@ -28,7 +28,10 @@ func scanCatalog() *Catalog {
 	kw.AppendRow("a", int64(1))
 	sel := dataframe.New("src", "dst")
 	sel.AppendRow("a", "b")
-	for name, f := range map[string]*dataframe.Frame{"empty": empty, "mixed": mixed, "kw": kw, "select": sel} {
+	dotted := dataframe.New("src", "a.b")
+	dotted.AppendRow("a", int64(1))
+	dotted.AppendRow("b", int64(2))
+	for name, f := range map[string]*dataframe.Frame{"empty": empty, "mixed": mixed, "kw": kw, "select": sel, "dotted": dotted} {
 		cat.Frames[name] = f
 		cat.DB.CreateTable(name, f.Clone())
 	}
@@ -125,6 +128,18 @@ func TestScanPinnedRelations(t *testing.T) {
 			name: "keyword table", table: "select",
 			key:  "src",
 			want: `src,dst|"a","b"`,
+		},
+		{
+			name: "dotted column", table: "dotted",
+			key:  "src",
+			want: `src,a.b|"a",1|"b",2`,
+		},
+		{
+			name: "condition and projection on a dotted column", table: "dotted",
+			pushed: []Cmp{{Col: "a.b", Op: ">", Value: int64(1)}},
+			cols:   []string{"a.b", "src"},
+			key:    "src",
+			want:   `a.b,src|2,"b"`,
 		},
 		{
 			// SQL orders an int before every string, as it does for "a1".

@@ -94,16 +94,18 @@ type ColumnRef struct {
 	Table string // "" when unqualified
 	Name  string
 
-	// sch and slot cache where the reference last resolved: the slot of the
-	// row schema sch. Every row of one working set shares its schema, so
-	// the rest of the rows skip resolution; the cache is valid for the
-	// single statement execution that owns this AST.
-	sch  *schema
-	slot int
+	// ws, src and data cache where the reference last resolved: source src
+	// of working set ws, and the slice of the column it names. The rest of
+	// the rows of ws skip resolution; the cache is valid for the single
+	// statement execution that owns this AST.
+	ws   *workingSet
+	src  int
+	data []any
 }
 
 // BinaryExpr applies Op to Left and Right. Op is upper-case: =, !=, <, <=,
-// >, >=, +, -, *, /, %, AND, OR, LIKE.
+// >, >=, +, -, *, /, %, AND, OR, LIKE; or prefix, which SQL text cannot
+// spell: LIKE 'v%' with v taken literally (ScanColumns' conditions).
 type BinaryExpr struct {
 	Op          string
 	Left, Right Expr

@@ -3,7 +3,6 @@ package sqldb
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/dataframe"
 )
@@ -168,17 +167,18 @@ func (db *DB) execUpdate(ctx context.Context, s *UpdateStmt) (int64, error) {
 			return 0, fmt.Errorf("sql: column %q does not exist in table %q (have %v)", set.Col, s.Table, f.Columns())
 		}
 	}
-	// Column slices are read once: SetCell on row i leaves every later row
-	// of them intact, even when it copies a copy-on-write column.
-	data := columnSlices(f)
-	row := scope{sch: newSchema(f.Columns()), vals: make([]any, len(data))}
+	// The rows read the column slices the statement started with: SetCell
+	// on row i leaves every later row of them intact, even when it copies a
+	// copy-on-write column, and every SET of row i is evaluated before the
+	// row is written, so each reads the row as it was before the statement.
+	ws := tableScan(f, "")
+	vals := make([]any, len(s.Sets))
 	var n int64
-	for i := 0; i < f.NumRows(); i++ {
+	for i := 0; i < ws.n; i++ {
 		if err := cancelled(ctx, i); err != nil {
 			return n, err
 		}
-		// Every SET reads the row as it was before this statement wrote it.
-		row.load(data, i)
+		row := scope{ws, i}
 		if s.Where != nil {
 			ok, err := evalBool(s.Where, row)
 			if err != nil {
@@ -188,14 +188,22 @@ func (db *DB) execUpdate(ctx context.Context, s *UpdateStmt) (int64, error) {
 				continue
 			}
 		}
-		for _, set := range s.Sets {
-			v, err := evalExpr(set.Expr, row)
-			if err != nil {
+		// The SETs before a failing one are written, as when each SET was
+		// written in turn.
+		var setErr error
+		k := 0
+		for ; k < len(s.Sets); k++ {
+			if vals[k], setErr = evalExpr(s.Sets[k].Expr, row); setErr != nil {
+				break
+			}
+		}
+		for j, set := range s.Sets[:k] {
+			if err := f.SetCell(i, set.Col, vals[j]); err != nil {
 				return n, err
 			}
-			if err := f.SetCell(i, set.Col, v); err != nil {
-				return n, err
-			}
+		}
+		if setErr != nil {
+			return n, setErr
 		}
 		n++
 	}
@@ -207,14 +215,12 @@ func (db *DB) execDelete(s *DeleteStmt) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	data := columnSlices(f)
-	row := scope{sch: newSchema(f.Columns()), vals: make([]any, len(data))}
+	ws := tableScan(f, "")
 	kept, err := f.FilterIdx(func(i int) (bool, error) {
 		if s.Where == nil {
 			return false, nil
 		}
-		row.load(data, i)
-		ok, err := evalBool(s.Where, row)
+		ok, err := evalBool(s.Where, scope{ws, i})
 		return !ok, err
 	})
 	if err != nil {
@@ -223,97 +229,4 @@ func (db *DB) execDelete(s *DeleteStmt) (int64, error) {
 	n := int64(f.NumRows() - kept.NumRows())
 	db.CreateTable(s.Table, kept)
 	return n, nil
-}
-
-// schema is the key layout every row of one working set shares: the slot
-// names in slot order (a join's left slots, then its right slots) and each
-// name's slot. A name that appears in several slots resolves to the last,
-// as a later map assignment used to overwrite an earlier one.
-type schema struct {
-	slots []string
-	slot  map[string]int
-}
-
-func newSchema(slots []string) *schema {
-	s := &schema{slots: slots, slot: make(map[string]int, len(slots))}
-	for i, name := range slots {
-		s.slot[name] = i
-	}
-	return s
-}
-
-// scope is one row of a working set: its values, slot for slot with the
-// shared schema. The zero scope (nil schema) allows only constants.
-type scope struct {
-	sch  *schema
-	vals []any
-}
-
-// load copies row i of a table's column slices into the scope's values.
-func (s scope) load(cols [][]any, i int) {
-	for j, col := range cols {
-		s.vals[j] = col[i]
-	}
-}
-
-// lookup resolves a column reference. Keys are qualified ("alias.col") for
-// SELECT rows and bare column names for UPDATE/DELETE rows; an unqualified
-// reference also matches a unique qualified key by its column suffix. The
-// reference caches the slot it resolved to in this scope's schema, so the
-// remaining rows of the statement skip resolution.
-func (s scope) lookup(ref *ColumnRef) (any, error) {
-	if ref.sch != s.sch {
-		slot, err := s.sch.resolve(ref)
-		if err != nil {
-			return nil, err
-		}
-		ref.sch, ref.slot = s.sch, slot
-	}
-	return s.vals[ref.slot], nil
-}
-
-func (sch *schema) resolve(ref *ColumnRef) (int, error) {
-	if ref.Table != "" {
-		if i, ok := sch.slot[ref.Table+"."+ref.Name]; ok {
-			return i, nil
-		}
-		return 0, fmt.Errorf("sql: unknown column %s.%s (available: %v)", ref.Table, ref.Name, sch.keys())
-	}
-	if i, ok := sch.slot[ref.Name]; ok {
-		return i, nil
-	}
-	// Unqualified name that is unique among qualified entries.
-	var found []string
-	for k := range sch.slot {
-		if idx := lastDot(k); idx >= 0 && k[idx+1:] == ref.Name {
-			found = append(found, k)
-		}
-	}
-	if len(found) == 1 {
-		return sch.slot[found[0]], nil
-	}
-	if len(found) > 1 {
-		sort.Strings(found)
-		return 0, fmt.Errorf("sql: ambiguous column %q (matches %v)", ref.Name, found)
-	}
-	return 0, fmt.Errorf("sql: unknown column %q (available: %v)", ref.Name, sch.keys())
-}
-
-// keys returns the schema's distinct names, sorted.
-func (sch *schema) keys() []string {
-	out := make([]string, 0, len(sch.slot))
-	for k := range sch.slot {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func lastDot(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '.' {
-			return i
-		}
-	}
-	return -1
 }

@@ -10,16 +10,24 @@ import (
 )
 
 // evalExpr evaluates a non-aggregate expression against a row scope (the
-// zero scope allows only constants).
+// zero scope allows only constants). It tests for the leaves first: WHERE
+// reads one or two of them per comparison on every row.
 func evalExpr(e Expr, s scope) (any, error) {
 	switch x := e.(type) {
 	case *Literal:
-		return normalizeVal(x.Value), nil
+		return x.Value, nil
 	case *ColumnRef:
-		if s.sch == nil {
+		if s.ws == nil {
 			return nil, fmt.Errorf("sql: column reference %q outside row context", x.Name)
 		}
 		return s.lookup(x)
+	}
+	return evalNode(e, s)
+}
+
+// evalNode evaluates every expression but a leaf.
+func evalNode(e Expr, s scope) (any, error) {
+	switch x := e.(type) {
 	case *UnaryExpr:
 		v, err := evalExpr(x.X, s)
 		if err != nil {
@@ -100,15 +108,6 @@ func evalExpr(e Expr, s scope) (any, error) {
 	}
 }
 
-func normalizeVal(v any) any {
-	switch x := v.(type) {
-	case int:
-		return int64(x)
-	default:
-		return v
-	}
-}
-
 // sameKind reports whether = may find a and b equal: two numbers, or two
 // values of one dynamic type.
 func sameKind(a, b any) bool {
@@ -117,14 +116,18 @@ func sameKind(a, b any) bool {
 	return aNum && bNum || reflect.TypeOf(a) == reflect.TypeOf(b)
 }
 
-// equal is SQL's =: the values compare equal and are of one kind.
+// equal is SQL's =: the values compare equal and are of one kind. Two
+// strings, the commonest WHERE equality, need no three-way compare.
 func equal(a, b any) bool {
+	if as, ok := a.(string); ok {
+		bs, ok := b.(string)
+		return ok && as == bs
+	}
 	return dataframe.CompareValues(a, b) == 0 && sameKind(a, b)
 }
 
 // compare evaluates `l op r` for the comparison operators =, !=, <, <=, >
-// and >=; ok is false for any other operator. WHERE and ScanColumns both
-// compare through it.
+// and >=; ok is false for any other operator.
 func compare(op string, l, r any) (result, ok bool) {
 	switch op {
 	case "=":
@@ -160,35 +163,44 @@ func truthy(v any) bool {
 	}
 }
 
+// evalBool evaluates a condition. WHERE and ON run it on every row, so it
+// decides AND, OR and the comparisons itself, without boxing a result.
 func evalBool(e Expr, s scope) (bool, error) {
-	v, err := evalExpr(e, s)
+	x, ok := e.(*BinaryExpr)
+	if !ok {
+		v, err := evalExpr(e, s)
+		return truthy(v), err
+	}
+	if x.Op == "AND" || x.Op == "OR" {
+		// Short-circuit: AND stops at false, OR at true.
+		l, err := evalBool(x.Left, s)
+		if err != nil || l == (x.Op == "OR") {
+			return l, err
+		}
+		return evalBool(x.Right, s)
+	}
+	l, err := evalExpr(x.Left, s)
 	if err != nil {
 		return false, err
 	}
-	return truthy(v), nil
+	r, err := evalExpr(x.Right, s)
+	if err != nil {
+		return false, err
+	}
+	if b, ok := compare(x.Op, l, r); ok {
+		return b, nil
+	}
+	v, err := binaryOp(x.Op, l, r)
+	return truthy(v), err
 }
 
 func evalBinary(x *BinaryExpr, s scope) (any, error) {
-	// Short-circuit logic ops.
-	switch x.Op {
-	case "AND":
-		l, err := evalBool(x.Left, s)
+	if x.Op == "AND" || x.Op == "OR" {
+		b, err := evalBool(x, s)
 		if err != nil {
 			return nil, err
 		}
-		if !l {
-			return false, nil
-		}
-		return evalBool(x.Right, s)
-	case "OR":
-		l, err := evalBool(x.Left, s)
-		if err != nil {
-			return nil, err
-		}
-		if l {
-			return true, nil
-		}
-		return evalBool(x.Right, s)
+		return b, nil
 	}
 	l, err := evalExpr(x.Left, s)
 	if err != nil {
@@ -198,15 +210,23 @@ func evalBinary(x *BinaryExpr, s scope) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if b, ok := compare(x.Op, l, r); ok {
+	return binaryOp(x.Op, l, r)
+}
+
+// binaryOp applies a non-logical binary operator to evaluated operands.
+func binaryOp(op string, l, r any) (any, error) {
+	if b, ok := compare(op, l, r); ok {
 		return b, nil
 	}
-	switch x.Op {
-	case "LIKE":
+	switch op {
+	case "LIKE", "prefix":
 		ls, ok1 := l.(string)
 		rs, ok2 := r.(string)
 		if !ok1 || !ok2 {
 			return nil, fmt.Errorf("sql: LIKE requires strings, got %T and %T", l, r)
+		}
+		if op == "prefix" {
+			return strings.HasPrefix(ls, rs), nil
 		}
 		return likeMatch(ls, rs), nil
 	case "+":
@@ -215,11 +235,11 @@ func evalBinary(x *BinaryExpr, s scope) (any, error) {
 				return ls + rs, nil // string concatenation convenience
 			}
 		}
-		return arith(l, r, x.Op)
+		return arith(l, r, op)
 	case "-", "*", "/", "%":
-		return arith(l, r, x.Op)
+		return arith(l, r, op)
 	default:
-		return nil, fmt.Errorf("sql: unknown operator %q", x.Op)
+		return nil, fmt.Errorf("sql: unknown operator %q", op)
 	}
 }
 

@@ -1,9 +1,11 @@
 package sqldb
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -23,19 +25,217 @@ func cancelled(ctx context.Context, i int) error {
 	if ctx == nil || i%cancelCheckEvery != 0 {
 		return nil
 	}
+	return ctxErr(ctx)
+}
+
+// ctxErr is cancelled's slow path, kept apart so that the stride test
+// inlines into the row loops.
+func ctxErr(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("sql: %w", err)
 	}
 	return nil
 }
 
-// workingSet is the intermediate relation a SELECT pipeline operates on:
-// rows are scopes over one shared schema, whose slots are the qualified
-// column names in deterministic order (e.g. "n.id"), so star expansion is
-// deterministic.
+// source is one table a statement reads in place: the alias its columns
+// are qualified by ("" for UPDATE and DELETE, whose rows name columns
+// bare), its column names and its column slices.
+type source struct {
+	alias string
+	names []string
+	cols  [][]any
+}
+
+// workingSet is the relation a statement operates on: its sources in
+// order (a join's left sources before its right one), whose (source,
+// column) pairs are its slots, and n rows. Row r reads source s at
+// position pos[s][r] (at r itself when pos[s] is nil); position -1 is the
+// NULL side of a LEFT JOIN.
 type workingSet struct {
-	rows []scope
-	sch  *schema
+	srcs []source
+	pos  [][]int
+	n    int
+}
+
+// tableScan is the working set of every row of one table.
+func tableScan(f *dataframe.Frame, alias string) *workingSet {
+	names := f.Columns()
+	cols := make([][]any, len(names))
+	for j, c := range names {
+		cols[j], _ = f.Column(c)
+	}
+	return &workingSet{srcs: []source{{alias, names, cols}}, pos: make([][]int, 1), n: f.NumRows()}
+}
+
+// at is the position row r reads in source s.
+func (ws *workingSet) at(s, r int) int {
+	if p := ws.pos[s]; p != nil {
+		return p[r]
+	}
+	return r
+}
+
+// scope is one row of a working set. The zero scope allows only constants.
+type scope struct {
+	ws *workingSet
+	r  int
+}
+
+// lookup reads a column reference in the scope's row. The reference caches
+// the slot it resolved to in this working set, so the remaining rows of
+// the statement skip resolution.
+func (s scope) lookup(ref *ColumnRef) (any, error) {
+	if ref.ws != s.ws {
+		if err := s.ws.bind(ref); err != nil {
+			return nil, err
+		}
+	}
+	p := s.ws.at(ref.src, s.r)
+	if p < 0 {
+		return nil, nil
+	}
+	return ref.data[p], nil
+}
+
+// bind resolves the reference in ws and caches the result on it.
+func (ws *workingSet) bind(ref *ColumnRef) error {
+	src, col, err := ws.resolve(ref.Table, ref.Name)
+	if err != nil {
+		return err
+	}
+	ref.ws, ref.src, ref.data = ws, src, ws.srcs[src].cols[col]
+	return nil
+}
+
+// resolve finds the slot a column reference names: with a table, the slot
+// of that alias and column; without one, the slot of that column under a
+// single alias. Names are compared whole, so a dotted column name is one
+// name. When several slots carry one alias and column (FROM t JOIN t), the
+// last wins.
+func (ws *workingSet) resolve(table, name string) (src, col int, err error) {
+	src = -1
+	ambiguous := false
+	for s, so := range ws.srcs {
+		if table != "" && so.alias != table {
+			continue
+		}
+		for c, n := range so.names {
+			if n == name {
+				ambiguous = ambiguous || src >= 0 && ws.srcs[src].alias != so.alias
+				src, col = s, c
+			}
+		}
+	}
+	switch {
+	case ambiguous:
+		var found []string
+		for _, so := range ws.srcs {
+			if slices.Contains(so.names, name) {
+				found = append(found, so.alias+"."+name)
+			}
+		}
+		slices.Sort(found)
+		return 0, 0, fmt.Errorf("sql: ambiguous column %q (matches %v)", name, slices.Compact(found))
+	case src >= 0:
+		return src, col, nil
+	case table != "":
+		return 0, 0, fmt.Errorf("sql: unknown column %s.%s (available: %v)", table, name, ws.keys())
+	}
+	return 0, 0, fmt.Errorf("sql: unknown column %q (available: %v)", name, ws.keys())
+}
+
+// named counts the slots that carry the column name, under the alias
+// unless it is "".
+func (ws *workingSet) named(alias, name string) int {
+	n := 0
+	for _, so := range ws.srcs {
+		if alias == "" || so.alias == alias {
+			for _, c := range so.names {
+				if c == name {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// keys returns the distinct slot names ("alias.col", or the bare column
+// under the empty alias), sorted.
+func (ws *workingSet) keys() []string {
+	out := []string{}
+	for _, so := range ws.srcs {
+		for _, name := range so.names {
+			if so.alias != "" {
+				name = so.alias + "." + name
+			}
+			out = append(out, name)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// column is one output column: cell i is data[pos[i]], or data[i] when pos
+// is nil, and NULL at a negative position. A bare column item reads its
+// table's storage this way until the result is copied out.
+type column struct {
+	data []any
+	pos  []int
+}
+
+func (c column) at(i int) any {
+	if c.pos != nil {
+		if i = c.pos[i]; i < 0 {
+			return nil
+		}
+	}
+	return c.data[i]
+}
+
+// output is a SELECT's result: its column names and n rows of columns.
+type output struct {
+	names []string
+	cols  []column
+	n     int
+}
+
+// take narrows and reorders the result to rows idx.
+func (o *output) take(idx []int) {
+	for c, col := range o.cols {
+		if col.pos == nil {
+			o.cols[c].pos = idx
+			continue
+		}
+		p := make([]int, len(idx))
+		for k, i := range idx {
+			p[k] = col.pos[i]
+		}
+		o.cols[c].pos = p
+	}
+	o.n = len(idx)
+}
+
+// cells copies the result out, one slice of n cells per column cut from
+// one backing array. With share, a column that reads a table in row order
+// is the table's own slice instead of a copy.
+func (o *output) cells(share bool) [][]any {
+	data := make([][]any, len(o.cols))
+	var buf []any
+	for c, col := range o.cols {
+		if share && col.pos == nil {
+			data[c] = col.data
+			continue
+		}
+		if buf == nil {
+			buf = make([]any, o.n*len(o.cols))
+		}
+		data[c] = buf[c*o.n : (c+1)*o.n : (c+1)*o.n]
+		for i := range data[c] {
+			data[c][i] = col.at(i)
+		}
+	}
+	return data
 }
 
 // enterFrame opens a profile frame, parenting it under the context's
@@ -50,138 +250,135 @@ func enterFrame(ctx context.Context, prof *obs.Profile, name, detail string) *ob
 }
 
 func (db *DB) execSelect(ctx context.Context, s *SelectStmt) (*dataframe.Frame, error) {
-	// Profiling is opt-in via the statement context (obs.WithProfile); an
-	// unprofiled query pays one context lookup and nil-safe no-op calls.
+	out, err := db.query(ctx, s)
+	if err != nil {
+		return nil, err
+	}
+	// The frame owns its storage: NQL's set_cell and append_row write it.
+	return dataframe.FromColumns(out.names, out.cells(false), out.n), nil
+}
+
+// query runs a SELECT under its sql.select profile frame. Profiling is
+// opt-in via the statement context (obs.WithProfile); an unprofiled query
+// pays one context lookup and nil-safe no-op calls.
+func (db *DB) query(ctx context.Context, s *SelectStmt) (output, error) {
 	prof := obs.ProfileFrom(ctx)
-	sel := enterFrame(ctx, prof, "sql.select", selectDetail(s))
-	ctx = obs.WithFrame(ctx, sel)
-	out, err := db.execSelectBody(ctx, prof, s)
+	detail := "" // the FROM table
+	if s.From != nil {
+		detail = s.From.Name
+	}
+	sel := enterFrame(ctx, prof, "sql.select", detail)
+	out, err := db.selectBody(obs.WithFrame(ctx, sel), prof, s)
 	rows := int64(-1)
-	if err == nil && out != nil {
-		rows = int64(out.NumRows())
+	if err == nil {
+		rows = int64(out.n)
 	}
 	prof.Exit(sel, rows)
 	return out, err
 }
 
-func (db *DB) execSelectBody(ctx context.Context, prof *obs.Profile, s *SelectStmt) (*dataframe.Frame, error) {
+func (db *DB) selectBody(ctx context.Context, prof *obs.Profile, s *SelectStmt) (output, error) {
 	ws, err := db.buildFrom(ctx, s)
 	if err != nil {
-		return nil, err
+		return output{}, err
 	}
-	// WHERE
 	if s.Where != nil {
 		filt := enterFrame(ctx, prof, "sql.filter", "")
-		filtered := ws.rows[:0:0]
-		for ri, row := range ws.rows {
-			if err := cancelled(ctx, ri); err != nil {
-				prof.Exit(filt, -1)
-				return nil, err
-			}
-			ok, err := evalBool(s.Where, row)
-			if err != nil {
-				prof.Exit(filt, -1)
-				return nil, err
-			}
-			if ok {
-				filtered = append(filtered, row)
-			}
+		if err := filter(ctx, s.Where, ws); err != nil {
+			prof.Exit(filt, -1)
+			return output{}, err
 		}
-		ws.rows = filtered
-		prof.Exit(filt, int64(len(ws.rows)))
+		prof.Exit(filt, int64(ws.n))
 	}
 
 	aggregated := len(s.GroupBy) > 0 || s.Having != nil || selectHasAggregate(s.Items)
-	var out *dataframe.Frame
+	var out output
 	if aggregated {
 		out, err = projectAggregate(ctx, s, ws)
 	} else {
 		out, err = projectPlain(ctx, s, ws)
 	}
 	if err != nil {
-		return nil, err
+		return output{}, err
 	}
 
 	// ORDER BY operates on output columns (by name) or fresh expressions
 	// against the pre-projection rows for plain selects; for simplicity and
 	// predictability we order by output column references and fall back to
 	// expression text lookup.
+	var idx []int // the output rows kept, in order; nil keeps all in order
 	if len(s.OrderBy) > 0 {
 		if err := cancelled(ctx, 0); err != nil {
-			return nil, err
+			return output{}, err
 		}
-		out, err = orderResult(s, ws, out, aggregated)
-		if err != nil {
-			return nil, err
+		if idx, err = orderRows(s, ws, &out, aggregated); err != nil {
+			return output{}, err
 		}
 	}
 	if s.Distinct {
-		out = distinctRows(out)
+		idx = distinctRows(&out, idx)
 	}
 	if s.Offset != nil || s.Limit != nil {
-		// Compare in int64 against the rows that are left, never by adding:
-		// a huge LIMIT or OFFSET literal must clamp, not overflow.
-		n := out.NumRows()
-		start := 0
+		if idx == nil {
+			idx = identity(out.n)
+		}
+		// Clamp in int64 against the rows that are left, never by adding: a
+		// huge LIMIT or OFFSET literal must clamp, not overflow.
+		start, end := 0, len(idx)
 		if s.Offset != nil {
-			start = n
-			if *s.Offset < int64(n) {
-				start = int(*s.Offset)
-			}
+			start = int(min(*s.Offset, int64(end)))
 		}
-		end := n
-		if s.Limit != nil && *s.Limit < int64(n-start) {
-			end = start + int(*s.Limit)
+		if s.Limit != nil {
+			end = start + int(min(*s.Limit, int64(end-start)))
 		}
-		idx := make([]int, 0, end-start)
-		for i := start; i < end; i++ {
-			idx = append(idx, i)
-		}
-		out = out.Take(idx)
+		idx = idx[start:end]
+	}
+	if idx != nil {
+		out.take(idx)
 	}
 	return out, nil
 }
 
-// buildFrom materializes the FROM clause (with joins) into a working set.
+// identity returns the row order 0, 1, ..., n-1.
+func identity(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
+// buildFrom scans the FROM clause (with joins) into a working set.
 func (db *DB) buildFrom(ctx context.Context, s *SelectStmt) (*workingSet, error) {
 	if s.From == nil {
 		// SELECT without FROM: one empty row so constant expressions work
 		// (and column references fail as unknown columns).
-		sch := newSchema(nil)
-		return &workingSet{rows: []scope{{sch: sch}}, sch: sch}, nil
+		return &workingSet{n: 1}, nil
 	}
 	base, err := db.Table(s.From.Name)
 	if err != nil {
 		return nil, err
 	}
-	alias := s.From.Alias
-	if alias == "" {
-		alias = s.From.Name
-	}
 	prof := obs.ProfileFrom(ctx)
 	scan := enterFrame(ctx, prof, "sql.scan", s.From.Name)
-	ws := tableScopes(base, alias)
-	prof.Exit(scan, int64(len(ws.rows)))
+	ws := tableScan(base, cmp.Or(s.From.Alias, s.From.Name))
+	prof.Exit(scan, int64(ws.n))
 	for _, j := range s.Joins {
 		right, err := db.Table(j.Table.Name)
 		if err != nil {
 			return nil, err
 		}
-		ralias := j.Table.Alias
-		if ralias == "" {
-			ralias = j.Table.Name
-		}
 		jf := enterFrame(ctx, prof, "sql.join", joinDetail(j))
 		rscan := enterFrame(obs.WithFrame(ctx, jf), prof, "sql.scan", j.Table.Name)
-		rws := tableScopes(right, ralias)
-		prof.Exit(rscan, int64(len(rws.rows)))
-		joined, err := joinRows(ctx, ws, j, right, rws, ralias)
+		rws := tableScan(right, cmp.Or(j.Table.Alias, j.Table.Name))
+		prof.Exit(rscan, int64(rws.n))
+		joined, err := join(ctx, ws, j, rws)
 		if err != nil {
 			prof.Exit(jf, -1)
 			return nil, err
 		}
 		ws = joined
-		prof.Exit(jf, int64(len(joined.rows)))
+		prof.Exit(jf, int64(joined.n))
 	}
 	return ws, nil
 }
@@ -199,100 +396,121 @@ func joinDetail(j JoinClause) string {
 	return kind + " " + name
 }
 
-// selectDetail renders the FROM shape of a SELECT for a profile frame.
-func selectDetail(s *SelectStmt) string {
-	if s.From == nil {
-		return ""
+// filter keeps the rows of ws that pass cond, compacting its position
+// vectors in place.
+func filter(ctx context.Context, cond Expr, ws *workingSet) error {
+	keep := make([]int, 0, ws.n)
+	for r := 0; r < ws.n; r++ {
+		if err := cancelled(ctx, r); err != nil {
+			return err
+		}
+		ok, err := evalBool(cond, scope{ws, r})
+		if err != nil {
+			return err
+		}
+		if ok {
+			keep = append(keep, r)
+		}
 	}
-	return s.From.Name
+	for s, p := range ws.pos {
+		if p == nil {
+			ws.pos[s] = keep
+			continue
+		}
+		// keep is ascending, so each row moves down or stays.
+		for i, r := range keep {
+			p[i] = p[r]
+		}
+		ws.pos[s] = p[:len(keep)]
+	}
+	ws.n = len(keep)
+	return nil
 }
 
-// joinRows joins ws against one table per the JOIN clause, via the hash
-// fast path when equiJoinKeys finds a usable equality.
-func joinRows(ctx context.Context, ws *workingSet, j JoinClause, right *dataframe.Frame, rws *workingSet, ralias string) (*workingSet, error) {
-	rightRows := rws.rows
-	// Hash-join fast path: when the ON clause contains an equality
-	// between a left column and a right column, bucket the right side
-	// by that key and probe instead of the quadratic nested loop. Any
-	// remaining ON conjuncts are still evaluated per candidate pair.
-	leftKey, rightKey, residual := equiJoinKeys(j.On, ws.sch.slots, right.Columns(), ralias)
-	var rightIndex map[joinKey][]scope
+// join joins ws with the one-table working set right per the JOIN clause,
+// hashing the right side on an ON equality when equiJoinKeys finds one.
+// Each joined row pairs a left row's positions with a right position, -1
+// for a LEFT JOIN row that matched nothing.
+func join(ctx context.Context, ws *workingSet, j JoinClause, right *workingSet) (*workingSet, error) {
+	cond := j.On
+	leftKey, rightKey, residual := equiJoinKeys(j.On, ws, right.srcs[0])
+	var index map[joinKey][]int
 	if leftKey != nil {
-		rightIndex = make(map[joinKey][]scope, len(rightRows))
-		for _, r := range rightRows {
-			v, err := r.lookup(rightKey)
+		// Bucket the right side by the key and probe instead of the
+		// quadratic nested loop; the remaining ON conjuncts are still
+		// evaluated per candidate pair.
+		cond = residual
+		index = make(map[joinKey][]int, right.n)
+		for r := 0; r < right.n; r++ {
+			v, err := scope{right, r}.lookup(rightKey)
 			if err != nil {
 				return nil, err
 			}
 			k := keyOf(v)
-			rightIndex[k] = append(rightIndex[k], r)
+			index[k] = append(index[k], r)
 		}
 	}
-	// Every merged row has the left slots, then the right slots; a name on
-	// both sides reads the right one, as when merging maps.
-	sch := newSchema(append(append([]string(nil), ws.sch.slots...), rws.sch.slots...))
-	var slab rowSlab
-	merge := func(l scope, r []any) scope {
-		vals := slab.next(len(l.vals) + len(r))
-		copy(vals[copy(vals, l.vals):], r)
-		return scope{sch: sch, vals: vals}
+	var all []int
+	if index == nil {
+		all = identity(right.n)
 	}
-	var joined []scope
-	for li, l := range ws.rows {
-		if err := cancelled(ctx, li); err != nil {
+	// Every joined row has the left slots, then the right slots; a name on
+	// both sides reads the right one, as when merging maps.
+	k := len(ws.srcs)
+	srcs := append(slices.Clip(ws.srcs), right.srcs[0])
+	out := &workingSet{srcs: srcs, pos: make([][]int, k+1)}
+	for s := range out.pos {
+		out.pos[s] = make([]int, 0, ws.n)
+	}
+	// pair is the one-row working set the ON condition reads a candidate
+	// pair through.
+	pair := &workingSet{srcs: srcs, pos: make([][]int, k+1), n: 1}
+	cells := make([]int, k+1)
+	for s := range pair.pos {
+		pair.pos[s] = cells[s : s+1]
+	}
+	emit := func(l, r int) {
+		for s := 0; s < k; s++ {
+			out.pos[s] = append(out.pos[s], ws.at(s, l))
+		}
+		out.pos[k] = append(out.pos[k], r)
+		out.n++
+	}
+	for l := 0; l < ws.n; l++ {
+		if err := cancelled(ctx, l); err != nil {
 			return nil, err
 		}
-		candidates := rightRows
-		if rightIndex != nil {
-			lv, err := l.lookup(leftKey)
+		candidates := all
+		if index != nil {
+			v, err := scope{ws, l}.lookup(leftKey)
 			if err != nil {
 				return nil, err
 			}
-			candidates = rightIndex[keyOf(lv)]
+			candidates = index[keyOf(v)]
 		}
 		matched := false
 		for _, r := range candidates {
-			merged := merge(l, r.vals)
-			cond := residual
-			if rightIndex == nil {
-				cond = j.On
-			}
-			ok := true
 			if cond != nil {
-				var err error
-				ok, err = evalBool(cond, merged)
+				for s := 0; s < k; s++ {
+					cells[s] = ws.at(s, l)
+				}
+				cells[k] = r
+				ok, err := evalBool(cond, scope{pair, 0})
 				if err != nil {
 					return nil, err
 				}
+				if !ok {
+					continue
+				}
 			}
-			if ok {
-				joined = append(joined, merged)
-				matched = true
-			}
+			emit(l, r)
+			matched = true
 		}
 		if !matched && j.Kind == "left" {
-			joined = append(joined, merge(l, make([]any, len(rws.sch.slots))))
+			emit(l, -1)
 		}
 	}
-	return &workingSet{rows: joined, sch: sch}, nil
-}
-
-// rowSlab hands out fixed-width value rows carved from chunks that double
-// in size, so a join allocates its merged rows O(log n) times rather than
-// once per row. Each row's capacity is clipped to its width.
-type rowSlab struct {
-	buf  []any
-	rows int
-}
-
-func (s *rowSlab) next(w int) []any {
-	if len(s.buf) < w {
-		s.rows = min(max(2*s.rows, 16), 1024)
-		s.buf = make([]any, s.rows*w)
-	}
-	v := s.buf[:w:w]
-	s.buf = s.buf[w:]
-	return v
+	return out, nil
 }
 
 // equiJoinKeys extracts one "left.col = right.col" equality from an ON
@@ -300,41 +518,16 @@ func (s *rowSlab) next(w int) []any {
 // condition (nil when the equality was the whole clause). It returns nils
 // when no usable equality is found, in which case the caller falls back to
 // the nested-loop join.
-func equiJoinKeys(on Expr, leftCols, rightCols []string, ralias string) (leftKey, rightKey *ColumnRef, residual Expr) {
+func equiJoinKeys(on Expr, left *workingSet, right source) (leftKey, rightKey *ColumnRef, residual Expr) {
 	conjuncts := splitAnd(on)
 	isRight := func(ref *ColumnRef) bool {
 		if ref.Table != "" {
-			return ref.Table == ralias
+			return ref.Table == right.alias
 		}
-		for _, c := range rightCols {
-			if c == ref.Name {
-				// Unqualified: right-side only if no left column shadows it.
-				for _, lc := range leftCols {
-					if lc[lastDot(lc)+1:] == ref.Name {
-						return false
-					}
-				}
-				return true
-			}
-		}
-		return false
+		// Unqualified: right-side only if no left column shadows it.
+		return slices.Contains(right.names, ref.Name) && left.named("", ref.Name) == 0
 	}
-	isLeft := func(ref *ColumnRef) bool {
-		if ref.Table != "" {
-			for _, lc := range leftCols {
-				if lc == ref.Table+"."+ref.Name {
-					return true
-				}
-			}
-			return false
-		}
-		for _, lc := range leftCols {
-			if lc[lastDot(lc)+1:] == ref.Name {
-				return true
-			}
-		}
-		return false
-	}
+	isLeft := func(ref *ColumnRef) bool { return left.named(ref.Table, ref.Name) > 0 }
 	for i, c := range conjuncts {
 		be, ok := c.(*BinaryExpr)
 		if !ok || be.Op != "=" {
@@ -406,28 +599,6 @@ func keyOf(v any) joinKey {
 	default:
 		return joinKey{kind: 4, str: fmt.Sprintf("%v", x)}
 	}
-}
-
-// tableScopes materializes a table scan as qualified scopes straight from
-// the frame's columns: one schema for the scan, and every row's values cut
-// from one backing array. This is the SQL backend's hottest path: every
-// db.query() of every trial rescans its base tables.
-func tableScopes(f *dataframe.Frame, alias string) *workingSet {
-	cols := f.Columns()
-	qnames := make([]string, len(cols))
-	for j, c := range cols {
-		qnames[j] = alias + "." + c
-	}
-	sch := newSchema(qnames)
-	data := columnSlices(f)
-	w := len(cols)
-	buf := make([]any, f.NumRows()*w)
-	out := make([]scope, f.NumRows())
-	for i := range out {
-		out[i] = scope{sch: sch, vals: buf[i*w : (i+1)*w : (i+1)*w]}
-		out[i].load(data, i)
-	}
-	return &workingSet{rows: out, sch: sch}
 }
 
 func selectHasAggregate(items []SelectItem) bool {
@@ -504,150 +675,166 @@ func outputName(it SelectItem, pos int) string {
 	}
 }
 
-func projectPlain(ctx context.Context, s *SelectStmt, ws *workingSet) (*dataframe.Frame, error) {
-	// Expand stars into column refs.
-	var names []string
-	var exprs []Expr
+// projectPlain evaluates the select list. A star column or a bare column
+// item is read by position, never copied, so it costs no row loop. Row 0
+// resolves every bare column and evaluates the other items in item order,
+// so the first failing item names the error; later rows evaluate only the
+// other items, polling the context at the row stride.
+func projectPlain(ctx context.Context, s *SelectStmt, ws *workingSet) (output, error) {
+	if ws.n > 0 {
+		if err := cancelled(ctx, 0); err != nil {
+			return output{}, err
+		}
+	}
+	width := len(s.Items) // room for the items and one star
+	for _, so := range ws.srcs {
+		width += len(so.names)
+	}
+	out := output{names: make([]string, 0, width), cols: make([]column, 0, width), n: ws.n}
+	type item struct {
+		c int
+		e Expr
+	}
+	var computed []item
 	for i, it := range s.Items {
 		if it.Star {
-			for _, qc := range ws.sch.slots {
-				names = append(names, unqualifiedName(qc, ws.sch.slots))
-				dot := lastDot(qc)
-				exprs = append(exprs, &ColumnRef{Table: qc[:dot], Name: qc[dot+1:]})
+			for _, so := range ws.srcs {
+				for _, name := range so.names {
+					// The slot's own alias and name always resolve.
+					src, col, _ := ws.resolve(so.alias, name)
+					out.cols = append(out.cols, column{data: ws.srcs[src].cols[col], pos: ws.pos[src]})
+					// A column name several slots carry is qualified by its alias.
+					if ws.named("", name) > 1 {
+						name = so.alias + "_" + name
+					}
+					out.names = append(out.names, name)
+				}
 			}
 			continue
 		}
-		names = append(names, outputName(it, i))
-		exprs = append(exprs, it.Expr)
-	}
-	names = dedupeNames(names)
-	out := dataframe.New(names...)
-	for ri, row := range ws.rows {
-		if err := cancelled(ctx, ri); err != nil {
-			return nil, err
-		}
-		vals := make([]any, len(exprs))
-		for i, e := range exprs {
-			v, err := evalExpr(e, row)
-			if err != nil {
-				return nil, err
+		out.names = append(out.names, outputName(it, i))
+		var col column
+		if ref, bare := it.Expr.(*ColumnRef); bare && ws.n > 0 {
+			if _, err := (scope{ws, 0}).lookup(ref); err != nil {
+				return output{}, err
 			}
-			vals[i] = v
+			col = column{data: ref.data, pos: ws.pos[ref.src]}
+		} else if ws.n > 0 {
+			col.data = make([]any, ws.n)
+			if err := evalInto(col.data, it.Expr, ws, 0); err != nil {
+				return output{}, err
+			}
+			computed = append(computed, item{len(out.cols), it.Expr})
 		}
-		out.AppendRow(vals...)
+		out.cols = append(out.cols, col)
+	}
+	dedupeNames(out.names)
+	for r := 1; r < ws.n && len(computed) > 0; r++ {
+		if err := cancelled(ctx, r); err != nil {
+			return output{}, err
+		}
+		for _, it := range computed {
+			if err := evalInto(out.cols[it.c].data, it.e, ws, r); err != nil {
+				return output{}, err
+			}
+		}
 	}
 	return out, nil
 }
 
-func unqualifiedName(qc string, all []string) string {
-	dot := lastDot(qc)
-	name := qc[dot+1:]
-	count := 0
-	for _, other := range all {
-		if other[lastDot(other)+1:] == name {
-			count++
-		}
-	}
-	if count > 1 {
-		return strings.ReplaceAll(qc, ".", "_")
-	}
-	return name
+// evalInto evaluates e on row r of ws into dst[r].
+func evalInto(dst []any, e Expr, ws *workingSet, r int) error {
+	v, err := evalExpr(e, scope{ws, r})
+	dst[r] = v
+	return err
 }
 
-func dedupeNames(names []string) []string {
-	seen := map[string]int{}
-	out := make([]string, len(names))
+// dedupeNames renames, in place, each repeat of an output name with the
+// first _N suffix (N from 2) that no output name carries. The first of
+// equal names keeps its name, so every name given still shows in names
+// while it is renamed.
+func dedupeNames(names []string) {
 	for i, n := range names {
-		seen[n]++
-		if seen[n] > 1 {
-			out[i] = fmt.Sprintf("%s_%d", n, seen[n])
-		} else {
-			out[i] = n
+		for k := 2; slices.Contains(names[:i], names[i]); k++ {
+			if c := n + "_" + strconv.Itoa(k); !slices.Contains(names, c) {
+				names[i] = c
+			}
 		}
 	}
-	return out
 }
 
-func projectAggregate(ctx context.Context, s *SelectStmt, ws *workingSet) (*dataframe.Frame, error) {
+func projectAggregate(ctx context.Context, s *SelectStmt, ws *workingSet) (output, error) {
 	// Partition rows into groups by the GROUP BY key values.
-	type group struct {
-		key  []any
-		rows []scope
-	}
-	var groups []*group
-	index := map[string]*group{}
+	var groups [][]int
+	index := map[string]int{}
 	var kb strings.Builder
-	for ri, row := range ws.rows {
-		if err := cancelled(ctx, ri); err != nil {
-			return nil, err
+	for r := 0; r < ws.n; r++ {
+		if err := cancelled(ctx, r); err != nil {
+			return output{}, err
 		}
-		key := make([]any, len(s.GroupBy))
 		kb.Reset()
-		for i, ge := range s.GroupBy {
-			v, err := evalExpr(ge, row)
+		for _, ge := range s.GroupBy {
+			v, err := evalExpr(ge, scope{ws, r})
 			if err != nil {
-				return nil, err
+				return output{}, err
 			}
-			key[i] = v
 			writeValKey(&kb, v)
 		}
-		ks := kb.String()
-		grp, ok := index[ks]
+		g, ok := index[kb.String()]
 		if !ok {
-			grp = &group{key: key}
-			index[ks] = grp
-			groups = append(groups, grp)
+			g = len(groups)
+			index[kb.String()] = g
+			groups = append(groups, nil)
 		}
-		grp.rows = append(grp.rows, row)
+		groups[g] = append(groups[g], r)
 	}
-	if len(s.GroupBy) == 0 {
-		// Whole-table aggregate: one group, possibly empty.
-		groups = []*group{{rows: ws.rows}}
+	if len(s.GroupBy) == 0 && len(groups) == 0 {
+		// Whole-table aggregate over no rows: one empty group.
+		groups = [][]int{nil}
 	}
 
 	var names []string
 	for i, it := range s.Items {
 		if it.Star {
-			return nil, fmt.Errorf("sql: * is not allowed with aggregation")
+			return output{}, fmt.Errorf("sql: * is not allowed with aggregation")
 		}
 		names = append(names, outputName(it, i))
 	}
-	names = dedupeNames(names)
-	out := dataframe.New(names...)
-	for _, grp := range groups {
+	dedupeNames(names)
+	out := output{names: names, cols: make([]column, len(s.Items))}
+	for _, rows := range groups {
 		if s.Having != nil {
-			v, err := evalAggExpr(s.Having, grp.rows)
+			v, err := evalAggExpr(s.Having, ws, rows)
 			if err != nil {
-				return nil, err
+				return output{}, err
 			}
 			if !truthy(v) {
 				continue
 			}
 		}
-		vals := make([]any, len(s.Items))
 		for i, it := range s.Items {
-			v, err := evalAggExpr(it.Expr, grp.rows)
+			v, err := evalAggExpr(it.Expr, ws, rows)
 			if err != nil {
-				return nil, err
+				return output{}, err
 			}
-			vals[i] = v
+			out.cols[i].data = append(out.cols[i].data, v)
 		}
-		out.AppendRow(vals...)
+		out.n++
 	}
 	return out, nil
 }
 
-// evalAggExpr evaluates an expression in aggregate context: aggregate
-// functions consume the whole group; bare columns take the group's first
-// row's value (standard loose GROUP BY semantics).
-func evalAggExpr(e Expr, rows []scope) (any, error) {
+// evalAggExpr evaluates an expression in aggregate context over the group
+// of rows of ws: aggregate functions consume the whole group; bare columns
+// take the group's first row's value (standard loose GROUP BY semantics).
+func evalAggExpr(e Expr, ws *workingSet, rows []int) (any, error) {
 	switch x := e.(type) {
 	case *FuncCall:
 		if !isAggregate(x.Name) {
 			// Scalar function: evaluate args in aggregate context.
 			args := make([]Expr, len(x.Args))
 			for i, a := range x.Args {
-				v, err := evalAggExpr(a, rows)
+				v, err := evalAggExpr(a, ws, rows)
 				if err != nil {
 					return nil, err
 				}
@@ -655,63 +842,61 @@ func evalAggExpr(e Expr, rows []scope) (any, error) {
 			}
 			return evalScalarFunc(&FuncCall{Name: x.Name, Args: args}, scope{})
 		}
-		return evalAggregateFunc(x, rows)
+		return evalAggregateFunc(x, ws, rows)
 	case *BinaryExpr:
 		if x.Op == "AND" || x.Op == "OR" {
-			l, err := evalAggExpr(x.Left, rows)
+			l, err := evalAggExpr(x.Left, ws, rows)
 			if err != nil {
 				return nil, err
 			}
-			if x.Op == "AND" && !truthy(l) {
-				return false, nil
+			// Short-circuit: AND stops at false, OR at true.
+			if truthy(l) == (x.Op == "OR") {
+				return truthy(l), nil
 			}
-			if x.Op == "OR" && truthy(l) {
-				return true, nil
-			}
-			r, err := evalAggExpr(x.Right, rows)
+			r, err := evalAggExpr(x.Right, ws, rows)
 			if err != nil {
 				return nil, err
 			}
 			return truthy(r), nil
 		}
-		l, err := evalAggExpr(x.Left, rows)
+		l, err := evalAggExpr(x.Left, ws, rows)
 		if err != nil {
 			return nil, err
 		}
-		r, err := evalAggExpr(x.Right, rows)
+		r, err := evalAggExpr(x.Right, ws, rows)
 		if err != nil {
 			return nil, err
 		}
-		return evalBinary(&BinaryExpr{Op: x.Op, Left: &Literal{Value: l}, Right: &Literal{Value: r}}, scope{})
+		return binaryOp(x.Op, l, r)
 	case *UnaryExpr:
-		v, err := evalAggExpr(x.X, rows)
+		v, err := evalAggExpr(x.X, ws, rows)
 		if err != nil {
 			return nil, err
 		}
 		return evalExpr(&UnaryExpr{Op: x.Op, X: &Literal{Value: v}}, scope{})
 	case *CaseExpr:
 		for _, w := range x.Whens {
-			c, err := evalAggExpr(w.Cond, rows)
+			c, err := evalAggExpr(w.Cond, ws, rows)
 			if err != nil {
 				return nil, err
 			}
 			if truthy(c) {
-				return evalAggExpr(w.Then, rows)
+				return evalAggExpr(w.Then, ws, rows)
 			}
 		}
 		if x.Else != nil {
-			return evalAggExpr(x.Else, rows)
+			return evalAggExpr(x.Else, ws, rows)
 		}
 		return nil, nil
 	default:
 		if len(rows) == 0 {
 			return nil, nil
 		}
-		return evalExpr(e, rows[0])
+		return evalExpr(e, scope{ws, rows[0]})
 	}
 }
 
-func evalAggregateFunc(f *FuncCall, rows []scope) (any, error) {
+func evalAggregateFunc(f *FuncCall, ws *workingSet, rows []int) (any, error) {
 	if f.Name == "COUNT" && f.Star {
 		return int64(len(rows)), nil
 	}
@@ -720,8 +905,8 @@ func evalAggregateFunc(f *FuncCall, rows []scope) (any, error) {
 	}
 	var vals []any
 	seen := map[string]bool{}
-	for _, row := range rows {
-		v, err := evalExpr(f.Args[0], row)
+	for _, r := range rows {
+		v, err := evalExpr(f.Args[0], scope{ws, r})
 		if err != nil {
 			return nil, err
 		}
@@ -784,56 +969,40 @@ func evalAggregateFunc(f *FuncCall, rows []scope) (any, error) {
 	return nil, fmt.Errorf("sql: unknown aggregate %s()", f.Name)
 }
 
-func orderResult(s *SelectStmt, ws *workingSet, out *dataframe.Frame, aggregated bool) (*dataframe.Frame, error) {
-	n := out.NumRows()
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	// Precompute sort keys per row: prefer output columns (covers aliases
-	// and aggregate names); otherwise evaluate the expression against the
-	// source rows (plain selects only, where row i aligns with ws.rows[i]).
-	keys := make([][]any, n)
-	for i := 0; i < n; i++ {
-		keys[i] = make([]any, len(s.OrderBy))
-	}
+// orderRows returns the output's row order under ORDER BY, a stable sort.
+func orderRows(s *SelectStmt, ws *workingSet, out *output, aggregated bool) ([]int, error) {
+	// Sort keys prefer output columns (covers aliases and aggregate names);
+	// otherwise the expression is evaluated against the source rows (plain
+	// selects only, where output row i is row i of ws).
+	keys := make([]column, len(s.OrderBy))
 	for k, ob := range s.OrderBy {
 		name := ""
 		switch e := ob.Expr.(type) {
 		case *ColumnRef:
-			if e.Table == "" && out.HasColumn(e.Name) {
+			if e.Table == "" {
 				name = e.Name
 			}
 		case *FuncCall:
-			cand := outputName(SelectItem{Expr: e}, 0)
-			if out.HasColumn(cand) {
-				name = cand
-			}
+			name = outputName(SelectItem{Expr: e}, 0)
 		}
-		if name != "" {
-			col, _ := out.Column(name)
-			for i := 0; i < n; i++ {
-				keys[i][k] = col[i]
-			}
+		if c := slices.Index(out.names, name); name != "" && c >= 0 {
+			keys[k] = out.cols[c]
 			continue
 		}
 		if aggregated {
 			return nil, fmt.Errorf("sql: ORDER BY expression must reference an output column in aggregate queries")
 		}
-		if len(ws.rows) != n {
-			return nil, fmt.Errorf("sql: internal: row mismatch in ORDER BY")
-		}
-		for i := 0; i < n; i++ {
-			v, err := evalExpr(ob.Expr, ws.rows[i])
-			if err != nil {
+		keys[k].data = make([]any, out.n)
+		for i := range keys[k].data {
+			if err := evalInto(keys[k].data, ob.Expr, ws, i); err != nil {
 				return nil, err
 			}
-			keys[i][k] = v
 		}
 	}
+	idx := identity(out.n)
 	sort.SliceStable(idx, func(a, b int) bool {
-		for k := range s.OrderBy {
-			cmp := dataframe.CompareValues(keys[idx[a]][k], keys[idx[b]][k])
+		for k, key := range keys {
+			cmp := dataframe.CompareValues(key.at(idx[a]), key.at(idx[b]))
 			if cmp != 0 {
 				if s.OrderBy[k].Desc {
 					return cmp > 0
@@ -843,17 +1012,7 @@ func orderResult(s *SelectStmt, ws *workingSet, out *dataframe.Frame, aggregated
 		}
 		return false
 	})
-	return out.Take(idx), nil
-}
-
-// columnSlices returns f's column slices in column order.
-func columnSlices(f *dataframe.Frame) [][]any {
-	cols := f.Columns()
-	data := make([][]any, len(cols))
-	for j, c := range cols {
-		data[j], _ = f.Column(c)
-	}
-	return data
+	return idx, nil
 }
 
 // writeValKey appends one value's bucketing key: a type tag plus its
@@ -886,20 +1045,24 @@ func writeValKey(kb *strings.Builder, v any) {
 	}
 }
 
-func distinctRows(f *dataframe.Frame) *dataframe.Frame {
+// distinctRows keeps the first of each set of equal output rows among idx
+// (every row in order when idx is nil).
+func distinctRows(out *output, idx []int) []int {
+	if idx == nil {
+		idx = identity(out.n)
+	}
 	seen := map[string]bool{}
-	data := columnSlices(f)
-	var idx []int
+	kept := make([]int, 0, len(idx))
 	var kb strings.Builder
-	for i := 0; i < f.NumRows(); i++ {
+	for _, i := range idx {
 		kb.Reset()
-		for _, col := range data {
-			writeValKey(&kb, col[i])
+		for _, col := range out.cols {
+			writeValKey(&kb, col.at(i))
 		}
 		if !seen[kb.String()] {
 			seen[kb.String()] = true
-			idx = append(idx, i)
+			kept = append(kept, i)
 		}
 	}
-	return f.Take(idx)
+	return kept
 }

@@ -5,6 +5,12 @@
 // dataframe package so the SQL and pandas approaches share one storage
 // layer, mirroring the paper's setup where both views expose the same node
 // and edge tables.
+//
+// One executor runs every statement over that column storage, read in
+// place: a row is a position in each table a statement reads, WHERE and
+// joins narrow and pair positions, and a SELECT copies out only the cells
+// of its result. The federated planner's ScanColumns builds a SELECT and
+// runs it on the same executor.
 package sqldb
 
 import (

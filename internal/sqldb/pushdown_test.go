@@ -95,14 +95,19 @@ func scanOutcomes(ctx context.Context, db *DB, spec ScanSpec) (scan, sel string)
 	f, err := db.QueryContext(obs.WithProfile(ctx, prof), selectText(spec))
 	if err == nil {
 		names = f.Columns()
-		data = columnSlices(f)
+		data = make([][]any, len(names))
+		for c, name := range names {
+			data[c], _ = f.Column(name)
+		}
 	}
 	return scan, outcomeText(names, data, err, prof)
 }
 
 // TestScanColumnsMatchesSelect requires ScanColumns to give the equivalent
-// SELECT's exact rows, error text and profile frames, under a live and a
-// cancelled context. The SQL engine is its independent oracle.
+// SELECT text's exact rows, error text and profile frames, under a live and
+// a cancelled context. Both run on one executor, so this checks that the
+// AST ScanColumns builds from a spec agrees with the parser's AST of that
+// text.
 func TestScanColumnsMatchesSelect(t *testing.T) {
 	db := scanDB()
 	ghost := Cond{Col: "ghost", Op: "=", Value: int64(1)}
@@ -184,23 +189,30 @@ func TestScanColumnsErrPushdown(t *testing.T) {
 	}
 }
 
-// FuzzScanColumns checks ScanColumns against the SQL engine on generated
-// scans of a small mixed-type table: conds holds three bytes per
+// FuzzScanColumns checks that the AST ScanColumns builds agrees with the
+// parser's AST of the equivalent SELECT text, comparing their outcomes on
+// generated scans of small mixed-type tables: conds holds three bytes per
 // condition (column, operator and literal kind, literal value) and cols
-// one byte per projected column (none keeps every column).
+// one byte per projected column (none keeps every column). Projections
+// may repeat a name next to its _N-suffixed form; table d's dotted column
+// is read through the star only, since SQL text cannot name it.
 func FuzzScanColumns(f *testing.F) {
 	db := NewDB()
-	tf := dataframe.New("i", "f", "s", "m")
-	tf.AppendRow(int64(1), 0.5, "a", int64(2))
-	tf.AppendRow(int64(2), 1.5, "ab", 2.5)
-	tf.AppendRow(int64(3), -1.0, "b", "a1")
-	tf.AppendRow(int64(-2), 2.0, "", nil)
-	tf.AppendRow(int64(0), 3.0, "a1", true)
+	tf := dataframe.New("i", "f", "s", "m", "s_2")
+	tf.AppendRow(int64(1), 0.5, "a", int64(2), "x")
+	tf.AppendRow(int64(2), 1.5, "ab", 2.5, "y")
+	tf.AppendRow(int64(3), -1.0, "b", "a1", "z")
+	tf.AppendRow(int64(-2), 2.0, "", nil, "")
+	tf.AppendRow(int64(0), 3.0, "a1", true, "x")
 	db.CreateTable("t", tf)
-	db.CreateTable("e", dataframe.New("i", "f", "s", "m"))
+	db.CreateTable("e", dataframe.New("i", "f", "s", "m", "s_2"))
+	df := dataframe.New("i", "s.x", "s")
+	df.AppendRow(int64(1), "a", "b")
+	df.AppendRow(int64(2), "b", "a1")
+	db.CreateTable("d", df)
 
-	tables := []string{"t", "t", "e", "ghost"}
-	names := []string{"i", "f", "s", "m", "ghost"}
+	tables := []string{"t", "t", "e", "ghost", "d"}
+	names := []string{"i", "f", "s", "m", "ghost", "s_2"}
 	ops := []string{"=", "!=", "<", "<=", ">", ">=", "prefix"}
 	strs := []string{"", "a", "a1", "ab", "b", "z"}
 	f.Add(uint8(0), []byte{}, []byte{})
@@ -211,6 +223,8 @@ func FuzzScanColumns(f *testing.F) {
 	f.Add(uint8(0), []byte{3, 6, 0}, []byte{})
 	f.Add(uint8(0), []byte{2, 0, 9, 4, 0, 1}, []byte{0, 4})
 	f.Add(uint8(3), []byte{}, []byte{})
+	f.Add(uint8(0), []byte{}, []byte{2, 5, 2})
+	f.Add(uint8(4), []byte{2, 0, 1}, []byte{})
 	f.Fuzz(func(t *testing.T, table uint8, conds, cols []byte) {
 		spec := ScanSpec{Table: tables[int(table)%len(tables)]}
 		for k := 0; k+2 < len(conds) && k < 12; k += 3 {
@@ -226,7 +240,7 @@ func FuzzScanColumns(f *testing.F) {
 			}
 			spec.Conds = append(spec.Conds, c)
 		}
-		for k := 0; k < len(cols) && k < 5; k++ {
+		for k := 0; k < len(cols) && k < 5 && spec.Table != "d"; k++ {
 			spec.Cols = append(spec.Cols, names[int(cols[k])%len(names)])
 		}
 		scan, sel := scanOutcomes(context.Background(), db, spec)
@@ -234,6 +248,42 @@ func FuzzScanColumns(f *testing.F) {
 			t.Fatalf("%s:\nScanColumns:\n%sSELECT:\n%s", selectText(spec), scan, sel)
 		}
 	})
+}
+
+// TestScanColumnsNames pins the output names of scans: a repeated column
+// takes the first _N suffix no output name carries, and a dotted column
+// name is one name, as a star SELECT names it.
+func TestScanColumnsNames(t *testing.T) {
+	db := NewDB()
+	dup := dataframe.New("c", "c_2")
+	dup.AppendRow(int64(1), int64(2))
+	db.CreateTable("dup", dup)
+	dotted := dataframe.New("k", "a.b")
+	dotted.AppendRow(int64(1), "x")
+	dotted.AppendRow(int64(2), "y")
+	db.CreateTable("dotted", dotted)
+	cases := []struct {
+		spec ScanSpec
+		want string
+	}{
+		{ScanSpec{Table: "dup", Cols: []string{"c", "c_2", "c"}}, "[c c_2 c_3]\nint64:1 int64:2 int64:1 \n"},
+		{ScanSpec{Table: "dup", Cols: []string{"c", "c", "c_2"}}, "[c c_3 c_2]\nint64:1 int64:1 int64:2 \n"},
+		{ScanSpec{Table: "dotted"}, "[k a.b]\nint64:1 string:x \nint64:2 string:y \n"},
+		{ScanSpec{Table: "dotted", Conds: []Cond{{Col: "a.b", Op: "=", Value: "y"}}, Cols: []string{"a.b"}}, "[a.b]\nstring:y \n"},
+	}
+	for _, c := range cases {
+		names, data, err := db.ScanColumns(context.Background(), c.spec)
+		if got := outcomeText(names, data, err, nil); got != c.want {
+			t.Errorf("%+v:\n got %q\nwant %q", c.spec, got, c.want)
+		}
+	}
+	f, err := db.Query("SELECT * FROM dotted")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Columns(); strings.Join(got, ",") != "k,a.b" {
+		t.Errorf("SELECT * names %v, want [k a.b]", got)
+	}
 }
 
 // TestPushdownProfileFramesMatchText requires ScanColumns to emit the exact

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -24,7 +25,8 @@ func frameText(f *dataframe.Frame) string {
 	return sb.String()
 }
 
-// kvDB is testDB plus t(k, v) with three rows and an empty table e(k, w).
+// kvDB is testDB plus t(k, v) with three rows, an empty table e(k, w) and
+// dotted(k, "a.b") with one row, whose second column name holds a dot.
 func kvDB() *DB {
 	db := testDB()
 	tf := dataframe.New("k", "v")
@@ -33,6 +35,9 @@ func kvDB() *DB {
 	tf.AppendRow(3, "z")
 	db.CreateTable("t", tf)
 	db.CreateTable("e", dataframe.New("k", "w"))
+	dotted := dataframe.New("k", "a.b")
+	dotted.AppendRow(1, "x")
+	db.CreateTable("dotted", dotted)
 	return db
 }
 
@@ -65,9 +70,24 @@ func TestSchemaScopeResults(t *testing.T) {
 		{"constant SELECT without FROM",
 			"SELECT 1 + 2 AS three, 'a' AS s",
 			"[three s] [3 a]"},
+		{"star without FROM is one row of no columns",
+			"SELECT *",
+			"[] []"},
 		{"aggregate over a join",
 			"SELECT a.k, COUNT(*) AS n FROM t a JOIN t b ON b.k <= a.k GROUP BY a.k ORDER BY n DESC",
 			"[k n] [3 3] [2 2] [1 1]"},
+		// A repeat takes the first suffix no output name carries.
+		{"repeat renamed past an alias that holds its suffix",
+			"SELECT src, dst AS src_2, src FROM edges WHERE bytes > 100",
+			"[src src_2 src_3] [b c b] [c d c]"},
+		// Names are never split at a dot: a dotted column is one name, and
+		// a join qualifies it only when another slot carries it.
+		{"star keeps a dotted column name",
+			"SELECT * FROM dotted",
+			"[k a.b] [1 x]"},
+		{"star qualifies a dotted column carried twice",
+			"SELECT * FROM dotted JOIN dotted d2 ON dotted.k = d2.k",
+			"[dotted_k dotted_a.b d2_k d2_a.b] [1 x 1 x]"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -96,6 +116,12 @@ func TestSchemaScopeErrors(t *testing.T) {
 			`sql: unknown column "x" (available: [])`},
 		{"SELECT t.x",
 			`sql: unknown column t.x (available: [])`},
+		// The parser reads a.b as column b of table a: neither names the
+		// dotted column.
+		{"SELECT a.b FROM dotted",
+			`sql: unknown column a.b (available: [dotted.a.b dotted.k])`},
+		{"SELECT b FROM dotted",
+			`sql: unknown column "b" (available: [dotted.a.b dotted.k])`},
 		{"INSERT INTO t VALUES (k, 'q')",
 			`sql: column reference "k" outside row context`},
 		{"UPDATE t SET v = 'q' WHERE zz = 1",
@@ -155,5 +181,67 @@ func TestUpdateWideTableReadsRowBeforeWrite(t *testing.T) {
 	}
 	if got := frameText(mustQuery(t, db, "SELECT c0, c9 FROM w")); res.Affected != 2 || got != "[c0 c9] [19 29] [30 39]" {
 		t.Errorf("after DELETE (%d rows): %s", res.Affected, got)
+	}
+}
+
+// TestSelectResultIsolation: a SELECT result owns its storage. It keeps its
+// values across later writes to its table, both on a copy-on-write clone of
+// a frozen master and on a table the database owns, and writing the result
+// (as NQL's set_cell and append_row do) leaves the table unchanged.
+func TestSelectResultIsolation(t *testing.T) {
+	queries := []string{
+		"SELECT * FROM t",
+		"SELECT k, v FROM t WHERE k > 1",
+		"SELECT v, k FROM t ORDER BY k DESC",
+	}
+	writes := []string{
+		"UPDATE t SET v = 'w', k = k + 10",
+		"DELETE FROM t WHERE k = 2",
+		"INSERT INTO t VALUES (4, 'q')",
+	}
+	for _, cow := range []bool{true, false} {
+		open := func() *DB {
+			db := kvDB()
+			if cow {
+				db.Freeze()
+				return db.Clone()
+			}
+			return db
+		}
+		for _, q := range queries {
+			for _, w := range writes {
+				db := open()
+				res := mustQuery(t, db, q)
+				before := frameText(res)
+				if _, err := db.Exec(w); err != nil {
+					t.Fatal(err)
+				}
+				if got := frameText(res); got != before {
+					t.Errorf("cow=%v %s, then %s: result changed\n got %s\nwant %s", cow, q, w, got, before)
+				}
+			}
+			db := open()
+			table := frameText(mustQuery(t, db, "SELECT * FROM t"))
+			res := mustQuery(t, db, q)
+			want := res.Records()
+			if err := res.SetCell(0, "v", "set"); err != nil {
+				t.Fatal(err)
+			}
+			want[0]["v"] = "set"
+			row := make([]any, res.NumCols())
+			added := map[string]any{}
+			for i, c := range res.Columns() {
+				row[i] = "new"
+				added[c] = "new"
+			}
+			res.AppendRow(row...)
+			if got := frameText(mustQuery(t, db, "SELECT * FROM t")); got != table {
+				t.Errorf("cow=%v writing the result of %s changed the table\n got %s\nwant %s", cow, q, got, table)
+			}
+			// Appending to one column leaves the other columns' cells alone.
+			if got := res.Records(); !reflect.DeepEqual(got, append(want, added)) {
+				t.Errorf("cow=%v result of %s after its writes:\n got %v\nwant %v", cow, q, got, append(want, added))
+			}
+		}
 	}
 }
