@@ -11,7 +11,7 @@
 # SandboxGoldenQuery / NQLVM / StreamSweep / GatewayThroughput /
 # ServiceQuery / FederatedJoin / FederatedGoldenQuery / FederatedAnalytics /
 # FederatedPipeline / FederatedSQLJoin / InstanceBind / DataframeRecords /
-# SQLJoinWhere / SQLScan).
+# SQLJoinWhere / SQLScan / SQLGroupBy / StateEqual).
 
 GO        ?= go
 BENCH_OUT ?= BENCH_11.json
@@ -96,7 +96,7 @@ fuzz:
 # of *identical* code diff at +10-20%.
 bench:
 	$(GO) test -run '^$$' -bench 'Table|Figure|Ablation|EndToEnd|StreamSweep' -benchmem -benchtime=1x -count=5 -json . | tee $(BENCH_OUT)
-	$(GO) test -run '^$$' -bench 'Graph|Dataframe|SQL|NQL|Sandbox|Federated|Token|ObsOverhead|GatewayThroughput|InstanceBind' -benchmem -benchtime=0.5s -count=9 -json . | tee -a $(BENCH_OUT)
+	$(GO) test -run '^$$' -bench 'Graph|Dataframe|SQL|NQL|Sandbox|Federated|Token|ObsOverhead|GatewayThroughput|InstanceBind|StateEqual' -benchmem -benchtime=0.5s -count=9 -json . | tee -a $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'ServiceQuery' -benchmem -benchtime=0.5s -count=5 -json ./internal/service | tee -a $(BENCH_OUT)
 
 # Stable-ish numbers for the substrate micro-benchmarks only.

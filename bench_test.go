@@ -817,6 +817,42 @@ func BenchmarkEndToEndAsk(b *testing.B) {
 	}
 }
 
+// BenchmarkStateEqual measures the evaluator's state check on the MALT
+// instance: StateEqual of two unwritten clones of the frozen masters per
+// backend, which compares by identity, and of two clones that wrote the
+// same node attribute, as a passing mutation trial leaves them: the
+// graph comparison then walks every node and edge, skipping each
+// attribute map the clones still share.
+func BenchmarkStateEqual(b *testing.B) {
+	build := nemoeval.MALTDataset()
+	run := func(b *testing.B, backend string, x, y *nemoeval.Instance) {
+		if !nemoeval.StateEqual(backend, x, y) {
+			b.Fatal("equal states compare unequal")
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if !nemoeval.StateEqual(backend, x, y) {
+				b.Fatal("equal states compare unequal")
+			}
+		}
+	}
+	for _, backend := range prompt.AllBackends {
+		b.Run("unwritten/"+backend, func(b *testing.B) {
+			run(b, backend, build(), build())
+		})
+	}
+	b.Run("written/"+prompt.BackendNetworkX, func(b *testing.B) {
+		x, y := build(), build()
+		for _, inst := range []*nemoeval.Instance{x, y} {
+			if err := inst.G().SetNodeAttr(inst.G().Nodes()[0], "name", "renamed"); err != nil {
+				b.Fatal(err)
+			}
+		}
+		run(b, prompt.BackendNetworkX, x, y)
+	})
+}
+
 // sanity: the sqldb package is exercised via traffic.Database above; keep a
 // direct reference so the import list stays honest if benches change.
 var _ = sqldb.NewDB

@@ -77,7 +77,7 @@ var (
 )
 
 // defaultWatch is the ROADMAP's regression watchlist.
-const defaultWatch = "Table2,Table4,GraphClone,GraphPageRank,SandboxGoldenQuery,NQLVM,StreamSweep,GatewayThroughput,ServiceQuery,ObsOverhead/disabled,FederatedJoin,FederatedGoldenQuery,FederatedAnalytics,FederatedPipeline,FederatedSQLJoin,InstanceBind,DataframeRecords,SQLJoinWhere,SQLScan"
+const defaultWatch = "Table2,Table4,GraphClone,GraphPageRank,SandboxGoldenQuery,NQLVM,StreamSweep,GatewayThroughput,ServiceQuery,ObsOverhead/disabled,FederatedJoin,FederatedGoldenQuery,FederatedAnalytics,FederatedPipeline,FederatedSQLJoin,InstanceBind,DataframeRecords,SQLJoinWhere,SQLScan,SQLGroupBy,StateEqual"
 
 func main() {
 	oldPath := flag.String("old", "", "baseline BENCH_<n>.json (default: second-newest in .)")

@@ -515,6 +515,9 @@ func keyString(v any) string {
 
 // Equal reports deep equality of two frames: same columns (order-sensitive),
 // same rows in the same order, numeric values compared across int/float.
+// A column whose storage both frames share (an unwritten clone of a
+// frozen frame, or a SQL table a clone never wrote) is equal without a
+// walk: CompareValues is reflexive, NaN included, so identity is equality.
 func Equal(a, b *Frame) bool {
 	if a.nrows != b.nrows || len(a.cols) != len(b.cols) {
 		return false
@@ -526,13 +529,14 @@ func Equal(a, b *Frame) bool {
 	}
 	for _, c := range a.cols {
 		ac, bc := a.data[c], b.data[c]
+		if len(ac) > 0 && len(ac) == len(bc) && &ac[0] == &bc[0] {
+			continue
+		}
+		// Values of different ranks (a string and a number) never compare
+		// 0, and int64 and float64 of one magnitude do.
 		for i := 0; i < a.nrows; i++ {
-			if CompareValues(ac[i], bc[i]) != 0 || rank(ac[i]) != rank(bc[i]) {
-				// Allow int64 vs float64 equality despite rank check above
-				// (both rank 2); rank catches string vs number mismatches.
-				if rank(ac[i]) != rank(bc[i]) || CompareValues(ac[i], bc[i]) != 0 {
-					return false
-				}
+			if CompareValues(ac[i], bc[i]) != 0 {
+				return false
 			}
 		}
 	}

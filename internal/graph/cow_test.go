@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"sort"
@@ -26,9 +27,9 @@ func cowMaster(n, k int) *Graph {
 	return g
 }
 
-// TestFreezeAllocatesPerNodeNotPerEdge pins the cost of Freeze: it only
-// flips the sharing flags, so freezing a 600-node, 6000-edge master
-// allocates nothing at all.
+// TestFreezeAllocatesPerNodeNotPerEdge pins the cost of Freeze: it flips
+// the sharing flags and scans the attribute values for NaN, so freezing a
+// 600-node, 6000-edge master allocates nothing at all.
 func TestFreezeAllocatesPerNodeNotPerEdge(t *testing.T) {
 	g := cowMaster(600, 10)
 	if g.NumEdges() != 6000 {
@@ -274,6 +275,155 @@ func TestCloneWritesStayIsolated(t *testing.T) {
 				t.Errorf("master changed: %s", Diff(master, want))
 			}
 		})
+	}
+}
+
+// assertEqualMatchesDiff checks that Equal agrees with Diff in both
+// argument orders and returns Equal's answer.
+func assertEqualMatchesDiff(t *testing.T, a, b *Graph) bool {
+	t.Helper()
+	eq := Equal(a, b)
+	for _, p := range [][2]*Graph{{a, b}, {b, a}} {
+		if got, d := Equal(p[0], p[1]), Diff(p[0], p[1]); got != (d == "") || got != eq {
+			t.Fatalf("Equal = %v but Diff = %q", got, d)
+		}
+	}
+	return eq
+}
+
+// TestEqualOnSiblingClonesMatchesDiff writes once through each mutator on
+// one of two sibling clones of a frozen master, so Equal takes its
+// identity skips for everything the write left shared, and checks it
+// against Diff, which walks every node and edge.
+func TestEqualOnSiblingClonesMatchesDiff(t *testing.T) {
+	for _, m := range cowMutators {
+		t.Run(m.name, func(t *testing.T) {
+			master := cowMaster(12, 3)
+			master.GraphAttrs()["app"] = "master"
+			master.Freeze()
+			a, b := master.Clone(), master.Clone()
+			if !assertEqualMatchesDiff(t, a, b) {
+				t.Fatal("unwritten sibling clones differ")
+			}
+			if err := m.write(b); err != nil {
+				t.Fatal(err)
+			}
+			if assertEqualMatchesDiff(t, a, b) {
+				t.Fatal("sibling clones equal after a write on one")
+			}
+			assertEqualMatchesDiff(t, b, b.Clone())
+			assertEqualMatchesDiff(t, a, master)
+		})
+	}
+}
+
+// TestEqualKeepsValueEqualAnswers pins the cases where identity and
+// ValueEqual could disagree: a NaN (unequal to itself) shared from the
+// master or written on a clone, an int and a float of one value (equal),
+// and a write that restores the value the master holds (equal, though the
+// written map is no longer shared).
+func TestEqualKeepsValueEqualAnswers(t *testing.T) {
+	nan := math.NaN()
+	frozen := func(edit func(g *Graph)) *Graph {
+		g := cowMaster(12, 3)
+		edit(g)
+		g.Freeze()
+		return g
+	}
+	set := func(t *testing.T, g *Graph, key string, v any) {
+		t.Helper()
+		if err := g.SetNodeAttr("n0001", key, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("NaN in master", func(t *testing.T) {
+		for name, v := range map[string]any{
+			"scalar": nan,
+			"list":   []any{int64(1), nan},
+			"map":    map[string]any{"loss": []any{nan}},
+		} {
+			master := frozen(func(g *Graph) { g.SetNodeAttr("n0005", "loss", v) })
+			if master.nanFree {
+				t.Fatalf("%s: Freeze missed a NaN", name)
+			}
+			if assertEqualMatchesDiff(t, master.Clone(), master.Clone()) {
+				t.Errorf("%s: unwritten clones holding NaN compare equal", name)
+			}
+		}
+		master := frozen(func(g *Graph) { g.AddEdge("n0000", "n0001", Attrs{"loss": nan}) })
+		if assertEqualMatchesDiff(t, master.Clone(), master.Clone()) {
+			t.Error("unwritten clones holding a NaN edge attribute compare equal")
+		}
+		master = frozen(func(g *Graph) { g.GraphAttrs()["loss"] = nan })
+		if assertEqualMatchesDiff(t, master.Clone(), master.Clone()) {
+			t.Error("unwritten clones holding a NaN graph attribute compare equal")
+		}
+	})
+	t.Run("NaN written on a clone", func(t *testing.T) {
+		master := frozen(func(*Graph) {})
+		a, b := master.Clone(), master.Clone()
+		set(t, b, "loss", nan)
+		if assertEqualMatchesDiff(t, a, b) {
+			t.Error("a NaN write went unseen")
+		}
+		set(t, a, "loss", nan)
+		if assertEqualMatchesDiff(t, a, b) {
+			t.Error("two NaN writes compare equal")
+		}
+		if assertEqualMatchesDiff(t, b, b) {
+			t.Error("a graph holding a NaN it wrote compares equal to itself")
+		}
+	})
+	t.Run("int and float", func(t *testing.T) {
+		master := frozen(func(g *Graph) { g.SetNodeAttr("n0001", "w", 3) })
+		a, b := master.Clone(), master.Clone()
+		set(t, b, "w", 3.0)
+		if !assertEqualMatchesDiff(t, a, b) {
+			t.Error("int64 3 and float64 3 compare unequal")
+		}
+		set(t, a, "w", 3.0)
+		set(t, b, "w", int64(3))
+		if !assertEqualMatchesDiff(t, a, b) {
+			t.Error("float64 3 and int64 3 compare unequal")
+		}
+	})
+	t.Run("write restores the value", func(t *testing.T) {
+		master := frozen(func(*Graph) {})
+		a, b := master.Clone(), master.Clone()
+		set(t, b, "ip", master.NodeAttrsView("n0001")["ip"])
+		if err := b.SetEdgeAttr("n0000", "n0001", "bytes", master.EdgeAttrsView("n0000", "n0001")["bytes"]); err != nil {
+			t.Fatal(err)
+		}
+		if !assertEqualMatchesDiff(t, a, b) {
+			t.Error("a write of the master's own values compares unequal")
+		}
+	})
+}
+
+// TestEqualOfUnwrittenClonesAllocatesNothing pins the evaluator's common
+// case: comparing two unwritten clones of a frozen master costs no
+// allocation, and neither does comparing after a write.
+func TestEqualOfUnwrittenClonesAllocatesNothing(t *testing.T) {
+	master := cowMaster(600, 10)
+	master.Freeze()
+	a, b := master.Clone(), master.Clone()
+	if allocs := testing.AllocsPerRun(20, func() {
+		if !Equal(a, b) {
+			t.Fatal("unwritten clones differ")
+		}
+	}); allocs > 0 {
+		t.Fatalf("Equal of unwritten clones made %v allocations per run, want none", allocs)
+	}
+	if err := b.SetEdgeAttr("n0000", "n0001", "bytes", -1); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if Equal(a, b) {
+			t.Fatal("written clone equals its sibling")
+		}
+	}); allocs > 0 {
+		t.Fatalf("Equal after a write made %v allocations per run, want none", allocs)
 	}
 }
 

@@ -2,20 +2,124 @@ package graph
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 )
 
 // Equal reports whether two graphs are identical: same directedness, node
 // set, edge set, and attribute maps (deep value equality after
-// normalization). Insertion order is deliberately ignored.
+// normalization). Insertion order is deliberately ignored. Equal(a, b) is
+// always Diff(a, b) == "", but it stops at the first difference and builds
+// no message.
+//
+// Its cost follows what the two graphs wrote, not their size. Two graphs
+// can share a container or an attribute map only through a frozen master,
+// because every write path unshares or owns first, so a shared one holds
+// the same values on both sides. That makes identity equality, except
+// that ValueEqual finds a NaN unequal to itself: identity is trusted only
+// between two distinct graphs whose Freeze found no NaN (nanFree). Then a
+// shared node list compares index by index without lookups, a shared node
+// attribute slice or edge map is skipped whole, and so is every attribute
+// map the two graphs share.
 func Equal(a, b *Graph) bool {
-	return Diff(a, b) == ""
+	if a.directed != b.directed || len(a.nodeOrder) != len(b.nodeOrder) || len(a.edges) != len(b.edges) {
+		return false
+	}
+	trust := a != b && a.nanFree && b.nanFree
+	if !attrsEqual(a.attrs, b.attrs, trust) || !nodesEqual(a, b, trust) {
+		return false
+	}
+	if trust && sameMap(a.edges, b.edges) {
+		return true
+	}
+	// Equal edge counts: every edge of a found in b means the same set.
+	for k, av := range a.edges {
+		bv, ok := b.edges[k]
+		if !ok || !attrsEqual(av, bv, trust) {
+			return false
+		}
+	}
+	return true
+}
+
+// nodesEqual compares the node sets and attributes of two graphs with
+// equal node counts.
+func nodesEqual(a, b *Graph, trust bool) bool {
+	if len(a.nodeOrder) == 0 {
+		return true
+	}
+	if &a.nodeOrder[0] != &b.nodeOrder[0] {
+		// Equal node counts: every node of a found in b means the same set.
+		for i, id := range a.nodeOrder {
+			j, ok := b.nodeIdx[id]
+			if !ok || !attrsEqual(a.nodeAttrs[i], b.nodeAttrs[j], trust) {
+				return false
+			}
+		}
+		return true
+	}
+	// One node list: node i is the same node in both graphs.
+	if trust && &a.nodeAttrs[0] == &b.nodeAttrs[0] {
+		return true
+	}
+	for i, am := range a.nodeAttrs {
+		if !attrsEqual(am, b.nodeAttrs[i], trust) {
+			return false
+		}
+	}
+	return true
+}
+
+// attrsEqual is ValueEqual on two attribute maps, skipping one map shared
+// by both sides when trust says sharing implies equality.
+func attrsEqual(a, b Attrs, trust bool) bool {
+	if trust && sameMap(a, b) {
+		return true
+	}
+	return ValueEqual(map[string]any(a), map[string]any(b))
+}
+
+// sameMap reports whether a and b are one map, without allocating.
+func sameMap[M ~map[K]V, K comparable, V any](a, b M) bool {
+	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
+}
+
+// valueHasNaN reports whether an attribute value holds a NaN, at any depth
+// of lists and maps: the one value ValueEqual finds unequal to itself.
+func valueHasNaN(v any) bool {
+	switch x := v.(type) {
+	case float64:
+		return x != x
+	case float32:
+		return x != x
+	case []any:
+		for _, e := range x {
+			if valueHasNaN(e) {
+				return true
+			}
+		}
+	case map[string]any:
+		return attrsHaveNaN(x)
+	case Attrs:
+		return attrsHaveNaN(x)
+	}
+	return false
+}
+
+func attrsHaveNaN(m map[string]any) bool {
+	for _, v := range m {
+		if valueHasNaN(v) {
+			return true
+		}
+	}
+	return false
 }
 
 // Diff returns a human-readable description of the first few differences
-// between two graphs, or "" when they are equal. The benchmark evaluator
-// uses this to explain "graphs are not identical" failures.
+// between two graphs, or "" when they are equal. It walks every node and
+// edge; the benchmark evaluator calls it only to explain a "graphs are not
+// identical" failure that Equal already found.
 func Diff(a, b *Graph) string {
 	var diffs []string
 	add := func(format string, args ...any) {

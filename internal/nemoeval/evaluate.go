@@ -74,6 +74,10 @@ type goldenResult struct {
 	val  nql.Value
 	inst *Instance
 	err  error
+
+	// oracle is OracleAnswer's rendering of val or inst, made once.
+	oracleOnce sync.Once
+	oracle     string
 }
 
 // NewEvaluator creates an evaluator over a dataset.
@@ -105,16 +109,26 @@ func (e *Evaluator) promptContext() (*Instance, string, error) {
 // answer is the same every time. Callers must not mutate the returned
 // instance or value.
 func (e *Evaluator) RunGolden(q queries.Query, backend string) (nql.Value, *Instance, error) {
+	res, err := e.runGolden(q, backend)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res.val, res.inst, res.err
+}
+
+// runGolden is RunGolden returning the cache entry itself; err reports a
+// query with no golden for backend.
+func (e *Evaluator) runGolden(q queries.Query, backend string) (*goldenResult, error) {
 	golden, ok := q.Golden[backend]
 	if !ok {
-		return nil, nil, fmt.Errorf("nemoeval: query %s has no golden for backend %s", q.ID, backend)
+		return nil, fmt.Errorf("nemoeval: query %s has no golden for backend %s", q.ID, backend)
 	}
 	key := backend + "\x00" + golden
 	e.goldenMu.Lock()
 	cached, ok := e.golden[key]
 	e.goldenMu.Unlock()
 	if ok {
-		return cached.val, cached.inst, cached.err
+		return cached, nil
 	}
 	res := &goldenResult{}
 	inst := e.Build()
@@ -128,7 +142,7 @@ func (e *Evaluator) RunGolden(q queries.Query, backend string) (nql.Value, *Inst
 	e.goldenMu.Lock()
 	e.golden[key] = res
 	e.goldenMu.Unlock()
-	return res.val, res.inst, res.err
+	return res, nil
 }
 
 // EvaluateCode runs one already-generated program and compares it against
@@ -246,16 +260,24 @@ func (e *Evaluator) EvaluateStrawman(model *llm.SimModel, q queries.Query) *Reco
 
 // OracleAnswer computes the canonical direct answer for a query: the
 // golden NetworkX result rendering, or — for pure manipulations that
-// return nil — the fingerprint of the mutated graph.
+// return nil — the fingerprint of the mutated graph. It is rendered once
+// per cached golden result.
 func (e *Evaluator) OracleAnswer(q queries.Query) (string, error) {
-	val, inst, err := e.RunGolden(q, prompt.BackendNetworkX)
+	res, err := e.runGolden(q, prompt.BackendNetworkX)
 	if err != nil {
 		return "", err
 	}
-	if val == nil {
-		return inst.G().Fingerprint(), nil
+	if res.err != nil {
+		return "", res.err
 	}
-	return nql.Repr(val), nil
+	res.oracleOnce.Do(func() {
+		if res.val == nil {
+			res.oracle = res.inst.G().Fingerprint()
+		} else {
+			res.oracle = nql.Repr(res.val)
+		}
+	})
+	return res.oracle, nil
 }
 
 // ResultEqual deeply compares two script results, treating bound host

@@ -2,6 +2,7 @@ package nemoeval
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -192,6 +193,84 @@ func TestStateEqualPerBackend(t *testing.T) {
 	}
 	if StateEqual(prompt.BackendSQL, a, b) {
 		t.Error("db change missed")
+	}
+
+	// One-cell writes on a clone: everything the write left shared with
+	// its sibling compares by identity, so only the written column or map
+	// is walked, and the write must still show.
+	writes := []struct {
+		name     string
+		backends []string                          // the backends whose state the write changes
+		write    func(inst *Instance, v any) error // sets the ip of node row 0
+	}{
+		{"graph attribute", []string{prompt.BackendNetworkX}, func(inst *Instance, v any) error {
+			return inst.G().SetNodeAttr(inst.G().Nodes()[0], "ip", v)
+		}},
+		{"frame cell", []string{prompt.BackendPandas}, func(inst *Instance, v any) error {
+			nodes, _ := inst.Frames()
+			return nodes.SetCell(0, "ip", v)
+		}},
+		{"table row", []string{prompt.BackendSQL}, func(inst *Instance, v any) error {
+			_, err := inst.Database().Exec(fmt.Sprintf("UPDATE nodes SET ip = '%v' WHERE id = '%s'", v, inst.G().Nodes()[0]))
+			return err
+		}},
+	}
+	for _, w := range writes {
+		a, b := build(), build()
+		ip := a.G().NodeAttrsView(a.G().Nodes()[0])["ip"]
+		if nodes, _ := a.Frames(); nodes.Row(0)["ip"] != ip {
+			t.Fatalf("node row 0 has ip %v, the graph's first node %v", nodes.Row(0)["ip"], ip)
+		}
+		if err := w.write(b, "10.9.9.9"); err != nil {
+			t.Fatal(err)
+		}
+		changed := map[string]bool{prompt.BackendFederated: true}
+		for _, backend := range w.backends {
+			changed[backend] = true
+		}
+		for _, backend := range prompt.AllBackends {
+			if got := StateEqual(backend, a, b); got == changed[backend] {
+				t.Errorf("%s write: StateEqual(%s) = %v", w.name, backend, got)
+			}
+		}
+		// Writing the old value back leaves an equal state that no longer
+		// shares the written storage.
+		if err := w.write(b, ip); err != nil {
+			t.Fatal(err)
+		}
+		for _, backend := range prompt.AllBackends {
+			if !StateEqual(backend, a, b) {
+				t.Errorf("%s write restored: StateEqual(%s) = false", w.name, backend)
+			}
+		}
+	}
+}
+
+// TestStateEqualOfUnwrittenClonesAllocatesNothing pins the common case of
+// every trial: comparing two unwritten instances walks nothing and
+// allocates nothing. The SQL branch copies the two table-name lists, and
+// the federated backend includes it.
+func TestStateEqualOfUnwrittenClonesAllocatesNothing(t *testing.T) {
+	for name, build := range map[string]InstanceBuilder{
+		"traffic": TrafficDataset(traffic.Config{Nodes: 200, Edges: 800, Seed: 3}),
+		"malt":    MALTDataset(),
+	} {
+		a, b := build(), build()
+		for _, backend := range prompt.AllBackends {
+			want := 0.0
+			switch backend {
+			case prompt.BackendSQL, prompt.BackendFederated:
+				want = 2
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if !StateEqual(backend, a, b) {
+					t.Fatalf("%s: unwritten instances differ for %s", name, backend)
+				}
+			})
+			if allocs > want {
+				t.Errorf("%s: StateEqual(%s) made %v allocations per run, want at most %v", name, backend, allocs, want)
+			}
+		}
 	}
 }
 

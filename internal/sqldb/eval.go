@@ -117,11 +117,15 @@ func sameKind(a, b any) bool {
 }
 
 // equal is SQL's =: the values compare equal and are of one kind. Two
-// strings, the commonest WHERE equality, need no three-way compare.
+// strings, the commonest WHERE equality, and two numbers need no
+// three-way compare.
 func equal(a, b any) bool {
 	if as, ok := a.(string); ok {
 		bs, ok := b.(string)
 		return ok && as == bs
+	}
+	if x, y, ok := numPair(a, b); ok {
+		return !(x < y || x > y)
 	}
 	return dataframe.CompareValues(a, b) == 0 && sameKind(a, b)
 }
@@ -129,6 +133,9 @@ func equal(a, b any) bool {
 // compare evaluates `l op r` for the comparison operators =, !=, <, <=, >
 // and >=; ok is false for any other operator.
 func compare(op string, l, r any) (result, ok bool) {
+	if a, b, num := numPair(l, r); num {
+		return compareFloats(op, a, b)
+	}
 	switch op {
 	case "=":
 		return equal(l, r), true
@@ -142,6 +149,49 @@ func compare(op string, l, r any) (result, ok bool) {
 		return dataframe.CompareValues(l, r) > 0, true
 	case ">=":
 		return dataframe.CompareValues(l, r) >= 0, true
+	}
+	return false, false
+}
+
+// numPair returns two numbers as the float64s CompareValues compares them
+// as: an int64 beyond 2^53 rounds, as it does there.
+func numPair(l, r any) (a, b float64, ok bool) {
+	switch x := l.(type) {
+	case int64:
+		a = float64(x)
+	case float64:
+		a = x
+	default:
+		return 0, 0, false
+	}
+	switch y := r.(type) {
+	case int64:
+		b = float64(y)
+	case float64:
+		b = y
+	default:
+		return 0, 0, false
+	}
+	return a, b, true
+}
+
+// compareFloats is compare on two numbers without CompareValues' type
+// dispatch. Like cmpFloat, it finds a NaN equal to every number: only a
+// true < or > tells two numbers apart.
+func compareFloats(op string, a, b float64) (result, ok bool) {
+	switch op {
+	case "=":
+		return !(a < b || a > b), true
+	case "!=":
+		return a < b || a > b, true
+	case "<":
+		return a < b, true
+	case "<=":
+		return !(a > b), true
+	case ">":
+		return a > b, true
+	case ">=":
+		return !(a < b), true
 	}
 	return false, false
 }

@@ -764,28 +764,42 @@ func dedupeNames(names []string) {
 }
 
 func projectAggregate(ctx context.Context, s *SelectStmt, ws *workingSet) (output, error) {
-	// Partition rows into groups by the GROUP BY key values.
-	var groups [][]int
+	// Partition rows into groups by the GROUP BY key values: a group-id
+	// pass that also counts each group, then every group's row list
+	// carved from one backing array.
+	gid := make([]int, ws.n)
+	var counts []int
 	index := map[string]int{}
-	var kb strings.Builder
+	var key []byte
 	for r := 0; r < ws.n; r++ {
 		if err := cancelled(ctx, r); err != nil {
 			return output{}, err
 		}
-		kb.Reset()
+		key = key[:0]
 		for _, ge := range s.GroupBy {
 			v, err := evalExpr(ge, scope{ws, r})
 			if err != nil {
 				return output{}, err
 			}
-			writeValKey(&kb, v)
+			key = appendValKey(key, v)
 		}
-		g, ok := index[kb.String()]
+		g, ok := index[string(key)]
 		if !ok {
-			g = len(groups)
-			index[kb.String()] = g
-			groups = append(groups, nil)
+			g = len(counts)
+			index[string(key)] = g
+			counts = append(counts, 0)
 		}
+		gid[r] = g
+		counts[g]++
+	}
+	groups := make([][]int, len(counts))
+	rows := make([]int, ws.n)
+	off := 0
+	for g, c := range counts {
+		groups[g] = rows[off : off : off+c]
+		off += c
+	}
+	for r, g := range gid {
 		groups[g] = append(groups[g], r)
 	}
 	if len(s.GroupBy) == 0 && len(groups) == 0 {
@@ -896,6 +910,10 @@ func evalAggExpr(e Expr, ws *workingSet, rows []int) (any, error) {
 	}
 }
 
+// evalAggregateFunc folds one aggregate over a group's rows as it
+// evaluates them. An argument that fails to evaluate in any row is the
+// error, even after SUM or AVG met a non-numeric value in an earlier row,
+// which is reported once every row has been evaluated.
 func evalAggregateFunc(f *FuncCall, ws *workingSet, rows []int) (any, error) {
 	if f.Name == "COUNT" && f.Star {
 		return int64(len(rows)), nil
@@ -903,8 +921,17 @@ func evalAggregateFunc(f *FuncCall, ws *workingSet, rows []int) (any, error) {
 	if len(f.Args) != 1 {
 		return nil, fmt.Errorf("sql: %s() takes exactly one argument", f.Name)
 	}
-	var vals []any
-	seen := map[string]bool{}
+	var seen map[string]bool
+	if f.Distinct {
+		seen = map[string]bool{}
+	}
+	var (
+		n      int64 // non-nil (and, under DISTINCT, distinct) values
+		total  float64
+		allInt = true
+		best   any // MIN/MAX so far
+		bad    any // first non-numeric value under SUM/AVG
+	)
 	for _, r := range rows {
 		v, err := evalExpr(f.Args[0], scope{ws, r})
 		if err != nil {
@@ -913,48 +940,29 @@ func evalAggregateFunc(f *FuncCall, ws *workingSet, rows []int) (any, error) {
 		if v == nil {
 			continue
 		}
-		if f.Distinct {
+		if seen != nil {
 			k := fmt.Sprintf("%T:%v", v, v)
 			if seen[k] {
 				continue
 			}
 			seen[k] = true
 		}
-		vals = append(vals, v)
-	}
-	switch f.Name {
-	case "COUNT":
-		return int64(len(vals)), nil
-	case "SUM", "AVG":
-		total := 0.0
-		allInt := true
-		for _, v := range vals {
-			switch n := v.(type) {
+		n++
+		switch f.Name {
+		case "SUM", "AVG":
+			if bad != nil {
+				continue
+			}
+			switch x := v.(type) {
 			case int64:
-				total += float64(n)
+				total += float64(x)
 			case float64:
-				total += n
+				total += x
 				allInt = false
 			default:
-				return nil, fmt.Errorf("sql: %s() over non-numeric value %v", f.Name, v)
+				bad = v
 			}
-		}
-		if f.Name == "AVG" {
-			if len(vals) == 0 {
-				return nil, nil
-			}
-			return total / float64(len(vals)), nil
-		}
-		if len(vals) == 0 {
-			return nil, nil
-		}
-		if allInt {
-			return int64(total), nil
-		}
-		return total, nil
-	case "MIN", "MAX":
-		var best any
-		for _, v := range vals {
+		case "MIN", "MAX":
 			if best == nil {
 				best = v
 				continue
@@ -964,6 +972,23 @@ func evalAggregateFunc(f *FuncCall, ws *workingSet, rows []int) (any, error) {
 				best = v
 			}
 		}
+	}
+	switch f.Name {
+	case "COUNT":
+		return n, nil
+	case "SUM", "AVG":
+		switch {
+		case bad != nil:
+			return nil, fmt.Errorf("sql: %s() over non-numeric value %v", f.Name, bad)
+		case n == 0:
+			return nil, nil
+		case f.Name == "AVG":
+			return total / float64(n), nil
+		case allInt:
+			return int64(total), nil
+		}
+		return total, nil
+	case "MIN", "MAX":
 		return best, nil
 	}
 	return nil, fmt.Errorf("sql: unknown aggregate %s()", f.Name)
@@ -1015,34 +1040,29 @@ func orderRows(s *SelectStmt, ws *workingSet, out *output, aggregated bool) ([]i
 	return idx, nil
 }
 
-// writeValKey appends one value's bucketing key: a type tag plus its
-// rendering, so values of different dynamic types never collide (the same
-// partitioning the previous "%T:%v" formatting produced, without fmt).
-func writeValKey(kb *strings.Builder, v any) {
+// appendValKey appends one value's bucketing key to buf: a type tag plus
+// its rendering, so values of different dynamic types never collide (the
+// same partitioning "%T:%v" formatting gives, without fmt).
+func appendValKey(buf []byte, v any) []byte {
 	switch x := v.(type) {
 	case nil:
-		kb.WriteString("_\x1f")
+		buf = append(buf, '_')
 	case bool:
-		if x {
-			kb.WriteString("b:true\x1f")
-		} else {
-			kb.WriteString("b:false\x1f")
-		}
+		buf = append(buf, "b:"...)
+		buf = strconv.AppendBool(buf, x)
 	case int64:
-		kb.WriteString("i:")
-		kb.WriteString(strconv.FormatInt(x, 10))
-		kb.WriteByte(0x1f)
+		buf = append(buf, "i:"...)
+		buf = strconv.AppendInt(buf, x, 10)
 	case float64:
-		kb.WriteString("f:")
-		kb.WriteString(strconv.FormatFloat(x, 'g', -1, 64))
-		kb.WriteByte(0x1f)
+		buf = append(buf, "f:"...)
+		buf = strconv.AppendFloat(buf, x, 'g', -1, 64)
 	case string:
-		kb.WriteString("s:")
-		kb.WriteString(x)
-		kb.WriteByte(0x1f)
+		buf = append(buf, "s:"...)
+		buf = append(buf, x...)
 	default:
-		fmt.Fprintf(kb, "%T:%v\x1f", v, v)
+		buf = fmt.Appendf(buf, "%T:%v", v, v)
 	}
+	return append(buf, 0x1f)
 }
 
 // distinctRows keeps the first of each set of equal output rows among idx
@@ -1053,14 +1073,14 @@ func distinctRows(out *output, idx []int) []int {
 	}
 	seen := map[string]bool{}
 	kept := make([]int, 0, len(idx))
-	var kb strings.Builder
+	var key []byte
 	for _, i := range idx {
-		kb.Reset()
+		key = key[:0]
 		for _, col := range out.cols {
-			writeValKey(&kb, col.at(i))
+			key = appendValKey(key, col.at(i))
 		}
-		if !seen[kb.String()] {
-			seen[kb.String()] = true
+		if !seen[string(key)] {
+			seen[string(key)] = true
 			kept = append(kept, i)
 		}
 	}

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -609,5 +610,74 @@ func TestSameKind(t *testing.T) {
 	a, b := any("x"), any("y")
 	if n := testing.AllocsPerRun(100, func() { sameKind(a, b) }); n != 0 {
 		t.Errorf("sameKind allocates %v times per call", n)
+	}
+}
+
+// TestCompareMatchesCompareValues pins compare's numeric fast path to the
+// answers of dataframe.CompareValues (and, for = and !=, the one-kind
+// rule) over a grid of values: int64 beyond 2^53 compares as float64, and
+// NaN compares equal to every number.
+func TestCompareMatchesCompareValues(t *testing.T) {
+	const p53 = int64(1) << 53
+	vals := []any{
+		nil, true, false, "", "1", "a",
+		int64(0), int64(1), int64(-1), int64(math.MaxInt64), int64(math.MinInt64),
+		p53 - 1, p53, p53 + 1, -p53 - 1,
+		0.0, math.Copysign(0, -1), 1.0, -1.5, 0.5,
+		float64(p53), float64(p53) + 2, float64(math.MaxInt64), float64(math.MinInt64),
+		math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64,
+	}
+	isNum := func(v any) bool {
+		switch v.(type) {
+		case int64, float64:
+			return true
+		}
+		return false
+	}
+	for _, l := range vals {
+		for _, r := range vals {
+			c := dataframe.CompareValues(l, r)
+			eq := c == 0 && (isNum(l) && isNum(r) || reflect.TypeOf(l) == reflect.TypeOf(r))
+			for op, want := range map[string]bool{
+				"=": eq, "!=": !eq, "<": c < 0, "<=": c <= 0, ">": c > 0, ">=": c >= 0,
+			} {
+				got, ok := compare(op, l, r)
+				if !ok || got != want {
+					t.Errorf("%#v %s %#v = %v (ok %v), want %v", l, op, r, got, ok, want)
+				}
+			}
+			if got := equal(l, r); got != eq {
+				t.Errorf("equal(%#v, %#v) = %v, want %v", l, r, got, eq)
+			}
+		}
+	}
+}
+
+// TestAggregateErrorOrder pins which error an aggregate reports: a row
+// whose argument fails to evaluate wins over a non-numeric value met in an
+// earlier row, and otherwise the first non-numeric value is named.
+func TestAggregateErrorOrder(t *testing.T) {
+	db := NewDB()
+	f := dataframe.New("g", "v", "d")
+	f.AppendRow("x", int64(1), int64(1))
+	f.AppendRow("x", "oops", int64(1))
+	f.AppendRow("x", "later", int64(0))
+	db.CreateTable("t", f)
+	for q, want := range map[string]string{
+		"SELECT SUM(v) FROM t":               "sql: SUM() over non-numeric value oops",
+		"SELECT g, AVG(v) FROM t GROUP BY g": "sql: AVG() over non-numeric value oops",
+		"SELECT SUM(DISTINCT v) FROM t":      "sql: SUM() over non-numeric value oops",
+		"SELECT MAX(v) FROM t":               "",
+		// Row 1's 'oops' is non-numeric; row 2's argument divides by zero.
+		"SELECT SUM(CASE WHEN d = 0 THEN 1 / d ELSE v END) FROM t": "sql: division by zero",
+	} {
+		_, err := db.Query(q)
+		if want == "" && err != nil || want != "" && (err == nil || err.Error() != want) {
+			t.Errorf("%s: error %v, want %q", q, err, want)
+		}
+	}
+	f2 := mustQuery(t, db, "SELECT g, COUNT(v) AS n, COUNT(DISTINCT d) AS nd, MIN(v) AS lo, MAX(d) AS hi FROM t GROUP BY g")
+	if r := f2.Row(0); r["n"] != int64(3) || r["nd"] != int64(2) || r["lo"] != int64(1) || r["hi"] != int64(1) {
+		t.Fatalf("aggregates = %v", r)
 	}
 }
