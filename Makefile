@@ -6,8 +6,7 @@
 # track the perf trajectory (BENCH_11.json is the next snapshot; bump
 # BENCH_OUT after recording it); `make benchdiff` compares the two most
 # recent snapshots and fails on >10% regressions of ns/op, B/op or
-# allocs/op (tail latency is gated at a wider p99 threshold — see
-# cmd/benchdiff) on the ROADMAP watchlist (Table2 / Table4 / Clone / PageRank /
+# allocs/op on the ROADMAP watchlist (Table2 / Table4 / Clone / PageRank /
 # SandboxGoldenQuery / NQLVM / StreamSweep / GatewayThroughput /
 # ServiceQuery / FederatedJoin / FederatedGoldenQuery / FederatedAnalytics /
 # FederatedPipeline / FederatedSQLJoin / InstanceBind / DataframeRecords /
@@ -82,10 +81,8 @@ fuzz:
 # substrate micro-benchmarks run long enough for stable ns/op — at a single
 # iteration they swing far beyond the 10% regression gate benchdiff applies.
 # The micro pass records repeated runs per benchmark and benchdiff keeps the
-# per-metric minimum (median for p99-ns, where a lucky run deflates the tail
-# and a min baseline would be the luckiest tail ever seen), so transient
-# co-tenant load on shared hardware cannot fake a regression (or mask one by
-# inflating the baseline). Every gated
+# per-metric minimum, so transient co-tenant load on shared hardware cannot
+# fake a regression (or mask one by inflating the baseline). Every gated
 # benchmark short enough to repeat belongs in the micro pass for that
 # reason (GatewayThroughput moved there after its 1x sample flapped);
 # StreamSweep and the tables stay at 1x per record because one iteration

@@ -5,25 +5,16 @@
 // SandboxGoldenQuery / NQLVM / StreamSweep / GatewayThroughput /
 // ServiceQuery / FederatedJoin / FederatedSQLJoin / FederatedGoldenQuery
 // fails the diff.
-// Time (ns/op) and the allocation bill (B/op, allocs/op) are gated at
-// -threshold; tail latency (the p99-ns custom metric, when a benchmark
-// reports one — an open-loop load benchmark pins ns/op to the arrival
-// schedule, so its tail is the real signal) is gated at the wider
-// -p99-threshold, because p99 is an order statistic rendered from
-// log-bucketed histograms whose bucket step (~12% in the observed range)
-// exceeds the base threshold: identical code wobbles one bucket run to
-// run. Aggregation across -count repeats also differs per metric: ns/op,
-// B/op and allocs/op take the minimum (noise only inflates them), while
-// p99-ns takes the median — a lucky collision-free run deflates a tail
-// quantile, so a min-of-N baseline is the luckiest tail ever observed and
-// identical code then fails against it. A PR that gets faster by
-// allocating wildly more, or leaner by getting slower, still fails.
+// Time (ns/op) and the allocation bill (B/op, allocs/op) are each gated at
+// -threshold, taking the minimum across -count repeats (noise only
+// inflates them). A PR that gets faster by allocating wildly more, or
+// leaner by getting slower, still fails. Custom metrics a benchmark
+// reports (older snapshots carry p99-ns) are ignored.
 //
 // Usage:
 //
 //	benchdiff [-old BENCH_1.json] [-new BENCH_2.json]
-//	          [-threshold 0.10] [-p99-threshold 0.25]
-//	          [-watch Table2,GraphClone,...]
+//	          [-threshold 0.10] [-watch Table2,GraphClone,...]
 //
 // Without -old/-new it auto-discovers the two highest-numbered
 // BENCH_<n>.json files in the current directory and compares them. Exits 1
@@ -45,14 +36,11 @@ import (
 )
 
 // measure is one benchmark's recorded metrics. B/op and allocs/op are NaN
-// when the run did not use -benchmem; p99 is NaN unless the benchmark
-// reports a p99-ns custom metric.
+// when the run did not use -benchmem.
 type measure struct {
 	ns     float64
 	bytes  float64
 	allocs float64
-	p99    float64   // median across -count repeats, resolved by finalize
-	p99s   []float64 // raw per-run p99-ns samples
 }
 
 // benchLine extracts a complete "BenchmarkName-P  N  1234 ns/op ..."
@@ -67,13 +55,11 @@ var nameLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?$`)
 // ("       1\t9128170674 ns/op\t...").
 var resultLine = regexp.MustCompile(`^\d+\s+([0-9.]+) ns/op`)
 
-// memLine extracts the -benchmem metrics from a result line; p99Line the
-// tail-latency custom metric (testing may render it in scientific
-// notation).
+// bytesLine and allocsLine extract the -benchmem metrics from a result
+// line.
 var (
 	bytesLine  = regexp.MustCompile(`([0-9.]+) B/op`)
 	allocsLine = regexp.MustCompile(`([0-9.]+) allocs/op`)
-	p99Line    = regexp.MustCompile(`([0-9.]+(?:[eE][+-]?[0-9]+)?) p99-ns`)
 )
 
 // defaultWatch is the ROADMAP's regression watchlist.
@@ -83,7 +69,6 @@ func main() {
 	oldPath := flag.String("old", "", "baseline BENCH_<n>.json (default: second-newest in .)")
 	newPath := flag.String("new", "", "candidate BENCH_<n>.json (default: newest in .)")
 	threshold := flag.Float64("threshold", 0.10, "relative ns/op, B/op or allocs/op increase that counts as a regression")
-	p99Threshold := flag.Float64("p99-threshold", 0.25, "relative p99-ns increase that counts as a regression; wider than -threshold because p99 is an order statistic read from log-bucketed histograms (~12% per bucket), so a one-bucket wobble on identical code already exceeds 10%")
 	watch := flag.String("watch", defaultWatch, "comma-separated benchmark name substrings to gate on")
 	flag.Parse()
 
@@ -110,7 +95,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
 	}
-	report, regressed := diff(oldM, newM, splitWatch(*watch), *threshold, *p99Threshold)
+	report, regressed := diff(oldM, newM, splitWatch(*watch), *threshold)
 	fmt.Printf("benchdiff: %s -> %s (threshold %+.0f%%)\n", *oldPath, *newPath, *threshold*100)
 	fmt.Print(report)
 	if regressed {
@@ -176,7 +161,7 @@ func parseBenchFile(path string) (map[string]measure, error) {
 		if m := resultLine.FindStringSubmatch(line); m != nil && pending != "" {
 			if ns, err := strconv.ParseFloat(m[1], 64); err == nil {
 				record(out, pending, measure{ns: ns, bytes: memMetric(bytesLine, line),
-					allocs: memMetric(allocsLine, line), p99: memMetric(p99Line, line)})
+					allocs: memMetric(allocsLine, line)})
 			}
 			pending = ""
 		}
@@ -187,7 +172,6 @@ func parseBenchFile(path string) (map[string]measure, error) {
 	if len(out) == 0 {
 		return nil, fmt.Errorf("%s: no benchmark results found", path)
 	}
-	finalize(out)
 	return out, nil
 }
 
@@ -203,53 +187,24 @@ func parseBenchOutput(line string) (name string, m measure, ok bool) {
 		return "", measure{}, false
 	}
 	return match[1], measure{ns: ns, bytes: memMetric(bytesLine, line),
-		allocs: memMetric(allocsLine, line), p99: memMetric(p99Line, line)}, true
+		allocs: memMetric(allocsLine, line)}, true
 }
 
-// record merges one observation into the snapshot. ns/op, B/op and
-// allocs/op keep the per-metric minimum across -count repeats: for those,
-// noise only inflates, so the fastest observed run is the estimate least
-// distorted by transient co-tenant load on shared hardware, and neither
-// side of the diff can be faked (or masked) by a noisy window. p99-ns is
-// different — it is an order statistic of an open-loop load run, and a
-// lucky run (no scheduling collisions) *deflates* it, so min-of-N
-// enshrines the single luckiest tail as the baseline and identical code
-// then "regresses" against it. p99 samples are therefore accumulated here
-// and resolved to their median by finalize.
+// record merges one observation into the snapshot, keeping the
+// per-metric minimum across -count repeats: noise only inflates these
+// metrics, so the fastest observed run is the estimate least distorted by
+// transient co-tenant load on shared hardware, and neither side of the
+// diff can be faked (or masked) by a noisy window.
 func record(out map[string]measure, name string, m measure) {
 	prev, ok := out[name]
 	if !ok {
-		if !math.IsNaN(m.p99) {
-			m.p99s = []float64{m.p99}
-		}
 		out[name] = m
 		return
 	}
-	next := measure{
+	out[name] = measure{
 		ns:     math.Min(prev.ns, m.ns),
 		bytes:  minOrNaN(prev.bytes, m.bytes),
 		allocs: minOrNaN(prev.allocs, m.allocs),
-		p99s:   prev.p99s,
-	}
-	if !math.IsNaN(m.p99) {
-		next.p99s = append(next.p99s, m.p99)
-	}
-	out[name] = next
-}
-
-// finalize resolves each benchmark's accumulated p99 samples to their
-// median (lower middle for even counts — a real sample, not an invented
-// midpoint). NaN when the benchmark reported no p99-ns metric.
-func finalize(out map[string]measure) {
-	for name, m := range out {
-		if len(m.p99s) == 0 {
-			m.p99 = math.NaN()
-		} else {
-			s := append([]float64(nil), m.p99s...)
-			sort.Float64s(s)
-			m.p99 = s[(len(s)-1)/2]
-		}
-		out[name] = m
 	}
 }
 
@@ -315,10 +270,9 @@ func fmtDelta(d float64) string {
 
 // diff renders the comparison of every watched benchmark and reports
 // whether any regressed beyond the threshold on any gated metric (ns/op,
-// B/op, allocs/op at threshold; p99-ns at the wider p99Threshold).
-// Unwatched benchmarks are listed only when their ns/op regressed, as
-// informational lines.
-func diff(oldM, newM map[string]measure, watch []string, threshold, p99Threshold float64) (string, bool) {
+// B/op, allocs/op). Unwatched benchmarks are listed only when their ns/op
+// regressed, as informational lines.
+func diff(oldM, newM map[string]measure, watch []string, threshold float64) (string, bool) {
 	names := make([]string, 0, len(newM))
 	for name := range newM {
 		names = append(names, name)
@@ -334,8 +288,8 @@ func diff(oldM, newM map[string]measure, watch []string, threshold, p99Threshold
 	}
 	var sb strings.Builder
 	regressed := false
-	sb.WriteString(fmt.Sprintf("%-34s %14s %14s %8s %8s %8s %8s\n",
-		"benchmark", "old ns/op", "new ns/op", "ns", "B/op", "allocs", "p99"))
+	sb.WriteString(fmt.Sprintf("%-34s %14s %14s %8s %8s %8s\n",
+		"benchmark", "old ns/op", "new ns/op", "ns", "B/op", "allocs"))
 	for _, name := range names {
 		after := newM[name]
 		before, inOld := oldM[name]
@@ -349,16 +303,14 @@ func diff(oldM, newM map[string]measure, watch []string, threshold, p99Threshold
 			}
 		}
 		if !inOld {
-			sb.WriteString(fmt.Sprintf("%-34s %14s %14.0f %8s %8s %8s %8s\n", name, "-", after.ns, "new", "", "", ""))
+			sb.WriteString(fmt.Sprintf("%-34s %14s %14.0f %8s %8s %8s\n", name, "-", after.ns, "new", "", ""))
 			continue
 		}
 		bDelta := metricDelta(before.bytes, after.bytes)
 		aDelta := metricDelta(before.allocs, after.allocs)
-		pDelta := metricDelta(before.p99, after.p99)
 		flag := ""
-		exceeded := func(d, limit float64) bool { return !math.IsNaN(d) && d > limit }
-		if exceeded(nsDelta, threshold) || exceeded(bDelta, threshold) ||
-			exceeded(aDelta, threshold) || exceeded(pDelta, p99Threshold) {
+		exceeded := func(d float64) bool { return !math.IsNaN(d) && d > threshold }
+		if exceeded(nsDelta) || exceeded(bDelta) || exceeded(aDelta) {
 			if gate {
 				flag = "  REGRESSION"
 				regressed = true
@@ -366,8 +318,8 @@ func diff(oldM, newM map[string]measure, watch []string, threshold, p99Threshold
 				flag = "  (info: not gated)"
 			}
 		}
-		sb.WriteString(fmt.Sprintf("%-34s %14.0f %14.0f %8s %8s %8s %8s%s\n",
-			name, before.ns, after.ns, fmtDelta(nsDelta), fmtDelta(bDelta), fmtDelta(aDelta), fmtDelta(pDelta), flag))
+		sb.WriteString(fmt.Sprintf("%-34s %14.0f %14.0f %8s %8s %8s%s\n",
+			name, before.ns, after.ns, fmtDelta(nsDelta), fmtDelta(bDelta), fmtDelta(aDelta), flag))
 	}
 	if !regressed {
 		sb.WriteString("no regressions on watched benchmarks\n")

@@ -20,6 +20,8 @@ func TestParseBenchOutput(t *testing.T) {
 		{"BenchmarkGraphPageRank-1   \t     1\t    163072 ns/op\t   57344 B/op\t       6 allocs/op", "BenchmarkGraphPageRank", 163072, 57344, 6, true},
 		{"BenchmarkTable2 \t 1 \t 1234567890 ns/op", "BenchmarkTable2", 1234567890, math.NaN(), math.NaN(), true},
 		{"BenchmarkSandboxGoldenQuery-8   	    1	    171629.5 ns/op", "BenchmarkSandboxGoldenQuery", 171629.5, math.NaN(), math.NaN(), true},
+		// BENCH_6 to BENCH_10 carry a p99-ns custom metric; it is skipped.
+		{"BenchmarkServiceQuery-2   \t     100\t    512345 ns/op\t     8.9e+04 p99-ns\t   20480 B/op\t      99 allocs/op", "BenchmarkServiceQuery", 512345, 20480, 99, true},
 		{"ok  \trepro\t12.3s", "", 0, 0, 0, false},
 		{"--- BENCH: BenchmarkFoo", "", 0, 0, 0, false},
 	}
@@ -62,7 +64,7 @@ func TestDiffFlagsRegressions(t *testing.T) {
 		"BenchmarkFederatedJoin":      {ns: 42},                         // new watched entries are informational
 	}
 	watch := splitWatch(defaultWatch + ",FederatedJoin")
-	report, regressed := diff(oldM, newM, watch, 0.10, 0.25)
+	report, regressed := diff(oldM, newM, watch, 0.10)
 	if !regressed {
 		t.Fatalf("expected regression:\n%s", report)
 	}
@@ -87,7 +89,7 @@ func TestDiffFlagsRegressions(t *testing.T) {
 	// Within threshold on every watched benchmark -> clean diff.
 	newM["BenchmarkGraphPageRank"] = measure{ns: 210, bytes: nan, allocs: nan}
 	newM["BenchmarkTable4"] = measure{ns: 900, bytes: 95, allocs: 10}
-	report, regressed = diff(oldM, newM, watch, 0.10, 0.25)
+	report, regressed = diff(oldM, newM, watch, 0.10)
 	if regressed {
 		t.Errorf("unexpected regression:\n%s", report)
 	}
@@ -96,43 +98,16 @@ func TestDiffFlagsRegressions(t *testing.T) {
 	}
 }
 
-func TestDiffP99UsesOwnThreshold(t *testing.T) {
-	// p99 is gated at its own (wider) threshold: a +15% tail move passes
-	// under a 0.25 p99 gate even with ns/B/allocs gated at 0.10, but the
-	// same move is a regression when the p99 gate is tightened to 0.10.
-	oldM := map[string]measure{
-		"BenchmarkServiceQuery": {ns: 1000, bytes: 100, allocs: 10, p99: 80000},
-	}
-	newM := map[string]measure{
-		"BenchmarkServiceQuery": {ns: 1000, bytes: 100, allocs: 10, p99: 92000},
-	}
-	watch := splitWatch(defaultWatch)
-	report, regressed := diff(oldM, newM, watch, 0.10, 0.25)
-	if regressed {
-		t.Errorf("+15%% p99 flagged under the 0.25 p99 gate:\n%s", report)
-	}
-	report, regressed = diff(oldM, newM, watch, 0.10, 0.10)
-	if !regressed {
-		t.Errorf("+15%% p99 not flagged under a 0.10 p99 gate:\n%s", report)
-	}
-	// A +30% tail move exceeds even the wide gate.
-	newM["BenchmarkServiceQuery"] = measure{ns: 1000, bytes: 100, allocs: 10, p99: 104000}
-	report, regressed = diff(oldM, newM, watch, 0.10, 0.25)
-	if !regressed {
-		t.Errorf("+30%% p99 not flagged under the 0.25 p99 gate:\n%s", report)
-	}
-}
-
 func TestDiffFlagsZeroBaselineGrowth(t *testing.T) {
 	oldM := map[string]measure{"BenchmarkNQLVM": {ns: 100, bytes: 0, allocs: 0}}
 	newM := map[string]measure{"BenchmarkNQLVM": {ns: 100, bytes: 500, allocs: 20}}
-	report, regressed := diff(oldM, newM, splitWatch(defaultWatch), 0.10, 0.25)
+	report, regressed := diff(oldM, newM, splitWatch(defaultWatch), 0.10)
 	if !regressed {
 		t.Fatalf("zero-baseline allocation growth not flagged:\n%s", report)
 	}
 	// Staying at zero is clean.
 	newM["BenchmarkNQLVM"] = measure{ns: 100, bytes: 0, allocs: 0}
-	report, regressed = diff(oldM, newM, splitWatch(defaultWatch), 0.10, 0.25)
+	report, regressed = diff(oldM, newM, splitWatch(defaultWatch), 0.10)
 	if regressed {
 		t.Fatalf("zero-to-zero flagged as regression:\n%s", report)
 	}
@@ -146,38 +121,6 @@ func TestRecordKeepsPerMetricMin(t *testing.T) {
 	got := out["BenchmarkX"]
 	if got.ns != 150 || got.bytes != 50 || got.allocs != 7 {
 		t.Fatalf("min-merge got %+v, want ns=150 bytes=50 allocs=7", got)
-	}
-}
-
-// TestFinalizeMedianP99 proves p99 aggregates as the median of repeats,
-// not the minimum: one lucky collision-free run (the 58k outlier) must
-// not become the baseline a later identical run regresses against.
-func TestFinalizeMedianP99(t *testing.T) {
-	out := map[string]measure{}
-	for _, p := range []float64{89000, 58000, 91000, 95000, 89000} {
-		record(out, "BenchmarkServiceQuery", measure{ns: 500000, bytes: math.NaN(), allocs: math.NaN(), p99: p})
-	}
-	finalize(out)
-	if got := out["BenchmarkServiceQuery"].p99; got != 89000 {
-		t.Fatalf("median p99 = %v, want 89000 (min-of-N would give 58000)", got)
-	}
-
-	// Even sample count resolves to the lower-middle real sample.
-	out = map[string]measure{}
-	for _, p := range []float64{80000, 90000, 100000, 110000} {
-		record(out, "BenchmarkX", measure{ns: 1, bytes: math.NaN(), allocs: math.NaN(), p99: p})
-	}
-	finalize(out)
-	if got := out["BenchmarkX"].p99; got != 90000 {
-		t.Fatalf("even-count median p99 = %v, want 90000", got)
-	}
-
-	// No p99 metric reported: finalize yields NaN, diff renders "-".
-	out = map[string]measure{}
-	record(out, "BenchmarkY", measure{ns: 1, bytes: math.NaN(), allocs: math.NaN(), p99: math.NaN()})
-	finalize(out)
-	if got := out["BenchmarkY"].p99; !math.IsNaN(got) {
-		t.Fatalf("p99 with no samples = %v, want NaN", got)
 	}
 }
 

@@ -66,21 +66,20 @@
 // name resolution against a declared binding surface, arity and call-shape
 // checks for every builtin, forward type inference over a small lattice
 // that flags only guaranteed failures (a program diagnosed as an error
-// cannot execute successfully on any input), and an effect/totality
-// analysis that stamps lambdas with purity and can't-fail bits. The
-// analyzer is advisory by design everywhere the evaluation matrix runs —
-// tables and figures are byte-identical with it on or off — and becomes a
-// gate in exactly two places: netqueryd rejects statically-invalid raw
-// programs with 400 + structured diagnostics before admission control
-// spends any tenant budget (vet rejects are counted on /metricsz), and
-// `nqlvet -registry` (run by `make lint` and CI) holds every golden
-// program x backend in the query catalog to zero findings.
+// cannot execute successfully on any input), and a purity/totality
+// analysis that flags discarded results of side-effect-free expressions.
+// It only reads the AST. The analyzer is advisory by design everywhere the
+// evaluation matrix runs — tables and figures are byte-identical with it
+// on or off — and becomes a gate in exactly two places: netqueryd rejects
+// statically-invalid raw programs with 400 + structured diagnostics before
+// admission control spends any tenant budget (vet rejects are counted on
+// /metricsz), and `nqlvet -registry` (run by `make lint` and CI) holds
+// every golden program x backend in the query catalog to zero findings.
 //
-// The analyzer also stamps effect bits (pure, total, row-total) on
-// lambdas; they currently have no runtime consumer. sandbox.Vet shares
-// one cached compile+analyze entry point with sandbox.Compile, so the
-// service, the evaluation matrix and the CLIs (`nqlvet`, `nemoeval -vet`)
-// all see identical diagnostics for identical source.
+// sandbox.Vet shares one cached compile+analyze entry point with
+// sandbox.Compile, so the service, the evaluation matrix and the CLIs
+// (`nqlvet`, `nemoeval -vet`) all see identical diagnostics for identical
+// source.
 //
 // # Streaming and sharded datasets
 //
@@ -147,9 +146,9 @@
 // healthy substrate; datasets swap live (build → atomic flip → drain the
 // old epoch) with zero dropped queries; and SIGINT/SIGTERM drain
 // gracefully. The chaos suite in internal/service exercises all of it
-// under -race, and the open-loop Zipf load generator behind
-// BenchmarkServiceQuery records p50/p99 and shed/error rates into the
-// benchdiff gate. The internal/service doc.go carries the ops runbook.
+// under -race. BenchmarkServiceQuery drives the handler in a closed loop
+// for the benchdiff gate, and the bench/ harness measures tail latency
+// under offered load. The internal/service doc.go carries the ops runbook.
 //
 // # Observability
 //

@@ -166,22 +166,7 @@ func StateEqual(backend string, a, b *Instance) bool {
 		bNodes, bEdges := b.Frames()
 		return dataframe.Equal(aNodes, bNodes) && dataframe.Equal(aEdges, bEdges)
 	case prompt.BackendSQL:
-		aDB, bDB := a.Database(), b.Database()
-		an, bn := aDB.TableNames(), bDB.TableNames()
-		if len(an) != len(bn) {
-			return false
-		}
-		for i, name := range an {
-			if bn[i] != name {
-				return false
-			}
-			at, err1 := aDB.Table(name)
-			bt, err2 := bDB.Table(name)
-			if err1 != nil || err2 != nil || !dataframe.Equal(at, bt) {
-				return false
-			}
-		}
-		return true
+		return sqldb.Equal(a.Database(), b.Database())
 	default:
 		return true
 	}

@@ -248,8 +248,7 @@ func TestStateEqualPerBackend(t *testing.T) {
 
 // TestStateEqualOfUnwrittenClonesAllocatesNothing pins the common case of
 // every trial: comparing two unwritten instances walks nothing and
-// allocates nothing. The SQL branch copies the two table-name lists, and
-// the federated backend includes it.
+// allocates nothing, on every backend.
 func TestStateEqualOfUnwrittenClonesAllocatesNothing(t *testing.T) {
 	for name, build := range map[string]InstanceBuilder{
 		"traffic": TrafficDataset(traffic.Config{Nodes: 200, Edges: 800, Seed: 3}),
@@ -257,11 +256,7 @@ func TestStateEqualOfUnwrittenClonesAllocatesNothing(t *testing.T) {
 	} {
 		a, b := build(), build()
 		for _, backend := range prompt.AllBackends {
-			want := 0.0
-			switch backend {
-			case prompt.BackendSQL, prompt.BackendFederated:
-				want = 2
-			}
+			const want = 0.0
 			allocs := testing.AllocsPerRun(10, func() {
 				if !StateEqual(backend, a, b) {
 					t.Fatalf("%s: unwritten instances differ for %s", name, backend)

@@ -5,8 +5,8 @@
 // caches its diagnostics next to the compiled program (sandbox.Vet),
 // netqueryd rejects error-bearing programs before admission control
 // spends tenant quota, and nqlvet runs it over the golden-program registry
-// in CI. It also stamps effect proofs on lambdas, which nothing at run
-// time reads yet (see Effects below).
+// in CI. It is read-only: the AST it walks may be shared, through the
+// sandbox cache, with concurrent executions.
 //
 // # Rule catalogue
 //
@@ -50,19 +50,13 @@
 //
 // # Effects
 //
-// Alongside diagnostics the analyzer computes, per expression, whether it
-// is pure (no print, no mutation, no call of anything but provably-pure
-// builtins) and total (cannot fail). Lambda expressions get the result
-// stamped on the AST (nql.LambdaExpr.SetEffect): EffectPure, EffectTotal,
-// and EffectRowTotal — totality under the assumption every parameter is a
-// map, which is the calling convention of federate.FuncPred. For a pure,
-// row-total lambda, calling it more times, fewer times, or at different
-// moments is unobservable, so a consumer could reorder or hoist such calls
-// without a dynamic re-check. The stamps currently have no runtime
-// consumer: the federated executor calls every predicate in plan order
-// and needs no proof. Totality always excludes the sandbox's own resource
-// budget (step, allocation, wall-clock and cancellation limits): those
-// are accounted to the run as a whole.
+// Alongside types the analyzer tracks, per expression, whether it is pure
+// (no print, no mutation, no call of anything but provably-pure builtins)
+// and total (cannot fail). The only consumer is NQ402: an expression
+// statement that is both has no observable effect, so its result being
+// discarded is a mistake. Totality excludes the sandbox's own resource
+// budget (step, allocation, wall-clock and cancellation limits), which is
+// accounted to the run as a whole.
 package analysis
 
 import (
@@ -154,10 +148,8 @@ type Options struct {
 }
 
 // Analyze runs the semantic analyzer over a parsed program and returns
-// its diagnostics ordered by line. As a side effect it stamps every
-// lambda expression with its effect summary (see nql.Effect); the stamp
-// is written atomically, so analyzing a program already shared through
-// the sandbox cache is safe.
+// its diagnostics ordered by line. It does not modify prog, so analyzing
+// a program already shared through the sandbox cache is safe.
 func Analyze(prog *nql.Program, opts Options) []Diagnostic {
 	a := newAnalyzer(opts.Globals, false)
 	a.run(prog)
@@ -168,8 +160,8 @@ func Analyze(prog *nql.Program, opts Options) []Diagnostic {
 // CheckNames runs only the name-resolution rules (NQ100, NQ101) against a
 // concrete host surface. It is the cheap per-surface complement to a
 // cached surface-independent Analyze: netqueryd vets each request's
-// program against its backend's globals without re-deriving (or
-// re-stamping) anything else.
+// program against its backend's globals without re-deriving anything
+// else.
 func CheckNames(prog *nql.Program, globals map[string]Type) []Diagnostic {
 	a := newAnalyzer(globals, true)
 	a.run(prog)
@@ -226,8 +218,7 @@ var (
 type analyzer struct {
 	diags     []Diagnostic
 	globals   map[string]Type
-	namesOnly bool // CheckNames mode: only NQ100/NQ101, no stamping
-	mute      bool // second (row-typed) lambda pass: no diagnostics
+	namesOnly bool // CheckNames mode: only NQ100/NQ101
 
 	// reassigned holds every name that is the target of an assignment
 	// anywhere in the program (collected by prepass, keyed by name alone):
@@ -244,9 +235,6 @@ type analyzer struct {
 }
 
 func (a *analyzer) report(line int, sev Severity, code, format string, args ...any) {
-	if a.mute {
-		return
-	}
 	if a.namesOnly && code != "NQ100" && code != "NQ101" {
 		return
 	}
@@ -500,14 +488,10 @@ func (a *analyzer) stmt(st nql.Stmt) {
 	}
 }
 
-// analyzeFunction checks a function or lambda body in a fresh function
-// scope and returns the body's effect. paramType types every parameter
-// (TAny for the primary pass).
-func (a *analyzer) analyzeFunction(params []string, body []nql.Stmt, expr nql.Expr, line int) eff {
-	return a.analyzeFunctionAs(params, body, expr, line, TAny)
-}
-
-func (a *analyzer) analyzeFunctionAs(params []string, body []nql.Stmt, expr nql.Expr, line int, paramType Type) eff {
+// analyzeFunction checks a function body (body) or lambda body (expr) in
+// a fresh function scope. Parameters are untyped: any caller may pass
+// anything.
+func (a *analyzer) analyzeFunction(params []string, body []nql.Stmt, expr nql.Expr, line int) {
 	a.pushScope(true)
 	seen := map[string]bool{}
 	for _, p := range params {
@@ -515,24 +499,17 @@ func (a *analyzer) analyzeFunctionAs(params []string, body []nql.Stmt, expr nql.
 			a.report(line, Warn, "NQ110", "duplicate parameter %q", p)
 		}
 		seen[p] = true
-		pt := paramType
-		if a.reassigned[p] {
-			pt = TAny
-		}
-		a.declare(&binding{name: p, line: line, kind: "param", typ: pt, params: -1, used: true})
+		a.declare(&binding{name: p, line: line, kind: "param", typ: TAny, params: -1, used: true})
 	}
 	a.inFunc++
 	savedLoops := a.loopDepth
 	a.loopDepth = 0
-	var e eff
 	if expr != nil {
-		_, e = a.expr(expr)
+		a.expr(expr)
 	} else {
 		a.stmts(body)
-		e = opaque // statement bodies are not effect-analyzed
 	}
 	a.loopDepth = savedLoops
 	a.inFunc--
 	a.popScope()
-	return e
 }

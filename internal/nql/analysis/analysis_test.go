@@ -3,6 +3,7 @@ package analysis
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -75,104 +76,29 @@ func TestCheckNames(t *testing.T) {
 	}
 }
 
-func lambdaOf(t *testing.T, src string) *nql.LambdaExpr {
-	t.Helper()
-	prog, err := nql.Parse(src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	Analyze(prog, Options{})
-	let, ok := prog.Stmts[0].(*nql.LetStmt)
-	if !ok {
-		t.Fatalf("first statement is %T, want let", prog.Stmts[0])
-	}
-	lam, ok := let.Init.(*nql.LambdaExpr)
-	if !ok {
-		t.Fatalf("initializer is %T, want lambda", let.Init)
-	}
-	return lam
-}
-
-func TestEffectStamping(t *testing.T) {
-	cases := []struct {
-		src                  string
-		pure, total, rowOnly bool
-	}{
-		// Closed arithmetic over parameters: pure and total outright.
-		{"let p = fn(x) => x == 1\nreturn p", true, true, false},
-		// get() plus equality on a map-typed row: total only under the
-		// FuncPred convention (parameter = map), i.e. RowTotal without
-		// Total.
-		{`let p = fn(r) => get(r, "src", "") == "a"` + "\nreturn p", true, false, true},
-		// Ordered comparison against a value of unknown type can fail
-		// (a string-valued field vs 0): not even row-total.
-		{`let p = fn(r) => get(r, "w", 0) > 0` + "\nreturn p", true, false, false},
-		// Raw indexing can miss; not even row-total.
-		{`let p = fn(r) => r["w"] > 0` + "\nreturn p", true, false, false},
-		// print() is a side effect.
-		{"let p = fn(x) => print(x)\nreturn p", false, true, false},
-		// sum() can hit non-numeric elements: pure but partial.
-		{"let p = fn(x) => sum(x)\nreturn p", true, false, false},
-		// Free global reads may be unbound: partial.
-		{"let p = fn(x) => x + extern\nreturn p", true, false, false},
-	}
-	for _, c := range cases {
-		lam := lambdaOf(t, c.src)
-		e := lam.Effect()
-		if e.Pure() != c.pure {
-			t.Errorf("%q: Pure = %v, want %v", c.src, e.Pure(), c.pure)
-		}
-		wantRowTotal := c.total || c.rowOnly
-		if got := e&nql.EffectTotal != 0; got != c.total {
-			t.Errorf("%q: Total = %v, want %v", c.src, got, c.total)
-		}
-		if e.RowTotal() != wantRowTotal {
-			t.Errorf("%q: RowTotal = %v, want %v", c.src, e.RowTotal(), wantRowTotal)
-		}
-	}
-}
-
-// TestClosureEffect: the stamp and the parameter count must be reachable
-// from the runtime closure value the VM returns.
-func TestClosureEffect(t *testing.T) {
-	src := "let p = fn(x) => x == 1\nreturn p"
-	prog, err := nql.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	Analyze(prog, Options{})
-	v, err := nql.NewInterp(nql.Limits{}, nil).RunProgram(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl, ok := v.(*nql.Closure)
-	if !ok {
-		t.Fatalf("result %T, want closure", v)
-	}
-	if e := cl.Effect(); !e.Pure() || !e.RowTotal() {
-		t.Errorf("effect %b lost through the closure", e)
-	}
-	if cl.NumParams() != 1 {
-		t.Errorf("NumParams = %d, want 1", cl.NumParams())
-	}
-}
-
 // TestAnalyzeIdempotent: analyzing a shared program twice (the sandbox
-// cache does this) must not change diagnostics or stamps.
+// cache and netqueryd's per-surface pass both do this) must give the same
+// diagnostics, message for message.
 func TestAnalyzeIdempotent(t *testing.T) {
-	src := `let p = fn(r) => get(r, "src", "") == "a"` + "\nreturn p"
+	src := `let p = fn(r) => get(r, "src", "") == "a"
+let unused = 1
+p(1) + "x"
+func f(x, x) {
+    x == 1
+    return missing
+}
+return [p, f, fn(v) => v > 0]`
 	prog, err := nql.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first := Analyze(prog, Options{Globals: map[string]Type{}})
-	second := Analyze(prog, Options{Globals: map[string]Type{}})
-	if len(first) != len(second) {
-		t.Fatalf("diagnostics changed across runs: %v vs %v", first, second)
+	if len(first) == 0 {
+		t.Fatal("program has no findings; the comparison would check nothing")
 	}
-	lam := prog.Stmts[0].(*nql.LetStmt).Init.(*nql.LambdaExpr)
-	if e := lam.Effect(); !e.Pure() || !e.RowTotal() {
-		t.Errorf("stamp lost on re-analysis: %b", e)
+	second := Analyze(prog, Options{Globals: map[string]Type{}})
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("diagnostics changed across runs:\n%v\nvs\n%v", first, second)
 	}
 }
 

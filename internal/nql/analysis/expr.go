@@ -4,7 +4,7 @@ import "repro/internal/nql"
 
 // expr type-checks one expression, emits diagnostics for provable
 // failures, and returns the expression's inferred type plus its effect
-// (purity and totality) — the inputs to lambda effect stamping.
+// (purity and totality), which NQ402 reads.
 func (a *analyzer) expr(e nql.Expr) (Type, eff) {
 	switch x := e.(type) {
 	case *nql.Ident:
@@ -58,7 +58,7 @@ func (a *analyzer) expr(e nql.Expr) (Type, eff) {
 	case *nql.CallExpr:
 		return a.call(x)
 	case *nql.LambdaExpr:
-		a.lambda(x)
+		a.analyzeFunction(x.Params, nil, x.Body, x.Line)
 		return TFunc, pureTotal
 	default:
 		return TAny, opaque
@@ -477,34 +477,4 @@ func formatNum(f float64) string {
 		return itoa(int64(f))
 	}
 	return ftoa(f)
-}
-
-// --- lambda effect stamping ----------------------------------------------
-
-func (a *analyzer) lambda(x *nql.LambdaExpr) {
-	e := a.analyzeFunctionAs(x.Params, nil, x.Body, x.Line, TAny)
-	if a.namesOnly {
-		return
-	}
-	var bits nql.Effect
-	if e.pure {
-		bits |= nql.EffectPure
-	}
-	if e.total {
-		bits |= nql.EffectTotal | nql.EffectRowTotal
-	} else if len(x.Params) >= 1 && !a.mute {
-		// Second, silent pass under the FuncPred calling convention:
-		// every parameter a map. Proves row-totality for predicates that
-		// lean on map-shaped operations (get(row, k, d), row attr reads
-		// stay fallible).
-		a.mute = true
-		e2 := a.analyzeFunctionAs(x.Params, nil, x.Body, x.Line, TMap)
-		a.mute = false
-		if e2.total {
-			bits |= nql.EffectRowTotal
-		}
-	}
-	if !a.mute {
-		x.SetEffect(bits)
-	}
 }

@@ -3,7 +3,6 @@ package nql
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // Node is any AST node; Line reports the 1-based source line for errors.
@@ -31,7 +30,8 @@ func (b base) Pos() int { return b.Line }
 // Program is a parsed NQL script. The bytecode form is compiled once on
 // first execution (or via Compiled) and cached here, so programs shared
 // through the sandbox's source-keyed cache compile exactly once no matter
-// how many trials execute them.
+// how many trials execute them. Apart from that cache, nothing writes a
+// Program or its AST after Parse, so one may be shared across goroutines.
 type Program struct {
 	Stmts []Stmt
 
@@ -219,15 +219,11 @@ type CallExpr struct {
 	Args []Expr
 }
 
-// LambdaExpr is fn(params) => expr. eff carries the semantic analyzer's
-// effect summary (see effect.go); it is atomic because analysis may run
-// on a program already shared through the sandbox cache.
+// LambdaExpr is fn(params) => expr.
 type LambdaExpr struct {
 	base
 	Params []string
 	Body   Expr
-
-	eff atomic.Uint32
 }
 
 func (*Ident) expr()      {}

@@ -104,10 +104,9 @@ type FuncProto struct {
 	code       []instr
 	name       string // "" for lambdas, "<main>" for the top level
 	nparams    int
-	numSlots   int         // frame size, params included
-	cellParams []int32     // param slots that must be boxed into cells on entry
-	captures   []capture   // how to assemble the closure's free-variable cells
-	lambda     *LambdaExpr // source lambda for effect lookup (nil for named functions)
+	numSlots   int       // frame size, params included
+	cellParams []int32   // param slots that must be boxed into cells on entry
+	captures   []capture // how to assemble the closure's free-variable cells
 }
 
 // capture tells opClosure where one free-variable cell comes from: the
@@ -538,11 +537,11 @@ func (f *fnc) compileStmt(st Stmt) {
 	}
 }
 
-func (f *fnc) compileFunction(name string, params []string, body []Stmt, lam *LambdaExpr, line int) int32 {
+func (f *fnc) compileFunction(name string, params []string, body []Stmt, expr Expr, line int) int32 {
 	nf := &fnc{
 		c:      f.c,
 		parent: f,
-		proto:  &FuncProto{owner: f.c.code, name: name, nparams: len(params), lambda: lam},
+		proto:  &FuncProto{owner: f.c.code, name: name, nparams: len(params)},
 	}
 	nf.pushBlock()
 	for i, p := range params {
@@ -553,8 +552,8 @@ func (f *fnc) compileFunction(name string, params []string, body []Stmt, lam *La
 		nf.params = append(nf.params, b)
 	}
 	nf.proto.numSlots = len(params)
-	if lam != nil { // lambda
-		nf.compileExpr(lam.Body)
+	if expr != nil { // lambda
+		nf.compileExpr(expr)
 		nf.emit(opReturn, 0, line)
 	} else {
 		nf.compileBlock(body)
@@ -646,7 +645,7 @@ func (f *fnc) compileExpr(e Expr) {
 		}
 		f.emit(opCall, int32(len(x.Args)), x.Line)
 	case *LambdaExpr:
-		idx := f.compileFunction("", x.Params, nil, x, x.Line)
+		idx := f.compileFunction("", x.Params, nil, x.Body, x.Line)
 		f.emit(opClosure, idx, x.Line)
 	default:
 		panic(compilePanicf("unknown expression %T", e))

@@ -61,8 +61,7 @@ func (r *Result) OK() bool { return r.Err == nil }
 
 // progEntry is one cached prepare result: the parsed program (bytecode
 // warmed) plus the surface-independent static diagnostics from the
-// semantic analyzer, which also stamps every lambda's effect summary onto
-// the shared AST. Parse, compile, and analyze each happen once per
+// semantic analyzer. Parse, compile, and analyze each happen once per
 // distinct source no matter how Compile/Vet/Run interleave.
 type progEntry struct {
 	prog  *nql.Program
@@ -74,9 +73,9 @@ type progEntry struct {
 // hundreds of times (once per model × backend × trial cell); preparing
 // each distinct source once removes the parser, the bytecode compiler
 // (nql.Program.Compiled, warmed below) and the analyzer from the per-run
-// cost entirely. Parsed programs are immutable — the analyzer's effect
-// stamp is written atomically and deterministically — so cached entries
-// are shared freely across goroutines.
+// cost entirely. Nothing writes a parsed program after Parse except its
+// lazily compiled bytecode, which nql.Program guards with a sync.Once, so
+// cached entries are shared freely across goroutines.
 var (
 	progMu    sync.Mutex
 	progCache = map[string]*progEntry{}
@@ -124,8 +123,7 @@ func prepare(src string) (*progEntry, error) {
 	_, _ = prog.Compiled()
 	// The surface-independent analysis: name resolution against concrete
 	// backend globals is the caller's job (analysis.CheckNames); these
-	// diagnostics hold for every surface, and the pass stamps lambda
-	// effects for the federated planner.
+	// diagnostics hold for every surface.
 	e = &progEntry{prog: prog, diags: analysis.Analyze(prog, analysis.Options{})}
 	progMu.Lock()
 	if len(progCache) < progCacheMax {

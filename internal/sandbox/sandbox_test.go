@@ -172,23 +172,3 @@ func TestVetSharesCache(t *testing.T) {
 		t.Fatal("nil program")
 	}
 }
-
-// TestVetStampsEffects: compiling through the sandbox must leave lambda
-// effect stamps on the shared AST for the federated planner to read.
-func TestVetStampsEffects(t *testing.T) {
-	src := `let p = fn(r) => get(r, "kind", "") == "x"` + "\nreturn p"
-	if _, err := Vet(src); err != nil {
-		t.Fatal(err)
-	}
-	res := Run(src, nil, DefaultPolicy)
-	if !res.OK() {
-		t.Fatal(res.Err)
-	}
-	cl, ok := res.Value.(*nql.Closure)
-	if !ok {
-		t.Fatalf("result %T, want closure", res.Value)
-	}
-	if e := cl.Effect(); !e.Pure() || !e.RowTotal() {
-		t.Errorf("closure effect %b: want pure and row-total", e)
-	}
-}

@@ -39,6 +39,21 @@ func (db *DB) Table(name string) (*dataframe.Frame, error) {
 // TableNames lists tables in creation order.
 func (db *DB) TableNames() []string { return append([]string(nil), db.order...) }
 
+// Equal reports whether two databases hold the same tables, created in the
+// same order, with equal contents (dataframe.Equal). It allocates nothing,
+// so comparing the state of two trials costs no garbage.
+func Equal(a, b *DB) bool {
+	if len(a.order) != len(b.order) {
+		return false
+	}
+	for i, name := range a.order {
+		if b.order[i] != name || !dataframe.Equal(a.tables[name], b.tables[name]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Freeze marks every table as an immutable master so Clone hands out
 // copy-on-write table clones (see dataframe.Frame.Freeze).
 func (db *DB) Freeze() {

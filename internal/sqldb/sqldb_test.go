@@ -681,3 +681,38 @@ func TestAggregateErrorOrder(t *testing.T) {
 		t.Fatalf("aggregates = %v", r)
 	}
 }
+
+func TestEqual(t *testing.T) {
+	master := testDB()
+	master.Freeze()
+	a, b := master.Clone(), master.Clone()
+	if !Equal(a, b) {
+		t.Fatal("equal clones compare unequal")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { Equal(a, b) }); allocs != 0 {
+		t.Errorf("Equal of clones made %v allocations per run, want 0", allocs)
+	}
+
+	nodes, _ := master.Table("nodes")
+	edges, _ := master.Table("edges")
+	reordered := NewDB()
+	reordered.CreateTable("edges", edges.Clone())
+	reordered.CreateTable("nodes", nodes.Clone())
+	if Equal(a, reordered) {
+		t.Error("databases with different table order compare equal")
+	}
+
+	missing := NewDB()
+	missing.CreateTable("nodes", nodes.Clone())
+	if Equal(a, missing) || Equal(missing, a) {
+		t.Error("database missing a table compares equal")
+	}
+
+	changed := master.Clone()
+	if _, err := changed.Exec("UPDATE edges SET bytes = 101 WHERE src = 'a' AND dst = 'b'"); err != nil {
+		t.Fatal(err)
+	}
+	if Equal(a, changed) || Equal(changed, a) {
+		t.Error("databases differing in one cell compare equal")
+	}
+}
