@@ -666,7 +666,7 @@ return f.sort("dst").collect()`, id[:3])
 // costs, not what the network costs.
 func BenchmarkFederatedAnalytics(b *testing.B) {
 	build := nemoeval.TrafficDataset(traffic.Config{Nodes: 600, Edges: 6000, Seed: 42})
-	id := build().Graph.Nodes()[7]
+	id := build().G().Nodes()[7]
 	for _, tmpl := range fedAnalyticsTemplates {
 		prog, err := sandbox.Compile(tmpl.src(id))
 		if err != nil {

@@ -8,6 +8,12 @@
 // application, Ask natural-language questions, inspect the returned code
 // and result, and Approve mutations to commit them.
 //
+// The committed state is a frozen nemoeval.Generation. Every Ask runs on a
+// fresh instance of it: copy-on-write clones of the graph, frames and
+// tables, and the instance's own probes list, so a discarded run changes
+// nothing the session keeps. Approve checks the invariants on the pending
+// graph and then freezes the pending instance into the next generation.
+//
 // Four code-generation backends are available via WithBackend. The three
 // per-substrate backends mirror the paper's comparison — "networkx" binds
 // the attributed graph, "pandas" the node/edge dataframes, "sql" the
@@ -24,8 +30,8 @@
 //	//       join(fed.scan("graph", "degree"), "dst", "id").
 //	//       sort("in_degree", false).limit(5).collect()
 //
-// Every backend executes against the same cloned state, so inspection and
-// Approve semantics are identical across all four.
+// Every backend executes against an instance of the same generation, so
+// inspection and Approve semantics are identical across all four.
 //
 // Sessions accept any llm.Model, including gateway-backed ones: wrap a
 // serving gateway (internal/modelserve — batching, rate limiting, retry,
@@ -36,7 +42,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/dataframe"
 	"repro/internal/diagnosis"
 	"repro/internal/graph"
 	"repro/internal/llm"
@@ -45,58 +50,28 @@ import (
 	"repro/internal/nql"
 	"repro/internal/prompt"
 	"repro/internal/sandbox"
-	"repro/internal/sqldb"
 	"repro/internal/tokens"
-	"repro/internal/traffic"
 )
 
 // Session is a natural-language network management session over one
-// application instance.
+// application's state.
 type Session struct {
 	model   llm.Model
 	backend string
 	policy  sandbox.Policy
 
-	wrapper prompt.AppWrapper
-	// live state (committed); pending holds the post-run clone awaiting
-	// approval.
-	live    *state
-	pending *state
+	// gen is the committed state and live an instance of it, which Graph
+	// exposes. pending is the instance of the most recent successful run,
+	// awaiting approval.
+	gen     *nemoeval.Generation
+	live    *nemoeval.Instance
+	pending *nemoeval.Instance
 
 	// History of every interaction for audit (the paper's record of
 	// input/output for future prompt enhancement).
 	History []*Interaction
 
 	invariants []Invariant
-}
-
-type state struct {
-	graph        *graph.Graph
-	nodes, edges *dataframe.Frame
-	db           *sqldb.DB
-	// probes (diagnosis app): read-only observation data.
-	probes     *dataframe.Frame
-	probesList nql.Value
-}
-
-func (s *state) clone() *state {
-	c := &state{probesList: s.probesList}
-	if s.graph != nil {
-		c.graph = s.graph.Clone()
-	}
-	if s.nodes != nil {
-		c.nodes = s.nodes.Clone()
-	}
-	if s.edges != nil {
-		c.edges = s.edges.Clone()
-	}
-	if s.db != nil {
-		c.db = s.db.Clone()
-	}
-	if s.probes != nil {
-		c.probes = s.probes.Clone()
-	}
-	return c
 }
 
 // Interaction is one Ask round: the prompt, generated code, execution
@@ -147,51 +122,30 @@ func (e *InvariantViolation) Error() string {
 	return fmt.Sprintf("core: invariant %q violated: %v", e.Invariant, e.Err)
 }
 
-// NewTrafficSession creates a session over a communication graph.
+// NewTrafficSession creates a session over a communication graph. The
+// session keeps g's state as it is now (see nemoeval.TrafficGeneration).
 func NewTrafficSession(model llm.Model, g *graph.Graph, opts ...Option) *Session {
-	nodes, edges := traffic.Frames(g)
-	s := &Session{
-		model:   model,
-		backend: prompt.BackendNetworkX,
-		policy:  sandbox.DefaultPolicy,
-		wrapper: traffic.NewWrapper(g),
-		live:    &state{graph: g, nodes: nodes, edges: edges, db: traffic.Database(g)},
-	}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
+	return newSession(model, nemoeval.TrafficGeneration(g), opts)
 }
 
 // NewMALTSession creates a session over a MALT topology.
 func NewMALTSession(model llm.Model, t *malt.Topology, opts ...Option) *Session {
-	nodes, edges := t.Frames()
-	s := &Session{
-		model:   model,
-		backend: prompt.BackendNetworkX,
-		policy:  sandbox.DefaultPolicy,
-		wrapper: malt.NewWrapper(t),
-		live:    &state{graph: t.Graph(), nodes: nodes, edges: edges, db: t.Database()},
-	}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
+	return newSession(model, nemoeval.MALTGeneration(t), opts)
 }
 
 // NewDiagnosisSession creates a session over a failure-diagnosis workload
 // (the §5 extension application).
 func NewDiagnosisSession(model llm.Model, w *diagnosis.Workload, opts ...Option) *Session {
-	nodes, edges, probes := w.Frames()
+	return newSession(model, nemoeval.DiagnosisGeneration(w), opts)
+}
+
+func newSession(model llm.Model, gen *nemoeval.Generation, opts []Option) *Session {
 	s := &Session{
 		model:   model,
 		backend: prompt.BackendNetworkX,
 		policy:  sandbox.DefaultPolicy,
-		wrapper: diagnosis.NewWrapper(w),
-		live: &state{
-			graph: w.G, nodes: nodes, edges: edges, db: w.Database(),
-			probes: probes, probesList: nemoeval.ProbesListValue(w),
-		},
+		gen:     gen,
+		live:    gen.Instance(),
 	}
 	for _, o := range opts {
 		o(s)
@@ -200,24 +154,17 @@ func NewDiagnosisSession(model llm.Model, w *diagnosis.Workload, opts ...Option)
 }
 
 // Graph exposes the committed network graph (read-only by convention).
-func (s *Session) Graph() *graph.Graph { return s.live.graph }
+func (s *Session) Graph() *graph.Graph { return s.live.G() }
 
 // Backend reports the active code-generation backend.
 func (s *Session) Backend() string { return s.backend }
 
-func (s *Session) bindings(st *state) map[string]nql.Value {
-	inst := &nemoeval.Instance{
-		Graph: st.graph, Nodes: st.nodes, Edges: st.edges, DB: st.db,
-		Probes: st.probes, ProbesList: st.probesList,
-	}
-	return inst.Bindings(s.backend)
-}
-
 // Ask runs one natural-language query through the full pipeline. The
-// generated code executes against a clone of the live state; inspect the
-// returned Interaction (Code, Result, Err) and call Approve to commit.
+// generated code executes against a fresh instance of the committed
+// generation; inspect the returned Interaction (Code, Result, Err) and
+// call Approve to commit.
 func (s *Session) Ask(query string) (*Interaction, error) {
-	p := prompt.BuildCodePrompt(s.wrapper, s.backend, query)
+	p := prompt.BuildCodePrompt(s.live.Wrapper, s.backend, query)
 	ix := &Interaction{Query: query, Prompt: p}
 	s.History = append(s.History, ix)
 	resp, err := s.model.Generate(llm.Request{Prompt: p})
@@ -229,8 +176,8 @@ func (s *Session) Ask(query string) (*Interaction, error) {
 	if cost, cerr := tokens.Cost(s.model.Name(), resp.PromptTokens, resp.CompletionTokens); cerr == nil {
 		ix.CostUSD = cost
 	}
-	trial := s.live.clone()
-	res := sandbox.Run(resp.Text, s.bindings(trial), s.policy)
+	trial := s.gen.Instance()
+	res := sandbox.Run(resp.Text, trial.Bindings(s.backend), s.policy)
 	ix.Stdout = res.Stdout
 	if !res.OK() {
 		ix.Err = res.Err
@@ -241,31 +188,24 @@ func (s *Session) Ask(query string) (*Interaction, error) {
 	return ix, nil
 }
 
-// Approve commits the most recent Ask's state changes to the live state
-// (the UX "sync state" edge in Figure 2). It is a no-op error when there
-// is nothing pending.
+// Approve commits the most recent Ask's state changes (the UX "sync
+// state" edge in Figure 2): once every invariant holds on the pending
+// graph, the pending instance is frozen into the next committed
+// generation. It is an error when there is nothing pending.
 func (s *Session) Approve() error {
 	if s.pending == nil {
 		return fmt.Errorf("core: no pending result to approve")
 	}
-	if s.pending.graph != nil {
-		for _, inv := range s.invariants {
-			if err := inv.Check(s.pending.graph); err != nil {
-				return &InvariantViolation{Invariant: inv.Name, Err: err}
-			}
+	for _, inv := range s.invariants {
+		if err := inv.Check(s.pending.G()); err != nil {
+			return &InvariantViolation{Invariant: inv.Name, Err: err}
 		}
 	}
-	s.live = s.pending
+	s.gen = s.pending.Freeze()
+	s.live = s.gen.Instance()
 	s.pending = nil
 	if len(s.History) > 0 {
 		s.History[len(s.History)-1].Approved = true
-	}
-	// Refresh the wrapper over the new graph so subsequent prompts see
-	// up-to-date context.
-	if s.live.graph != nil {
-		if _, ok := s.wrapper.(*traffic.Wrapper); ok {
-			s.wrapper = traffic.NewWrapper(s.live.graph)
-		}
 	}
 	return nil
 }
@@ -289,8 +229,8 @@ func (s *Session) SelfDebugAsk(query string) (*Interaction, error) {
 	}
 	ix := &Interaction{Query: query, Prompt: repair, Code: resp.Text}
 	s.History = append(s.History, ix)
-	trial := s.live.clone()
-	res := sandbox.Run(resp.Text, s.bindings(trial), s.policy)
+	trial := s.gen.Instance()
+	res := sandbox.Run(resp.Text, trial.Bindings(s.backend), s.policy)
 	ix.Stdout = res.Stdout
 	if !res.OK() {
 		ix.Err = res.Err

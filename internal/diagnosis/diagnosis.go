@@ -132,8 +132,12 @@ func (w *Workload) Frames() (nodes, edges, probes *dataframe.Frame) {
 
 // Database converts the workload into relational form with tables nodes,
 // edges (incl. status) and probes(pid, path, ok).
-func (w *Workload) Database() *sqldb.DB {
-	nodes, edges, probes := w.Frames()
+func (w *Workload) Database() *sqldb.DB { return DatabaseOf(w.Frames()) }
+
+// DatabaseOf registers node, edge and probe frames (as Frames builds them)
+// as the "nodes", "edges" and "probes" tables of a new database. The
+// tables are the frames themselves, not copies.
+func DatabaseOf(nodes, edges, probes *dataframe.Frame) *sqldb.DB {
 	db := sqldb.NewDB()
 	db.CreateTable("nodes", nodes)
 	db.CreateTable("edges", edges)

@@ -190,7 +190,7 @@ func (s *columns) at(c, r int) nql.Value {
 		r = s.rows[r]
 	}
 	if s.data != nil {
-		return liftValue(s.data[c][r])
+		return LiftValue(s.data[c][r])
 	}
 	return s.cell(c, r)
 }
@@ -324,7 +324,7 @@ func scanGraph(cat *Catalog, s *Scan) (columns, error) {
 			if c == 0 {
 				return ids[r]
 			}
-			return liftValue(attrs[r][names[c]])
+			return LiftValue(attrs[r][names[c]])
 		}}, s.Pushed, s.Cols)
 	case GraphTableEdges:
 		edges := g.EdgesView()
@@ -336,7 +336,7 @@ func scanGraph(cat *Catalog, s *Scan) (columns, error) {
 			case 1:
 				return edges[r].V
 			}
-			return liftValue(edges[r].Attrs[names[c]])
+			return LiftValue(edges[r].Attrs[names[c]])
 		}}, s.Pushed, s.Cols)
 	case GraphTableDegree:
 		rel = &Relation{Cols: []string{"id", "degree", "in_degree", "out_degree"}}

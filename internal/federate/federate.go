@@ -254,16 +254,19 @@ func toCell(v nql.Value) any {
 	}
 }
 
-// liftValue converts a substrate attribute value into the relation's value
-// domain (deterministic: map keys sort ascending).
-func liftValue(v any) nql.Value {
+// LiftValue converts a substrate attribute value (a graph attribute or a
+// frame or table cell) into an NQL value: scalars pass through, lists and
+// maps convert recursively with map keys in ascending order, and any other
+// value goes through graph.Normalize. The host bindings use it too, so a
+// value reads the same through every substrate.
+func LiftValue(v any) nql.Value {
 	switch x := v.(type) {
 	case nil, bool, int64, float64, string:
 		return x
 	case []any:
 		items := make([]nql.Value, len(x))
 		for i, it := range x {
-			items[i] = liftValue(it)
+			items[i] = LiftValue(it)
 		}
 		return nql.NewList(items...)
 	case map[string]any:
@@ -274,11 +277,11 @@ func liftValue(v any) nql.Value {
 		sort.Strings(keys)
 		m := nql.NewMap()
 		for _, k := range keys {
-			_ = m.Set(k, liftValue(x[k]))
+			_ = m.Set(k, LiftValue(x[k]))
 		}
 		return m
 	case graph.Attrs:
-		return liftValue(map[string]any(x))
+		return LiftValue(map[string]any(x))
 	default:
 		return graph.Normalize(v)
 	}

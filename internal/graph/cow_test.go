@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -314,6 +315,79 @@ func TestEqualOnSiblingClonesMatchesDiff(t *testing.T) {
 			assertEqualMatchesDiff(t, b, b.Clone())
 			assertEqualMatchesDiff(t, a, master)
 		})
+	}
+}
+
+// TestDiffEntriesOnSiblingClones pins Diff's entries, as a set, after one
+// write through each mutator on one of two sibling clones of a frozen
+// master: the maps the write left shared hold equal values, so skipping
+// them must not change what Diff reports.
+func TestDiffEntriesOnSiblingClones(t *testing.T) {
+	nodeIP := `node "n0001" attributes differ: map[ip:10.0.0.1] vs map[ip:changed]`
+	edgeBytes := `edge ("n0000","n0001") attributes differ: map[bytes:1] vs map[bytes:-1]`
+	want := map[string][]string{
+		"AddNode/new":      {`node "new" missing from first graph`},
+		"AddNode/existing": {nodeIP},
+		"SetNodeAttr":      {nodeIP},
+		"NodeAttrs":        {nodeIP},
+		"AddEdge/new":      {`edge ("n0000","n0010") missing from first graph`},
+		"AddEdge/existing": {edgeBytes},
+		"SetEdgeAttr":      {edgeBytes},
+		"EdgeAttrs":        {edgeBytes},
+		"Edges":            {edgeBytes},
+		"RemoveNode": {
+			`node "n0001" missing from second graph`,
+			`edge ("n0000","n0001") missing from second graph`,
+			`edge ("n0001","n0002") missing from second graph`,
+			`edge ("n0001","n0003") missing from second graph`,
+			`edge ("n0001","n0004") missing from second graph`,
+			`edge ("n0010","n0001") missing from second graph`,
+			`edge ("n0011","n0001") missing from second graph`,
+		},
+		"RemoveEdge": {`edge ("n0000","n0001") missing from second graph`},
+		"GraphAttrs": {"graph attributes differ"},
+		"Merge": {
+			`node "x" missing from first graph`,
+			`node "y" missing from first graph`,
+			edgeBytes,
+			`edge ("x","y") missing from first graph`,
+		},
+		"UnmarshalJSON": {"graph attributes differ", nodeIP},
+	}
+	for _, m := range cowMutators {
+		t.Run(m.name, func(t *testing.T) {
+			entries, ok := want[m.name]
+			if !ok {
+				t.Fatal("no pinned Diff entries for this mutator")
+			}
+			master := cowMaster(12, 3)
+			master.GraphAttrs()["app"] = "master"
+			master.Freeze()
+			a, b := master.Clone(), master.Clone()
+			if err := m.write(b); err != nil {
+				t.Fatal(err)
+			}
+			got := strings.Split(Diff(a, b), "; ")
+			sort.Strings(got)
+			entries = slices.Clone(entries)
+			sort.Strings(entries)
+			if !slices.Equal(got, entries) {
+				t.Fatalf("Diff entries:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(entries, "\n  "))
+			}
+		})
+	}
+	// Diff reports at most eight differences: twelve written nodes give
+	// eight entries.
+	master := cowMaster(12, 3)
+	master.Freeze()
+	a, b := master.Clone(), master.Clone()
+	for _, n := range b.Nodes() {
+		if err := b.SetNodeAttr(n, "ip", "changed"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := strings.Split(Diff(a, b), "; "); len(got) != 8 {
+		t.Fatalf("Diff holds %d entries, want 8: %q", len(got), got)
 	}
 }
 

@@ -117,53 +117,67 @@ func attrsHaveNaN(m map[string]any) bool {
 }
 
 // Diff returns a human-readable description of the first few differences
-// between two graphs, or "" when they are equal. It walks every node and
-// edge; the benchmark evaluator calls it only to explain a "graphs are not
-// identical" failure that Equal already found.
+// between two graphs (at most diffLimit), or "" when they are equal. The
+// benchmark evaluator calls it only to explain a "graphs are not
+// identical" failure that Equal already found. Like Equal, it skips every
+// attribute map the two graphs share when their masters hold no NaN, and
+// it stops as soon as it holds diffLimit entries.
 func Diff(a, b *Graph) string {
+	return strings.Join(diffEntries(a, b), "; ")
+}
+
+// diffLimit is the most differences Diff reports.
+const diffLimit = 8
+
+func diffEntries(a, b *Graph) []string {
+	trust := a != b && a.nanFree && b.nanFree
 	var diffs []string
-	add := func(format string, args ...any) {
-		if len(diffs) < 8 {
-			diffs = append(diffs, fmt.Sprintf(format, args...))
-		}
+	// add records one difference and reports whether Diff has enough.
+	add := func(format string, args ...any) bool {
+		diffs = append(diffs, fmt.Sprintf(format, args...))
+		return len(diffs) == diffLimit
 	}
-	if a.directed != b.directed {
-		add("directedness differs: %v vs %v", a.directed, b.directed)
+	if a.directed != b.directed && add("directedness differs: %v vs %v", a.directed, b.directed) {
+		return diffs
 	}
-	if !ValueEqual(map[string]any(a.attrs), map[string]any(b.attrs)) {
-		add("graph attributes differ")
+	if !attrsEqual(a.attrs, b.attrs, trust) && add("graph attributes differ") {
+		return diffs
 	}
 	for i, n := range a.nodeOrder {
 		battrs := b.nodeViewByID(n)
 		if battrs == nil {
-			add("node %q missing from second graph", n)
+			if add("node %q missing from second graph", n) {
+				return diffs
+			}
 			continue
 		}
-		if !ValueEqual(map[string]any(a.nodeView(i)), map[string]any(battrs)) {
-			add("node %q attributes differ: %v vs %v", n, a.nodeView(i), battrs)
+		if !attrsEqual(a.nodeView(i), battrs, trust) && add("node %q attributes differ: %v vs %v", n, a.nodeView(i), battrs) {
+			return diffs
 		}
 	}
 	for _, n := range b.nodeOrder {
-		if !a.HasNode(n) {
-			add("node %q missing from first graph", n)
+		if !a.HasNode(n) && add("node %q missing from first graph", n) {
+			return diffs
 		}
 	}
 	for k, av := range a.edges {
 		bv, ok := b.edges[k]
 		if !ok {
-			add("edge (%q,%q) missing from second graph", k.U, k.V)
+			if add("edge (%q,%q) missing from second graph", k.U, k.V) {
+				return diffs
+			}
 			continue
 		}
-		if !ValueEqual(map[string]any(av), map[string]any(bv)) {
-			add("edge (%q,%q) attributes differ: %v vs %v", k.U, k.V, av, bv)
+		if !attrsEqual(av, bv, trust) && add("edge (%q,%q) attributes differ: %v vs %v", k.U, k.V, av, bv) {
+			return diffs
 		}
 	}
 	for k := range b.edges {
-		if _, ok := a.edges[k]; !ok {
-			add("edge (%q,%q) missing from first graph", k.U, k.V)
+		if _, ok := a.edges[k]; !ok && add("edge (%q,%q) missing from first graph", k.U, k.V) {
+			return diffs
 		}
 	}
-	return strings.Join(diffs, "; ")
+	return diffs
 }
 
 // ValueEqual compares two attribute-style values deeply after normalization.

@@ -20,88 +20,202 @@ import (
 	"repro/internal/traffic"
 )
 
-// Instance is one fresh copy of an application's state in all three
-// representations. Every sandboxed run gets its own instance so buggy
-// generated code cannot contaminate the comparison. Probes fields are set
-// only for the diagnosis extension application.
+// Generation is one frozen version of an application's state, the only
+// source of instances. Its graph is a frozen master. Its node and edge
+// frames, its probes frame (diagnosis only) and its database are derived
+// once, on first use, and then frozen: a NetworkX-only evaluation never
+// builds dataframes or SQL tables. For traffic and diagnosis the tables
+// are the frames themselves. A diagnosis generation also holds the probes
+// list bound as `probes`.
 //
-// The traffic and MALT builders derive each representation once per
-// dataset — a frozen master graph, frozen node/edge frames and a frozen
-// database (for traffic, the frames double as its tables) — and give every
-// instance copy-on-write clones of those masters: a graph clone shares
-// attribute maps, and a frame or table clone shares column storage, each
-// copying only what the instance writes. The clones are made lazily:
-// builders install lazyGraph/lazyFrames/lazyDB thunks that the
-// G/Frames/Database accessors force on first use, so a NetworkX-backend
-// evaluation never pays for dataframes and SQL tables it will not touch.
-// Constructing an Instance with all fields set eagerly (as package core
-// does) keeps working — the thunks are only consulted while a field is
-// nil.
+// Nothing in a generation changes once it is built, so its Instance method
+// is safe from concurrent workers. A changed state is a new generation
+// (Instance.Freeze), and each generation carries its own federated epoch.
+type Generation struct {
+	app     string
+	wrapper prompt.AppWrapper
+	epoch   uint64
+	graph   *graph.Graph
+	probes  nql.Value // the probes list, nil outside diagnosis
+	rel     func() relational
+}
+
+// relational is a generation's frozen frames and database.
+type relational struct {
+	nodes, edges *dataframe.Frame
+	probes       *dataframe.Frame // nil outside diagnosis
+	db           *sqldb.DB
+}
+
+// newGeneration returns a generation over a frozen graph whose relational
+// masters derive builds, on first use, for freezing.
+func newGeneration(app string, wrapper prompt.AppWrapper, g *graph.Graph, probes nql.Value, derive func() relational) *Generation {
+	return &Generation{
+		app: app, wrapper: wrapper, epoch: federate.NewEpoch(), graph: g, probes: probes,
+		rel: sync.OnceValue(func() relational {
+			r := derive()
+			r.nodes.Freeze()
+			r.edges.Freeze()
+			if r.probes != nil {
+				r.probes.Freeze()
+			}
+			r.db.Freeze()
+			return r
+		}),
+	}
+}
+
+// snapshot freezes g and returns a master that shares its storage: a
+// later write to g copies what it writes, so the master never sees it.
+func snapshot(g *graph.Graph) *graph.Graph {
+	g.Freeze()
+	return g.Clone()
+}
+
+// Instance is one copy of an application's state for one run, taken from a
+// generation. Every sandboxed run gets its own instance, so generated code
+// cannot change the generation, a sibling instance or the golden state it
+// is compared with.
+//
+// An instance holds copy-on-write clones of its generation's
+// representations: a graph clone shares attribute maps, and a frame or
+// table clone shares column storage, each copying only what the instance
+// writes. Each clone is taken the first time G, Frames, Database or
+// Bindings asks for it, and the probes list is the instance's own copy,
+// made when a backend binds it. Taking a clone writes the instance, so an
+// instance shared between goroutines, such as a cached golden instance,
+// may only be read for the backend its run bound.
 type Instance struct {
 	App     string
 	Wrapper prompt.AppWrapper
-	Graph   *graph.Graph
-	Nodes   *dataframe.Frame
-	Edges   *dataframe.Frame
-	DB      *sqldb.DB
 
-	Probes     *dataframe.Frame // probes table (pandas backend)
-	ProbesList nql.Value        // probes list-of-maps (networkx backend)
-
-	// FedEpoch identifies the dataset generation every clone of one frozen
-	// master belongs to. Federation stamps it on the catalog so the
-	// federated planner's shared caches (statistics, prepared decisions)
-	// are reused across instances of the same master and invalidated the
-	// moment a new master is built. Zero means "uncacheable" and the
-	// planner recomputes from scratch.
-	FedEpoch uint64
-
-	lazyGraph  func() *graph.Graph
-	lazyFrames func() (nodes, edges *dataframe.Frame)
-	lazyDB     func() *sqldb.DB
+	gen          *Generation
+	graph        *graph.Graph
+	nodes, edges *dataframe.Frame
+	probesFrame  *dataframe.Frame
+	db           *sqldb.DB
+	probes       nql.Value
 }
 
-// G returns the graph, building (cloning) it on first use when the
-// instance was created with a lazy graph — a pandas- or SQL-backend
-// evaluation then never pays for cloning a large topology it cannot touch.
-// Like Frames/Database, the accessor is safe on shared golden instances
-// because a golden instance is only consulted for the backend it executed
-// on, which already forced the field during the run.
+// InstanceBuilder produces fresh, identical instances on demand. A
+// generation's Instance method is one.
+type InstanceBuilder func() *Instance
+
+// Instance returns a fresh instance of the generation.
+func (gen *Generation) Instance() *Instance {
+	return &Instance{App: gen.app, Wrapper: gen.wrapper, gen: gen}
+}
+
+// G returns the instance's graph.
 func (inst *Instance) G() *graph.Graph {
-	if inst.Graph == nil && inst.lazyGraph != nil {
-		inst.Graph = inst.lazyGraph()
+	if inst.graph == nil {
+		inst.graph = inst.gen.graph.Clone()
 	}
-	return inst.Graph
+	return inst.graph
 }
 
-// Frames returns the node/edge dataframes, building them on first use when
-// the instance was created with lazy representations.
+// Frames returns the instance's node and edge frames.
 func (inst *Instance) Frames() (nodes, edges *dataframe.Frame) {
-	if inst.Nodes == nil && inst.lazyFrames != nil {
-		inst.Nodes, inst.Edges = inst.lazyFrames()
+	if inst.nodes == nil {
+		r := inst.gen.rel()
+		inst.nodes, inst.edges = r.nodes.Clone(), r.edges.Clone()
+		if r.probes != nil {
+			inst.probesFrame = r.probes.Clone()
+		}
 	}
-	return inst.Nodes, inst.Edges
+	return inst.nodes, inst.edges
 }
 
-// Database returns the SQL database, building it on first use when the
-// instance was created with lazy representations.
+// Database returns the instance's SQL database.
 func (inst *Instance) Database() *sqldb.DB {
-	if inst.DB == nil && inst.lazyDB != nil {
-		inst.DB = inst.lazyDB()
+	if inst.db == nil {
+		inst.db = inst.gen.rel().db.Clone()
 	}
-	return inst.DB
+	return inst.db
+}
+
+// probesList returns the instance's probes list, nil outside diagnosis.
+func (inst *Instance) probesList() nql.Value {
+	if inst.probes == nil && inst.gen.probes != nil {
+		inst.probes = copyValue(inst.gen.probes, map[any]nql.Value{})
+	}
+	return inst.probes
+}
+
+// Freeze makes the instance's state the next generation, which gets a new
+// federated epoch. The representations the instance took are frozen as
+// they stand (frames and tables together: taking either takes both); the
+// others are its generation's. Freeze copies what it keeps, so a later
+// write through the instance cannot reach the new generation.
+func (inst *Instance) Freeze() *Generation {
+	next := *inst.gen
+	next.epoch = federate.NewEpoch()
+	if inst.graph != nil {
+		next.graph = snapshot(inst.graph)
+	}
+	if inst.probes != nil {
+		next.probes = copyValue(inst.probes, map[any]nql.Value{})
+	}
+	if inst.nodes != nil || inst.db != nil {
+		nodes, edges := inst.Frames()
+		r := relational{nodes: frozenCopy(nodes), edges: frozenCopy(edges), db: inst.Database().Clone()}
+		if inst.probesFrame != nil {
+			r.probes = frozenCopy(inst.probesFrame)
+		}
+		r.db.Freeze()
+		next.rel = func() relational { return r }
+	}
+	return &next
+}
+
+// frozenCopy returns a frozen copy of f.
+func frozenCopy(f *dataframe.Frame) *dataframe.Frame {
+	c := f.Clone()
+	c.Freeze()
+	return c
+}
+
+// copyValue copies the lists and maps of v, keeping any aliasing among them
+// (cycles included); every other value is immutable or a host object and
+// is shared. seen maps each list or map copied so far to its copy.
+func copyValue(v nql.Value, seen map[any]nql.Value) nql.Value {
+	switch x := v.(type) {
+	case *nql.List:
+		if c, ok := seen[x]; ok {
+			return c
+		}
+		c := &nql.List{Items: make([]nql.Value, len(x.Items))}
+		seen[x] = c
+		for i, it := range x.Items {
+			c.Items[i] = copyValue(it, seen)
+		}
+		return c
+	case *nql.Map:
+		if c, ok := seen[x]; ok {
+			return c
+		}
+		c := nql.NewMapCap(x.Len())
+		seen[x] = c
+		vals := x.Values()
+		for i, k := range x.Keys() {
+			_ = c.Set(k, copyValue(vals[i], seen)) // k is a key of x, so valid
+		}
+		return c
+	default:
+		return v
+	}
 }
 
 // Federation assembles the federated-planner catalog over this instance's
-// substrates, forcing the lazy relational representations (the federated
-// backend binds every substrate at once).
+// substrates, taking every representation (the federated backend binds
+// them all at once).
 func (inst *Instance) Federation() *federate.Catalog {
 	nodes, edges := inst.Frames()
 	frames := map[string]*dataframe.Frame{"nodes": nodes, "edges": edges}
-	if inst.Probes != nil {
-		frames["probes"] = inst.Probes
+	if inst.probesFrame != nil {
+		frames["probes"] = inst.probesFrame
 	}
-	return &federate.Catalog{Graph: inst.G(), Frames: frames, DB: inst.Database(), Epoch: inst.FedEpoch}
+	return &federate.Catalog{Graph: inst.G(), Frames: frames, DB: inst.Database(), Epoch: inst.gen.epoch}
 }
 
 // Bindings returns the host globals for one backend, wrapping this
@@ -118,17 +232,17 @@ func (inst *Instance) Bindings(backend string) map[string]nql.Value {
 			"db":       nqlbind.NewDBObject(inst.Database()),
 			"fed":      nqlbind.NewFedObject(inst.Federation()),
 		}
-		if inst.Probes != nil {
-			extra["probes_df"] = nqlbind.NewFrameObject(inst.Probes)
+		if inst.probesFrame != nil {
+			extra["probes_df"] = nqlbind.NewFrameObject(inst.probesFrame)
 		}
-		if inst.ProbesList != nil {
-			extra["probes"] = inst.ProbesList
+		if probes := inst.probesList(); probes != nil {
+			extra["probes"] = probes
 		}
 		return nqlbind.Globals(inst.G(), extra)
 	case prompt.BackendNetworkX:
 		extra := map[string]nql.Value{}
-		if inst.ProbesList != nil {
-			extra["probes"] = inst.ProbesList
+		if probes := inst.probesList(); probes != nil {
+			extra["probes"] = probes
 		}
 		return nqlbind.Globals(inst.G(), extra)
 	case prompt.BackendPandas:
@@ -137,8 +251,8 @@ func (inst *Instance) Bindings(backend string) map[string]nql.Value {
 			"nodes_df": nqlbind.NewFrameObject(nodes),
 			"edges_df": nqlbind.NewFrameObject(edges),
 		}
-		if inst.Probes != nil {
-			extra["probes_df"] = nqlbind.NewFrameObject(inst.Probes)
+		if inst.probesFrame != nil {
+			extra["probes_df"] = nqlbind.NewFrameObject(inst.probesFrame)
 		}
 		return nqlbind.Globals(nil, extra)
 	case prompt.BackendSQL:
@@ -172,62 +286,22 @@ func StateEqual(backend string, a, b *Instance) bool {
 	}
 }
 
-// InstanceBuilder produces fresh, identical instances on demand.
-type InstanceBuilder func() *Instance
-
 // TrafficDataset returns a builder for the traffic-analysis application at
 // the given scale. The default benchmark scale follows the paper's small
 // graph: 80 nodes and 80 edges ("80 nodes and edges").
 func TrafficDataset(cfg traffic.Config) InstanceBuilder {
-	master := traffic.Generate(cfg)
-	master.Freeze()
-	return trafficBuilder(master)
+	return TrafficGeneration(traffic.Generate(cfg)).Instance
 }
 
-// trafficBuilder returns the instance builder over one frozen traffic
-// master graph. Each instance clones the graph: cloning a frozen master
-// shares attribute maps copy-on-write, is safe from concurrent workers,
-// and keeps every instance bit-identical. The relational masters — the
-// node and edge frames, frozen, and a database whose nodes/edges tables
-// are those same frames — are derived from the master once, when the
-// first instance binds a frame or a table, so NetworkX-only traffic never
-// builds them; every instance then gets O(columns) clones of them.
-//
-// The master must not change once the builder exists: a master extended
-// and re-frozen needs a new builder, which also gives the new generation a
-// fresh federated epoch.
-func trafficBuilder(master *graph.Graph) InstanceBuilder {
-	epoch := federate.NewEpoch()
-	var (
-		once           sync.Once
-		nodes0, edges0 *dataframe.Frame
-		db0            *sqldb.DB
-	)
-	relational := func() {
-		once.Do(func() {
-			nodes0, edges0 = traffic.Frames(master)
-			nodes0.Freeze()
-			edges0.Freeze()
-			db0 = traffic.DatabaseOf(nodes0, edges0)
-		})
-	}
-	return func() *Instance {
-		g := master.Clone()
-		return &Instance{
-			App:      queries.AppTraffic,
-			Wrapper:  traffic.NewWrapper(g),
-			Graph:    g,
-			FedEpoch: epoch,
-			lazyFrames: func() (*dataframe.Frame, *dataframe.Frame) {
-				relational()
-				return nodes0.Clone(), edges0.Clone()
-			},
-			lazyDB: func() *sqldb.DB {
-				relational()
-				return db0.Clone()
-			},
-		}
-	}
+// TrafficGeneration returns the traffic-analysis generation over g. It
+// freezes g, and the generation keeps g's state as it is now: later writes
+// to g do not reach it.
+func TrafficGeneration(g *graph.Graph) *Generation {
+	master := snapshot(g)
+	return newGeneration(queries.AppTraffic, traffic.NewWrapper(g), master, nil, func() relational {
+		nodes, edges := traffic.Frames(master)
+		return relational{nodes: nodes, edges: edges, db: traffic.DatabaseOf(nodes, edges)}
+	})
 }
 
 // DefaultTrafficConfig is the benchmark's standard traffic workload.
@@ -345,87 +419,67 @@ func BuildShardedTraffic(cfg traffic.Config, shards, batchSize int) (*ShardedTra
 	return d, nil
 }
 
-// ShardDataset returns an instance builder over one shard's frozen master:
-// workers clone only that shard instead of the full graph, with the
-// relational representations derived once and cloned exactly like
-// TrafficDataset. Make the builder after the shard's last Apply and Freeze.
+// ShardDataset returns an instance builder over one shard's master:
+// workers clone only that shard instead of the full graph, from a traffic
+// generation exactly like TrafficDataset's. The generation keeps the shard
+// as it is now, so make the builder after the shard's last Apply and
+// Freeze. It only reads the master, so builders of one shard can be made
+// concurrently.
 func (d *ShardedTraffic) ShardDataset(shard int) InstanceBuilder {
-	return trafficBuilder(d.Shards[shard].Master)
+	return TrafficGeneration(d.Shards[shard].Master.Clone()).Instance
 }
 
 // MALTDataset returns a builder for the lifecycle-management application
 // using the example-scale synthetic MALT topology.
 func MALTDataset() InstanceBuilder {
-	master := malt.Generate(malt.Config{})
-	// Materialize each representation once from the (immutable) topology,
-	// then hand out clones: cloning a frozen graph or a frame is far
-	// cheaper than rebuilding them row by row, and the relational forms
-	// are only cloned if the backend actually binds them.
-	g0 := master.Graph()
-	g0.Freeze()
-	nodes0, edges0 := master.Frames()
-	nodes0.Freeze()
-	edges0.Freeze()
-	db0 := master.Database()
-	db0.Freeze()
-	epoch := federate.NewEpoch()
-	return func() *Instance {
-		return &Instance{
-			App:       queries.AppMALT,
-			Wrapper:   malt.NewWrapper(master),
-			FedEpoch:  epoch,
-			lazyGraph: func() *graph.Graph { return g0.Clone() },
-			lazyFrames: func() (*dataframe.Frame, *dataframe.Frame) {
-				return nodes0.Clone(), edges0.Clone()
-			},
-			lazyDB: func() *sqldb.DB { return db0.Clone() },
-		}
-	}
+	return MALTGeneration(malt.Generate(malt.Config{})).Instance
 }
 
-// ProbesListValue converts a workload's probes into the list-of-maps value
-// bound as `probes` for the NetworkX backend.
-func ProbesListValue(w *diagnosis.Workload) nql.Value {
+// MALTGeneration returns the lifecycle-management generation over t. Its
+// graph is built from t now; its frames and tables are built from t on
+// first use, so t must not change afterwards.
+func MALTGeneration(t *malt.Topology) *Generation {
+	return newGeneration(queries.AppMALT, malt.NewWrapper(t), snapshot(t.Graph()), nil, func() relational {
+		nodes, edges := t.Frames()
+		return relational{nodes: nodes, edges: edges, db: t.Database()}
+	})
+}
+
+// DiagnosisDataset returns a builder for the failure-diagnosis extension
+// application at the given scenario scale.
+func DiagnosisDataset(cfg diagnosis.Config) InstanceBuilder {
+	return DiagnosisGeneration(diagnosis.Generate(cfg)).Instance
+}
+
+// DiagnosisGeneration returns the failure-diagnosis generation over w. It
+// freezes w's graph and keeps its state as it is now, and it builds the
+// probes list from w's probes now; its probes frame is built from them on
+// first use, so w's probes must not change afterwards.
+func DiagnosisGeneration(w *diagnosis.Workload) *Generation {
+	master := &diagnosis.Workload{G: snapshot(w.G), Probes: w.Probes}
+	return newGeneration(queries.AppDiagnosis, diagnosis.NewWrapper(w), master.G, probesList(w.Probes), func() relational {
+		nodes, edges, probes := master.Frames()
+		return relational{nodes: nodes, edges: edges, probes: probes, db: diagnosis.DatabaseOf(nodes, edges, probes)}
+	})
+}
+
+// probesList converts probes into the list-of-maps value bound as
+// `probes` for the NetworkX and federated backends.
+func probesList(probes []diagnosis.Probe) nql.Value {
 	plist := nql.NewList()
-	for _, p := range w.Probes {
+	for _, p := range probes {
 		m := nql.NewMap()
 		path := nql.NewList()
 		for _, n := range p.Path {
 			path.Items = append(path.Items, n)
 		}
+		// String keys are always valid.
 		_ = m.Set("id", p.ID)
 		_ = m.Set("path", path)
 		_ = m.Set("ok", p.OK)
 		plist.Items = append(plist.Items, m)
 	}
 	return plist
-}
-
-// DiagnosisDataset returns a builder for the failure-diagnosis extension
-// application at the given scenario scale.
-func DiagnosisDataset(cfg diagnosis.Config) InstanceBuilder {
-	return DiagnosisDatasetFromWorkload(diagnosis.Generate(cfg))
-}
-
-// DiagnosisDatasetFromWorkload builds instances by cloning a caller-owned
-// workload.
-func DiagnosisDatasetFromWorkload(master *diagnosis.Workload) InstanceBuilder {
-	epoch := federate.NewEpoch()
-	return func() *Instance {
-		w := master.Clone()
-		nodes, edges, probes := w.Frames()
-		return &Instance{
-			App:        queries.AppDiagnosis,
-			Wrapper:    diagnosis.NewWrapper(w),
-			Graph:      w.G,
-			Nodes:      nodes,
-			Edges:      edges,
-			DB:         w.Database(),
-			Probes:     probes,
-			ProbesList: ProbesListValue(w),
-			FedEpoch:   epoch,
-		}
-	}
 }
 
 // DatasetFor returns the standard builder for an app name.

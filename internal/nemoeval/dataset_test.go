@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/dataframe"
+	"repro/internal/diagnosis"
 	"repro/internal/graph"
+	"repro/internal/nql"
 	"repro/internal/prompt"
 	"repro/internal/traffic"
 )
@@ -132,4 +134,102 @@ func TestTrafficRelationalMastersConcurrent(t *testing.T) {
 		assertPristine(t, fmt.Sprintf("reader %d", i), insts[i])
 	}
 	assertPristine(t, "fresh build", build())
+}
+
+// writeEverything writes through every representation of inst: the graph,
+// the node, edge and probe frames, the database and the probes list.
+func writeEverything(t *testing.T, inst *Instance, v string) {
+	t.Helper()
+	inst.Bindings(prompt.BackendFederated) // takes every representation
+	g := inst.G()
+	if err := g.SetNodeAttr(g.Nodes()[0], "ip", v); err != nil {
+		t.Fatal(err)
+	}
+	nodes, edges := inst.Frames()
+	for _, err := range []error{
+		nodes.SetCell(0, "ip", v),
+		edges.SetCell(0, "status", v),
+		inst.probesFrame.SetCell(0, "ok", v),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := inst.Database().Exec(fmt.Sprintf("UPDATE probes SET ok = '%s'", v)); err != nil {
+		t.Fatal(err)
+	}
+	probes := inst.probesList().(*nql.List)
+	if err := probes.Items[0].(*nql.Map).Set("ok", v); err != nil {
+		t.Fatal(err)
+	}
+	probes.Items[1] = nil
+}
+
+// digest is stateDigest over every representation.
+func digest(t *testing.T, inst *Instance) string {
+	t.Helper()
+	d, err := stateDigest(prompt.BackendFederated, inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestGenerationInstancesStayIsolated writes to every representation of
+// one diagnosis instance, probes list included, and checks that a sibling
+// instance and a later one see none of it. A generation frozen from the
+// written instance hands out instances that see its writes, and neither a
+// later write through the frozen instance nor one through a sibling
+// reaches them.
+func TestGenerationInstancesStayIsolated(t *testing.T) {
+	gen := DiagnosisGeneration(diagnosis.Generate(diagnosis.DefaultConfig))
+	pristine := digest(t, gen.Instance())
+	a, b := gen.Instance(), gen.Instance()
+	b.Bindings(prompt.BackendFederated) // B holds its clones before A writes
+
+	writeEverything(t, a, "a")
+	written := digest(t, a)
+	if written == pristine {
+		t.Fatal("the writes did not change the instance")
+	}
+	if digest(t, b) != pristine || digest(t, gen.Instance()) != pristine {
+		t.Fatal("a write reached a sibling instance")
+	}
+	writeEverything(t, b, "b")
+	if digest(t, a) != written {
+		t.Fatal("a sibling's write reached the instance")
+	}
+
+	next := a.Freeze()
+	if digest(t, next.Instance()) != written {
+		t.Fatal("the next generation lost the frozen instance's writes")
+	}
+	writeEverything(t, a, "late")
+	c := next.Instance()
+	writeEverything(t, c, "c")
+	if digest(t, next.Instance()) != written {
+		t.Fatal("a write reached the next generation")
+	}
+	if digest(t, gen.Instance()) != pristine {
+		t.Fatal("a write reached the first generation")
+	}
+}
+
+// TestFreezeKeepsUntakenRepresentations freezes an instance that took only
+// its graph: the next generation has the written graph and the previous
+// generation's frames and tables.
+func TestFreezeKeepsUntakenRepresentations(t *testing.T) {
+	gen := TrafficGeneration(traffic.Generate(isoConfig))
+	inst := gen.Instance()
+	g := inst.G()
+	if err := g.SetNodeAttr(g.Nodes()[0], "ip", "written"); err != nil {
+		t.Fatal(err)
+	}
+	next := inst.Freeze().Instance()
+	if got := next.G().NodeAttrsView(g.Nodes()[0])["ip"]; got != "written" {
+		t.Fatalf("next generation's graph has ip %v", got)
+	}
+	if !StateEqual(prompt.BackendPandas, next, gen.Instance()) || !StateEqual(prompt.BackendSQL, next, gen.Instance()) {
+		t.Fatal("next generation's frames or tables differ from the previous generation's")
+	}
 }

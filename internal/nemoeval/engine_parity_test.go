@@ -66,15 +66,15 @@ func dumpState(w io.Writer, backend string, inst *Instance) error {
 			return err
 		}
 		fmt.Fprintf(w, "graph %s\n", data)
-		if inst.ProbesList != nil {
-			fmt.Fprintf(w, "probes %s\n", nql.Repr(inst.ProbesList))
+		if probes := inst.probesList(); probes != nil {
+			fmt.Fprintf(w, "probes %s\n", nql.Repr(probes))
 		}
 	case prompt.BackendPandas:
 		nodes, edges := inst.Frames()
 		dumpFrame(w, "nodes_df", nodes)
 		dumpFrame(w, "edges_df", edges)
-		if inst.Probes != nil {
-			dumpFrame(w, "probes_df", inst.Probes)
+		if inst.probesFrame != nil {
+			dumpFrame(w, "probes_df", inst.probesFrame)
 		}
 	case prompt.BackendSQL:
 		db := inst.Database()

@@ -91,13 +91,10 @@ func NewEvaluator(build InstanceBuilder) *Evaluator {
 func (e *Evaluator) promptContext() (*Instance, string, error) {
 	e.promptOnce.Do(func() {
 		e.promptInst = e.Build()
-		// Force the (possibly lazy) graph: the strawman baseline serializes
-		// it into the prompt even for datasets whose evaluations are
-		// otherwise relational-only.
-		if g := e.promptInst.G(); g != nil {
-			data, err := g.MarshalJSON()
-			e.graphJSON, e.graphErr = string(data), err
-		}
+		// The strawman baseline serializes the graph into the prompt even
+		// for datasets whose evaluations are otherwise relational-only.
+		data, err := e.promptInst.G().MarshalJSON()
+		e.graphJSON, e.graphErr = string(data), err
 	})
 	return e.promptInst, e.graphJSON, e.graphErr
 }

@@ -179,7 +179,7 @@ func TestStateEqualPerBackend(t *testing.T) {
 			t.Errorf("fresh instances differ for %s", backend)
 		}
 	}
-	b.Graph.AddNode("zz", nil)
+	b.G().AddNode("zz", nil)
 	if StateEqual(prompt.BackendNetworkX, a, b) {
 		t.Error("graph change missed")
 	}
@@ -333,9 +333,6 @@ func TestGoldenStageOnBrokenGolden(t *testing.T) {
 func TestDiagnosisInstanceBindings(t *testing.T) {
 	build := DatasetFor(queries.AppDiagnosis)
 	inst := build()
-	if inst.ProbesList == nil || inst.Probes == nil {
-		t.Fatal("diagnosis instance missing probes")
-	}
 	b := inst.Bindings(prompt.BackendNetworkX)
 	if _, ok := b["probes"]; !ok {
 		t.Fatal("networkx bindings missing probes")

@@ -3,6 +3,7 @@ package nqlbind
 import (
 	"context"
 	"errors"
+	"strings"
 
 	"repro/internal/nql"
 	"repro/internal/sqldb"
@@ -113,26 +114,8 @@ func sqlErrToNQL(line int, err error) error {
 		return &nql.RuntimeError{Class: nql.ErrOp, Line: line, Msg: err.Error()}
 	}
 	msg := err.Error()
-	if containsAny(msg, "does not exist", "unknown column", "ambiguous") {
+	if strings.Contains(msg, "does not exist") || strings.Contains(msg, "unknown column") || strings.Contains(msg, "ambiguous") {
 		return &nql.RuntimeError{Class: nql.ErrAttr, Line: line, Msg: msg}
 	}
 	return &nql.RuntimeError{Class: nql.ErrOp, Line: line, Msg: msg}
-}
-
-func containsAny(s string, subs ...string) bool {
-	for _, sub := range subs {
-		if len(sub) > 0 && len(s) >= len(sub) && indexOf(s, sub) >= 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func indexOf(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/dataframe"
+	"repro/internal/federate"
 	"repro/internal/nql"
 )
 
@@ -76,7 +77,7 @@ func (rv *rowView) mapAt(i int) *nql.Map {
 func (rv *rowView) fill(i int, vals []nql.Value) {
 	for j, col := range rv.data {
 		if slot := rv.shape.Slot(j); slot >= 0 {
-			vals[slot] = fromGoValue(col[i])
+			vals[slot] = federate.LiftValue(col[i])
 		}
 	}
 }
@@ -167,7 +168,7 @@ func (o *FrameObject) member(name string) (nql.Value, bool) {
 			if err != nil {
 				return nil, runtimeErr(nql.ErrAttr, line, err)
 			}
-			return fromGoValue(v), nil
+			return federate.LiftValue(v), nil
 		}), true
 	case "column", "col":
 		return method(name, func(in *nql.Interp, line int, args []nql.Value) (nql.Value, error) {
@@ -184,7 +185,7 @@ func (o *FrameObject) member(name string) (nql.Value, bool) {
 			}
 			items := make([]nql.Value, len(vals))
 			for i, v := range vals {
-				items[i] = fromGoValue(v)
+				items[i] = federate.LiftValue(v)
 			}
 			return nql.NewList(items...), nil
 		}), true
@@ -341,7 +342,7 @@ func (o *FrameObject) member(name string) (nql.Value, bool) {
 			}
 			items := make([]nql.Value, len(vals))
 			for i, v := range vals {
-				items[i] = fromGoValue(v)
+				items[i] = federate.LiftValue(v)
 			}
 			return nql.NewList(items...), nil
 		}), true
@@ -383,7 +384,7 @@ func (o *FrameObject) member(name string) (nql.Value, bool) {
 			if err != nil {
 				return nil, runtimeErr(nql.ErrAttr, line, err)
 			}
-			return fromGoValue(v), nil
+			return federate.LiftValue(v), nil
 		}), true
 	case "groupby":
 		return method("groupby", func(in *nql.Interp, line int, args []nql.Value) (nql.Value, error) {

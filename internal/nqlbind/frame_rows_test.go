@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dataframe"
+	"repro/internal/federate"
 	"repro/internal/nql"
 )
 
@@ -34,7 +35,7 @@ func builtRow(f *dataframe.Frame, i int) *nql.Map {
 	m := nql.NewMapCap(f.NumCols())
 	for _, c := range f.Columns() {
 		v, _ := f.Cell(i, c)
-		m.SetBoxed(c, fromGoValue(v))
+		m.SetBoxed(c, federate.LiftValue(v))
 	}
 	return m
 }

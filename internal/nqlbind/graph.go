@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/federate"
 	"repro/internal/graph"
 	"repro/internal/nql"
 )
@@ -690,33 +691,6 @@ func toGoValue(v nql.Value) any {
 	}
 }
 
-// fromGoValue converts an attribute value to NQL.
-func fromGoValue(v any) nql.Value {
-	switch x := v.(type) {
-	case []any:
-		items := make([]nql.Value, len(x))
-		for i, it := range x {
-			items[i] = fromGoValue(it)
-		}
-		return nql.NewList(items...)
-	case map[string]any:
-		keys := make([]string, 0, len(x))
-		for k := range x {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		m := nql.NewMap()
-		for _, k := range keys {
-			_ = m.Set(k, fromGoValue(x[k]))
-		}
-		return m
-	case graph.Attrs:
-		return fromGoValue(map[string]any(x))
-	default:
-		return graph.Normalize(v)
-	}
-}
-
 // EdgeObject is a live view of one edge.
 type EdgeObject struct {
 	G    *graph.Graph
@@ -859,7 +833,7 @@ func (a *AttrMapObject) MapValues() []nql.Value {
 	keys := a.MapKeys()
 	out := make([]nql.Value, len(keys))
 	for i, k := range keys {
-		out[i] = fromGoValue(attrs[k.(string)])
+		out[i] = federate.LiftValue(attrs[k.(string)])
 	}
 	return out
 }
@@ -877,7 +851,7 @@ func (a *AttrMapObject) Member(name string) (nql.Value, bool) {
 				return nil, err
 			}
 			if v, ok := a.view()[k]; ok {
-				return fromGoValue(v), nil
+				return federate.LiftValue(v), nil
 			}
 			if len(args) == 2 {
 				return args[1], nil
@@ -913,7 +887,7 @@ func (a *AttrMapObject) Index(idx nql.Value, line int) (nql.Value, error) {
 		return nil, &nql.RuntimeError{Class: nql.ErrAttr, Line: line,
 			Msg: fmt.Sprintf("%s has no attribute %q", a.describe(), k)}
 	}
-	return fromGoValue(v), nil
+	return federate.LiftValue(v), nil
 }
 
 // SetIndex implements obj[key] = v writes.

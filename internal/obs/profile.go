@@ -59,29 +59,6 @@ func (p *Profile) Enter(name, detail string) *ProfNode {
 	return n
 }
 
-// EnterChild opens an operator frame under an explicit parent (a new root
-// when parent is nil) without moving the Enter/Exit cursor. Concurrent
-// executors — operator stages running as goroutines — cannot rely on the
-// cursor discipline of Enter, so they pre-build their frame tree with
-// explicit parents and each stage closes its own frame with Exit. Exit
-// handles EnterChild frames unchanged (the cursor is only restored when it
-// points at the exiting frame). Nil-safe.
-func (p *Profile) EnterChild(parent *ProfNode, name, detail string) *ProfNode {
-	if p == nil {
-		return nil
-	}
-	n := &ProfNode{Name: name, Detail: detail, Rows: -1, start: time.Now()}
-	p.mu.Lock()
-	n.up = parent
-	if parent == nil {
-		p.roots = append(p.roots, n)
-	} else {
-		parent.Children = append(parent.Children, n)
-	}
-	p.mu.Unlock()
-	return n
-}
-
 // Exit closes the frame opened by the matching Enter, recording the rows
 // it produced (-1 when it failed before producing any). Nil-safe.
 func (p *Profile) Exit(n *ProfNode, rows int64) {
@@ -181,31 +158,6 @@ type profileKey struct{}
 // WithProfile returns a context carrying the profile.
 func WithProfile(ctx context.Context, p *Profile) context.Context {
 	return context.WithValue(ctx, profileKey{}, p)
-}
-
-type frameKey struct{}
-
-// WithFrame returns a context carrying an explicit parent frame for nested
-// instrumentation. A layer delegating work to a deeper instrumented layer
-// (e.g. a federated scan calling into the SQL engine) sets its own frame
-// here; the deeper layer parents its frames under it via EnterChild instead
-// of the cursor, which is what keeps profile trees correct when operator
-// stages run concurrently. A nil frame returns ctx unchanged.
-func WithFrame(ctx context.Context, n *ProfNode) context.Context {
-	if n == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, frameKey{}, n)
-}
-
-// FrameFrom returns the context's explicit parent frame, or nil when the
-// caller should fall back to cursor-based Enter.
-func FrameFrom(ctx context.Context) *ProfNode {
-	if ctx == nil {
-		return nil
-	}
-	n, _ := ctx.Value(frameKey{}).(*ProfNode)
-	return n
 }
 
 // ProfileFrom returns the context's profile, or nil when the query is not

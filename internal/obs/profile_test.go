@@ -80,24 +80,20 @@ func TestProfileNilSafety(t *testing.T) {
 	}
 }
 
-// TestProfileEnterChild pins the explicit-parent API concurrent executors
-// rely on: frames attach under the given parent without moving the cursor,
-// concurrent Exits are safe, and WithFrame threads a parent through a
-// context.
+// TestProfileEnterChild pins that Exit is safe from concurrent goroutines
+// (run under -race): frames opened with the cursor-based Enter keep the
+// tree shape the cursor gave them and each records its own rows, whatever
+// order their Exits land in.
 func TestProfileEnterChild(t *testing.T) {
 	p := NewProfile()
-	root := p.EnterChild(nil, "sort", "")
-	agg := p.EnterChild(root, "aggregate", "by src")
-	scan := p.EnterChild(agg, "scan", "sql.edges")
-	// The cursor never moved: a cursor-based Enter still opens a new root.
-	stray := p.Enter("stray", "")
-	p.Exit(stray, 0)
-	// Stages exit bottom-up from separate goroutines.
+	root := p.Enter("sort", "")
+	agg := p.Enter("aggregate", "by src")
+	scan := p.Enter("scan", "sql.edges")
 	var wg sync.WaitGroup
 	for _, fr := range []struct {
 		n    *ProfNode
 		rows int64
-	}{{scan, 4}, {agg, 3}, {root, 3}} {
+	}{{scan, 4}, {agg, 3}, {root, 2}} {
 		wg.Add(1)
 		go func(n *ProfNode, rows int64) {
 			defer wg.Done()
@@ -106,30 +102,18 @@ func TestProfileEnterChild(t *testing.T) {
 	}
 	wg.Wait()
 	flat := p.Flatten()
-	if len(flat) != 4 {
-		t.Fatalf("got %d frames, want 4:\n%s", len(flat), p.String())
-	}
 	want := []struct {
 		op    string
 		depth int
-	}{{"sort", 0}, {"aggregate", 1}, {"scan", 2}, {"stray", 0}}
+		rows  int64
+	}{{"sort", 0, 2}, {"aggregate", 1, 3}, {"scan", 2, 4}}
+	if len(flat) != len(want) {
+		t.Fatalf("got %d frames, want %d:\n%s", len(flat), len(want), p.String())
+	}
 	for i, w := range want {
-		if flat[i].Op != w.op || flat[i].Depth != w.depth {
-			t.Fatalf("frame %d = %+v, want %s at depth %d", i, flat[i], w.op, w.depth)
+		if flat[i].Op != w.op || flat[i].Depth != w.depth || flat[i].Rows != w.rows {
+			t.Fatalf("frame %d = %+v, want %s at depth %d with %d rows", i, flat[i], w.op, w.depth, w.rows)
 		}
-	}
-	// WithFrame/FrameFrom round-trip; nil frame leaves the context bare.
-	ctx := WithFrame(context.Background(), root)
-	if FrameFrom(ctx) != root {
-		t.Fatal("frame lost in context")
-	}
-	if WithFrame(context.Background(), nil) != context.Background() {
-		t.Fatal("nil frame allocated a context")
-	}
-	// Nil-safety mirrors Enter.
-	var np *Profile
-	if np.EnterChild(nil, "x", "") != nil {
-		t.Fatal("nil profile allocated a node")
 	}
 }
 

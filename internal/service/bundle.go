@@ -26,6 +26,21 @@ type CacheStat struct {
 	Entries int    `json:"entries"`
 }
 
+// cacheStats reads the tallies of the three caches a request passes
+// through, keyed "plan" (federated plans), "program" (compiled sandbox
+// programs) and "vet" (vet verdicts): /healthz?verbose=1 and the debug
+// bundle report them as JSON, and /metricsz as netqueryd_<key>_cache_*.
+func (s *Service) cacheStats() map[string]CacheStat {
+	ph, pm, pe := federate.DefaultCache.Stats()
+	bh, bm, be := sandbox.CacheStats()
+	vh, vm, ve := s.VetCacheStats()
+	return map[string]CacheStat{
+		"plan":    {Hits: ph, Misses: pm, Entries: pe},
+		"program": {Hits: bh, Misses: bm, Entries: be},
+		"vet":     {Hits: vh, Misses: vm, Entries: ve},
+	}
+}
+
 // TenantState is one tenant's admission and latency state in a bundle.
 type TenantState struct {
 	Tenant    string              `json:"tenant"`
@@ -99,7 +114,7 @@ func (s *Service) DebugBundle() *Bundle {
 	b := &Bundle{
 		CapturedUnixNS: now.UnixNano(),
 		Stats:          s.Stats(),
-		Caches:         map[string]CacheStat{},
+		Caches:         s.cacheStats(),
 	}
 
 	for _, backend := range substrateCost {
@@ -145,13 +160,6 @@ func (s *Service) DebugBundle() *Bundle {
 			Completed: lat.Count,
 		})
 	}
-
-	ph, pm, pe := federate.DefaultCache.Stats()
-	b.Caches["plan"] = CacheStat{Hits: ph, Misses: pm, Entries: pe}
-	bh, bm, be := sandbox.CacheStats()
-	b.Caches["program"] = CacheStat{Hits: bh, Misses: bm, Entries: be}
-	vh, vm, ve := s.VetCacheStats()
-	b.Caches["vet"] = CacheStat{Hits: vh, Misses: vm, Entries: ve}
 
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

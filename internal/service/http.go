@@ -12,12 +12,10 @@ import (
 	"time"
 
 	"repro/internal/diagnosis"
-	"repro/internal/federate"
 	"repro/internal/nemoeval"
 	"repro/internal/nql/analysis"
 	"repro/internal/obs"
 	"repro/internal/queries"
-	"repro/internal/sandbox"
 	"repro/internal/traffic"
 )
 
@@ -175,14 +173,7 @@ func NewHandler(s *Service) http.Handler {
 			if f := s.Flight(); f != nil {
 				body["flight_records"] = f.Len()
 			}
-			caches := map[string]CacheStat{}
-			ph, pm, pe := federate.DefaultCache.Stats()
-			caches["plan"] = CacheStat{Hits: ph, Misses: pm, Entries: pe}
-			bh, bm, be := sandbox.CacheStats()
-			caches["program"] = CacheStat{Hits: bh, Misses: bm, Entries: be}
-			vh, vm, ve := s.VetCacheStats()
-			caches["vet"] = CacheStat{Hits: vh, Misses: vm, Entries: ve}
-			body["caches"] = caches
+			body["caches"] = s.cacheStats()
 			body["tenants"] = s.TenantNames()
 		}
 		writeJSON(w, http.StatusOK, body)
@@ -196,22 +187,17 @@ func NewHandler(s *Service) http.Handler {
 	// counters). The mutex keeps two concurrent scrapes from
 	// double-applying a delta.
 	var cacheSyncMu sync.Mutex
-	syncCache := func(prefix string, hits, misses uint64, entries int) {
-		reg := s.Metrics()
-		reg.Gauge(prefix + "_entries").Set(int64(entries))
-		hc := reg.Counter(prefix + "_hits_total")
-		hc.Add(int64(hits) - hc.Load())
-		mc := reg.Counter(prefix + "_misses_total")
-		mc.Add(int64(misses) - mc.Load())
-	}
 	mux.HandleFunc("/metricsz", func(w http.ResponseWriter, r *http.Request) {
+		reg := s.Metrics()
 		cacheSyncMu.Lock()
-		ph, pm, pe := federate.DefaultCache.Stats()
-		syncCache("netqueryd_plan_cache", ph, pm, pe)
-		bh, bm, be := sandbox.CacheStats()
-		syncCache("netqueryd_program_cache", bh, bm, be)
-		vh, vm, ve := s.VetCacheStats()
-		syncCache("netqueryd_vet_cache", vh, vm, ve)
+		for name, c := range s.cacheStats() {
+			prefix := "netqueryd_" + name + "_cache"
+			reg.Gauge(prefix + "_entries").Set(int64(c.Entries))
+			hc := reg.Counter(prefix + "_hits_total")
+			hc.Add(int64(c.Hits) - hc.Load())
+			mc := reg.Counter(prefix + "_misses_total")
+			mc.Add(int64(c.Misses) - mc.Load())
+		}
 		cacheSyncMu.Unlock()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		s.Metrics().WritePrometheus(w)

@@ -238,17 +238,6 @@ func (o *output) cells(share bool) [][]any {
 	return data
 }
 
-// enterFrame opens a profile frame, parenting it under the context's
-// explicit frame when one is set (a caller that cannot rely on the
-// cursor, such as this package's own nested steps, pre-wires parents that
-// way) and falling back to the cursor-based Enter otherwise. Nil-safe.
-func enterFrame(ctx context.Context, prof *obs.Profile, name, detail string) *obs.ProfNode {
-	if parent := obs.FrameFrom(ctx); parent != nil {
-		return prof.EnterChild(parent, name, detail)
-	}
-	return prof.Enter(name, detail)
-}
-
 func (db *DB) execSelect(ctx context.Context, s *SelectStmt) (*dataframe.Frame, error) {
 	out, err := db.query(ctx, s)
 	if err != nil {
@@ -267,8 +256,8 @@ func (db *DB) query(ctx context.Context, s *SelectStmt) (output, error) {
 	if s.From != nil {
 		detail = s.From.Name
 	}
-	sel := enterFrame(ctx, prof, "sql.select", detail)
-	out, err := db.selectBody(obs.WithFrame(ctx, sel), prof, s)
+	sel := prof.Enter("sql.select", detail)
+	out, err := db.selectBody(ctx, prof, s)
 	rows := int64(-1)
 	if err == nil {
 		rows = int64(out.n)
@@ -283,7 +272,7 @@ func (db *DB) selectBody(ctx context.Context, prof *obs.Profile, s *SelectStmt) 
 		return output{}, err
 	}
 	if s.Where != nil {
-		filt := enterFrame(ctx, prof, "sql.filter", "")
+		filt := prof.Enter("sql.filter", "")
 		if err := filter(ctx, s.Where, ws); err != nil {
 			prof.Exit(filt, -1)
 			return output{}, err
@@ -360,7 +349,7 @@ func (db *DB) buildFrom(ctx context.Context, s *SelectStmt) (*workingSet, error)
 		return nil, err
 	}
 	prof := obs.ProfileFrom(ctx)
-	scan := enterFrame(ctx, prof, "sql.scan", s.From.Name)
+	scan := prof.Enter("sql.scan", s.From.Name)
 	ws := tableScan(base, cmp.Or(s.From.Alias, s.From.Name))
 	prof.Exit(scan, int64(ws.n))
 	for _, j := range s.Joins {
@@ -368,8 +357,8 @@ func (db *DB) buildFrom(ctx context.Context, s *SelectStmt) (*workingSet, error)
 		if err != nil {
 			return nil, err
 		}
-		jf := enterFrame(ctx, prof, "sql.join", joinDetail(j))
-		rscan := enterFrame(obs.WithFrame(ctx, jf), prof, "sql.scan", j.Table.Name)
+		jf := prof.Enter("sql.join", joinDetail(j))
+		rscan := prof.Enter("sql.scan", j.Table.Name)
 		rws := tableScan(right, cmp.Or(j.Table.Alias, j.Table.Name))
 		prof.Exit(rscan, int64(rws.n))
 		joined, err := join(ctx, ws, j, rws)

@@ -118,8 +118,8 @@ func resultKey(ev *nemoeval.Evaluator, q queries.Query, backend, code string) st
 		return "<error>"
 	}
 	key := nql.Repr(r)
-	if inst.Graph != nil && backend == prompt.BackendNetworkX {
-		key += "|" + inst.Graph.Fingerprint()
+	if backend == prompt.BackendNetworkX {
+		key += "|" + inst.G().Fingerprint()
 	}
 	return key
 }
