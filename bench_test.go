@@ -405,6 +405,39 @@ return total`)
 	}
 }
 
+// BenchmarkNQLDictBuild runs the MALT pandas prelude, which every MALT
+// pandas golden and generated trial starts with
+// (internal/queries/malt_queries.go), over a MALT instance through the
+// sandbox: records() loops over both frames that fill dicts keyed by node
+// id. It times row iteration and dict growth together.
+func BenchmarkNQLDictBuild(b *testing.B) {
+	build := nemoeval.MALTDataset()
+	prog, err := sandbox.Compile(`let kind = {}
+for r in nodes_df.records() { kind[r["id"]] = r["kind"] }
+let children = {}
+let parents = {}
+for r in edges_df.records() {
+  if r["relation"] == "RK_CONTAINS" {
+    if not contains(children, r["src"]) { children[r["src"]] = [] }
+    push(children[r["src"]], r["dst"])
+    parents[r["dst"]] = r["src"]
+  }
+}
+return [len(kind), len(children), len(parents)]`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	build().Bindings(prompt.BackendPandas) // one-time frame derivation stays untimed
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := sandbox.RunProgram(prog, build().Bindings(prompt.BackendPandas), sandbox.DefaultPolicy)
+		if !res.OK() {
+			b.Fatal(res.Err)
+		}
+	}
+}
+
 // nqlBenchSrc is the NQL micro-benchmark program: arithmetic, branching
 // and a loop.
 const nqlBenchSrc = `

@@ -125,7 +125,7 @@ func TestRecordKeepsPerMetricMin(t *testing.T) {
 }
 
 func TestDefaultWatchCoversVMAndTable4(t *testing.T) {
-	for _, want := range []string{"Table2", "Table4", "NQLVM", "SandboxGoldenQuery", "StreamSweep", "InstanceBind", "FederatedAnalytics", "FederatedPipeline", "FederatedSQLJoin", "DataframeRecords", "SQLJoinWhere", "SQLScan", "SQLGroupBy", "StateEqual"} {
+	for _, want := range []string{"Table2", "Table4", "NQLVM", "SandboxGoldenQuery", "StreamSweep", "InstanceBind", "FederatedAnalytics", "FederatedPipeline", "FederatedSQLJoin", "DataframeRecords", "NQLDictBuild", "SQLJoinWhere", "SQLScan", "SQLGroupBy", "StateEqual"} {
 		if !strings.Contains(defaultWatch, want) {
 			t.Errorf("defaultWatch %q is missing %s", defaultWatch, want)
 		}

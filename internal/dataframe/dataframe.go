@@ -27,7 +27,7 @@ type Frame struct {
 	data   map[string][]any
 	nrows  int
 	frozen bool // immutable master; mutating it is a programming error
-	shared bool // columns are shared with a frozen master; copy before write
+	shared bool // columns are shared with a frozen master or a Snapshot; copy before write
 }
 
 // New creates an empty frame with the given column names.
@@ -186,6 +186,24 @@ func (f *Frame) Records() []map[string]any {
 	return out
 }
 
+// Snapshot returns the frame's column slices in column order, each
+// NumRows long, and marks the frame copy-on-write: its next in-place write
+// (SetCell, AppendRow) copies the columns first, so the returned slices
+// keep the cells they hold now. Treat them as read-only.
+func (f *Frame) Snapshot() [][]any {
+	data := make([][]any, len(f.cols))
+	for i, c := range f.cols {
+		data[i] = f.data[c]
+	}
+	// A frozen master is never written, and a shared frame copies before
+	// its next write already; leaving both untouched keeps concurrent
+	// snapshots of one master free of writes.
+	if !f.frozen && !f.shared {
+		f.shared = true
+	}
+	return data
+}
+
 // Select returns a new frame containing only the named columns, in the given
 // order.
 func (f *Frame) Select(cols ...string) (*Frame, error) {
@@ -266,7 +284,8 @@ func (f *Frame) Clone() *Frame {
 }
 
 // ensureOwned makes the frame's column storage private before an in-place
-// mutation (SetCell, AppendRow).
+// mutation (SetCell, AppendRow): a frame sharing its columns with a frozen
+// master or a Snapshot copies them first.
 func (f *Frame) ensureOwned() {
 	if f.frozen {
 		panic("dataframe: mutating a frozen frame")

@@ -100,17 +100,6 @@ func Generate(cfg Config) *Workload {
 	return w
 }
 
-// Clone deep-copies the workload.
-func (w *Workload) Clone() *Workload {
-	out := &Workload{G: w.G.Clone()}
-	for _, p := range w.Probes {
-		out.Probes = append(out.Probes, Probe{
-			ID: p.ID, Path: append([]string(nil), p.Path...), OK: p.OK,
-		})
-	}
-	return out
-}
-
 // Frames converts the workload into tabular form: the traffic node/edge
 // frames (edges gain a status column) plus a probes frame (pid, path, ok)
 // where path joins node ids with ">".

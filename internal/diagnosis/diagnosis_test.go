@@ -78,19 +78,6 @@ func TestSomeProbesFail(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	w := Generate(DefaultConfig)
-	c := w.Clone()
-	c.G.SetEdgeAttr(c.G.Edges()[0].U, c.G.Edges()[0].V, "status", "mangled")
-	c.Probes[0].Path[0] = "mangled"
-	if w.G.Edges()[0].Attrs["status"] == "mangled" {
-		t.Fatal("clone shares graph")
-	}
-	if w.Probes[0].Path[0] == "mangled" {
-		t.Fatal("clone shares probe paths")
-	}
-}
-
 func TestFramesShape(t *testing.T) {
 	w := Generate(DefaultConfig)
 	nodes, edges, probes := w.Frames()

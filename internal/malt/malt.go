@@ -204,11 +204,11 @@ func (t *Topology) Frames() (nodes, edges *dataframe.Frame) {
 	return nodes, edges
 }
 
-// Database converts a topology into relational tables "entities" and
-// "relationships" for the SQL backend.
-func (t *Topology) Database() *sqldb.DB {
+// DatabaseOf registers node and edge frames (as Frames builds them) as the
+// "entities" and "relationships" tables the SQL backend queries. The tables
+// are the frames themselves, not copies.
+func DatabaseOf(nodes, edges *dataframe.Frame) *sqldb.DB {
 	db := sqldb.NewDB()
-	nodes, edges := t.Frames()
 	db.CreateTable("entities", nodes)
 	db.CreateTable("relationships", edges)
 	return db

@@ -103,7 +103,7 @@ func TestFramesSchema(t *testing.T) {
 
 func TestDatabaseQueries(t *testing.T) {
 	top := Generate(Config{})
-	db := top.Database()
+	db := DatabaseOf(top.Frames())
 	f, err := db.Query("SELECT COUNT(*) AS n FROM entities WHERE kind = 'EK_PACKET_SWITCH'")
 	if err != nil || f.Row(0)["n"] != int64(448) {
 		t.Fatalf("switch count = %v err=%v", f, err)

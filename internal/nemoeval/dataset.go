@@ -441,7 +441,7 @@ func MALTDataset() InstanceBuilder {
 func MALTGeneration(t *malt.Topology) *Generation {
 	return newGeneration(queries.AppMALT, malt.NewWrapper(t), snapshot(t.Graph()), nil, func() relational {
 		nodes, edges := t.Frames()
-		return relational{nodes: nodes, edges: edges, db: t.Database()}
+		return relational{nodes: nodes, edges: edges, db: malt.DatabaseOf(nodes, edges)}
 	})
 }
 

@@ -216,3 +216,48 @@ func TestPromptContextForcesLazyGraph(t *testing.T) {
 		t.Fatalf("lazy-graph prompt context missing graph JSON (len %d)", len(graphJSON))
 	}
 }
+
+// goldenStepsPath holds the VM step count of every registry query's golden
+// program on every backend that has one, recorded while every
+// `for r in x.records()` loop still built its row maps.
+const goldenStepsPath = "testdata/golden_steps.json"
+
+// TestGoldenSteps holds every golden program's sandbox.Result.Steps to its
+// pinned count. A for loop in row form skips the records() call and the
+// iterator snapshot it replaces but charges them, so the count must not
+// depend on which form a loop ran in.
+func TestGoldenSteps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full golden matrix in -short mode")
+	}
+	data, err := os.ReadFile(goldenStepsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pins []struct {
+		Query   string `json:"query"`
+		Backend string `json:"backend"`
+		Steps   int    `json:"steps"`
+	}
+	if err := json.Unmarshal(data, &pins); err != nil {
+		t.Fatal(err)
+	}
+	builders := map[string]InstanceBuilder{}
+	for _, p := range pins {
+		q, ok := queries.ByID(p.Query)
+		if !ok {
+			t.Errorf("%s: no such query", p.Query)
+			continue
+		}
+		if _, ok := builders[q.App]; !ok {
+			builders[q.App] = DatasetFor(q.App)
+		}
+		res, _ := runGolden(builders[q.App], q.Golden[p.Backend], p.Backend)
+		if res.Steps != p.Steps {
+			t.Errorf("%s/%s: %d steps, want %d", p.Query, p.Backend, res.Steps, p.Steps)
+		}
+	}
+	if len(pins) == 0 {
+		t.Fatal("no pinned step counts")
+	}
+}

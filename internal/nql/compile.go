@@ -9,6 +9,19 @@
 // of a cached program allocates almost nothing. The pinned corpora in
 // vm_test.go and internal/nemoeval's golden pins define the language's
 // observable behaviour: values, stdout, error strings and post-run state.
+//
+// Two layouts carry the hot paths of generated code. A Map keeps its keys
+// and values in insertion order, which is all iteration and Repr read; past
+// eight keys it adds an open-addressed index, a power-of-two []int32 whose
+// slots hold an entry position plus one (0 is empty), probed linearly and
+// rebuilt at half load, so no output depends on its hash seed. A for loop
+// over x.records() or x.to_records() whose body reads its variable only as
+// var["literal"] (never assigned, shadowed, written through, or mentioned
+// in a lambda or func; rowForm in rows.go) compiles to a row form: when x
+// is a RowSource the VM iterates a snapshot of its rows, taken at loop
+// start like the list records() returns, and reads each field in place.
+// It charges the call it skips, so Steps and every limit read as on the
+// materializing path, which any other receiver still takes.
 package nql
 
 import "fmt"
@@ -56,6 +69,7 @@ const (
 	opSetIndex     // pop idx, c, v; c[idx] = v
 	opSetAttr      // pop c, v; c.<attrs[a]> = v
 	opAttr         // pop c; push member c.<attrs[a]>
+	opRowIter      // opAttr, or for a RowSource: start a row-form loop and skip the opCall and opIterPrep that follow
 	opCall         // pop a args + callee; push result (or enter frame)
 	opClosure      // push closure over protos[a]
 	opReturn       // pop v; leave frame with v
@@ -470,7 +484,13 @@ func (f *fnc) compileStmt(st Stmt) {
 			f.patch(br)
 		}
 	case *ForStmt:
-		f.compileExpr(s.Iter)
+		if attr, ok := rowForm(s); ok {
+			f.compileExpr(attr.X)
+			f.emit(opRowIter, f.c.attrIndex(attr.Name), attr.Line)
+			f.emit(opCall, 0, s.Iter.Pos())
+		} else {
+			f.compileExpr(s.Iter)
+		}
 		pairs := int32(0)
 		if s.Var2 != "" {
 			pairs = 1

@@ -258,6 +258,8 @@ func (in *Interp) Call(fn Value, args []Value, line int) (Value, error) {
 // indexValue implements `container[idx]`.
 func indexValue(container, idx Value, line int) (Value, error) {
 	switch c := container.(type) {
+	case *rowCursor:
+		return c.index(idx, line)
 	case *List:
 		i, ok := idx.(int64)
 		if !ok {

@@ -87,7 +87,7 @@ var opClassTable = func() [opIterPop + 1]uint8 {
 			c = opClassJump
 		case op <= opMakeMap:
 			c = opClassAlloc
-		case op <= opAttr:
+		case op <= opRowIter:
 			c = opClassIndex
 		case op <= opReturnNil:
 			c = opClassCall

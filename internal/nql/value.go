@@ -2,6 +2,7 @@ package nql
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strings"
 )
@@ -23,8 +24,10 @@ func NewList(items ...Value) *List { return &List{Items: items} }
 // results), and insertion order keeps outputs deterministic.
 //
 // Small maps (the millions of per-row attribute dicts the evaluation matrix
-// builds) stay index-free and resolve keys by linear scan; the hash index
-// is built lazily once a map outgrows mapIndexThreshold.
+// builds) stay index-free and resolve keys by linear scan; past
+// mapIndexThreshold entries a map builds an open-addressed index (see
+// mapIndex). Iteration reads keys, never the index, so no output depends on
+// the index's hash seed.
 //
 // A map made by MapShape.Map shares its keys and index with every other
 // map of that shape (the rows of one frame) and owns only its values.
@@ -33,13 +36,42 @@ func NewList(items ...Value) *List { return &List{Items: items} }
 type Map struct {
 	keys   []Value
 	vals   []Value
-	index  map[mkey]int // nil while small
-	shared bool         // keys and index belong to a MapShape
+	index  *mapIndex // nil while small; a pointer keeps Map at 64 bytes
+	shared bool      // keys and index belong to a MapShape
 }
 
 // mapIndexThreshold is the entry count beyond which a Map switches from
 // linear key scans to a hash index.
 const mapIndexThreshold = 8
+
+// mapIndex is an open-addressed hash index over a Map's keys. slots has a
+// power-of-two length; a slot holds an entry's position plus one, and 0
+// marks it empty. Probing is linear, and the table is rebuilt at twice the
+// size when an insert would fill more than half of it, so every probe
+// sequence ends at an empty slot.
+type mapIndex struct {
+	slots []int32
+}
+
+// hashSeed seeds the string hash. Its value changes per process; only
+// which slot an entry lands in depends on it.
+var hashSeed = maphash.MakeSeed()
+
+// hash spreads a key over the index. Strings use maphash; numbers and bools
+// mix their bit pattern, with the kind folded in so that a bool and the
+// number with the same bits probe different slots.
+func (ks mkey) hash() uint64 {
+	if ks.kind == 1 {
+		return maphash.String(hashSeed, ks.str)
+	}
+	x := ks.bits ^ uint64(ks.kind)<<56
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
 
 // NewMap returns an empty Map.
 func NewMap() *Map { return &Map{} }
@@ -51,11 +83,10 @@ func NewMapCap(n int) *Map {
 	return &Map{keys: buf[0:0:n], vals: buf[n : n : 2*n]}
 }
 
-// mkey is the comparable hash key for a Map entry. Numbers are keyed by the
+// mkey is the comparable key of a Map entry. Numbers are keyed by the
 // float64 bit pattern of their value, so int64 and float64 of equal
 // magnitude collide (NQL semantics) while -0.0 and NaN keep their historic
-// identities; building one never allocates, unlike the old formatted-string
-// keys that dominated the evaluation matrix's allocation profile.
+// identities; building one never allocates.
 type mkey struct {
 	bits uint64
 	str  string
@@ -83,11 +114,20 @@ func mapKey(k Value) (mkey, error) {
 
 // find locates the entry for a hashable key. Stored keys are always
 // hashable, and mapKey's zero value carries kind 0, so the error-discarding
-// scan can never produce a false match.
+// comparisons can never produce a false match.
 func (m *Map) find(ks mkey) (int, bool) {
 	if m.index != nil {
-		i, ok := m.index[ks]
-		return i, ok
+		slots := m.index.slots
+		mask := uint64(len(slots) - 1)
+		for i := ks.hash() & mask; ; i = (i + 1) & mask {
+			e := slots[i]
+			if e == 0 {
+				return 0, false
+			}
+			if mk, _ := mapKey(m.keys[e-1]); mk == ks {
+				return int(e - 1), true
+			}
+		}
 	}
 	for i, k := range m.keys {
 		if mk, _ := mapKey(k); mk == ks {
@@ -97,12 +137,30 @@ func (m *Map) find(ks mkey) (int, bool) {
 	return 0, false
 }
 
+// buildIndex gives the map a fresh index over its keys, sized so that at
+// least as many entries again fit before the next rebuild.
 func (m *Map) buildIndex() {
-	m.index = make(map[mkey]int, 2*len(m.keys))
-	for i, k := range m.keys {
-		ks, _ := mapKey(k)
-		m.index[ks] = i
+	n := 16
+	for n < 2*(len(m.keys)+1) {
+		n *= 2
 	}
+	x := &mapIndex{slots: make([]int32, n)}
+	for j, k := range m.keys {
+		ks, _ := mapKey(k)
+		x.place(ks, j)
+	}
+	m.index = x
+}
+
+// place records entry position pos for key ks in the first empty slot of
+// its probe sequence.
+func (x *mapIndex) place(ks mkey, pos int) {
+	mask := uint64(len(x.slots) - 1)
+	i := ks.hash() & mask
+	for x.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	x.slots[i] = int32(pos + 1)
 }
 
 // own gives a shaped map private copies of its keys and index before they
@@ -121,14 +179,18 @@ func (m *Map) own() {
 // insert appends a key known to be absent.
 func (m *Map) insert(ks mkey, k, v Value) {
 	m.own()
-	if m.index == nil && len(m.keys) >= mapIndexThreshold {
-		m.buildIndex()
-	}
-	if m.index != nil {
-		m.index[ks] = len(m.keys)
-	}
 	m.keys = append(m.keys, k)
 	m.vals = append(m.vals, v)
+	switch {
+	case m.index == nil:
+		if len(m.keys) > mapIndexThreshold {
+			m.buildIndex()
+		}
+	case 2*len(m.keys) > len(m.index.slots):
+		m.buildIndex()
+	default:
+		m.index.place(ks, len(m.keys)-1)
+	}
 }
 
 // Set inserts or replaces a key.
@@ -171,13 +233,10 @@ func (m *Map) Delete(k Value) {
 	m.own()
 	m.keys = append(m.keys[:i], m.keys[i+1:]...)
 	m.vals = append(m.vals[:i], m.vals[i+1:]...)
-	if m.index == nil {
-		return
-	}
-	delete(m.index, ks)
-	for j := i; j < len(m.keys); j++ {
-		js, _ := mapKey(m.keys[j])
-		m.index[js] = j
+	if m.index != nil {
+		// Every later entry moved down one position; deletion is O(n)
+		// already, so re-index rather than patch slots.
+		m.buildIndex()
 	}
 }
 
@@ -202,7 +261,7 @@ func (m *Map) SetBoxed(key Value, v Value) {
 // mapIndexThreshold, one hash index built once for all of them.
 type MapShape struct {
 	keys  []Value
-	index map[mkey]int
+	index *mapIndex
 	slots []int // slots[i] is the position of the i-th key given to NewMapShape
 }
 
@@ -211,25 +270,22 @@ type MapShape struct {
 // value wins when a caller fills the slots in key order), and an unhashable
 // key is dropped.
 func NewMapShape(keys []Value) *MapShape {
-	s := &MapShape{keys: make([]Value, 0, len(keys)), slots: make([]int, len(keys))}
-	seen := make(map[mkey]int, len(keys))
+	s := &MapShape{slots: make([]int, len(keys))}
+	layout := &Map{keys: make([]Value, 0, len(keys))}
 	for i, k := range keys {
 		ks, err := mapKey(k)
 		if err != nil {
 			s.slots[i] = -1
 			continue
 		}
-		slot, dup := seen[ks]
+		slot, dup := layout.find(ks)
 		if !dup {
-			slot = len(s.keys)
-			seen[ks] = slot
-			s.keys = append(s.keys, k)
+			slot = len(layout.keys)
+			layout.insert(ks, k, nil)
 		}
 		s.slots[i] = slot
 	}
-	if len(s.keys) > mapIndexThreshold {
-		s.index = seen
-	}
+	s.keys, s.index = layout.keys, layout.index
 	return s
 }
 

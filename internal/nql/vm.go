@@ -26,10 +26,12 @@ type frame struct {
 }
 
 // iterState is one active for-loop: a snapshot of the iterable, taken
-// before the first iteration and held in machine-pooled buffers.
+// before the first iteration and held in machine-pooled buffers, or for a
+// loop in row form (rows.go) the cursor over a host's row snapshot.
 type iterState struct {
 	items   []Value
 	seconds []Value
+	rows    *rowCursor
 	i       int
 }
 
@@ -535,6 +537,14 @@ func (m *machine) run(in *Interp, entry int) (Value, error) {
 			if err := setter.SetMember(code.attrs[ins.a], v, line); err != nil {
 				return nil, err
 			}
+		case opRowIter:
+			if src, ok := m.stack[m.sp-1].(RowSource); ok {
+				if err := m.rowIter(in, fr, src, code.attrs[ins.a]); err != nil {
+					return nil, err
+				}
+				break
+			}
+			fallthrough
 		case opAttr:
 			v, err := memberOf(m.stack[m.sp-1], code.attrs[ins.a], line)
 			if err != nil {
@@ -634,6 +644,17 @@ func (m *machine) run(in *Interp, entry int) (Value, error) {
 			m.iters = append(m.iters, st)
 		case opIterNext:
 			st := &m.iters[len(m.iters)-1]
+			if c := st.rows; c != nil {
+				if st.i >= c.n {
+					m.iterPop()
+					fr.pc = int(ins.a)
+				} else {
+					c.row = st.i
+					m.push(c)
+					st.i++
+				}
+				break
+			}
 			if st.i >= len(st.items) {
 				m.iterPop()
 				fr.pc = int(ins.a)

@@ -30,16 +30,19 @@ func (o *FrameObject) String() string { return o.F.String() }
 // Size implements nql.Sizer: len(frame) is the row count.
 func (o *FrameObject) Size() int { return o.F.NumRows() }
 
-// rowView caches a frame's column slices and one nql.MapShape for its
-// columns, so a row map is just the row's boxed cells wrapped in the shared
-// key layout: no per-row key copies and no per-row hash index. This is the
-// single hottest allocation site of the evaluation matrix (every records()/
-// filter()/mutate() call builds one NQL map per row per trial). Each row map
-// owns its values, and the first key it adds or deletes copies the shared
-// keys, so rows stay as isolated as separately built maps. Callers whose
-// per-row callback can mutate the frame (filter/mutate predicates) must
-// refresh() before each row so in-flight appends or copy-on-write column
-// replacements stay visible.
+// rowView builds a frame's rows as NQL maps. It holds the frame's column
+// slices and one nql.MapShape for its columns, so a row map is just the
+// row's boxed cells wrapped in the shared key layout: no per-row key copies
+// and no per-row hash index. Each row map owns its values, and the first key
+// it adds or deletes copies the shared keys, so rows stay as isolated as
+// separately built maps.
+//
+// records() builds every row before the caller sees any. filter() and
+// mutate() build one row per predicate call, and must refresh() before
+// each, since the predicate can append rows or set cells, and a
+// copy-on-write column may have been replaced since the last row. A for
+// loop in row form builds no rows: it reads frameRows, the column slices of
+// a Frame.Snapshot, and builds a row only to raise a missing key's error.
 type rowView struct {
 	f     *dataframe.Frame
 	names []string
@@ -57,6 +60,37 @@ func newRowView(f *dataframe.Frame) rowView {
 	}
 	return rowView{f: f, names: cols, shape: nql.NewMapShape(boxed), data: data}
 }
+
+// frameRows is the nql.Rows of a FrameObject: a rowView over a
+// Frame.Snapshot, which keeps the cells of loop start even when the loop
+// body appends rows or sets cells.
+type frameRows struct {
+	rowView
+	n int
+}
+
+// Rows implements nql.RowSource.
+func (o *FrameObject) Rows() nql.Rows {
+	rv := newRowView(o.F)
+	rv.data = o.F.Snapshot()
+	return &frameRows{rowView: rv, n: o.F.NumRows()}
+}
+
+// Len implements nql.Rows.
+func (r *frameRows) Len() int { return r.n }
+
+// Field implements nql.Rows: the cell of row i in the column named key.
+func (r *frameRows) Field(i int, key string) (nql.Value, bool) {
+	for j, c := range r.names {
+		if c == key {
+			return federate.LiftValue(r.data[j][i]), true
+		}
+	}
+	return nil, false
+}
+
+// Row implements nql.Rows.
+func (r *frameRows) Row(i int) *nql.Map { return r.mapAt(i) }
 
 // refresh re-reads the column slices (cheap: no allocation) so the next
 // mapAt observes any mutation the previous callback performed.

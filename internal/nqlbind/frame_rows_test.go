@@ -169,3 +169,98 @@ return [rs[0]["c0"], r["c1"], held[1]["c1"], len(rs), df.row(0)["c0"]]`)
 func appendArgs(n int) string {
 	return strings.TrimSuffix(strings.Repeat("0, ", n), ", ")
 }
+
+// runBoth runs a program whose loops over df.records() the compiler puts in
+// row form, and the same program with `if false { push([], r) }` added at
+// the top of each such loop body, which keeps those loops materializing.
+// Both runs start from a fresh frame that build returns.
+func runBoth(t *testing.T, build func() *dataframe.Frame, src string) (rows, maps string) {
+	t.Helper()
+	run := func(src string) string {
+		in := nql.NewInterp(nql.Limits{}, map[string]nql.Value{"df": NewFrameObject(build())})
+		v, err := in.Run(src)
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return nql.Repr(v)
+	}
+	escaped := strings.ReplaceAll(src, "df.records() {", "df.records() { if false { push([], r) }")
+	if escaped == src {
+		t.Fatalf("no records() loop in %q", src)
+	}
+	return run(src), run(escaped)
+}
+
+// TestRowFormOverFrames pins the row form over real frames, owned and
+// copy-on-write, below and past the map index threshold: the body sees the
+// frame as it was at loop start even when it appends rows and sets cells,
+// break, continue and return leave the loop, and a missing key raises the
+// map's error on its line. Each outcome equals the materializing path's.
+func TestRowFormOverFrames(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{`let seen = []
+for r in df.records() {
+  push(seen, r["c0"])
+  df.set_cell(2, "c0", -1)
+  df.append_row(` + appendArgs(9) + `)
+}
+return [seen, df.num_rows(), df.row(2)["c0"]]`, "[[0, 100, 200], 6, -1]"},
+		{`let out = []
+for r in df.records() {
+  if r["c1"] == 1 { continue }
+  if r["c1"] == 201 { break }
+  push(out, r["c2"])
+}
+return out`, "[102]"},
+		{`func first_over(k) {
+  for r in df.records() { if r["c0"] > k { return r["c3"] } }
+  return nil
+}
+return [first_over(50), first_over(500)]`, "[103, nil]"},
+		{`let s = 0
+for r in df.records() {
+  s = s + r["c0"]
+  s = s + r["nope"]
+}`, `error: nql index error on line 4: map has no key "nope"`},
+	}
+	owned := func() *dataframe.Frame { return rowsFrame(9) }
+	cow := func() *dataframe.Frame {
+		m := rowsFrame(9)
+		m.Freeze()
+		return m.Clone()
+	}
+	for i, c := range cases {
+		for name, build := range map[string]func() *dataframe.Frame{"owned": owned, "cow": cow} {
+			rows, maps := runBoth(t, build, c.src)
+			if rows != c.want || maps != c.want {
+				t.Errorf("case %d, %s frame: row form %s, materializing %s, want %s", i, name, rows, maps, c.want)
+			}
+		}
+	}
+}
+
+// TestRowFormLeavesMasterAlone: a row-form loop over a frozen master (as
+// a shared golden instance's frames may be) writes nothing to it, so
+// concurrent loops over one master do not race.
+func TestRowFormLeavesMasterAlone(t *testing.T) {
+	m := rowsFrame(3)
+	m.Freeze()
+	done := make(chan nql.Value, 4)
+	for w := 0; w < 4; w++ {
+		go func() {
+			in := nql.NewInterp(nql.Limits{}, map[string]nql.Value{"df": NewFrameObject(m)})
+			v, err := in.Run(`let s = 0
+for r in df.records() { s = s + r["c1"] }
+return s`)
+			if err != nil {
+				v = err.Error()
+			}
+			done <- v
+		}()
+	}
+	for w := 0; w < 4; w++ {
+		if v := <-done; nql.Repr(v) != "303" {
+			t.Errorf("sum = %s, want 303", nql.Repr(v))
+		}
+	}
+}
