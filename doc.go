@@ -63,10 +63,10 @@
 // The generated programs spend most of their VM time in two shapes: a
 // `for r in df.records()` loop that reads a few columns, and a dict keyed
 // by every node. A loop whose body provably reads r only as r["literal"]
-// compiles to a row form: a frame's loop reads each cell in place from a
-// copy-on-write snapshot of its columns (dataframe.Frame.Snapshot) and
-// builds no row maps, while any other receiver runs the materializing
-// call as written. nql.Map indexes its keys past eight entries with an
+// compiles to a row form: a frame's loop reads each scalar cell in place
+// from its columns as they were at loop start (the frame is marked
+// copy-on-write with dataframe.Frame.Share) and builds no row maps, while
+// any other receiver runs the materializing call as written. nql.Map indexes its keys past eight entries with an
 // open-addressed []int32 table reached through a pointer, so a map stays
 // 64 bytes and growing a dict rehashes positions instead of a Go map.
 //

@@ -27,7 +27,7 @@ type Frame struct {
 	data   map[string][]any
 	nrows  int
 	frozen bool // immutable master; mutating it is a programming error
-	shared bool // columns are shared with a frozen master or a Snapshot; copy before write
+	shared bool // columns are shared with a frozen master or a reader (Share); copy before write
 }
 
 // New creates an empty frame with the given column names.
@@ -186,22 +186,16 @@ func (f *Frame) Records() []map[string]any {
 	return out
 }
 
-// Snapshot returns the frame's column slices in column order, each
-// NumRows long, and marks the frame copy-on-write: its next in-place write
-// (SetCell, AppendRow) copies the columns first, so the returned slices
-// keep the cells they hold now. Treat them as read-only.
-func (f *Frame) Snapshot() [][]any {
-	data := make([][]any, len(f.cols))
-	for i, c := range f.cols {
-		data[i] = f.data[c]
-	}
+// Share marks the frame copy-on-write: its next in-place write (SetCell,
+// AppendRow) copies the columns first, so column slices read before Share
+// keep the cells they hold now. Treat those slices as read-only.
+func (f *Frame) Share() {
 	// A frozen master is never written, and a shared frame copies before
 	// its next write already; leaving both untouched keeps concurrent
-	// snapshots of one master free of writes.
+	// readers of one master free of writes.
 	if !f.frozen && !f.shared {
 		f.shared = true
 	}
-	return data
 }
 
 // Select returns a new frame containing only the named columns, in the given
@@ -285,7 +279,7 @@ func (f *Frame) Clone() *Frame {
 
 // ensureOwned makes the frame's column storage private before an in-place
 // mutation (SetCell, AppendRow): a frame sharing its columns with a frozen
-// master or a Snapshot copies them first.
+// master or with a reader (Share) copies them first.
 func (f *Frame) ensureOwned() {
 	if f.frozen {
 		panic("dataframe: mutating a frozen frame")

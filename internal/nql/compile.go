@@ -20,8 +20,8 @@
 // in a lambda or func; rowForm in rows.go) compiles to a row form: when x
 // is a RowSource the VM iterates a snapshot of its rows, taken at loop
 // start like the list records() returns, and reads each field in place.
-// It charges the call it skips, so Steps and every limit read as on the
-// materializing path, which any other receiver still takes.
+// It runs the same instructions as the materializing path, which any other
+// receiver still takes, so Steps and every limit read the same.
 package nql
 
 import "fmt"
@@ -69,7 +69,7 @@ const (
 	opSetIndex     // pop idx, c, v; c[idx] = v
 	opSetAttr      // pop c, v; c.<attrs[a]> = v
 	opAttr         // pop c; push member c.<attrs[a]>
-	opRowIter      // opAttr, or for a RowSource: start a row-form loop and skip the opCall and opIterPrep that follow
+	opRowIter      // opAttr, or for a RowSource: push its records builtin, which returns a row cursor
 	opCall         // pop a args + callee; push result (or enter frame)
 	opClosure      // push closure over protos[a]
 	opReturn       // pop v; leave frame with v
@@ -78,6 +78,7 @@ const (
 	opIterNext     // push next item, or pop iterator and jump to a
 	opIterNextPair // push next item+second, or pop iterator and jump to a
 	opIterPop      // discard innermost iterator (break out of a for loop)
+	opRowNext      // opIterNext of a loop in row form: point the row cursor at the next row and push it
 )
 
 // binOpName maps opAdd..opIn to the operator spelling binaryOp takes and
@@ -484,7 +485,8 @@ func (f *fnc) compileStmt(st Stmt) {
 			f.patch(br)
 		}
 	case *ForStmt:
-		if attr, ok := rowForm(s); ok {
+		attr, rowLoop := rowForm(s)
+		if rowLoop {
 			f.compileExpr(attr.X)
 			f.emit(opRowIter, f.c.attrIndex(attr.Name), attr.Line)
 			f.emit(opCall, 0, s.Iter.Pos())
@@ -504,7 +506,11 @@ func (f *fnc) compileStmt(st Stmt) {
 			f.emitLet(s.Var2, s.Line) // second value is on top
 			f.emitLet(s.Var, s.Line)
 		} else {
-			jEnd = f.emit(opIterNext, 0, s.Line)
+			op := opIterNext
+			if rowLoop {
+				op = opRowNext
+			}
+			jEnd = f.emit(op, 0, s.Line)
 			f.emitLet(s.Var, s.Line)
 		}
 		f.loops = append(f.loops, loopCtx{isFor: true, contPC: next})

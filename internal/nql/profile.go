@@ -72,9 +72,9 @@ var opClassNames = [numOpClasses]string{
 
 // opClassTable maps every opcode to its class, built once from the enum
 // layout in compile.go (contiguous ranges per class).
-var opClassTable = func() [opIterPop + 1]uint8 {
-	var t [opIterPop + 1]uint8
-	for op := opConst; op <= opIterPop; op++ {
+var opClassTable = func() [opRowNext + 1]uint8 {
+	var t [opRowNext + 1]uint8
+	for op := opConst; op <= opRowNext; op++ {
 		var c uint8
 		switch {
 		case op <= opLoadGlobal:

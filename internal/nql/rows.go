@@ -1,18 +1,18 @@
 package nql
 
-import (
-	"slices"
-	"time"
-)
+import "slices"
 
 // The row form of a for loop. `for r in x.records() { ... }` (or
 // x.to_records()) normally builds one map per row before its first
 // iteration. When the compiler can prove that the body reads r only as
-// r["literal"], it emits opRowIter in place of the records member access:
-// at run time a receiver that is a RowSource is snapshotted instead of
-// called, r holds a rowCursor, and each r["k"] reads the cell where it
-// lives. Any other receiver runs the unchanged member access, call and
-// iterator snapshot, so the body sees real maps and behaves as before.
+// r["literal"], it emits opRowIter in place of the records member access
+// and opRowNext in place of opIterNext. At run time a receiver that is a
+// RowSource yields a records builtin that returns a rowCursor instead of a
+// list; the opCall and opIterPrep that follow run as on the materializing
+// path, so Steps, the limits and the profile read the same. r then holds
+// the cursor, and each r["k"] reads the cell where it lives. Any other
+// receiver runs the unchanged member access, call and iterator snapshot,
+// so the body sees real maps and behaves as before.
 
 // RowSource is a host object whose records() and to_records() methods,
 // called with no arguments, return one map per row. A for loop in row form
@@ -28,8 +28,10 @@ type RowSource interface {
 type Rows interface {
 	// Len is the number of rows.
 	Len() int
-	// Field returns row i's value under key as records()' map for row i
-	// holds it; ok is false when that map has no such key.
+	// Field returns row i's value under key when it is a scalar (nil,
+	// bool, int64, float64 or string), which reads the same however often
+	// it is read. ok is false for any other value, and for a key the row
+	// lacks; the caller then indexes Row(i).
 	Field(i int, key string) (v Value, ok bool)
 	// Row returns row i as the map records() would build.
 	Row(i int) *Map
@@ -43,64 +45,40 @@ type rowCursor struct {
 	rows Rows
 	n    int
 	row  int
+	// m is the current row as a map, built by the first read that Field
+	// cannot serve: a container cell, so that every read of it in the
+	// iteration returns the same container, or a missing key.
+	m *Map
 }
 
-// index reads r[idx] for the current row. A key the row lacks builds that
-// one row's map, so the error is the one the map would raise.
+// rowsBuiltin is the records (or to_records) method of a RowSource as a
+// loop in row form calls it: it returns a cursor over the source's rows.
+func rowsBuiltin(src RowSource, name string) *Builtin {
+	return &Builtin{Name: name, Fn: func(in *Interp, line int, args []Value) (Value, error) {
+		rows := src.Rows()
+		return &rowCursor{rows: rows, n: rows.Len()}, nil
+	}}
+}
+
+// next moves the cursor to row i.
+func (c *rowCursor) next(i int) {
+	c.row = i
+	c.m = nil
+}
+
+// index reads r[idx] for the current row. A value Field does not serve
+// comes from the row's map, so a container reads as the same container
+// throughout the iteration and a missing key raises the map's error.
 func (c *rowCursor) index(idx Value, line int) (Value, error) {
 	if k, ok := idx.(string); ok {
 		if v, ok := c.rows.Field(c.row, k); ok {
 			return v, nil
 		}
 	}
-	return indexValue(c.rows.Row(c.row), idx, line)
-}
-
-// rowIter starts a for loop in row form over src. The loop's code is the
-// records member access (the current opRowIter), then the opCall and
-// opIterPrep of the materializing path; rowIter skips those two but charges
-// them as if they ran, so Steps, the step and depth limits, the checkpoint
-// stride and the profile read the same on both paths.
-func (m *machine) rowIter(in *Interp, fr *frame, src RowSource, name string) error {
-	call := fr.proto.code[fr.pc]
-	if err := in.charge(call); err != nil {
-		return err
+	if c.m == nil {
+		c.m = c.rows.Row(c.row)
 	}
-	if in.depth+1 > in.limits.MaxDepth {
-		return errf(ErrLimit, int(call.line), "call depth exceeded (%d)", in.limits.MaxDepth)
-	}
-	var rows Rows
-	if prof := in.limits.Profile; prof != nil {
-		t0 := time.Now()
-		rows = src.Rows()
-		prof.noteBuiltin(name, time.Since(t0), 0)
-	} else {
-		rows = src.Rows()
-	}
-	if err := in.charge(fr.proto.code[fr.pc+1]); err != nil {
-		return err
-	}
-	fr.pc += 2
-	m.sp--
-	m.stack[m.sp] = nil
-	m.iters = append(m.iters, iterState{rows: &rowCursor{rows: rows, n: rows.Len()}})
-	return nil
-}
-
-// charge accounts for an instruction the VM skips as if it had run it: one
-// step against the budget, the periodic checkpoint and the profile.
-func (in *Interp) charge(ins instr) error {
-	if prof := in.limits.Profile; prof != nil {
-		prof.note(ins.op)
-	}
-	in.steps++
-	if in.steps > in.limits.MaxSteps {
-		return errf(ErrLimit, int(ins.line), "step budget exceeded (%d steps)", in.limits.MaxSteps)
-	}
-	if in.steps&4095 == 0 {
-		return in.checkpoint(int(ins.line))
-	}
-	return nil
+	return indexValue(c.m, idx, line)
 }
 
 // rowForm reports whether a for loop compiles to the row form, returning

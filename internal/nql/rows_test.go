@@ -69,7 +69,11 @@ func (r *tableRows) Len() int { return len(r.rows) }
 func (r *tableRows) Field(i int, key string) (Value, bool) {
 	for j, c := range r.cols {
 		if c == key {
-			return r.rows[i][j], true
+			switch v := r.rows[i][j].(type) {
+			case nil, bool, int64, float64, string:
+				return v, true
+			}
+			return nil, false
 		}
 	}
 	return nil, false
@@ -249,9 +253,9 @@ func TestRowFormMatchesMaterializing(t *testing.T) {
 	}
 }
 
-// TestRowFormLimits: the row form charges the call and iterator snapshot
-// it skips, so the step budget and the depth limit fail at the same step,
-// with the same error, as on the materializing path.
+// TestRowFormLimits: the row form runs the same call and iterator
+// snapshot as the materializing path, so the step budget and the depth
+// limit fail at the same step, with the same error.
 func TestRowFormLimits(t *testing.T) {
 	src := `let s = 0
 for r in t.records() { s = s + r["n"] }

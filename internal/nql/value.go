@@ -144,12 +144,16 @@ func (m *Map) buildIndex() {
 	for n < 2*(len(m.keys)+1) {
 		n *= 2
 	}
-	x := &mapIndex{slots: make([]int32, n)}
-	for j, k := range m.keys {
+	m.index = &mapIndex{slots: make([]int32, n)}
+	m.index.fill(m.keys)
+}
+
+// fill places every key of keys at its position. The slots must be empty.
+func (x *mapIndex) fill(keys []Value) {
+	for j, k := range keys {
 		ks, _ := mapKey(k)
 		x.place(ks, j)
 	}
-	m.index = x
 }
 
 // place records entry position pos for key ks in the first empty slot of
@@ -235,8 +239,10 @@ func (m *Map) Delete(k Value) {
 	m.vals = append(m.vals[:i], m.vals[i+1:]...)
 	if m.index != nil {
 		// Every later entry moved down one position; deletion is O(n)
-		// already, so re-index rather than patch slots.
-		m.buildIndex()
+		// already, so re-place every key rather than patch slots. After
+		// own the index is this map's alone, so it is refilled in place.
+		clear(m.index.slots)
+		m.index.fill(m.keys)
 	}
 }
 

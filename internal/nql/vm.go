@@ -140,7 +140,7 @@ func (m *machine) iterPop() {
 // makeIter snapshots an iterable into pooled buffers. A list, a map's keys
 // or a string's characters give one value per iteration; the two-variable
 // form takes a map's keys and values, or the elements of a list of [a, b]
-// pairs.
+// pairs. A row cursor (rows.go) already holds its snapshot.
 func (m *machine) makeIter(v Value, line int, wantPairs bool) (iterState, error) {
 	switch x := v.(type) {
 	case *List:
@@ -174,6 +174,8 @@ func (m *machine) makeIter(v Value, line int, wantPairs bool) (iterState, error)
 			items = append(items, string(r))
 		}
 		return iterState{items: items}, nil
+	case *rowCursor:
+		return iterState{rows: x}, nil
 	default:
 		return iterState{}, errf(ErrOp, line, "value of type %s is not iterable", TypeName(v))
 	}
@@ -539,9 +541,7 @@ func (m *machine) run(in *Interp, entry int) (Value, error) {
 			}
 		case opRowIter:
 			if src, ok := m.stack[m.sp-1].(RowSource); ok {
-				if err := m.rowIter(in, fr, src, code.attrs[ins.a]); err != nil {
-					return nil, err
-				}
+				m.stack[m.sp-1] = rowsBuiltin(src, code.attrs[ins.a])
 				break
 			}
 			fallthrough
@@ -642,19 +642,22 @@ func (m *machine) run(in *Interp, entry int) (Value, error) {
 				return nil, err
 			}
 			m.iters = append(m.iters, st)
-		case opIterNext:
+		case opRowNext:
 			st := &m.iters[len(m.iters)-1]
 			if c := st.rows; c != nil {
 				if st.i >= c.n {
 					m.iterPop()
 					fr.pc = int(ins.a)
 				} else {
-					c.row = st.i
+					c.next(st.i)
 					m.push(c)
 					st.i++
 				}
 				break
 			}
+			fallthrough
+		case opIterNext:
+			st := &m.iters[len(m.iters)-1]
 			if st.i >= len(st.items) {
 				m.iterPop()
 				fr.pc = int(ins.a)

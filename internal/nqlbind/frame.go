@@ -41,8 +41,11 @@ func (o *FrameObject) Size() int { return o.F.NumRows() }
 // mutate() build one row per predicate call, and must refresh() before
 // each, since the predicate can append rows or set cells, and a
 // copy-on-write column may have been replaced since the last row. A for
-// loop in row form builds no rows: it reads frameRows, the column slices of
-// a Frame.Snapshot, and builds a row only to raise a missing key's error.
+// loop in row form reads frameRows: the column slices as they were at loop
+// start, with the frame marked copy-on-write (Frame.Share) so writes in the
+// body go to fresh columns. It reads scalar cells in place and builds a row
+// map, and its shape, only when the body reads a container cell or a
+// missing key.
 type rowView struct {
 	f     *dataframe.Frame
 	names []string
@@ -51,19 +54,33 @@ type rowView struct {
 }
 
 func newRowView(f *dataframe.Frame) rowView {
-	cols := f.Columns()
-	boxed := make([]nql.Value, len(cols))
-	data := make([][]any, len(cols))
-	for i, c := range cols {
-		boxed[i] = c
-		data[i], _ = f.Column(c)
-	}
-	return rowView{f: f, names: cols, shape: nql.NewMapShape(boxed), data: data}
+	rv := columnsOf(f)
+	rv.shape = shapeOf(rv.names)
+	return rv
 }
 
-// frameRows is the nql.Rows of a FrameObject: a rowView over a
-// Frame.Snapshot, which keeps the cells of loop start even when the loop
-// body appends rows or sets cells.
+// columnsOf is a rowView of f's columns without its shape.
+func columnsOf(f *dataframe.Frame) rowView {
+	names := f.Columns()
+	data := make([][]any, len(names))
+	for i, c := range names {
+		data[i], _ = f.Column(c)
+	}
+	return rowView{f: f, names: names, data: data}
+}
+
+// shapeOf is the key layout of rows with the given columns.
+func shapeOf(names []string) *nql.MapShape {
+	boxed := make([]nql.Value, len(names))
+	for i, c := range names {
+		boxed[i] = c
+	}
+	return nql.NewMapShape(boxed)
+}
+
+// frameRows is the nql.Rows of a FrameObject: a rowView over the frame's
+// columns at loop start, which keeps those cells even when the loop body
+// appends rows or sets cells.
 type frameRows struct {
 	rowView
 	n int
@@ -71,26 +88,37 @@ type frameRows struct {
 
 // Rows implements nql.RowSource.
 func (o *FrameObject) Rows() nql.Rows {
-	rv := newRowView(o.F)
-	rv.data = o.F.Snapshot()
+	rv := columnsOf(o.F)
+	o.F.Share()
 	return &frameRows{rowView: rv, n: o.F.NumRows()}
 }
 
 // Len implements nql.Rows.
 func (r *frameRows) Len() int { return r.n }
 
-// Field implements nql.Rows: the cell of row i in the column named key.
+// Field implements nql.Rows: the cell of row i in the column named key,
+// when it is a scalar. Any other cell lifts to a fresh container, which
+// the row map built once per row holds instead.
 func (r *frameRows) Field(i int, key string) (nql.Value, bool) {
 	for j, c := range r.names {
 		if c == key {
-			return federate.LiftValue(r.data[j][i]), true
+			switch v := r.data[j][i].(type) {
+			case nil, bool, int64, float64, string:
+				return v, true
+			}
+			return nil, false
 		}
 	}
 	return nil, false
 }
 
 // Row implements nql.Rows.
-func (r *frameRows) Row(i int) *nql.Map { return r.mapAt(i) }
+func (r *frameRows) Row(i int) *nql.Map {
+	if r.shape == nil {
+		r.shape = shapeOf(r.names)
+	}
+	return r.mapAt(i)
+}
 
 // refresh re-reads the column slices (cheap: no allocation) so the next
 // mapAt observes any mutation the previous callback performed.

@@ -191,45 +191,88 @@ func runBoth(t *testing.T, build func() *dataframe.Frame, src string) (rows, map
 	return run(src), run(escaped)
 }
 
+// containerFrame returns a frame of two rows whose "tags" cells hold lists
+// and whose "m" cells hold maps. A frame's own writes store such values as
+// strings; the cells are placed directly so that the row form is checked
+// not to rely on that.
+func containerFrame() *dataframe.Frame {
+	return dataframe.FromColumns([]string{"id", "tags", "m"}, [][]any{
+		{int64(1), int64(2)},
+		{[]any{"a"}, []any{"b", "c"}},
+		{map[string]any{"y": int64(10)}, map[string]any{}},
+	}, 2)
+}
+
 // TestRowFormOverFrames pins the row form over real frames, owned and
 // copy-on-write, below and past the map index threshold: the body sees the
 // frame as it was at loop start even when it appends rows and sets cells,
 // break, continue and return leave the loop, and a missing key raises the
-// map's error on its line. Each outcome equals the materializing path's.
+// map's error on its line. A list or map cell reads as one container for
+// the whole iteration, so changes the body makes through r["k"] show in
+// later reads of r["k"] and nowhere else. Each outcome equals the
+// materializing path's.
 func TestRowFormOverFrames(t *testing.T) {
-	cases := []struct{ src, want string }{
+	cases := []struct {
+		src, want string
+		frame     func() *dataframe.Frame
+	}{
 		{`let seen = []
 for r in df.records() {
   push(seen, r["c0"])
   df.set_cell(2, "c0", -1)
   df.append_row(` + appendArgs(9) + `)
 }
-return [seen, df.num_rows(), df.row(2)["c0"]]`, "[[0, 100, 200], 6, -1]"},
+return [seen, df.num_rows(), df.row(2)["c0"]]`, "[[0, 100, 200], 6, -1]", nil},
 		{`let out = []
 for r in df.records() {
   if r["c1"] == 1 { continue }
   if r["c1"] == 201 { break }
   push(out, r["c2"])
 }
-return out`, "[102]"},
+return out`, "[102]", nil},
 		{`func first_over(k) {
   for r in df.records() { if r["c0"] > k { return r["c3"] } }
   return nil
 }
-return [first_over(50), first_over(500)]`, "[103, nil]"},
+return [first_over(50), first_over(500)]`, "[103, nil]", nil},
 		{`let s = 0
 for r in df.records() {
   s = s + r["c0"]
   s = s + r["nope"]
-}`, `error: nql index error on line 4: map has no key "nope"`},
-	}
-	owned := func() *dataframe.Frame { return rowsFrame(9) }
-	cow := func() *dataframe.Frame {
-		m := rowsFrame(9)
-		m.Freeze()
-		return m.Clone()
+}`, `error: nql index error on line 4: map has no key "nope"`, nil},
+		{`let out = []
+for r in df.records() {
+  push(r["tags"], r["id"])
+  r["m"]["x"] = len(r["tags"])
+  let held = r["m"]
+  held["z"] = r["id"] * 10
+  push(out, [r["tags"], r["m"], r["m"]["x"]])
+}
+return [out, df.records()]`,
+			`[[[["a", 1], {"y": 10, "x": 2, "z": 10}, 2], [["b", "c", 2], {"x": 3, "z": 20}, 3]], ` +
+				`[{"id": 1, "tags": ["a"], "m": {"y": 10}}, {"id": 2, "tags": ["b", "c"], "m": {}}]]`,
+			containerFrame},
+		{`let s = 0
+for r in df.records() {
+  s = s + r["id"]
+  s = s + r["nope"]
+}`, `error: nql index error on line 4: map has no key "nope"`, containerFrame},
+		{`df.append_row(3, ["x"], {"k": 1})
+let out = []
+for r in df.records() { push(out, r["tags"]) }
+return out`, `[["a"], ["b", "c"], "[x]"]`, containerFrame},
 	}
 	for i, c := range cases {
+		frame := c.frame
+		if frame == nil {
+			frame = func() *dataframe.Frame { return rowsFrame(9) }
+		}
+		owned := frame
+		cow := func() *dataframe.Frame {
+			m := frame()
+			m.Freeze()
+			return m.Clone()
+		}
 		for name, build := range map[string]func() *dataframe.Frame{"owned": owned, "cow": cow} {
 			rows, maps := runBoth(t, build, c.src)
 			if rows != c.want || maps != c.want {
