@@ -3,7 +3,7 @@
 # over every golden program x backend) and staticcheck when installed;
 # `make fuzz` runs the fuzz targets for a fixed time each;
 # `make bench` records the benchmark suite as JSON so successive PRs can
-# track the perf trajectory (BENCH_12.json is the next snapshot; bump
+# track the perf trajectory (BENCH_13.json is the next snapshot; bump
 # BENCH_OUT after recording it); `make benchdiff` compares the two most
 # recent snapshots and fails on >10% regressions of ns/op, B/op or
 # allocs/op on the ROADMAP watchlist (Table2 / Table4 / Clone / PageRank /
@@ -13,7 +13,7 @@
 # NQLDictBuild / SQLJoinWhere / SQLScan / SQLGroupBy / StateEqual).
 
 GO        ?= go
-BENCH_OUT ?= BENCH_12.json
+BENCH_OUT ?= BENCH_13.json
 
 # One pinned staticcheck for local lint and CI: an unpinned @latest can
 # start flagging new checks the day a release lands and break CI with no

@@ -170,8 +170,7 @@ func BenchmarkStreamSweep(b *testing.B) {
 // — the serving path every live-model scenario rides — with request
 // coalescing enabled and disabled. Watched by benchdiff.
 func BenchmarkGatewayThroughput(b *testing.B) {
-	g := benchGraph(80, 80)
-	w := traffic.NewWrapper(g)
+	w := traffic.Wrapper{}
 	var prompts []string
 	for _, q := range queries.Traffic() {
 		prompts = append(prompts, prompt.BuildCodePrompt(w, prompt.BackendNetworkX, q.Text))
@@ -762,8 +761,7 @@ func BenchmarkAblationBackend(b *testing.B) {
 // costs per query in prompt tokens — the price of the paper's
 // domain-specialization stage (box 2) relative to a bare query.
 func BenchmarkAblationContext(b *testing.B) {
-	g := benchGraph(80, 80)
-	w := traffic.NewWrapper(g)
+	w := traffic.Wrapper{}
 	q, _ := queries.ByID("ta-h1")
 	full := prompt.BuildCodePrompt(w, prompt.BackendNetworkX, q.Text)
 	bare := q.Text
@@ -892,17 +890,26 @@ var _ = sqldb.NewDB
 
 // BenchmarkSQLScan runs single-table SELECTs over the 500-node, 2,000-edge
 // traffic instance: the plain two-column read the paper's SQL goldens
-// issue most often, and the same read behind a WHERE that keeps a few rows.
+// issue most often, the same read behind a WHERE that keeps a few rows,
+// and (eq) the edges out of one node on a clone of a frozen database,
+// which its string-equality index serves.
 func BenchmarkSQLScan(b *testing.B) {
-	db := traffic.Database(benchGraph(500, 2000))
-	for _, c := range []struct{ name, q string }{
-		{"plain", "SELECT src, dst FROM edges"},
-		{"where", "SELECT src, dst FROM edges WHERE bytes > 1000"},
+	g := benchGraph(500, 2000)
+	db := traffic.Database(g)
+	master := traffic.Database(g)
+	master.Freeze()
+	for _, c := range []struct {
+		name, q string
+		db      *sqldb.DB
+	}{
+		{"plain", "SELECT src, dst FROM edges", db},
+		{"where", "SELECT src, dst FROM edges WHERE bytes > 1000", db},
+		{"eq", fmt.Sprintf("SELECT src, dst FROM edges WHERE src = '%s'", g.Nodes()[7]), master.Clone()},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(c.q); err != nil {
+				if _, err := c.db.Query(c.q); err != nil {
 					b.Fatal(err)
 				}
 			}

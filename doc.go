@@ -31,8 +31,13 @@
 // decided plan over every source: scans filter on source columns before
 // lifting a row, a join or aggregate reads its scan children's cells in
 // place, and every operator polls cancellation at row checkpoints and
-// emits one explain-analyze profile frame. Plans can join tables living in
-// different substrates, e.g.
+// emits one explain-analyze profile frame. A selective lookup costs what
+// its answer costs: a frozen dataset master's frames and SQL tables share
+// a lazily built string-equality index with their unwritten clones, so a
+// SQL scan (or SELECT) that leads with `col = 'string'` reads only the
+// matching rows, and a graph scan's attribute columns are derived once
+// per frozen graph master. Plans can join tables living in different
+// substrates, e.g.
 //
 //	fed.scan("sql", "edges").filter("bytes", ">", 500000).
 //	    join(fed.scan("graph", "degree"), "dst", "id").

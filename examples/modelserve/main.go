@@ -32,8 +32,7 @@ func main() {
 
 	// Prompts for a few real benchmark queries, as the evaluator builds
 	// them.
-	g := traffic.Generate(traffic.Config{Nodes: 80, Edges: 80, Seed: 42})
-	wrapper := traffic.NewWrapper(g)
+	wrapper := traffic.Wrapper{}
 	ids := []string{"ta-e1", "ta-e2", "ta-m1", "ta-h6"}
 	var prompts []string
 	for _, id := range ids {

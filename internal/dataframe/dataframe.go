@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Frame is an immutable-by-convention columnar table. Operations return new
@@ -21,13 +22,15 @@ import (
 // its column storage copy-on-write: the clone copies columns only when
 // first mutated. This mirrors graph.Freeze/Clone and is what lets the
 // evaluation matrix hand every sandboxed trial its own table state without
-// re-copying thousands of rows per cell.
+// re-copying thousands of rows per cell. A master and its unwritten clones
+// also share one string-equality index (StringRows).
 type Frame struct {
 	cols   []string
 	data   map[string][]any
 	nrows  int
-	frozen bool // immutable master; mutating it is a programming error
-	shared bool // columns are shared with a frozen master or a reader (Share); copy before write
+	frozen bool                 // immutable master; mutating it is a programming error
+	shared bool                 // columns are shared with a frozen master or a reader (Share); copy before write
+	index  map[string]*colIndex // the frozen master's index; nil once the frame writes
 }
 
 // New creates an empty frame with the given column names.
@@ -254,12 +257,24 @@ func (f *Frame) Rename(oldName, newName string) (*Frame, error) {
 
 // Freeze marks the frame as an immutable master: subsequent Clones share
 // its column storage copy-on-write instead of deep-copying. Mutating a
-// frozen frame panics.
-func (f *Frame) Freeze() { f.frozen = true }
+// frozen frame panics. Freezing also gives the master an empty
+// string-equality index, whose columns are built on first lookup
+// (StringRows) and shared by every clone that has not written.
+func (f *Frame) Freeze() {
+	if f.frozen {
+		return
+	}
+	f.frozen = true
+	f.index = make(map[string]*colIndex, len(f.cols))
+	for _, c := range f.cols {
+		f.index[c] = &colIndex{data: f.data[c]}
+	}
+}
 
 // Clone returns a copy of the frame. Cloning a frozen master is O(columns):
-// the clone shares the master's column slices and copies them only when it
-// is first mutated. Cloning an unfrozen frame deep-copies as before.
+// the clone shares the master's column slices and its index, and drops
+// both when it is first mutated. Cloning an unfrozen frame deep-copies as
+// before.
 func (f *Frame) Clone() *Frame {
 	out := New(f.cols...)
 	if f.frozen {
@@ -268,6 +283,7 @@ func (f *Frame) Clone() *Frame {
 		}
 		out.nrows = f.nrows
 		out.shared = true
+		out.index = f.index
 		return out
 	}
 	for _, c := range f.cols {
@@ -279,11 +295,13 @@ func (f *Frame) Clone() *Frame {
 
 // ensureOwned makes the frame's column storage private before an in-place
 // mutation (SetCell, AppendRow): a frame sharing its columns with a frozen
-// master or with a reader (Share) copies them first.
+// master or with a reader (Share) copies them first. The frame stops
+// reading its master's index, which the write may make wrong.
 func (f *Frame) ensureOwned() {
 	if f.frozen {
 		panic("dataframe: mutating a frozen frame")
 	}
+	f.index = nil
 	if !f.shared {
 		return
 	}
@@ -291,6 +309,60 @@ func (f *Frame) ensureOwned() {
 		f.data[c] = append([]any(nil), col...)
 	}
 	f.shared = false
+}
+
+// colIndex is a frozen master's string-equality index of one column,
+// built on first lookup: rows maps each string the column's cells hold to
+// the ascending positions of those cells. Freeze fills the frame's map of
+// them once, so concurrent lookups through clones need no lock beyond
+// each column's Once.
+type colIndex struct {
+	data []any
+	once sync.Once
+	rows map[string][]int32
+}
+
+// build fills rows, carving every position list from one array.
+func (ci *colIndex) build() {
+	counts := map[string]int32{}
+	total := 0
+	for _, v := range ci.data {
+		if s, ok := v.(string); ok {
+			counts[s]++
+			total++
+		}
+	}
+	all := make([]int32, total)
+	ci.rows = make(map[string][]int32, len(counts))
+	off := 0
+	for s, n := range counts {
+		ci.rows[s] = all[off : off : off+int(n)]
+		off += int(n)
+	}
+	for i, v := range ci.data {
+		if s, ok := v.(string); ok {
+			ci.rows[s] = append(ci.rows[s], int32(i))
+		}
+	}
+}
+
+// StringRows returns the ascending positions of the rows whose cell in col
+// is the string s, read from the index of the frame's frozen master. ok is
+// false when the frame has no usable index for col: it is neither a frozen
+// master nor an unwritten clone of one, or its column col is not the
+// master's column (renamed, added or rebuilt since). The caller then scans.
+// The positions are shared; treat them as read-only.
+func (f *Frame) StringRows(col, s string) (rows []int32, ok bool) {
+	if f.index == nil {
+		return nil, false
+	}
+	ci := f.index[col]
+	cur, has := f.data[col]
+	if ci == nil || !has || len(cur) != len(ci.data) || len(cur) > 0 && &cur[0] != &ci.data[0] {
+		return nil, false
+	}
+	ci.once.Do(ci.build)
+	return ci.rows[s], true
 }
 
 // FilterIdx returns the rows for which pred(i) is true. It never

@@ -635,3 +635,79 @@ func TestPropLeftJoinPreservesLeftRows(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStringRowsLifetime pins which frames answer StringRows from their
+// master's index: the frozen master and its unwritten clones, for columns
+// that are still the master's. A write, a rename, a rebuilt column or an
+// unfrozen frame leaves the caller to scan.
+func TestStringRowsLifetime(t *testing.T) {
+	build := func() *Frame {
+		f := New("k", "n")
+		for i, k := range []any{"a", int64(1), "b", "a", nil, "1", 1.0, "a"} {
+			f.AppendRow(k, i)
+		}
+		return f
+	}
+	rows := func(f *Frame, col, s string) string {
+		r, ok := f.StringRows(col, s)
+		if !ok {
+			return "scan"
+		}
+		return fmt.Sprint(r)
+	}
+	plain := build()
+	plain.Share()
+	if got := rows(plain, "k", "a"); got != "scan" {
+		t.Errorf("unfrozen frame: %s", got)
+	}
+	master := build()
+	master.Freeze()
+	clone := master.Clone()
+	for name, f := range map[string]*Frame{"master": master, "clone": clone} {
+		for _, c := range []struct{ col, s, want string }{
+			{"k", "a", "[0 3 7]"},
+			{"k", "1", "[5]"},
+			{"k", "absent", "[]"},
+			{"n", "a", "[]"},
+			{"missing", "a", "scan"},
+		} {
+			if got := rows(f, c.col, c.s); got != c.want {
+				t.Errorf("%s: StringRows(%q, %q) = %s, want %s", name, c.col, c.s, got, c.want)
+			}
+		}
+	}
+	renamed, err := master.Rename("k", "key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rows(renamed, "key", "a") + " " + rows(renamed, "n", "a"); got != "scan []" {
+		t.Errorf("renamed clone: %s, want scan [] (the kept column keeps the index)", got)
+	}
+	rebuilt, err := master.MutateIdx("k", func(i int) (any, error) { return "a", nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rows(rebuilt, "k", "a"); got != "scan" {
+		t.Errorf("rebuilt column: %s", got)
+	}
+	if err := clone.SetCell(1, "k", "a"); err != nil {
+		t.Fatal(err)
+	}
+	if got := rows(clone, "k", "a"); got != "scan" {
+		t.Errorf("written clone: %s", got)
+	}
+	appended := master.Clone()
+	appended.AppendRow("a", 8)
+	if got := rows(appended, "k", "a"); got != "scan" {
+		t.Errorf("clone after AppendRow: %s", got)
+	}
+	if got := rows(master, "k", "a") + " " + rows(master.Clone(), "k", "a"); got != "[0 3 7] [0 3 7]" {
+		t.Errorf("master after its clones' writes: %s", got)
+	}
+	// A written clone frozen anew indexes its own cells.
+	again := clone.Clone()
+	again.Freeze()
+	if got := rows(again.Clone(), "k", "a"); got != "[0 1 3 7]" {
+		t.Errorf("re-frozen written clone: %s", got)
+	}
+}

@@ -134,19 +134,15 @@ func DatabaseOf(nodes, edges, probes *dataframe.Frame) *sqldb.DB {
 	return db
 }
 
-// Wrapper is the diagnosis application wrapper (framework box 1).
-type Wrapper struct {
-	W *Workload
-}
-
-// NewWrapper wraps w.
-func NewWrapper(w *Workload) *Wrapper { return &Wrapper{W: w} }
+// Wrapper is the diagnosis application wrapper (framework box 1). It holds
+// no data.
+type Wrapper struct{}
 
 // Name identifies the application.
-func (w *Wrapper) Name() string { return "network failure diagnosis" }
+func (Wrapper) Name() string { return "network failure diagnosis" }
 
 // Describe returns the per-backend data-model description.
-func (w *Wrapper) Describe(backend string) string {
+func (Wrapper) Describe(backend string) string {
 	common := "The data is a directed communication graph under fault " +
 		"diagnosis. Each edge has integer attributes \"bytes\", " +
 		"\"connections\", \"packets\" and a string attribute \"status\" " +

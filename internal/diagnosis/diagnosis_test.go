@@ -113,7 +113,7 @@ func TestDatabaseTables(t *testing.T) {
 }
 
 func TestWrapperDescriptions(t *testing.T) {
-	w := NewWrapper(Generate(DefaultConfig))
+	w := Wrapper{}
 	for _, backend := range []string{"networkx", "pandas", "sql"} {
 		d := w.Describe(backend)
 		if !strings.Contains(d, "status") || !strings.Contains(d, "probe") {

@@ -319,7 +319,7 @@ func scanGraph(cat *Catalog, s *Scan) (columns, error) {
 		for i, id := range ids {
 			attrs[i] = g.NodeAttrsView(id)
 		}
-		names := append([]string{"id"}, attrKeyUnion(len(attrs), func(i int) graph.Attrs { return attrs[i] })...)
+		names := append([]string{"id"}, g.NodeAttrKeys()...)
 		return selectRows(cat, columns{names: names, n: len(ids), cell: func(c, r int) nql.Value {
 			if c == 0 {
 				return ids[r]
@@ -328,7 +328,7 @@ func scanGraph(cat *Catalog, s *Scan) (columns, error) {
 		}}, s.Pushed, s.Cols)
 	case GraphTableEdges:
 		edges := g.EdgesView()
-		names := append([]string{"src", "dst"}, attrKeyUnion(len(edges), func(i int) graph.Attrs { return edges[i].Attrs })...)
+		names := append([]string{"src", "dst"}, g.EdgeAttrKeys()...)
 		return selectRows(cat, columns{names: names, n: len(edges), cell: func(c, r int) nql.Value {
 			switch c {
 			case 0:
@@ -368,22 +368,6 @@ func scanGraph(cat *Catalog, s *Scan) (columns, error) {
 		return columns{}, fmt.Errorf("federate: unknown graph table %q (have nodes, edges, degree, pagerank, components)", s.Table)
 	}
 	return selectRows(cat, relColumns(rel), s.Pushed, s.Cols)
-}
-
-// attrKeyUnion returns the sorted union of the keys of n attribute maps.
-func attrKeyUnion(n int, attrs func(i int) graph.Attrs) []string {
-	seen := map[string]bool{}
-	for i := 0; i < n; i++ {
-		for k := range attrs(i) {
-			seen[k] = true
-		}
-	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func scanFrame(cat *Catalog, s *Scan) (columns, error) {

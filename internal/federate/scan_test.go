@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dataframe"
+	"repro/internal/graph"
 	"repro/internal/nql"
 	"repro/internal/obs"
 )
@@ -319,5 +320,50 @@ func TestScanProfileFramesMatchAcrossModes(t *testing.T) {
 	}
 	if got := strings.Join(bare, ","); got != want {
 		t.Errorf("bare scan frames:\n  got  %s\n  want %s", got, want)
+	}
+}
+
+// TestGraphScanKeysFollowClone: the node and edge attribute columns of a
+// graph scan are derived once per frozen master, yet a clone that writes a
+// new attribute key scans it as a column while its master and a sibling
+// clone, which derived their columns before the write, do not.
+func TestGraphScanKeysFollowClone(t *testing.T) {
+	master := testCatalog().Graph
+	master.Freeze()
+	sibling := master.Clone()
+	writer := master.Clone()
+	cols := func(g *graph.Graph, table string) string {
+		t.Helper()
+		rel, err := Run(&Catalog{Graph: g}, &Scan{Source: SourceGraph, Table: table})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Join(rel.Cols, " ")
+	}
+	for _, g := range []*graph.Graph{master, sibling, writer} {
+		if got := cols(g, GraphTableNodes) + "; " + cols(g, GraphTableEdges); got != "id ip; src dst bytes" {
+			t.Fatalf("before the write: columns %q", got)
+		}
+	}
+	if err := writer.SetNodeAttr("b", "role", "spine"); err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.SetEdgeAttr("c", "d", "alarm", true); err != nil {
+		t.Fatal(err)
+	}
+	if got := cols(writer, GraphTableNodes) + "; " + cols(writer, GraphTableEdges); got != "id ip role; src dst alarm bytes" {
+		t.Errorf("writer: columns %q", got)
+	}
+	rel, err := Run(&Catalog{Graph: writer}, &Scan{Source: SourceGraph, Table: GraphTableNodes, Pushed: []Cmp{{Col: "role", Op: "==", Value: "spine"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rel.Rows) != 1 || rel.Rows[0][0] != "b" {
+		t.Errorf("writer: role == spine rows %v", rel.Rows)
+	}
+	for name, g := range map[string]*graph.Graph{"master": master, "sibling": sibling, "new clone": master.Clone()} {
+		if got := cols(g, GraphTableNodes) + "; " + cols(g, GraphTableEdges); got != "id ip; src dst bytes" {
+			t.Errorf("%s after the writer's write: columns %q", name, got)
+		}
 	}
 }

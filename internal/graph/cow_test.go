@@ -538,9 +538,9 @@ func TestGraphMethodsClassified(t *testing.T) {
 		"BetweennessCentrality", "ClosenessCentrality", "ClusterNodesBy",
 		"ClusteringCoefficient", "ConnectedComponents", "DFS", "DOT", "Degree",
 		"DegreeCentrality", "Density", "Diameter", "DijkstraPath", "Directed",
-		"EdgeAttrsView", "EdgesView", "Fingerprint", "HasCycle", "HasEdge",
+		"EdgeAttrKeys", "EdgeAttrsView", "EdgesView", "Fingerprint", "HasCycle", "HasEdge",
 		"HasNode", "HopCount", "InDegree", "IsolatedNodes", "MarshalJSON", "MaxBy",
-		"Neighbors", "NodeAttrsView", "Nodes", "NumEdges", "NumNodes", "OutDegree",
+		"Neighbors", "NodeAttrKeys", "NodeAttrsView", "Nodes", "NumEdges", "NumNodes", "OutDegree",
 		"PageRank", "Predecessors", "Reverse", "SelfLoops", "ShortestPath",
 		"String", "StronglyConnectedComponents", "Subgraph", "TopNByDegree",
 		"TopologicalSort", "Version", "WeightedDegree",
@@ -625,5 +625,49 @@ func TestConcurrentClonesOfFrozenMaster(t *testing.T) {
 	wg.Wait()
 	if !Equal(master, want) {
 		t.Fatalf("master changed: %s", Diff(master, want))
+	}
+}
+
+// TestAttrKeysPerMaster: a frozen master and its unwritten clones derive
+// the attribute-key unions once and share them; a clone that writes, and a
+// master written and frozen again, derive their own, while graphs that
+// still share the old containers keep the old unions.
+func TestAttrKeysPerMaster(t *testing.T) {
+	g := cowMaster(20, 3)
+	g.Freeze()
+	a, b := g.Clone(), g.Clone()
+	nodes, edges := a.NodeAttrKeys(), a.EdgeAttrKeys()
+	if !reflect.DeepEqual(nodes, []string{"ip"}) || !reflect.DeepEqual(edges, []string{"bytes"}) {
+		t.Fatalf("keys = %v / %v", nodes, edges)
+	}
+	for _, h := range []*Graph{g, b} {
+		if &h.NodeAttrKeys()[0] != &nodes[0] || &h.EdgeAttrKeys()[0] != &edges[0] {
+			t.Fatal("a master and its unwritten clones derived separate unions")
+		}
+	}
+	if err := b.SetNodeAttr("n0003", "role", "spine"); err != nil {
+		t.Fatal(err)
+	}
+	b.AddEdge("n0001", "n0019", Attrs{"alarm": true})
+	if got := b.NodeAttrKeys(); !reflect.DeepEqual(got, []string{"ip", "role"}) {
+		t.Errorf("written clone node keys = %v", got)
+	}
+	if got := b.EdgeAttrKeys(); !reflect.DeepEqual(got, []string{"alarm", "bytes"}) {
+		t.Errorf("written clone edge keys = %v", got)
+	}
+	if got := g.NodeAttrKeys(); !reflect.DeepEqual(got, []string{"ip"}) {
+		t.Errorf("master node keys after a clone's write = %v", got)
+	}
+	// The master itself is written and frozen again: its new clones see the
+	// new key, the clone taken before keeps the master's old containers.
+	if err := g.SetNodeAttr("n0004", "rack", int64(2)); err != nil {
+		t.Fatal(err)
+	}
+	g.Freeze()
+	if got := g.Clone().NodeAttrKeys(); !reflect.DeepEqual(got, []string{"ip", "rack"}) {
+		t.Errorf("clone of the re-frozen master: node keys = %v", got)
+	}
+	if got := a.NodeAttrKeys(); !reflect.DeepEqual(got, []string{"ip"}) {
+		t.Errorf("earlier clone after the master's write: node keys = %v", got)
 	}
 }

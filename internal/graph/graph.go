@@ -26,6 +26,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // Attrs is a free-form attribute map attached to nodes, edges and the graph
@@ -132,6 +133,13 @@ type Graph struct {
 	// equals itself under ValueEqual and Equal may skip it.
 	nanFree bool
 
+	// keys holds the sorted attribute-key unions, derived on first use
+	// while the graph is shared and then read by every graph sharing the
+	// same containers: Clone of a shared graph copies the pointer, and
+	// every graph that owns its containers (new, unshared, deep-cloned)
+	// gets a fresh one, so Freeze allocates nothing.
+	keys *attrKeys
+
 	// version counts structural changes (node/edge insertions and
 	// removals, not attribute writes), letting bindings cache derived
 	// node/edge listings safely.
@@ -155,6 +163,7 @@ func newGraph(directed bool) *Graph {
 		attrs:    Attrs{},
 		nodeIdx:  map[string]int{},
 		edges:    map[EdgeKey]Attrs{},
+		keys:     &attrKeys{},
 	}
 }
 
@@ -190,6 +199,8 @@ func (g *Graph) key(u, v string) EdgeKey {
 // g, and allocates nothing: g stops owning anything, and one pass over the
 // attribute values records whether any holds a NaN (see Equal, which
 // compares what two clones share by identity only when neither holds one).
+// A frozen graph and its unwritten clones also share their attribute-key
+// unions (NodeAttrKeys, EdgeAttrKeys), derived on first use.
 //
 // Freeze is incremental: a master extended with further nodes or edges
 // (e.g. by applying streamed batches or Merge) can be re-frozen. The first
@@ -241,6 +252,7 @@ func (g *Graph) unshare() {
 	g.nodeOwned = make([]bool, len(g.nodeOrder))
 	g.edgeOwned = nil
 	g.shared = false
+	g.keys = &attrKeys{}
 }
 
 // ownNode ensures nodeAttrs[i] is exclusively owned before a write.
@@ -544,6 +556,63 @@ func (g *Graph) EdgesView() []Edge {
 	return out
 }
 
+// attrKeys is the sorted union of the node attribute keys and that of
+// the edge attribute keys of the graphs that share one set of containers.
+type attrKeys struct {
+	nodeOnce, edgeOnce sync.Once
+	nodes, edges       []string
+}
+
+// NodeAttrKeys returns the sorted union of the node attribute keys. A
+// frozen master and its unwritten clones derive it once and share it; a
+// graph that owns its containers derives it on every call. The caller
+// must not modify the slice.
+func (g *Graph) NodeAttrKeys() []string {
+	union := func() []string {
+		seen := map[string]bool{}
+		for _, a := range g.nodeAttrs {
+			addKeys(seen, a)
+		}
+		return sortedKeys(seen)
+	}
+	if k := g.keys; g.shared && k != nil {
+		k.nodeOnce.Do(func() { k.nodes = union() })
+		return k.nodes
+	}
+	return union()
+}
+
+// EdgeAttrKeys is NodeAttrKeys for the edge attribute keys.
+func (g *Graph) EdgeAttrKeys() []string {
+	union := func() []string {
+		seen := map[string]bool{}
+		for _, a := range g.edges {
+			addKeys(seen, a)
+		}
+		return sortedKeys(seen)
+	}
+	if k := g.keys; g.shared && k != nil {
+		k.edgeOnce.Do(func() { k.edges = union() })
+		return k.edges
+	}
+	return union()
+}
+
+func addKeys(seen map[string]bool, a Attrs) {
+	for k := range a {
+		seen[k] = true
+	}
+}
+
+func sortedKeys(seen map[string]bool) []string {
+	keys := make([]string, 0, len(seen))
+	for k := range seen {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // Neighbors returns the out-neighbors of id (all neighbors when undirected),
 // sorted lexicographically for determinism.
 func (g *Graph) Neighbors(id string) []string {
@@ -644,6 +713,7 @@ func (g *Graph) Clone() *Graph {
 		edges:     maps.Clone(g.edges),
 		succ:      cloneAdjacency(g.succ),
 		pred:      cloneAdjacency(g.pred),
+		keys:      &attrKeys{},
 	}
 	if g.cow {
 		// COW mode: the clone shares every map the source shares, and gets

@@ -14,11 +14,11 @@ import (
 )
 
 func trafficWrapper() prompt.AppWrapper {
-	return traffic.NewWrapper(traffic.Generate(traffic.Config{Nodes: 10, Edges: 10, Seed: 1}))
+	return traffic.Wrapper{}
 }
 
 func maltWrapper() prompt.AppWrapper {
-	return malt.NewWrapper(malt.Generate(malt.Config{}))
+	return malt.Wrapper{}
 }
 
 func TestNewSimRejectsUnknown(t *testing.T) {

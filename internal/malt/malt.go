@@ -214,23 +214,16 @@ func DatabaseOf(nodes, edges *dataframe.Frame) *sqldb.DB {
 	return db
 }
 
-// Wrapper is the MALT application wrapper (framework box 1).
-type Wrapper struct {
-	T *Topology
-}
-
-// NewWrapper wraps t.
-func NewWrapper(t *Topology) *Wrapper { return &Wrapper{T: t} }
+// Wrapper is the MALT application wrapper (framework box 1). It holds no
+// data.
+type Wrapper struct{}
 
 // Name identifies the application.
-func (w *Wrapper) Name() string { return "network lifecycle management (MALT)" }
-
-// Graph returns the topology as a directed graph.
-func (w *Wrapper) Graph() *graph.Graph { return w.T.Graph() }
+func (Wrapper) Name() string { return "network lifecycle management (MALT)" }
 
 // Describe returns the data-model description injected into prompts,
 // specialized per backend.
-func (w *Wrapper) Describe(backend string) string {
+func (Wrapper) Describe(backend string) string {
 	common := "The data is a MALT (Multi-Abstraction-Layer Topology) model: a " +
 		"directed graph of network entities. Every node has attribute \"kind\" " +
 		"(one of EK_NETWORK, EK_DATACENTER, EK_CHASSIS, EK_PACKET_SWITCH, " +

@@ -115,7 +115,7 @@ func TestDatabaseQueries(t *testing.T) {
 }
 
 func TestWrapperDescriptions(t *testing.T) {
-	w := NewWrapper(Generate(Config{}))
+	w := Wrapper{}
 	for _, backend := range []string{"networkx", "pandas", "sql"} {
 		d := w.Describe(backend)
 		if !strings.Contains(d, "RK_CONTAINS") {

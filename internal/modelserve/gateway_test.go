@@ -23,8 +23,7 @@ func testPrompt(t testing.TB, id string) string {
 	if !ok {
 		t.Fatalf("unknown query %s", id)
 	}
-	g := traffic.Generate(traffic.Config{Nodes: 80, Edges: 80, Seed: 42})
-	return prompt.BuildCodePrompt(traffic.NewWrapper(g), prompt.BackendNetworkX, q.Text)
+	return prompt.BuildCodePrompt(traffic.Wrapper{}, prompt.BackendNetworkX, q.Text)
 }
 
 // echoProvider answers every request with a response derived from the

@@ -298,7 +298,7 @@ func TrafficDataset(cfg traffic.Config) InstanceBuilder {
 // to g do not reach it.
 func TrafficGeneration(g *graph.Graph) *Generation {
 	master := snapshot(g)
-	return newGeneration(queries.AppTraffic, traffic.NewWrapper(g), master, nil, func() relational {
+	return newGeneration(queries.AppTraffic, traffic.Wrapper{}, master, nil, func() relational {
 		nodes, edges := traffic.Frames(master)
 		return relational{nodes: nodes, edges: edges, db: traffic.DatabaseOf(nodes, edges)}
 	})
@@ -439,7 +439,7 @@ func MALTDataset() InstanceBuilder {
 // graph is built from t now; its frames and tables are built from t on
 // first use, so t must not change afterwards.
 func MALTGeneration(t *malt.Topology) *Generation {
-	return newGeneration(queries.AppMALT, malt.NewWrapper(t), snapshot(t.Graph()), nil, func() relational {
+	return newGeneration(queries.AppMALT, malt.Wrapper{}, snapshot(t.Graph()), nil, func() relational {
 		nodes, edges := t.Frames()
 		return relational{nodes: nodes, edges: edges, db: malt.DatabaseOf(nodes, edges)}
 	})
@@ -457,7 +457,7 @@ func DiagnosisDataset(cfg diagnosis.Config) InstanceBuilder {
 // first use, so w's probes must not change afterwards.
 func DiagnosisGeneration(w *diagnosis.Workload) *Generation {
 	master := &diagnosis.Workload{G: snapshot(w.G), Probes: w.Probes}
-	return newGeneration(queries.AppDiagnosis, diagnosis.NewWrapper(w), master.G, probesList(w.Probes), func() relational {
+	return newGeneration(queries.AppDiagnosis, diagnosis.Wrapper{}, master.G, probesList(w.Probes), func() relational {
 		nodes, edges, probes := master.Frames()
 		return relational{nodes: nodes, edges: edges, probes: probes, db: diagnosis.DatabaseOf(nodes, edges, probes)}
 	})

@@ -208,7 +208,8 @@ func TestEngineParityMutants(t *testing.T) {
 // strawman baseline embeds it in every prompt).
 func TestPromptContextForcesLazyGraph(t *testing.T) {
 	e := NewEvaluator(MALTDataset())
-	inst, graphJSON, err := e.promptContext()
+	inst := e.promptInst()
+	graphJSON, err := e.graphJSON()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,13 +61,12 @@ type Evaluator struct {
 	goldenMu sync.Mutex
 	golden   map[string]*goldenResult
 
-	// promptOnce builds the single instance used for prompt construction
-	// and strawman graph serialization; neither path executes code against
-	// it, so it is never mutated.
-	promptOnce sync.Once
-	promptInst *Instance
-	graphJSON  string
-	graphErr   error
+	// promptInst is the single instance used for prompt construction and
+	// strawman graph serialization; neither path executes code against
+	// it, so it is never mutated. Only the strawman reads graphJSON, so
+	// only the strawman builds it.
+	promptInst func() *Instance
+	graphJSON  func() (string, error)
 }
 
 type goldenResult struct {
@@ -82,21 +81,15 @@ type goldenResult struct {
 
 // NewEvaluator creates an evaluator over a dataset.
 func NewEvaluator(build InstanceBuilder) *Evaluator {
-	return &Evaluator{Build: build, Policy: sandbox.DefaultPolicy, golden: map[string]*goldenResult{}}
-}
-
-// promptContext returns the shared read-only instance used for prompt
-// construction, plus the node-link JSON of its graph (for the strawman
-// baseline), building both once.
-func (e *Evaluator) promptContext() (*Instance, string, error) {
-	e.promptOnce.Do(func() {
-		e.promptInst = e.Build()
-		// The strawman baseline serializes the graph into the prompt even
-		// for datasets whose evaluations are otherwise relational-only.
-		data, err := e.promptInst.G().MarshalJSON()
-		e.graphJSON, e.graphErr = string(data), err
+	e := &Evaluator{Build: build, Policy: sandbox.DefaultPolicy, golden: map[string]*goldenResult{}}
+	e.promptInst = sync.OnceValue(func() *Instance { return e.Build() })
+	// The strawman baseline serializes the graph into the prompt even for
+	// datasets whose evaluations are otherwise relational-only.
+	e.graphJSON = sync.OnceValues(func() (string, error) {
+		data, err := e.promptInst().G().MarshalJSON()
+		return string(data), err
 	})
-	return e.promptInst, e.graphJSON, e.graphErr
+	return e
 }
 
 // RunGolden executes the query's golden program for one backend on a fresh
@@ -186,8 +179,7 @@ func (e *Evaluator) EvaluateCode(q queries.Query, backend, code string) *Record 
 
 // EvaluateModel asks the model for code and evaluates it end to end.
 func (e *Evaluator) EvaluateModel(model llm.Model, q queries.Query, backend string, trial int, temperature float64) *Record {
-	inst, _, _ := e.promptContext() // prompt construction only reads the wrapper
-	p := prompt.BuildCodePrompt(inst.Wrapper, backend, q.Text)
+	p := prompt.BuildCodePrompt(e.promptInst().Wrapper, backend, q.Text)
 	resp, err := model.Generate(llm.Request{Prompt: p, Temperature: temperature, Attempt: trial})
 	if err != nil {
 		rec := &Record{
@@ -223,15 +215,15 @@ func (e *Evaluator) EvaluateStrawman(model *llm.SimModel, q queries.Query) *Reco
 	}
 	model.SetOracle(q.Text, oracle)
 	// The strawman never executes code, so the shared prompt instance and
-	// its pre-serialized graph JSON can be reused across every query.
-	inst, jsonData, err := e.promptContext()
+	// its serialized graph JSON can be reused across every query.
+	jsonData, err := e.graphJSON()
 	if err != nil {
 		rec.Stage = StageGolden
 		rec.Err = err.Error()
 		rec.ErrClass = LabelHarness
 		return rec
 	}
-	p := prompt.BuildStrawmanPrompt(inst.Wrapper, jsonData, q.Text)
+	p := prompt.BuildStrawmanPrompt(e.promptInst().Wrapper, jsonData, q.Text)
 	resp, err := model.Generate(llm.Request{Prompt: p})
 	if err != nil {
 		rec.Stage = StageGenerate

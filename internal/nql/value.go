@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
-	"strings"
+	"strconv"
 )
 
 // Value is any NQL runtime value: nil, bool, int64, float64, string, *List,
@@ -418,63 +418,62 @@ func Truthy(v Value) bool {
 // Repr renders a value for display and result comparison: deterministic,
 // with maps in insertion order and floats minimized.
 func Repr(v Value) string {
-	var sb strings.Builder
-	writeRepr(&sb, v)
-	return sb.String()
+	var buf [64]byte
+	return string(appendRepr(buf[:0], v))
 }
 
-func writeRepr(sb *strings.Builder, v Value) {
+// appendRepr appends Repr(v) to b. Scalars are formatted with strconv,
+// which gives the bytes fmt's %v, %d, %g and %q give.
+func appendRepr(b []byte, v Value) []byte {
 	switch x := v.(type) {
 	case nil:
-		sb.WriteString("nil")
+		return append(b, "nil"...)
 	case bool:
-		fmt.Fprintf(sb, "%v", x)
+		return strconv.AppendBool(b, x)
 	case int64:
-		fmt.Fprintf(sb, "%d", x)
+		return strconv.AppendInt(b, x, 10)
 	case float64:
 		if x == float64(int64(x)) && x < 1e15 && x > -1e15 {
-			fmt.Fprintf(sb, "%d.0", int64(x))
-		} else {
-			fmt.Fprintf(sb, "%g", x)
+			return append(strconv.AppendInt(b, int64(x), 10), ".0"...)
 		}
+		return strconv.AppendFloat(b, x, 'g', -1, 64)
 	case string:
-		fmt.Fprintf(sb, "%q", x)
+		return strconv.AppendQuote(b, x)
 	case *List:
-		sb.WriteString("[")
+		b = append(b, '[')
 		for i, it := range x.Items {
 			if i > 0 {
-				sb.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			writeRepr(sb, it)
+			b = appendRepr(b, it)
 		}
-		sb.WriteString("]")
+		return append(b, ']')
 	case *Map:
-		sb.WriteString("{")
+		b = append(b, '{')
 		for i, k := range x.keys {
 			if i > 0 {
-				sb.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			writeRepr(sb, k)
-			sb.WriteString(": ")
-			writeRepr(sb, x.vals[i])
+			b = appendRepr(b, k)
+			b = append(b, ": "...)
+			b = appendRepr(b, x.vals[i])
 		}
-		sb.WriteString("}")
+		return append(b, '}')
 	case *Closure:
 		name := x.Name
 		if name == "" {
 			name = "<lambda>"
 		}
-		fmt.Fprintf(sb, "<function %s>", name)
+		return append(append(append(b, "<function "...), name...), '>')
 	case *Builtin:
-		fmt.Fprintf(sb, "<builtin %s>", x.Name)
+		return append(append(append(b, "<builtin "...), x.Name...), '>')
 	case Object:
 		if s, ok := x.(fmt.Stringer); ok {
-			sb.WriteString(s.String())
-		} else {
-			fmt.Fprintf(sb, "<%s>", x.TypeName())
+			return append(b, s.String()...)
 		}
+		return append(append(append(b, '<'), x.TypeName()...), '>')
 	default:
-		fmt.Fprintf(sb, "%v", x)
+		return fmt.Appendf(b, "%v", x)
 	}
 }
 

@@ -118,7 +118,8 @@ func sameKind(a, b any) bool {
 
 // equal is SQL's =: the values compare equal and are of one kind. Two
 // strings, the commonest WHERE equality, and two numbers need no
-// three-way compare.
+// three-way compare. A string equals only an identical string, which the
+// string-equality access path (seek) relies on.
 func equal(a, b any) bool {
 	if as, ok := a.(string); ok {
 		bs, ok := b.(string)

@@ -351,6 +351,12 @@ func (db *DB) buildFrom(ctx context.Context, s *SelectStmt) (*workingSet, error)
 	prof := obs.ProfileFrom(ctx)
 	scan := prof.Enter("sql.scan", s.From.Name)
 	ws := tableScan(base, cmp.Or(s.From.Alias, s.From.Name))
+	if len(s.Joins) == 0 {
+		if err := ws.seek(ctx, base, s.Where); err != nil {
+			prof.Exit(scan, -1)
+			return nil, err
+		}
+	}
 	prof.Exit(scan, int64(ws.n))
 	for _, j := range s.Joins {
 		right, err := db.Table(j.Table.Name)
@@ -370,6 +376,60 @@ func (db *DB) buildFrom(ctx context.Context, s *SelectStmt) (*workingSet, error)
 		prof.Exit(jf, int64(joined.n))
 	}
 	return ws, nil
+}
+
+// seek narrows the one-table working set ws of table f to the rows that
+// can pass where, when where's leftmost conjunct is `col = 'string'` (the
+// literal on either side) on a column of ws and f has a string-equality
+// index for it (a frozen master or an unwritten clone of one). Every other
+// row fails that conjunct, which cannot raise an error, so WHERE, still run
+// in full over the rows left, keeps the same rows in the same order and
+// raises the same errors as over every row. Any other WHERE scans.
+func (ws *workingSet) seek(ctx context.Context, f *dataframe.Frame, where Expr) error {
+	for {
+		be, ok := where.(*BinaryExpr)
+		if !ok || be.Op != "AND" {
+			break
+		}
+		where = be.Left
+	}
+	eq, ok := where.(*BinaryExpr)
+	if !ok || eq.Op != "=" {
+		return nil
+	}
+	ref, isRef := eq.Left.(*ColumnRef)
+	lit, isLit := eq.Right.(*Literal)
+	if !isRef || !isLit {
+		ref, isRef = eq.Right.(*ColumnRef)
+		lit, isLit = eq.Left.(*Literal)
+	}
+	if !isRef || !isLit {
+		return nil
+	}
+	str, isStr := lit.Value.(string)
+	if !isStr {
+		return nil
+	}
+	_, col, err := ws.resolve(ref.Table, ref.Name)
+	if err != nil {
+		return nil
+	}
+	rows, ok := f.StringRows(ws.srcs[0].names[col], str)
+	if !ok {
+		return nil
+	}
+	// A scan polls the context at its first row; so does the seek.
+	if ws.n > 0 {
+		if err := cancelled(ctx, 0); err != nil {
+			return err
+		}
+	}
+	pos := make([]int, len(rows))
+	for i, r := range rows {
+		pos[i] = int(r)
+	}
+	ws.pos[0], ws.n = pos, len(pos)
+	return nil
 }
 
 // joinDetail renders one JOIN clause for a profile frame.

@@ -11,6 +11,13 @@
 // joins narrow and pair positions, and a SELECT copies out only the cells
 // of its result. The federated planner's ScanColumns builds a SELECT and
 // runs it on the same executor.
+//
+// A single-table SELECT whose WHERE leads with `col = 'string'` starts
+// from the rows the table's string-equality index holds for that string
+// instead of every row, when the table is a frozen master or an unwritten
+// clone of one (dataframe.Frame.StringRows). WHERE still runs over those
+// rows, and no other row could pass it or raise an error in it, so the
+// result and every error are the scan's.
 package sqldb
 
 import (

@@ -7,10 +7,12 @@ import "context"
 // `SELECT cols FROM table WHERE c1 AND c2 ...`, which runs on the one
 // executor every SELECT runs on, reading the table's column slices in
 // place. Its rows, error text and profile frames are therefore that
-// SELECT's. Joins and aggregates over its output run in the federated
-// executor, the same operators that serve frame and graph scans. Names are
-// taken as they are, never parsed, so a keyword or a dotted name is a
-// plain table or column name.
+// SELECT's, and a scan whose first condition is `col = string` on a
+// frozen table reads only the rows the table's string-equality index
+// returns, as that SELECT does (see seek). Joins and aggregates over its
+// output run in the federated executor, the same operators that serve
+// frame and graph scans. Names are taken as they are, never parsed, so a
+// keyword or a dotted name is a plain table or column name.
 
 // Cond is one WHERE conjunct over a scanned table: Col <Op> Value with Op
 // one of =, !=, <, <=, >, >= or prefix (LIKE 'v%' with v taken literally).

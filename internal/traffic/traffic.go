@@ -267,23 +267,15 @@ func DatabaseOf(nodes, edges *dataframe.Frame) *sqldb.DB {
 }
 
 // Wrapper is the traffic-analysis application wrapper (framework box 1):
-// it owns the graph and describes the data model to the prompt generator.
-type Wrapper struct {
-	G *graph.Graph
-}
-
-// NewWrapper wraps g.
-func NewWrapper(g *graph.Graph) *Wrapper { return &Wrapper{G: g} }
+// it describes the data model to the prompt generator. It holds no data.
+type Wrapper struct{}
 
 // Name identifies the application.
-func (w *Wrapper) Name() string { return "network traffic analysis" }
-
-// Graph returns the application's communication graph.
-func (w *Wrapper) Graph() *graph.Graph { return w.G }
+func (Wrapper) Name() string { return "network traffic analysis" }
 
 // Describe returns the natural-language data-model description injected
 // into prompts, specialized per backend.
-func (w *Wrapper) Describe(backend string) string {
+func (Wrapper) Describe(backend string) string {
 	common := "The data is a directed communication graph. Nodes are network " +
 		"endpoints; each node has attribute \"ip\" (dotted IPv4 string). Each " +
 		"directed edge represents observed traffic and has integer attributes " +

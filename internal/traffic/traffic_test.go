@@ -112,8 +112,7 @@ func TestDatabaseTables(t *testing.T) {
 }
 
 func TestWrapperDescriptions(t *testing.T) {
-	g := Generate(Config{Nodes: 5, Edges: 5, Seed: 1})
-	w := NewWrapper(g)
+	w := Wrapper{}
 	if w.Name() == "" {
 		t.Fatal("empty name")
 	}
