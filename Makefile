@@ -10,7 +10,8 @@
 # SandboxGoldenQuery / NQLVM / StreamSweep / GatewayThroughput /
 # ServiceQuery / FederatedJoin / FederatedGoldenQuery / FederatedAnalytics /
 # FederatedPipeline / FederatedSQLJoin / InstanceBind / DataframeRecords /
-# NQLDictBuild / SQLJoinWhere / SQLScan / SQLGroupBy / StateEqual).
+# DataframeGroupBy / NQLDictBuild / SQLJoinWhere / SQLScan / SQLGroupBy /
+# StateEqual).
 
 GO        ?= go
 BENCH_OUT ?= BENCH_13.json
@@ -66,15 +67,18 @@ race:
 # Coverage-guided fuzzing, 30 s per target: FuzzAnalyze (the NQL semantic
 # analyzer never panics), FuzzRun (an NQL program fails only as a syntax,
 # compile or categorized runtime error, never with a panic or an
-# internal-class error) and FuzzScanColumns (the SELECT that sqldb's
+# internal-class error), FuzzScanColumns (the SELECT that sqldb's
 # ScanColumns builds from a scan spec gives the same rows, error text and
-# profile frames as the parser's SELECT of the equivalent text). go test
+# profile frames as the parser's SELECT of the equivalent text) and
+# FuzzKeyContract (scalar keys, Equal and Compare agree, Compare is a total
+# order, and key encodings of different tuples differ). go test
 # -fuzz takes one target per run. A failing input is written to the
 # package's testdata/fuzz, where plain `go test` replays it from then on.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyze$$' -fuzztime 30s ./internal/nql/analysis
 	$(GO) test -run '^$$' -fuzz '^FuzzRun$$' -fuzztime 30s ./internal/nql
 	$(GO) test -run '^$$' -fuzz '^FuzzScanColumns$$' -fuzztime 30s ./internal/sqldb
+	$(GO) test -run '^$$' -fuzz '^FuzzKeyContract$$' -fuzztime 30s ./internal/scalar
 
 # Record the benchmark suite as test2json records for tooling: the macro
 # benchmarks (whole tables/figures/ablations) run one iteration, while the

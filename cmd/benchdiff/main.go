@@ -63,7 +63,7 @@ var (
 )
 
 // defaultWatch is the ROADMAP's regression watchlist.
-const defaultWatch = "Table2,Table4,GraphClone,GraphPageRank,SandboxGoldenQuery,NQLVM,StreamSweep,GatewayThroughput,ServiceQuery,ObsOverhead/disabled,FederatedJoin,FederatedGoldenQuery,FederatedAnalytics,FederatedPipeline,FederatedSQLJoin,InstanceBind,DataframeRecords,NQLDictBuild,SQLJoinWhere,SQLScan,SQLGroupBy,StateEqual"
+const defaultWatch = "Table2,Table4,GraphClone,GraphPageRank,SandboxGoldenQuery,NQLVM,StreamSweep,GatewayThroughput,ServiceQuery,ObsOverhead/disabled,FederatedJoin,FederatedGoldenQuery,FederatedAnalytics,FederatedPipeline,FederatedSQLJoin,InstanceBind,DataframeRecords,DataframeGroupBy,NQLDictBuild,SQLJoinWhere,SQLScan,SQLGroupBy,StateEqual"
 
 func main() {
 	oldPath := flag.String("old", "", "baseline BENCH_<n>.json (default: second-newest in .)")

@@ -43,6 +43,19 @@
 //	    join(fed.scan("graph", "degree"), "dst", "id").
 //	    sort("in_degree", false).limit(5).collect()
 //
+// The tabular substrates share one key and order contract,
+// internal/scalar, so an answer does not depend on the backend that ran
+// it: kinds rank nil < bool < number < string, int64 and float64 compare
+// by value (an int64 rounded through float64), -0 equals 0, and there is
+// one NaN, equal to itself and below every other number. sqldb's GROUP
+// BY, DISTINCT, joins, WHERE and ORDER BY, dataframe's GroupBy, Unique,
+// Merge and SortBy, and federate's aggregate, join, filters and sort all
+// go through it, and composite keys are encoded so that no string can
+// forge a field boundary. Two rules stay with their substrate: a federated
+// comparison that orders values of different kinds is an error, and NQL's
+// own ==, dict keys and state comparison keep language semantics (NaN !=
+// NaN under ==, -0.0 and each NaN payload a dict key of its own).
+//
 // The federated backend is selectable end to end — core.Session
 // (WithBackend("federated")), the netquery shell (-backend federated) — and
 // internal/nemoeval cross-checks every federated golden against the three

@@ -4,15 +4,21 @@
 // tables as frames, and generated code filters, sorts, groups, aggregates
 // and joins them.
 //
-// Values are normalized to nil, bool, int64, float64 or string. Column order
-// is preserved; row order is the frame's observable order.
+// Values are normalized to nil, bool, int64, float64 or string, the domain
+// of package scalar, whose key and order contract GroupBy, Unique, Merge,
+// SortBy and Equal follow. Column order is preserved; row order is the
+// frame's observable order.
 package dataframe
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+
+	"repro/internal/scalar"
 )
 
 // Frame is an immutable-by-convention columnar table. Operations return new
@@ -243,11 +249,8 @@ func (f *Frame) Rename(oldName, newName string) (*Frame, error) {
 		return nil, fmt.Errorf("dataframe: column %q already exists", newName)
 	}
 	out := f.Clone()
-	for i, c := range out.cols {
-		if c == oldName {
-			out.cols[i] = newName
-		}
-	}
+	out.cols = slices.Clone(f.cols) // a clone of a frozen master shares its list
+	out.cols[slices.Index(out.cols, oldName)] = newName
 	out.data[newName] = out.data[oldName]
 	if newName != oldName {
 		delete(out.data, oldName)
@@ -272,20 +275,15 @@ func (f *Frame) Freeze() {
 }
 
 // Clone returns a copy of the frame. Cloning a frozen master is O(columns):
-// the clone shares the master's column slices and its index, and drops
-// both when it is first mutated. Cloning an unfrozen frame deep-copies as
-// before.
+// the clone shares the master's column slices and index, and drops them
+// when it is first mutated, and its column list, which it never writes in
+// place (adding a column reallocates it). Cloning an unfrozen frame
+// deep-copies as before.
 func (f *Frame) Clone() *Frame {
-	out := New(f.cols...)
 	if f.frozen {
-		for _, c := range f.cols {
-			out.data[c] = f.data[c]
-		}
-		out.nrows = f.nrows
-		out.shared = true
-		out.index = f.index
-		return out
+		return &Frame{cols: slices.Clip(f.cols), data: maps.Clone(f.data), nrows: f.nrows, shared: true, index: f.index}
 	}
+	out := New(f.cols...)
 	for _, c := range f.cols {
 		out.data[c] = append([]any(nil), f.data[c]...)
 	}
@@ -395,7 +393,7 @@ func (f *Frame) FilterEq(col string, value any) (*Frame, error) {
 	want := normalize(value)
 	c := f.data[col]
 	return f.FilterIdx(func(i int) (bool, error) {
-		return CompareValues(c[i], want) == 0 && typedSameKind(c[i], want), nil
+		return scalar.Equal(c[i], want), nil
 	})
 }
 
@@ -429,7 +427,7 @@ func (f *Frame) SortBy(ascending bool, cols ...string) (*Frame, error) {
 	}
 	sort.SliceStable(idx, func(a, b int) bool {
 		for _, c := range cols {
-			cmp := CompareValues(f.data[c][idx[a]], f.data[c][idx[b]])
+			cmp := scalar.Compare(f.data[c][idx[a]], f.data[c][idx[b]])
 			if cmp != 0 {
 				if ascending {
 					return cmp < 0
@@ -499,10 +497,10 @@ func (f *Frame) Unique(col string) ([]any, error) {
 	if err != nil {
 		return nil, err
 	}
-	seen := map[string]bool{}
+	seen := map[scalar.Key]bool{}
 	var out []any
 	for _, v := range c {
-		k := keyString(v)
+		k, _ := scalar.KeyOf(v)
 		if !seen[k] {
 			seen[k] = true
 			out = append(out, v)
@@ -511,98 +509,11 @@ func (f *Frame) Unique(col string) ([]any, error) {
 	return out, nil
 }
 
-// CompareValues orders two normalized values: nil < bool < number < string,
-// numbers compare across int64/float64.
-func CompareValues(a, b any) int {
-	ra, rb := rank(a), rank(b)
-	if ra != rb {
-		return ra - rb
-	}
-	switch x := a.(type) {
-	case nil:
-		return 0
-	case bool:
-		y := b.(bool)
-		switch {
-		case x == y:
-			return 0
-		case !x:
-			return -1
-		default:
-			return 1
-		}
-	case int64:
-		return cmpFloat(float64(x), asFloat(b))
-	case float64:
-		return cmpFloat(x, asFloat(b))
-	case string:
-		return strings.Compare(x, b.(string))
-	default:
-		return strings.Compare(fmt.Sprintf("%v", a), fmt.Sprintf("%v", b))
-	}
-}
-
-func rank(v any) int {
-	switch v.(type) {
-	case nil:
-		return 0
-	case bool:
-		return 1
-	case int64, float64:
-		return 2
-	case string:
-		return 3
-	default:
-		return 4
-	}
-}
-
-func asFloat(v any) float64 {
-	switch x := v.(type) {
-	case int64:
-		return float64(x)
-	case float64:
-		return x
-	default:
-		return 0
-	}
-}
-
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func typedSameKind(a, b any) bool { return rank(a) == rank(b) }
-
-func keyString(v any) string {
-	switch x := v.(type) {
-	case nil:
-		return "\x00nil"
-	case bool:
-		return fmt.Sprintf("\x01%v", x)
-	case int64:
-		return fmt.Sprintf("\x02%v", float64(x))
-	case float64:
-		return fmt.Sprintf("\x02%v", x)
-	case string:
-		return "\x03" + x
-	default:
-		return "\x04" + fmt.Sprintf("%v", x)
-	}
-}
-
 // Equal reports deep equality of two frames: same columns (order-sensitive),
-// same rows in the same order, numeric values compared across int/float.
-// A column whose storage both frames share (an unwritten clone of a
-// frozen frame, or a SQL table a clone never wrote) is equal without a
-// walk: CompareValues is reflexive, NaN included, so identity is equality.
+// same rows in the same order, cells compared by scalar.Equal. A column
+// whose storage both frames share (an unwritten clone of a frozen frame,
+// or a SQL table a clone never wrote) is equal without a walk:
+// scalar.Equal is reflexive, NaN included, so identity is equality.
 func Equal(a, b *Frame) bool {
 	if a.nrows != b.nrows || len(a.cols) != len(b.cols) {
 		return false
@@ -617,10 +528,8 @@ func Equal(a, b *Frame) bool {
 		if len(ac) > 0 && len(ac) == len(bc) && &ac[0] == &bc[0] {
 			continue
 		}
-		// Values of different ranks (a string and a number) never compare
-		// 0, and int64 and float64 of one magnitude do.
 		for i := 0; i < a.nrows; i++ {
-			if CompareValues(ac[i], bc[i]) != 0 {
+			if !scalar.Equal(ac[i], bc[i]) {
 				return false
 			}
 		}

@@ -2,10 +2,13 @@ package dataframe
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/scalar"
 )
 
 func sample() *Frame {
@@ -455,18 +458,6 @@ func TestEqual(t *testing.T) {
 	}
 }
 
-func TestCompareValuesOrdering(t *testing.T) {
-	ordered := []any{nil, false, true, int64(-1), float64(0.5), int64(2), "a", "b"}
-	for i := 0; i < len(ordered)-1; i++ {
-		if CompareValues(ordered[i], ordered[i+1]) >= 0 {
-			t.Fatalf("ordering violated between %v and %v", ordered[i], ordered[i+1])
-		}
-	}
-	if CompareValues(int64(3), float64(3)) != 0 {
-		t.Fatal("cross-type numeric equality")
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	f := sample()
 	s := f.String()
@@ -520,7 +511,7 @@ func TestPropSortIsPermutationAndOrdered(t *testing.T) {
 		}
 		col, _ := s.Column("val")
 		for i := 1; i < len(col); i++ {
-			if CompareValues(col[i-1], col[i]) > 0 {
+			if scalar.Compare(col[i-1], col[i]) > 0 {
 				return false
 			}
 		}
@@ -565,6 +556,15 @@ func TestPropGroupSumsEqualTotal(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// asFloat reads an int64 or float64 sum as a float64.
+func asFloat(v any) float64 {
+	if x, ok := v.(int64); ok {
+		return float64(x)
+	}
+	f, _ := v.(float64)
+	return f
 }
 
 func TestPropCloneEqual(t *testing.T) {
@@ -709,5 +709,75 @@ func TestStringRowsLifetime(t *testing.T) {
 	again.Freeze()
 	if got := rows(again.Clone(), "k", "a"); got != "[0 1 3 7]" {
 		t.Errorf("re-frozen written clone: %s", got)
+	}
+}
+
+// TestGroupByKeyContract pins GroupBy, Unique, ValueCounts and Merge to the
+// scalar key contract: 1 and 1.0, -0 and 0, and NaN payloads are one key
+// each, and two-column keys whose strings hold the old 0x1f separator do
+// not collide.
+func TestGroupByKeyContract(t *testing.T) {
+	f := New("k", "v")
+	for _, k := range []any{int64(1), 1.0, int64(2), math.Copysign(0, -1), int64(0),
+		math.NaN(), math.Float64frombits(0x7ff8000000000002)} {
+		f.AppendRow(k, int64(1))
+	}
+	g, err := f.GroupBy("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumGroups() != 4 {
+		t.Errorf("GroupBy(k) gives %d groups, want 4", g.NumGroups())
+	}
+	if u, _ := f.Unique("k"); len(u) != 4 {
+		t.Errorf("Unique(k) = %v, want 4 values", u)
+	}
+	if vc, _ := f.ValueCounts("k"); vc.NumRows() != 4 {
+		t.Errorf("ValueCounts(k) has %d rows, want 4", vc.NumRows())
+	}
+	if m, _ := Merge(f, f, "k", "k", InnerJoin); m.NumRows() != 2*2+1+2*2+2*2 {
+		t.Errorf("self-merge on k has %d rows, want 13", m.NumRows())
+	}
+
+	pair := New("a", "b")
+	pair.AppendRow("x\x1fs:y", "z")
+	pair.AppendRow("x", "y\x1fs:z")
+	g, err = pair.GroupBy("a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumGroups() != 2 {
+		t.Errorf("GroupBy(a, b) merges two different keys into %d group(s)", g.NumGroups())
+	}
+}
+
+// TestFrozenCloneColumnList: clones of one frozen master share its column
+// list, so neither renaming nor adding a column in one shows in the master
+// or another clone.
+func TestFrozenCloneColumnList(t *testing.T) {
+	m := sample()
+	m.Freeze()
+	r, err := m.Clone().Rename("node", "id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := m.Clone().MutateIdx("x", func(int) (any, error) { return int64(1), nil })
+	b, _ := m.Clone().MutateIdx("y", func(int) (any, error) { return int64(2), nil })
+	want := []string{"node", "prefix", "bytes", "load"}
+	for name, c := range map[string]struct {
+		f    *Frame
+		cols []string
+	}{
+		"master":  {m, want},
+		"renamed": {r, []string{"id", "prefix", "bytes", "load"}},
+		"a":       {a, append(append([]string(nil), want...), "x")},
+		"b":       {b, append(append([]string(nil), want...), "y")},
+	} {
+		if !reflect.DeepEqual(c.f.Columns(), c.cols) {
+			t.Errorf("%s columns = %v, want %v", name, c.f.Columns(), c.cols)
+		}
+	}
+	if _, err := m.Column("node"); err != nil {
+		t.Errorf("master lost a column: %v", err)
 	}
 }

@@ -3,7 +3,8 @@ package dataframe
 import (
 	"fmt"
 	"math"
-	"strings"
+
+	"repro/internal/scalar"
 )
 
 // AggFunc names an aggregation for GroupBy.Agg and the column statistics
@@ -21,14 +22,12 @@ const (
 	AggLast  AggFunc = "last"
 )
 
-// Grouped is the result of Frame.GroupBy: an ordered set of groups keyed by
-// the grouping columns' values.
+// Grouped is the result of Frame.GroupBy: the groups of rows with equal
+// values (scalar.Equal) in every key column, in first-appearance order.
 type Grouped struct {
-	src      *Frame
-	keys     []string
-	order    []string         // canonical key strings in first-appearance order
-	groups   map[string][]int // key string -> row indices
-	keyCells map[string][]any // key string -> key values
+	src    *Frame
+	keys   []string
+	groups [][]int // each group's row indices, ascending
 }
 
 // GroupBy groups rows by the given key columns (first-appearance order).
@@ -38,35 +37,33 @@ func (f *Frame) GroupBy(keys ...string) (*Grouped, error) {
 			return nil, fmt.Errorf("dataframe: column %q does not exist (have %v)", k, f.cols)
 		}
 	}
-	g := &Grouped{
-		src:      f,
-		keys:     append([]string(nil), keys...),
-		groups:   map[string][]int{},
-		keyCells: map[string][]any{},
-	}
+	g := &Grouped{src: f, keys: append([]string(nil), keys...)}
+	index := map[string]int{}
+	var buf []byte
 	for i := 0; i < f.nrows; i++ {
-		parts := make([]string, len(keys))
-		cells := make([]any, len(keys))
-		for j, k := range keys {
-			cells[j] = f.data[k][i]
-			parts[j] = keyString(cells[j])
+		buf = buf[:0]
+		for _, k := range keys {
+			key, _ := scalar.KeyOf(f.data[k][i])
+			buf = key.Append(buf)
 		}
-		ks := strings.Join(parts, "\x1f")
-		if _, ok := g.groups[ks]; !ok {
-			g.order = append(g.order, ks)
-			g.keyCells[ks] = cells
+		gi, ok := index[string(buf)]
+		if !ok {
+			gi = len(g.groups)
+			index[string(buf)] = gi
+			g.groups = append(g.groups, nil)
 		}
-		g.groups[ks] = append(g.groups[ks], i)
+		g.groups[gi] = append(g.groups[gi], i)
 	}
 	return g, nil
 }
 
 // NumGroups returns the number of distinct groups.
-func (g *Grouped) NumGroups() int { return len(g.order) }
+func (g *Grouped) NumGroups() int { return len(g.groups) }
 
 // Agg computes one aggregate per group for each (column, func) pair. The
-// result frame has the key columns first, then one column per aggregation
-// named "<col>_<func>" (or "count" for AggCount with empty column).
+// result frame has the key columns first, holding each group's first
+// row's cells, then one column per aggregation named "<col>_<func>" (or
+// "count" for AggCount with empty column).
 func (g *Grouped) Agg(specs ...AggSpec) (*Frame, error) {
 	outCols := append([]string(nil), g.keys...)
 	names := make([]string, len(specs))
@@ -86,9 +83,12 @@ func (g *Grouped) Agg(specs ...AggSpec) (*Frame, error) {
 		}
 	}
 	out := New(outCols...)
-	for _, ks := range g.order {
-		rows := g.groups[ks]
-		vals := append([]any(nil), g.keyCells[ks]...)
+	vals := make([]any, 0, len(outCols))
+	for _, rows := range g.groups {
+		vals = vals[:0]
+		for _, k := range g.keys {
+			vals = append(vals, g.src.data[k][rows[0]])
+		}
 		for _, s := range specs {
 			v, err := aggregate(g.src, rows, s)
 			if err != nil {
@@ -168,7 +168,7 @@ func aggregate(f *Frame, rows []int, s AggSpec) (any, error) {
 				best = v
 				continue
 			}
-			cmp := CompareValues(v, best)
+			cmp := scalar.Compare(v, best)
 			if (s.Func == AggMin && cmp < 0) || (s.Func == AggMax && cmp > 0) {
 				best = v
 			}
@@ -224,10 +224,10 @@ func (f *Frame) ValueCounts(col string) (*Frame, error) {
 	valCol := counts.data[col]
 	cntCol := counts.data["count"]
 	sortStableBy(idx, func(a, b int) bool {
-		if c := CompareValues(cntCol[a], cntCol[b]); c != 0 {
+		if c := scalar.Compare(cntCol[a], cntCol[b]); c != 0 {
 			return c > 0
 		}
-		return CompareValues(valCol[a], valCol[b]) < 0
+		return scalar.Compare(valCol[a], valCol[b]) < 0
 	})
 	return counts.Take(idx), nil
 }

@@ -1,6 +1,10 @@
 package dataframe
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/scalar"
+)
 
 // JoinKind selects the join semantics for Merge.
 type JoinKind string
@@ -51,16 +55,16 @@ func Merge(left, right *Frame, leftKey, rightKey string, kind JoinKind) (*Frame,
 	out := New(outCols...)
 
 	// Hash the right side.
-	index := map[string][]int{}
-	rk := right.data[rightKey]
-	for i := 0; i < right.nrows; i++ {
-		k := keyString(rk[i])
+	index := map[scalar.Key][]int{}
+	for i, v := range right.data[rightKey] {
+		k, _ := scalar.KeyOf(v)
 		index[k] = append(index[k], i)
 	}
 
 	lk := left.data[leftKey]
 	for i := 0; i < left.nrows; i++ {
-		matches := index[keyString(lk[i])]
+		k, _ := scalar.KeyOf(lk[i])
+		matches := index[k]
 		if len(matches) == 0 {
 			if kind == LeftJoin {
 				vals := make([]any, 0, len(outCols))

@@ -1,0 +1,232 @@
+package federate
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"repro/internal/dataframe"
+	"repro/internal/nql"
+	"repro/internal/sqldb"
+)
+
+// keyClasses lists one key set as classes of keys the scalar contract
+// finds equal: int and float of one value, two NaN payloads, ±0, 2^53 and
+// 2^53±1, nil, bools, and strings holding 0x1f or nothing.
+func keyClasses() [][]any {
+	const p53 = int64(1) << 53
+	return [][]any{
+		{int64(1), 1.0},
+		{math.NaN(), math.Float64frombits(0x7ff8000000000002)},
+		{0.0, math.Copysign(0, -1), int64(0)},
+		{p53 - 1},
+		{p53, p53 + 1, float64(p53)},
+		{nil},
+		{true},
+		{false},
+		{""},
+		{"a\x1fb"},
+		{"a"},
+		{"\x1f"},
+		{"1"},
+		{int64(2)},
+	}
+}
+
+// interleave lays the classes out as rows, taking each class's first
+// member in turn, then each second member, and so on, so no class is
+// contiguous. It returns the keys in row order and, per row, "m/n": the
+// smallest row id (ids count from 1) of its class and the class size.
+func interleave(classes [][]any) (keys []any, class []string) {
+	minID := make([]int, len(classes))
+	for j := 0; ; j++ {
+		added := false
+		for c, members := range classes {
+			if j < len(members) {
+				keys = append(keys, members[j])
+				if j == 0 {
+					minID[c] = len(keys)
+				}
+				class = append(class, fmt.Sprintf("%d/%d", minID[c], len(members)))
+				added = true
+			}
+		}
+		if !added {
+			return keys, class
+		}
+	}
+}
+
+// groupsOf is the "m/n" of each class in first-appearance order.
+func groupsOf(class []string) string {
+	var out []string
+	for i, c := range class {
+		if strings.HasPrefix(c, fmt.Sprintf("%d/", i+1)) {
+			out = append(out, c)
+		}
+	}
+	return strings.Join(out, " ")
+}
+
+// pairsClass renders, per left id, the smallest right id it joins and how
+// many it joins, from (left id, right id) pairs.
+func pairsClass(n int, pairs [][2]int64) string {
+	lo := make([]int64, n+1)
+	cnt := make([]int, n+1)
+	for _, p := range pairs {
+		if cnt[p[0]] == 0 || p[1] < lo[p[0]] {
+			lo[p[0]] = p[1]
+		}
+		cnt[p[0]]++
+	}
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("%d/%d", lo[i+1], cnt[i+1])
+	}
+	return strings.Join(out, " ")
+}
+
+// cellsOf reads a frame's two int64 columns as pairs.
+func cellsOf(t *testing.T, f *dataframe.Frame, a, b string) [][2]int64 {
+	t.Helper()
+	var out [][2]int64
+	for i := 0; i < f.NumRows(); i++ {
+		x, _ := f.Cell(i, a)
+		y, _ := f.Cell(i, b)
+		out = append(out, [2]int64{x.(int64), y.(int64)})
+	}
+	return out
+}
+
+func relCells(rel *Relation, a, b int) [][2]int64 {
+	var out [][2]int64
+	for _, row := range rel.Rows {
+		out = append(out, [2]int64{row[a].(int64), row[b].(int64)})
+	}
+	return out
+}
+
+func groupText(pairs [][2]int64) string {
+	out := make([]string, len(pairs))
+	for i, p := range pairs {
+		out[i] = fmt.Sprintf("%d/%d", p[0], p[1])
+	}
+	return strings.Join(out, " ")
+}
+
+// TestOnePartitionAcrossSubstrates runs one key set through every
+// operator that groups, de-duplicates or joins on a key: sqldb GROUP BY,
+// DISTINCT, COUNT(DISTINCT) and JOIN; dataframe GroupBy, Unique,
+// ValueCounts and Merge; federate's aggregate and join over frame and SQL
+// scans; and NQL dict keys. Every one partitions the keys into the same
+// classes. NQL's dict is the pinned exception: its keys are language
+// values, so nil is not a key and -0.0 and each NaN payload are keys of
+// their own.
+func TestOnePartitionAcrossSubstrates(t *testing.T) {
+	classes := keyClasses()
+	keys, class := interleave(classes)
+	n := len(keys)
+	perRow, groups := strings.Join(class, " "), groupsOf(class)
+	f := dataframe.New("id", "k")
+	for i, k := range keys {
+		f.AppendRow(int64(i+1), k)
+	}
+	db := sqldb.NewDB()
+	db.CreateTable("t", f.Clone())
+	query := func(q string) *dataframe.Frame {
+		out, err := db.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		return out
+	}
+	check := func(what, got, want string) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s:\n got  %s\n want %s", what, got, want)
+		}
+	}
+
+	check("sqldb GROUP BY", groupText(cellsOf(t, query("SELECT MIN(id) AS m, COUNT(*) AS c FROM t GROUP BY k"), "m", "c")), groups)
+	check("sqldb DISTINCT", fmt.Sprint(query("SELECT DISTINCT k FROM t").NumRows()), fmt.Sprint(len(classes)))
+	// COUNT skips NULL, which is one class.
+	check("sqldb COUNT(DISTINCT)", fmt.Sprint(query("SELECT COUNT(DISTINCT k) AS c FROM t").Row(0)["c"]), fmt.Sprint(len(classes)-1))
+	check("sqldb JOIN", pairsClass(n, cellsOf(t, query("SELECT a.id AS l, b.id AS r FROM t a JOIN t b ON a.k = b.k"), "l", "r")), perRow)
+
+	g, err := f.GroupBy("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := g.Agg(dataframe.AggSpec{Col: "id", Func: dataframe.AggMin, Name: "m"}, dataframe.AggSpec{Func: dataframe.AggCount, Name: "c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("dataframe GroupBy", groupText(cellsOf(t, agg, "m", "c")), groups)
+	u, _ := f.Unique("k")
+	check("dataframe Unique", fmt.Sprint(len(u)), fmt.Sprint(len(classes)))
+	vc, _ := f.ValueCounts("k")
+	check("dataframe ValueCounts", fmt.Sprint(vc.NumRows()), fmt.Sprint(len(classes)))
+	m, err := dataframe.Merge(f, f, "k", "k", dataframe.InnerJoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("dataframe Merge", pairsClass(n, cellsOf(t, m, "id", "id_right")), perRow)
+
+	cat := &Catalog{Frames: map[string]*dataframe.Frame{"t": f}, DB: db}
+	for _, src := range []string{SourceFrame, SourceSQL} {
+		scan := func() Node { return &Scan{Source: src, Table: "t"} }
+		rel, err := Run(cat, &Aggregate{Input: scan(), GroupBy: []string{"k"},
+			Aggs: []AggSpec{{Col: "id", Fn: AggMin, As: "m"}, {Fn: AggCount, As: "c"}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(src+" aggregate", groupText(relCells(rel, 1, 2)), groups)
+		rel, err = Run(cat, &Join{Left: scan(), Right: scan(), LeftKey: "k", RightKey: "k"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(src+" join", pairsClass(n, relCells(rel, 0, 2)), perRow)
+	}
+
+	// NQL dict keys: the same classes, split and trimmed by the exception.
+	var nqlClasses [][]any
+	for _, c := range classes {
+		var kept []any
+		for _, k := range c {
+			x, isFloat := k.(float64)
+			switch {
+			case k == nil:
+			case isFloat && (math.Signbit(x) || math.Float64bits(x) == 0x7ff8000000000002):
+				nqlClasses = append(nqlClasses, []any{k})
+			default:
+				kept = append(kept, k)
+			}
+		}
+		if len(kept) > 0 {
+			nqlClasses = append(nqlClasses, kept)
+		}
+	}
+	nqlKeys, nqlClass := interleave(nqlClasses)
+	d := nql.NewMap()
+	ids := make([]int64, len(nqlKeys))
+	sizes := map[int64]int{}
+	for i, k := range nqlKeys {
+		if v, ok := d.Get(k); ok {
+			ids[i] = v.(int64)
+		} else if err := d.Set(k, int64(i+1)); err != nil {
+			t.Fatal(err)
+		} else {
+			ids[i] = int64(i + 1)
+		}
+		sizes[ids[i]]++
+	}
+	got := make([]string, len(ids))
+	for i, id := range ids {
+		got[i] = fmt.Sprintf("%d/%d", id, sizes[id])
+	}
+	check("NQL dict keys", strings.Join(got, " "), strings.Join(nqlClass, " "))
+	if err := d.Set(nil, int64(0)); err == nil {
+		t.Error("nil became an NQL dict key")
+	}
+}

@@ -3,7 +3,6 @@ package federate
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -11,6 +10,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/nql"
 	"repro/internal/obs"
+	"repro/internal/scalar"
 	"repro/internal/sqldb"
 )
 
@@ -395,8 +395,8 @@ func frameColumns(f *dataframe.Frame) columns {
 
 // scanSQL runs the scan as sqldb's columnar ScanColumns. Every pushed
 // predicate sqlCond maps becomes a WHERE condition there; the rest
-// (contains, bool and nil literals) filter its result locally with NQL
-// semantics.
+// (contains, bool and nil literals) filter its result locally through
+// evalCmp, which compares as sqldb does.
 func scanSQL(cat *Catalog, s *Scan) (columns, error) {
 	if cat.DB == nil {
 		return columns{}, fmt.Errorf("federate: catalog has no sql source")
@@ -577,23 +577,23 @@ func joinRelations(cat *Catalog, j *Join, left, right *columns) (*Relation, erro
 		taken[c] = true
 		cols = append(cols, c)
 	}
-	rkeys := make([]vkey, right.n)
+	rkeys := make([]scalar.Key, right.n)
 	for r := range rkeys {
 		if err := cat.cancelled(r); err != nil {
 			return nil, err
 		}
-		k, err := valueKey(right.at(ri, r))
+		k, err := hashKey(right.at(ri, r))
 		if err != nil {
 			return nil, fmt.Errorf("federate: join key %s: %w", j.RightKey, err)
 		}
 		rkeys[r] = k
 	}
-	lkeys := make([]vkey, left.n)
+	lkeys := make([]scalar.Key, left.n)
 	for r := range lkeys {
 		if err := cat.cancelled(r); err != nil {
 			return nil, err
 		}
-		k, err := valueKey(left.at(li, r))
+		k, err := hashKey(left.at(li, r))
 		if err != nil {
 			return nil, fmt.Errorf("federate: join key %s: %w", j.LeftKey, err)
 		}
@@ -603,7 +603,7 @@ func joinRelations(cat *Catalog, j *Join, left, right *columns) (*Relation, erro
 	// i; built by probing whichever side is hashed.
 	matches := make([][]int, left.n)
 	if j.buildLeft {
-		index := make(map[vkey][]int, left.n)
+		index := make(map[scalar.Key][]int, left.n)
 		for i, k := range lkeys {
 			index[k] = append(index[k], i)
 		}
@@ -613,7 +613,7 @@ func joinRelations(cat *Catalog, j *Join, left, right *columns) (*Relation, erro
 			}
 		}
 	} else {
-		index := make(map[vkey][]int, right.n)
+		index := make(map[scalar.Key][]int, right.n)
 		for ji, k := range rkeys {
 			index[k] = append(index[k], ji)
 		}
@@ -658,61 +658,13 @@ func joinRelations(cat *Catalog, j *Join, left, right *columns) (*Relation, erro
 	return out, nil
 }
 
-// vkey is the comparable hash key for a scalar join/group value (the
-// sqldb struct-key idiom, replacing the old canonical-string rendering).
-// Numbers collapse across int64/float64 by keying on the float64 bit
-// pattern, with every NaN canonicalized to a single representation so NaN
-// keys still group together; -0.0 and 0.0 stay distinct, exactly like the
-// old "%v" rendering.
-type vkey struct {
-	kind uint8 // 0 nil, 1 bool, 2 number, 3 string
-	bits uint64
-	str  string
-}
-
-// valueKey builds the hash key for a scalar value; non-scalar values are
-// unhashable, with the same error as the old string rendering.
-func valueKey(v nql.Value) (vkey, error) {
-	switch x := v.(type) {
-	case nil:
-		return vkey{}, nil
-	case bool:
-		var b uint64
-		if x {
-			b = 1
-		}
-		return vkey{kind: 1, bits: b}, nil
-	case int64:
-		return vkey{kind: 2, bits: canonFloatBits(float64(x))}, nil
-	case float64:
-		return vkey{kind: 2, bits: canonFloatBits(x)}, nil
-	case string:
-		return vkey{kind: 3, str: x}, nil
-	default:
-		return vkey{}, fmt.Errorf("unhashable value of type %s", nql.TypeName(v))
+// hashKey is a join or group value's scalar key; a value outside the
+// scalar domain (a list or map) cannot be hashed.
+func hashKey(v nql.Value) (scalar.Key, error) {
+	if k, ok := scalar.KeyOf(v); ok {
+		return k, nil
 	}
-}
-
-func canonFloatBits(f float64) uint64 {
-	if math.IsNaN(f) {
-		return math.Float64bits(math.NaN())
-	}
-	return math.Float64bits(f)
-}
-
-// appendTo serializes a vkey into a composite group-key buffer (kind
-// byte, then the payload, then a field separator).
-func (k vkey) appendTo(buf []byte) []byte {
-	buf = append(buf, k.kind)
-	switch k.kind {
-	case 1, 2:
-		buf = append(buf,
-			byte(k.bits>>56), byte(k.bits>>48), byte(k.bits>>40), byte(k.bits>>32),
-			byte(k.bits>>24), byte(k.bits>>16), byte(k.bits>>8), byte(k.bits))
-	case 3:
-		buf = append(buf, k.str...)
-	}
-	return append(buf, 0x1f)
+	return scalar.Key{}, fmt.Errorf("unhashable value of type %s", nql.TypeName(v))
 }
 
 func execAggregate(cat *Catalog, a *Aggregate) (*Relation, error) {
@@ -753,7 +705,7 @@ type aggState struct {
 	aidx []int
 	// Single-column groups hash on the comparable struct key directly;
 	// composite groups serialize the per-column keys into one buffer.
-	single map[vkey]*aggGroup
+	single map[scalar.Key]*aggGroup
 	groups map[string]*aggGroup
 	order  []*aggGroup
 	kbuf   []byte
@@ -785,7 +737,7 @@ func newAggState(a *Aggregate, in *columns) (*aggState, error) {
 	}
 	return &aggState{
 		a: a, in: in, gidx: gidx, aidx: aidx,
-		single: map[vkey]*aggGroup{}, groups: map[string]*aggGroup{},
+		single: map[scalar.Key]*aggGroup{}, groups: map[string]*aggGroup{},
 	}, nil
 }
 
@@ -801,7 +753,7 @@ func (st *aggState) newGroup(r int) *aggGroup {
 
 func (st *aggState) lookup(r int) (*aggGroup, error) {
 	if len(st.gidx) == 1 {
-		k, err := valueKey(st.in.at(st.gidx[0], r))
+		k, err := hashKey(st.in.at(st.gidx[0], r))
 		if err != nil {
 			return nil, fmt.Errorf("federate: group key %s: %w", st.in.names[st.gidx[0]], err)
 		}
@@ -814,11 +766,11 @@ func (st *aggState) lookup(r int) (*aggGroup, error) {
 	}
 	st.kbuf = st.kbuf[:0]
 	for _, j := range st.gidx {
-		k, err := valueKey(st.in.at(j, r))
+		k, err := hashKey(st.in.at(j, r))
 		if err != nil {
 			return nil, fmt.Errorf("federate: group key %s: %w", st.in.names[j], err)
 		}
-		st.kbuf = k.appendTo(st.kbuf)
+		st.kbuf = k.Append(st.kbuf)
 	}
 	g, ok := st.groups[string(st.kbuf)]
 	if !ok {
@@ -925,7 +877,7 @@ func (g *agg) add(fn string, v nql.Value) error {
 			g.best, g.haveBest = v, true
 			return nil
 		}
-		cmp := dataframe.CompareValues(g.best, v)
+		cmp := scalar.Compare(g.best, v)
 		if (fn == AggMin && cmp > 0) || (fn == AggMax && cmp < 0) {
 			g.best = v
 		}
@@ -978,7 +930,7 @@ func execSort(cat *Catalog, s *Sort) (*Relation, error) {
 	rows := append([][]nql.Value(nil), in.Rows...)
 	sort.SliceStable(rows, func(a, b int) bool {
 		for _, j := range idx {
-			cmp := dataframe.CompareValues(rows[a][j], rows[b][j])
+			cmp := scalar.Compare(rows[a][j], rows[b][j])
 			if cmp != 0 {
 				if s.Ascending {
 					return cmp < 0
@@ -1006,18 +958,21 @@ func execLimit(cat *Catalog, l *Limit) (*Relation, error) {
 	return &Relation{Cols: in.Cols, Rows: in.Rows[:n]}, nil
 }
 
-// evalCmp evaluates one structured comparison against a cell.
+// evalCmp evaluates one structured comparison against a cell. == and !=
+// follow scalar.Equal, so a value outside the scalar domain equals
+// nothing. Ordering is scalar.Compare between two numbers or two strings;
+// ordering values of different kinds is an error, NQL's rule.
 func evalCmp(op string, cell, want nql.Value) (bool, error) {
 	switch op {
 	case "==":
-		return scalarEqual(cell, want), nil
+		return scalar.Equal(cell, want), nil
 	case "!=":
-		return !scalarEqual(cell, want), nil
+		return !scalar.Equal(cell, want), nil
 	case "<", "<=", ">", ">=":
-		cmp, err := orderedCompare(cell, want)
-		if err != nil {
-			return false, err
+		if !orderable(cell, want) {
+			return false, fmt.Errorf("federate: cannot order %s against %s", nql.TypeName(cell), nql.TypeName(want))
 		}
+		cmp := scalar.Compare(cell, want)
 		switch op {
 		case "<":
 			return cmp < 0, nil
@@ -1047,43 +1002,17 @@ func evalCmp(op string, cell, want nql.Value) (bool, error) {
 	}
 }
 
-func scalarEqual(a, b nql.Value) bool {
+// orderable reports whether a and b are two numbers or two strings.
+func orderable(a, b nql.Value) bool {
 	switch a.(type) {
-	case nil, bool, int64, float64, string:
-		return nql.ValuesEqual(a, b)
-	default:
-		return false
-	}
-}
-
-func orderedCompare(a, b nql.Value) (int, error) {
-	an, aok := asNumber(a)
-	bn, bok := asNumber(b)
-	if aok && bok {
-		switch {
-		case an < bn:
-			return -1, nil
-		case an > bn:
-			return 1, nil
-		default:
-			return 0, nil
+	case int64, float64:
+		switch b.(type) {
+		case int64, float64:
+			return true
 		}
+	case string:
+		_, ok := b.(string)
+		return ok
 	}
-	as, aok2 := a.(string)
-	bs, bok2 := b.(string)
-	if aok2 && bok2 {
-		return strings.Compare(as, bs), nil
-	}
-	return 0, fmt.Errorf("federate: cannot order %s against %s", nql.TypeName(a), nql.TypeName(b))
-}
-
-func asNumber(v nql.Value) (float64, bool) {
-	switch x := v.(type) {
-	case int64:
-		return float64(x), true
-	case float64:
-		return x, true
-	default:
-		return 0, false
-	}
+	return false
 }

@@ -420,3 +420,70 @@ func TestOperatorsReadScanLikeRelation(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyContractAcrossScans pins the federated operators to the scalar
+// contract. A composite group key whose strings hold the old field
+// separator does not collide, and a comparison filtered locally on a frame
+// or graph scan keeps the rows sqldb keeps for the same pushed condition:
+// NaN equals only NaN and sorts below every number, -0 equals 0, and int64
+// beyond 2^53 compares through float64.
+func TestKeyContractAcrossScans(t *testing.T) {
+	const p53 = int64(1) << 53
+	f := dataframe.New("id", "a", "b", "x")
+	g := graph.NewDirected()
+	for i, r := range []struct {
+		a, b string
+		x    any
+	}{
+		{"x\x1f\x03y", "z", int64(1)},
+		{"x", "y\x1f\x03z", 1.0},
+		{"p", "q", math.NaN()},
+		{"p", "q", math.Copysign(0, -1)},
+		{"p", "q", p53 + 1},
+	} {
+		id := fmt.Sprint(i)
+		f.AppendRow(id, r.a, r.b, r.x)
+		g.AddNode(id, graph.Attrs{"a": r.a, "b": r.b, "x": r.x})
+	}
+	db := sqldb.NewDB()
+	db.CreateTable("t", f.Clone())
+	cat := &Catalog{Graph: g, Frames: map[string]*dataframe.Frame{"t": f}, DB: db}
+
+	agg := &Aggregate{Input: &Scan{Source: SourceFrame, Table: "t"}, GroupBy: []string{"a", "b"},
+		Aggs: []AggSpec{{Fn: AggCount, As: "n"}}}
+	if _, repr, errText, _ := outcome(cat, agg); repr != `[{"a": "x\x1f\x03y", "b": "z", "n": 1}, {"a": "x", "b": "y\x1f\x03z", "n": 1}, {"a": "p", "b": "q", "n": 3}]` {
+		t.Errorf("group by a, b: %s %s", repr, errText)
+	}
+
+	for _, c := range []struct {
+		cmp  Cmp
+		want string
+	}{
+		{Cmp{Col: "x", Op: "==", Value: math.NaN()}, "2"},
+		{Cmp{Col: "x", Op: "==", Value: int64(1)}, "0,1"},
+		{Cmp{Col: "x", Op: "==", Value: int64(0)}, "3"},
+		{Cmp{Col: "x", Op: "==", Value: p53}, "4"},
+		{Cmp{Col: "x", Op: "!=", Value: math.NaN()}, "0,1,3,4"},
+		{Cmp{Col: "x", Op: "<", Value: math.Inf(-1)}, "2"},
+		{Cmp{Col: "x", Op: ">=", Value: int64(0)}, "0,1,3,4"},
+	} {
+		for _, src := range []string{SourceSQL, SourceFrame, SourceGraph} {
+			table := "t"
+			if src == SourceGraph {
+				table = "nodes"
+			}
+			rel, err := Run(cat, &Filter{Input: &Scan{Source: src, Table: table, Cols: []string{"id", "x"}}, Pred: c.cmp})
+			if err != nil {
+				t.Errorf("%s x %s %v: %v", src, c.cmp.Op, c.cmp.Value, err)
+				continue
+			}
+			var ids []string
+			for _, row := range rel.Rows {
+				ids = append(ids, row[0].(string))
+			}
+			if got := strings.Join(ids, ","); got != c.want {
+				t.Errorf("%s x %s %v: rows %s, want %s", src, c.cmp.Op, c.cmp.Value, got, c.want)
+			}
+		}
+	}
+}

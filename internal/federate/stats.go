@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/dataframe"
+	"repro/internal/scalar"
 )
 
 // This file collects the substrate statistics feeding the cost-based
@@ -163,12 +164,16 @@ func sampleDistinct(col []any) int {
 	if n > statsSampleMax {
 		stride = n / statsSampleMax
 	}
-	seen := map[vkey]bool{}
+	seen := map[scalar.Key]bool{}
 	sampled, distinct := 0, 0
 	for i := 0; i < n; i += stride {
 		sampled++
-		k, err := rawKey(col[i])
-		if err != nil {
+		cell := col[i] // a raw graph attribute may be a Go int, which lifts to int64
+		if x, ok := cell.(int); ok {
+			cell = int64(x)
+		}
+		k, ok := scalar.KeyOf(cell)
+		if !ok {
 			// Non-scalar cells: treat each as distinct.
 			distinct++
 			continue
@@ -190,25 +195,6 @@ func sampleDistinct(col []any) int {
 	}
 	return est
 }
-
-// rawKey builds a hash key for a raw substrate cell (pre-lift); the lift
-// of a scalar cell is itself, so valueKey applies directly.
-func rawKey(cell any) (vkey, error) {
-	switch x := cell.(type) {
-	case nil, bool, int64, float64, string:
-		return valueKey(x)
-	case int:
-		return valueKey(int64(x))
-	default:
-		return vkey{}, errNonScalarCell
-	}
-}
-
-var errNonScalarCell = &nonScalarCellError{}
-
-type nonScalarCellError struct{}
-
-func (*nonScalarCellError) Error() string { return "non-scalar cell" }
 
 func graphStats(cat *Catalog, table string) *TableStats {
 	g := cat.Graph

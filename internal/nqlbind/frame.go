@@ -496,11 +496,12 @@ func (o *FrameObject) member(name string) (nql.Value, bool) {
 			if len(args) != int(f.NumCols()) {
 				return nil, argCount(line, "append_row", fmt.Sprintf("%d", f.NumCols()), len(args))
 			}
-			vals := make([]any, len(args))
 			for i, a := range args {
-				vals[i] = toGoValue(a)
+				if !isCell(a) {
+					return nil, cellErr(line, "append_row", f.Columns()[i], a)
+				}
 			}
-			f.AppendRow(vals...)
+			f.AppendRow(args...)
 			return nil, nil
 		}), true
 	case "set_cell":
@@ -516,7 +517,10 @@ func (o *FrameObject) member(name string) (nql.Value, bool) {
 			if err != nil {
 				return nil, err
 			}
-			if err := f.SetCell(int(i), col, toGoValue(args[2])); err != nil {
+			if !isCell(args[2]) {
+				return nil, cellErr(line, "set_cell", col, args[2])
+			}
+			if err := f.SetCell(int(i), col, args[2]); err != nil {
 				return nil, runtimeErr(nql.ErrAttr, line, err)
 			}
 			return nil, nil
@@ -528,6 +532,21 @@ func (o *FrameObject) member(name string) (nql.Value, bool) {
 	default:
 		return nil, false
 	}
+}
+
+// isCell reports whether a frame can store v: a list, map or function
+// would be stored as its Go text.
+func isCell(v nql.Value) bool {
+	switch v.(type) {
+	case *nql.List, *nql.Map, *nql.Closure, *nql.Builtin:
+		return false
+	}
+	return true
+}
+
+func cellErr(line int, name, col string, v nql.Value) error {
+	return &nql.RuntimeError{Class: nql.ErrArg, Line: line,
+		Msg: fmt.Sprintf("%s() value for column %q must not be a %s", name, col, nql.TypeName(v))}
 }
 
 // GroupedObject wraps a dataframe grouping; its agg() accepts [col, fn] or

@@ -79,3 +79,27 @@ return out.column("b")`)
 		t.Fatalf("mutate saw stale values: got %s, want [2, 200]", got)
 	}
 }
+
+// TestFrameWritesRejectContainers: append_row and set_cell refuse a list,
+// dict or function, which a frame cell would hold only as its Go text,
+// with an argument error naming the column, and leave the frame as it was.
+func TestFrameWritesRejectContainers(t *testing.T) {
+	for src, want := range map[string]string{
+		`df.append_row(1, [2])`:      `nql argument error on line 1: append_row() value for column "b" must not be a list`,
+		`df.append_row({"k": 1}, 2)`: `nql argument error on line 1: append_row() value for column "a" must not be a map`,
+		`df.set_cell(0, "b", {})`:    `nql argument error on line 1: set_cell() value for column "b" must not be a map`,
+		`func f(x) { return x }
+df.set_cell(0, "a", f)`: `nql argument error on line 2: set_cell() value for column "a" must not be a function`,
+		`df.set_cell(0, "a", len)`: `nql argument error on line 1: set_cell() value for column "a" must not be a builtin`,
+	} {
+		f := dataframe.New("a", "b")
+		f.AppendRow(int64(1), "x")
+		_, err := nql.NewInterp(nql.Limits{}, map[string]nql.Value{"df": NewFrameObject(f)}).Run(src)
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", src, err, want)
+		}
+		if f.NumRows() != 1 || f.Row(0)["a"] != int64(1) || f.Row(0)["b"] != "x" {
+			t.Errorf("%s: frame changed to %v", src, f.Records())
+		}
+	}
+}

@@ -192,8 +192,8 @@ func runBoth(t *testing.T, build func() *dataframe.Frame, src string) (rows, map
 }
 
 // containerFrame returns a frame of two rows whose "tags" cells hold lists
-// and whose "m" cells hold maps. A frame's own writes store such values as
-// strings; the cells are placed directly so that the row form is checked
+// and whose "m" cells hold maps. NQL's append_row and set_cell refuse such
+// values; the cells are placed directly so that the row form is checked
 // not to rely on that.
 func containerFrame() *dataframe.Frame {
 	return dataframe.FromColumns([]string{"id", "tags", "m"}, [][]any{
@@ -260,7 +260,7 @@ for r in df.records() {
 		{`df.append_row(3, ["x"], {"k": 1})
 let out = []
 for r in df.records() { push(out, r["tags"]) }
-return out`, `[["a"], ["b", "c"], "[x]"]`, containerFrame},
+return out`, `error: nql argument error on line 1: append_row() value for column "tags" must not be a list`, containerFrame},
 	}
 	for i, c := range cases {
 		frame := c.frame

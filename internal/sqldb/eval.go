@@ -3,10 +3,9 @@ package sqldb
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"strings"
 
-	"repro/internal/dataframe"
+	"repro/internal/scalar"
 )
 
 // evalExpr evaluates a non-aggregate expression against a row scope (the
@@ -60,7 +59,7 @@ func evalNode(e Expr, s scope) (any, error) {
 			if err != nil {
 				return nil, err
 			}
-			if equal(v, w) {
+			if scalar.Equal(v, w) {
 				found = true
 				break
 			}
@@ -85,7 +84,7 @@ func evalNode(e Expr, s scope) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		in := dataframe.CompareValues(v, lo) >= 0 && dataframe.CompareValues(v, hi) <= 0
+		in := scalar.Compare(v, lo) >= 0 && scalar.Compare(v, hi) <= 0
 		return in != x.Not, nil
 	case *CaseExpr:
 		for _, w := range x.Whens {
@@ -108,91 +107,26 @@ func evalNode(e Expr, s scope) (any, error) {
 	}
 }
 
-// sameKind reports whether = may find a and b equal: two numbers, or two
-// values of one dynamic type.
-func sameKind(a, b any) bool {
-	_, aNum := numAsFloat(a)
-	_, bNum := numAsFloat(b)
-	return aNum && bNum || reflect.TypeOf(a) == reflect.TypeOf(b)
-}
-
-// equal is SQL's =: the values compare equal and are of one kind. Two
-// strings, the commonest WHERE equality, and two numbers need no
-// three-way compare. A string equals only an identical string, which the
-// string-equality access path (seek) relies on.
-func equal(a, b any) bool {
-	if as, ok := a.(string); ok {
-		bs, ok := b.(string)
-		return ok && as == bs
-	}
-	if x, y, ok := numPair(a, b); ok {
-		return !(x < y || x > y)
-	}
-	return dataframe.CompareValues(a, b) == 0 && sameKind(a, b)
-}
-
 // compare evaluates `l op r` for the comparison operators =, !=, <, <=, >
-// and >=; ok is false for any other operator.
+// and >=; ok is false for any other operator. Equality and order are
+// scalar.Equal and scalar.Compare, the contract every substrate shares:
+// numbers compare by value across int64 and float64, a string equals
+// only an identical string (which seek relies on), and NaN equals only
+// NaN and sorts below every other number.
 func compare(op string, l, r any) (result, ok bool) {
-	if a, b, num := numPair(l, r); num {
-		return compareFloats(op, a, b)
-	}
 	switch op {
 	case "=":
-		return equal(l, r), true
+		return scalar.Equal(l, r), true
 	case "!=":
-		return !equal(l, r), true
+		return !scalar.Equal(l, r), true
 	case "<":
-		return dataframe.CompareValues(l, r) < 0, true
+		return scalar.Compare(l, r) < 0, true
 	case "<=":
-		return dataframe.CompareValues(l, r) <= 0, true
+		return scalar.Compare(l, r) <= 0, true
 	case ">":
-		return dataframe.CompareValues(l, r) > 0, true
+		return scalar.Compare(l, r) > 0, true
 	case ">=":
-		return dataframe.CompareValues(l, r) >= 0, true
-	}
-	return false, false
-}
-
-// numPair returns two numbers as the float64s CompareValues compares them
-// as: an int64 beyond 2^53 rounds, as it does there.
-func numPair(l, r any) (a, b float64, ok bool) {
-	switch x := l.(type) {
-	case int64:
-		a = float64(x)
-	case float64:
-		a = x
-	default:
-		return 0, 0, false
-	}
-	switch y := r.(type) {
-	case int64:
-		b = float64(y)
-	case float64:
-		b = y
-	default:
-		return 0, 0, false
-	}
-	return a, b, true
-}
-
-// compareFloats is compare on two numbers without CompareValues' type
-// dispatch. Like cmpFloat, it finds a NaN equal to every number: only a
-// true < or > tells two numbers apart.
-func compareFloats(op string, a, b float64) (result, ok bool) {
-	switch op {
-	case "=":
-		return !(a < b || a > b), true
-	case "!=":
-		return a < b || a > b, true
-	case "<":
-		return a < b, true
-	case "<=":
-		return !(a > b), true
-	case ">":
-		return a > b, true
-	case ">=":
-		return !(a < b), true
+		return scalar.Compare(l, r) >= 0, true
 	}
 	return false, false
 }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -12,6 +11,7 @@ import (
 
 	"repro/internal/dataframe"
 	"repro/internal/obs"
+	"repro/internal/scalar"
 )
 
 // cancelCheckEvery is the executor's row-loop checkpoint stride: the
@@ -483,19 +483,19 @@ func filter(ctx context.Context, cond Expr, ws *workingSet) error {
 func join(ctx context.Context, ws *workingSet, j JoinClause, right *workingSet) (*workingSet, error) {
 	cond := j.On
 	leftKey, rightKey, residual := equiJoinKeys(j.On, ws, right.srcs[0])
-	var index map[joinKey][]int
+	var index map[scalar.Key][]int
 	if leftKey != nil {
 		// Bucket the right side by the key and probe instead of the
 		// quadratic nested loop; the remaining ON conjuncts are still
 		// evaluated per candidate pair.
 		cond = residual
-		index = make(map[joinKey][]int, right.n)
+		index = make(map[scalar.Key][]int, right.n)
 		for r := 0; r < right.n; r++ {
 			v, err := scope{right, r}.lookup(rightKey)
 			if err != nil {
 				return nil, err
 			}
-			k := keyOf(v)
+			k, _ := scalar.KeyOf(v)
 			index[k] = append(index[k], r)
 		}
 	}
@@ -535,7 +535,8 @@ func join(ctx context.Context, ws *workingSet, j JoinClause, right *workingSet) 
 			if err != nil {
 				return nil, err
 			}
-			candidates = index[keyOf(v)]
+			k, _ := scalar.KeyOf(v)
+			candidates = index[k]
 		}
 		matched := false
 		for _, r := range candidates {
@@ -618,36 +619,6 @@ func joinAnd(es []Expr) Expr {
 		out = &BinaryExpr{Op: "AND", Left: out, Right: e}
 	}
 	return out
-}
-
-// joinKey buckets join keys without formatting them into strings; int64
-// and float64 of equal magnitude share a key (via the float64 bit pattern),
-// matching SQL's loose numeric equality.
-type joinKey struct {
-	bits uint64
-	str  string
-	kind uint8 // 0 nil, 1 bool, 2 number, 3 string, 4 other
-}
-
-func keyOf(v any) joinKey {
-	switch x := v.(type) {
-	case nil:
-		return joinKey{}
-	case bool:
-		var b uint64
-		if x {
-			b = 1
-		}
-		return joinKey{kind: 1, bits: b}
-	case int64:
-		return joinKey{kind: 2, bits: math.Float64bits(float64(x))}
-	case float64:
-		return joinKey{kind: 2, bits: math.Float64bits(x)}
-	case string:
-		return joinKey{kind: 3, str: x}
-	default:
-		return joinKey{kind: 4, str: fmt.Sprintf("%v", x)}
-	}
 }
 
 func selectHasAggregate(items []SelectItem) bool {
@@ -830,7 +801,8 @@ func projectAggregate(ctx context.Context, s *SelectStmt, ws *workingSet) (outpu
 			if err != nil {
 				return output{}, err
 			}
-			key = appendValKey(key, v)
+			k, _ := scalar.KeyOf(v)
+			key = k.Append(key)
 		}
 		g, ok := index[string(key)]
 		if !ok {
@@ -970,9 +942,9 @@ func evalAggregateFunc(f *FuncCall, ws *workingSet, rows []int) (any, error) {
 	if len(f.Args) != 1 {
 		return nil, fmt.Errorf("sql: %s() takes exactly one argument", f.Name)
 	}
-	var seen map[string]bool
+	var seen map[scalar.Key]bool
 	if f.Distinct {
-		seen = map[string]bool{}
+		seen = map[scalar.Key]bool{}
 	}
 	var (
 		n      int64 // non-nil (and, under DISTINCT, distinct) values
@@ -990,7 +962,7 @@ func evalAggregateFunc(f *FuncCall, ws *workingSet, rows []int) (any, error) {
 			continue
 		}
 		if seen != nil {
-			k := fmt.Sprintf("%T:%v", v, v)
+			k, _ := scalar.KeyOf(v)
 			if seen[k] {
 				continue
 			}
@@ -1016,7 +988,7 @@ func evalAggregateFunc(f *FuncCall, ws *workingSet, rows []int) (any, error) {
 				best = v
 				continue
 			}
-			cmp := dataframe.CompareValues(v, best)
+			cmp := scalar.Compare(v, best)
 			if (f.Name == "MIN" && cmp < 0) || (f.Name == "MAX" && cmp > 0) {
 				best = v
 			}
@@ -1076,7 +1048,7 @@ func orderRows(s *SelectStmt, ws *workingSet, out *output, aggregated bool) ([]i
 	idx := identity(out.n)
 	sort.SliceStable(idx, func(a, b int) bool {
 		for k, key := range keys {
-			cmp := dataframe.CompareValues(key.at(idx[a]), key.at(idx[b]))
+			cmp := scalar.Compare(key.at(idx[a]), key.at(idx[b]))
 			if cmp != 0 {
 				if s.OrderBy[k].Desc {
 					return cmp > 0
@@ -1087,31 +1059,6 @@ func orderRows(s *SelectStmt, ws *workingSet, out *output, aggregated bool) ([]i
 		return false
 	})
 	return idx, nil
-}
-
-// appendValKey appends one value's bucketing key to buf: a type tag plus
-// its rendering, so values of different dynamic types never collide (the
-// same partitioning "%T:%v" formatting gives, without fmt).
-func appendValKey(buf []byte, v any) []byte {
-	switch x := v.(type) {
-	case nil:
-		buf = append(buf, '_')
-	case bool:
-		buf = append(buf, "b:"...)
-		buf = strconv.AppendBool(buf, x)
-	case int64:
-		buf = append(buf, "i:"...)
-		buf = strconv.AppendInt(buf, x, 10)
-	case float64:
-		buf = append(buf, "f:"...)
-		buf = strconv.AppendFloat(buf, x, 'g', -1, 64)
-	case string:
-		buf = append(buf, "s:"...)
-		buf = append(buf, x...)
-	default:
-		buf = fmt.Appendf(buf, "%T:%v", v, v)
-	}
-	return append(buf, 0x1f)
 }
 
 // distinctRows keeps the first of each set of equal output rows among idx
@@ -1126,7 +1073,8 @@ func distinctRows(out *output, idx []int) []int {
 	for _, i := range idx {
 		key = key[:0]
 		for _, col := range out.cols {
-			key = appendValKey(key, col.at(i))
+			k, _ := scalar.KeyOf(col.at(i))
+			key = k.Append(key)
 		}
 		if !seen[string(key)] {
 			seen[string(key)] = true

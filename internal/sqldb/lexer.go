@@ -12,6 +12,11 @@
 // of its result. The federated planner's ScanColumns builds a SELECT and
 // runs it on the same executor.
 //
+// Values compare, group, de-duplicate and join under package scalar's
+// contract (scalar.Equal, scalar.Compare and scalar.KeyOf); the executor
+// holds no comparison rule of its own. NULL is a value like any other
+// there: = finds two NULLs equal and a join pairs NULL keys.
+//
 // A single-table SELECT whose WHERE leads with `col = 'string'` starts
 // from the rows the table's string-equality index holds for that string
 // instead of every row, when the table is a frozen master or an unwritten

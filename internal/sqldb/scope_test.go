@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -242,6 +243,46 @@ func TestSelectResultIsolation(t *testing.T) {
 			if got := res.Records(); !reflect.DeepEqual(got, append(want, added)) {
 				t.Errorf("cow=%v result of %s after its writes:\n got %v\nwant %v", cow, q, got, append(want, added))
 			}
+		}
+	}
+}
+
+// TestKeyContractResults pins GROUP BY, DISTINCT, COUNT(DISTINCT), WHERE,
+// JOIN and ORDER BY to the scalar key and order contract: 1 and 1.0, -0
+// and 0, and two NaN payloads are one value each; NaN equals no other
+// number and sorts below every one; and a two-column key cannot be forged
+// by a string holding a field separator.
+func TestKeyContractResults(t *testing.T) {
+	db := NewDB()
+	n := dataframe.New("id", "x")
+	for i, x := range []any{int64(1), 1.0, math.Copysign(0, -1), int64(0),
+		math.NaN(), math.Float64frombits(0x7ff8000000000002), int64(2)} {
+		n.AppendRow(int64(i+1), x)
+	}
+	db.CreateTable("n", n)
+	p := dataframe.New("a", "b")
+	p.AppendRow("x\x1fs:y", "z")
+	p.AppendRow("x", "y\x1fs:z")
+	db.CreateTable("p", p)
+	for _, c := range []struct{ sql, want string }{
+		{"SELECT x, COUNT(*) AS c FROM n GROUP BY x", "[x c] [1 2] [-0 2] [NaN 2] [2 1]"},
+		{"SELECT DISTINCT x FROM n", "[x] [1] [-0] [NaN] [2]"},
+		{"SELECT COUNT(DISTINCT x) AS c FROM n", "[c] [4]"},
+		{"SELECT id FROM n WHERE x = 1", "[id] [1] [2]"},
+		{"SELECT id FROM n WHERE x != 0 AND x < 1", "[id] [5] [6]"},
+		{"SELECT b.id FROM n a JOIN n b ON a.x = b.x WHERE a.id = 3", "[id] [3] [4]"},
+		{"SELECT b.id FROM n a JOIN n b ON a.x = b.x WHERE a.id = 5", "[id] [5] [6]"},
+		{"SELECT id FROM n ORDER BY x, id", "[id] [5] [6] [3] [4] [1] [2] [7]"},
+		{"SELECT DISTINCT a, b FROM p", "[a b] [x\x1fs:y z] [x y\x1fs:z]"},
+		{"SELECT COUNT(*) AS c FROM p GROUP BY a, b", "[c] [1] [1]"},
+	} {
+		f, err := db.Query(c.sql)
+		if err != nil {
+			t.Errorf("%s: %v", c.sql, err)
+			continue
+		}
+		if got := frameText(f); got != c.want {
+			t.Errorf("%s:\n got  %q\n want %q", c.sql, got, c.want)
 		}
 	}
 }

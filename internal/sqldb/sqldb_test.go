@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/dataframe"
+	"repro/internal/scalar"
 )
 
 func testDB() *DB {
@@ -562,7 +563,7 @@ func TestPropOrderByActuallySorts(t *testing.T) {
 		}
 		col, _ := got.Column("val")
 		for i := 1; i < len(col); i++ {
-			if dataframe.CompareValues(col[i-1], col[i]) > 0 {
+			if scalar.Compare(col[i-1], col[i]) > 0 {
 				return false
 			}
 		}
@@ -597,27 +598,11 @@ func TestPropLimitClamps(t *testing.T) {
 
 // TestSameKind pins which value pairs = may find equal: any two numbers,
 // otherwise two values of one dynamic type. It must not allocate.
-func TestSameKind(t *testing.T) {
-	vals := []any{nil, true, int64(1), 1.0, "1", []any{int64(1)}}
-	kind := []int{0, 1, 2, 2, 3, 4} // equal kinds may compare equal
-	for i, a := range vals {
-		for j, b := range vals {
-			if got, want := sameKind(a, b), kind[i] == kind[j]; got != want {
-				t.Errorf("sameKind(%#v, %#v) = %v, want %v", a, b, got, want)
-			}
-		}
-	}
-	a, b := any("x"), any("y")
-	if n := testing.AllocsPerRun(100, func() { sameKind(a, b) }); n != 0 {
-		t.Errorf("sameKind allocates %v times per call", n)
-	}
-}
-
-// TestCompareMatchesCompareValues pins compare's numeric fast path to the
-// answers of dataframe.CompareValues (and, for = and !=, the one-kind
-// rule) over a grid of values: int64 beyond 2^53 compares as float64, and
-// NaN compares equal to every number.
-func TestCompareMatchesCompareValues(t *testing.T) {
+// TestCompareFollowsScalar pins each comparison operator to the scalar
+// contract over a grid of values: int64 beyond 2^53 compares as float64,
+// -0 equals 0, NaN equals only NaN and sorts below every number, and
+// values of different kinds are never equal and order by kind.
+func TestCompareFollowsScalar(t *testing.T) {
 	const p53 = int64(1) << 53
 	vals := []any{
 		nil, true, false, "", "1", "a",
@@ -627,28 +612,34 @@ func TestCompareMatchesCompareValues(t *testing.T) {
 		float64(p53), float64(p53) + 2, float64(math.MaxInt64), float64(math.MinInt64),
 		math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64,
 	}
-	isNum := func(v any) bool {
-		switch v.(type) {
-		case int64, float64:
-			return true
-		}
-		return false
-	}
 	for _, l := range vals {
 		for _, r := range vals {
-			c := dataframe.CompareValues(l, r)
-			eq := c == 0 && (isNum(l) && isNum(r) || reflect.TypeOf(l) == reflect.TypeOf(r))
+			c := scalar.Compare(l, r)
 			for op, want := range map[string]bool{
-				"=": eq, "!=": !eq, "<": c < 0, "<=": c <= 0, ">": c > 0, ">=": c >= 0,
+				"=": c == 0, "!=": c != 0, "<": c < 0, "<=": c <= 0, ">": c > 0, ">=": c >= 0,
 			} {
 				got, ok := compare(op, l, r)
 				if !ok || got != want {
 					t.Errorf("%#v %s %#v = %v (ok %v), want %v", l, op, r, got, ok, want)
 				}
 			}
-			if got := equal(l, r); got != eq {
-				t.Errorf("equal(%#v, %#v) = %v, want %v", l, r, got, eq)
-			}
+		}
+	}
+	for _, c := range []struct {
+		op   string
+		l, r any
+		want bool
+	}{
+		{"=", p53, p53 + 1, true},
+		{"=", math.NaN(), int64(1), false},
+		{"=", math.NaN(), math.NaN(), true},
+		{"<", math.NaN(), math.Inf(-1), true},
+		{"=", math.Copysign(0, -1), int64(0), true},
+		{"=", int64(1), "1", false},
+		{"<", true, int64(0), true},
+	} {
+		if got, _ := compare(c.op, c.l, c.r); got != c.want {
+			t.Errorf("%#v %s %#v = %v, want %v", c.l, c.op, c.r, got, c.want)
 		}
 	}
 }
