@@ -114,11 +114,14 @@ func number(v any) (float64, bool) {
 // Equal reports whether a and b are one value of the domain. Two strings
 // are equal only when identical.
 func Equal(a, b any) bool {
-	if x, ok := a.(string); ok {
+	switch x := a.(type) {
+	case string:
 		y, ok := b.(string)
 		return ok && x == y
-	}
-	if x, ok := number(a); ok {
+	case int64:
+		y, ok := number(b)
+		return ok && float64(x) == y
+	case float64:
 		y, ok := number(b)
 		return ok && (x == y || x != x && y != y)
 	}
@@ -130,13 +133,18 @@ func Equal(a, b any) bool {
 // Compare orders a and b: negative when a sorts first, 0 when equal,
 // positive when b does.
 func Compare(a, b any) int {
-	if x, ok := a.(string); ok {
+	switch x := a.(type) {
+	case int64:
+		if y, ok := number(b); ok {
+			return compareNumbers(float64(x), y)
+		}
+	case float64:
+		if y, ok := number(b); ok {
+			return compareNumbers(x, y)
+		}
+	case string:
 		if y, ok := b.(string); ok {
 			return strings.Compare(x, y)
-		}
-	} else if x, ok := number(a); ok {
-		if y, ok := number(b); ok {
-			return cmp.Compare(x, y)
 		}
 	}
 	ka, kb := kind(a), kind(b)
@@ -150,6 +158,18 @@ func Compare(a, b any) int {
 		return -1
 	}
 	return 0
+}
+
+// compareNumbers is cmp.Compare with the commonest cases, no NaN, tested
+// first.
+func compareNumbers(x, y float64) int {
+	if x < y {
+		return -1
+	}
+	if x > y {
+		return 1
+	}
+	return cmp.Compare(x, y)
 }
 
 func kind(v any) uint8 {
