@@ -275,10 +275,10 @@ func (f *Frame) Freeze() {
 }
 
 // Clone returns a copy of the frame. Cloning a frozen master is O(columns):
-// the clone shares the master's column slices and index, and drops them
-// when it is first mutated, and its column list, which it never writes in
-// place (adding a column reallocates it). Cloning an unfrozen frame
-// deep-copies as before.
+// the clone shares the master's column slices and index until its first
+// mutation drops them, and its column list, which it never writes in place
+// (Rename copies it, and adding a column reallocates it). Cloning an
+// unfrozen frame deep-copies as before.
 func (f *Frame) Clone() *Frame {
 	if f.frozen {
 		return &Frame{cols: slices.Clip(f.cols), data: maps.Clone(f.data), nrows: f.nrows, shared: true, index: f.index}
