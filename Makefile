@@ -69,9 +69,11 @@ race:
 # compile or categorized runtime error, never with a panic or an
 # internal-class error), FuzzScanColumns (the SELECT that sqldb's
 # ScanColumns builds from a scan spec gives the same rows, error text and
-# profile frames as the parser's SELECT of the equivalent text) and
+# profile frames as the parser's SELECT of the equivalent text),
 # FuzzKeyContract (scalar keys, Equal and Compare agree, Compare is a total
-# order, and key encodings of different tuples differ). go test
+# order, and key encodings of different tuples differ) and FuzzArith
+# (scalar int64 + - * and Sum against math/big: exact when the result fits,
+# the float64 of the operands when it does not). go test
 # -fuzz takes one target per run. A failing input is written to the
 # package's testdata/fuzz, where plain `go test` replays it from then on.
 fuzz:
@@ -79,6 +81,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRun$$' -fuzztime 30s ./internal/nql
 	$(GO) test -run '^$$' -fuzz '^FuzzScanColumns$$' -fuzztime 30s ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyContract$$' -fuzztime 30s ./internal/scalar
+	$(GO) test -run '^$$' -fuzz '^FuzzArith$$' -fuzztime 30s ./internal/scalar
 
 # Record the benchmark suite as test2json records for tooling: the macro
 # benchmarks (whole tables/figures/ablations) run one iteration, while the

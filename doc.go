@@ -56,6 +56,16 @@
 // own ==, dict keys and state comparison keep language semantics (NaN !=
 // NaN under ==, -0.0 and each NaN payload a dict key of its own).
 //
+// The same package holds the one arithmetic contract. NQL's + - * / % and
+// sum(), sqldb's arithmetic, SUM and AVG, dataframe's Sum and Mean and
+// federate's aggregate sum and mean all call scalar.Arith or scalar.Sum:
+// + - * of two int64s is exact, and a result outside int64 is the float64
+// of the operands instead; / is float64 division and % takes integers; a
+// sum is the exact int64 while every value is an int64 and the sum fits,
+// else the float64 sum in row order. Each substrate keeps its own answer
+// for an empty or all-nil input (pandas 0, SQL and federate NULL, NQL
+// sum([]) 0), and NQL counts a bool as 0 or 1.
+//
 // The federated backend is selectable end to end — core.Session
 // (WithBackend("federated")), the netquery shell (-backend federated) — and
 // internal/nemoeval cross-checks every federated golden against the three

@@ -2,7 +2,6 @@ package dataframe
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/scalar"
 )
@@ -129,34 +128,20 @@ func aggregate(f *Frame, rows []int, s AggSpec) (any, error) {
 		}
 		return col[rows[len(rows)-1]], nil
 	case AggSum, AggMean:
-		total := 0.0
-		isInt := true
-		n := 0
+		var sum scalar.Sum
 		for _, i := range rows {
-			switch x := col[i].(type) {
-			case int64:
-				total += float64(x)
-				n++
-			case float64:
-				total += x
-				isInt = false
-				n++
-			case nil:
-				// pandas skips NaN/None
-			default:
-				return nil, fmt.Errorf("dataframe: cannot %s non-numeric value %v in column %q", s.Func, x, s.Col)
+			// pandas skips NaN/None
+			if v := col[i]; v != nil && !sum.Add(v) {
+				return nil, fmt.Errorf("dataframe: cannot %s non-numeric value %v in column %q", s.Func, v, s.Col)
 			}
 		}
-		if s.Func == AggMean {
-			if n == 0 {
-				return nil, nil
-			}
-			return total / float64(n), nil
+		if s.Func == AggSum {
+			return sum.Value(), nil
 		}
-		if isInt && total == math.Trunc(total) {
-			return int64(total), nil
+		if sum.N() == 0 {
+			return nil, nil
 		}
-		return total, nil
+		return sum.Mean(), nil
 	case AggMin, AggMax:
 		var best any
 		for _, i := range rows {

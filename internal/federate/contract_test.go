@@ -2,6 +2,7 @@ package federate
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"strings"
 	"testing"
@@ -228,5 +229,171 @@ func TestOnePartitionAcrossSubstrates(t *testing.T) {
 	check("NQL dict keys", strings.Join(got, " "), strings.Join(nqlClass, " "))
 	if err := d.Set(nil, int64(0)); err == nil {
 		t.Error("nil became an NQL dict key")
+	}
+}
+
+// rowsObject is an NQL host table whose records() returns one dict per
+// value, holding it under "x".
+type rowsObject []any
+
+func (rowsObject) TypeName() string { return "rows" }
+
+func (o rowsObject) Member(name string) (nql.Value, bool) {
+	if name != "records" {
+		return nil, false
+	}
+	return &nql.Builtin{Name: name, Fn: func(*nql.Interp, int, []nql.Value) (nql.Value, error) {
+		rows := make([]nql.Value, len(o))
+		for i, v := range o {
+			m := nql.NewMap()
+			if err := m.Set("x", v); err != nil {
+				return nil, err
+			}
+			rows[i] = m
+		}
+		return nql.NewList(rows...), nil
+	}}, true
+}
+
+func showResult(v any, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	return fmt.Sprintf("%T %v", v, v)
+}
+
+// sumsOf adds col up in every substrate and returns each answer, keyed
+// "<substrate> sum" or "<substrate> mean".
+func sumsOf(t *testing.T, col []any) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	nqlRun := func(src string, globals map[string]nql.Value) string {
+		return showResult(nql.NewInterp(nql.Limits{}, globals).Run(src))
+	}
+	out["NQL records() loop sum"] = nqlRun("let total = 0\nfor r in t.records() { total = total + r[\"x\"] }\nreturn total",
+		map[string]nql.Value{"t": rowsObject(col)})
+	out["NQL sum() sum"] = nqlRun("return sum(xs)", map[string]nql.Value{"xs": nql.NewList(col...)})
+
+	f := dataframe.New("g", "x")
+	for _, v := range col {
+		f.AppendRow(int64(1), v)
+	}
+	db := sqldb.NewDB()
+	db.CreateTable("t", f.Clone())
+	sq, err := db.Query("SELECT SUM(x) AS s, AVG(x) AS m FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["sqldb SUM sum"] = showResult(sq.Cell(0, "s"))
+	out["sqldb AVG mean"] = showResult(sq.Cell(0, "m"))
+
+	out["dataframe Sum sum"] = showResult(f.Sum("x"))
+	out["dataframe Mean mean"] = showResult(f.Mean("x"))
+	g, err := f.GroupBy("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs, err := g.Agg(dataframe.AggSpec{Col: "x", Func: dataframe.AggSum, Name: "s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["dataframe GroupBy sum"] = "no group"
+	if gs.NumRows() > 0 {
+		out["dataframe GroupBy sum"] = showResult(gs.Cell(0, "s"))
+	}
+
+	cat := &Catalog{Frames: map[string]*dataframe.Frame{"t": f}, DB: db}
+	for _, src := range []string{SourceFrame, SourceSQL} {
+		rel, err := Run(cat, &Aggregate{Input: &Scan{Source: src, Table: "t"},
+			Aggs: []AggSpec{{Col: "x", Fn: AggSum, As: "s"}, {Col: "x", Fn: AggMean, As: "m"}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out["federate "+src+" aggregate sum"] = showResult(rel.Rows[0][0], nil)
+		out["federate "+src+" aggregate mean"] = showResult(rel.Rows[0][1], nil)
+	}
+	return out
+}
+
+// TestOneArithmeticAcrossSubstrates adds columns up in every substrate:
+// NQL + in a records() loop and sum(), sqldb SUM and AVG, dataframe Sum,
+// Mean and GroupBy sum, and federate's aggregate sum and mean over frame
+// and SQL scans; NQL + and sqldb x + y add a column's first two values.
+// Each gives one answer: an exact int64 past 2^53, the float64 the
+// operands give past int64, NaN, and 0 for a sum of -0.0s. An empty or
+// all-nil column pins each substrate's own answer.
+func TestOneArithmeticAcrossSubstrates(t *testing.T) {
+	const p53 = int64(1) << 53
+	negZero := math.Copysign(0, -1)
+	for _, c := range []struct {
+		name             string
+		col              []any
+		sum, mean, first string // first: col[0] + col[1]
+	}{
+		{"2^53+1", []any{p53 + 1, int64(0)},
+			"int64 9007199254740993", "float64 4.503599627370496e+15", "int64 9007199254740993"},
+		{"int64 overflow", []any{int64(math.MaxInt64), int64(1)},
+			"float64 9.223372036854776e+18", "float64 4.611686018427388e+18", "float64 9.223372036854776e+18"},
+		{"int64 underflow", []any{int64(math.MinInt64), int64(-1)},
+			"float64 -9.223372036854776e+18", "float64 -4.611686018427388e+18", "float64 -9.223372036854776e+18"},
+		{"mixed int and float", []any{int64(1), 2.5, int64(3)},
+			"float64 6.5", "float64 2.1666666666666665", "float64 3.5"},
+		{"NaN", []any{int64(1), math.NaN()}, "float64 NaN", "float64 NaN", "float64 NaN"},
+		{"-0.0", []any{negZero, negZero}, "float64 0", "float64 0", "float64 -0"},
+	} {
+		for what, got := range sumsOf(t, c.col) {
+			want := c.sum
+			if strings.HasSuffix(what, " mean") {
+				want = c.mean
+			}
+			if got != want {
+				t.Errorf("%s: %s = %s, want %s", c.name, what, got, want)
+			}
+		}
+		globals := map[string]nql.Value{"a": c.col[0], "b": c.col[1]}
+		if got := showResult(nql.NewInterp(nql.Limits{}, globals).Run("return a + b")); got != c.first {
+			t.Errorf("%s: NQL a + b = %s, want %s", c.name, got, c.first)
+		}
+		db := sqldb.NewDB()
+		p := dataframe.New("x", "y")
+		p.AppendRow(c.col[0], c.col[1])
+		db.CreateTable("p", p)
+		out, err := db.Query("SELECT x + y AS s FROM p")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := showResult(out.Cell(0, "s")); got != c.first {
+			t.Errorf("%s: sqldb x + y = %s, want %s", c.name, got, c.first)
+		}
+	}
+
+	// pandas sums nothing to 0, SQL and federate to NULL (nil), NQL to 0.
+	nothing := map[string]string{
+		"NQL records() loop sum":        "int64 0",
+		"NQL sum() sum":                 "int64 0",
+		"sqldb SUM sum":                 "<nil> <nil>",
+		"sqldb AVG mean":                "<nil> <nil>",
+		"dataframe Sum sum":             "int64 0",
+		"dataframe Mean mean":           "<nil> <nil>",
+		"dataframe GroupBy sum":         "no group",
+		"federate frame aggregate sum":  "<nil> <nil>",
+		"federate frame aggregate mean": "<nil> <nil>",
+		"federate sql aggregate sum":    "<nil> <nil>",
+		"federate sql aggregate mean":   "<nil> <nil>",
+	}
+	allNil := maps.Clone(nothing)
+	allNil["NQL records() loop sum"] = "error: nql operation error on line 2: unsupported operand types for +: int and nil"
+	allNil["NQL sum() sum"] = "error: nql operation error on line 1: sum() over non-numeric element nil"
+	allNil["dataframe GroupBy sum"] = "int64 0"
+	for name, c := range map[string]struct {
+		col  []any
+		want map[string]string
+	}{"empty": {nil, nothing}, "all-nil": {[]any{nil, nil}, allNil}} {
+		got := sumsOf(t, c.col)
+		for what, want := range c.want {
+			if got[what] != want {
+				t.Errorf("%s: %s = %s, want %s", name, what, got[what], want)
+			}
+		}
 	}
 }

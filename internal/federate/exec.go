@@ -836,13 +836,10 @@ func validAggFn(fn string) bool {
 }
 
 // agg accumulates one aggregate over a group. Nil cells are skipped (SQL
-// NULL semantics); sums stay integral while every input is an int64.
+// NULL semantics).
 type agg struct {
 	count    int64
-	sumF     float64
-	sumI     int64
-	allInt   bool
-	seen     bool
+	sum      scalar.Sum
 	best     nql.Value // min/max candidate
 	haveBest bool
 }
@@ -857,21 +854,9 @@ func (g *agg) add(fn string, v nql.Value) error {
 	}
 	switch fn {
 	case AggSum, AggMean:
-		switch x := v.(type) {
-		case int64:
-			if !g.seen {
-				g.allInt = true
-			}
-			g.sumI += x
-			g.sumF += float64(x)
-		case float64:
-			g.allInt = false
-			g.sumF += x
-		default:
+		if !g.sum.Add(v) {
 			return fmt.Errorf("value must be a number, got %s", nql.TypeName(v))
 		}
-		g.seen = true
-		g.count++
 	case AggMin, AggMax:
 		if !g.haveBest {
 			g.best, g.haveBest = v, true
@@ -890,18 +875,15 @@ func (g *agg) result(fn string) nql.Value {
 	case AggCount:
 		return g.count
 	case AggSum:
-		if !g.seen {
+		if g.sum.N() == 0 {
 			return nil
 		}
-		if g.allInt {
-			return g.sumI
-		}
-		return g.sumF
+		return g.sum.Value()
 	case AggMean:
-		if !g.seen {
+		if g.sum.N() == 0 {
 			return nil
 		}
-		return g.sumF / float64(g.count)
+		return g.sum.Mean()
 	case AggMin, AggMax:
 		if !g.haveBest {
 			return nil

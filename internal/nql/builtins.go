@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/scalar"
 )
 
 // installBuiltins registers the NQL standard library in m.
@@ -112,7 +114,7 @@ func installBuiltins(m map[string]*Builtin) {
 		switch x := args[0].(type) {
 		case int64:
 			if x < 0 {
-				return -x, nil
+				return scalar.Arith("-", int64(0), x)
 			}
 			return x, nil
 		case float64:
@@ -126,7 +128,7 @@ func installBuiltins(m map[string]*Builtin) {
 		if len(args) != 1 && len(args) != 2 {
 			return nil, argErr(line, "round", "1 or 2", len(args))
 		}
-		f, _, ok := asNumber(args[0])
+		f, ok := asNumber(args[0])
 		if !ok {
 			return nil, errf(ErrOp, line, "round() requires a number")
 		}
@@ -138,12 +140,18 @@ func installBuiltins(m map[string]*Builtin) {
 			}
 			digits = d
 		}
-		scale := math.Pow(10, float64(digits))
-		res := math.Round(f*scale) / scale
-		if digits == 0 {
+		if digits != 0 {
+			scale := math.Pow(10, float64(digits))
+			return math.Round(f*scale) / scale, nil
+		}
+		if n, ok := args[0].(int64); ok {
+			return n, nil
+		}
+		// -2^63 <= res < 2^63 is false for NaN and ±Inf too.
+		if res := math.Round(f); res >= math.MinInt64 && res < -math.MinInt64 {
 			return int64(res), nil
 		}
-		return res, nil
+		return nil, errf(ErrValue, line, "round() of %s is not an int", Repr(f))
 	})
 
 	reg("range", func(in *Interp, line int, args []Value) (Value, error) {
@@ -227,22 +235,13 @@ func installBuiltins(m map[string]*Builtin) {
 		if !ok {
 			return nil, errf(ErrArg, line, "sum() requires a list")
 		}
-		total := 0.0
-		allInt := true
+		var s scalar.Sum
 		for _, it := range l.Items {
-			f, isInt, ok := asNumber(it)
-			if !ok {
+			if !s.Add(arithOperand(it)) {
 				return nil, errf(ErrOp, line, "sum() over non-numeric element %s", Repr(it))
 			}
-			if !isInt {
-				allInt = false
-			}
-			total += f
 		}
-		if allInt {
-			return int64(total), nil
-		}
-		return total, nil
+		return s.Value(), nil
 	})
 
 	minMax := func(name string) func(in *Interp, line int, args []Value) (Value, error) {
@@ -703,7 +702,7 @@ func installBuiltins(m map[string]*Builtin) {
 		if len(args) != 1 {
 			return nil, argErr(line, "sqrt", "1", len(args))
 		}
-		f, _, ok := asNumber(args[0])
+		f, ok := asNumber(args[0])
 		if !ok {
 			return nil, errf(ErrArg, line, "sqrt() requires a number")
 		}
@@ -717,8 +716,8 @@ func installBuiltins(m map[string]*Builtin) {
 		if len(args) != 2 {
 			return nil, argErr(line, "pow", "2", len(args))
 		}
-		a, _, ok1 := asNumber(args[0])
-		b, _, ok2 := asNumber(args[1])
+		a, ok1 := asNumber(args[0])
+		b, ok2 := asNumber(args[1])
 		if !ok1 || !ok2 {
 			return nil, errf(ErrArg, line, "pow() requires numbers")
 		}

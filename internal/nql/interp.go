@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"repro/internal/scalar"
 )
 
 // Limits bound a script's resource use inside the sandbox.
@@ -346,61 +348,39 @@ func binaryOp(op string, l, r Value, line int) (Value, error) {
 	}
 }
 
+// numericOp applies + - * / % to two numbers under scalar.Arith, with a
+// bool counting as the int 0 or 1.
 func numericOp(op string, l, r Value, line int) (Value, error) {
-	lf, lInt, lok := asNumber(l)
-	rf, rInt, rok := asNumber(r)
-	if !lok || !rok {
+	v, err := scalar.Arith(op, arithOperand(l), arithOperand(r))
+	switch err {
+	case nil:
+		return v, nil
+	case scalar.ErrNotNumber:
 		return nil, errf(ErrOp, line, "unsupported operand types for %s: %s and %s", op, TypeName(l), TypeName(r))
-	}
-	bothInt := lInt && rInt
-	switch op {
-	case "+":
-		if bothInt {
-			return int64(lf) + int64(rf), nil
-		}
-		return lf + rf, nil
-	case "-":
-		if bothInt {
-			return int64(lf) - int64(rf), nil
-		}
-		return lf - rf, nil
-	case "*":
-		if bothInt {
-			return int64(lf) * int64(rf), nil
-		}
-		return lf * rf, nil
-	case "/":
-		if rf == 0 {
-			return nil, errf(ErrValue, line, "division by zero")
-		}
-		return lf / rf, nil
-	case "%":
-		if !bothInt {
-			return nil, errf(ErrOp, line, "%% requires integers")
-		}
-		if int64(rf) == 0 {
+	case scalar.ErrModNotInt:
+		return nil, errf(ErrOp, line, "%% requires integers")
+	case scalar.ErrZeroDivisor:
+		if op == "%" {
 			return nil, errf(ErrValue, line, "modulo by zero")
 		}
-		return int64(lf) % int64(rf), nil
+		return nil, errf(ErrValue, line, "division by zero")
 	}
 	return nil, errf(ErrInternal, line, "unknown numeric op %q", op)
 }
 
-func asNumber(v Value) (f float64, isInt, ok bool) {
-	switch x := v.(type) {
-	case int64:
-		return float64(x), true, true
-	case float64:
-		return x, false, true
-	case bool:
-		if x {
-			return 1, true, true
+// arithOperand is v as scalar arithmetic takes it: a bool is the int 0 or 1.
+func arithOperand(v Value) Value {
+	if b, ok := v.(bool); ok {
+		if b {
+			return int64(1)
 		}
-		return 0, true, true
-	default:
-		return 0, false, false
+		return int64(0)
 	}
+	return v
 }
+
+// asNumber is a number or bool as a float64.
+func asNumber(v Value) (float64, bool) { return scalar.Float(arithOperand(v)) }
 
 // ValuesEqual implements NQL ==: numbers compare across int/float; lists
 // and maps compare deeply; other types require identical kind.
@@ -461,8 +441,8 @@ func ValuesEqual(l, r Value) bool {
 // CompareNQL orders two values for <, sorted() etc. Numbers interoperate;
 // strings compare lexicographically; lists compare elementwise.
 func CompareNQL(l, r Value) (int, error) {
-	lf, _, lok := asNumber(l)
-	rf, _, rok := asNumber(r)
+	lf, lok := asNumber(l)
+	rf, rok := asNumber(r)
 	if lok && rok {
 		switch {
 		case lf < rf:

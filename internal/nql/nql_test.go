@@ -48,6 +48,67 @@ func TestArithmetic(t *testing.T) {
 	}
 }
 
+// TestExactIntArithmetic pins the scalar.Arith rule in NQL: + - * of two
+// ints and sum() of ints are exact, a result outside int64 is the float
+// the operands give, and a bool counts as 0 or 1.
+func TestExactIntArithmetic(t *testing.T) {
+	cases := []struct {
+		src  string
+		want Value
+	}{
+		{"return 9007199254740993 + 0", int64(9007199254740993)},
+		{"return sum([9007199254740993, 0])", int64(9007199254740993)},
+		{"return sum([9223372036854775807, 1, -1])", int64(9223372036854775807)},
+		{"return sum([9223372036854775807, 1])", 9223372036854775808.0},
+		{"return sum([1, 2.5, true])", 4.5},
+		{"return sum([])", int64(0)},
+		{"return -9223372036854775807 - 1", int64(-9223372036854775808)},
+		{"return -9223372036854775807 - 2", -9223372036854775808.0},
+		{"return 9223372036854775807 + true", 9223372036854775808.0},
+		{"return 3037000500 * 3037000500", 9223372037000250000.0},
+		{"return -(-9223372036854775807 - 1)", 9223372036854775808.0},
+		{"return abs(-9223372036854775807 - 1)", 9223372036854775808.0},
+		{"return 9007199254740993 % 2", int64(1)},
+		{"return true / 2", 0.5},
+	}
+	for _, c := range cases {
+		if got := run(t, c.src); got != c.want {
+			t.Errorf("%s = %#v, want %#v", c.src, got, c.want)
+		}
+	}
+}
+
+// TestRound pins round(): an int is returned unchanged, a float rounds half
+// away from zero, and with no digits a NaN, an infinity or a result
+// outside int64 is a value error.
+func TestRound(t *testing.T) {
+	for src, want := range map[string]Value{
+		"return round(9007199254740993)":         int64(9007199254740993),
+		"return round(-9223372036854775807 - 1)": int64(-9223372036854775808),
+		"return round(2.5)":                      int64(3),
+		"return round(-2.5)":                     int64(-3),
+		"return round(true)":                     int64(1),
+		"return round(9.2e18)":                   int64(9200000000000000000),
+		"return round(-9223372036854775808.0)":   int64(-9223372036854775808),
+		"return round(2.345, 2)":                 2.35,
+		"return round(1250, -2)":                 1300.0,
+	} {
+		if got := run(t, src); got != want {
+			t.Errorf("%s = %#v, want %#v", src, got, want)
+		}
+	}
+	for src, want := range map[string]string{
+		`return round(float("nan"))`:          "nql value error on line 1: round() of NaN is not an int",
+		`return round(float("-inf"))`:         "nql value error on line 1: round() of -Inf is not an int",
+		"return round(1e300)":                 "nql value error on line 1: round() of 1e+300 is not an int",
+		"return round(9223372036854775808.0)": "nql value error on line 1: round() of 9.223372036854776e+18 is not an int",
+	} {
+		if err := runErr(t, src); err.Error() != want {
+			t.Errorf("%s: %v, want %q", src, err, want)
+		}
+	}
+}
+
 func TestComparisonsAndLogic(t *testing.T) {
 	cases := []struct {
 		src  string

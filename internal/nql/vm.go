@@ -3,6 +3,8 @@ package nql
 import (
 	"sync"
 	"time"
+
+	"repro/internal/scalar"
 )
 
 // cell boxes a variable captured by a closure. The compiler promotes a
@@ -441,7 +443,8 @@ func (m *machine) run(in *Interp, entry int) (Value, error) {
 		case opNeg:
 			switch n := m.stack[m.sp-1].(type) {
 			case int64:
-				m.stack[m.sp-1] = -n
+				// Subtracting two int64s cannot fail; -MinInt64 is 2^63.
+				m.stack[m.sp-1], _ = scalar.Arith("-", int64(0), n)
 			case float64:
 				m.stack[m.sp-1] = -n
 			default:

@@ -379,7 +379,10 @@ func (o *FrameObject) member(name string) (nql.Value, bool) {
 				if err != nil {
 					return nil, err
 				}
-				return toGoValue(v), nil
+				if !isCell(v) {
+					return nil, cellErr(line, name, col, v)
+				}
+				return v, nil
 			})
 			if err != nil {
 				if _, ok := err.(*nql.RuntimeError); ok {

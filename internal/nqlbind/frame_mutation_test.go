@@ -80,9 +80,10 @@ return out.column("b")`)
 	}
 }
 
-// TestFrameWritesRejectContainers: append_row and set_cell refuse a list,
-// dict or function, which a frame cell would hold only as its Go text,
-// with an argument error naming the column, and leave the frame as it was.
+// TestFrameWritesRejectContainers: append_row, set_cell and a mutate or
+// assign lambda's result refuse a list, dict or function, which a frame
+// cell would hold only as its Go text, with an argument error naming the
+// column, and leave the frame as it was.
 func TestFrameWritesRejectContainers(t *testing.T) {
 	for src, want := range map[string]string{
 		`df.append_row(1, [2])`:      `nql argument error on line 1: append_row() value for column "b" must not be a list`,
@@ -90,7 +91,11 @@ func TestFrameWritesRejectContainers(t *testing.T) {
 		`df.set_cell(0, "b", {})`:    `nql argument error on line 1: set_cell() value for column "b" must not be a map`,
 		`func f(x) { return x }
 df.set_cell(0, "a", f)`: `nql argument error on line 2: set_cell() value for column "a" must not be a function`,
-		`df.set_cell(0, "a", len)`: `nql argument error on line 1: set_cell() value for column "a" must not be a builtin`,
+		`df.set_cell(0, "a", len)`:             `nql argument error on line 1: set_cell() value for column "a" must not be a builtin`,
+		`df.mutate("c", fn(r) => [r["a"], 2])`: `nql argument error on line 1: mutate() value for column "c" must not be a list`,
+		`func g(r) { return {"k": r["a"]} }
+df.assign("b", g)`: `nql argument error on line 2: assign() value for column "b" must not be a map`,
+		`df.mutate("a", fn(r) => len)`: `nql argument error on line 1: mutate() value for column "a" must not be a builtin`,
 	} {
 		f := dataframe.New("a", "b")
 		f.AppendRow(int64(1), "x")

@@ -3,6 +3,7 @@ package nqlbind
 import (
 	"repro/internal/graph"
 	"repro/internal/nql"
+	"repro/internal/scalar"
 )
 
 // Globals assembles the standard host environment for a generated program:
@@ -45,12 +46,7 @@ func kmeansBuiltin() *nql.Builtin {
 		}
 		vals := make([]float64, len(l.Items))
 		for i, it := range l.Items {
-			switch x := it.(type) {
-			case int64:
-				vals[i] = float64(x)
-			case float64:
-				vals[i] = x
-			default:
+			if vals[i], ok = scalar.Float(it); !ok {
 				return nil, &nql.RuntimeError{Class: nql.ErrArg, Line: line, Msg: "kmeans() values must be numbers"}
 			}
 		}

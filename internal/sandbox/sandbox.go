@@ -8,7 +8,6 @@
 package sandbox
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -18,33 +17,12 @@ import (
 	"repro/internal/nql/analysis"
 )
 
-// Policy configures a sandboxed execution.
-type Policy struct {
-	MaxSteps    int
-	MaxDepth    int
-	MaxAllocs   int
-	MaxDuration time.Duration
+// Policy configures a sandboxed execution: the interpreter's limits, its
+// cancellation context and its opt-in VM profile (see nql.Limits).
+type Policy = nql.Limits
 
-	// Context, when non-nil, propagates the caller's cancellation and
-	// deadline into the run: the interpreter polls it at every dispatch
-	// quantum and the cancellable host bindings (federated plans, SQL)
-	// thread it through their own row-loop checkpoints. A cancelled run
-	// fails with an nql.ErrCancel-class error wrapping ctx.Err().
-	Context context.Context
-
-	// Profile, when non-nil, collects the VM's opcode-class and builtin
-	// time/alloc profile for this run (strictly opt-in; see
-	// nql.VMProfile). Policy stays comparable — the field is a pointer.
-	Profile *nql.VMProfile
-}
-
-// DefaultPolicy matches nql.DefaultLimits.
-var DefaultPolicy = Policy{
-	MaxSteps:    nql.DefaultLimits.MaxSteps,
-	MaxDepth:    nql.DefaultLimits.MaxDepth,
-	MaxAllocs:   nql.DefaultLimits.MaxAllocs,
-	MaxDuration: nql.DefaultLimits.MaxDuration,
-}
+// DefaultPolicy is nql.DefaultLimits.
+var DefaultPolicy = nql.DefaultLimits
 
 // Result captures one sandboxed run.
 type Result struct {
@@ -182,14 +160,7 @@ func RunProgram(prog *nql.Program, globals map[string]nql.Value, policy Policy) 
 			res.ErrClass = string(nql.ErrInternal)
 		}
 	}()
-	in := nql.NewInterp(nql.Limits{
-		MaxSteps:    policy.MaxSteps,
-		MaxDepth:    policy.MaxDepth,
-		MaxAllocs:   policy.MaxAllocs,
-		MaxDuration: policy.MaxDuration,
-		Context:     policy.Context,
-		Profile:     policy.Profile,
-	}, globals)
+	in := nql.NewInterp(policy, globals)
 	v, err := in.RunProgram(prog)
 	res.Stdout = in.Stdout()
 	res.Steps = in.Steps()

@@ -1,9 +1,10 @@
-// Package scalar is the one key and order contract of the tabular value
-// domain: nil, bool, int64, float64 and string. sqldb, dataframe and
-// federate group, de-duplicate, join, filter and sort through it, so a
-// query's answer does not depend on which substrate ran it.
+// Package scalar is the one key, order and arithmetic contract of the
+// tabular value domain: nil, bool, int64, float64 and string. sqldb,
+// dataframe and federate group, de-duplicate, join, filter, sort, add and
+// sum through it, and NQL does its arithmetic through it, so a query's
+// answer does not depend on which substrate ran it.
 //
-// The contract:
+// The key and order contract:
 //   - Kinds rank nil < bool < number < string.
 //   - int64 and float64 are one kind and compare by value, an int64
 //     rounded through float64: 2^53 and 2^53+1 are equal.
@@ -19,12 +20,21 @@
 // false and Equal is false; Compare ranks such values after every string
 // and ties them, so a stable sort keeps their order.
 //
-// Two rules stay with their substrate. A federated (NQL) comparison that
+// The arithmetic contract (Arith, Sum) is over int64 and float64. + - *
+// of two int64s is exact, and a result outside int64 is instead
+// float64(l) op float64(r), a fixed rule. / divides as float64 and %
+// takes int64s. A Sum is the exact int64 while every value added is an
+// int64 and the sum fits, else the float64 sum in order; each substrate
+// reads N to give its own answer for no values. A failure is a sentinel
+// error that each caller maps to its own text.
+//
+// Three rules stay with their substrate. A federated (NQL) comparison that
 // orders values of different kinds is an error. NQL's own equality, order
 // and dict keys (nql.ValuesEqual, nql.CompareNQL and the map key) and
 // graph.ValueEqual, which compares network state, keep language semantics:
 // NaN != NaN under ==, and -0.0 and each NaN payload are dict keys of
-// their own.
+// their own. NQL also counts a bool as the int 0 or 1 in arithmetic, and
+// turns it into one before calling Arith or Sum.
 package scalar
 
 import (
@@ -100,8 +110,9 @@ func (k Key) Append(buf []byte) []byte {
 	return buf
 }
 
-// number returns a number as the float64 it compares as.
-func number(v any) (float64, bool) {
+// Float returns an int64 or float64 as the float64 it compares as; ok is
+// false for any other value.
+func Float(v any) (f float64, ok bool) {
 	switch x := v.(type) {
 	case int64:
 		return float64(x), true
@@ -119,10 +130,10 @@ func Equal(a, b any) bool {
 		y, ok := b.(string)
 		return ok && x == y
 	case int64:
-		y, ok := number(b)
+		y, ok := Float(b)
 		return ok && float64(x) == y
 	case float64:
-		y, ok := number(b)
+		y, ok := Float(b)
 		return ok && (x == y || x != x && y != y)
 	}
 	ka, ok := KeyOf(a)
@@ -135,11 +146,11 @@ func Equal(a, b any) bool {
 func Compare(a, b any) int {
 	switch x := a.(type) {
 	case int64:
-		if y, ok := number(b); ok {
+		if y, ok := Float(b); ok {
 			return compareNumbers(float64(x), y)
 		}
 	case float64:
-		if y, ok := number(b); ok {
+		if y, ok := Float(b); ok {
 			return compareNumbers(x, y)
 		}
 	case string:

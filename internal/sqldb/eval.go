@@ -36,7 +36,7 @@ func evalNode(e Expr, s scope) (any, error) {
 		case "-":
 			switch n := v.(type) {
 			case int64:
-				return -n, nil
+				return scalar.Arith("-", int64(0), n)
 			case float64:
 				return -n, nil
 			default:
@@ -214,70 +214,24 @@ func binaryOp(op string, l, r any) (any, error) {
 			return strings.HasPrefix(ls, rs), nil
 		}
 		return likeMatch(ls, rs), nil
-	case "+":
-		if ls, ok := l.(string); ok {
+	case "+", "-", "*", "/", "%":
+		if ls, ok := l.(string); ok && op == "+" {
 			if rs, ok := r.(string); ok {
 				return ls + rs, nil // string concatenation convenience
 			}
 		}
-		return arith(l, r, op)
-	case "-", "*", "/", "%":
-		return arith(l, r, op)
+		v, err := scalar.Arith(op, l, r)
+		switch err {
+		case scalar.ErrNotNumber:
+			return nil, fmt.Errorf("sql: arithmetic %q on non-numeric values %v (%T) and %v (%T)", op, l, l, r, r)
+		case scalar.ErrModNotInt:
+			return nil, fmt.Errorf("sql: %% requires integers")
+		case scalar.ErrZeroDivisor:
+			return nil, fmt.Errorf("sql: division by zero")
+		}
+		return v, err
 	default:
 		return nil, fmt.Errorf("sql: unknown operator %q", op)
-	}
-}
-
-func arith(l, r any, op string) (any, error) {
-	lf, lok := numAsFloat(l)
-	rf, rok := numAsFloat(r)
-	if !lok || !rok {
-		return nil, fmt.Errorf("sql: arithmetic %q on non-numeric values %v (%T) and %v (%T)", op, l, l, r, r)
-	}
-	_, lInt := l.(int64)
-	_, rInt := r.(int64)
-	bothInt := lInt && rInt
-	switch op {
-	case "+":
-		if bothInt {
-			return int64(lf) + int64(rf), nil
-		}
-		return lf + rf, nil
-	case "-":
-		if bothInt {
-			return int64(lf) - int64(rf), nil
-		}
-		return lf - rf, nil
-	case "*":
-		if bothInt {
-			return int64(lf) * int64(rf), nil
-		}
-		return lf * rf, nil
-	case "/":
-		if rf == 0 {
-			return nil, fmt.Errorf("sql: division by zero")
-		}
-		return lf / rf, nil
-	case "%":
-		if !bothInt {
-			return nil, fmt.Errorf("sql: %% requires integers")
-		}
-		if int64(rf) == 0 {
-			return nil, fmt.Errorf("sql: division by zero")
-		}
-		return int64(lf) % int64(rf), nil
-	}
-	return nil, fmt.Errorf("sql: unknown arithmetic op %q", op)
-}
-
-func numAsFloat(v any) (float64, bool) {
-	switch x := v.(type) {
-	case int64:
-		return float64(x), true
-	case float64:
-		return x, true
-	default:
-		return 0, false
 	}
 }
 
@@ -362,7 +316,7 @@ func evalScalarFunc(f *FuncCall, s scope) (any, error) {
 		switch n := args[0].(type) {
 		case int64:
 			if n < 0 {
-				return -n, nil
+				return scalar.Arith("-", int64(0), n)
 			}
 			return n, nil
 		case float64:
@@ -371,7 +325,7 @@ func evalScalarFunc(f *FuncCall, s scope) (any, error) {
 		return nil, fmt.Errorf("sql: ABS() requires a number")
 	case "ROUND":
 		if len(args) == 1 {
-			n, ok := numAsFloat(args[0])
+			n, ok := scalar.Float(args[0])
 			if !ok {
 				return nil, fmt.Errorf("sql: ROUND() requires a number")
 			}
@@ -380,7 +334,7 @@ func evalScalarFunc(f *FuncCall, s scope) (any, error) {
 		if err := wantArgs(2); err != nil {
 			return nil, err
 		}
-		n, ok1 := numAsFloat(args[0])
+		n, ok1 := scalar.Float(args[0])
 		d, ok2 := args[1].(int64)
 		if !ok1 || !ok2 {
 			return nil, fmt.Errorf("sql: ROUND(x, digits) requires (number, int)")

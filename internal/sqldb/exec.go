@@ -947,11 +947,10 @@ func evalAggregateFunc(f *FuncCall, ws *workingSet, rows []int) (any, error) {
 		seen = map[scalar.Key]bool{}
 	}
 	var (
-		n      int64 // non-nil (and, under DISTINCT, distinct) values
-		total  float64
-		allInt = true
-		best   any // MIN/MAX so far
-		bad    any // first non-numeric value under SUM/AVG
+		n    int64 // non-nil (and, under DISTINCT, distinct) values
+		sum  scalar.Sum
+		best any // MIN/MAX so far
+		bad  any // first non-numeric value under SUM/AVG
 	)
 	for _, r := range rows {
 		v, err := evalExpr(f.Args[0], scope{ws, r})
@@ -971,16 +970,7 @@ func evalAggregateFunc(f *FuncCall, ws *workingSet, rows []int) (any, error) {
 		n++
 		switch f.Name {
 		case "SUM", "AVG":
-			if bad != nil {
-				continue
-			}
-			switch x := v.(type) {
-			case int64:
-				total += float64(x)
-			case float64:
-				total += x
-				allInt = false
-			default:
+			if bad == nil && !sum.Add(v) {
 				bad = v
 			}
 		case "MIN", "MAX":
@@ -1001,14 +991,12 @@ func evalAggregateFunc(f *FuncCall, ws *workingSet, rows []int) (any, error) {
 		switch {
 		case bad != nil:
 			return nil, fmt.Errorf("sql: %s() over non-numeric value %v", f.Name, bad)
-		case n == 0:
+		case sum.N() == 0:
 			return nil, nil
 		case f.Name == "AVG":
-			return total / float64(n), nil
-		case allInt:
-			return int64(total), nil
+			return sum.Mean(), nil
 		}
-		return total, nil
+		return sum.Value(), nil
 	case "MIN", "MAX":
 		return best, nil
 	}

@@ -15,7 +15,9 @@
 // Values compare, group, de-duplicate and join under package scalar's
 // contract (scalar.Equal, scalar.Compare and scalar.KeyOf); the executor
 // holds no comparison rule of its own. NULL is a value like any other
-// there: = finds two NULLs equal and a join pairs NULL keys.
+// there: = finds two NULLs equal and a join pairs NULL keys. Arithmetic,
+// negation, ABS, SUM and AVG follow scalar.Arith and scalar.Sum (integers
+// exact, float64 past int64); SUM and AVG of no non-NULL value are NULL.
 //
 // A single-table SELECT whose WHERE leads with `col = 'string'` starts
 // from the rows the table's string-equality index holds for that string

@@ -147,6 +147,19 @@ func TestArithmeticAndFunctions(t *testing.T) {
 	}
 }
 
+// TestNegationOverflowRule: -x and ABS(x) of the smallest int64 follow
+// scalar.Arith's rule and give the float 2^63 instead of wrapping.
+func TestNegationOverflowRule(t *testing.T) {
+	db := NewDB()
+	tbl := dataframe.New("x")
+	tbl.AppendRow(int64(math.MinInt64))
+	db.CreateTable("t", tbl)
+	r := mustQuery(t, db, "SELECT -x AS n, ABS(x) AS a, -(x + 1) AS m FROM t").Row(0)
+	if r["n"] != 0x1p63 || r["a"] != 0x1p63 || r["m"] != int64(math.MaxInt64) {
+		t.Fatalf("row = %v", r)
+	}
+}
+
 func TestDivisionByZero(t *testing.T) {
 	db := testDB()
 	if _, err := db.Query("SELECT bytes / 0 FROM edges"); err == nil {
