@@ -33,11 +33,13 @@
 // place, and every operator polls cancellation at row checkpoints and
 // emits one explain-analyze profile frame. A selective lookup costs what
 // its answer costs: a frozen dataset master's frames and SQL tables share
-// a lazily built string-equality index with their unwritten clones, so a
-// SQL scan (or SELECT) that leads with `col = 'string'` reads only the
-// matching rows, and a graph scan's attribute columns are derived once
-// per frozen graph master. Plans can join tables living in different
-// substrates, e.g.
+// a lazily built string index with their unwritten clones, so a SQL scan
+// (or SELECT) that leads with `col = 'string'` and a federated frame scan
+// that leads with `==` or `prefix` against a string read only the
+// matching rows; a join whose right input is the graph's unfiltered node
+// table, keyed on `id`, looks its left keys up in the graph's node index;
+// and a graph scan's attribute columns are derived once per frozen graph
+// master. Plans can join tables living in different substrates, e.g.
 //
 //	fed.scan("sql", "edges").filter("bytes", ">", 500000).
 //	    join(fed.scan("graph", "degree"), "dst", "id").

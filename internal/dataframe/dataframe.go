@@ -29,7 +29,7 @@ import (
 // first mutated. This mirrors graph.Freeze/Clone and is what lets the
 // evaluation matrix hand every sandboxed trial its own table state without
 // re-copying thousands of rows per cell. A master and its unwritten clones
-// also share one string-equality index (StringRows).
+// also share one string index (StringRows, PrefixRows).
 type Frame struct {
 	cols   []string
 	data   map[string][]any
@@ -260,9 +260,9 @@ func (f *Frame) Rename(oldName, newName string) (*Frame, error) {
 
 // Freeze marks the frame as an immutable master: subsequent Clones share
 // its column storage copy-on-write instead of deep-copying. Mutating a
-// frozen frame panics. Freezing also gives the master an empty
-// string-equality index, whose columns are built on first lookup
-// (StringRows) and shared by every clone that has not written.
+// frozen frame panics. Freezing also gives the master an empty string
+// index, whose columns are built on first lookup (StringRows, PrefixRows)
+// and shared by every clone that has not written.
 func (f *Frame) Freeze() {
 	if f.frozen {
 		return
@@ -309,18 +309,21 @@ func (f *Frame) ensureOwned() {
 	f.shared = false
 }
 
-// colIndex is a frozen master's string-equality index of one column,
-// built on first lookup: rows maps each string the column's cells hold to
-// the ascending positions of those cells. Freeze fills the frame's map of
-// them once, so concurrent lookups through clones need no lock beyond
-// each column's Once.
+// colIndex is a frozen master's string index of one column, built on first
+// lookup: strs holds the distinct strings the column's cells hold, sorted,
+// and rows[i] the ascending positions of the cells holding strs[i].
+// allStrings records that every cell is a string. Freeze fills the frame's
+// map of them once, so concurrent lookups through clones need no lock
+// beyond each column's Once.
 type colIndex struct {
-	data []any
-	once sync.Once
-	rows map[string][]int32
+	data       []any
+	once       sync.Once
+	strs       []string
+	rows       [][]int32
+	allStrings bool
 }
 
-// build fills rows, carving every position list from one array.
+// build fills strs and rows, carving every position list from one array.
 func (ci *colIndex) build() {
 	counts := map[string]int32{}
 	total := 0
@@ -330,18 +333,44 @@ func (ci *colIndex) build() {
 			total++
 		}
 	}
+	ci.allStrings = total == len(ci.data)
+	ci.strs = make([]string, 0, len(counts))
+	for s := range counts {
+		ci.strs = append(ci.strs, s)
+	}
+	slices.Sort(ci.strs)
+	ci.rows = make([][]int32, len(ci.strs))
 	all := make([]int32, total)
-	ci.rows = make(map[string][]int32, len(counts))
 	off := 0
-	for s, n := range counts {
-		ci.rows[s] = all[off : off : off+int(n)]
-		off += int(n)
+	for i, s := range ci.strs {
+		n := int(counts[s])
+		ci.rows[i] = all[off : off : off+n]
+		off += n
+		counts[s] = int32(i) // from here on, s's position in strs
 	}
 	for i, v := range ci.data {
 		if s, ok := v.(string); ok {
-			ci.rows[s] = append(ci.rows[s], int32(i))
+			j := counts[s]
+			ci.rows[j] = append(ci.rows[j], int32(i))
 		}
 	}
+}
+
+// usableIndex returns the index of col when the frame may read it: the
+// frame is a frozen master or an unwritten clone of one, and its column
+// col is still the master's (same backing array and length). Nil leaves
+// the caller to scan.
+func (f *Frame) usableIndex(col string) *colIndex {
+	if f.index == nil {
+		return nil
+	}
+	ci := f.index[col]
+	cur, has := f.data[col]
+	if ci == nil || !has || len(cur) != len(ci.data) || len(cur) > 0 && &cur[0] != &ci.data[0] {
+		return nil
+	}
+	ci.once.Do(ci.build)
+	return ci
 }
 
 // StringRows returns the ascending positions of the rows whose cell in col
@@ -349,18 +378,52 @@ func (ci *colIndex) build() {
 // false when the frame has no usable index for col: it is neither a frozen
 // master nor an unwritten clone of one, or its column col is not the
 // master's column (renamed, added or rebuilt since). The caller then scans.
-// The positions are shared; treat them as read-only.
+// sqldb seeks through it for a WHERE that leads with col = 'string', and
+// federate for a frame scan whose first pushed predicate is == against a
+// string. The positions are shared; treat them as read-only.
 func (f *Frame) StringRows(col, s string) (rows []int32, ok bool) {
-	if f.index == nil {
+	ci := f.usableIndex(col)
+	if ci == nil {
 		return nil, false
 	}
-	ci := f.index[col]
-	cur, has := f.data[col]
-	if ci == nil || !has || len(cur) != len(ci.data) || len(cur) > 0 && &cur[0] != &ci.data[0] {
+	if i, found := slices.BinarySearch(ci.strs, s); found {
+		return ci.rows[i], true
+	}
+	return nil, true
+}
+
+// PrefixRows returns the ascending positions of the rows whose cell in col
+// is a string starting with prefix, from the same index as StringRows: a
+// binary search finds the run of sorted strings sharing the prefix, and
+// their position lists are merged. ok is false where StringRows's is, and
+// also when some cell of col is not a string, where a prefix test fails;
+// the caller scans and raises that failure at its row. Federate seeks
+// through it for a frame scan whose first pushed predicate is prefix
+// against a string. A single matching string's positions are shared;
+// treat the result as read-only.
+func (f *Frame) PrefixRows(col, prefix string) (rows []int32, ok bool) {
+	ci := f.usableIndex(col)
+	if ci == nil || !ci.allStrings {
 		return nil, false
 	}
-	ci.once.Do(ci.build)
-	return ci.rows[s], true
+	lo, _ := slices.BinarySearch(ci.strs, prefix)
+	hi := lo + sort.Search(len(ci.strs)-lo, func(i int) bool { return !strings.HasPrefix(ci.strs[lo+i], prefix) })
+	switch hi - lo {
+	case 0:
+		return nil, true
+	case 1:
+		return ci.rows[lo], true
+	}
+	n := 0
+	for _, r := range ci.rows[lo:hi] {
+		n += len(r)
+	}
+	rows = make([]int32, 0, n)
+	for _, r := range ci.rows[lo:hi] {
+		rows = append(rows, r...)
+	}
+	slices.Sort(rows)
+	return rows, true
 }
 
 // FilterIdx returns the rows for which pred(i) is true. It never

@@ -712,6 +712,54 @@ func TestStringRowsLifetime(t *testing.T) {
 	}
 }
 
+// TestPrefixRows pins PrefixRows: the ascending positions of the string
+// cells that start with the prefix, merged across the strings sharing it,
+// from the same index and under the same lifetime as StringRows; and no
+// answer for a column holding a cell that is not a string.
+func TestPrefixRows(t *testing.T) {
+	f := New("k", "m")
+	for _, k := range []any{"10.0.0.1", "b", "10.0.0.10", "", "ab", "10.1", "a", "10.0.0.1", "abc"} {
+		f.AppendRow(k, k)
+	}
+	f.AppendRow("z", nil)
+	rows := func(f *Frame, col, p string) string {
+		r, ok := f.PrefixRows(col, p)
+		if !ok {
+			return "scan"
+		}
+		return fmt.Sprint(r)
+	}
+	if got := rows(f, "k", "a"); got != "scan" {
+		t.Errorf("unfrozen frame: %s", got)
+	}
+	f.Freeze()
+	for _, c := range []struct{ col, p, want string }{
+		{"k", "", "[0 1 2 3 4 5 6 7 8 9]"},
+		{"k", "a", "[4 6 8]"},
+		{"k", "ab", "[4 8]"},
+		{"k", "abc", "[8]"},
+		{"k", "abcd", "[]"},
+		{"k", "10.0.0.1", "[0 2 7]"},
+		{"k", "10.", "[0 2 5 7]"},
+		{"k", "{", "[]"},
+		{"m", "a", "scan"},
+		{"missing", "a", "scan"},
+	} {
+		for name, g := range map[string]*Frame{"master": f, "clone": f.Clone()} {
+			if got := rows(g, c.col, c.p); got != c.want {
+				t.Errorf("%s: PrefixRows(%q, %q) = %s, want %s", name, c.col, c.p, got, c.want)
+			}
+		}
+	}
+	c := f.Clone()
+	if err := c.SetCell(1, "k", "a"); err != nil {
+		t.Fatal(err)
+	}
+	if got := rows(c, "k", "a"); got != "scan" {
+		t.Errorf("written clone: %s", got)
+	}
+}
+
 // TestGroupByKeyContract pins GroupBy, Unique, ValueCounts and Merge to the
 // scalar key contract: 1 and 1.0, -0 and 0, and NaN payloads are one key
 // each, and two-column keys whose strings hold the old 0x1f separator do

@@ -3,6 +3,7 @@ package federate
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -175,19 +176,22 @@ func execScan(cat *Catalog, s *Scan) (columns, error) {
 // columns, lifted one cell at a time as an operator reads them. Column
 // storage (a frame, a sqldb scan) sits in data; graph tables and
 // lifted relations read through cell. rows, when non-nil, maps each row to
-// the source row that survived the scan's predicates.
+// the source row that survived the scan's predicates (or an index seek).
+// nodes is set on a graph node table no predicate narrowed: its row r is
+// node r of that graph, so a join on id can look nodes up by ID.
 type columns struct {
 	names []string
 	n     int
 	data  [][]any
 	cell  func(c, r int) nql.Value
-	rows  []int
+	rows  []int32
+	nodes *graph.Graph
 }
 
 // at reads the cell of column c in row r.
 func (s *columns) at(c, r int) nql.Value {
 	if s.rows != nil {
-		r = s.rows[r]
+		r = int(s.rows[r])
 	}
 	if s.data != nil {
 		return LiftValue(s.data[c][r])
@@ -236,21 +240,22 @@ func relColumns(rel *Relation) columns {
 	return columns{names: rel.Cols, n: len(rel.Rows), cell: func(c, r int) nql.Value { return rel.Rows[r][c] }}
 }
 
-// selectRows is the scan filter over a whole table: it evaluates the
-// pushed predicates on the cells of their condition columns only, and
-// narrows the survivors to cols when it is non-nil. Nothing else is lifted. Errors are those of
-// filtering the fully lifted relation row by row: predicates run in order
-// with short-circuit, a condition column is resolved the first time its
-// predicate runs (so an empty table never fails on one), the context is
-// polled at the same row checkpoints, and projection columns are resolved
-// once filtering succeeded.
+// selectRows is the scan filter over a table's rows (all of them, or the
+// rows an index seek preset in src.rows): it evaluates the pushed
+// predicates on the cells of their condition columns only, and narrows the
+// survivors to cols when it is non-nil. Nothing else is lifted. Errors are
+// those of filtering the fully lifted relation row by row: predicates run
+// in order with short-circuit, a condition column is resolved the first
+// time its predicate runs (so an empty table never fails on one), the
+// context is polled at row checkpoints, and projection columns are
+// resolved once filtering succeeded.
 func selectRows(cat *Catalog, src columns, pushed []Cmp, cols []string) (columns, error) {
 	if len(pushed) > 0 {
 		at := make([]int, len(pushed))
 		for i := range at {
 			at[i] = -1
 		}
-		var keep []int
+		var keep []int32
 	rows:
 		for r := 0; r < src.n; r++ {
 			if err := cat.cancelled(r); err != nil {
@@ -272,7 +277,11 @@ func selectRows(cat *Catalog, src columns, pushed []Cmp, cols []string) (columns
 					continue rows
 				}
 			}
-			keep = append(keep, r)
+			if src.rows != nil {
+				keep = append(keep, src.rows[r])
+			} else {
+				keep = append(keep, int32(r))
+			}
 		}
 		src.rows, src.n = keep, len(keep)
 	}
@@ -314,18 +323,25 @@ func scanGraph(cat *Catalog, s *Scan) (columns, error) {
 	var rel *Relation
 	switch s.Table {
 	case GraphTableNodes:
+		// A node's attribute map is looked up when an operator first reads
+		// one of its attribute cells; operators read a row's cells
+		// together, so the last row's map is kept.
 		ids := g.Nodes()
-		attrs := make([]graph.Attrs, len(ids))
-		for i, id := range ids {
-			attrs[i] = g.NodeAttrsView(id)
-		}
 		names := append([]string{"id"}, g.NodeAttrKeys()...)
-		return selectRows(cat, columns{names: names, n: len(ids), cell: func(c, r int) nql.Value {
+		last, lastAttrs := -1, graph.Attrs(nil)
+		src := columns{names: names, n: len(ids), cell: func(c, r int) nql.Value {
 			if c == 0 {
 				return ids[r]
 			}
-			return LiftValue(attrs[r][names[c]])
-		}}, s.Pushed, s.Cols)
+			if r != last {
+				last, lastAttrs = r, g.NodeAttrsView(ids[r])
+			}
+			return LiftValue(lastAttrs[names[c]])
+		}}
+		if len(s.Pushed) == 0 {
+			src.nodes = g
+		}
+		return selectRows(cat, src, s.Pushed, s.Cols)
 	case GraphTableEdges:
 		edges := g.EdgesView()
 		names := append([]string{"src", "dst"}, g.EdgeAttrKeys()...)
@@ -380,7 +396,46 @@ func scanFrame(cat *Catalog, s *Scan) (columns, error) {
 		sort.Strings(names)
 		return columns{}, fmt.Errorf("federate: unknown frame table %q (have %v)", s.Table, names)
 	}
-	return selectRows(cat, frameColumns(f), s.Pushed, s.Cols)
+	src, pushed := frameColumns(f), s.Pushed
+	if rows, ok := seekFrame(f, pushed); ok {
+		// The seek answers the leading predicate; the rest run over the
+		// rows it found. The context is polled once, as the scan's first
+		// row would, so a cancelled run still fails when nothing matches.
+		if src.n > 0 {
+			if err := cat.cancelled(0); err != nil {
+				return columns{}, err
+			}
+		}
+		src.rows, src.n, pushed = rows, len(rows), pushed[1:]
+	}
+	return selectRows(cat, src, pushed, s.Cols)
+}
+
+// seekFrame answers a frame scan's leading pushed predicate from the
+// frozen master's string index (dataframe.Frame.StringRows and
+// PrefixRows) when it is == or prefix against a string literal. == holds
+// only for a cell that is the identical string, and prefix only for a
+// string cell, so the rows found are the rows the scan keeps, in table
+// order. ok is false, and the scan runs, when the frame has no usable
+// index for the column (it is not a frozen master or an unwritten clone
+// of one, or the column is renamed, rebuilt or unknown), for any other
+// operator or literal, and for prefix when some cell is not a string:
+// the scan then raises "prefix requires strings" at that row.
+func seekFrame(f *dataframe.Frame, pushed []Cmp) ([]int32, bool) {
+	if len(pushed) == 0 {
+		return nil, false
+	}
+	lit, ok := pushed[0].Value.(string)
+	if !ok {
+		return nil, false
+	}
+	switch pushed[0].Op {
+	case "==":
+		return f.StringRows(pushed[0].Col, lit)
+	case "prefix":
+		return f.PrefixRows(pushed[0].Col, lit)
+	}
+	return nil, false
 }
 
 // frameColumns reads a frame's live column storage as a scan source.
@@ -544,11 +599,14 @@ func execJoin(cat *Catalog, j *Join) (*Relation, error) {
 	return joinRelations(cat, j, &left, &right)
 }
 
-// joinRelations is the hash equi-join over two column sources, hashing the
-// side the planner chose (the right one for a plan that was not prepared).
-// Output is identical either way: left-major, each left row's matches in
-// right-row order; key errors keep one precedence (all right keys are
-// computed before any left key) regardless of the build side.
+// joinRelations is the equi-join over two column sources. It hashes the
+// side the planner chose (the right one for a plan that was not
+// prepared), or, when the right input is a graph node table no predicate
+// narrowed and the right key is id, looks each left key up in the graph's
+// node index instead (seekNodes). Output is identical every way:
+// left-major, each left row's matches in right-row order; key errors keep
+// one precedence (all right keys are computed before any left key, and
+// node IDs never fail to hash).
 func joinRelations(cat *Catalog, j *Join, left, right *columns) (*Relation, error) {
 	li, err := left.colIndex(j.LeftKey)
 	if err != nil {
@@ -576,6 +634,10 @@ func joinRelations(cat *Catalog, j *Join, left, right *columns) (*Relation, erro
 		}
 		taken[c] = true
 		cols = append(cols, c)
+	}
+	out := &joinOut{cat: cat, left: left, right: right, rightCols: rightCols, w: len(cols)}
+	if right.nodes != nil && j.RightKey == "id" {
+		return seekNodes(cat, j, li, out, cols)
 	}
 	rkeys := make([]scalar.Key, right.n)
 	for r := range rkeys {
@@ -608,6 +670,9 @@ func joinRelations(cat *Catalog, j *Join, left, right *columns) (*Relation, erro
 			index[k] = append(index[k], i)
 		}
 		for ji, k := range rkeys {
+			if err := cat.cancelled(ji); err != nil {
+				return nil, err
+			}
 			for _, i := range index[k] {
 				matches[i] = append(matches[i], ji)
 			}
@@ -621,41 +686,96 @@ func joinRelations(cat *Catalog, j *Join, left, right *columns) (*Relation, erro
 			matches[i] = index[k]
 		}
 	}
-	n := 0
 	for _, m := range matches {
-		n += len(m)
+		out.n += len(m)
 	}
-	out := &Relation{Cols: cols}
-	if n == 0 {
-		return out, nil
-	}
-	// One backing array for every output row, each capped like the scan's.
-	w, lw := len(cols), len(left.names)
-	backing := make([]nql.Value, n*w)
-	out.Rows = make([][]nql.Value, 0, n)
 	for i, m := range matches {
 		for _, ji := range m {
-			// Checkpoint on output rows too: a skewed key can fan one left
-			// row out to millions of matches, and the per-left-row poll
-			// alone would leave cancellation latency unbounded. The nil
-			// test stays inline so context-free runs pay no call per row.
-			k := len(out.Rows)
-			if cat.ctx != nil {
-				if err := cat.cancelled(k); err != nil {
-					return nil, err
-				}
+			if err := out.emit(i, ji); err != nil {
+				return nil, err
 			}
-			row := backing[k*w : (k+1)*w : (k+1)*w]
-			for c := 0; c < lw; c++ {
-				row[c] = left.at(c, i)
-			}
-			for c, rc := range rightCols {
-				row[lw+c] = right.at(rc, ji)
-			}
-			out.Rows = append(out.Rows, row)
 		}
 	}
-	return out, nil
+	return &Relation{Cols: cols, Rows: out.rows}, nil
+}
+
+// seekNodes is the join whose right input is a graph node table read by
+// node ID: each left key is computed in order (so an unhashable one fails
+// with the hash join's error), and a string naming a node matches that
+// node's row through the graph's node index. Any other key matches
+// nothing, since scalar.Equal equates a string only with the same string.
+// Only the matched nodes' cells are read.
+func seekNodes(cat *Catalog, j *Join, li int, out *joinOut, cols []string) (*Relation, error) {
+	left, g := out.left, out.right.nodes
+	hit := make([]int32, left.n)
+	for i := range hit {
+		if err := cat.cancelled(i); err != nil {
+			return nil, err
+		}
+		v := left.at(li, i)
+		if _, err := hashKey(v); err != nil {
+			return nil, fmt.Errorf("federate: join key %s: %w", j.LeftKey, err)
+		}
+		hit[i] = -1
+		if id, ok := v.(string); ok {
+			if r, ok := g.NodeIndex(id); ok {
+				hit[i] = int32(r)
+				out.n++
+			}
+		}
+	}
+	for i, r := range hit {
+		if r < 0 {
+			continue
+		}
+		if err := out.emit(i, int(r)); err != nil {
+			return nil, err
+		}
+	}
+	return &Relation{Cols: cols, Rows: out.rows}, nil
+}
+
+// joinOut builds a join's n output rows of w cells: left row i's cells,
+// then right row ji's rightCols. Rows are carved from backing chunks of
+// at most cancelCheckEvery rows, each allocated only after the output-row
+// checkpoint that admits its first row, so a cancelled join never
+// allocates for the rows it did not reach. Each row is capped like the
+// scan's, so an append by a later operator reallocates.
+type joinOut struct {
+	cat         *Catalog
+	left, right *columns
+	rightCols   []int
+	w, n        int
+	chunk       []nql.Value
+	rows        [][]nql.Value
+}
+
+func (o *joinOut) emit(i, ji int) error {
+	k := len(o.rows)
+	if k%cancelCheckEvery == 0 {
+		// Checkpoint on output rows too: a skewed key can fan one left row
+		// out to millions of matches, and the per-left-row poll alone would
+		// leave cancellation latency unbounded.
+		if err := o.cat.cancelled(k); err != nil {
+			return err
+		}
+		c := min(cancelCheckEvery, o.n-k)
+		o.chunk = make([]nql.Value, c*o.w)
+		if o.rows == nil {
+			o.rows = make([][]nql.Value, 0, c)
+		}
+	}
+	row := o.chunk[:o.w:o.w]
+	o.chunk = o.chunk[o.w:]
+	lw := len(o.left.names)
+	for c := 0; c < lw; c++ {
+		row[c] = o.left.at(c, i)
+	}
+	for c, rc := range o.rightCols {
+		row[lw+c] = o.right.at(rc, ji)
+	}
+	o.rows = append(o.rows, row)
+	return nil
 }
 
 // hashKey is a join or group value's scalar key; a value outside the
@@ -893,6 +1013,10 @@ func (g *agg) result(fn string) nql.Value {
 	return nil
 }
 
+// execSort stably sorts a permutation of the input's row positions, then
+// gathers the rows once. The comparator polls the context every
+// cancelCheckEvery calls; once it has ended, every comparison ties, so
+// the sort finishes in a few passes and the error is returned after it.
 func execSort(cat *Catalog, s *Sort) (*Relation, error) {
 	in, err := execute(cat, s.Input)
 	if err != nil {
@@ -909,19 +1033,40 @@ func execSort(cat *Catalog, s *Sort) (*Relation, error) {
 	if err := cat.cancelled(0); err != nil {
 		return nil, err
 	}
-	rows := append([][]nql.Value(nil), in.Rows...)
-	sort.SliceStable(rows, func(a, b int) bool {
-		for _, j := range idx {
-			cmp := scalar.Compare(rows[a][j], rows[b][j])
-			if cmp != 0 {
-				if s.Ascending {
-					return cmp < 0
-				}
-				return cmp > 0
+	perm := make([]int32, len(in.Rows))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	calls := 0
+	var cerr error
+	slices.SortStableFunc(perm, func(a, b int32) int {
+		if cat.ctx != nil {
+			if cerr != nil {
+				return 0
+			}
+			calls++
+			if cerr = cat.cancelled(calls); cerr != nil {
+				return 0
 			}
 		}
-		return false
+		ra, rb := in.Rows[a], in.Rows[b]
+		for _, j := range idx {
+			if cmp := scalar.Compare(ra[j], rb[j]); cmp != 0 {
+				if s.Ascending {
+					return cmp
+				}
+				return -cmp
+			}
+		}
+		return 0
 	})
+	if cerr != nil {
+		return nil, cerr
+	}
+	rows := make([][]nql.Value, len(perm))
+	for i, p := range perm {
+		rows[i] = in.Rows[p]
+	}
 	return &Relation{Cols: in.Cols, Rows: rows}, nil
 }
 

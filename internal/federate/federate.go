@@ -31,10 +31,22 @@
 // columns.
 // A join or aggregate reads a scan child's surviving cells in place,
 // lifting only the cells it uses; every other child arrives as a lifted
-// relation. There is one join (hashing the side the planner chose) and one
-// aggregate for every source. Every operator honors context cancellation
-// at row-loop checkpoints and, under an obs.Profile, emits one operator
-// frame. The expected results, error text and frame trees of a plan corpus
+// relation. There is one join and one aggregate for every source.
+//
+// Two plan shapes read only the rows they return. A frame scan whose first
+// pushed predicate is == or prefix against a string literal seeks it in
+// the string index a frozen frame master shares with its unwritten clones
+// (dataframe.Frame.StringRows and PrefixRows; prefix also needs every
+// cell of the column to be a string), and runs its other predicates over
+// the rows found. A join whose right input is a graph node table with no
+// pushed predicate, keyed on id, looks each left key up in the graph's
+// node index instead of hashing every node, and reads only the matched
+// nodes' attributes. Every other shape scans, and joins hash the side the
+// planner chose; rows, their order and error text are the same either
+// way. Every operator honors context cancellation at row-loop checkpoints
+// (a join also allocates its output in checkpointed chunks, and a sort
+// polls from its comparator) and, under an obs.Profile, emits one
+// operator frame. The expected results, error text and frame trees of a plan corpus
 // are pinned in the package tests.
 //
 // # Statistics and the plan cache
@@ -217,17 +229,21 @@ func colIndex(cols []string, name string) (int, error) {
 func (r *Relation) NumRows() int { return len(r.Rows) }
 
 // Value lifts the relation into the NQL result domain: a list of
-// insertion-ordered maps, one per row, keyed by column name.
+// insertion-ordered maps, one per row, keyed by column name. Every row map
+// shares one key layout, and the maps and their values are carved from
+// two allocations. A repeated column name keeps its first position and its
+// last value, as setting the columns one by one would.
 func (r *Relation) Value() nql.Value {
-	items := make([]nql.Value, len(r.Rows))
-	for i, row := range r.Rows {
-		m := nql.NewMap()
-		for j, c := range r.Cols {
-			_ = m.Set(c, row[j])
-		}
-		items[i] = m
+	keys := make([]nql.Value, len(r.Cols))
+	for i, c := range r.Cols {
+		keys[i] = c
 	}
-	return nql.NewList(items...)
+	shape := nql.NewMapShape(keys)
+	return nql.NewList(shape.Rows(len(r.Rows), func(i int, vals []nql.Value) {
+		for j, v := range r.Rows[i] {
+			vals[shape.Slot(j)] = v
+		}
+	})...)
 }
 
 // Frame materializes the relation as a dataframe (for interop with the

@@ -57,6 +57,7 @@ func TestReadOnlyCloneOwnsNoEdges(t *testing.T) {
 	_ = c.EdgesView()
 	_ = c.EdgeAttrsView("n0000", "n0001")
 	_ = c.NodeAttrsView("n0000")
+	_, _ = c.NodeIndex("n0000")
 	_ = c.Neighbors("n0000")
 	_ = c.PageRank(0.85, 20, 1e-9)
 	if !Equal(c, master) {
@@ -540,7 +541,7 @@ func TestGraphMethodsClassified(t *testing.T) {
 		"DegreeCentrality", "Density", "Diameter", "DijkstraPath", "Directed",
 		"EdgeAttrKeys", "EdgeAttrsView", "EdgesView", "Fingerprint", "HasCycle", "HasEdge",
 		"HasNode", "HopCount", "InDegree", "IsolatedNodes", "MarshalJSON", "MaxBy",
-		"Neighbors", "NodeAttrKeys", "NodeAttrsView", "Nodes", "NumEdges", "NumNodes", "OutDegree",
+		"Neighbors", "NodeAttrKeys", "NodeAttrsView", "NodeIndex", "Nodes", "NumEdges", "NumNodes", "OutDegree",
 		"PageRank", "Predecessors", "Reverse", "SelfLoops", "ShortestPath",
 		"String", "StronglyConnectedComponents", "Subgraph", "TopNByDegree",
 		"TopologicalSort", "Version", "WeightedDegree",

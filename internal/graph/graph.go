@@ -317,6 +317,14 @@ func (g *Graph) HasNode(id string) bool {
 	return ok
 }
 
+// NodeIndex returns id's position in Nodes() order, read from the node
+// index without copying or taking ownership of anything; ok is false if
+// id is absent.
+func (g *Graph) NodeIndex(id string) (i int, ok bool) {
+	i, ok = g.nodeIdx[id]
+	return i, ok
+}
+
 // NodeAttrs returns the attribute map for id, or nil if id is absent. The
 // returned map is live: mutations are visible in the graph.
 func (g *Graph) NodeAttrs(id string) Attrs {

@@ -70,7 +70,11 @@ func installBuiltins(m map[string]*Builtin) {
 		case int64:
 			return x, nil
 		case float64:
-			return int64(x), nil
+			// -2^63 <= x < 2^63 is false for NaN and ±Inf too.
+			if x >= math.MinInt64 && x < -math.MinInt64 {
+				return int64(x), nil
+			}
+			return nil, errf(ErrValue, line, "int() of %s is not an int", Repr(x))
 		case bool:
 			if x {
 				return int64(1), nil
@@ -180,18 +184,26 @@ func installBuiltins(m map[string]*Builtin) {
 		default:
 			return nil, argErr(line, "range", "1-3", len(args))
 		}
-		var items []Value
-		if step > 0 {
-			for v := start; v < stop; v += step {
-				items = append(items, v)
-			}
-		} else {
-			for v := start; v > stop; v += step {
-				items = append(items, v)
-			}
+		// The length is computed in uint64, where the distance between two
+		// int64s and the size of any step fit, and charged before the list
+		// is built.
+		var n uint64
+		if step > 0 && start < stop {
+			n = (uint64(stop)-uint64(start)-1)/uint64(step) + 1
+		} else if step < 0 && start > stop {
+			n = (uint64(start)-uint64(stop)-1)/(-uint64(step)) + 1
 		}
-		if err := in.alloc(line, len(items)); err != nil {
+		if err := in.alloc(line, int(min(n, uint64(in.limits.MaxAllocs)+1))); err != nil {
 			return nil, err
+		}
+		var items []Value
+		if n > 0 {
+			items = make([]Value, n)
+		}
+		v := start
+		for i := range items {
+			items[i] = v
+			v += step // wraps only past the last item, whose successor is unused
 		}
 		return &List{Items: items}, nil
 	})

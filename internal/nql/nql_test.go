@@ -1,6 +1,7 @@
 package nql
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -105,6 +106,76 @@ func TestRound(t *testing.T) {
 	} {
 		if err := runErr(t, src); err.Error() != want {
 			t.Errorf("%s: %v, want %q", src, err, want)
+		}
+	}
+}
+
+// TestIntOfFloat pins int() of a float: it truncates toward zero while the
+// result fits int64, and a NaN, an infinity or a float outside int64 is a
+// value error worded like round()'s.
+func TestIntOfFloat(t *testing.T) {
+	for src, want := range map[string]Value{
+		"return int(2.9)":                    int64(2),
+		"return int(-2.9)":                   int64(-2),
+		"return int(9223372036854774784.0)":  int64(9223372036854774784), // 2^63 - 1024
+		"return int(-9223372036854775808.0)": int64(-9223372036854775808),
+	} {
+		if got := run(t, src); got != want {
+			t.Errorf("%s = %#v, want %#v", src, got, want)
+		}
+	}
+	for src, want := range map[string]string{
+		`return int(float("nan"))`:          "nql value error on line 1: int() of NaN is not an int",
+		`return int(float("inf"))`:          "nql value error on line 1: int() of +Inf is not an int",
+		`return int(float("-inf"))`:         "nql value error on line 1: int() of -Inf is not an int",
+		"return int(1e300)":                 "nql value error on line 1: int() of 1e+300 is not an int",
+		"return int(9223372036854775808.0)": "nql value error on line 1: int() of 9.223372036854776e+18 is not an int",
+	} {
+		if err := runErr(t, src); err.Error() != want {
+			t.Errorf("%s: %v, want %q", src, err, want)
+		}
+	}
+}
+
+// TestRangeLength pins range()'s items at the ends of int64, where the
+// next value past the last item would wrap.
+func TestRangeLength(t *testing.T) {
+	for src, want := range map[string]string{
+		"return range(9223372036854775806, 9223372036854775807, 2)":                             "[9223372036854775806]",
+		"return range(9223372036854775805, 9223372036854775807, 1)":                             "[9223372036854775805, 9223372036854775806]",
+		"return range(-9223372036854775807 - 1, -9223372036854775806)":                          "[-9223372036854775808, -9223372036854775807]",
+		"return range(-9223372036854775806, -9223372036854775807 - 1, -1)":                      "[-9223372036854775806, -9223372036854775807]",
+		"return range(9223372036854775807, -9223372036854775807 - 1, -9223372036854775807 - 1)": "[9223372036854775807, -1]",
+		"return range(10, 0, -3)": "[10, 7, 4, 1]",
+		"return range(0, 10, 3)":  "[0, 3, 6, 9]",
+		"return range(3, 3)":      "[]",
+		"return range(5, 1)":      "[]",
+		"return range(1, 5, -1)":  "[]",
+	} {
+		if got := Repr(run(t, src)); got != want {
+			t.Errorf("%s = %s, want %s", src, got, want)
+		}
+	}
+}
+
+// TestRangeChargedBeforeBuilt pins that range() charges its length to the
+// allocation budget before it builds the list: an over-budget range fails
+// with the budget error and allocates nothing for its items.
+func TestRangeChargedBeforeBuilt(t *testing.T) {
+	for _, src := range []string{
+		"return range(1000000)",
+		"return range(-9223372036854775807 - 1, 9223372036854775807)",
+	} {
+		in := NewInterp(Limits{MaxAllocs: 10}, nil)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := in.Run(src)
+		runtime.ReadMemStats(&after)
+		if err == nil || err.Error() != "nql limit error on line 1: allocation budget exceeded" {
+			t.Fatalf("%s: err = %v, want the allocation budget error", src, err)
+		}
+		if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 1<<20 {
+			t.Errorf("%s allocated %d bytes before failing, want no list", src, bytes)
 		}
 	}
 }
