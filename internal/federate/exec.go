@@ -603,10 +603,10 @@ func execJoin(cat *Catalog, j *Join) (*Relation, error) {
 // side the planner chose (the right one for a plan that was not
 // prepared), or, when the right input is a graph node table no predicate
 // narrowed and the right key is id, looks each left key up in the graph's
-// node index instead (seekNodes). Output is identical every way:
-// left-major, each left row's matches in right-row order; key errors keep
-// one precedence (all right keys are computed before any left key, and
-// node IDs never fail to hash).
+// node index instead, reading only the matched nodes' cells. Output is
+// identical every way: left-major, each left row's matches in right-row
+// order; key errors keep one precedence (all right keys are computed
+// before any left key, and node IDs never fail to hash).
 func joinRelations(cat *Catalog, j *Join, left, right *columns) (*Relation, error) {
 	li, err := left.colIndex(j.LeftKey)
 	if err != nil {
@@ -635,147 +635,113 @@ func joinRelations(cat *Catalog, j *Join, left, right *columns) (*Relation, erro
 		taken[c] = true
 		cols = append(cols, c)
 	}
-	out := &joinOut{cat: cat, left: left, right: right, rightCols: rightCols, w: len(cols)}
-	if right.nodes != nil && j.RightKey == "id" {
-		return seekNodes(cat, j, li, out, cols)
-	}
-	rkeys := make([]scalar.Key, right.n)
-	for r := range rkeys {
-		if err := cat.cancelled(r); err != nil {
-			return nil, err
-		}
-		k, err := hashKey(right.at(ri, r))
-		if err != nil {
-			return nil, fmt.Errorf("federate: join key %s: %w", j.RightKey, err)
-		}
-		rkeys[r] = k
-	}
-	lkeys := make([]scalar.Key, left.n)
-	for r := range lkeys {
-		if err := cat.cancelled(r); err != nil {
-			return nil, err
-		}
-		k, err := hashKey(left.at(li, r))
-		if err != nil {
-			return nil, fmt.Errorf("federate: join key %s: %w", j.LeftKey, err)
-		}
-		lkeys[r] = k
-	}
 	// matches[i] lists, in right-row order, the right rows joining left row
-	// i; built by probing whichever side is hashed.
+	// i.
 	matches := make([][]int, left.n)
-	if j.buildLeft {
-		index := make(map[scalar.Key][]int, left.n)
-		for i, k := range lkeys {
-			index[k] = append(index[k], i)
-		}
-		for ji, k := range rkeys {
-			if err := cat.cancelled(ji); err != nil {
+	if right.nodes != nil && j.RightKey == "id" {
+		// A left key joins the node it names; any other key matches
+		// nothing, since scalar.Equal equates a string only with the same
+		// string. Each key is still hashed, for the hash join's error.
+		hits := make([]int, left.n)
+		for i := range matches {
+			if err := cat.cancelled(i); err != nil {
 				return nil, err
 			}
-			for _, i := range index[k] {
-				matches[i] = append(matches[i], ji)
+			v := left.at(li, i)
+			if _, err := hashKey(v); err != nil {
+				return nil, fmt.Errorf("federate: join key %s: %w", j.LeftKey, err)
+			}
+			if id, ok := v.(string); ok {
+				if r, ok := right.nodes.NodeIndex(id); ok {
+					hits[i] = r
+					matches[i] = hits[i : i+1 : i+1]
+				}
 			}
 		}
 	} else {
-		index := make(map[scalar.Key][]int, right.n)
-		for ji, k := range rkeys {
-			index[k] = append(index[k], ji)
-		}
-		for i, k := range lkeys {
-			matches[i] = index[k]
-		}
-	}
-	for _, m := range matches {
-		out.n += len(m)
-	}
-	for i, m := range matches {
-		for _, ji := range m {
-			if err := out.emit(i, ji); err != nil {
+		rkeys := make([]scalar.Key, right.n)
+		for r := range rkeys {
+			if err := cat.cancelled(r); err != nil {
 				return nil, err
 			}
+			k, err := hashKey(right.at(ri, r))
+			if err != nil {
+				return nil, fmt.Errorf("federate: join key %s: %w", j.RightKey, err)
+			}
+			rkeys[r] = k
 		}
-	}
-	return &Relation{Cols: cols, Rows: out.rows}, nil
-}
-
-// seekNodes is the join whose right input is a graph node table read by
-// node ID: each left key is computed in order (so an unhashable one fails
-// with the hash join's error), and a string naming a node matches that
-// node's row through the graph's node index. Any other key matches
-// nothing, since scalar.Equal equates a string only with the same string.
-// Only the matched nodes' cells are read.
-func seekNodes(cat *Catalog, j *Join, li int, out *joinOut, cols []string) (*Relation, error) {
-	left, g := out.left, out.right.nodes
-	hit := make([]int32, left.n)
-	for i := range hit {
-		if err := cat.cancelled(i); err != nil {
-			return nil, err
+		lkeys := make([]scalar.Key, left.n)
+		for r := range lkeys {
+			if err := cat.cancelled(r); err != nil {
+				return nil, err
+			}
+			k, err := hashKey(left.at(li, r))
+			if err != nil {
+				return nil, fmt.Errorf("federate: join key %s: %w", j.LeftKey, err)
+			}
+			lkeys[r] = k
 		}
-		v := left.at(li, i)
-		if _, err := hashKey(v); err != nil {
-			return nil, fmt.Errorf("federate: join key %s: %w", j.LeftKey, err)
-		}
-		hit[i] = -1
-		if id, ok := v.(string); ok {
-			if r, ok := g.NodeIndex(id); ok {
-				hit[i] = int32(r)
-				out.n++
+		if j.buildLeft {
+			index := make(map[scalar.Key][]int, left.n)
+			for i, k := range lkeys {
+				index[k] = append(index[k], i)
+			}
+			for ji, k := range rkeys {
+				if err := cat.cancelled(ji); err != nil {
+					return nil, err
+				}
+				for _, i := range index[k] {
+					matches[i] = append(matches[i], ji)
+				}
+			}
+		} else {
+			index := make(map[scalar.Key][]int, right.n)
+			for ji, k := range rkeys {
+				index[k] = append(index[k], ji)
+			}
+			for i, k := range lkeys {
+				matches[i] = index[k]
 			}
 		}
 	}
-	for i, r := range hit {
-		if r < 0 {
-			continue
-		}
-		if err := out.emit(i, int(r)); err != nil {
-			return nil, err
-		}
+	n := 0
+	for _, m := range matches {
+		n += len(m)
 	}
-	return &Relation{Cols: cols, Rows: out.rows}, nil
-}
-
-// joinOut builds a join's n output rows of w cells: left row i's cells,
-// then right row ji's rightCols. Rows are carved from backing chunks of
-// at most cancelCheckEvery rows, each allocated only after the output-row
-// checkpoint that admits its first row, so a cancelled join never
-// allocates for the rows it did not reach. Each row is capped like the
-// scan's, so an append by a later operator reallocates.
-type joinOut struct {
-	cat         *Catalog
-	left, right *columns
-	rightCols   []int
-	w, n        int
-	chunk       []nql.Value
-	rows        [][]nql.Value
-}
-
-func (o *joinOut) emit(i, ji int) error {
-	k := len(o.rows)
-	if k%cancelCheckEvery == 0 {
-		// Checkpoint on output rows too: a skewed key can fan one left row
-		// out to millions of matches, and the per-left-row poll alone would
-		// leave cancellation latency unbounded.
-		if err := o.cat.cancelled(k); err != nil {
-			return err
-		}
-		c := min(cancelCheckEvery, o.n-k)
-		o.chunk = make([]nql.Value, c*o.w)
-		if o.rows == nil {
-			o.rows = make([][]nql.Value, 0, c)
+	out := &Relation{Cols: cols}
+	if n == 0 {
+		return out, nil
+	}
+	// Output rows are carved from chunks of at most cancelCheckEvery rows,
+	// each allocated only after the checkpoint that admits its first row,
+	// so a cancelled join never allocates for rows it did not reach. Each
+	// row is capped like the scan's.
+	w, lw := len(cols), len(left.names)
+	out.Rows = make([][]nql.Value, 0, min(n, cancelCheckEvery))
+	var chunk []nql.Value
+	for i, m := range matches {
+		for _, ji := range m {
+			// Checkpoint on output rows too: a skewed key can fan one left
+			// row out to millions of matches, and the per-left-row poll
+			// alone would leave cancellation latency unbounded.
+			if k := len(out.Rows); k%cancelCheckEvery == 0 {
+				if err := cat.cancelled(k); err != nil {
+					return nil, err
+				}
+				chunk = make([]nql.Value, min(n-k, cancelCheckEvery)*w)
+			}
+			row := chunk[:w:w]
+			chunk = chunk[w:]
+			for c := 0; c < lw; c++ {
+				row[c] = left.at(c, i)
+			}
+			for c, rc := range rightCols {
+				row[lw+c] = right.at(rc, ji)
+			}
+			out.Rows = append(out.Rows, row)
 		}
 	}
-	row := o.chunk[:o.w:o.w]
-	o.chunk = o.chunk[o.w:]
-	lw := len(o.left.names)
-	for c := 0; c < lw; c++ {
-		row[c] = o.left.at(c, i)
-	}
-	for c, rc := range o.rightCols {
-		row[lw+c] = o.right.at(rc, ji)
-	}
-	o.rows = append(o.rows, row)
-	return nil
+	return out, nil
 }
 
 // hashKey is a join or group value's scalar key; a value outside the

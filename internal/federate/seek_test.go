@@ -233,6 +233,10 @@ func TestSeekJoinMatchesHashJoin(t *testing.T) {
 			&Sort{Cols: []string{"dst"}, Ascending: true, Input: &Join{Left: edgeLeft(), Right: hashed(), LeftKey: "src", RightKey: "id"}}},
 		{"unknown left key", &Join{Left: frameLeft(), Right: nodes(), LeftKey: "ghost", RightKey: "id"},
 			&Join{Left: frameLeft(), Right: hashed(), LeftKey: "ghost", RightKey: "id"}},
+		{"filtered right", &Join{Left: frameLeft(), Right: &Filter{Input: nodes(), Pred: Cmp{Col: "ip", Op: ">", Value: "10.0.0.2"}}, LeftKey: "dst", RightKey: "id"},
+			&Join{Left: frameLeft(), Right: &Filter{Input: hashed(), Pred: Cmp{Col: "ip", Op: ">", Value: "10.0.0.2"}}, LeftKey: "dst", RightKey: "id"}},
+		{"right key ip", &Join{Left: frameLeft(), Right: nodes(), LeftKey: "dst", RightKey: "ip"},
+			&Join{Left: frameLeft(), Right: hashed(), LeftKey: "dst", RightKey: "ip"}},
 		{"projection without id", &Join{Left: frameLeft(), Right: nodes("ip"), LeftKey: "dst", RightKey: "id"},
 			&Join{Left: frameLeft(), Right: hashed("ip"), LeftKey: "dst", RightKey: "id"}},
 	}
