@@ -56,6 +56,30 @@ func TestRunContextDeadlineStopsJoin(t *testing.T) {
 	}
 }
 
+// TestCancelledJoinAllocatesByChunk ends a 4M-row self-join at each of
+// its first polls in turn, with a context that reports the end from a
+// chosen poll on, so the test does not depend on the host's speed. The
+// join allocates its output a chunk at a time after the checkpoint that
+// admits it, so however late the end comes among those polls, the run
+// allocates a few megabytes (its key columns), not the 128 MB of the
+// whole output.
+func TestCancelledJoinAllocatesByChunk(t *testing.T) {
+	cat := heavyCatalog(2000)
+	plan := Prepare(cat, selfJoin())
+	for polls := 1; polls <= 12; polls++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := plan.ExecuteContext(&endsAfter{Context: context.Background(), n: polls}, cat)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("context ending at poll %d: err = %v, want context.Canceled", polls+1, err)
+		}
+		if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 16<<20 {
+			t.Errorf("context ending at poll %d: the join allocated %d bytes", polls+1, bytes)
+		}
+	}
+}
+
 // TestRunContextBackgroundUnchanged pins the no-deadline path: the same
 // plan under a background context completes with the full cross product.
 func TestRunContextBackgroundUnchanged(t *testing.T) {

@@ -715,9 +715,11 @@ func joinRelations(cat *Catalog, j *Join, left, right *columns) (*Relation, erro
 	// Output rows are carved from chunks of at most cancelCheckEvery rows,
 	// each allocated only after the checkpoint that admits its first row,
 	// so a cancelled join never allocates for rows it did not reach. Each
-	// row is capped like the scan's.
+	// row is capped like the scan's. The row list is sized once when the
+	// output has no more rows than the inputs the join already read, and
+	// grows as rows are admitted when a key fans out past that.
 	w, lw := len(cols), len(left.names)
-	out.Rows = make([][]nql.Value, 0, min(n, cancelCheckEvery))
+	out.Rows = make([][]nql.Value, 0, min(n, max(left.n+right.n, cancelCheckEvery)))
 	var chunk []nql.Value
 	for i, m := range matches {
 		for _, ji := range m {
