@@ -414,14 +414,7 @@ func (f *Frame) PrefixRows(col, prefix string) (rows []int32, ok bool) {
 	case 1:
 		return ci.rows[lo], true
 	}
-	n := 0
-	for _, r := range ci.rows[lo:hi] {
-		n += len(r)
-	}
-	rows = make([]int32, 0, n)
-	for _, r := range ci.rows[lo:hi] {
-		rows = append(rows, r...)
-	}
+	rows = slices.Concat(ci.rows[lo:hi]...)
 	slices.Sort(rows)
 	return rows, true
 }

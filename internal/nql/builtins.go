@@ -186,7 +186,8 @@ func installBuiltins(m map[string]*Builtin) {
 		}
 		// The length is computed in uint64, where the distance between two
 		// int64s and the size of any step fit, and charged before the list
-		// is built.
+		// is built; a length past the whole budget is charged as the budget
+		// plus one, which fails without overflowing the count.
 		var n uint64
 		if step > 0 && start < stop {
 			n = (uint64(stop)-uint64(start)-1)/uint64(step) + 1
