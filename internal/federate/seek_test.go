@@ -109,14 +109,21 @@ func sameOutcome(t *testing.T, name string, seek, scan *Catalog, plan Node, fram
 	}
 }
 
-// TestSeekMatchesScan is the index-vs-scan differential for frame scans:
-// every plan runs over a frozen master (or a clone of it), where the scan
-// may seek its leading == or prefix predicate in the master's index, and
-// over an unfrozen copy of the same cells, where it scans. Rows, their
-// order, error text and profile frames must agree. Written clones drop
-// the index and renamed or rebuilt columns do not read it, so those
-// variants scan on both sides.
+// TestSeekMatchesScan is the index-vs-scan differential: frame scans that
+// may seek against the scans of an unfrozen copy, and joins that may look
+// graph nodes up by ID against the hash join.
 func TestSeekMatchesScan(t *testing.T) {
+	t.Run("frames", seekFramesMatchScan)
+	t.Run("node-joins", seekJoinMatchesHashJoin)
+}
+
+// seekFramesMatchScan runs every plan over a frozen master (or a clone of
+// it), where the scan may seek its leading == or prefix predicate in the
+// master's index, and over an unfrozen copy of the same cells, where it
+// scans. Rows, their order, error text and profile frames must agree.
+// Written clones drop the index and renamed or rebuilt columns do not read
+// it, so those variants scan on both sides.
+func seekFramesMatchScan(t *testing.T) {
 	other := dataframe.New("k", "m")
 	for _, k := range []string{"a", "ab", "10.0.0.1", "a"} {
 		other.AppendRow(k, "m"+k)
@@ -186,14 +193,14 @@ func seekGraph() *graph.Graph {
 	return g
 }
 
-// TestSeekJoinMatchesHashJoin is the differential for joins on a graph
-// node table: a join whose right input is an unnarrowed node scan keyed
-// on id looks nodes up by ID, and the same join over the node table
-// behind an opaque filter hashes. Left keys cover strings that name
+// seekJoinMatchesHashJoin is the differential for joins on a graph node
+// table: a join whose right input is an unnarrowed node scan keyed on id
+// looks nodes up by ID, and the same join over the node table behind an
+// opaque filter hashes. Left keys cover strings that name
 // nodes, duplicates, unknown IDs, ints, floats, bools, nil and (through
 // the edge table) a list, which fails to hash; the graph is a frozen
 // master, a clone, and a clone that added and removed nodes.
-func TestSeekJoinMatchesHashJoin(t *testing.T) {
+func seekJoinMatchesHashJoin(t *testing.T) {
 	left := dataframe.New("dst", "w")
 	for i, k := range []any{"n1", "n1", int64(1), nil, "ghost", "n3", 1.0, true, "n0", "n9", "n5"} {
 		left.AppendRow(k, int64(i))
