@@ -312,9 +312,11 @@ func (f *Frame) ensureOwned() {
 // colIndex is a frozen master's string index of one column, built on first
 // lookup: strs holds the distinct strings the column's cells hold, sorted,
 // and rows[i] the ascending positions of the cells holding strs[i].
-// allStrings records that every cell is a string. Freeze fills the frame's
-// map of them once, so concurrent lookups through clones need no lock
-// beyond each column's Once.
+// allStrings records that every cell is a string. StringRows answers
+// sqldb's and federate's string-equality seeks from it, and PrefixRows
+// federate's prefix seeks. Freeze fills the frame's map of them once, so
+// concurrent lookups through clones need no lock beyond each column's
+// Once.
 type colIndex struct {
 	data       []any
 	once       sync.Once
