@@ -67,22 +67,18 @@ race:
 # Coverage-guided fuzzing, 30 s per target: FuzzAnalyze (the NQL semantic
 # analyzer never panics), FuzzRun (an NQL program fails only as a syntax,
 # compile or categorized runtime error, never with a panic or an
-# internal-class error), FuzzScanColumns (the SELECT that sqldb's
-# ScanColumns builds from a scan spec gives the same rows, error text and
-# profile frames as the parser's SELECT of the equivalent text),
-# FuzzKeyContract (scalar keys, Equal and Compare agree, Compare is a total
-# order, and key encodings of different tuples differ), FuzzArith
-# (scalar int64 + - * and Sum against math/big: exact when the result fits,
-# the float64 of the operands when it does not) and FuzzFrameSeek (a
-# federated frame scan that seeks its leading == or prefix predicate in a
-# frozen frame's string index gives the same rows, order, error text and
-# profile frames as the scan of an unfrozen copy). go test
-# -fuzz takes one target per run. A failing input is written to the
+# internal-class error), FuzzKeyContract (scalar keys, Equal and Compare
+# agree, Compare is a total order, and key encodings of different tuples
+# differ), FuzzArith (scalar int64 + - * and Sum against math/big: exact
+# when the result fits, the float64 of the operands when it does not) and
+# FuzzFrameSeek (a federated frame scan that seeks its leading == or
+# prefix predicate in a frozen frame's string index gives the same rows,
+# order, error text and profile frames as the scan of an unfrozen copy).
+# go test -fuzz takes one target per run. A failing input is written to the
 # package's testdata/fuzz, where plain `go test` replays it from then on.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyze$$' -fuzztime 30s ./internal/nql/analysis
 	$(GO) test -run '^$$' -fuzz '^FuzzRun$$' -fuzztime 30s ./internal/nql
-	$(GO) test -run '^$$' -fuzz '^FuzzScanColumns$$' -fuzztime 30s ./internal/sqldb
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyContract$$' -fuzztime 30s ./internal/scalar
 	$(GO) test -run '^$$' -fuzz '^FuzzArith$$' -fuzztime 30s ./internal/scalar
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameSeek$$' -fuzztime 30s ./internal/federate

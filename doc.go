@@ -20,10 +20,11 @@
 // The fourth backend, federated, binds all three substrates at once plus a
 // cross-substrate query planner (internal/federate, bound as `fed`): one
 // logical plan — scan/filter/project/join/aggregate/sort/limit — is
-// planned across the substrates with per-source pushdown (SQL filters
-// become WHERE conditions of sqldb's ScanColumns, graph scans push whole
-// computations such as PageRank down into the graph library) and a shared
-// executor lifts rows into NQL values. Preparation is cost-based:
+// planned across the substrates with per-source pushdown (filters run on
+// a frame's or SQL table's columns before a row is lifted, with one
+// comparison rule for every source; graph scans push whole computations
+// such as PageRank down into the graph library) and a shared executor
+// lifts rows into NQL values. Preparation is cost-based:
 // per-epoch table statistics drive join build-side choice and SourceAny
 // resolution, with the decision list cached process-wide per (plan
 // fingerprint, catalog epoch) so clones of one frozen dataset master plan
@@ -33,9 +34,9 @@
 // place, and every operator polls cancellation at row checkpoints and
 // emits one explain-analyze profile frame. A selective lookup costs what
 // its answer costs: a frozen dataset master's frames and SQL tables share
-// a lazily built string index with their unwritten clones, so a SQL scan
-// (or SELECT) that leads with `col = 'string'` and a federated frame scan
-// that leads with `==` or `prefix` against a string read only the
+// a lazily built string index with their unwritten clones, so a SELECT
+// whose WHERE leads with `col = 'string'` and a federated frame or SQL
+// scan that leads with `==` or `prefix` against a string read only the
 // matching rows; a join whose right input is the graph's unfiltered node
 // table, keyed on `id`, looks its left keys up in the graph's node index;
 // and a graph scan's attribute columns are derived once per frozen graph

@@ -175,8 +175,6 @@ var corpusPins = map[string]corpusPin{
 	"sql scan": {cols: "src,dst,bytes",
 		repr: `[{"src": "a", "dst": "b", "bytes": 100}, {"src": "b", "dst": "c", "bytes": 250}, {"src": "a", "dst": "c", "bytes": 50}, {"src": "c", "dst": "d", "bytes": 400}]`,
 		frames: `scan sql.edges rows=4
-  sql.select edges rows=4
-    sql.scan edges rows=4
 `},
 	"frame scan": {cols: "src,dst,bytes",
 		repr: `[{"src": "a", "dst": "b", "bytes": 100}, {"src": "b", "dst": "c", "bytes": 250}, {"src": "a", "dst": "c", "bytes": 50}, {"src": "c", "dst": "d", "bytes": 400}]`,
@@ -193,46 +191,29 @@ var corpusPins = map[string]corpusPin{
 	"any source": {cols: "id,ip",
 		repr: `[{"id": "a", "ip": "10.0.0.1"}, {"id": "b", "ip": "10.0.0.2"}, {"id": "c", "ip": "15.76.0.3"}, {"id": "d", "ip": "15.76.0.4"}]`,
 		frames: `scan sql.nodes rows=4
-  sql.select nodes rows=4
-    sql.scan nodes rows=4
 `},
 	"folded and with residual": {cols: "src,bytes",
 		repr: `[{"src": "a", "bytes": 100}, {"src": "b", "bytes": 250}, {"src": "c", "bytes": 400}]`,
 		frames: `scan sql.edges [bytes > 60] [src != "o'brien"] cols=(src, bytes) rows=3
-  sql.select edges rows=3
-    sql.scan edges rows=4
-    sql.filter rows=3
 `},
 	"cross-substrate join": {cols: "src,dst,bytes,degree,in_degree,out_degree",
 		repr: `[{"src": "a", "dst": "b", "bytes": 100, "degree": 2, "in_degree": 1, "out_degree": 1}, {"src": "b", "dst": "c", "bytes": 250, "degree": 3, "in_degree": 2, "out_degree": 1}, {"src": "c", "dst": "d", "bytes": 400, "degree": 1, "in_degree": 1, "out_degree": 0}]`,
 		frames: `sort (dst) asc rows=3
   join on dst = id rows=3
     scan sql.edges [bytes >= 100] rows=3
-      sql.select edges rows=3
-        sql.scan edges rows=4
-        sql.filter rows=3
     scan graph.degree rows=4
 `},
 	"sql join": {cols: "src,dst,bytes,dst_r,bytes_r",
 		repr: `[{"src": "a", "dst": "b", "bytes": 100, "dst_r": "c", "bytes_r": 250}, {"src": "b", "dst": "c", "bytes": 250, "dst_r": "d", "bytes_r": 400}, {"src": "a", "dst": "c", "bytes": 50, "dst_r": "d", "bytes_r": 400}]`,
 		frames: `join on dst = src rows=3
   scan sql.edges rows=4
-    sql.select edges rows=4
-      sql.scan edges rows=4
   scan sql.edges rows=4
-    sql.select edges rows=4
-      sql.scan edges rows=4
 `},
 	"sql join build left": {cols: "src,dst,bytes,dst_r,bytes_r",
 		repr: `[{"src": "b", "dst": "c", "bytes": 250, "dst_r": "d", "bytes_r": 400}]`,
 		frames: `join on dst = src rows=1
   scan sql.edges [src == "b"] rows=1
-    sql.select edges rows=1
-      sql.scan edges rows=4
-      sql.filter rows=1
   scan sql.edges rows=4
-    sql.select edges rows=4
-      sql.scan edges rows=4
 `},
 	"frame-graph join build left": {cols: "src,dst,bytes,dst_r,bytes_r",
 		repr: `[{"src": "b", "dst": "c", "bytes": 250, "dst_r": "d", "bytes_r": 400}]`,
@@ -244,31 +225,20 @@ var corpusPins = map[string]corpusPin{
 		repr: `[{"src": "a", "total": 150, "avg": 75.0, "lo": 50, "hi": 100, "n": 2}, {"src": "b", "total": 250, "avg": 250.0, "lo": 250, "hi": 250, "n": 1}, {"src": "c", "total": 400, "avg": 400.0, "lo": 400, "hi": 400, "n": 1}]`,
 		frames: `aggregate group=(src) aggs=(sum(bytes) as total, mean(bytes) as avg, min(bytes) as lo, max(bytes) as hi, count() as n) rows=3
   scan sql.edges rows=4
-    sql.select edges rows=4
-      sql.scan edges rows=4
 `},
 	"sql global agg over no rows": {cols: "n,s",
 		repr: `[{"n": 0, "s": nil}]`,
 		frames: `aggregate group=() aggs=(count() as n, sum(bytes) as s) rows=1
   scan sql.edges [bytes > 1099511627776] rows=0
-    sql.select edges rows=0
-      sql.scan edges rows=4
-      sql.filter rows=0
 `},
 	"sql agg non-numeric sum": {err: `federate: sum(src): value must be a number, got string`,
 		frames: `aggregate group=(dst) aggs=(sum(src) as s) rows=-1
   scan sql.edges rows=4
-    sql.select edges rows=4
-      sql.scan edges rows=4
 `},
 	"join unknown left key": {err: `federate: column "ghost" does not exist (have [src dst bytes])`,
 		frames: `join on ghost = src rows=-1
   scan sql.edges rows=4
-    sql.select edges rows=4
-      sql.scan edges rows=4
   scan sql.edges rows=4
-    sql.select edges rows=4
-      sql.scan edges rows=4
 `},
 	"two-pass sort limit": {cols: "id,degree,in_degree,out_degree",
 		repr: `[{"id": "a", "degree": 2, "in_degree": 0, "out_degree": 2}, {"id": "b", "degree": 2, "in_degree": 1, "out_degree": 1}]`,
@@ -281,22 +251,16 @@ var corpusPins = map[string]corpusPin{
 		repr: `[]`,
 		frames: `limit 0 rows=0
   scan sql.edges rows=4
-    sql.select edges rows=4
-      sql.scan edges rows=4
 `},
 	"negative limit": {cols: "src,dst,bytes",
 		repr: `[]`,
 		frames: `limit -3 rows=0
   scan sql.edges rows=4
-    sql.select edges rows=4
-      sql.scan edges rows=4
 `},
 	"limit past end": {cols: "src,dst,bytes",
 		repr: `[{"src": "a", "dst": "b", "bytes": 100}, {"src": "b", "dst": "c", "bytes": 250}, {"src": "a", "dst": "c", "bytes": 50}, {"src": "c", "dst": "d", "bytes": 400}]`,
 		frames: `limit 100 rows=4
   scan sql.edges rows=4
-    sql.select edges rows=4
-      sql.scan edges rows=4
 `},
 	"funcpred over agg": {cols: "src,n",
 		repr: `[{"src": "a", "n": 2}, {"src": "b", "n": 1}, {"src": "c", "n": 1}]`,
@@ -304,27 +268,19 @@ var corpusPins = map[string]corpusPin{
   filter fn(row) rows=3
     aggregate group=(src) aggs=(count(bytes) as n) rows=3
       scan sql.edges rows=4
-        sql.select edges rows=4
-          sql.scan edges rows=4
 `},
 	"funcpred over join": {cols: "src,dst,bytes,dst_r,bytes_r",
 		repr: `[]`,
 		frames: `filter fn(row) rows=0
   join on dst = src rows=3
     scan sql.edges rows=4
-      sql.select edges rows=4
-        sql.scan edges rows=4
     scan sql.edges rows=4
-      sql.select edges rows=4
-        sql.scan edges rows=4
 `},
 	"stacked funcpreds": {cols: "src,dst,bytes",
 		repr: `[]`,
 		frames: `filter fn(row) rows=0
   filter fn(row) rows=0
     scan sql.edges rows=4
-      sql.select edges rows=4
-        sql.scan edges rows=4
 `},
 	"funcpred over agg over join": {cols: "src,n",
 		repr: `[{"src": "a", "n": 2}, {"src": "b", "n": 1}]`,
@@ -333,66 +289,43 @@ var corpusPins = map[string]corpusPin{
     aggregate group=(src) aggs=(count(bytes) as n) rows=2
       join on dst = src rows=3
         scan sql.edges rows=4
-          sql.select edges rows=4
-            sql.scan edges rows=4
         scan sql.edges rows=4
-          sql.select edges rows=4
-            sql.scan edges rows=4
 `},
 	"unknown source": {err: `federate: unknown scan source "mongo" (have graph, frame, sql)`,
 		frames: `scan mongo.edges rows=-1
 `},
 	"unknown table": {err: `sql: table "ghost" does not exist (have [nodes edges])`,
 		frames: `scan sql.ghost rows=-1
-  sql.select ghost rows=-1
 `},
 	"sort unknown column": {err: `federate: column "ghost" does not exist (have [src dst bytes])`,
 		frames: `sort (ghost) desc rows=-1
   scan sql.edges rows=4
-    sql.select edges rows=4
-      sql.scan edges rows=4
 `},
-	"project unknown column": {err: `sql: unknown column "ghost" (available: [edges.bytes edges.dst edges.src])`,
+	"project unknown column": {err: `federate: column "ghost" does not exist (have [src dst bytes])`,
 		frames: `scan sql.edges cols=(ghost) rows=-1
-  sql.select edges rows=-1
-    sql.scan edges rows=4
 `},
-	"sql scan unknown column": {err: `sql: unknown column "ghost" (available: [edges.bytes edges.dst edges.src])`,
+	"sql scan unknown column": {err: `federate: column "ghost" does not exist (have [src dst bytes])`,
 		frames: `scan sql.edges [ghost == 1] rows=-1
-  sql.select edges rows=-1
-    sql.scan edges rows=4
-    sql.filter rows=-1
 `},
 	"group unknown column": {err: `federate: column "ghost" does not exist (have [src dst bytes])`,
 		frames: `aggregate group=(ghost) aggs=(count() as n) rows=-1
   scan sql.edges rows=4
-    sql.select edges rows=4
-      sql.scan edges rows=4
 `},
 	"agg unknown column": {err: `federate: column "ghost" does not exist (have [src dst bytes])`,
 		frames: `aggregate group=() aggs=(sum(ghost) as s) rows=-1
   scan sql.edges rows=4
-    sql.select edges rows=4
-      sql.scan edges rows=4
 `},
 	"unknown agg function": {err: `federate: unknown aggregate "median" (have count, sum, mean, min, max)`,
 		frames: `aggregate group=() aggs=(median(bytes) as m) rows=-1
   scan sql.edges rows=4
-    sql.select edges rows=4
-      sql.scan edges rows=4
 `},
 	"join unknown right key": {err: `federate: column "ghost" does not exist (have [src dst bytes])`,
 		frames: `join on dst = ghost rows=-1
   scan sql.edges rows=4
-    sql.select edges rows=4
-      sql.scan edges rows=4
   scan sql.edges rows=4
-    sql.select edges rows=4
-      sql.scan edges rows=4
 `},
 	"scan error before sort error": {err: `sql: table "missing" does not exist (have [nodes edges])`,
 		frames: `sort (ghost) desc rows=-1
   scan sql.missing rows=-1
-    sql.select missing rows=-1
 `},
 }

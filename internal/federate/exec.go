@@ -12,7 +12,6 @@ import (
 	"repro/internal/nql"
 	"repro/internal/obs"
 	"repro/internal/scalar"
-	"repro/internal/sqldb"
 )
 
 // Run optimizes a logical plan, plans it against the catalog's statistics
@@ -174,7 +173,7 @@ func execScan(cat *Catalog, s *Scan) (columns, error) {
 
 // columns is an operator input in column-major form: n rows of the named
 // columns, lifted one cell at a time as an operator reads them. Column
-// storage (a frame, a sqldb scan) sits in data; graph tables and
+// storage (a frame or a sqldb table) sits in data; graph tables and
 // lifted relations read through cell. rows, when non-nil, maps each row to
 // the source row that survived the scan's predicates (or an index seek).
 // nodes is set on a graph node table no predicate narrowed: its row r is
@@ -223,16 +222,6 @@ func (s *columns) relation() *Relation {
 		out.Rows[r] = row
 	}
 	return out
-}
-
-// dataColumns adapts one value slice per column (a frame's storage or a
-// sqldb scan result) to a scan source.
-func dataColumns(names []string, data [][]any) columns {
-	n := 0
-	if len(data) > 0 {
-		n = len(data[0])
-	}
-	return columns{names: names, n: n, data: data}
 }
 
 // relColumns reads an already lifted relation as a column source.
@@ -396,6 +385,25 @@ func scanFrame(cat *Catalog, s *Scan) (columns, error) {
 		sort.Strings(names)
 		return columns{}, fmt.Errorf("federate: unknown frame table %q (have %v)", s.Table, names)
 	}
+	return scanTable(cat, f, s)
+}
+
+// scanSQL scans a sqldb table. Its tables are frames, so it is the frame
+// scan: the same seek and the same evalCmp run every pushed predicate.
+func scanSQL(cat *Catalog, s *Scan) (columns, error) {
+	if cat.DB == nil {
+		return columns{}, fmt.Errorf("federate: catalog has no sql source")
+	}
+	f, err := cat.DB.Table(s.Table)
+	if err != nil {
+		return columns{}, err
+	}
+	return scanTable(cat, f, s)
+}
+
+// scanTable reads a frame's columns in place, seeking the leading pushed
+// predicate when the frame's index answers it.
+func scanTable(cat *Catalog, f *dataframe.Frame, s *Scan) (columns, error) {
 	src, pushed := frameColumns(f), s.Pushed
 	if rows, ok := seekFrame(f, pushed); ok {
 		// The seek answers the leading predicate; the rest run over the
@@ -445,56 +453,11 @@ func frameColumns(f *dataframe.Frame) columns {
 	for i, c := range names {
 		data[i], _ = f.Column(c)
 	}
-	return dataColumns(names, data)
-}
-
-// scanSQL runs the scan as sqldb's columnar ScanColumns. Every pushed
-// predicate sqlCond maps becomes a WHERE condition there; the rest
-// (contains, bool and nil literals) filter its result locally through
-// evalCmp, which compares as sqldb does.
-func scanSQL(cat *Catalog, s *Scan) (columns, error) {
-	if cat.DB == nil {
-		return columns{}, fmt.Errorf("federate: catalog has no sql source")
+	n := 0
+	if len(data) > 0 {
+		n = len(data[0])
 	}
-	spec := sqldb.ScanSpec{Table: s.Table}
-	var local []Cmp
-	for _, c := range s.Pushed {
-		if cond, ok := sqlCond(c); ok {
-			spec.Conds = append(spec.Conds, cond)
-		} else {
-			local = append(local, c)
-		}
-	}
-	// Local predicates may reference columns outside the projection, so the
-	// scan narrows only when everything was pushed.
-	project := s.Cols
-	if len(local) == 0 {
-		spec.Cols, project = s.Cols, nil
-	}
-	names, data, err := cat.DB.ScanColumns(cat.context(), spec)
-	if err != nil {
-		return columns{}, err
-	}
-	return selectRows(cat, dataColumns(names, data), local, project)
-}
-
-// sqlCond maps a pushed predicate onto a sqldb condition: a comparison or
-// prefix against an int64, float64 or string literal. ok is false for
-// every other predicate.
-func sqlCond(c Cmp) (sqldb.Cond, bool) {
-	op := c.Op
-	switch op {
-	case "==":
-		op = "="
-	case "!=", "<", "<=", ">", ">=", "prefix":
-	default:
-		return sqldb.Cond{}, false
-	}
-	switch c.Value.(type) {
-	case int64, float64, string:
-		return sqldb.Cond{Col: c.Col, Op: op, Value: c.Value}, true
-	}
-	return sqldb.Cond{}, false
+	return columns{names: names, n: n, data: data}
 }
 
 // --- relational operators --------------------------------------------------

@@ -216,9 +216,9 @@ func TestPipelineProfileOperatorTree(t *testing.T) {
 	}
 }
 
-// TestPipelineProfileNativeScanFrames: a pushed-down SQL scan nests the
-// substrate's frames (sql.select > sql.scan > sql.filter) under the scan
-// operator, exactly like the equivalent SELECT would.
+// TestPipelineProfileNativeScanFrames: a pushed-down SQL scan reads its
+// table as a frame scan does, so its profile is one scan frame counting
+// the surviving rows, with no sql.* substrate frames under it.
 func TestPipelineProfileNativeScanFrames(t *testing.T) {
 	cat := testCatalog()
 	plan := &Filter{
@@ -234,31 +234,18 @@ func TestPipelineProfileNativeScanFrames(t *testing.T) {
 	if rel.NumRows() != 3 {
 		t.Fatalf("rows = %d, want 3", rel.NumRows())
 	}
-	byOp := map[string]int{}
-	var scanDepth, selectDepth = -1, -1
+	var got []string
 	for _, fr := range prof.Flatten() {
-		byOp[fr.Op]++
-		switch fr.Op {
-		case "scan":
-			scanDepth = fr.Depth
-		case "sql.select":
-			selectDepth = fr.Depth
-		}
+		got = append(got, fmt.Sprintf("%d:%s:%s:%d", fr.Depth, fr.Op, fr.Detail, fr.Rows))
 	}
-	for _, op := range []string{"scan", "sql.select", "sql.scan", "sql.filter"} {
-		if byOp[op] != 1 {
-			t.Errorf("op %q appears %d times, want 1:\n%s", op, byOp[op], prof.String())
-		}
-	}
-	if selectDepth != scanDepth+1 {
-		t.Errorf("sql.select depth %d, want nested under scan (depth %d):\n%s",
-			selectDepth, scanDepth, prof.String())
+	if want := "0:scan:sql.edges [bytes >= 100]:3"; strings.Join(got, ",") != want {
+		t.Errorf("frames = %s, want %s\n%s", strings.Join(got, ","), want, prof.String())
 	}
 }
 
 // TestPipelineSQLAggProfile: an aggregate that reads a SQL scan's cells in
 // place still nests the scan's own frame, counting the rows that survived
-// its predicates, with the substrate frames under the scan.
+// its predicates.
 func TestPipelineSQLAggProfile(t *testing.T) {
 	cat := testCatalog()
 	plan := &Aggregate{
@@ -278,7 +265,7 @@ func TestPipelineSQLAggProfile(t *testing.T) {
 	for _, fr := range prof.Flatten() {
 		got = append(got, fmt.Sprintf("%d:%s:%d", fr.Depth, fr.Op, fr.Rows))
 	}
-	want := "0:aggregate:3,1:scan:3,2:sql.select:3,3:sql.scan:4,3:sql.filter:3"
+	want := "0:aggregate:3,1:scan:3"
 	if strings.Join(got, ",") != want {
 		t.Errorf("frames = %s, want %s\n%s", strings.Join(got, ","), want, prof.String())
 	}
@@ -423,9 +410,8 @@ func TestOperatorsReadScanLikeRelation(t *testing.T) {
 
 // TestKeyContractAcrossScans pins the federated operators to the scalar
 // contract. A composite group key whose strings hold the old field
-// separator does not collide, and a comparison filtered locally on a frame
-// or graph scan keeps the rows sqldb keeps for the same pushed condition:
-// NaN equals only NaN and sorts below every number, -0 equals 0, and int64
+// separator does not collide, and a comparison keeps the same rows on SQL,
+// frame and graph scans: NaN equals only NaN and sorts below every number, -0 equals 0, and int64
 // beyond 2^53 compares through float64.
 func TestKeyContractAcrossScans(t *testing.T) {
 	const p53 = int64(1) << 53

@@ -6,10 +6,9 @@
 // A single logical plan — scan, filter, project, join, aggregate, sort,
 // limit — is planned across heterogeneous sources: every scan names a
 // (source, table) pair, the optimizer pushes filters and projections down
-// into the scans (mapping them onto the WHERE conditions of sqldb's
-// ScanColumns for the SQL substrate, testing them on source cells before a
-// row is lifted for the graph and frame substrates), and the executor evaluates
-// the remaining operators over a uniform relation of nql.Value rows. Graph
+// into the scans (testing them on source cells before a row is lifted, with
+// one evaluator for every substrate), and the executor evaluates the
+// remaining operators over a uniform relation of nql.Value rows. Graph
 // scans can also push whole computations down — degree, PageRank,
 // connected components — so a plan can join, say, a SQL probe table
 // against graph centrality, which none of the single-substrate backends
@@ -25,25 +24,25 @@
 // smaller estimated input). Prepared.ExecuteContext then runs the decided
 // plan on one recursive executor, single-goroutine per query: each
 // operator executes its inputs, then works on the materialized results. A
-// scan filters on source columns before it lifts a row; a SQL scan reads
-// its table through sqldb's ScanColumns, never through SQL text, which runs
-// the SELECT it stands for on sqldb's one executor over the table's
-// columns.
+// scan filters on source columns before it lifts a row. sqldb's tables
+// are frames, so a SQL scan is the frame scan of its table: it never
+// goes through SQL text or sqldb's executor, and a pushed predicate
+// keeps one meaning whichever source or plan position runs it.
 // A join or aggregate reads a scan child's surviving cells in place,
 // lifting only the cells it uses; every other child arrives as a lifted
 // relation. There is one join and one aggregate for every source.
 //
-// Two plan shapes read only the rows they return. A frame scan whose first
-// pushed predicate is == or prefix against a string literal seeks it in
-// the string index a frozen frame master shares with its unwritten clones
-// (dataframe.Frame.StringRows and PrefixRows; prefix also needs every
-// cell of the column to be a string), and runs its other predicates over
-// the rows found. A join whose right input is a graph node table with no
-// pushed predicate, keyed on id, looks each left key up in the graph's
-// node index instead of hashing every node, and reads only the matched
-// nodes' attributes. Every other shape scans, and joins hash the side the
-// planner chose; rows, their order and error text are the same either
-// way. Every operator honors context cancellation at row-loop checkpoints
+// Two plan shapes read only the rows they return. A frame or SQL scan
+// whose first pushed predicate is == or prefix against a string literal
+// seeks it in the string index a frozen frame master shares with its
+// unwritten clones (dataframe.Frame.StringRows and PrefixRows; prefix also
+// needs every cell of the column to be a string), and runs its other
+// predicates over the rows found. A join whose right input is a graph
+// node table with no pushed predicate, keyed on id, looks each left key
+// up in the graph's node index instead of hashing every node, and reads
+// only the matched nodes' attributes. Every other shape scans, and joins
+// hash the side the planner chose; rows, their order and error text are
+// the same either way. Every operator honors context cancellation at row-loop checkpoints
 // (a join also allocates its output in checkpointed chunks, and a sort
 // polls from its comparator) and, under an obs.Profile, emits one
 // operator frame. The expected results, error text and frame trees of a plan corpus
@@ -147,15 +146,6 @@ func (c *Catalog) cancelled(i int) error {
 		return fmt.Errorf("federate: %w", err)
 	}
 	return nil
-}
-
-// context returns the run's execution context (never nil), for delegating
-// to context-aware substrates like the SQL engine.
-func (c *Catalog) context() context.Context {
-	if c.ctx != nil {
-		return c.ctx
-	}
-	return context.Background()
 }
 
 // Sources lists the sources present in the catalog, in canonical order.

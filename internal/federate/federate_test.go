@@ -277,8 +277,8 @@ func TestScanErrors(t *testing.T) {
 
 func TestSQLPushdownFallsBackOnInexpressiblePredicates(t *testing.T) {
 	cat := testCatalog()
-	// A string containing a quote cannot be rendered into the dialect; the
-	// scan must fall back to a local filter and still project correctly.
+	// A string literal holding a quote is a value, never SQL text, and the
+	// scan still projects after filtering.
 	plan := &Project{
 		Cols: []string{"dst"},
 		Input: &Filter{
@@ -290,7 +290,7 @@ func TestSQLPushdownFallsBackOnInexpressiblePredicates(t *testing.T) {
 	if rel.NumRows() != 4 || len(rel.Cols) != 1 || rel.Cols[0] != "dst" {
 		t.Errorf("fallback scan: got cols %v rows %d", rel.Cols, rel.NumRows())
 	}
-	// prefix pushdown via LIKE.
+	// prefix runs at the scan.
 	prefix := &Filter{
 		Input: &Scan{Source: SourceSQL, Table: "nodes"},
 		Pred:  Cmp{Col: "ip", Op: "prefix", Value: "15.76."},
@@ -303,10 +303,9 @@ func TestSQLPushdownFallsBackOnInexpressiblePredicates(t *testing.T) {
 
 func TestSQLPushdownFloatLiterals(t *testing.T) {
 	cat := testCatalog()
-	// %v would render 1e7 in exponent form, which the SQL lexer rejects;
-	// the pushdown must emit plain decimal (or fall back for NaN/Inf).
-	// NaN orders below every other number (scalar.Compare), so every row's
-	// bytes exceed it.
+	// Float literals, infinities and NaN compare against int cells by
+	// value. NaN orders below every other number (scalar.Compare), so every
+	// row's bytes exceed it.
 	for _, c := range []struct {
 		value nql.Value
 		want  int

@@ -66,10 +66,9 @@ func (a And) predLabel() string {
 }
 
 // Scan reads one table of one source. Pushed and Cols are filled by the
-// optimizer: the scan applies Pushed predicates at the source (as
-// conditions of sqldb's columnar scan where they have a SQL counterpart,
-// on source cells before the row lift otherwise) and then projects to Cols
-// (nil means all columns, in the table's natural order).
+// optimizer: the scan applies Pushed predicates at the source, on source
+// cells before the row lift, and then projects to Cols (nil means all
+// columns, in the table's natural order).
 type Scan struct {
 	Source string
 	Table  string

@@ -24,11 +24,11 @@ type Prepared struct {
 	plan Node
 	decs []decision
 
-	// opt is the optimized, pre-decision plan — the identity the shared
-	// plan cache keys on. fphash is the hex FNV-64a of Explain(opt),
+	// key is the optimized, pre-decision plan's Explain rendering: the
+	// identity the shared plan cache keys on. fphash is its hex FNV-64a,
 	// computed lazily: only requests that carry PlanNotes (or explicitly
-	// ask) pay for the rendering.
-	opt    Node
+	// ask) pay for the hash.
+	key    string
 	fpOnce sync.Once
 	fphash string
 }
@@ -38,13 +38,7 @@ type Prepared struct {
 // plans share planner decisions share a fingerprint; /flightz records
 // carry it so a slow request points at the exact plan shape it executed.
 func (p *Prepared) Fingerprint() string {
-	p.fpOnce.Do(func() {
-		n := p.opt
-		if n == nil {
-			n = p.plan
-		}
-		p.fphash = fingerprintHash(Explain(n))
-	})
+	p.fpOnce.Do(func() { p.fphash = fingerprintHash(p.key) })
 	return p.fphash
 }
 
@@ -55,14 +49,14 @@ func (p *Prepared) Fingerprint() string {
 // costs only plan-time work.
 func Prepare(cat *Catalog, plan Node) *Prepared {
 	opt := Optimize(plan)
+	key := Explain(opt)
 	var decs []decision
 	if cat.Epoch != 0 {
-		fp := Explain(opt)
-		if d, ok := DefaultCache.lookup(fp, cat.Epoch); ok {
+		if d, ok := DefaultCache.lookup(key, cat.Epoch); ok {
 			decs = d
 		} else {
 			decs = annotate(cat, opt)
-			DefaultCache.store(fp, cat.Epoch, decs)
+			DefaultCache.store(key, cat.Epoch, decs)
 		}
 	} else {
 		decs = annotate(cat, opt)
@@ -72,7 +66,7 @@ func Prepare(cat *Catalog, plan Node) *Prepared {
 		decs = annotate(cat, opt)
 		resolved, _ = applyDecisions(opt, decs)
 	}
-	return &Prepared{plan: resolved, decs: decs, opt: opt}
+	return &Prepared{plan: resolved, decs: decs, key: key}
 }
 
 // Explain renders the prepared plan with the cost model's annotations:

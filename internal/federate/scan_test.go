@@ -64,22 +64,26 @@ func modes(t *testing.T, cat *Catalog, scan func() *Scan, key string, body func(
 	t.Run("pipeline", func(t *testing.T) { body(t, Prepare(cat, scan())) })
 }
 
-// TestScanPinnedRelations pins the exact relation of sql and frame scans
-// with pushed conditions and projections, bare and as a join input. A case
-// reads edges unless it names a table, and runs on both sources unless it
-// is sql-only. SQL scans read names as they are, so keywords serve as
-// table and column names, and a condition keeps SQL semantics whatever
-// its literal's spelling.
+// scanSources are the sources every pinned scan case runs on: a SQL
+// table, a frame holding the same cells, and SourceAny, which the
+// planner resolves to one of them. A case has one expected outcome on
+// all three.
+var scanSources = []string{SourceSQL, SourceFrame, SourceAny}
+
+// TestScanPinnedRelations pins the exact relation of scans with pushed
+// conditions and projections, bare and as a join input, on every source.
+// A case reads edges unless it names a table. Names are read as they
+// are, so keywords serve as table and column names, and a literal is a
+// value, never SQL text.
 func TestScanPinnedRelations(t *testing.T) {
 	cat := scanCatalog()
 	cases := []struct {
-		name    string
-		table   string
-		pushed  []Cmp
-		cols    []string
-		key     string
-		want    string
-		sqlOnly bool
+		name   string
+		table  string
+		pushed []Cmp
+		cols   []string
+		key    string
+		want   string
 	}{
 		{
 			name:   "one condition",
@@ -143,19 +147,14 @@ func TestScanPinnedRelations(t *testing.T) {
 			want:   `a.b,src|2,"b"`,
 		},
 		{
-			// SQL orders an int before every string, as it does for "a1".
-			name: "ordering against a literal with an apostrophe", table: "mixed",
-			pushed:  []Cmp{{Col: "v", Op: "<", Value: "a1'"}},
-			key:     "src",
-			want:    `src,v|"a","a0"|"a","a1"|"a",3`,
-			sqlOnly: true,
+			name:   "ordering against a literal with an apostrophe",
+			pushed: []Cmp{{Col: "dst", Op: "<", Value: "c'"}},
+			key:    "src",
+			want:   `src,dst,bytes|"a","b",100|"b","c",250|"a","c",50`,
 		},
 	}
-	for _, source := range []string{SourceSQL, SourceFrame} {
+	for _, source := range scanSources {
 		for _, c := range cases {
-			if c.sqlOnly && source != SourceSQL {
-				continue
-			}
 			table := c.table
 			if table == "" {
 				table = "edges"
@@ -192,88 +191,67 @@ func renderRel(rel *Relation) string {
 }
 
 // TestScanPinnedErrors pins the exact error (or its absence) of scans whose
-// pushed conditions fail, bare and as a join input.
+// pushed conditions fail, bare and as a join input, on every source.
 func TestScanPinnedErrors(t *testing.T) {
 	cat := scanCatalog()
 	cases := []struct {
-		name, source, table string
-		pushed              []Cmp
-		want                string // "" means the scan must succeed
+		name, table string
+		pushed      []Cmp
+		want        string // "" means the scan must succeed
 	}{
 		{
-			name: "missing column", source: SourceFrame, table: "edges",
+			name: "missing column", table: "edges",
 			pushed: []Cmp{{Col: "ghost", Op: "==", Value: int64(1)}},
 			want:   `federate: column "ghost" does not exist (have [src dst bytes])`,
 		},
 		{
-			name: "missing column", source: SourceSQL, table: "edges",
-			pushed: []Cmp{{Col: "ghost", Op: "==", Value: int64(1)}},
-			want:   `sql: unknown column "ghost" (available: [edges.bytes edges.dst edges.src])`,
-		},
-		{
-			name: "missing column on an empty table", source: SourceFrame, table: "empty",
+			name: "missing column on an empty table", table: "empty",
 			pushed: []Cmp{{Col: "ghost", Op: "==", Value: int64(1)}},
 		},
 		{
-			name: "missing column on an empty table", source: SourceSQL, table: "empty",
-			pushed: []Cmp{{Col: "ghost", Op: "==", Value: int64(1)}},
-		},
-		{
-			name: "missing column behind a condition false on row 0", source: SourceFrame, table: "edges",
+			name: "missing column behind a condition false on row 0", table: "edges",
 			pushed: []Cmp{{Col: "src", Op: "==", Value: "b"}, {Col: "ghost", Op: "==", Value: int64(1)}},
 			want:   `federate: column "ghost" does not exist (have [src dst bytes])`,
 		},
 		{
-			name: "missing column behind a condition false on row 0", source: SourceSQL, table: "edges",
-			pushed: []Cmp{{Col: "src", Op: "==", Value: "b"}, {Col: "ghost", Op: "==", Value: int64(1)}},
-			want:   `sql: unknown column "ghost" (available: [edges.bytes edges.dst edges.src])`,
-		},
-		{
-			name: "missing column behind a condition false on every row", source: SourceFrame, table: "edges",
+			name: "missing column behind a condition false on every row", table: "edges",
 			pushed: []Cmp{{Col: "src", Op: "==", Value: "z"}, {Col: "ghost", Op: "==", Value: int64(1)}},
 		},
 		{
-			name: "missing column behind a condition false on every row", source: SourceSQL, table: "edges",
-			pushed: []Cmp{{Col: "src", Op: "==", Value: "z"}, {Col: "ghost", Op: "==", Value: int64(1)}},
-		},
-		{
-			name: "type error on row 3", source: SourceFrame, table: "mixed",
+			name: "type error on row 3", table: "mixed",
 			pushed: []Cmp{{Col: "v", Op: "contains", Value: "a"}},
 			want:   `federate: contains requires strings, got int and string`,
 		},
 		{
-			name: "type error on row 3", source: SourceSQL, table: "mixed",
-			pushed: []Cmp{{Col: "v", Op: "contains", Value: "a"}},
-			want:   `federate: contains requires strings, got int and string`,
-		},
-		{
-			name: "prefix of a number", source: SourceSQL, table: "edges",
+			name: "prefix of a number", table: "edges",
 			pushed: []Cmp{{Col: "src", Op: "prefix", Value: int64(1)}},
-			want:   `sql: LIKE requires strings, got string and int64`,
+			want:   `federate: prefix requires strings, got string and int`,
+		},
+		{
+			name: "ordering across kinds", table: "mixed",
+			pushed: []Cmp{{Col: "v", Op: "<", Value: "a1'"}},
+			want:   `federate: cannot order int against string`,
 		},
 	}
-	for _, c := range cases {
-		scan := func() *Scan {
-			return &Scan{Source: c.source, Table: c.table, Pushed: append([]Cmp(nil), c.pushed...)}
-		}
-		t.Run(c.source+"/"+c.name, func(t *testing.T) {
-			modes(t, cat, scan, "src", func(t *testing.T, p *Prepared) {
-				_, err := p.ExecuteContext(context.Background(), cat)
-				switch {
-				case c.want == "" && err != nil:
-					t.Errorf("unexpected error: %v", err)
-				case c.want != "" && err == nil:
-					t.Errorf("no error, want %q", c.want)
-				case c.want != "" && err.Error() != c.want:
-					t.Errorf("error %q, want %q", err, c.want)
-				}
+	for _, source := range scanSources {
+		for _, c := range cases {
+			scan := func() *Scan {
+				return &Scan{Source: source, Table: c.table, Pushed: append([]Cmp(nil), c.pushed...)}
+			}
+			t.Run(source+"/"+c.name, func(t *testing.T) {
+				modes(t, cat, scan, "src", func(t *testing.T, p *Prepared) {
+					_, err := p.ExecuteContext(context.Background(), cat)
+					if got := fmt.Sprint(err); c.want == "" && err != nil || c.want != "" && got != c.want {
+						t.Errorf("error %v, want %q", err, c.want)
+					}
+				})
 			})
-		})
+		}
 	}
 	t.Run("cancelled context", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		for _, source := range []string{SourceSQL, SourceFrame} {
+		for _, source := range scanSources {
 			scan := func() *Scan {
 				return &Scan{Source: source, Table: "edges", Pushed: []Cmp{{Col: "bytes", Op: ">", Value: int64(0)}}}
 			}
@@ -287,9 +265,69 @@ func TestScanPinnedErrors(t *testing.T) {
 	})
 }
 
-// TestScanProfileFramesMatchAcrossModes: a SQL scan emits the same sql.*
-// EXPLAIN ANALYZE frames, nested the same way under its scan frame, bare
-// and as a join input.
+// TestScanPinnedAboveLimit runs one filter in two plan positions on every
+// source: pushed into the scan, and above a Limit that keeps every row,
+// where the filter operator runs it. Each case has one expected outcome
+// in both positions.
+func TestScanPinnedAboveLimit(t *testing.T) {
+	cat := scanCatalog()
+	cases := []struct {
+		name, table string
+		pred        Cmp
+		want        string // the relation, or "error: " and its text
+	}{
+		{
+			name: "ordering across kinds", table: "mixed",
+			pred: Cmp{Col: "v", Op: ">", Value: int64(1)},
+			want: `error: federate: cannot order string against int`,
+		},
+		{
+			name: "prefix of a number cell", table: "mixed",
+			pred: Cmp{Col: "v", Op: "prefix", Value: "a"},
+			want: `error: federate: prefix requires strings, got int and string`,
+		},
+		{
+			name: "equality across kinds", table: "mixed",
+			pred: Cmp{Col: "v", Op: "==", Value: int64(3)},
+			want: `src,v|"a",3`,
+		},
+		{
+			name: "ordering numbers", table: "edges",
+			pred: Cmp{Col: "bytes", Op: ">=", Value: int64(100)},
+			want: `src,dst,bytes|"a","b",100|"b","c",250|"c","d",400`,
+		},
+	}
+	for _, source := range scanSources {
+		for _, c := range cases {
+			scan := func() Node { return &Scan{Source: source, Table: c.table} }
+			shapes := []struct {
+				name string
+				plan Node
+			}{
+				{"pushed", &Filter{Pred: c.pred, Input: scan()}},
+				{"above limit", &Filter{Pred: c.pred, Input: &Limit{N: 100, Input: scan()}}},
+			}
+			for _, shape := range shapes {
+				plan := shape.plan
+				t.Run(source+"/"+c.name+"/"+shape.name, func(t *testing.T) {
+					got := "error: "
+					if rel, err := Run(cat, plan); err != nil {
+						got += err.Error()
+					} else {
+						got = renderRel(rel)
+					}
+					if got != c.want {
+						t.Errorf("%s\ngot  %s\nwant %s", strings.TrimSpace(Explain(plan)), got, c.want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestScanProfileFramesMatchAcrossModes: a SQL scan emits one scan frame
+// counting the rows that survived its predicates, with no substrate
+// frames under it, bare and as a join input.
 func TestScanProfileFramesMatchAcrossModes(t *testing.T) {
 	cat := scanCatalog()
 	scan := func() *Scan {
@@ -304,17 +342,20 @@ func TestScanProfileFramesMatchAcrossModes(t *testing.T) {
 		scanDepth := -1
 		for _, fr := range prof.Flatten() {
 			switch {
-			case fr.Op == "scan":
+			case fr.Op == "scan" && strings.HasPrefix(fr.Detail, "sql."):
 				scanDepth = fr.Depth
-			case strings.HasPrefix(fr.Op, "sql."):
+				out = append(out, fmt.Sprintf("scan(%s) rows=%d", fr.Detail, fr.Rows))
+			case scanDepth >= 0 && fr.Depth > scanDepth:
 				out = append(out, fmt.Sprintf("%s(%s) depth+%d rows=%d", fr.Op, fr.Detail, fr.Depth-scanDepth, fr.Rows))
+			default:
+				scanDepth = -1
 			}
 		}
 		return out
 	}
 	joined := frames(underJoin(cat, scan(), "src"))
 	bare := frames(Prepare(cat, scan()))
-	want := "sql.select(edges) depth+1 rows=3,sql.scan(edges) depth+2 rows=4,sql.filter() depth+2 rows=3"
+	want := "scan(sql.edges [bytes >= 100]) rows=3"
 	if got := strings.Join(joined, ","); got != want {
 		t.Errorf("join input frames:\n  got  %s\n  want %s", got, want)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/dataframe"
 	"repro/internal/graph"
+	"repro/internal/sqldb"
 )
 
 // seekTestFrame builds the differential's frame: k holds strings that share
@@ -75,12 +76,13 @@ func seekCases() [][]Cmp {
 	}
 }
 
-// seekPlans wraps a frame scan of table t with the pushed predicates in
-// the plan shapes that read a scan: bare, projected (also onto an unknown
-// column), aggregated, sorted and limited, and as a join's left input.
-func seekPlans(pushed []Cmp) []Node {
+// seekPlans wraps a scan of table t from source with the pushed
+// predicates in the plan shapes that read a scan: bare, projected (also
+// onto an unknown column), aggregated, sorted and limited, and as a join's
+// left input.
+func seekPlans(source string, pushed []Cmp) []Node {
 	scan := func(cols ...string) *Scan {
-		s := &Scan{Source: SourceFrame, Table: "t", Pushed: pushed}
+		s := &Scan{Source: source, Table: "t", Pushed: pushed}
 		if cols != nil {
 			s.Cols = cols
 		}
@@ -92,7 +94,7 @@ func seekPlans(pushed []Cmp) []Node {
 		scan("ghost"),
 		&Aggregate{Input: scan(), GroupBy: []string{"k"}, Aggs: []AggSpec{{Fn: AggCount, As: "c"}, {Col: "n", Fn: AggSum, As: "s"}}},
 		&Limit{N: 3, Input: &Sort{Cols: []string{"k"}, Ascending: false, Input: scan()}},
-		&Join{Left: scan(), Right: &Scan{Source: SourceFrame, Table: "u"}, LeftKey: "k", RightKey: "k"},
+		&Join{Left: scan(), Right: &Scan{Source: source, Table: "u"}, LeftKey: "k", RightKey: "k"},
 	}
 }
 
@@ -122,7 +124,8 @@ func TestSeekMatchesScan(t *testing.T) {
 // master's index, and over an unfrozen copy of the same cells, where it
 // scans. Rows, their order, error text and profile frames must agree.
 // Written clones drop the index and renamed or rebuilt columns do not read
-// it, so those variants scan on both sides.
+// it, so those variants scan on both sides. Each table is scanned as a
+// frame and, through a sqldb.DB holding it, as a SQL table.
 func seekFramesMatchScan(t *testing.T) {
 	other := dataframe.New("k", "m")
 	for _, k := range []string{"a", "ab", "10.0.0.1", "a"} {
@@ -170,14 +173,24 @@ func seekFramesMatchScan(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		seekCat := &Catalog{Frames: map[string]*dataframe.Frame{"t": seekF, "u": other}}
-		scanCat := &Catalog{Frames: map[string]*dataframe.Frame{"t": scanF, "u": other}}
-		for i, pushed := range seekCases() {
-			for j, plan := range seekPlans(pushed) {
-				sameOutcome(t, fmt.Sprintf("%s case %d plan %d", v.name, i, j), seekCat, scanCat, plan, true)
+		seekCat, scanCat := seekCatalog(seekF, other), seekCatalog(scanF, other)
+		for _, source := range []string{SourceFrame, SourceSQL} {
+			for i, pushed := range seekCases() {
+				for j, plan := range seekPlans(source, pushed) {
+					sameOutcome(t, fmt.Sprintf("%s %s case %d plan %d", v.name, source, i, j), seekCat, scanCat, plan, true)
+				}
 			}
 		}
 	}
+}
+
+// seekCatalog holds t and u both as frames and as the tables of a
+// sqldb.DB.
+func seekCatalog(t, u *dataframe.Frame) *Catalog {
+	db := sqldb.NewDB()
+	db.CreateTable("t", t)
+	db.CreateTable("u", u)
+	return &Catalog{Frames: map[string]*dataframe.Frame{"t": t, "u": u}, DB: db}
 }
 
 // seekGraph is the node-join differential's graph: nodes n0-n5 with an ip

@@ -118,8 +118,10 @@
 //
 // For one slow query, POST /v1/query with "profile": true. The response's
 // "profile" object carries: "operators" — the federated plan's EXPLAIN
-// ANALYZE tree (operator, detail, depth, rows, wall_ns, own_ns; sqldb
-// contributes nested sql.select/sql.scan/sql.join/sql.filter frames);
+// ANALYZE tree (operator, detail, depth, rows, wall_ns, own_ns; a SQL
+// text statement, db.query or db.exec, adds sqldb's
+// sql.select/sql.scan/sql.join/sql.filter frames, while a federated SQL
+// scan reads its table as a frame and is one scan frame);
 // "vm" — the NQL VM's opcode-class counts with sampled time attribution
 // and exact builtin call/time/alloc stats; "spans" — the request's span
 // tree; and "trace_id" to correlate with /tracez. Rows of -1 mark frames

@@ -104,8 +104,7 @@ type ColumnRef struct {
 }
 
 // BinaryExpr applies Op to Left and Right. Op is upper-case: =, !=, <, <=,
-// >, >=, +, -, *, /, %, AND, OR, LIKE; or prefix, which SQL text cannot
-// spell: LIKE 'v%' with v taken literally (ScanColumns' conditions).
+// >, >=, +, -, *, /, %, AND, OR or LIKE.
 type BinaryExpr struct {
 	Op          string
 	Left, Right Expr

@@ -204,14 +204,11 @@ func binaryOp(op string, l, r any) (any, error) {
 		return b, nil
 	}
 	switch op {
-	case "LIKE", "prefix":
+	case "LIKE":
 		ls, ok1 := l.(string)
 		rs, ok2 := r.(string)
 		if !ok1 || !ok2 {
 			return nil, fmt.Errorf("sql: LIKE requires strings, got %T and %T", l, r)
-		}
-		if op == "prefix" {
-			return strings.HasPrefix(ls, rs), nil
 		}
 		return likeMatch(ls, rs), nil
 	case "+", "-", "*", "/", "%":

@@ -217,19 +217,11 @@ func (o *output) take(idx []int) {
 }
 
 // cells copies the result out, one slice of n cells per column cut from
-// one backing array. With share, a column that reads a table in row order
-// is the table's own slice instead of a copy.
-func (o *output) cells(share bool) [][]any {
+// one backing array.
+func (o *output) cells() [][]any {
 	data := make([][]any, len(o.cols))
-	var buf []any
+	buf := make([]any, o.n*len(o.cols))
 	for c, col := range o.cols {
-		if share && col.pos == nil {
-			data[c] = col.data
-			continue
-		}
-		if buf == nil {
-			buf = make([]any, o.n*len(o.cols))
-		}
 		data[c] = buf[c*o.n : (c+1)*o.n : (c+1)*o.n]
 		for i := range data[c] {
 			data[c][i] = col.at(i)
@@ -244,7 +236,7 @@ func (db *DB) execSelect(ctx context.Context, s *SelectStmt) (*dataframe.Frame, 
 		return nil, err
 	}
 	// The frame owns its storage: NQL's set_cell and append_row write it.
-	return dataframe.FromColumns(out.names, out.cells(false), out.n), nil
+	return dataframe.FromColumns(out.names, out.cells(), out.n), nil
 }
 
 // query runs a SELECT under its sql.select profile frame. Profiling is
@@ -491,6 +483,9 @@ func join(ctx context.Context, ws *workingSet, j JoinClause, right *workingSet) 
 		cond = residual
 		index = make(map[scalar.Key][]int, right.n)
 		for r := 0; r < right.n; r++ {
+			if err := cancelled(ctx, r); err != nil {
+				return nil, err
+			}
 			v, err := scope{right, r}.lookup(rightKey)
 			if err != nil {
 				return nil, err
@@ -518,12 +513,15 @@ func join(ctx context.Context, ws *workingSet, j JoinClause, right *workingSet) 
 	for s := range pair.pos {
 		pair.pos[s] = cells[s : s+1]
 	}
-	emit := func(l, r int) {
+	// emit also polls every cancelCheckEvery output rows, so a left row
+	// with many matches cannot grow the output unchecked.
+	emit := func(l, r int) error {
 		for s := 0; s < k; s++ {
 			out.pos[s] = append(out.pos[s], ws.at(s, l))
 		}
 		out.pos[k] = append(out.pos[k], r)
 		out.n++
+		return cancelled(ctx, out.n)
 	}
 	for l := 0; l < ws.n; l++ {
 		if err := cancelled(ctx, l); err != nil {
@@ -553,11 +551,15 @@ func join(ctx context.Context, ws *workingSet, j JoinClause, right *workingSet) 
 					continue
 				}
 			}
-			emit(l, r)
+			if err := emit(l, r); err != nil {
+				return nil, err
+			}
 			matched = true
 		}
 		if !matched && j.Kind == "left" {
-			emit(l, -1)
+			if err := emit(l, -1); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return out, nil

@@ -83,18 +83,6 @@ func indexQueries(lit string) []string {
 	}
 }
 
-// indexScans are ScanColumns specs over t that lead with k = lit, with
-// and without a projection.
-func indexScans(lit string) []ScanSpec {
-	return []ScanSpec{
-		{Table: "t", Conds: []Cond{{"k", "=", lit}}},
-		{Table: "t", Conds: []Cond{{"k", "=", lit}}, Cols: []string{"v", "k"}},
-		{Table: "t", Conds: []Cond{{"k", "=", lit}, {"n", ">=", int64(2)}}, Cols: []string{"n"}},
-		{Table: "t", Conds: []Cond{{"k", "=", lit}, {"v", "prefix", "x"}}},
-		{Table: "t", Conds: []Cond{{"k", "=", lit}, {"v", "prefix", "x"}}, Cols: []string{"k"}},
-	}
-}
-
 // cellsText renders cells with their dynamic types, so 1 and 1.0 differ.
 func cellsText(names []string, cols [][]any, err error) string {
 	if err != nil {
@@ -123,10 +111,11 @@ func queryText(db *DB, q string) string {
 	return cellsText(f.Columns(), cols, nil)
 }
 
-// TestIndexMatchesScan runs every index query and scan spec on frozen
-// masters, their unwritten clones and clones after each kind of write,
-// and requires the rows, their order and the error text of the same
-// statement on an unfrozen copy, which always scans.
+// TestIndexMatchesScan runs every index query on frozen masters, their
+// unwritten clones and clones after each kind of write, and requires the
+// rows, their order and the error text of the same statement on an
+// unfrozen copy, which always scans. Federated scans read the same index;
+// federate's TestSeekMatchesScan covers them.
 func TestIndexMatchesScan(t *testing.T) {
 	writes := []string{
 		"",
@@ -166,13 +155,6 @@ func TestIndexMatchesScan(t *testing.T) {
 						for _, q := range indexQueries(lit) {
 							if got, want := queryText(db, q), queryText(ref, q); got != want {
 								t.Errorf("%s: %s\n got %s\nwant %s", where, q, got, want)
-							}
-						}
-						for _, spec := range indexScans(lit) {
-							got := cellsText(db.ScanColumns(context.Background(), spec))
-							want := cellsText(ref.ScanColumns(context.Background(), spec))
-							if got != want {
-								t.Errorf("%s: ScanColumns %+v\n got %s\nwant %s", where, spec, got, want)
 							}
 						}
 						if scanRows(t, db, "SELECT * FROM t WHERE k = '"+lit+"'") < int64(rows) {

@@ -1,8 +1,11 @@
 package sqldb
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -151,5 +154,49 @@ func TestThreeWayJoin(t *testing.T) {
 	}
 	if f.NumRows() != 1 || f.Row(0)["val"] != int64(42) {
 		t.Fatalf("rows = %v", f.Records())
+	}
+}
+
+// endsAfter is a context whose Err reports Canceled from its (n+1)th call
+// on, so a test can end a statement at a chosen poll whatever the host's
+// speed.
+type endsAfter struct {
+	context.Context
+	n int
+}
+
+func (c *endsAfter) Err() error {
+	if c.n == 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// TestCancelledJoinAllocatesByChunk ends a self-join of 4,000 rows on a
+// constant key (16M output rows) at each of its first polls in turn. The
+// join polls while it buckets the right side, per left row and every
+// cancelCheckEvery output rows, so however late among those polls the end
+// comes, the statement has allocated its bucket and a few checkpoints of
+// output, not the hundreds of megabytes of the whole join.
+func TestCancelledJoinAllocatesByChunk(t *testing.T) {
+	f := dataframe.New("k", "v")
+	for i := 0; i < 4000; i++ {
+		f.AppendRow(int64(1), int64(i))
+	}
+	db := NewDB()
+	db.CreateTable("big", f)
+	const q = "SELECT a.v, b.v FROM big a JOIN big b ON a.k = b.k"
+	for polls := 1; polls <= 12; polls++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := db.QueryContext(&endsAfter{Context: context.Background(), n: polls}, q)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("context ending at poll %d: err = %v, want context.Canceled", polls+1, err)
+		}
+		if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 4<<20 {
+			t.Errorf("context ending at poll %d: the join allocated %d bytes", polls+1, bytes)
+		}
 	}
 }

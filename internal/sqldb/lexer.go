@@ -9,8 +9,8 @@
 // One executor runs every statement over that column storage, read in
 // place: a row is a position in each table a statement reads, WHERE and
 // joins narrow and pair positions, and a SELECT copies out only the cells
-// of its result. The federated planner's ScanColumns builds a SELECT and
-// runs it on the same executor.
+// of its result. The federated planner does not run here: sqldb's tables
+// are dataframe frames, and a federated SQL scan reads them as frame scans.
 //
 // Values compare, group, de-duplicate and join under package scalar's
 // contract (scalar.Equal, scalar.Compare and scalar.KeyOf); the executor
