@@ -67,9 +67,11 @@ race:
 # Coverage-guided fuzzing, 30 s per target: FuzzAnalyze (the NQL semantic
 # analyzer never panics), FuzzRun (an NQL program fails only as a syntax,
 # compile or categorized runtime error, never with a panic or an
-# internal-class error), FuzzKeyContract (scalar keys, Equal and Compare
-# agree, Compare is a total order, and key encodings of different tuples
-# differ), FuzzArith (scalar int64 + - * and Sum against math/big: exact
+# internal-class error), FuzzValueLaws (NQL's ==, dict keys and ordering
+# agree, the order is antisymmetric and transitive, and sorted(), min(),
+# max() and unique() follow it), FuzzKeyContract (scalar keys, Equal and
+# Compare agree, Compare is a total order, and key encodings of different
+# tuples differ), FuzzArith (scalar int64 + - * and Sum against math/big: exact
 # when the result fits, the float64 of the operands when it does not) and
 # FuzzFrameSeek (a federated frame scan that seeks its leading == or
 # prefix predicate in a frozen frame's string index gives the same rows,
@@ -79,6 +81,7 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAnalyze$$' -fuzztime 30s ./internal/nql/analysis
 	$(GO) test -run '^$$' -fuzz '^FuzzRun$$' -fuzztime 30s ./internal/nql
+	$(GO) test -run '^$$' -fuzz '^FuzzValueLaws$$' -fuzztime 30s ./internal/nql
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyContract$$' -fuzztime 30s ./internal/scalar
 	$(GO) test -run '^$$' -fuzz '^FuzzArith$$' -fuzztime 30s ./internal/scalar
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameSeek$$' -fuzztime 30s ./internal/federate

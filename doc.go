@@ -46,18 +46,22 @@
 //	    join(fed.scan("graph", "degree"), "dst", "id").
 //	    sort("in_degree", false).limit(5).collect()
 //
-// The tabular substrates share one key and order contract,
+// NQL and the tabular substrates share one key and order contract,
 // internal/scalar, so an answer does not depend on the backend that ran
 // it: kinds rank nil < bool < number < string, int64 and float64 compare
 // by value (an int64 rounded through float64), -0 equals 0, and there is
 // one NaN, equal to itself and below every other number. sqldb's GROUP
 // BY, DISTINCT, joins, WHERE and ORDER BY, dataframe's GroupBy, Unique,
-// Merge and SortBy, and federate's aggregate, join, filters and sort all
-// go through it, and composite keys are encoded so that no string can
-// forge a field boundary. Two rules stay with their substrate: a federated
-// comparison that orders values of different kinds is an error, and NQL's
-// own ==, dict keys and state comparison keep language semantics (NaN !=
-// NaN under ==, -0.0 and each NaN payload a dict key of its own).
+// Merge and SortBy, federate's aggregate, join, filters and sort, NQL's
+// ==, <, dict keys, sorted(), min(), max() and unique(), and the graph
+// state comparison all go through it, and composite keys are encoded so
+// that no string can forge a field boundary. An NQL or federated ordering
+// takes two numbers, two strings or two bools (a bool never orders against
+// a number) and is an error on any other pair. nil, SQL NULL, is one
+// class everywhere: sqldb =, GROUP BY and joins, dataframe Merge and
+// federate joins pair NULL with NULL, a deliberate choice over SQL's
+// three-valued logic so that every substrate partitions keys alike; only
+// NQL's dict refuses nil as a key.
 //
 // The same package holds the one arithmetic contract. NQL's + - * / % and
 // sum(), sqldb's arithmetic, SUM and AVG, dataframe's Sum and Mean and

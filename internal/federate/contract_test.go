@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dataframe"
 	"repro/internal/nql"
+	"repro/internal/scalar"
 	"repro/internal/sqldb"
 )
 
@@ -117,13 +118,13 @@ func groupText(pairs [][2]int64) string {
 }
 
 // TestOnePartitionAcrossSubstrates runs one key set through every
-// operator that groups, de-duplicates or joins on a key: sqldb GROUP BY,
-// DISTINCT, COUNT(DISTINCT) and JOIN; dataframe GroupBy, Unique,
-// ValueCounts and Merge; federate's aggregate and join over frame and SQL
-// scans; and NQL dict keys. Every one partitions the keys into the same
-// classes. NQL's dict is the pinned exception: its keys are language
-// values, so nil is not a key and -0.0 and each NaN payload are keys of
-// their own.
+// operator that groups, de-duplicates, joins or sorts on a key: sqldb
+// GROUP BY, DISTINCT, COUNT(DISTINCT), JOIN and ORDER BY; dataframe
+// GroupBy, Unique, ValueCounts and Merge; federate's aggregate and join
+// over frame and SQL scans; and NQL dict keys, unique() and sorted().
+// Every one partitions the keys into the same classes, and NQL's sorted()
+// orders each kind it can order as ORDER BY does. nil is the one value
+// outside NQL's dict keys.
 func TestOnePartitionAcrossSubstrates(t *testing.T) {
 	classes := keyClasses()
 	keys, class := interleave(classes)
@@ -190,22 +191,11 @@ func TestOnePartitionAcrossSubstrates(t *testing.T) {
 		check(src+" join", pairsClass(n, relCells(rel, 0, 2)), perRow)
 	}
 
-	// NQL dict keys: the same classes, split and trimmed by the exception.
+	// NQL dict keys: the same classes, nil left out.
 	var nqlClasses [][]any
 	for _, c := range classes {
-		var kept []any
-		for _, k := range c {
-			x, isFloat := k.(float64)
-			switch {
-			case k == nil:
-			case isFloat && (math.Signbit(x) || math.Float64bits(x) == 0x7ff8000000000002):
-				nqlClasses = append(nqlClasses, []any{k})
-			default:
-				kept = append(kept, k)
-			}
-		}
-		if len(kept) > 0 {
-			nqlClasses = append(nqlClasses, kept)
+		if c[0] != nil {
+			nqlClasses = append(nqlClasses, c)
 		}
 	}
 	nqlKeys, nqlClass := interleave(nqlClasses)
@@ -229,6 +219,60 @@ func TestOnePartitionAcrossSubstrates(t *testing.T) {
 	check("NQL dict keys", strings.Join(got, " "), strings.Join(nqlClass, " "))
 	if err := d.Set(nil, int64(0)); err == nil {
 		t.Error("nil became an NQL dict key")
+	}
+
+	runNQL := func(src string, xs []any) *nql.List {
+		t.Helper()
+		v, err := nql.NewInterp(nql.Limits{}, map[string]nql.Value{"xs": nql.NewList(xs...)}).Run(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		return v.(*nql.List)
+	}
+	show := func(vals []any) string {
+		out := make([]string, len(vals))
+		for i, v := range vals {
+			out[i] = fmt.Sprintf("%T %v", v, v)
+		}
+		return strings.Join(out, ", ")
+	}
+	distinct := query("SELECT DISTINCT k FROM t")
+	var firsts []any
+	for i := 0; i < distinct.NumRows(); i++ {
+		v, _ := distinct.Cell(i, "k")
+		firsts = append(firsts, v)
+	}
+	check("NQL unique() vs DISTINCT", show(runNQL("return unique(xs)", keys).Items), show(firsts))
+
+	// ORDER BY k, id is sorted() of [k, id] pairs, one kind at a time:
+	// NQL orders two bools, two numbers or two strings, never two kinds.
+	ordered := query("SELECT k, id FROM t ORDER BY k, id")
+	kinds := []struct {
+		name string
+		is   func(any) bool
+	}{
+		{"bool", func(v any) bool { _, ok := v.(bool); return ok }},
+		{"number", func(v any) bool { _, ok := scalar.Float(v); return ok }},
+		{"string", func(v any) bool { _, ok := v.(string); return ok }},
+	}
+	for _, kind := range kinds {
+		var pairs []any
+		for i, k := range keys {
+			if kind.is(k) {
+				pairs = append(pairs, nql.NewList(k, int64(i+1)))
+			}
+		}
+		var nqlIDs, sqlIDs []any
+		for _, p := range runNQL("return sorted(xs)", pairs).Items {
+			nqlIDs = append(nqlIDs, p.(*nql.List).Items[1])
+		}
+		for i := 0; i < ordered.NumRows(); i++ {
+			if k, _ := ordered.Cell(i, "k"); kind.is(k) {
+				id, _ := ordered.Cell(i, "id")
+				sqlIDs = append(sqlIDs, id)
+			}
+		}
+		check("NQL sorted() vs ORDER BY, "+kind.name+" keys", fmt.Sprint(nqlIDs), fmt.Sprint(sqlIDs))
 	}
 }
 

@@ -1018,8 +1018,9 @@ func execLimit(cat *Catalog, l *Limit) (*Relation, error) {
 
 // evalCmp evaluates one structured comparison against a cell. == and !=
 // follow scalar.Equal, so a value outside the scalar domain equals
-// nothing. Ordering is scalar.Compare between two numbers or two strings;
-// ordering values of different kinds is an error, NQL's rule.
+// nothing. Ordering is scalar.Compare between two numbers, two strings or
+// two bools (scalar.Orderable); ordering any other pair is an error, as it
+// is in NQL.
 func evalCmp(op string, cell, want nql.Value) (bool, error) {
 	switch op {
 	case "==":
@@ -1027,7 +1028,7 @@ func evalCmp(op string, cell, want nql.Value) (bool, error) {
 	case "!=":
 		return !scalar.Equal(cell, want), nil
 	case "<", "<=", ">", ">=":
-		if !orderable(cell, want) {
+		if !scalar.Orderable(cell, want) {
 			return false, fmt.Errorf("federate: cannot order %s against %s", nql.TypeName(cell), nql.TypeName(want))
 		}
 		cmp := scalar.Compare(cell, want)
@@ -1058,19 +1059,4 @@ func evalCmp(op string, cell, want nql.Value) (bool, error) {
 	default:
 		return false, fmt.Errorf("federate: unknown comparison operator %q", op)
 	}
-}
-
-// orderable reports whether a and b are two numbers or two strings.
-func orderable(a, b nql.Value) bool {
-	switch a.(type) {
-	case int64, float64:
-		switch b.(type) {
-		case int64, float64:
-			return true
-		}
-	case string:
-		_, ok := b.(string)
-		return ok
-	}
-	return false
 }

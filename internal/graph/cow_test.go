@@ -393,10 +393,10 @@ func TestDiffEntriesOnSiblingClones(t *testing.T) {
 }
 
 // TestEqualKeepsValueEqualAnswers pins the cases where identity and
-// ValueEqual could disagree: a NaN (unequal to itself) shared from the
-// master or written on a clone, an int and a float of one value (equal),
-// and a write that restores the value the master holds (equal, though the
-// written map is no longer shared).
+// ValueEqual could disagree: a NaN (equal to a NaN, as in scalar.Equal)
+// shared from the master or written on a clone, an int and a float of one
+// value and -0 and 0 (equal), and a write that restores the value the
+// master holds (equal, though the written map is no longer shared).
 func TestEqualKeepsValueEqualAnswers(t *testing.T) {
 	nan := math.NaN()
 	frozen := func(edit func(g *Graph)) *Graph {
@@ -419,20 +419,31 @@ func TestEqualKeepsValueEqualAnswers(t *testing.T) {
 			"map":    map[string]any{"loss": []any{nan}},
 		} {
 			master := frozen(func(g *Graph) { g.SetNodeAttr("n0005", "loss", v) })
-			if master.nanFree {
-				t.Fatalf("%s: Freeze missed a NaN", name)
+			if !assertEqualMatchesDiff(t, master.Clone(), master.Clone()) {
+				t.Errorf("%s: unwritten clones holding NaN compare unequal", name)
 			}
-			if assertEqualMatchesDiff(t, master.Clone(), master.Clone()) {
-				t.Errorf("%s: unwritten clones holding NaN compare equal", name)
+			// The same write on both clones: each now owns its copy of
+			// the NaN-holding maps' containers and compares them by value.
+			a, b := master.Clone(), master.Clone()
+			set(t, a, "ip", "changed")
+			set(t, b, "ip", "changed")
+			if err := a.SetNodeAttr("n0005", "w", int64(1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.SetNodeAttr("n0005", "w", int64(1)); err != nil {
+				t.Fatal(err)
+			}
+			if !assertEqualMatchesDiff(t, a, b) {
+				t.Errorf("%s: clones given the same write compare unequal", name)
 			}
 		}
 		master := frozen(func(g *Graph) { g.AddEdge("n0000", "n0001", Attrs{"loss": nan}) })
-		if assertEqualMatchesDiff(t, master.Clone(), master.Clone()) {
-			t.Error("unwritten clones holding a NaN edge attribute compare equal")
+		if !assertEqualMatchesDiff(t, master.Clone(), master.Clone()) {
+			t.Error("unwritten clones holding a NaN edge attribute compare unequal")
 		}
 		master = frozen(func(g *Graph) { g.GraphAttrs()["loss"] = nan })
-		if assertEqualMatchesDiff(t, master.Clone(), master.Clone()) {
-			t.Error("unwritten clones holding a NaN graph attribute compare equal")
+		if !assertEqualMatchesDiff(t, master.Clone(), master.Clone()) {
+			t.Error("unwritten clones holding a NaN graph attribute compare unequal")
 		}
 	})
 	t.Run("NaN written on a clone", func(t *testing.T) {
@@ -442,12 +453,24 @@ func TestEqualKeepsValueEqualAnswers(t *testing.T) {
 		if assertEqualMatchesDiff(t, a, b) {
 			t.Error("a NaN write went unseen")
 		}
-		set(t, a, "loss", nan)
-		if assertEqualMatchesDiff(t, a, b) {
-			t.Error("two NaN writes compare equal")
+		set(t, a, "loss", math.Float64frombits(0x7ff8000000000002))
+		if !assertEqualMatchesDiff(t, a, b) {
+			t.Error("two NaN writes compare unequal")
 		}
-		if assertEqualMatchesDiff(t, b, b) {
-			t.Error("a graph holding a NaN it wrote compares equal to itself")
+		if !assertEqualMatchesDiff(t, b, b) {
+			t.Error("a graph holding a NaN it wrote compares unequal to itself")
+		}
+		set(t, a, "loss", 1.0)
+		if assertEqualMatchesDiff(t, a, b) {
+			t.Error("a NaN compares equal to 1.0")
+		}
+	})
+	t.Run("negative zero", func(t *testing.T) {
+		master := frozen(func(g *Graph) { g.SetNodeAttr("n0001", "w", 0.0) })
+		a, b := master.Clone(), master.Clone()
+		set(t, b, "w", math.Copysign(0, -1))
+		if !assertEqualMatchesDiff(t, a, b) {
+			t.Error("-0 and 0 compare unequal")
 		}
 	})
 	t.Run("int and float", func(t *testing.T) {

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+
+	"repro/internal/scalar"
 )
 
 // Equal reports whether two graphs are identical: same directedness, node
@@ -16,27 +18,24 @@ import (
 // Its cost follows what the two graphs wrote, not their size. Two graphs
 // can share a container or an attribute map only through a frozen master,
 // because every write path unshares or owns first, so a shared one holds
-// the same values on both sides. That makes identity equality, except
-// that ValueEqual finds a NaN unequal to itself: identity is trusted only
-// between two distinct graphs whose Freeze found no NaN (nanFree). Then a
-// shared node list compares index by index without lookups, a shared node
-// attribute slice or edge map is skipped whole, and so is every attribute
-// map the two graphs share.
+// the same values on both sides, and ValueEqual finds every value equal to
+// itself (a NaN too). So a shared node list compares index by index
+// without lookups, a shared node attribute slice or edge map is skipped
+// whole, and so is every attribute map the two graphs share.
 func Equal(a, b *Graph) bool {
 	if a.directed != b.directed || len(a.nodeOrder) != len(b.nodeOrder) || len(a.edges) != len(b.edges) {
 		return false
 	}
-	trust := a != b && a.nanFree && b.nanFree
-	if !attrsEqual(a.attrs, b.attrs, trust) || !nodesEqual(a, b, trust) {
+	if !attrsEqual(a.attrs, b.attrs) || !nodesEqual(a, b) {
 		return false
 	}
-	if trust && sameMap(a.edges, b.edges) {
+	if sameMap(a.edges, b.edges) {
 		return true
 	}
 	// Equal edge counts: every edge of a found in b means the same set.
 	for k, av := range a.edges {
 		bv, ok := b.edges[k]
-		if !ok || !attrsEqual(av, bv, trust) {
+		if !ok || !attrsEqual(av, bv) {
 			return false
 		}
 	}
@@ -45,7 +44,7 @@ func Equal(a, b *Graph) bool {
 
 // nodesEqual compares the node sets and attributes of two graphs with
 // equal node counts.
-func nodesEqual(a, b *Graph, trust bool) bool {
+func nodesEqual(a, b *Graph) bool {
 	if len(a.nodeOrder) == 0 {
 		return true
 	}
@@ -53,18 +52,18 @@ func nodesEqual(a, b *Graph, trust bool) bool {
 		// Equal node counts: every node of a found in b means the same set.
 		for i, id := range a.nodeOrder {
 			j, ok := b.nodeIdx[id]
-			if !ok || !attrsEqual(a.nodeAttrs[i], b.nodeAttrs[j], trust) {
+			if !ok || !attrsEqual(a.nodeAttrs[i], b.nodeAttrs[j]) {
 				return false
 			}
 		}
 		return true
 	}
 	// One node list: node i is the same node in both graphs.
-	if trust && &a.nodeAttrs[0] == &b.nodeAttrs[0] {
+	if &a.nodeAttrs[0] == &b.nodeAttrs[0] {
 		return true
 	}
 	for i, am := range a.nodeAttrs {
-		if !attrsEqual(am, b.nodeAttrs[i], trust) {
+		if !attrsEqual(am, b.nodeAttrs[i]) {
 			return false
 		}
 	}
@@ -72,9 +71,9 @@ func nodesEqual(a, b *Graph, trust bool) bool {
 }
 
 // attrsEqual is ValueEqual on two attribute maps, skipping one map shared
-// by both sides when trust says sharing implies equality.
-func attrsEqual(a, b Attrs, trust bool) bool {
-	if trust && sameMap(a, b) {
+// by both sides.
+func attrsEqual(a, b Attrs) bool {
+	if sameMap(a, b) {
 		return true
 	}
 	return ValueEqual(map[string]any(a), map[string]any(b))
@@ -85,43 +84,12 @@ func sameMap[M ~map[K]V, K comparable, V any](a, b M) bool {
 	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
 }
 
-// valueHasNaN reports whether an attribute value holds a NaN, at any depth
-// of lists and maps: the one value ValueEqual finds unequal to itself.
-func valueHasNaN(v any) bool {
-	switch x := v.(type) {
-	case float64:
-		return x != x
-	case float32:
-		return x != x
-	case []any:
-		for _, e := range x {
-			if valueHasNaN(e) {
-				return true
-			}
-		}
-	case map[string]any:
-		return attrsHaveNaN(x)
-	case Attrs:
-		return attrsHaveNaN(x)
-	}
-	return false
-}
-
-func attrsHaveNaN(m map[string]any) bool {
-	for _, v := range m {
-		if valueHasNaN(v) {
-			return true
-		}
-	}
-	return false
-}
-
 // Diff returns a human-readable description of the first few differences
 // between two graphs (at most diffLimit), or "" when they are equal. The
 // benchmark evaluator calls it only to explain a "graphs are not
 // identical" failure that Equal already found. Like Equal, it skips every
-// attribute map the two graphs share when their masters hold no NaN, and
-// it stops as soon as it holds diffLimit entries.
+// attribute map the two graphs share, and it stops as soon as it holds
+// diffLimit entries.
 func Diff(a, b *Graph) string {
 	return strings.Join(diffEntries(a, b), "; ")
 }
@@ -130,7 +98,6 @@ func Diff(a, b *Graph) string {
 const diffLimit = 8
 
 func diffEntries(a, b *Graph) []string {
-	trust := a != b && a.nanFree && b.nanFree
 	var diffs []string
 	// add records one difference and reports whether Diff has enough.
 	add := func(format string, args ...any) bool {
@@ -140,7 +107,7 @@ func diffEntries(a, b *Graph) []string {
 	if a.directed != b.directed && add("directedness differs: %v vs %v", a.directed, b.directed) {
 		return diffs
 	}
-	if !attrsEqual(a.attrs, b.attrs, trust) && add("graph attributes differ") {
+	if !attrsEqual(a.attrs, b.attrs) && add("graph attributes differ") {
 		return diffs
 	}
 	for i, n := range a.nodeOrder {
@@ -151,7 +118,7 @@ func diffEntries(a, b *Graph) []string {
 			}
 			continue
 		}
-		if !attrsEqual(a.nodeView(i), battrs, trust) && add("node %q attributes differ: %v vs %v", n, a.nodeView(i), battrs) {
+		if !attrsEqual(a.nodeView(i), battrs) && add("node %q attributes differ: %v vs %v", n, a.nodeView(i), battrs) {
 			return diffs
 		}
 	}
@@ -168,7 +135,7 @@ func diffEntries(a, b *Graph) []string {
 			}
 			continue
 		}
-		if !attrsEqual(av, bv, trust) && add("edge (%q,%q) attributes differ: %v vs %v", k.U, k.V, av, bv) {
+		if !attrsEqual(av, bv) && add("edge (%q,%q) attributes differ: %v vs %v", k.U, k.V, av, bv) {
 			return diffs
 		}
 	}
@@ -181,36 +148,14 @@ func diffEntries(a, b *Graph) []string {
 }
 
 // ValueEqual compares two attribute-style values deeply after normalization.
-// Numeric comparison treats int64 and float64 with equal magnitude as equal
-// (generated code frequently mixes them). Lists compare element-wise; maps
-// compare key-wise.
+// Scalars compare under scalar.Equal: int64 and float64 of one value are
+// equal (generated code frequently mixes them), as are -0 and 0, and a NaN
+// equals a NaN. Lists compare element-wise; maps compare key-wise.
 func ValueEqual(a, b any) bool {
 	a, b = Normalize(a), Normalize(b)
 	switch x := a.(type) {
-	case nil:
-		return b == nil
-	case bool:
-		y, ok := b.(bool)
-		return ok && x == y
-	case string:
-		y, ok := b.(string)
-		return ok && x == y
-	case int64:
-		switch y := b.(type) {
-		case int64:
-			return x == y
-		case float64:
-			return float64(x) == y
-		}
-		return false
-	case float64:
-		switch y := b.(type) {
-		case int64:
-			return x == float64(y)
-		case float64:
-			return x == y
-		}
-		return false
+	case nil, bool, string, int64, float64:
+		return scalar.Equal(a, b)
 	case []any:
 		y, ok := b.([]any)
 		if !ok || len(x) != len(y) {

@@ -127,12 +127,6 @@ type Graph struct {
 	edgeOwned  map[EdgeKey]struct{}
 	attrsOwned bool
 
-	// nanFree records that the last Freeze found no NaN in any attribute
-	// value; clones inherit it. A map two graphs share was present at a
-	// Freeze of both graphs' master, so with nanFree set on both it
-	// equals itself under ValueEqual and Equal may skip it.
-	nanFree bool
-
 	// keys holds the sorted attribute-key unions, derived on first use
 	// while the graph is shared and then read by every graph sharing the
 	// same containers: Clone of a shared graph copies the pointer, and
@@ -196,9 +190,7 @@ func (g *Graph) key(u, v string) EdgeKey {
 // to any graph sharing them — g or any clone — copies the containers once
 // and then each attribute map before its first write, so no graph ever
 // observes another's mutations. Freeze itself must not race with writes to
-// g, and allocates nothing: g stops owning anything, and one pass over the
-// attribute values records whether any holds a NaN (see Equal, which
-// compares what two clones share by identity only when neither holds one).
+// g, and allocates nothing: g stops owning anything.
 // A frozen graph and its unwritten clones also share their attribute-key
 // unions (NodeAttrKeys, EdgeAttrKeys), derived on first use.
 //
@@ -213,26 +205,6 @@ func (g *Graph) Freeze() {
 	g.nodeOwned = nil
 	g.edgeOwned = nil
 	g.attrsOwned = false
-	g.nanFree = !g.hasNaN()
-}
-
-// hasNaN reports whether any graph, node or edge attribute value holds a
-// NaN. It allocates nothing.
-func (g *Graph) hasNaN() bool {
-	if attrsHaveNaN(g.attrs) {
-		return true
-	}
-	for _, a := range g.nodeAttrs {
-		if attrsHaveNaN(a) {
-			return true
-		}
-	}
-	for _, a := range g.edges {
-		if attrsHaveNaN(a) {
-			return true
-		}
-	}
-	return false
 }
 
 // unshare gives g private copies of its containers before a write when
@@ -713,7 +685,6 @@ func (g *Graph) Clone() *Graph {
 		directed:  g.directed,
 		version:   g.version,
 		cow:       g.cow,
-		nanFree:   g.nanFree,
 		nodeOrder: slices.Clone(g.nodeOrder),
 		nodeIdx:   maps.Clone(g.nodeIdx),
 		nodeAttrs: slices.Clone(g.nodeAttrs),

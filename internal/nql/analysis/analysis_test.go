@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -99,6 +100,30 @@ return [p, f, fn(v) => v > 0]`
 	second := Analyze(prog, Options{Globals: map[string]Type{}})
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("diagnostics changed across runs:\n%v\nvs\n%v", first, second)
+	}
+}
+
+// TestOrderingVerdictMatchesVM: for every pair of literal kinds, vet
+// reports NQ300 on l < r exactly when the VM's < fails. A bool orders
+// only against a bool, nil and dicts against nothing.
+func TestOrderingVerdictMatchesVM(t *testing.T) {
+	lits := []string{"nil", "true", "1", "2.5", `"a"`, "[1]", `{"a": 1}`}
+	for _, l := range lits {
+		for _, r := range lits {
+			src := fmt.Sprintf("return %s < %s", l, r)
+			prog, err := nql.Parse(src)
+			if err != nil {
+				t.Fatalf("%s: %v", src, err)
+			}
+			vetFails := false
+			for _, d := range Analyze(prog, Options{Globals: map[string]Type{}}) {
+				vetFails = vetFails || d.Code == "NQ300"
+			}
+			_, err = nql.NewInterp(nql.Limits{}, nil).RunProgram(prog)
+			if vetFails != (err != nil) {
+				t.Errorf("%s: vet reports NQ300 %v, VM error %v", src, vetFails, err)
+			}
+		}
 	}
 }
 

@@ -125,12 +125,14 @@ func (a *analyzer) mapLit(x *nql.MapLit) (Type, eff) {
 	return TMap, all
 }
 
-// cmpClass buckets types by CompareNQL compatibility.
+// cmpClass buckets types by CompareNQL compatibility: two values order
+// only within one class (scalar.Orderable, or two lists).
 type cmpClass int
 
 const (
 	cmpUnknown cmpClass = iota // any: nothing provable
-	cmpNum                     // numeric coercion (bool included)
+	cmpNum                     // int, float and num; a bool is not a number here
+	cmpBool
 	cmpStr
 	cmpList
 	cmpNone // nil, map, func, host objects: never ordered
@@ -140,6 +142,8 @@ func classOf(t Type) cmpClass {
 	switch {
 	case t == TAny:
 		return cmpUnknown
+	case t == TBool:
+		return cmpBool
 	case isNumeric(t):
 		return cmpNum
 	case t == TStr:
@@ -167,7 +171,7 @@ func (a *analyzer) binary(x *nql.BinaryExpr) (Type, eff) {
 			return TBool, eff{both.pure, false}
 		}
 		// List comparisons recurse into elements and may fail there.
-		total := both.total && lc == rc && (lc == cmpNum || lc == cmpStr)
+		total := both.total && lc == rc && (lc == cmpNum || lc == cmpBool || lc == cmpStr)
 		return TBool, eff{both.pure, total}
 	case "in":
 		switch {

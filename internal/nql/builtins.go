@@ -653,17 +653,22 @@ func installBuiltins(m map[string]*Builtin) {
 		if !ok {
 			return nil, errf(ErrArg, line, "unique() requires a list")
 		}
-		seen := map[mkey]bool{}
+		// Scalars dedupe by scalar.Key, other values by rendering; the two
+		// sets are apart, so a list never collides with a string.
+		seen := map[scalar.Key]bool{}
+		seenRepr := map[string]bool{}
 		var out []Value
 		for _, it := range l.Items {
-			k, err := mapKey(it)
-			if err != nil {
-				// Unhashable values dedupe by rendering, under a kind of
-				// their own so they can never collide with scalar keys.
-				k = mkey{kind: 4, str: Repr(it)}
-			}
-			if !seen[k] {
+			var dup bool
+			if k, ok := scalar.KeyOf(it); ok {
+				dup = seen[k]
 				seen[k] = true
+			} else {
+				r := Repr(it)
+				dup = seenRepr[r]
+				seenRepr[r] = true
+			}
+			if !dup {
 				out = append(out, it)
 			}
 		}

@@ -382,38 +382,21 @@ func arithOperand(v Value) Value {
 // asNumber is a number or bool as a float64.
 func asNumber(v Value) (float64, bool) { return scalar.Float(arithOperand(v)) }
 
-// ValuesEqual implements NQL ==: numbers compare across int/float; lists
-// and maps compare deeply; other types require identical kind.
+// ValuesEqual implements NQL ==: scalars are equal under scalar.Equal
+// (numbers across int and float, NaN equal to itself); lists and maps
+// compare deeply, and a list or map equals itself at once; other values
+// compare by identity.
 func ValuesEqual(l, r Value) bool {
 	switch a := l.(type) {
-	case nil:
-		return r == nil
-	case bool:
-		b, ok := r.(bool)
-		return ok && a == b
-	case int64:
-		switch b := r.(type) {
-		case int64:
-			return a == b
-		case float64:
-			return float64(a) == b
-		}
-		return false
-	case float64:
-		switch b := r.(type) {
-		case int64:
-			return a == float64(b)
-		case float64:
-			return a == b
-		}
-		return false
-	case string:
-		b, ok := r.(string)
-		return ok && a == b
+	case nil, bool, int64, float64, string:
+		return scalar.Equal(l, r)
 	case *List:
 		b, ok := r.(*List)
 		if !ok || len(a.Items) != len(b.Items) {
 			return false
+		}
+		if a == b {
+			return true
 		}
 		for i := range a.Items {
 			if !ValuesEqual(a.Items[i], b.Items[i]) {
@@ -425,6 +408,9 @@ func ValuesEqual(l, r Value) bool {
 		b, ok := r.(*Map)
 		if !ok || a.Len() != b.Len() {
 			return false
+		}
+		if a == b {
+			return true
 		}
 		for i, k := range a.keys {
 			bv, ok := b.Get(k)
@@ -438,25 +424,12 @@ func ValuesEqual(l, r Value) bool {
 	}
 }
 
-// CompareNQL orders two values for <, sorted() etc. Numbers interoperate;
-// strings compare lexicographically; lists compare elementwise.
+// CompareNQL orders two values for <, sorted() etc.: two numbers, two
+// strings or two bools under scalar.Compare, and two lists element by
+// element. Any other pair is an error.
 func CompareNQL(l, r Value) (int, error) {
-	lf, lok := asNumber(l)
-	rf, rok := asNumber(r)
-	if lok && rok {
-		switch {
-		case lf < rf:
-			return -1, nil
-		case lf > rf:
-			return 1, nil
-		default:
-			return 0, nil
-		}
-	}
-	if ls, ok := l.(string); ok {
-		if rs, ok := r.(string); ok {
-			return strings.Compare(ls, rs), nil
-		}
+	if scalar.Orderable(l, r) {
+		return scalar.Compare(l, r), nil
 	}
 	if ll, ok := l.(*List); ok {
 		if rl, ok := r.(*List); ok {

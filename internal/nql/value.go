@@ -3,8 +3,9 @@ package nql
 import (
 	"fmt"
 	"hash/maphash"
-	"math"
 	"strconv"
+
+	"repro/internal/scalar"
 )
 
 // Value is any NQL runtime value: nil, bool, int64, float64, string, *List,
@@ -20,8 +21,9 @@ type List struct {
 func NewList(items ...Value) *List { return &List{Items: items} }
 
 // Map is an insertion-ordered map with scalar keys (string, int64, float64,
-// bool). Generated programs use maps pervasively (attribute dicts, grouped
-// results), and insertion order keeps outputs deterministic.
+// bool), keyed by scalar.Key. Generated programs use maps pervasively
+// (attribute dicts, grouped results), and insertion order keeps outputs
+// deterministic.
 //
 // Small maps (the millions of per-row attribute dicts the evaluation matrix
 // builds) stay index-free and resolve keys by linear scan; past
@@ -57,22 +59,6 @@ type mapIndex struct {
 // which slot an entry lands in depends on it.
 var hashSeed = maphash.MakeSeed()
 
-// hash spreads a key over the index. Strings use maphash; numbers and bools
-// mix their bit pattern, with the kind folded in so that a bool and the
-// number with the same bits probe different slots.
-func (ks mkey) hash() uint64 {
-	if ks.kind == 1 {
-		return maphash.String(hashSeed, ks.str)
-	}
-	x := ks.bits ^ uint64(ks.kind)<<56
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
-}
-
 // NewMap returns an empty Map.
 func NewMap() *Map { return &Map{} }
 
@@ -83,54 +69,36 @@ func NewMapCap(n int) *Map {
 	return &Map{keys: buf[0:0:n], vals: buf[n : n : 2*n]}
 }
 
-// mkey is the comparable key of a Map entry. Numbers are keyed by the
-// float64 bit pattern of their value, so int64 and float64 of equal
-// magnitude collide (NQL semantics) while -0.0 and NaN keep their historic
-// identities; building one never allocates.
-type mkey struct {
-	bits uint64
-	str  string
-	kind uint8 // 1 string, 2 number, 3 bool
-}
-
-func mapKey(k Value) (mkey, error) {
-	switch x := k.(type) {
-	case string:
-		return mkey{kind: 1, str: x}, nil
-	case int64:
-		return mkey{kind: 2, bits: math.Float64bits(float64(x))}, nil
-	case float64:
-		return mkey{kind: 2, bits: math.Float64bits(x)}, nil
-	case bool:
-		var b uint64
-		if x {
-			b = 1
+// mapKey is k's dict key, its scalar.Key: int64 and float64 of one value,
+// -0 and 0, and every NaN payload are one key. nil and values outside the
+// scalar domain are not keys. Building one never allocates.
+func mapKey(k Value) (scalar.Key, error) {
+	if k != nil {
+		if ks, ok := scalar.KeyOf(k); ok {
+			return ks, nil
 		}
-		return mkey{kind: 3, bits: b}, nil
-	default:
-		return mkey{}, fmt.Errorf("unhashable map key of type %s", TypeName(k))
 	}
+	return scalar.Key{}, fmt.Errorf("unhashable map key of type %s", TypeName(k))
 }
 
 // find locates the entry for a hashable key. Stored keys are always
-// hashable, and mapKey's zero value carries kind 0, so the error-discarding
-// comparisons can never produce a false match.
-func (m *Map) find(ks mkey) (int, bool) {
+// hashable, so each one's key is scalar.KeyOf's.
+func (m *Map) find(ks scalar.Key) (int, bool) {
 	if m.index != nil {
 		slots := m.index.slots
 		mask := uint64(len(slots) - 1)
-		for i := ks.hash() & mask; ; i = (i + 1) & mask {
+		for i := ks.Hash(hashSeed) & mask; ; i = (i + 1) & mask {
 			e := slots[i]
 			if e == 0 {
 				return 0, false
 			}
-			if mk, _ := mapKey(m.keys[e-1]); mk == ks {
+			if mk, _ := scalar.KeyOf(m.keys[e-1]); mk == ks {
 				return int(e - 1), true
 			}
 		}
 	}
 	for i, k := range m.keys {
-		if mk, _ := mapKey(k); mk == ks {
+		if mk, _ := scalar.KeyOf(k); mk == ks {
 			return i, true
 		}
 	}
@@ -151,16 +119,16 @@ func (m *Map) buildIndex() {
 // fill places every key of keys at its position. The slots must be empty.
 func (x *mapIndex) fill(keys []Value) {
 	for j, k := range keys {
-		ks, _ := mapKey(k)
+		ks, _ := scalar.KeyOf(k)
 		x.place(ks, j)
 	}
 }
 
 // place records entry position pos for key ks in the first empty slot of
 // its probe sequence.
-func (x *mapIndex) place(ks mkey, pos int) {
+func (x *mapIndex) place(ks scalar.Key, pos int) {
 	mask := uint64(len(x.slots) - 1)
-	i := ks.hash() & mask
+	i := ks.Hash(hashSeed) & mask
 	for x.slots[i] != 0 {
 		i = (i + 1) & mask
 	}
@@ -181,7 +149,7 @@ func (m *Map) own() {
 }
 
 // insert appends a key known to be absent.
-func (m *Map) insert(ks mkey, k, v Value) {
+func (m *Map) insert(ks scalar.Key, k, v Value) {
 	m.own()
 	m.keys = append(m.keys, k)
 	m.vals = append(m.vals, v)

@@ -1,8 +1,8 @@
 // Package scalar is the one key, order and arithmetic contract of the
 // tabular value domain: nil, bool, int64, float64 and string. sqldb,
 // dataframe and federate group, de-duplicate, join, filter, sort, add and
-// sum through it, and NQL does its arithmetic through it, so a query's
-// answer does not depend on which substrate ran it.
+// sum through it, and NQL compares, keys and adds its scalars through it,
+// so a query's answer does not depend on which substrate ran it.
 //
 // The key and order contract:
 //   - Kinds rank nil < bool < number < string.
@@ -28,18 +28,27 @@
 // reads N to give its own answer for no values. A failure is a sentinel
 // error that each caller maps to its own text.
 //
-// Three rules stay with their substrate. A federated (NQL) comparison that
-// orders values of different kinds is an error. NQL's own equality, order
-// and dict keys (nql.ValuesEqual, nql.CompareNQL and the map key) and
-// graph.ValueEqual, which compares network state, keep language semantics:
-// NaN != NaN under ==, and -0.0 and each NaN payload are dict keys of
-// their own. NQL also counts a bool as the int 0 or 1 in arithmetic, and
-// turns it into one before calling Arith or Sum.
+// NQL's ==, ordering, dict keys, sorted() and unique(), and graph.ValueEqual,
+// which compares network state, follow the same contract for these values:
+// 2^53+1 == 2^53, NaN == NaN and sorts below every number, and -0 == 0 in
+// every one of them. Orderable says which pairs an NQL or federated
+// ordering accepts: two numbers, two strings or two bools; ordering any
+// other pair is an error there, though Compare ranks it. NQL counts a bool
+// as the int 0 or 1 in arithmetic only, and turns it into one before
+// calling Arith or Sum.
+//
+// nil is one class everywhere, as SQL NULL too: sqldb =, GROUP BY and
+// joins, dataframe GroupBy and Merge, and federate joins pair NULL with
+// NULL. That is not SQL's three-valued logic, by decision: one class on
+// every substrate keeps an answer from depending on which one ran it, and
+// no substrate needs an UNKNOWN truth value. NQL's dict is the one place
+// nil is not a key.
 package scalar
 
 import (
 	"cmp"
 	"encoding/binary"
+	"hash/maphash"
 	"math"
 	"strings"
 )
@@ -110,6 +119,22 @@ func (k Key) Append(buf []byte) []byte {
 	return buf
 }
 
+// Hash spreads k over a hash table: strings through maphash under seed,
+// numbers and bools by mixing their bits with the kind folded in, so that a
+// bool and the number with the same bits land apart. Equal keys hash alike.
+func (k Key) Hash(seed maphash.Seed) uint64 {
+	if k.kind == kindStr {
+		return maphash.String(seed, k.str)
+	}
+	x := k.bits ^ uint64(k.kind)<<56
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
+
 // Float returns an int64 or float64 as the float64 it compares as; ok is
 // false for any other value.
 func Float(v any) (f float64, ok bool) {
@@ -169,6 +194,25 @@ func Compare(a, b any) int {
 		return -1
 	}
 	return 0
+}
+
+// Orderable reports whether a and b are two numbers, two strings or two
+// bools: the pairs an ordering operator accepts.
+func Orderable(a, b any) bool {
+	switch a.(type) {
+	case int64, float64:
+		switch b.(type) {
+		case int64, float64:
+			return true
+		}
+	case string:
+		_, ok := b.(string)
+		return ok
+	case bool:
+		_, ok := b.(bool)
+		return ok
+	}
+	return false
 }
 
 // compareNumbers is cmp.Compare with the commonest cases, no NaN, tested

@@ -3,6 +3,7 @@ package scalar
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/maphash"
 	"math"
 	"testing"
 )
@@ -71,6 +72,29 @@ func TestCompareOrdering(t *testing.T) {
 						t.Errorf("KeyOf(%#v) == KeyOf(%#v) is %v, want %v", a, b, got, i == j)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestOrderableAndHash: Orderable holds for two bools, two numbers or two
+// strings and for no other pair, and equal keys hash alike.
+func TestOrderableAndHash(t *testing.T) {
+	seed := maphash.MakeSeed()
+	vals := []any{[]any{int64(1)}}
+	for _, c := range classes {
+		vals = append(vals, c...)
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			ka, _ := KeyOf(a)
+			kb, _ := KeyOf(b)
+			want := ka.kind == kb.kind && (ka.kind == kindBool || ka.kind == kindNum || ka.kind == kindStr)
+			if got := Orderable(a, b); got != want {
+				t.Errorf("Orderable(%#v, %#v) = %v, want %v", a, b, got, want)
+			}
+			if ka == kb && ka.Hash(seed) != kb.Hash(seed) {
+				t.Errorf("%#v and %#v key alike but hash apart", a, b)
 			}
 		}
 	}
