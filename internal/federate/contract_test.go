@@ -247,18 +247,10 @@ func TestOnePartitionAcrossSubstrates(t *testing.T) {
 	// ORDER BY k, id is sorted() of [k, id] pairs, one kind at a time:
 	// NQL orders two bools, two numbers or two strings, never two kinds.
 	ordered := query("SELECT k, id FROM t ORDER BY k, id")
-	kinds := []struct {
-		name string
-		is   func(any) bool
-	}{
-		{"bool", func(v any) bool { _, ok := v.(bool); return ok }},
-		{"number", func(v any) bool { _, ok := scalar.Float(v); return ok }},
-		{"string", func(v any) bool { _, ok := v.(string); return ok }},
-	}
-	for _, kind := range kinds {
+	for _, kind := range []any{false, int64(0), ""} {
 		var pairs []any
 		for i, k := range keys {
-			if kind.is(k) {
+			if scalar.Orderable(k, kind) {
 				pairs = append(pairs, nql.NewList(k, int64(i+1)))
 			}
 		}
@@ -267,12 +259,12 @@ func TestOnePartitionAcrossSubstrates(t *testing.T) {
 			nqlIDs = append(nqlIDs, p.(*nql.List).Items[1])
 		}
 		for i := 0; i < ordered.NumRows(); i++ {
-			if k, _ := ordered.Cell(i, "k"); kind.is(k) {
+			if k, _ := ordered.Cell(i, "k"); scalar.Orderable(k, kind) {
 				id, _ := ordered.Cell(i, "id")
 				sqlIDs = append(sqlIDs, id)
 			}
 		}
-		check("NQL sorted() vs ORDER BY, "+kind.name+" keys", fmt.Sprint(nqlIDs), fmt.Sprint(sqlIDs))
+		check(fmt.Sprintf("NQL sorted() vs ORDER BY, keys orderable with %T", kind), fmt.Sprint(nqlIDs), fmt.Sprint(sqlIDs))
 	}
 }
 
