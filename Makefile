@@ -1,7 +1,8 @@
 # Build/verify/benchmark entry points. `make verify` is the tier-1 gate
-# (build + vet + tests); `make lint` adds the NQL registry vet (nqlvet
-# over every golden program x backend) and staticcheck when installed;
-# `make fuzz` runs the fuzz targets for a fixed time each;
+# (build + vet + tests, the bench module's included); `make lint` adds the
+# NQL registry vet (nqlvet over every golden program x backend) and
+# staticcheck when installed; `make fuzz` runs the fuzz targets for a
+# fixed time each;
 # `make bench` records the benchmark suite as JSON so successive PRs can
 # track the perf trajectory (BENCH_13.json is the next snapshot; bump
 # BENCH_OUT after recording it); `make benchdiff` compares the two most
@@ -23,10 +24,14 @@ STATICCHECK_VERSION ?= 2024.1.1
 
 .PHONY: verify test lint install-staticcheck race fuzz bench bench-quick benchdiff
 
+# bench/ is its own module (replace repro => ../), so ./... never reaches
+# it; it is vetted and tested here because it imports the root module's
+# packages and must keep compiling against them.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 test:
 	$(GO) test ./...

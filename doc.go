@@ -24,15 +24,16 @@
 // a frame's or SQL table's columns before a row is lifted, with one
 // comparison rule for every source; graph scans push whole computations
 // such as PageRank down into the graph library) and a shared executor
-// lifts rows into NQL values. Preparation is cost-based:
-// per-epoch table statistics drive join build-side choice and SourceAny
-// resolution, with the decision list cached process-wide per (plan
-// fingerprint, catalog epoch) so clones of one frozen dataset master plan
-// once. One recursive executor with one join and one aggregate runs the
-// decided plan over every source: scans filter on source columns before
-// lifting a row, a join or aggregate reads its scan children's cells in
-// place, and every operator polls cancellation at row checkpoints and
-// emits one explain-analyze profile frame. A selective lookup costs what
+// lifts rows into NQL values. Preparation estimates each operator's rows
+// and cost from per-epoch table statistics for explain(), with the
+// estimates cached process-wide per (plan fingerprint, catalog epoch) so
+// clones of one frozen dataset master plan once. One recursive executor
+// with one join and one aggregate runs the optimized plan over every
+// source: every operator reads its input's cells in place, scans filter
+// on source columns before lifting a row, a join hashes its smaller
+// input, only the rows the plan returns are lifted in full, and every
+// operator polls cancellation at row checkpoints and emits one
+// explain-analyze profile frame. A selective lookup costs what
 // its answer costs: a frozen dataset master's frames and SQL tables share
 // a lazily built string index with their unwritten clones, so a SELECT
 // whose WHERE leads with `col = 'string'` and a federated frame or SQL

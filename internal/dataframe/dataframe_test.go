@@ -1,10 +1,13 @@
 package dataframe
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -350,7 +353,7 @@ func TestMergeInner(t *testing.T) {
 	edges.AppendRow("a", 10)
 	edges.AppendRow("a", 20)
 	edges.AppendRow("z", 99)
-	j, err := Merge(edges, nodes, "src", "id", InnerJoin)
+	j, err := Merge(context.Background(), edges, nodes, "src", "id", InnerJoin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +371,7 @@ func TestMergeLeft(t *testing.T) {
 	left.AppendRow("y", 2)
 	right := New("k", "w")
 	right.AppendRow("x", 10)
-	j, err := Merge(left, right, "k", "k", LeftJoin)
+	j, err := Merge(context.Background(), left, right, "k", "k", LeftJoin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +388,7 @@ func TestMergeCollisionSuffix(t *testing.T) {
 	a.AppendRow("x", 1)
 	b := New("k", "v")
 	b.AppendRow("x", 2)
-	j, err := Merge(a, b, "k", "k", InnerJoin)
+	j, err := Merge(context.Background(), a, b, "k", "k", InnerJoin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,13 +400,13 @@ func TestMergeCollisionSuffix(t *testing.T) {
 func TestMergeErrors(t *testing.T) {
 	a := New("k")
 	b := New("k")
-	if _, err := Merge(a, b, "ghost", "k", InnerJoin); err == nil {
+	if _, err := Merge(context.Background(), a, b, "ghost", "k", InnerJoin); err == nil {
 		t.Fatal("expected left key error")
 	}
-	if _, err := Merge(a, b, "k", "ghost", InnerJoin); err == nil {
+	if _, err := Merge(context.Background(), a, b, "k", "ghost", InnerJoin); err == nil {
 		t.Fatal("expected right key error")
 	}
-	if _, err := Merge(a, b, "k", "k", JoinKind("outer")); err == nil {
+	if _, err := Merge(context.Background(), a, b, "k", "k", JoinKind("outer")); err == nil {
 		t.Fatal("expected kind error")
 	}
 }
@@ -586,7 +589,7 @@ func TestPropInnerJoinSubsetOfLeftKeys(t *testing.T) {
 		for i := 0; i < r.Intn(4); i++ {
 			right.AppendRow(fmt.Sprintf("g%d", i), i)
 		}
-		j, err := Merge(left, right, "grp", "grp", InnerJoin)
+		j, err := Merge(context.Background(), left, right, "grp", "grp", InnerJoin)
 		if err != nil {
 			return false
 		}
@@ -625,7 +628,7 @@ func TestPropLeftJoinPreservesLeftRows(t *testing.T) {
 				right.AppendRow(fmt.Sprintf("g%d", i), i)
 			}
 		}
-		j, err := Merge(left, right, "grp", "grp", LeftJoin)
+		j, err := Merge(context.Background(), left, right, "grp", "grp", LeftJoin)
 		if err != nil {
 			return false
 		}
@@ -783,7 +786,7 @@ func TestGroupByKeyContract(t *testing.T) {
 	if vc, _ := f.ValueCounts("k"); vc.NumRows() != 4 {
 		t.Errorf("ValueCounts(k) has %d rows, want 4", vc.NumRows())
 	}
-	if m, _ := Merge(f, f, "k", "k", InnerJoin); m.NumRows() != 2*2+1+2*2+2*2 {
+	if m, _ := Merge(context.Background(), f, f, "k", "k", InnerJoin); m.NumRows() != 2*2+1+2*2+2*2 {
 		t.Errorf("self-merge on k has %d rows, want 13", m.NumRows())
 	}
 
@@ -827,5 +830,54 @@ func TestFrozenCloneColumnList(t *testing.T) {
 	}
 	if _, err := m.Column("node"); err != nil {
 		t.Errorf("master lost a column: %v", err)
+	}
+}
+
+// endsAfter is a context whose Err reports Canceled from its (n+1)th call
+// on, so a test can end a merge at a chosen poll whatever the host's
+// speed.
+type endsAfter struct {
+	context.Context
+	n int
+}
+
+func (c *endsAfter) Err() error {
+	if c.n == 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// TestMergeCancelledAllocatesByChunk ends a self-merge of 1,000 rows on a
+// constant key (a million output rows) at each of its first polls in
+// turn. Merge polls while it hashes the right side and every
+// mergeCheckEvery output rows, so however late among those polls the end
+// comes, it has allocated a few checkpoints of output, not the hundreds
+// of megabytes of the whole merge.
+func TestMergeCancelledAllocatesByChunk(t *testing.T) {
+	f := New("k", "v")
+	for i := 0; i < 1000; i++ {
+		f.AppendRow(int64(1), int64(i))
+	}
+	for polls := 1; polls <= 12; polls++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Merge(&endsAfter{Context: context.Background(), n: polls}, f, f, "k", "k", InnerJoin)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("context ending at poll %d: err = %v, want context.Canceled", polls+1, err)
+		}
+		if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 4<<20 {
+			t.Errorf("context ending at poll %d: the merge allocated %d bytes", polls+1, bytes)
+		}
+	}
+	// A left merge emits unmatched rows through the same checkpoint.
+	g := New("k")
+	for i := 0; i < 3000; i++ {
+		g.AppendRow(int64(i))
+	}
+	if _, err := Merge(&endsAfter{Context: context.Background(), n: 2}, g, f, "k", "v", LeftJoin); !errors.Is(err, context.Canceled) {
+		t.Errorf("left merge: err = %v, want context.Canceled", err)
 	}
 }

@@ -1,6 +1,7 @@
 package dataframe
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/scalar"
@@ -15,11 +16,18 @@ const (
 	LeftJoin  JoinKind = "left"
 )
 
+// mergeCheckEvery is Merge's checkpoint stride: the context is polled
+// once per this many hashed right rows and once per this many output rows.
+const mergeCheckEvery = 1024
+
 // Merge joins two frames on equality of left[leftKey] and right[rightKey],
 // in the manner of pandas merge. Columns from the right frame that collide
 // with left column names are suffixed with "_right". Left join emits nil for
-// unmatched right columns.
-func Merge(left, right *Frame, leftKey, rightKey string, kind JoinKind) (*Frame, error) {
+// unmatched right columns. ctx is polled while the right side is hashed
+// and every mergeCheckEvery output rows, so a key that fans out cannot
+// outrun a deadline; an ended context fails the merge with an error
+// wrapping ctx.Err().
+func Merge(ctx context.Context, left, right *Frame, leftKey, rightKey string, kind JoinKind) (*Frame, error) {
 	if !left.HasColumn(leftKey) {
 		return nil, fmt.Errorf("dataframe: left key %q does not exist (have %v)", leftKey, left.cols)
 	}
@@ -57,39 +65,62 @@ func Merge(left, right *Frame, leftKey, rightKey string, kind JoinKind) (*Frame,
 	// Hash the right side.
 	index := map[scalar.Key][]int{}
 	for i, v := range right.data[rightKey] {
+		if err := mergePoll(ctx, i); err != nil {
+			return nil, err
+		}
 		k, _ := scalar.KeyOf(v)
 		index[k] = append(index[k], i)
 	}
 
+	// emit appends left row i joined with right row j (j < 0: no match).
+	// AppendRow copies the values, so one buffer serves every row.
+	vals := make([]any, len(outCols))
+	rows := 0
+	emit := func(i, j int) error {
+		if err := mergePoll(ctx, rows); err != nil {
+			return err
+		}
+		rows++
+		for n, c := range left.cols {
+			vals[n] = left.data[c][i]
+		}
+		for n, c := range rightSrc {
+			var v any
+			if j >= 0 {
+				v = right.data[c][j]
+			}
+			vals[len(left.cols)+n] = v
+		}
+		out.AppendRow(vals...)
+		return nil
+	}
 	lk := left.data[leftKey]
 	for i := 0; i < left.nrows; i++ {
 		k, _ := scalar.KeyOf(lk[i])
 		matches := index[k]
-		if len(matches) == 0 {
-			if kind == LeftJoin {
-				vals := make([]any, 0, len(outCols))
-				for _, c := range left.cols {
-					vals = append(vals, left.data[c][i])
-				}
-				for range rightSrc {
-					vals = append(vals, nil)
-				}
-				out.AppendRow(vals...)
+		if len(matches) == 0 && kind == LeftJoin {
+			if err := emit(i, -1); err != nil {
+				return nil, err
 			}
-			continue
 		}
 		for _, j := range matches {
-			vals := make([]any, 0, len(outCols))
-			for _, c := range left.cols {
-				vals = append(vals, left.data[c][i])
+			if err := emit(i, j); err != nil {
+				return nil, err
 			}
-			for _, c := range rightSrc {
-				vals = append(vals, right.data[c][j])
-			}
-			out.AppendRow(vals...)
 		}
 	}
 	return out, nil
+}
+
+// mergePoll reports ctx's error at checkpoint i (every mergeCheckEvery).
+func mergePoll(ctx context.Context, i int) error {
+	if i%mergeCheckEvery != 0 {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("dataframe: merge: %w", err)
+	}
+	return nil
 }
 
 // Concat appends the rows of b to a. Both frames must share the same column

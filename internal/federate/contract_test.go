@@ -1,6 +1,7 @@
 package federate
 
 import (
+	"context"
 	"fmt"
 	"maps"
 	"math"
@@ -169,7 +170,7 @@ func TestOnePartitionAcrossSubstrates(t *testing.T) {
 	check("dataframe Unique", fmt.Sprint(len(u)), fmt.Sprint(len(classes)))
 	vc, _ := f.ValueCounts("k")
 	check("dataframe ValueCounts", fmt.Sprint(vc.NumRows()), fmt.Sprint(len(classes)))
-	m, err := dataframe.Merge(f, f, "k", "k", dataframe.InnerJoin)
+	m, err := dataframe.Merge(context.Background(), f, f, "k", "k", dataframe.InnerJoin)
 	if err != nil {
 		t.Fatal(err)
 	}

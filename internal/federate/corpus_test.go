@@ -56,7 +56,8 @@ func corpusCases() []corpusCase {
 		{name: "frame scan", plan: &Scan{Source: SourceFrame, Table: "edges"}},
 		{name: "graph scan", plan: &Scan{Source: SourceGraph, Table: "edges"}},
 		{name: "graph degree", plan: &Scan{Source: SourceGraph, Table: "degree"}},
-		{name: "any source", plan: &Scan{Source: SourceAny, Table: "nodes"}},
+		// "any" names no source; the planner once resolved it to one.
+		{name: "any source", plan: &Scan{Source: "any", Table: "nodes"}},
 		// Filter folds (And-conjunctions) with residuals, projections.
 		{name: "folded and with residual", plan: &Project{Cols: []string{"src", "bytes"}, Input: &Filter{
 			Pred: And{Preds: []Pred{
@@ -72,7 +73,8 @@ func corpusCases() []corpusCase {
 			LeftKey: "dst", RightKey: "id",
 		}}},
 		// Joins of two SQL scans: a self-join with colliding columns, and one
-		// whose filtered left side is the planner's build side.
+		// whose filtered left side is the smaller input, which the join
+		// hashes.
 		{name: "sql join", plan: &Join{Left: sqlEdges(), Right: sqlEdges(), LeftKey: "dst", RightKey: "src"}},
 		{name: "sql join build left", plan: &Join{
 			Left:    &Filter{Input: sqlEdges(), Pred: Cmp{Col: "src", Op: "==", Value: "b"}},
@@ -188,9 +190,8 @@ var corpusPins = map[string]corpusPin{
 		repr: `[{"id": "a", "degree": 2, "in_degree": 0, "out_degree": 2}, {"id": "b", "degree": 2, "in_degree": 1, "out_degree": 1}, {"id": "c", "degree": 3, "in_degree": 2, "out_degree": 1}, {"id": "d", "degree": 1, "in_degree": 1, "out_degree": 0}]`,
 		frames: `scan graph.degree rows=4
 `},
-	"any source": {cols: "id,ip",
-		repr: `[{"id": "a", "ip": "10.0.0.1"}, {"id": "b", "ip": "10.0.0.2"}, {"id": "c", "ip": "15.76.0.3"}, {"id": "d", "ip": "15.76.0.4"}]`,
-		frames: `scan sql.nodes rows=4
+	"any source": {err: `federate: unknown scan source "any" (have graph, frame, sql)`,
+		frames: `scan any.nodes rows=-1
 `},
 	"folded and with residual": {cols: "src,bytes",
 		repr: `[{"src": "a", "bytes": 100}, {"src": "b", "bytes": 250}, {"src": "c", "bytes": 400}]`,

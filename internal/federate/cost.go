@@ -3,58 +3,18 @@ package federate
 import "math"
 
 // This file is the cost model: it walks an optimized logical plan and
-// produces one decision per node (pre-order) — resolved source for
-// SourceAny scans and join build side — plus row and cost estimates for
-// explain output. Decisions are pure data, independent of any closure in
-// the plan, which is what makes them cacheable across sessions (see
-// prepare.go).
+// estimates each node's output rows and cumulative cost (pre-order), the
+// annotations Prepared.Explain prints. Estimates are pure data,
+// independent of any closure in the plan, which is what makes them
+// cacheable across sessions (see prepare.go). Execution never reads them:
+// a join sizes its own build side from the exact row counts of its
+// inputs.
 
-// SourceAny lets a scan defer its substrate: the planner resolves it to
-// the cheapest source exposing the table (preferring sql, then frame,
-// then graph on ties).
-const SourceAny = "any"
-
-// decision is the planner's verdict for one plan node, aligned with the
+// estimate is the cost model's view of one plan node, aligned with the
 // optimized plan by pre-order position.
-type decision struct {
-	Kind      byte    // node kind tag, validated when replaying from cache
-	Source    string  // scans: resolved source (copied from the node unless SourceAny)
-	BuildLeft bool    // joins: hash the smaller (left) input
-	EstRows   float64 // estimated output rows
-	EstCost   float64 // estimated cumulative cost (arbitrary units)
-}
-
-// Node kind tags for decision validation.
-const (
-	kindScan  = byte('s')
-	kindFilt  = byte('f')
-	kindProj  = byte('p')
-	kindJoin  = byte('j')
-	kindAgg   = byte('a')
-	kindSort  = byte('o')
-	kindLimit = byte('l')
-	kindOther = byte('?')
-)
-
-func nodeKind(n Node) byte {
-	switch n.(type) {
-	case *Scan:
-		return kindScan
-	case *Filter:
-		return kindFilt
-	case *Project:
-		return kindProj
-	case *Join:
-		return kindJoin
-	case *Aggregate:
-		return kindAgg
-	case *Sort:
-		return kindSort
-	case *Limit:
-		return kindLimit
-	default:
-		return kindOther
-	}
+type estimate struct {
+	EstRows float64 // estimated output rows
+	EstCost float64 // estimated cumulative cost (arbitrary units)
 }
 
 // Per-row costs of scanning substrate rows into the relation's value
@@ -66,14 +26,14 @@ const (
 	computeCost   = 25.0 // per-row surcharge for whole-graph virtual tables
 )
 
-// annotate computes the decision list for an optimized plan. It never
+// annotate computes the estimate list for an optimized plan. It never
 // fails: unknown tables or sources get pessimistic defaults and execution
 // surfaces the real error.
-func annotate(cat *Catalog, plan Node) []decision {
+func annotate(cat *Catalog, plan Node) []estimate {
 	cs := statsFor(cat)
-	var decs []decision
-	costNode(cat, cs, plan, &decs)
-	return decs
+	var ests []estimate
+	costNode(cat, cs, plan, &ests)
+	return ests
 }
 
 // nodeEst carries the per-subtree estimates the parent needs: output
@@ -85,30 +45,28 @@ type nodeEst struct {
 	scan *TableStats
 }
 
-func costNode(cat *Catalog, cs *catalogStats, n Node, decs *[]decision) nodeEst {
-	idx := len(*decs)
-	*decs = append(*decs, decision{Kind: nodeKind(n)})
+func costNode(cat *Catalog, cs *catalogStats, n Node, ests *[]estimate) nodeEst {
+	idx := len(*ests)
+	*ests = append(*ests, estimate{})
 	var est nodeEst
 	switch x := n.(type) {
 	case *Scan:
-		est = costScan(cat, cs, x, &(*decs)[idx])
+		est = costScan(cat, cs, x)
 	case *Filter:
-		in := costNode(cat, cs, x.Input, decs)
+		in := costNode(cat, cs, x.Input, ests)
 		est = nodeEst{rows: in.rows * predSelectivity(x.Pred, in), cost: in.cost + in.rows, scan: in.scan}
 	case *Project:
-		in := costNode(cat, cs, x.Input, decs)
+		in := costNode(cat, cs, x.Input, ests)
 		est = nodeEst{rows: in.rows, cost: in.cost + in.rows, scan: in.scan}
 	case *Join:
-		l := costNode(cat, cs, x.Left, decs)
-		r := costNode(cat, cs, x.Right, decs)
-		d := &(*decs)[idx]
-		d.BuildLeft = l.rows < r.rows
+		l := costNode(cat, cs, x.Left, ests)
+		r := costNode(cat, cs, x.Right, ests)
 		dl := keyDistinct(l, x.LeftKey)
 		dr := keyDistinct(r, x.RightKey)
 		dmax := math.Max(math.Max(dl, dr), 1)
 		est = nodeEst{rows: l.rows * r.rows / dmax, cost: l.cost + r.cost + l.rows + r.rows}
 	case *Aggregate:
-		in := costNode(cat, cs, x.Input, decs)
+		in := costNode(cat, cs, x.Input, ests)
 		rows := 1.0
 		if len(x.GroupBy) > 0 {
 			rows = 1
@@ -119,30 +77,24 @@ func costNode(cat *Catalog, cs *catalogStats, n Node, decs *[]decision) nodeEst 
 		}
 		est = nodeEst{rows: rows, cost: in.cost + in.rows}
 	case *Sort:
-		in := costNode(cat, cs, x.Input, decs)
+		in := costNode(cat, cs, x.Input, ests)
 		nlogn := in.rows * math.Log2(math.Max(in.rows, 2))
 		est = nodeEst{rows: in.rows, cost: in.cost + nlogn}
 	case *Limit:
-		in := costNode(cat, cs, x.Input, decs)
+		in := costNode(cat, cs, x.Input, ests)
 		est = nodeEst{rows: math.Min(in.rows, math.Max(float64(x.N), 0)), cost: in.cost + in.rows}
 	default:
 		est = nodeEst{rows: 1, cost: 1}
 	}
-	d := &(*decs)[idx]
+	d := &(*ests)[idx]
 	d.EstRows = est.rows
 	d.EstCost = est.cost
 	return est
 }
 
-// costScan resolves the scan's source (for SourceAny) and estimates output
-// rows after the pushed predicates.
-func costScan(cat *Catalog, cs *catalogStats, s *Scan, d *decision) nodeEst {
-	source := s.Source
-	if source == SourceAny {
-		source = resolveSource(cat, cs, s)
-	}
-	d.Source = source
-	st := cs.table(cat, source, s.Table)
+// costScan estimates a scan's output rows after its pushed predicates.
+func costScan(cat *Catalog, cs *catalogStats, s *Scan) nodeEst {
+	st := cs.table(cat, s.Source, s.Table)
 	rows := 1000.0 // unknown table: pessimistic default, error surfaces at run time
 	if st != nil {
 		rows = float64(st.Rows)
@@ -151,7 +103,7 @@ func costScan(cat *Catalog, cs *catalogStats, s *Scan, d *decision) nodeEst {
 	for _, c := range s.Pushed {
 		sel *= cmpSelectivity(c, st)
 	}
-	return nodeEst{rows: rows * sel, cost: rows * liftCost(source, st), scan: st}
+	return nodeEst{rows: rows * sel, cost: rows * liftCost(s.Source, st), scan: st}
 }
 
 // liftCost is the per-row cost of a scan of source (st may be nil).
@@ -166,35 +118,6 @@ func liftCost(source string, st *TableStats) float64 {
 		return liftCostGraph
 	}
 	return liftCostFrame
-}
-
-// resolveSource picks the cheapest substrate exposing the table for a
-// SourceAny scan; ties and the no-candidate case prefer sql, then frame,
-// then graph.
-func resolveSource(cat *Catalog, cs *catalogStats, s *Scan) string {
-	best, bestCost := "", math.Inf(1)
-	for _, source := range []string{SourceSQL, SourceFrame, SourceGraph} {
-		st := cs.table(cat, source, s.Table)
-		if st == nil {
-			continue
-		}
-		if c := float64(st.Rows) * liftCost(source, st); c < bestCost {
-			best, bestCost = source, c
-		}
-	}
-	if best != "" {
-		return best
-	}
-	// No substrate has the table: resolve to the most natural present
-	// source so execution reports its unknown-table error.
-	switch {
-	case cat.DB != nil:
-		return SourceSQL
-	case len(cat.Frames) > 0:
-		return SourceFrame
-	default:
-		return SourceGraph
-	}
 }
 
 // keyDistinct estimates the distinct count of a key column at a node,

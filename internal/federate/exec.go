@@ -15,9 +15,8 @@ import (
 )
 
 // Run optimizes a logical plan, plans it against the catalog's statistics
-// (recalling cached decisions when the catalog carries an epoch) and
-// executes it. The catalog is only read: operators lift cells out of the
-// substrates and never write back.
+// and executes it. The catalog is only read: operators lift cells out of
+// the substrates and never write back.
 func Run(cat *Catalog, plan Node) (*Relation, error) {
 	return Prepare(cat, plan).ExecuteContext(context.Background(), cat)
 }
@@ -30,13 +29,11 @@ func RunContext(ctx context.Context, cat *Catalog, plan Node) (*Relation, error)
 	return Prepare(cat, plan).ExecuteContext(ctx, cat)
 }
 
-// ExecuteContext executes a prepared plan against a catalog sharing the
-// Prepare-time catalog's epoch (any catalog works — decisions re-validate
-// against live state at execution time). When ctx carries an obs.Profile,
-// every operator contributes an Enter/Exit frame recording its label,
-// output rows and wall/own time — the raw material for the EXPLAIN
-// ANALYZE-style query profile; an unprofiled run takes the direct path
-// with zero extra work.
+// ExecuteContext executes a prepared plan against any catalog, lifting the
+// rows the plan returns. When ctx carries an obs.Profile, every operator
+// contributes an Enter/Exit frame recording its label, output rows and
+// wall/own time — the raw material for the EXPLAIN ANALYZE-style query
+// profile; an unprofiled run takes the direct path with zero extra work.
 func (p *Prepared) ExecuteContext(ctx context.Context, cat *Catalog) (*Relation, error) {
 	if n := PlanNotesFrom(ctx); n != nil {
 		n.add(p.Fingerprint())
@@ -53,39 +50,18 @@ func (p *Prepared) ExecuteContext(ctx context.Context, cat *Catalog) (*Relation,
 			return nil, err
 		}
 	}
-	return execute(cat, p.plan)
+	src, err := execute(cat, p.plan)
+	if err != nil {
+		return nil, err
+	}
+	return src.relation(), nil
 }
 
-// execute runs one plan node as a lifted relation, inside its profile
-// frame when the catalog carries a profile.
-func execute(cat *Catalog, plan Node) (*Relation, error) {
+// execute runs one plan node as a column source, inside its profile frame
+// when the catalog carries a profile. The frame counts the node's rows.
+func execute(cat *Catalog, plan Node) (columns, error) {
 	frame := cat.enter(plan)
-	rel, err := execNode(cat, plan)
-	if frame != nil {
-		rows := int64(-1)
-		if err == nil && rel != nil {
-			rows = int64(len(rel.Rows))
-		}
-		cat.prof.Exit(frame, rows)
-	}
-	return rel, err
-}
-
-// input runs an operator's child as a column source. A scan is read in
-// place: its surviving cells are lifted only when the operator reads them,
-// and its profile frame counts the surviving rows. Any other child is
-// executed into a relation and read through relColumns.
-func input(cat *Catalog, n Node) (columns, error) {
-	s, ok := n.(*Scan)
-	if !ok {
-		rel, err := execute(cat, n)
-		if err != nil {
-			return columns{}, err
-		}
-		return relColumns(rel), nil
-	}
-	frame := cat.enter(s)
-	src, err := execScan(cat, s)
+	src, err := execNode(cat, plan)
 	if frame != nil {
 		rows := int64(-1)
 		if err == nil {
@@ -129,29 +105,34 @@ func opName(plan Node) string {
 	}
 }
 
-func execNode(cat *Catalog, plan Node) (*Relation, error) {
+// execNode runs one operator over its inputs' column sources. Filter and
+// Project narrow their input in place, Sort and Limit reorder or cut its
+// row positions, and Join and Aggregate build a new relation.
+func execNode(cat *Catalog, plan Node) (columns, error) {
 	switch x := plan.(type) {
 	case *Scan:
-		src, err := execScan(cat, x)
-		if err != nil {
-			return nil, err
-		}
-		return src.relation(), nil
-	case *Filter:
-		return execFilter(cat, x)
-	case *Project:
-		return execProject(cat, x)
+		return execScan(cat, x)
 	case *Join:
 		return execJoin(cat, x)
 	case *Aggregate:
 		return execAggregate(cat, x)
-	case *Sort:
-		return execSort(cat, x)
-	case *Limit:
-		return execLimit(cat, x)
-	default:
-		return nil, fmt.Errorf("federate: unsupported plan node %T", plan)
 	}
+	// Every other operator has one input.
+	src, err := execute(cat, plan.children()[0])
+	if err != nil {
+		return columns{}, err
+	}
+	switch x := plan.(type) {
+	case *Filter:
+		return selectRows(cat, src, []cond{bind(x.Pred)}, nil)
+	case *Project:
+		return selectRows(cat, src, nil, x.Cols)
+	case *Sort:
+		return sortRows(cat, src, x)
+	case *Limit:
+		return src.limit(x.N), nil
+	}
+	return columns{}, fmt.Errorf("federate: unsupported plan node %T", plan)
 }
 
 // --- scans -----------------------------------------------------------------
@@ -171,18 +152,22 @@ func execScan(cat *Catalog, s *Scan) (columns, error) {
 	}
 }
 
-// columns is an operator input in column-major form: n rows of the named
-// columns, lifted one cell at a time as an operator reads them. Column
-// storage (a frame or a sqldb table) sits in data; graph tables and
-// lifted relations read through cell. rows, when non-nil, maps each row to
-// the source row that survived the scan's predicates (or an index seek).
-// nodes is set on a graph node table no predicate narrowed: its row r is
-// node r of that graph, so a join on id can look nodes up by ID.
+// columns is the one currency of the executor: n rows of the named
+// columns, read in place and lifted one cell at a time as an operator
+// reads them. Column storage (a frame or a sqldb table) sits in data;
+// graph tables and lifted relations read through cell, and rel is set
+// while the source is a lifted relation's rows unprojected, so lifting
+// them again reuses its row slices. rows, when non-nil, maps each row to
+// the source row it reads (the survivors of a filter or an index seek, or
+// a sort's permutation). nodes is set on a graph node table in node order:
+// its row r is node r of that graph, so a join on id can look nodes up by
+// ID. Every operator that narrows or reorders rows clears it.
 type columns struct {
 	names []string
 	n     int
 	data  [][]any
 	cell  func(c, r int) nql.Value
+	rel   *Relation
 	rows  []int32
 	nodes *graph.Graph
 }
@@ -203,11 +188,23 @@ func (s *columns) colIndex(name string) (int, error) {
 	return colIndex(s.names, name)
 }
 
-// relation lifts every row. One backing array holds all the cells; each
-// row is capped so an append by a later operator reallocates instead of
+// relation lifts every row. A lifted relation's rows are reused as they
+// are; otherwise one backing array holds all the cells, and each row is
+// capped so an append by a later operator reallocates instead of
 // overrunning.
 func (s *columns) relation() *Relation {
 	out := &Relation{Cols: s.names}
+	if s.rel != nil {
+		if s.rows == nil {
+			out.Rows = s.rel.Rows[:s.n]
+			return out
+		}
+		out.Rows = make([][]nql.Value, s.n)
+		for i, r := range s.rows {
+			out.Rows[i] = s.rel.Rows[r]
+		}
+		return out
+	}
 	if s.n == 0 {
 		return out
 	}
@@ -226,39 +223,98 @@ func (s *columns) relation() *Relation {
 
 // relColumns reads an already lifted relation as a column source.
 func relColumns(rel *Relation) columns {
-	return columns{names: rel.Cols, n: len(rel.Rows), cell: func(c, r int) nql.Value { return rel.Rows[r][c] }}
+	return columns{names: rel.Cols, n: len(rel.Rows), rel: rel, cell: func(c, r int) nql.Value { return rel.Rows[r][c] }}
 }
 
-// selectRows is the scan filter over a table's rows (all of them, or the
-// rows an index seek preset in src.rows): it evaluates the pushed
-// predicates on the cells of their condition columns only, and narrows the
-// survivors to cols when it is non-nil. Nothing else is lifted. Errors are
-// those of filtering the fully lifted relation row by row: predicates run
-// in order with short-circuit, a condition column is resolved the first
-// time its predicate runs (so an empty table never fails on one), the
-// context is polled at row checkpoints, and projection columns are
-// resolved once filtering succeeded.
-func selectRows(cat *Catalog, src columns, pushed []Cmp, cols []string) (columns, error) {
-	if len(pushed) > 0 {
-		at := make([]int, len(pushed))
-		for i := range at {
-			at[i] = -1
+// limit keeps the first n rows (none for a negative n).
+func (s columns) limit(n int) columns {
+	n = max(0, min(n, s.n))
+	if s.rows != nil {
+		s.rows = s.rows[:n]
+	}
+	s.n, s.nodes = n, nil
+	return s
+}
+
+// cond is a predicate bound to one column source. A Cmp resolves its
+// column the first time it runs, so an empty input never fails on one; a
+// FuncPred reads the row as a map of freshly lifted cells; an And runs its
+// conjuncts left to right with short-circuit.
+type cond struct {
+	cmp *Cmp
+	col int
+	fn  func(row *nql.Map) (bool, error)
+	and []cond
+}
+
+func bind(p Pred) cond {
+	switch x := p.(type) {
+	case Cmp:
+		return cond{cmp: &x, col: -1}
+	case FuncPred:
+		return cond{fn: x.Fn}
+	}
+	preds := p.(And).Preds
+	c := cond{and: make([]cond, len(preds))}
+	for i, sub := range preds {
+		c.and[i] = bind(sub)
+	}
+	return c
+}
+
+// pushedConds binds a scan's pushed predicates, which run as a
+// conjunction.
+func pushedConds(pushed []Cmp) []cond {
+	conds := make([]cond, len(pushed))
+	for i := range pushed {
+		conds[i] = cond{cmp: &pushed[i], col: -1}
+	}
+	return conds
+}
+
+func (c *cond) test(src *columns, r int) (bool, error) {
+	switch {
+	case c.cmp != nil:
+		if c.col < 0 {
+			j, err := src.colIndex(c.cmp.Col)
+			if err != nil {
+				return false, err
+			}
+			c.col = j
 		}
+		return evalCmp(c.cmp.Op, src.at(c.col, r), c.cmp.Value)
+	case c.fn != nil:
+		m := nql.NewMap()
+		for j, name := range src.names {
+			_ = m.Set(name, src.at(j, r))
+		}
+		return c.fn(m)
+	}
+	for i := range c.and {
+		if ok, err := c.and[i].test(src, r); err != nil || !ok {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// selectRows is the one filter and projection of the executor, over any
+// column source: it keeps the rows every cond accepts (all of the
+// source's rows, or the rows an index seek preset in src.rows), reading
+// only the cells the conds read, and narrows the survivors to cols when
+// it is non-nil. Nothing else is lifted. The conds run in order with
+// short-circuit, the context is polled at row checkpoints, and projection
+// columns are resolved once filtering succeeded.
+func selectRows(cat *Catalog, src columns, conds []cond, cols []string) (columns, error) {
+	if len(conds) > 0 {
 		var keep []int32
 	rows:
 		for r := 0; r < src.n; r++ {
 			if err := cat.cancelled(r); err != nil {
 				return columns{}, err
 			}
-			for i, c := range pushed {
-				if at[i] < 0 {
-					j, err := src.colIndex(c.Col)
-					if err != nil {
-						return columns{}, err
-					}
-					at[i] = j
-				}
-				ok, err := evalCmp(c.Op, src.at(at[i], r), c.Value)
+			for i := range conds {
+				ok, err := conds[i].test(&src, r)
 				if err != nil {
 					return columns{}, err
 				}
@@ -272,7 +328,7 @@ func selectRows(cat *Catalog, src columns, pushed []Cmp, cols []string) (columns
 				keep = append(keep, int32(r))
 			}
 		}
-		src.rows, src.n = keep, len(keep)
+		src.rows, src.n, src.nodes = keep, len(keep), nil
 	}
 	if cols == nil {
 		return src, nil
@@ -285,7 +341,7 @@ func selectRows(cat *Catalog, src columns, pushed []Cmp, cols []string) (columns
 		}
 		idx[i] = j
 	}
-	src.names = append([]string(nil), cols...)
+	src.names, src.rel = append([]string(nil), cols...), nil
 	if src.data != nil {
 		data := make([][]any, len(idx))
 		for i, j := range idx {
@@ -315,22 +371,18 @@ func scanGraph(cat *Catalog, s *Scan) (columns, error) {
 		// A node's attribute map is looked up when an operator first reads
 		// one of its attribute cells; operators read a row's cells
 		// together, so the last row's map is kept.
-		ids := g.Nodes()
 		names := append([]string{"id"}, g.NodeAttrKeys()...)
 		last, lastAttrs := -1, graph.Attrs(nil)
-		src := columns{names: names, n: len(ids), cell: func(c, r int) nql.Value {
+		src := columns{names: names, n: g.NumNodes(), nodes: g, cell: func(c, r int) nql.Value {
 			if c == 0 {
-				return ids[r]
+				return g.NodeID(r)
 			}
 			if r != last {
-				last, lastAttrs = r, g.NodeAttrsView(ids[r])
+				last, lastAttrs = r, g.NodeAttrsView(g.NodeID(r))
 			}
 			return LiftValue(lastAttrs[names[c]])
 		}}
-		if len(s.Pushed) == 0 {
-			src.nodes = g
-		}
-		return selectRows(cat, src, s.Pushed, s.Cols)
+		return selectRows(cat, src, pushedConds(s.Pushed), s.Cols)
 	case GraphTableEdges:
 		edges := g.EdgesView()
 		names := append([]string{"src", "dst"}, g.EdgeAttrKeys()...)
@@ -342,10 +394,11 @@ func scanGraph(cat *Catalog, s *Scan) (columns, error) {
 				return edges[r].V
 			}
 			return LiftValue(edges[r].Attrs[names[c]])
-		}}, s.Pushed, s.Cols)
+		}}, pushedConds(s.Pushed), s.Cols)
 	case GraphTableDegree:
 		rel = &Relation{Cols: []string{"id", "degree", "in_degree", "out_degree"}}
-		for _, id := range g.Nodes() {
+		for i := 0; i < g.NumNodes(); i++ {
+			id := g.NodeID(i)
 			rel.Rows = append(rel.Rows, []nql.Value{
 				id, int64(g.Degree(id)), int64(g.InDegree(id)), int64(g.OutDegree(id)),
 			})
@@ -355,7 +408,8 @@ func scanGraph(cat *Catalog, s *Scan) (columns, error) {
 		// plans agree with per-backend goldens.
 		pr := g.PageRank(0.85, 100, 1e-9)
 		rel = &Relation{Cols: []string{"id", "pagerank"}}
-		for _, id := range g.Nodes() {
+		for i := 0; i < g.NumNodes(); i++ {
+			id := g.NodeID(i)
 			rel.Rows = append(rel.Rows, []nql.Value{id, pr[id]})
 		}
 	case GraphTableComponents:
@@ -366,13 +420,14 @@ func scanGraph(cat *Catalog, s *Scan) (columns, error) {
 			}
 		}
 		rel = &Relation{Cols: []string{"id", "component"}}
-		for _, id := range g.Nodes() {
+		for i := 0; i < g.NumNodes(); i++ {
+			id := g.NodeID(i)
 			rel.Rows = append(rel.Rows, []nql.Value{id, comp[id]})
 		}
 	default:
 		return columns{}, fmt.Errorf("federate: unknown graph table %q (have nodes, edges, degree, pagerank, components)", s.Table)
 	}
-	return selectRows(cat, relColumns(rel), s.Pushed, s.Cols)
+	return selectRows(cat, relColumns(rel), pushedConds(s.Pushed), s.Cols)
 }
 
 func scanFrame(cat *Catalog, s *Scan) (columns, error) {
@@ -416,7 +471,7 @@ func scanTable(cat *Catalog, f *dataframe.Frame, s *Scan) (columns, error) {
 		}
 		src.rows, src.n, pushed = rows, len(rows), pushed[1:]
 	}
-	return selectRows(cat, src, pushed, s.Cols)
+	return selectRows(cat, src, pushedConds(pushed), s.Cols)
 }
 
 // seekFrame answers a frame scan's leading pushed predicate from the
@@ -462,111 +517,27 @@ func frameColumns(f *dataframe.Frame) columns {
 
 // --- relational operators --------------------------------------------------
 
-func execFilter(cat *Catalog, f *Filter) (*Relation, error) {
-	in, err := execute(cat, f.Input)
+func execJoin(cat *Catalog, j *Join) (columns, error) {
+	left, err := execute(cat, j.Left)
 	if err != nil {
-		return nil, err
+		return columns{}, err
 	}
-	switch p := f.Pred.(type) {
-	case Cmp, FuncPred, And:
-		out := &Relation{Cols: in.Cols}
-		for i, row := range in.Rows {
-			if err := cat.cancelled(i); err != nil {
-				return nil, err
-			}
-			keep, err := evalPred(in, row, p)
-			if err != nil {
-				return nil, err
-			}
-			if keep {
-				out.Rows = append(out.Rows, row)
-			}
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("federate: unsupported predicate %T", f.Pred)
-	}
-}
-
-// evalPred evaluates one predicate against a row: Cmp resolves its column
-// lazily (like selectRows), FuncPred lifts the row to a map, And
-// short-circuits left to right.
-func evalPred(rel *Relation, row []nql.Value, pred Pred) (bool, error) {
-	switch p := pred.(type) {
-	case Cmp:
-		i, err := rel.colIndex(p.Col)
-		if err != nil {
-			return false, err
-		}
-		return evalCmp(p.Op, row[i], p.Value)
-	case FuncPred:
-		m := nql.NewMap()
-		for j, c := range rel.Cols {
-			_ = m.Set(c, row[j])
-		}
-		keep, err := p.Fn(m)
-		if err != nil {
-			return false, err
-		}
-		return keep, nil
-	case And:
-		for _, sub := range p.Preds {
-			ok, err := evalPred(rel, row, sub)
-			if err != nil || !ok {
-				return false, err
-			}
-		}
-		return true, nil
-	default:
-		return false, fmt.Errorf("federate: unsupported predicate %T", pred)
-	}
-}
-
-func execProject(cat *Catalog, p *Project) (*Relation, error) {
-	in, err := execute(cat, p.Input)
+	right, err := execute(cat, j.Right)
 	if err != nil {
-		return nil, err
+		return columns{}, err
 	}
-	return projectRelation(in, p.Cols)
-}
-
-func projectRelation(in *Relation, cols []string) (*Relation, error) {
-	idx := make([]int, len(cols))
-	for i, c := range cols {
-		j, err := in.colIndex(c)
-		if err != nil {
-			return nil, err
-		}
-		idx[i] = j
-	}
-	out := &Relation{Cols: append([]string(nil), cols...)}
-	for _, row := range in.Rows {
-		nr := make([]nql.Value, len(idx))
-		for i, j := range idx {
-			nr[i] = row[j]
-		}
-		out.Rows = append(out.Rows, nr)
-	}
-	return out, nil
-}
-
-func execJoin(cat *Catalog, j *Join) (*Relation, error) {
-	left, err := input(cat, j.Left)
+	rel, err := joinRelations(cat, j, &left, &right)
 	if err != nil {
-		return nil, err
+		return columns{}, err
 	}
-	right, err := input(cat, j.Right)
-	if err != nil {
-		return nil, err
-	}
-	return joinRelations(cat, j, &left, &right)
+	return relColumns(rel), nil
 }
 
 // joinRelations is the equi-join over two column sources. It hashes the
-// side the planner chose (the right one for a plan that was not
-// prepared), or, when the right input is a graph node table no predicate
-// narrowed and the right key is id, looks each left key up in the graph's
-// node index instead, reading only the matched nodes' cells. Output is
+// smaller input (the right one on a tie), or, when the right input is a
+// graph node table in node order and the right key is id, looks each left
+// key up in the graph's node index instead, reading only the matched
+// nodes' cells. Output is
 // identical every way: left-major, each left row's matches in right-row
 // order; key errors keep one precedence (all right keys are computed
 // before any left key, and node IDs never fail to hash).
@@ -644,7 +615,7 @@ func joinRelations(cat *Catalog, j *Join, left, right *columns) (*Relation, erro
 			}
 			lkeys[r] = k
 		}
-		if j.buildLeft {
+		if left.n < right.n {
 			index := make(map[scalar.Key][]int, left.n)
 			for i, k := range lkeys {
 				index[k] = append(index[k], i)
@@ -718,24 +689,24 @@ func hashKey(v nql.Value) (scalar.Key, error) {
 	return scalar.Key{}, fmt.Errorf("unhashable value of type %s", nql.TypeName(v))
 }
 
-func execAggregate(cat *Catalog, a *Aggregate) (*Relation, error) {
-	in, err := input(cat, a.Input)
+func execAggregate(cat *Catalog, a *Aggregate) (columns, error) {
+	in, err := execute(cat, a.Input)
 	if err != nil {
-		return nil, err
+		return columns{}, err
 	}
 	st, err := newAggState(a, &in)
 	if err != nil {
-		return nil, err
+		return columns{}, err
 	}
 	for r := 0; r < in.n; r++ {
 		if err := cat.cancelled(r); err != nil {
-			return nil, err
+			return columns{}, err
 		}
 		if err := st.add(r); err != nil {
-			return nil, err
+			return columns{}, err
 		}
 	}
-	return st.finish(), nil
+	return relColumns(st.finish()), nil
 }
 
 // aggGroup is one group's key values and its accumulators, held inline.
@@ -944,29 +915,31 @@ func (g *agg) result(fn string) nql.Value {
 	return nil
 }
 
-// execSort stably sorts a permutation of the input's row positions, then
-// gathers the rows once. The comparator polls the context every
-// cancelCheckEvery calls; once it has ended, every comparison ties, so
-// the sort finishes in a few passes and the error is returned after it.
-func execSort(cat *Catalog, s *Sort) (*Relation, error) {
-	in, err := execute(cat, s.Input)
-	if err != nil {
-		return nil, err
-	}
+// sortRows stably sorts the input's row positions by its key columns,
+// each key cell lifted once, and reads the input through the permutation.
+// The comparator polls the context every cancelCheckEvery calls; once it
+// has ended, every comparison ties, so the sort finishes in a few passes
+// and the error is returned after it.
+func sortRows(cat *Catalog, in columns, s *Sort) (columns, error) {
 	idx := make([]int, len(s.Cols))
 	for i, c := range s.Cols {
 		j, err := in.colIndex(c)
 		if err != nil {
-			return nil, err
+			return columns{}, err
 		}
 		idx[i] = j
 	}
 	if err := cat.cancelled(0); err != nil {
-		return nil, err
+		return columns{}, err
 	}
-	perm := make([]int32, len(in.Rows))
-	for i := range perm {
-		perm[i] = int32(i)
+	w := len(idx)
+	keys := make([]nql.Value, in.n*w)
+	perm := make([]int32, in.n)
+	for r := range perm {
+		perm[r] = int32(r)
+		for k, j := range idx {
+			keys[r*w+k] = in.at(j, r)
+		}
 	}
 	calls := 0
 	var cerr error
@@ -980,9 +953,9 @@ func execSort(cat *Catalog, s *Sort) (*Relation, error) {
 				return 0
 			}
 		}
-		ra, rb := in.Rows[a], in.Rows[b]
-		for _, j := range idx {
-			if cmp := scalar.Compare(ra[j], rb[j]); cmp != 0 {
+		ka, kb := keys[int(a)*w:int(a)*w+w], keys[int(b)*w:int(b)*w+w]
+		for k := range ka {
+			if cmp := scalar.Compare(ka[k], kb[k]); cmp != 0 {
 				if s.Ascending {
 					return cmp
 				}
@@ -992,28 +965,15 @@ func execSort(cat *Catalog, s *Sort) (*Relation, error) {
 		return 0
 	})
 	if cerr != nil {
-		return nil, cerr
+		return columns{}, cerr
 	}
-	rows := make([][]nql.Value, len(perm))
-	for i, p := range perm {
-		rows[i] = in.Rows[p]
+	if in.rows != nil {
+		for i, p := range perm {
+			perm[i] = in.rows[p]
+		}
 	}
-	return &Relation{Cols: in.Cols, Rows: rows}, nil
-}
-
-func execLimit(cat *Catalog, l *Limit) (*Relation, error) {
-	in, err := execute(cat, l.Input)
-	if err != nil {
-		return nil, err
-	}
-	n := l.N
-	if n < 0 {
-		n = 0
-	}
-	if n > len(in.Rows) {
-		n = len(in.Rows)
-	}
-	return &Relation{Cols: in.Cols, Rows: in.Rows[:n]}, nil
+	in.rows, in.nodes = perm, nil
+	return in, nil
 }
 
 // evalCmp evaluates one structured comparison against a cell. == and !=

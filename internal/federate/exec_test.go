@@ -7,7 +7,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/dataframe"
 	"repro/internal/graph"
@@ -114,11 +113,14 @@ func bigCatalog(rows int) *Catalog {
 	return &Catalog{Frames: map[string]*dataframe.Frame{"t": f}, DB: db}
 }
 
-// TestPipelineStageCancellation arms a short deadline against plans whose
-// hot loop sits in each operator in turn, joins and aggregates over SQL
-// scans included; every one must abort with the deadline error instead of
-// running to completion, and the error must surface from that operator:
-// its profile frame fails while the scans under it complete.
+// TestPipelineStageCancellation ends plans whose hot loop sits in each
+// operator in turn, joins and aggregates over SQL scans included, with a
+// context that reports DeadlineExceeded from its fourth poll on:
+// ExecuteContext's own poll and the operator's first two pass, so the end
+// falls inside the operator's loop whatever the host's speed. Every plan
+// must abort with the deadline error, and the error must surface from
+// that operator: its profile frame fails while the nodes under it
+// complete.
 func TestPipelineStageCancellation(t *testing.T) {
 	const rows = 400_000
 	cat := bigCatalog(rows)
@@ -128,6 +130,9 @@ func TestPipelineStageCancellation(t *testing.T) {
 		plan     Node
 	}{
 		{"filter-funcpred", "filter", &Filter{Pred: slowFn, Input: &Scan{Source: SourceFrame, Table: "t"}}},
+		// A Cmp above a Limit stays a residual filter, not a pushed one.
+		{"filter-cmp", "filter", &Filter{Pred: Cmp{Col: "v", Op: ">=", Value: int64(0)},
+			Input: &Limit{N: rows, Input: &Scan{Source: SourceFrame, Table: "t"}}}},
 		{"aggregate", "aggregate", &Aggregate{Input: &Scan{Source: SourceFrame, Table: "t"},
 			GroupBy: []string{"k"}, Aggs: []AggSpec{{Col: "v", Fn: AggSum, As: "s"}}}},
 		{"sort", "sort", &Sort{Cols: []string{"v"}, Ascending: false,
@@ -141,19 +146,12 @@ func TestPipelineStageCancellation(t *testing.T) {
 	}
 	for _, st := range stages {
 		t.Run(st.name, func(t *testing.T) {
-			// Prepare (statistics over the whole table) runs before the
-			// deadline is armed, so the deadline falls inside execution.
 			p := Prepare(cat, st.plan)
 			prof := obs.NewProfile()
-			ctx, cancel := context.WithTimeout(obs.WithProfile(context.Background(), prof), 2*time.Millisecond)
-			defer cancel()
-			start := time.Now()
+			ctx := &endsAfter{Context: obs.WithProfile(context.Background(), prof), n: 3, err: context.DeadlineExceeded}
 			_, err := p.ExecuteContext(ctx, cat)
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("err = %v, want wrapped DeadlineExceeded", err)
-			}
-			if elapsed := time.Since(start); elapsed > 2*time.Second {
-				t.Fatalf("abort took %v, want a prompt checkpoint return", elapsed)
 			}
 			failed := ""
 			for _, fr := range prof.Flatten() {
@@ -471,5 +469,28 @@ func TestKeyContractAcrossScans(t *testing.T) {
 				t.Errorf("%s x %s %v: rows %s, want %s", src, c.cmp.Op, c.cmp.Value, got, c.want)
 			}
 		}
+	}
+}
+
+// TestWhereReadsFreshCells: an opaque predicate over a scan reads its own
+// lift of each row, so a write into a list cell it was handed does not
+// reach the plan's result, as it does not for the rows a join or an
+// aggregate reads.
+func TestWhereReadsFreshCells(t *testing.T) {
+	cat := keyCatalog()
+	write := FuncPred{Fn: func(row *nql.Map) (bool, error) {
+		v, _ := row.Get("bad")
+		if l, ok := v.(*nql.List); ok {
+			l.Items = append(l.Items, "written")
+		}
+		return true, nil
+	}}
+	rel, err := Run(cat, &Project{Cols: []string{"id", "bad"},
+		Input: &Filter{Pred: write, Input: &Scan{Source: SourceGraph, Table: GraphTableNodes}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := renderRel(rel), `id,bad|"a","x"|"b",[1]|"c","y"|"d","z"|"e","w"`; got != want {
+		t.Errorf("got  %s\nwant %s", got, want)
 	}
 }

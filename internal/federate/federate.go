@@ -8,7 +8,8 @@
 // (source, table) pair, the optimizer pushes filters and projections down
 // into the scans (testing them on source cells before a row is lifted, with
 // one evaluator for every substrate), and the executor evaluates the
-// remaining operators over a uniform relation of nql.Value rows. Graph
+// remaining operators over the scans' cells in place, returning a uniform
+// relation of nql.Value rows. Graph
 // scans can also push whole computations down — degree, PageRank,
 // connected components — so a plan can join, say, a SQL probe table
 // against graph centrality, which none of the single-substrate backends
@@ -18,19 +19,20 @@
 //
 // Run/RunContext split a query into a prepare step and an execute step.
 // Prepare optimizes the plan (filter and projection pushdown, conjunction
-// folding), collects table statistics from the catalog, and derives a
-// per-node decision list from a simple cost model: which source serves a
-// SourceAny scan and which side of a hash join builds the table (the
-// smaller estimated input). Prepared.ExecuteContext then runs the decided
-// plan on one recursive executor, single-goroutine per query: each
-// operator executes its inputs, then works on the materialized results. A
-// scan filters on source columns before it lifts a row. sqldb's tables
-// are frames, so a SQL scan is the frame scan of its table: it never
-// goes through SQL text or sqldb's executor, and a pushed predicate
-// keeps one meaning whichever source or plan position runs it.
-// A join or aggregate reads a scan child's surviving cells in place,
-// lifting only the cells it uses; every other child arrives as a lifted
-// relation. There is one join and one aggregate for every source.
+// folding), collects table statistics from the catalog, and estimates each
+// operator's output rows and cost for Explain. Prepared.ExecuteContext
+// then runs the optimized plan on one recursive executor,
+// single-goroutine per query. Every operator reads its input as one kind
+// of column source, in place: a scan filters on source cells before
+// anything is lifted, Filter and Project narrow their input's rows and
+// columns with the same filter (selectRows) whatever the predicate, Sort
+// lifts only its key columns and permutes row positions, and Limit cuts
+// them. Join and Aggregate lift only the cells they read into a new
+// relation. Only the rows the plan returns are lifted in full. sqldb's
+// tables are frames, so a SQL scan is the frame scan of its table: it
+// never goes through SQL text or sqldb's executor, and a pushed predicate
+// keeps one meaning whichever source or plan position runs it. There is
+// one join and one aggregate for every source.
 //
 // Two plan shapes read only the rows they return. A frame or SQL scan
 // whose first pushed predicate is == or prefix against a string literal
@@ -38,30 +40,27 @@
 // unwritten clones (dataframe.Frame.StringRows and PrefixRows; prefix also
 // needs every cell of the column to be a string), and runs its other
 // predicates over the rows found. A join whose right input is a graph
-// node table with no pushed predicate, keyed on id, looks each left key
-// up in the graph's node index instead of hashing every node, and reads
-// only the matched nodes' attributes. Every other shape scans, and joins
-// hash the side the planner chose; rows, their order and error text are
-// the same either way. Every operator honors context cancellation at row-loop checkpoints
-// (a join also allocates its output in checkpointed chunks, and a sort
-// polls from its comparator) and, under an obs.Profile, emits one
-// operator frame. The expected results, error text and frame trees of a plan corpus
-// are pinned in the package tests.
+// node table in node order (no predicate, sort or limit touched it), keyed
+// on id, looks each left key up in the graph's node index instead of
+// hashing every node, and reads only the matched nodes' attributes. Every
+// other join hashes its smaller input. Rows, their order and error text
+// are the same either way. Every operator honors context cancellation at
+// row-loop checkpoints (a join also allocates its output in checkpointed
+// chunks, and a sort polls from its comparator) and, under an
+// obs.Profile, emits one operator frame. The expected results, error text
+// and frame trees of a plan corpus are pinned in the package tests.
 //
 // # Statistics and the plan cache
 //
 // Statistics (row counts, sampled per-column distinct counts, graph degree
 // histograms) are collected per catalog epoch and cached, and prepared
-// decision lists are cached process-wide in DefaultCache keyed by the
-// optimized plan's Explain fingerprint plus the catalog epoch. Catalogs
+// estimate lists are cached process-wide in DefaultCache keyed by the
+// optimized plan's Explain rendering plus the catalog epoch. Catalogs
 // sharing an epoch — clones of one frozen dataset master — therefore pay
 // the planning cost once; a zero epoch opts a catalog out of both caches.
-// Cached decisions are re-validated against the live plan shape when
-// applied, so a stale or poisoned entry degrades to a fresh cost pass, and
-// closures in the plan (FuncPred, custom aggregates) are rebound on every
-// execution, never captured by the cache. Explain on a prepared plan
-// annotates each node with the cost model's view: "rows~N cost~C", and
-// "build=left|right" on joins.
+// Execution never reads an estimate, and closures in the plan (FuncPred)
+// are never captured by the cache. Explain on a prepared plan annotates
+// each operator with the cost model's view: "rows~N cost~C".
 //
 // The planner is read-only by construction: scans lift rows out of the
 // substrates and never write back, so running a federated plan against the
@@ -111,11 +110,10 @@ type Catalog struct {
 
 	// Epoch tags the catalog's dataset generation for the plan cache and
 	// the statistics cache: catalogs sharing an epoch (clones of one
-	// frozen master) share prepared-plan decisions and table statistics.
+	// frozen master) share prepared-plan estimates and table statistics.
 	// Allocate epochs with NewEpoch; zero (the default) disables caching
-	// for this catalog. Epoch staleness is a plan-quality concern only —
-	// every cached decision is re-validated against live state at
-	// execution time, falling back to the generic path on any mismatch.
+	// for this catalog. A stale epoch can only make Explain's estimates
+	// inaccurate: execution reads the live substrates alone.
 	Epoch uint64
 
 	// ctx is the execution context installed by Prepared.ExecuteContext on
@@ -192,8 +190,8 @@ func (c *Catalog) Tables(source string) ([]string, error) {
 	}
 }
 
-// Relation is the uniform tabular result flowing between plan stages: named
-// columns over rows of nql values (nil, bool, int64, float64, string; graph
+// Relation is the uniform tabular result of a plan, and what Join and
+// Aggregate build: named columns over rows of nql values (nil, bool, int64, float64, string; graph
 // attributes that are lists or maps lift to *nql.List / *nql.Map).
 type Relation struct {
 	Cols []string

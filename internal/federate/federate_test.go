@@ -85,10 +85,11 @@ func TestFilterPushdownMatchesLocalFilter(t *testing.T) {
 		filtered := &Filter{Input: base, Pred: Cmp{Col: "bytes", Op: ">=", Value: int64(100)}}
 		// Optimized path (pushdown) vs unoptimized path must agree.
 		opt := run(t, cat, filtered)
-		raw, err := execute(cat, filtered)
+		src, err := execute(cat, filtered)
 		if err != nil {
 			t.Fatalf("%s: unoptimized exec: %v", source, err)
 		}
+		raw := src.relation()
 		if nql.Repr(opt.Value()) != nql.Repr(raw.Value()) {
 			t.Errorf("%s: pushdown changed results:\n  pushed: %s\n  local:  %s",
 				source, nql.Repr(opt.Value()), nql.Repr(raw.Value()))

@@ -113,10 +113,6 @@ func (p *Project) label() string    { return "project (" + strings.Join(p.Cols, 
 type Join struct {
 	Left, Right       Node
 	LeftKey, RightKey string
-
-	// buildLeft is the planner's decision, set by Prepare on the copy it
-	// executes, to hash the left input instead of the right.
-	buildLeft bool
 }
 
 func (j *Join) children() []Node { return []Node{j.Left, j.Right} }

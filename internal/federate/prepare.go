@@ -8,26 +8,26 @@ import (
 )
 
 // This file is the prepare/execute seam: Prepare optimizes a logical plan
-// and attaches the cost model's per-node decisions (from the shared plan
-// cache when the catalog carries an epoch). Decisions are positional pure
-// data — no closures, no substrate handles — which is what makes one cache
-// entry reusable across every session sharing a dataset generation, the
-// same way the sandbox shares compiled bytecode across runs of one source
-// text. applyDecisions then copies the decisions the executor acts on
-// (resolved sources, join build sides) onto the plan it runs.
+// and attaches the cost model's per-node estimates (from the shared plan
+// cache when the catalog carries an epoch) for Prepared.Explain to print.
+// Estimates are positional pure data — no closures, no substrate handles —
+// which is what makes one cache entry reusable across every session
+// sharing a dataset generation, the same way the sandbox shares compiled
+// bytecode across runs of one source text. Execution reads the optimized
+// plan alone.
 
-// Prepared is an optimized plan bound to planner decisions, ready to
-// execute any number of times. It still carries the caller's closures
-// (FuncPred), so a Prepared belongs to the plan it was built from; only
-// the decision list is shared through the cache.
+// Prepared is an optimized plan with its cost estimates, ready to execute
+// any number of times. It still carries the caller's closures (FuncPred),
+// so a Prepared belongs to the plan it was built from; only the estimates
+// are shared through the cache.
 type Prepared struct {
 	plan Node
-	decs []decision
+	ests []estimate
 
-	// key is the optimized, pre-decision plan's Explain rendering: the
-	// identity the shared plan cache keys on. fphash is its hex FNV-64a,
-	// computed lazily: only requests that carry PlanNotes (or explicitly
-	// ask) pay for the hash.
+	// key is the optimized plan's Explain rendering: the identity the
+	// shared plan cache keys on. fphash is its hex FNV-64a, computed
+	// lazily: only requests that carry PlanNotes (or explicitly ask) pay
+	// for the hash.
 	key    string
 	fpOnce sync.Once
 	fphash string
@@ -35,165 +35,54 @@ type Prepared struct {
 
 // Fingerprint returns the stable hex hash of the plan's cache identity
 // (the optimized plan's canonical Explain rendering). Two programs whose
-// plans share planner decisions share a fingerprint; /flightz records
-// carry it so a slow request points at the exact plan shape it executed.
+// plans share estimates share a fingerprint; /flightz records carry it so
+// a slow request points at the exact plan shape it executed.
 func (p *Prepared) Fingerprint() string {
 	p.fpOnce.Do(func() { p.fphash = fingerprintHash(p.key) })
 	return p.fphash
 }
 
-// Prepare optimizes the plan and computes (or recalls) the planner
-// decisions for it against the catalog. Catalogs with a zero Epoch skip
-// the cache entirely; any mismatch between a cached decision list and the
-// plan shape falls back to a fresh computation, so a fingerprint collision
-// costs only plan-time work.
+// Prepare optimizes the plan and computes (or recalls) its cost estimates
+// against the catalog. Catalogs with a zero Epoch skip the cache entirely.
+// A cache entry is keyed by the plan's full rendering, so it always has
+// one estimate per node of the plan it is recalled for.
 func Prepare(cat *Catalog, plan Node) *Prepared {
 	opt := Optimize(plan)
 	key := Explain(opt)
-	var decs []decision
+	var ests []estimate
 	if cat.Epoch != 0 {
-		if d, ok := DefaultCache.lookup(key, cat.Epoch); ok {
-			decs = d
-		} else {
-			decs = annotate(cat, opt)
-			DefaultCache.store(key, cat.Epoch, decs)
+		var ok bool
+		if ests, ok = DefaultCache.lookup(key, cat.Epoch); !ok {
+			ests = annotate(cat, opt)
+			DefaultCache.store(key, cat.Epoch, ests)
 		}
 	} else {
-		decs = annotate(cat, opt)
+		ests = annotate(cat, opt)
 	}
-	resolved, ok := applyDecisions(opt, decs)
-	if !ok {
-		decs = annotate(cat, opt)
-		resolved, _ = applyDecisions(opt, decs)
-	}
-	return &Prepared{plan: resolved, decs: decs, key: key}
+	return &Prepared{plan: opt, ests: ests, key: key}
 }
 
 // Explain renders the prepared plan with the cost model's annotations:
-// estimated rows and cumulative cost per operator and the join build
-// side.
+// each operator's estimated output rows and cumulative cost.
 func (p *Prepared) Explain() string {
 	var sb strings.Builder
 	pos := 0
-	explainCostInto(&sb, p.plan, 0, p.decs, &pos)
+	explainCostInto(&sb, p.plan, 0, p.ests, &pos)
 	return sb.String()
 }
 
-func explainCostInto(sb *strings.Builder, n Node, depth int, decs []decision, pos *int) {
+func explainCostInto(sb *strings.Builder, n Node, depth int, ests []estimate, pos *int) {
 	for i := 0; i < depth; i++ {
 		sb.WriteString("  ")
 	}
 	sb.WriteString(n.label())
-	if *pos < len(decs) {
-		d := decs[*pos]
-		fmt.Fprintf(sb, "  -- rows~%.0f cost~%.0f", d.EstRows, d.EstCost)
-		if _, isJoin := n.(*Join); isJoin {
-			if d.BuildLeft {
-				sb.WriteString(" build=left")
-			} else {
-				sb.WriteString(" build=right")
-			}
-		}
+	if *pos < len(ests) {
+		fmt.Fprintf(sb, "  -- rows~%.0f cost~%.0f", ests[*pos].EstRows, ests[*pos].EstCost)
 	}
 	*pos++
 	sb.WriteString("\n")
 	for _, c := range n.children() {
-		explainCostInto(sb, c, depth+1, decs, pos)
-	}
-}
-
-// applyDecisions validates a decision list against the plan (kind tags in
-// pre-order), resolves SourceAny scans to their decided source, and records
-// each join's build side on the node, rebuilding only the spine above a
-// rewritten node. ok is false when the
-// list does not align with the plan — a stale or colliding cache entry.
-func applyDecisions(plan Node, decs []decision) (Node, bool) {
-	pos := 0
-	out, ok := applyNode(plan, decs, &pos)
-	if !ok || pos != len(decs) {
-		return plan, false
-	}
-	return out, true
-}
-
-func applyNode(n Node, decs []decision, pos *int) (Node, bool) {
-	if *pos >= len(decs) || decs[*pos].Kind != nodeKind(n) {
-		return n, false
-	}
-	idx := *pos
-	*pos++
-	switch x := n.(type) {
-	case *Scan:
-		if x.Source != SourceAny {
-			return x, true
-		}
-		if decs[idx].Source == "" {
-			return x, false
-		}
-		resolved := *x
-		resolved.Source = decs[idx].Source
-		return &resolved, true
-	case *Filter:
-		in, ok := applyNode(x.Input, decs, pos)
-		if !ok {
-			return n, false
-		}
-		if in == x.Input {
-			return x, true
-		}
-		return &Filter{Input: in, Pred: x.Pred}, true
-	case *Project:
-		in, ok := applyNode(x.Input, decs, pos)
-		if !ok {
-			return n, false
-		}
-		if in == x.Input {
-			return x, true
-		}
-		return &Project{Input: in, Cols: x.Cols}, true
-	case *Join:
-		l, ok := applyNode(x.Left, decs, pos)
-		if !ok {
-			return n, false
-		}
-		r, ok := applyNode(x.Right, decs, pos)
-		if !ok {
-			return n, false
-		}
-		buildLeft := decs[idx].BuildLeft
-		if l == x.Left && r == x.Right && buildLeft == x.buildLeft {
-			return x, true
-		}
-		return &Join{Left: l, Right: r, LeftKey: x.LeftKey, RightKey: x.RightKey, buildLeft: buildLeft}, true
-	case *Aggregate:
-		in, ok := applyNode(x.Input, decs, pos)
-		if !ok {
-			return n, false
-		}
-		if in == x.Input {
-			return x, true
-		}
-		return &Aggregate{Input: in, GroupBy: x.GroupBy, Aggs: x.Aggs}, true
-	case *Sort:
-		in, ok := applyNode(x.Input, decs, pos)
-		if !ok {
-			return n, false
-		}
-		if in == x.Input {
-			return x, true
-		}
-		return &Sort{Input: in, Cols: x.Cols, Ascending: x.Ascending}, true
-	case *Limit:
-		in, ok := applyNode(x.Input, decs, pos)
-		if !ok {
-			return n, false
-		}
-		if in == x.Input {
-			return x, true
-		}
-		return &Limit{Input: in, N: x.N}, true
-	default:
-		return n, false
+		explainCostInto(sb, c, depth+1, ests, pos)
 	}
 }
 
@@ -209,10 +98,10 @@ type planKey struct {
 	epoch uint64
 }
 
-// PlanCache memoizes planner decision lists keyed by (plan fingerprint,
+// PlanCache memoizes cost estimate lists keyed by (plan fingerprint,
 // catalog epoch). The fingerprint is the optimized plan's canonical
 // Explain rendering: two plans with the same rendering get the same
-// decisions by construction (decisions depend only on plan shape, names,
+// estimates by construction (estimates depend only on plan shape, names,
 // operators and literal values — never on closures, which render as the
 // opaque "fn(row)").
 // Lookups take only a read lock plus atomic counter bumps: every prepare
@@ -220,7 +109,7 @@ type planKey struct {
 // on the hit path would serialize the whole query tier's planning.
 type PlanCache struct {
 	mu      sync.RWMutex
-	entries map[planKey][]decision
+	entries map[planKey][]estimate
 	order   []planKey
 	hits    atomic.Uint64
 	misses  atomic.Uint64
@@ -228,7 +117,7 @@ type PlanCache struct {
 
 // NewPlanCache returns an empty plan cache.
 func NewPlanCache() *PlanCache {
-	return &PlanCache{entries: map[planKey][]decision{}}
+	return &PlanCache{entries: map[planKey][]estimate{}}
 }
 
 // DefaultCache is the process-wide plan cache shared by every catalog
@@ -236,7 +125,7 @@ func NewPlanCache() *PlanCache {
 // here).
 var DefaultCache = NewPlanCache()
 
-func (c *PlanCache) lookup(fp string, epoch uint64) ([]decision, bool) {
+func (c *PlanCache) lookup(fp string, epoch uint64) ([]estimate, bool) {
 	k := planKey{fp: fp, epoch: epoch}
 	c.mu.RLock()
 	d, ok := c.entries[k]
@@ -249,7 +138,7 @@ func (c *PlanCache) lookup(fp string, epoch uint64) ([]decision, bool) {
 	return d, ok
 }
 
-func (c *PlanCache) store(fp string, epoch uint64, decs []decision) {
+func (c *PlanCache) store(fp string, epoch uint64, ests []estimate) {
 	k := planKey{fp: fp, epoch: epoch}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -261,7 +150,7 @@ func (c *PlanCache) store(fp string, epoch uint64, decs []decision) {
 		c.order = c.order[1:]
 		delete(c.entries, oldest)
 	}
-	c.entries[k] = decs
+	c.entries[k] = ests
 	c.order = append(c.order, k)
 }
 

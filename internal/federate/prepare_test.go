@@ -6,45 +6,13 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dataframe"
 	"repro/internal/nql"
 )
 
-// TestResolveSourceAny pins SourceAny resolution: a table in every
-// substrate resolves to the cheapest (sql, whose columnar scan lifts
-// cheapest), and a frame-only table resolves to frame.
-func TestResolveSourceAny(t *testing.T) {
-	cat := testCatalog()
-	cat.Epoch = NewEpoch()
-	p := Prepare(cat, &Scan{Source: SourceAny, Table: "edges"})
-	s, ok := p.plan.(*Scan)
-	if !ok || s.Source != SourceSQL {
-		t.Fatalf("SourceAny edges resolved to %+v, want sql scan", p.plan)
-	}
-	rel, err := p.ExecuteContext(context.Background(), cat)
-	if err != nil || rel.NumRows() != 4 {
-		t.Fatalf("resolved scan: rows=%v err=%v", rel, err)
-	}
-
-	only := dataframe.New("x")
-	only.AppendRow(int64(1))
-	cat2 := &Catalog{Frames: map[string]*dataframe.Frame{"solo": only}}
-	p2 := Prepare(cat2, &Scan{Source: SourceAny, Table: "solo"})
-	if s2 := p2.plan.(*Scan); s2.Source != SourceFrame {
-		t.Fatalf("frame-only table resolved to %s, want frame", s2.Source)
-	}
-
-	// Unknown table: resolution still lands somewhere present so the
-	// executor reports its canonical unknown-table error.
-	if _, err := Run(cat, &Scan{Source: SourceAny, Table: "ghost"}); err == nil {
-		t.Error("SourceAny over unknown table: expected execution error")
-	}
-}
-
-// TestCostDecisions pins build-side choice.
+// TestCostDecisions pins the cost model's estimates: one per plan node,
+// and a filtered input estimated smaller than the full table.
 func TestCostDecisions(t *testing.T) {
 	cat := testCatalog()
-	// Left side filtered to ~1 row, right side the full table: hash the left.
 	j := &Join{
 		Left: &Scan{Source: SourceSQL, Table: "edges",
 			Pushed: []Cmp{{Col: "src", Op: "==", Value: "b"}}},
@@ -52,12 +20,12 @@ func TestCostDecisions(t *testing.T) {
 		LeftKey:  "dst",
 		RightKey: "src",
 	}
-	decs := annotate(cat, j)
-	if len(decs) != 3 {
-		t.Fatalf("join decisions = %d, want 3", len(decs))
+	ests := annotate(cat, j)
+	if len(ests) != 3 {
+		t.Fatalf("join estimates = %d, want 3", len(ests))
 	}
-	if !decs[0].BuildLeft {
-		t.Errorf("filtered-left join: BuildLeft = false, want true\n%+v", decs)
+	if ests[1].EstRows >= ests[2].EstRows || ests[2].EstRows != 4 {
+		t.Errorf("filtered left estimated %v rows, full right %v; want fewer on the left and 4 on the right", ests[1].EstRows, ests[2].EstRows)
 	}
 
 	// An invalid aggregate function plans like any other; the aggregate
@@ -102,6 +70,19 @@ func TestStatsCollection(t *testing.T) {
 	cat.Epoch = 0
 	if statsFor(cat) == statsFor(cat) {
 		t.Error("epoch-0 stats unexpectedly shared")
+	}
+}
+
+// TestEpochStatsSurviveTheirNextLookup: however many epochs came before,
+// an epoch's statistics are found again by its next lookup; the cache
+// makes room only for a new epoch.
+func TestEpochStatsSurviveTheirNextLookup(t *testing.T) {
+	cat := testCatalog()
+	for i := 0; i <= epochStatsMax+1; i++ {
+		cat.Epoch = NewEpoch()
+		if statsFor(cat) != statsFor(cat) {
+			t.Fatalf("after %d new epochs, an epoch's stats were dropped by its next lookup", i)
+		}
 	}
 }
 
@@ -168,7 +149,7 @@ func TestPlanCacheClosureRebinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	relB, err := Run(cat, b) // cache hit: decisions recalled, closure is b's
+	relB, err := Run(cat, b) // cache hit: estimates recalled, closure is b's
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,22 +164,27 @@ func TestPlanCacheClosureRebinding(t *testing.T) {
 	}
 }
 
-// TestPlanCacheStaleEntryRecomputes: a cache entry that does not align
-// with the plan shape (fingerprint collision / stale schema) falls back to
-// a fresh computation instead of failing.
-func TestPlanCacheStaleEntryRecomputes(t *testing.T) {
+// TestPlanCacheEntryNeverSteersExecution: execution reads the optimized
+// plan alone, so a poisoned cache entry (here one estimate for a
+// three-node plan) changes neither rows nor errors; Explain annotates the
+// nodes the entry covers.
+func TestPlanCacheEntryNeverSteersExecution(t *testing.T) {
 	cat := testCatalog()
 	cat.Epoch = NewEpoch()
-	plan := &Scan{Source: SourceAny, Table: "edges"}
-	fp := Explain(Optimize(plan))
-	// Poison the entry with a decision list of the wrong shape.
-	DefaultCache.store(fp, cat.Epoch, []decision{{Kind: kindJoin}, {Kind: kindScan}})
-	p := Prepare(cat, plan)
-	if s, ok := p.plan.(*Scan); !ok || s.Source != SourceSQL {
-		t.Fatalf("stale entry not recomputed: %+v", p.plan)
+	plan := &Join{
+		Left:    &Filter{Input: &Scan{Source: SourceSQL, Table: "edges"}, Pred: Cmp{Col: "src", Op: "==", Value: "b"}},
+		Right:   &Scan{Source: SourceGraph, Table: GraphTableEdges},
+		LeftKey: "dst", RightKey: "src",
 	}
-	if rel, err := p.ExecuteContext(context.Background(), cat); err != nil || rel.NumRows() != 4 {
-		t.Fatalf("stale-entry execution: rows=%v err=%v", rel, err)
+	want := renderRel(run(t, &Catalog{Graph: cat.Graph, DB: cat.DB}, plan))
+	DefaultCache.store(Explain(Optimize(plan)), cat.Epoch, []estimate{{EstRows: 7, EstCost: 9}})
+	p := Prepare(cat, plan)
+	rel, err := p.ExecuteContext(context.Background(), cat)
+	if err != nil || renderRel(rel) != want {
+		t.Fatalf("with a poisoned entry: %v %v, want %s", rel, err, want)
+	}
+	if got := strings.Count(p.Explain(), "rows~"); got != 1 || !strings.Contains(p.Explain(), "rows~7 cost~9") {
+		t.Errorf("explain over a one-estimate entry:\n%s", p.Explain())
 	}
 }
 
@@ -208,7 +194,7 @@ func TestPlanCacheFIFOEviction(t *testing.T) {
 	c := NewPlanCache()
 	epoch := uint64(1)
 	for i := 0; i < planCacheMax+10; i++ {
-		c.store(fmt.Sprintf("fp-%d", i), epoch, []decision{{Kind: kindScan}})
+		c.store(fmt.Sprintf("fp-%d", i), epoch, []estimate{{}})
 	}
 	_, _, entries := c.Stats()
 	if entries != planCacheMax {
@@ -222,33 +208,19 @@ func TestPlanCacheFIFOEviction(t *testing.T) {
 	}
 }
 
-// TestPreparedPlanCarriesDecisions: Prepare copies the join build side
-// onto the plan it executes, and leaves the caller's plan nodes untouched.
-func TestPreparedPlanCarriesDecisions(t *testing.T) {
+// TestPreparedPlanIsOptimizedPlan: Prepare runs the optimized plan itself,
+// so a plan the optimizer leaves alone is executed as the caller built it,
+// never copied or annotated, and a prepared plan run against a catalog
+// without the database reports the missing source.
+func TestPreparedPlanIsOptimizedPlan(t *testing.T) {
 	cat := testCatalog()
 	join := &Join{
-		Left: &Filter{
-			Input: &Scan{Source: SourceSQL, Table: "edges"},
-			Pred:  Cmp{Col: "src", Op: "==", Value: "b"},
-		},
-		Right:    &Scan{Source: SourceSQL, Table: "edges"},
-		LeftKey:  "dst",
-		RightKey: "src",
-	}
-	j, ok := Prepare(cat, join).plan.(*Join)
-	if !ok || !j.buildLeft {
-		t.Fatalf("prepared join = %+v, want build-left", j)
-	}
-	if join.buildLeft {
-		t.Fatal("Prepare wrote decisions onto the caller's join")
-	}
-	buildRight := &Join{
 		Left:    &Scan{Source: SourceGraph, Table: "edges"},
 		Right:   &Scan{Source: SourceSQL, Table: "edges"},
 		LeftKey: "dst", RightKey: "src",
 	}
-	if p := Prepare(cat, buildRight); p.plan != Node(buildRight) {
-		t.Errorf("a join with default decisions was copied: %+v", p.plan)
+	if p := Prepare(cat, join); p.plan != Node(join) {
+		t.Errorf("a join the optimizer leaves alone was copied: %+v", p.plan)
 	}
 	agg := &Aggregate{
 		Input: &Scan{Source: SourceSQL, Table: "edges"},
@@ -258,8 +230,6 @@ func TestPreparedPlanCarriesDecisions(t *testing.T) {
 	if p.plan != Node(agg) {
 		t.Errorf("an aggregate was copied: %+v", p.plan)
 	}
-	// Run against a catalog without the database, the prepared plan
-	// reports the missing source.
 	_, err := p.ExecuteContext(context.Background(), &Catalog{Graph: cat.Graph})
 	if err == nil || err.Error() != "federate: catalog has no sql source" {
 		t.Errorf("aggregate without a database: err = %v", err)
@@ -267,7 +237,8 @@ func TestPreparedPlanCarriesDecisions(t *testing.T) {
 }
 
 // TestPreparedExplainAnnotations checks the cost annotations on the
-// prepared rendering: row/cost estimates and build side.
+// prepared rendering: row and cost estimates on every operator, and no
+// build side, which the join decides from its inputs' row counts.
 func TestPreparedExplainAnnotations(t *testing.T) {
 	cat := testCatalog()
 	p := Prepare(cat, &Join{
@@ -280,9 +251,10 @@ func TestPreparedExplainAnnotations(t *testing.T) {
 		RightKey: "src",
 	})
 	out := p.Explain()
-	for _, want := range []string{"rows~", "cost~", " build=left"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prepared explain missing %q:\n%s", want, out)
-		}
+	if got := strings.Count(out, "  -- rows~"); got != 3 || strings.Count(out, " cost~") != 3 {
+		t.Errorf("prepared explain annotates %d of 3 operators:\n%s", got, out)
+	}
+	if strings.Contains(out, "build=") {
+		t.Errorf("prepared explain prints a build side:\n%s", out)
 	}
 }

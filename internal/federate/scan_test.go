@@ -65,10 +65,13 @@ func modes(t *testing.T, cat *Catalog, scan func() *Scan, key string, body func(
 }
 
 // scanSources are the sources every pinned scan case runs on: a SQL
-// table, a frame holding the same cells, and SourceAny, which the
-// planner resolves to one of them. A case has one expected outcome on
-// all three.
-var scanSources = []string{SourceSQL, SourceFrame, SourceAny}
+// table and a frame holding the same cells, with one expected outcome on
+// both. "any" names no source: every case run on it must fail with
+// anyRefused, before a predicate or projection is looked at, in every plan
+// position.
+var scanSources = []string{SourceSQL, SourceFrame, "any"}
+
+const anyRefused = `federate: unknown scan source "any" (have graph, frame, sql)`
 
 // TestScanPinnedRelations pins the exact relation of scans with pushed
 // conditions and projections, bare and as a join input, on every source.
@@ -165,6 +168,12 @@ func TestScanPinnedRelations(t *testing.T) {
 			t.Run(source+"/"+c.name, func(t *testing.T) {
 				modes(t, cat, scan, c.key, func(t *testing.T, p *Prepared) {
 					rel, err := p.ExecuteContext(context.Background(), cat)
+					if source == "any" {
+						if fmt.Sprint(err) != anyRefused {
+							t.Errorf("error %v, want %q", err, anyRefused)
+						}
+						return
+					}
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -238,11 +247,15 @@ func TestScanPinnedErrors(t *testing.T) {
 			scan := func() *Scan {
 				return &Scan{Source: source, Table: c.table, Pushed: append([]Cmp(nil), c.pushed...)}
 			}
+			want := c.want
+			if source == "any" {
+				want = anyRefused
+			}
 			t.Run(source+"/"+c.name, func(t *testing.T) {
 				modes(t, cat, scan, "src", func(t *testing.T, p *Prepared) {
 					_, err := p.ExecuteContext(context.Background(), cat)
-					if got := fmt.Sprint(err); c.want == "" && err != nil || c.want != "" && got != c.want {
-						t.Errorf("error %v, want %q", err, c.want)
+					if got := fmt.Sprint(err); want == "" && err != nil || want != "" && got != want {
+						t.Errorf("error %v, want %q", err, want)
 					}
 				})
 			})
@@ -307,6 +320,10 @@ func TestScanPinnedAboveLimit(t *testing.T) {
 				{"pushed", &Filter{Pred: c.pred, Input: scan()}},
 				{"above limit", &Filter{Pred: c.pred, Input: &Limit{N: 100, Input: scan()}}},
 			}
+			want := c.want
+			if source == "any" {
+				want = "error: " + anyRefused
+			}
 			for _, shape := range shapes {
 				plan := shape.plan
 				t.Run(source+"/"+c.name+"/"+shape.name, func(t *testing.T) {
@@ -316,8 +333,8 @@ func TestScanPinnedAboveLimit(t *testing.T) {
 					} else {
 						got = renderRel(rel)
 					}
-					if got != c.want {
-						t.Errorf("%s\ngot  %s\nwant %s", strings.TrimSpace(Explain(plan)), got, c.want)
+					if got != want {
+						t.Errorf("%s\ngot  %s\nwant %s", strings.TrimSpace(Explain(plan)), got, want)
 					}
 				})
 			}

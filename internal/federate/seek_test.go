@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/dataframe"
 	"repro/internal/graph"
+	"repro/internal/nql"
 	"repro/internal/sqldb"
 )
 
@@ -212,7 +213,9 @@ func seekGraph() *graph.Graph {
 // opaque filter hashes. Left keys cover strings that name
 // nodes, duplicates, unknown IDs, ints, floats, bools, nil and (through
 // the edge table) a list, which fails to hash; the graph is a frozen
-// master, a clone, and a clone that added and removed nodes.
+// master, a clone, and a clone that added and removed nodes. A right side
+// under a where(), a sort or a limit narrows or reorders the nodes, so
+// it hashes, and is checked against the node table held as a frame.
 func seekJoinMatchesHashJoin(t *testing.T) {
 	left := dataframe.New("dst", "w")
 	for i, k := range []any{"n1", "n1", int64(1), nil, "ghost", "n3", 1.0, true, "n0", "n9", "n5"} {
@@ -235,6 +238,15 @@ func seekJoinMatchesHashJoin(t *testing.T) {
 		}
 		return n
 	}
+	// The node table as a frame is the oracle for right sides that
+	// narrow or reorder the nodes, which must keep the join off the node
+	// index: hashing the unnarrowed graph table would find the same rows
+	// the index finds.
+	frameNodes := func() Node { return &Scan{Source: SourceFrame, Table: "nodes"} }
+	ipAbove := FuncPred{Fn: func(row *nql.Map) (bool, error) {
+		ip, _ := row.Get("ip")
+		return ip.(string) > "10.0.0.2", nil
+	}}
 	frameLeft := func() Node { return &Scan{Source: SourceFrame, Table: "l"} }
 	edgeLeft := func() Node { return &Scan{Source: SourceGraph, Table: GraphTableEdges} }
 	pairs := []struct {
@@ -259,9 +271,19 @@ func seekJoinMatchesHashJoin(t *testing.T) {
 			&Join{Left: frameLeft(), Right: hashed(), LeftKey: "dst", RightKey: "ip"}},
 		{"projection without id", &Join{Left: frameLeft(), Right: nodes("ip"), LeftKey: "dst", RightKey: "id"},
 			&Join{Left: frameLeft(), Right: hashed("ip"), LeftKey: "dst", RightKey: "id"}},
+		{"right under a where()", &Join{Left: frameLeft(), Right: &Filter{Pred: ipAbove, Input: nodes()}, LeftKey: "dst", RightKey: "id"},
+			&Join{Left: frameLeft(), Right: &Filter{Pred: ipAbove, Input: frameNodes()}, LeftKey: "dst", RightKey: "id"}},
+		{"right under a sort", &Join{Left: frameLeft(), Right: &Sort{Cols: []string{"ip"}, Input: nodes()}, LeftKey: "dst", RightKey: "id"},
+			&Join{Left: frameLeft(), Right: &Sort{Cols: []string{"ip"}, Input: frameNodes()}, LeftKey: "dst", RightKey: "id"}},
+		{"right under a limit", &Join{Left: frameLeft(), Right: &Limit{N: 3, Input: nodes()}, LeftKey: "dst", RightKey: "id"},
+			&Join{Left: frameLeft(), Right: &Limit{N: 3, Input: frameNodes()}, LeftKey: "dst", RightKey: "id"}},
 	}
 	for name, g := range map[string]*graph.Graph{"master": master, "clone": master.Clone(), "changed clone": changed} {
-		cat := &Catalog{Graph: g, Frames: map[string]*dataframe.Frame{"l": left}}
+		nodeFrame := dataframe.New("id", "ip")
+		for _, id := range g.Nodes() {
+			nodeFrame.AppendRow(id, g.NodeAttrsView(id)["ip"])
+		}
+		cat := &Catalog{Graph: g, Frames: map[string]*dataframe.Frame{"l": left, "nodes": nodeFrame}}
 		for _, p := range pairs {
 			c1, r1, e1, _ := outcome(cat, p.seek)
 			c2, r2, e2, _ := outcome(cat, p.hash)
@@ -316,19 +338,24 @@ func TestSeekConcurrentFirstLookups(t *testing.T) {
 	wg.Wait()
 }
 
-// endsAfter is a context whose Err reports Canceled from its (n+1)th call
-// on, so a test can end a run at a chosen poll whatever the host's speed.
+// endsAfter is a context whose Err reports err (context.Canceled when
+// nil) from its (n+1)th call on, so a test can end a run at a chosen poll
+// whatever the host's speed.
 type endsAfter struct {
 	context.Context
-	n int
+	n   int
+	err error
 }
 
 func (c *endsAfter) Err() error {
-	if c.n == 0 {
-		return context.Canceled
+	if c.n > 0 {
+		c.n--
+		return nil
 	}
-	c.n--
-	return nil
+	if c.err != nil {
+		return c.err
+	}
+	return context.Canceled
 }
 
 // TestSeekPollsContext pins that a seeking frame scan polls the context

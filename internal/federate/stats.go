@@ -9,13 +9,13 @@ import (
 	"repro/internal/scalar"
 )
 
-// This file collects the substrate statistics feeding the cost-based
-// planner: table cardinalities (O(1) for every substrate), per-column
+// This file collects the substrate statistics feeding the cost model:
+// table cardinalities (O(1) for every substrate), per-column
 // distinct-value estimates from a bounded deterministic sample, and the
-// graph's degree histogram. Statistics are advisory — they steer join
-// order, build side, substrate choice and pushdown, never correctness —
-// so a stale estimate (the catalog mutated after collection) costs at
-// most plan quality.
+// graph's degree histogram. Statistics are advisory — they feed the row
+// and cost estimates Prepared.Explain prints, never execution — so a
+// stale estimate (the catalog mutated after collection) costs at most an
+// inaccurate explain.
 //
 // Collection is lazy (a table is only profiled when a plan references it)
 // and cached per catalog epoch, so every session sharing a frozen dataset
@@ -87,8 +87,10 @@ var epochStats = struct {
 	cache map[uint64]*catalogStats
 }{cache: map[uint64]*catalogStats{}}
 
-// epochStatsMax bounds the epochs retained; beyond it the whole cache
-// resets (epochs are monotone, so old generations never come back).
+// epochStatsMax bounds the epochs retained; a new epoch past it resets the
+// whole cache (epochs are monotone, so old generations never come back).
+// Only a miss resets, so an epoch's statistics survive until
+// epochStatsMax newer epochs have arrived.
 const epochStatsMax = 128
 
 func statsFor(cat *Catalog) *catalogStats {
@@ -97,11 +99,11 @@ func statsFor(cat *Catalog) *catalogStats {
 	}
 	epochStats.mu.Lock()
 	defer epochStats.mu.Unlock()
-	if len(epochStats.cache) > epochStatsMax {
-		epochStats.cache = map[uint64]*catalogStats{}
-	}
 	s, ok := epochStats.cache[cat.Epoch]
 	if !ok {
+		if len(epochStats.cache) >= epochStatsMax {
+			epochStats.cache = map[uint64]*catalogStats{}
+		}
 		s = &catalogStats{tables: map[string]*TableStats{}}
 		epochStats.cache[cat.Epoch] = s
 	}
@@ -113,7 +115,7 @@ var epochCounter atomic.Uint64
 
 // NewEpoch allocates a fresh catalog epoch. Tag a Catalog with one epoch
 // per immutable dataset generation: catalogs sharing an epoch share
-// statistics and prepared-plan decisions, and bumping the epoch (a new
+// statistics and prepared-plan estimates, and bumping the epoch (a new
 // generation, e.g. after a dataset swap) invalidates both.
 func NewEpoch() uint64 { return epochCounter.Add(1) }
 
@@ -214,8 +216,8 @@ func graphStats(cat *Catalog, table string) *TableStats {
 		return &TableStats{Rows: m, Distinct: map[string]int{"src": d, "dst": d}}
 	case GraphTableDegree:
 		hist := map[int]int{}
-		for _, id := range g.Nodes() {
-			hist[g.Degree(id)]++
+		for i := 0; i < n; i++ {
+			hist[g.Degree(g.NodeID(i))]++
 		}
 		return &TableStats{
 			Rows:       n,

@@ -58,6 +58,7 @@ func TestReadOnlyCloneOwnsNoEdges(t *testing.T) {
 	_ = c.EdgeAttrsView("n0000", "n0001")
 	_ = c.NodeAttrsView("n0000")
 	_, _ = c.NodeIndex("n0000")
+	_ = c.NodeID(0)
 	_ = c.Neighbors("n0000")
 	_ = c.PageRank(0.85, 20, 1e-9)
 	if !Equal(c, master) {
@@ -77,6 +78,33 @@ func TestReadOnlyCloneOwnsNoEdges(t *testing.T) {
 	}
 	if master.EdgeAttrsView("n0000", "n0001")["bytes"] != int64(1) {
 		t.Fatal("clone write leaked into the master")
+	}
+}
+
+// TestNodeIDReadsInPlace: NodeID(i) is Nodes()[i] on a frozen master, on
+// a clone that removed and added nodes, and on the master after that
+// clone's writes, and reading it allocates nothing.
+func TestNodeIDReadsInPlace(t *testing.T) {
+	master := cowMaster(20, 2)
+	master.Freeze()
+	c := master.Clone()
+	if err := c.RemoveNode("n0003"); err != nil {
+		t.Fatal(err)
+	}
+	c.AddNode("late", nil)
+	for name, g := range map[string]*Graph{"master": master, "clone": c} {
+		ids := g.Nodes()
+		for i, id := range ids {
+			if got := g.NodeID(i); got != id {
+				t.Fatalf("%s: NodeID(%d) = %q, want %q", name, i, got, id)
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _ = g.NodeID(len(ids) - 1) }); allocs != 0 {
+			t.Errorf("%s: NodeID made %v allocations, want none", name, allocs)
+		}
+	}
+	if master.NumNodes() != 20 || master.NodeID(3) != "n0003" {
+		t.Errorf("the clone's removal reached the master: %v", master.Nodes())
 	}
 }
 
@@ -564,7 +592,7 @@ func TestGraphMethodsClassified(t *testing.T) {
 		"DegreeCentrality", "Density", "Diameter", "DijkstraPath", "Directed",
 		"EdgeAttrKeys", "EdgeAttrsView", "EdgesView", "Fingerprint", "HasCycle", "HasEdge",
 		"HasNode", "HopCount", "InDegree", "IsolatedNodes", "MarshalJSON", "MaxBy",
-		"Neighbors", "NodeAttrKeys", "NodeAttrsView", "NodeIndex", "Nodes", "NumEdges", "NumNodes", "OutDegree",
+		"Neighbors", "NodeAttrKeys", "NodeAttrsView", "NodeID", "NodeIndex", "Nodes", "NumEdges", "NumNodes", "OutDegree",
 		"PageRank", "Predecessors", "Reverse", "SelfLoops", "ShortestPath",
 		"String", "StronglyConnectedComponents", "Subgraph", "TopNByDegree",
 		"TopologicalSort", "Version", "WeightedDegree",

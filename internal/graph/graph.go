@@ -297,6 +297,11 @@ func (g *Graph) NodeIndex(id string) (i int, ok bool) {
 	return i, ok
 }
 
+// NodeID returns the ID of node i in Nodes() order, read in place: a
+// scan of every node reads IDs without copying the node list. It panics
+// when i is out of range, as indexing Nodes() would.
+func (g *Graph) NodeID(i int) string { return g.nodeOrder[i] }
+
 // NodeAttrs returns the attribute map for id, or nil if id is absent. The
 // returned map is live: mutations are visible in the graph.
 func (g *Graph) NodeAttrs(id string) Attrs {

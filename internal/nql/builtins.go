@@ -653,10 +653,12 @@ func installBuiltins(m map[string]*Builtin) {
 		if !ok {
 			return nil, errf(ErrArg, line, "unique() requires a list")
 		}
-		// Scalars dedupe by scalar.Key, other values by rendering; the two
-		// sets are apart, so a list never collides with a string.
+		// An element is dropped when == finds it equal to an earlier one.
+		// Scalars dedupe by scalar.Key, other values by appendValueKey.
 		seen := map[scalar.Key]bool{}
-		seenRepr := map[string]bool{}
+		var seenKey map[string]bool
+		var ids map[Value]uint64
+		var buf []byte
 		var out []Value
 		for _, it := range l.Items {
 			var dup bool
@@ -664,9 +666,14 @@ func installBuiltins(m map[string]*Builtin) {
 				dup = seen[k]
 				seen[k] = true
 			} else {
-				r := Repr(it)
-				dup = seenRepr[r]
-				seenRepr[r] = true
+				if seenKey == nil {
+					seenKey, ids = map[string]bool{}, map[Value]uint64{}
+				}
+				buf = appendValueKey(buf[:0], it, ids)
+				dup = seenKey[string(buf)]
+				if !dup {
+					seenKey[string(buf)] = true
+				}
 			}
 			if !dup {
 				out = append(out, it)

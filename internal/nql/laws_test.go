@@ -48,8 +48,22 @@ return [z == 0, z < 0, len(d), d[0], unique([0, z, 0.0])]`,
 	{src: `return 1 >= false`, err: "nql operation error on line 1: cannot compare int and bool"},
 	{src: `return sorted([true, 2, 0])`, err: "nql operation error on line 1: cannot compare int and bool"},
 	{src: `return min([1, true])`, err: "nql operation error on line 1: cannot compare bool and int"},
-	// A list dedupes by rendering, apart from the string that renders alike.
+	// unique() drops a list or map that == finds equal to an earlier
+	// element: items compare by scalar key, map entries in any order, and
+	// a list never collides with the string that renders alike. Closures
+	// compare by identity, even two that render alike.
 	{src: `return unique(["[1]", [1], [1], "[1]", nil, nil])`, want: `["[1]", [1], nil]`},
+	{src: `return unique([[1], [1.0], [9007199254740993], [9007199254740992], [true]])`,
+		want: `[[1], [9007199254740993], [true]]`},
+	{src: `return unique([{"a": 1}, {"a": 1.0}, {"a": 1, "b": [2]}, {"b": [2.0], "a": 1}, {"a": "1"}])`,
+		want: `[{"a": 1}, {"a": 1, "b": [2]}, {"a": "1"}]`},
+	{src: `let nan = float("nan")
+return unique([[nan, -0.0], [nan, 0], [[]], [{}], [], {}, [[1, 2]], [[1], [2]]])`,
+		want: `[[NaN, 0.0], [[]], [{}], [], {}, [[1, 2]], [[1], [2]]]`},
+	{src: `let f = fn(x) => x
+let g = fn(x) => x
+return [len(unique([f, g, f])), len(unique([[f], [g], [f]])), unique([[f], [f]]) == [[f]], unique([{"k": g}, {"k": g}]) == [{"k": g}]]`,
+		want: `[2, 2, true, true]`},
 }
 
 // TestScalarContract pins scalarCorpus.

@@ -1,8 +1,10 @@
 package nql
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"strconv"
 
 	"repro/internal/scalar"
@@ -443,6 +445,48 @@ func appendRepr(b []byte, v Value) []byte {
 	default:
 		return fmt.Appendf(b, "%v", x)
 	}
+}
+
+// appendValueKey appends v's key under ==, which unique() dedupes by: a
+// scalar's scalar.Key encoding; a list's length and its items' keys; a
+// map's length and its entries' key and value keys in key order, since
+// == ignores insertion order; and for any other value
+// (a closure, builtin or host object), which == compares by identity, a
+// number ids assigns it. The framing is length-prefixed and its tags are
+// no scalar.Key kind, so two values get the same bytes exactly when ==
+// finds them equal.
+func appendValueKey(b []byte, v Value, ids map[Value]uint64) []byte {
+	if k, ok := scalar.KeyOf(v); ok {
+		return k.Append(b)
+	}
+	switch x := v.(type) {
+	case *List:
+		b = binary.AppendUvarint(append(b, 'L'), uint64(len(x.Items)))
+		for _, it := range x.Items {
+			b = appendValueKey(b, it, ids)
+		}
+		return b
+	case *Map:
+		// Entries go in scalar.Compare order of their keys, a total order
+		// that ties exactly the keys a dict merges.
+		var small [8]int
+		order := small[:0]
+		for i := range x.keys {
+			order = append(order, i)
+		}
+		slices.SortFunc(order, func(i, j int) int { return scalar.Compare(x.keys[i], x.keys[j]) })
+		b = binary.AppendUvarint(append(b, 'M'), uint64(len(x.keys)))
+		for _, i := range order {
+			b = appendValueKey(appendValueKey(b, x.keys[i], ids), x.vals[i], ids)
+		}
+		return b
+	}
+	id, ok := ids[v]
+	if !ok {
+		id = uint64(len(ids))
+		ids[v] = id
+	}
+	return binary.AppendUvarint(append(b, 'I'), id)
 }
 
 // ToStr renders a value the way str() and print() do: like Repr but without

@@ -129,6 +129,28 @@ func TestFedErrorsAreCategorized(t *testing.T) {
 	}
 }
 
+// TestFedScanAnySourceRefused: "any" names no source. A scan of it fails
+// as any unknown source does, with the sources the catalog can have.
+func TestFedScanAnySourceRefused(t *testing.T) {
+	in := nql.NewInterp(nql.DefaultLimits, fedGlobals())
+	_, err := in.Run(`return fed.scan("any", "edges").count()`)
+	if err == nil || nql.ClassOf(err) != string(nql.ErrValue) ||
+		!strings.Contains(err.Error(), `federate: unknown scan source "any" (have graph, frame, sql)`) {
+		t.Errorf("scan of any: err=%v class=%s", err, nql.ClassOf(err))
+	}
+}
+
+// TestFedExplainPrintsEstimatesOnly: explain() annotates each operator
+// with its row and cost estimates and names no join build side, which the
+// join picks from its inputs' row counts when it runs.
+func TestFedExplainPrintsEstimatesOnly(t *testing.T) {
+	v := runFed(t, `return fed.scan("sql", "edges").filter("src", "==", "a").join(fed.scan("sql", "nodes"), "dst", "id").explain()`)
+	s, _ := v.(string)
+	if strings.Count(s, "rows~") != 3 || strings.Contains(s, "build=") {
+		t.Errorf("explain:\n%s", s)
+	}
+}
+
 func TestFedTwoPassSortTopK(t *testing.T) {
 	v := runFed(t, `
 let rows = fed.scan("graph", "degree").sort("id").sort("out_degree", false).limit(1).collect()

@@ -1,6 +1,8 @@
 package nqlbind
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/dataframe"
@@ -488,8 +490,11 @@ func (o *FrameObject) member(name string) (nql.Value, bool) {
 				}
 				kind = dataframe.JoinKind(ks)
 			}
-			out, err := dataframe.Merge(f, other.F, lk, rk, kind)
+			out, err := dataframe.Merge(in.Context(), f, other.F, lk, rk, kind)
 			if err != nil {
+				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+					return nil, nql.CancelError(line, err)
+				}
 				return nil, runtimeErr(nql.ErrArg, line, err)
 			}
 			return NewFrameObject(out), nil

@@ -1,8 +1,11 @@
 package nqlbind
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dataframe"
 	"repro/internal/graph"
@@ -410,5 +413,22 @@ for n in graph.nodes() {
 	}
 	if g.NodeAttrs("a")["color"] == g.NodeAttrs("c")["color"] {
 		t.Fatal("different prefixes should differ")
+	}
+}
+
+// TestFrameMergeHonoursDeadline: a merge whose constant key fans 1,000
+// rows out to a million stops at the request deadline with a cancel-class
+// error, instead of running to the end and returning every row.
+func TestFrameMergeHonoursDeadline(t *testing.T) {
+	f := dataframe.New("k", "v")
+	for i := 0; i < 1000; i++ {
+		f.AppendRow(int64(1), int64(i))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	in := nql.NewInterp(nql.Limits{Context: ctx}, map[string]nql.Value{"df": NewFrameObject(f)})
+	v, err := in.Run(`return df.merge(df, "k", "k").num_rows()`)
+	if nql.ClassOf(err) != string(nql.ErrCancel) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("merge under a deadline: %v, %v (class %s), want a cancel error", nql.Repr(v), err, nql.ClassOf(err))
 	}
 }
