@@ -77,7 +77,10 @@ race:
 # max() and unique() follow it), FuzzKeyContract (scalar keys, Equal and
 # Compare agree, Compare is a total order, and key encodings of different
 # tuples differ), FuzzArith (scalar int64 + - * and Sum against math/big: exact
-# when the result fits, the float64 of the operands when it does not) and
+# when the result fits, the float64 of the operands when it does not),
+# FuzzKernels (scalar Groups, SortStable and Fold against naive oracles:
+# tuples share a group id exactly when Equal field by field, the sort is a
+# stable insertion sort, and each fold is a linear scan) and
 # FuzzFrameSeek (a federated frame scan that seeks its leading == or
 # prefix predicate in a frozen frame's string index gives the same rows,
 # order, error text and profile frames as the scan of an unfrozen copy).
@@ -89,6 +92,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzValueLaws$$' -fuzztime 30s ./internal/nql
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyContract$$' -fuzztime 30s ./internal/scalar
 	$(GO) test -run '^$$' -fuzz '^FuzzArith$$' -fuzztime 30s ./internal/scalar
+	$(GO) test -run '^$$' -fuzz '^FuzzKernels$$' -fuzztime 30s ./internal/scalar
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameSeek$$' -fuzztime 30s ./internal/federate
 
 # Record the benchmark suite as test2json records for tooling: the macro

@@ -74,6 +74,16 @@
 // for an empty or all-nil input (pandas 0, SQL and federate NULL, NQL
 // sum([]) 0), and NQL counts a bool as 0 or 1.
 //
+// The operations built on those rules are written once there too.
+// scalar.Groups numbers key tuples in first-appearance order, scalar.Fold
+// computes COUNT, SUM, MEAN, MIN or MAX over a column (skipping nil and
+// keeping the first of equal least or greatest values, so MIN of 1 and
+// 1.0 is 1), and scalar.SortStable stably sorts rows by key columns with a
+// direction per key. sqldb's GROUP BY, DISTINCT, aggregates and ORDER BY,
+// dataframe's GroupBy, Agg, Sum, Mean, Min, Max, SortBy and ValueCounts,
+// and federate's aggregate and sort all call them, so the three backends
+// group, fold and sort alike by construction.
+//
 // The federated backend is selectable end to end — core.Session
 // (WithBackend("federated")), the netquery shell (-backend federated) — and
 // internal/nemoeval cross-checks every federated golden against the three

@@ -483,18 +483,12 @@ func (f *Frame) SortBy(ascending bool, cols ...string) (*Frame, error) {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		for _, c := range cols {
-			cmp := scalar.Compare(f.data[c][idx[a]], f.data[c][idx[b]])
-			if cmp != 0 {
-				if ascending {
-					return cmp < 0
-				}
-				return cmp > 0
-			}
-		}
-		return false
-	})
+	keys := make([][]any, len(cols))
+	desc := make([]bool, len(cols))
+	for i, c := range cols {
+		keys[i], desc[i] = f.data[c], !ascending
+	}
+	scalar.SortStable(idx, keys, desc, nil)
 	return f.Take(idx), nil
 }
 

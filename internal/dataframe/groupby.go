@@ -37,22 +37,20 @@ func (f *Frame) GroupBy(keys ...string) (*Grouped, error) {
 		}
 	}
 	g := &Grouped{src: f, keys: append([]string(nil), keys...)}
-	index := map[string]int{}
-	var buf []byte
-	for i := 0; i < f.nrows; i++ {
-		buf = buf[:0]
-		for _, k := range keys {
-			key, _ := scalar.KeyOf(f.data[k][i])
-			buf = key.Append(buf)
-		}
-		gi, ok := index[string(buf)]
-		if !ok {
-			gi = len(g.groups)
-			index[string(buf)] = gi
-			g.groups = append(g.groups, nil)
-		}
-		g.groups[gi] = append(g.groups[gi], i)
+	cols := make([][]any, len(keys))
+	for j, k := range keys {
+		cols[j] = f.data[k]
 	}
+	var ids scalar.Groups
+	gid := make([]int, f.nrows)
+	tuple := make([]scalar.Key, len(keys))
+	for i := range gid {
+		for j, col := range cols {
+			tuple[j], _ = scalar.KeyOf(col[i])
+		}
+		gid[i], _ = ids.ID(tuple)
+	}
+	g.groups = scalar.GroupRows(gid, ids.Len())
 	return g, nil
 }
 
@@ -127,41 +125,27 @@ func aggregate(f *Frame, rows []int, s AggSpec) (any, error) {
 			return nil, nil
 		}
 		return col[rows[len(rows)-1]], nil
-	case AggSum, AggMean:
-		var sum scalar.Sum
-		for _, i := range rows {
-			// pandas skips NaN/None
-			if v := col[i]; v != nil && !sum.Add(v) {
-				return nil, fmt.Errorf("dataframe: cannot %s non-numeric value %v in column %q", s.Func, v, s.Col)
-			}
-		}
-		if s.Func == AggSum {
-			return sum.Value(), nil
-		}
-		if sum.N() == 0 {
-			return nil, nil
-		}
-		return sum.Mean(), nil
-	case AggMin, AggMax:
-		var best any
-		for _, i := range rows {
-			v := col[i]
-			if v == nil {
-				continue
-			}
-			if best == nil {
-				best = v
-				continue
-			}
-			cmp := scalar.Compare(v, best)
-			if (s.Func == AggMin && cmp < 0) || (s.Func == AggMax && cmp > 0) {
-				best = v
-			}
-		}
-		return best, nil
-	default:
+	}
+	op, ok := frameFolds[s.Func]
+	if !ok {
 		return nil, fmt.Errorf("dataframe: unknown aggregation %q", s.Func)
 	}
+	fold := scalar.NewFold(op)
+	for _, i := range rows {
+		// pandas skips NaN/None
+		if v := col[i]; !fold.Add(v) {
+			return nil, fmt.Errorf("dataframe: cannot %s non-numeric value %v in column %q", s.Func, v, s.Col)
+		}
+	}
+	if s.Func == AggSum && fold.N() == 0 {
+		return int64(0), nil // pandas sums nothing to 0
+	}
+	return fold.Value(), nil
+}
+
+// frameFolds maps the folding aggregations to their scalar.Fold.
+var frameFolds = map[AggFunc]scalar.FoldOp{
+	AggSum: scalar.FoldSum, AggMean: scalar.FoldMean, AggMin: scalar.FoldMin, AggMax: scalar.FoldMax,
 }
 
 // Sum computes the sum of a numeric column over the whole frame.
@@ -203,26 +187,9 @@ func (f *Frame) ValueCounts(col string) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Sort by count desc, then value asc. SortBy applies one direction to
-	// all keys, so do it manually here.
+	// Sort by count desc, then value asc.
 	idx := allRows(counts)
-	valCol := counts.data[col]
-	cntCol := counts.data["count"]
-	sortStableBy(idx, func(a, b int) bool {
-		if c := scalar.Compare(cntCol[a], cntCol[b]); c != 0 {
-			return c > 0
-		}
-		return scalar.Compare(valCol[a], valCol[b]) < 0
-	})
+	keys := [][]any{counts.data["count"], counts.data[col]}
+	scalar.SortStable(idx, keys, []bool{true, false}, nil)
 	return counts.Take(idx), nil
-}
-
-func sortStableBy(idx []int, less func(a, b int) bool) {
-	// insertion sort keeps it dependency-free and stable; group counts are
-	// small in practice.
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && less(idx[j], idx[j-1]); j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
 }

@@ -434,3 +434,195 @@ func TestOneArithmeticAcrossSubstrates(t *testing.T) {
 		}
 	}
 }
+
+// showExact renders a value with its type and, for a float64, its bits,
+// so NaN payloads, -0 and 1 vs 1.0 tell apart.
+func showExact(v any) string {
+	if f, ok := v.(float64); ok {
+		return fmt.Sprintf("float64 %v %#x", f, math.Float64bits(f))
+	}
+	return fmt.Sprintf("%T %v", v, v)
+}
+
+// TestOneMinMaxAcrossSubstrates folds MIN and MAX over groups that each
+// hold the members of two key classes, interleaved: sqldb MIN and MAX,
+// dataframe GroupBy min and max and Frame.Min and Max, and federate's
+// aggregate min and max over frame and SQL scans. Each skips nil and keeps
+// the first least or greatest value under scalar.Compare, so equal values
+// (1 and 1.0, NaN payloads, ±0, 2^53 and 2^53+1) give the first one's
+// type and bits, and a group of nil gives nil.
+func TestOneMinMaxAcrossSubstrates(t *testing.T) {
+	classes := keyClasses()
+	f := dataframe.New("g", "id", "k")
+	var order []int64
+	members := map[int64][]any{}
+	for a := range classes {
+		for b := a; b < len(classes); b++ {
+			g := int64(a*100 + b)
+			order = append(order, g)
+			keys, _ := interleave([][]any{classes[a], classes[b]})
+			for _, k := range keys {
+				f.AppendRow(g, int64(f.NumRows()+1), k)
+				members[g] = append(members[g], k)
+			}
+		}
+	}
+	// want: the first least and first greatest non-nil value, by a scan.
+	want := make([]string, len(order))
+	for i, g := range order {
+		var lo, hi any
+		for _, v := range members[g] {
+			if v == nil {
+				continue
+			}
+			if lo == nil || scalar.Compare(v, lo) < 0 {
+				lo = v
+			}
+			if hi == nil || scalar.Compare(v, hi) > 0 {
+				hi = v
+			}
+		}
+		want[i] = fmt.Sprintf("%d: %s .. %s", g, showExact(lo), showExact(hi))
+	}
+	check := func(what string, got []string) {
+		t.Helper()
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s:\n got  %s\n want %s", what, strings.Join(got, "\n      "), strings.Join(want, "\n      "))
+		}
+	}
+	frameRows := func(out *dataframe.Frame) []string {
+		got := make([]string, out.NumRows())
+		for i := range got {
+			g, _ := out.Cell(i, "g")
+			lo, _ := out.Cell(i, "lo")
+			hi, _ := out.Cell(i, "hi")
+			got[i] = fmt.Sprintf("%d: %s .. %s", g, showExact(lo), showExact(hi))
+		}
+		return got
+	}
+
+	db := sqldb.NewDB()
+	db.CreateTable("t", f.Clone())
+	sq, err := db.Query("SELECT g, MIN(k) AS lo, MAX(k) AS hi FROM t GROUP BY g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("sqldb MIN, MAX", frameRows(sq))
+
+	grouped, err := f.GroupBy("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := grouped.Agg(dataframe.AggSpec{Col: "k", Func: dataframe.AggMin, Name: "lo"},
+		dataframe.AggSpec{Col: "k", Func: dataframe.AggMax, Name: "hi"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("dataframe GroupBy min, max", frameRows(agg))
+	var whole []string
+	for _, g := range order {
+		part, err := f.FilterEq("g", g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, _ := part.Min("k")
+		hi, _ := part.Max("k")
+		whole = append(whole, fmt.Sprintf("%d: %s .. %s", g, showExact(lo), showExact(hi)))
+	}
+	check("dataframe Min, Max", whole)
+
+	cat := &Catalog{Frames: map[string]*dataframe.Frame{"t": f}, DB: db}
+	for _, src := range []string{SourceFrame, SourceSQL} {
+		rel, err := Run(cat, &Aggregate{Input: &Scan{Source: src, Table: "t"}, GroupBy: []string{"g"},
+			Aggs: []AggSpec{{Col: "k", Fn: AggMin, As: "lo"}, {Col: "k", Fn: AggMax, As: "hi"}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("federate "+src+" aggregate min, max", frameRows(rel.Frame()))
+	}
+}
+
+// TestOneSortAcrossSubstrates sorts the interleaved key set ascending and
+// descending, by k alone and by k then id: sqldb ORDER BY, dataframe
+// SortBy and federate's sort over frame and SQL scans. Each is the stable
+// insertion sort under scalar.Compare, so equal keys keep their row order
+// and every kind sorts nil < bool < number < string.
+func TestOneSortAcrossSubstrates(t *testing.T) {
+	keys, _ := interleave(keyClasses())
+	f := dataframe.New("id", "k")
+	for i, k := range keys {
+		f.AppendRow(int64(i+1), k)
+	}
+	db := sqldb.NewDB()
+	db.CreateTable("t", f.Clone())
+	cat := &Catalog{Frames: map[string]*dataframe.Frame{"t": f}, DB: db}
+	idsOf := func(out *dataframe.Frame) string {
+		ids := make([]string, out.NumRows())
+		for i := range ids {
+			id, _ := out.Cell(i, "id")
+			ids[i] = fmt.Sprint(id)
+		}
+		return strings.Join(ids, " ")
+	}
+	for _, c := range []struct {
+		cols []string
+		asc  bool
+	}{{[]string{"k"}, true}, {[]string{"k"}, false}, {[]string{"k", "id"}, true}, {[]string{"k", "id"}, false}} {
+		// want: a stable insertion sort of the row ids.
+		rows := make([]int, len(keys))
+		for i := range rows {
+			rows[i] = i
+		}
+		less := func(a, b int) bool {
+			for _, col := range c.cols {
+				x, y := keys[a], keys[b]
+				if col == "id" {
+					x, y = int64(a), int64(b)
+				}
+				if cmp := scalar.Compare(x, y); cmp != 0 {
+					return cmp < 0 == c.asc
+				}
+			}
+			return false
+		}
+		for i := 1; i < len(rows); i++ {
+			for j := i; j > 0 && less(rows[j], rows[j-1]); j-- {
+				rows[j], rows[j-1] = rows[j-1], rows[j]
+			}
+		}
+		ids := make([]string, len(rows))
+		for i, r := range rows {
+			ids[i] = fmt.Sprint(r + 1)
+		}
+		want := strings.Join(ids, " ")
+		name := fmt.Sprintf("by %v ascending %v", c.cols, c.asc)
+		check := func(what, got string) {
+			t.Helper()
+			if got != want {
+				t.Errorf("%s %s:\n got  %s\n want %s", what, name, got, want)
+			}
+		}
+
+		dir := " ASC"
+		if !c.asc {
+			dir = " DESC"
+		}
+		sq, err := db.Query("SELECT id, k FROM t ORDER BY " + strings.Join(c.cols, dir+", ") + dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("sqldb ORDER BY", idsOf(sq))
+		sorted, err := f.SortBy(c.asc, c.cols...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("dataframe SortBy", idsOf(sorted))
+		for _, src := range []string{SourceFrame, SourceSQL} {
+			rel, err := Run(cat, &Sort{Input: &Scan{Source: src, Table: "t"}, Cols: c.cols, Ascending: c.asc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("federate "+src+" sort", idsOf(rel.Frame()))
+		}
+	}
+}

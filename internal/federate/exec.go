@@ -3,7 +3,6 @@ package federate
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -689,237 +688,123 @@ func hashKey(v nql.Value) (scalar.Key, error) {
 	return scalar.Key{}, fmt.Errorf("unhashable value of type %s", nql.TypeName(v))
 }
 
+// execAggregate groups the input by scalar.Groups and folds each spec
+// with a scalar.Fold. Columns resolve before any row, in a fixed order:
+// the group keys, then each spec's function before its column, so an
+// unknown one fails even over empty input. Within a row the group keys
+// hash before any spec folds. Groups appear in first-appearance order,
+// each with its first row's key cells.
 func execAggregate(cat *Catalog, a *Aggregate) (columns, error) {
 	in, err := execute(cat, a.Input)
 	if err != nil {
 		return columns{}, err
 	}
-	st, err := newAggState(a, &in)
-	if err != nil {
-		return columns{}, err
+	gidx := make([]int, len(a.GroupBy))
+	for i, c := range a.GroupBy {
+		if gidx[i], err = in.colIndex(c); err != nil {
+			return columns{}, err
+		}
+	}
+	// ops[i] is spec i's fold and aidx[i] its column, -1 for count, which
+	// counts the group's rows.
+	ops := make([]scalar.FoldOp, len(a.Aggs))
+	aidx := make([]int, len(a.Aggs))
+	for i, sp := range a.Aggs {
+		op, ok := aggFolds[sp.Fn]
+		if !ok {
+			return columns{}, fmt.Errorf("federate: unknown aggregate %q (have count, sum, mean, min, max)", sp.Fn)
+		}
+		ops[i], aidx[i] = op, -1
+		if sp.Fn != AggCount {
+			if aidx[i], err = in.colIndex(sp.Col); err != nil {
+				return columns{}, err
+			}
+		}
+	}
+	var (
+		groups scalar.Groups
+		first  []int           // each group's first row
+		size   []int64         // each group's rows
+		folds  [][]scalar.Fold // each group's folds, one allocation per group
+		keys   = make([]scalar.Key, len(gidx))
+	)
+	addGroup := func(r int) {
+		f := make([]scalar.Fold, len(ops))
+		for i, op := range ops {
+			f[i] = scalar.NewFold(op)
+		}
+		first, size, folds = append(first, r), append(size, 0), append(folds, f)
 	}
 	for r := 0; r < in.n; r++ {
 		if err := cat.cancelled(r); err != nil {
 			return columns{}, err
 		}
-		if err := st.add(r); err != nil {
-			return columns{}, err
+		for i, j := range gidx {
+			k, err := hashKey(in.at(j, r))
+			if err != nil {
+				return columns{}, fmt.Errorf("federate: group key %s: %w", in.names[j], err)
+			}
+			keys[i] = k
+		}
+		g, fresh := groups.ID(keys)
+		if fresh {
+			addGroup(r)
+		}
+		size[g]++
+		for i, j := range aidx {
+			if j < 0 {
+				continue
+			}
+			if v := in.at(j, r); !folds[g][i].Add(v) {
+				sp := a.Aggs[i]
+				return columns{}, fmt.Errorf("federate: %s(%s): value must be a number, got %s", sp.Fn, sp.Col, nql.TypeName(v))
+			}
 		}
 	}
-	return relColumns(st.finish()), nil
-}
-
-// aggGroup is one group's key values and its accumulators, held inline.
-type aggGroup struct {
-	key  []nql.Value
-	accs []agg
-}
-
-// aggState is the core of Aggregate: column resolution happens at
-// construction (so an unknown column errors even over empty input, in a
-// fixed order — group keys first, then each spec's function before its
-// column), rows fold in one at a time, and finish emits groups in
-// first-appearance order.
-type aggState struct {
-	a    *Aggregate
-	in   *columns
-	gidx []int
-	aidx []int
-	// Single-column groups hash on the comparable struct key directly;
-	// composite groups serialize the per-column keys into one buffer.
-	single map[scalar.Key]*aggGroup
-	groups map[string]*aggGroup
-	order  []*aggGroup
-	kbuf   []byte
-}
-
-func newAggState(a *Aggregate, in *columns) (*aggState, error) {
-	gidx := make([]int, len(a.GroupBy))
-	for i, c := range a.GroupBy {
-		j, err := in.colIndex(c)
-		if err != nil {
-			return nil, err
-		}
-		gidx[i] = j
-	}
-	aidx := make([]int, len(a.Aggs))
-	for i, sp := range a.Aggs {
-		if !validAggFn(sp.Fn) {
-			return nil, fmt.Errorf("federate: unknown aggregate %q (have count, sum, mean, min, max)", sp.Fn)
-		}
-		if sp.Fn == AggCount {
-			aidx[i] = -1
-			continue
-		}
-		j, err := in.colIndex(sp.Col)
-		if err != nil {
-			return nil, err
-		}
-		aidx[i] = j
-	}
-	return &aggState{
-		a: a, in: in, gidx: gidx, aidx: aidx,
-		single: map[scalar.Key]*aggGroup{}, groups: map[string]*aggGroup{},
-	}, nil
-}
-
-// newGroup appends a group keyed by row r's group-by cells.
-func (st *aggState) newGroup(r int) *aggGroup {
-	g := &aggGroup{key: make([]nql.Value, len(st.gidx)), accs: make([]agg, len(st.a.Aggs))}
-	for i, j := range st.gidx {
-		g.key[i] = st.in.at(j, r)
-	}
-	st.order = append(st.order, g)
-	return g
-}
-
-func (st *aggState) lookup(r int) (*aggGroup, error) {
-	if len(st.gidx) == 1 {
-		k, err := hashKey(st.in.at(st.gidx[0], r))
-		if err != nil {
-			return nil, fmt.Errorf("federate: group key %s: %w", st.in.names[st.gidx[0]], err)
-		}
-		g, ok := st.single[k]
-		if !ok {
-			g = st.newGroup(r)
-			st.single[k] = g
-		}
-		return g, nil
-	}
-	st.kbuf = st.kbuf[:0]
-	for _, j := range st.gidx {
-		k, err := hashKey(st.in.at(j, r))
-		if err != nil {
-			return nil, fmt.Errorf("federate: group key %s: %w", st.in.names[j], err)
-		}
-		st.kbuf = k.Append(st.kbuf)
-	}
-	g, ok := st.groups[string(st.kbuf)]
-	if !ok {
-		g = st.newGroup(r)
-		st.groups[string(st.kbuf)] = g
-	}
-	return g, nil
-}
-
-func (st *aggState) add(r int) error {
-	g, err := st.lookup(r)
-	if err != nil {
-		return err
-	}
-	for i, sp := range st.a.Aggs {
-		var v nql.Value
-		if st.aidx[i] >= 0 {
-			v = st.in.at(st.aidx[i], r)
-		}
-		if err := g.accs[i].add(sp.Fn, v); err != nil {
-			return fmt.Errorf("federate: %s(%s): %w", sp.Fn, sp.Col, err)
-		}
-	}
-	return nil
-}
-
-// finish emits one row per group, every row carved from one backing array.
-func (st *aggState) finish() *Relation {
-	order := st.order
-	if len(st.gidx) == 0 && len(order) == 0 {
+	if len(gidx) == 0 && len(first) == 0 {
 		// A global aggregate always emits one row, even over zero input
 		// rows (count 0, other aggregates nil — SQL semantics).
-		order = []*aggGroup{{accs: make([]agg, len(st.a.Aggs))}}
+		addGroup(-1)
 	}
-	cols := append([]string(nil), st.a.GroupBy...)
-	for _, sp := range st.a.Aggs {
+	cols := append([]string(nil), a.GroupBy...)
+	for _, sp := range a.Aggs {
 		cols = append(cols, sp.As)
 	}
 	out := &Relation{Cols: cols}
-	if len(order) == 0 {
-		return out
+	if len(first) == 0 {
+		return relColumns(out), nil
 	}
+	// Every row is carved from one backing array.
 	w := len(cols)
-	backing := make([]nql.Value, len(order)*w)
-	out.Rows = make([][]nql.Value, len(order))
-	for gi, g := range order {
-		row := backing[gi*w : (gi+1)*w : (gi+1)*w]
-		n := copy(row, g.key)
-		for i, sp := range st.a.Aggs {
-			row[n+i] = g.accs[i].result(sp.Fn)
+	backing := make([]nql.Value, len(first)*w)
+	out.Rows = make([][]nql.Value, len(first))
+	for g, r := range first {
+		row := backing[g*w : (g+1)*w : (g+1)*w]
+		for i, j := range gidx {
+			row[i] = in.at(j, r)
 		}
-		out.Rows[gi] = row
+		for i := range a.Aggs {
+			if aidx[i] < 0 {
+				row[len(gidx)+i] = size[g]
+			} else {
+				row[len(gidx)+i] = folds[g][i].Value()
+			}
+		}
+		out.Rows[g] = row
 	}
-	return out
+	return relColumns(out), nil
 }
 
-func validAggFn(fn string) bool {
-	switch fn {
-	case AggCount, AggSum, AggMean, AggMin, AggMax:
-		return true
-	}
-	return false
+// aggFolds maps each aggregate function to its fold; count counts rows.
+var aggFolds = map[string]scalar.FoldOp{
+	AggCount: scalar.FoldCount, AggSum: scalar.FoldSum, AggMean: scalar.FoldMean,
+	AggMin: scalar.FoldMin, AggMax: scalar.FoldMax,
 }
 
-// agg accumulates one aggregate over a group. Nil cells are skipped (SQL
-// NULL semantics).
-type agg struct {
-	count    int64
-	sum      scalar.Sum
-	best     nql.Value // min/max candidate
-	haveBest bool
-}
-
-func (g *agg) add(fn string, v nql.Value) error {
-	if fn == AggCount {
-		g.count++
-		return nil
-	}
-	if v == nil {
-		return nil
-	}
-	switch fn {
-	case AggSum, AggMean:
-		if !g.sum.Add(v) {
-			return fmt.Errorf("value must be a number, got %s", nql.TypeName(v))
-		}
-	case AggMin, AggMax:
-		if !g.haveBest {
-			g.best, g.haveBest = v, true
-			return nil
-		}
-		cmp := scalar.Compare(g.best, v)
-		if (fn == AggMin && cmp > 0) || (fn == AggMax && cmp < 0) {
-			g.best = v
-		}
-	}
-	return nil
-}
-
-func (g *agg) result(fn string) nql.Value {
-	switch fn {
-	case AggCount:
-		return g.count
-	case AggSum:
-		if g.sum.N() == 0 {
-			return nil
-		}
-		return g.sum.Value()
-	case AggMean:
-		if g.sum.N() == 0 {
-			return nil
-		}
-		return g.sum.Mean()
-	case AggMin, AggMax:
-		if !g.haveBest {
-			return nil
-		}
-		return g.best
-	}
-	return nil
-}
-
-// sortRows stably sorts the input's row positions by its key columns,
-// each key cell lifted once, and reads the input through the permutation.
-// The comparator polls the context every cancelCheckEvery calls; once it
-// has ended, every comparison ties, so the sort finishes in a few passes
-// and the error is returned after it.
+// sortRows stably sorts the input's row positions by its key columns
+// (scalar.SortStable), each key cell lifted once, and reads the input
+// through the permutation. The comparator polls the context every
+// cancelCheckEvery calls.
 func sortRows(cat *Catalog, in columns, s *Sort) (columns, error) {
 	idx := make([]int, len(s.Cols))
 	for i, c := range s.Cols {
@@ -932,40 +817,28 @@ func sortRows(cat *Catalog, in columns, s *Sort) (columns, error) {
 	if err := cat.cancelled(0); err != nil {
 		return columns{}, err
 	}
-	w := len(idx)
-	keys := make([]nql.Value, in.n*w)
+	keys := make([][]any, len(idx))
+	desc := make([]bool, len(idx))
+	for i, j := range idx {
+		keys[i], desc[i] = make([]any, in.n), !s.Ascending
+		for r := range keys[i] {
+			keys[i][r] = in.at(j, r)
+		}
+	}
 	perm := make([]int32, in.n)
 	for r := range perm {
 		perm[r] = int32(r)
-		for k, j := range idx {
-			keys[r*w+k] = in.at(j, r)
+	}
+	var err error
+	var stop func(int) bool
+	if cat.ctx != nil {
+		stop = func(calls int) bool {
+			err = cat.cancelled(calls)
+			return err != nil
 		}
 	}
-	calls := 0
-	var cerr error
-	slices.SortStableFunc(perm, func(a, b int32) int {
-		if cat.ctx != nil {
-			if cerr != nil {
-				return 0
-			}
-			calls++
-			if cerr = cat.cancelled(calls); cerr != nil {
-				return 0
-			}
-		}
-		ka, kb := keys[int(a)*w:int(a)*w+w], keys[int(b)*w:int(b)*w+w]
-		for k := range ka {
-			if cmp := scalar.Compare(ka[k], kb[k]); cmp != 0 {
-				if s.Ascending {
-					return cmp
-				}
-				return -cmp
-			}
-		}
-		return 0
-	})
-	if cerr != nil {
-		return columns{}, cerr
+	if scalar.SortStable(perm, keys, desc, stop); err != nil {
+		return columns{}, err
 	}
 	if in.rows != nil {
 		for i, p := range perm {

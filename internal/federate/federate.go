@@ -32,7 +32,10 @@
 // tables are frames, so a SQL scan is the frame scan of its table: it
 // never goes through SQL text or sqldb's executor, and a pushed predicate
 // keeps one meaning whichever source or plan position runs it. There is
-// one join and one aggregate for every source.
+// one join and one aggregate for every source. The aggregate numbers its
+// groups with scalar.Groups and folds each spec with a scalar.Fold, one
+// allocation of folds per group, and the sort is scalar.SortStable: the
+// grouping, folds and sort sqldb and dataframe run too.
 //
 // Two plan shapes read only the rows they return. A frame or SQL scan
 // whose first pushed predicate is == or prefix against a string literal

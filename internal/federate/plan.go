@@ -185,17 +185,24 @@ func (l *Limit) label() string    { return fmt.Sprintf("limit %d", l.N) }
 // line, children indented), the federated analogue of EXPLAIN.
 func Explain(n Node) string {
 	var sb strings.Builder
-	explainInto(&sb, n, 0)
+	explainInto(&sb, n, 0, nil, new(int))
 	return sb.String()
 }
 
-func explainInto(sb *strings.Builder, n Node, depth int) {
+// explainInto renders n's subtree at depth. Each operator's line carries
+// the estimate ests[*pos] when there is one, *pos counting operators in
+// the order they render.
+func explainInto(sb *strings.Builder, n Node, depth int, ests []estimate, pos *int) {
 	for i := 0; i < depth; i++ {
 		sb.WriteString("  ")
 	}
 	sb.WriteString(n.label())
+	if *pos < len(ests) {
+		fmt.Fprintf(sb, "  -- rows~%.0f cost~%.0f", ests[*pos].EstRows, ests[*pos].EstCost)
+	}
+	*pos++
 	sb.WriteString("\n")
 	for _, c := range n.children() {
-		explainInto(sb, c, depth+1)
+		explainInto(sb, c, depth+1, ests, pos)
 	}
 }

@@ -1,7 +1,6 @@
 package federate
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -66,24 +65,8 @@ func Prepare(cat *Catalog, plan Node) *Prepared {
 // each operator's estimated output rows and cumulative cost.
 func (p *Prepared) Explain() string {
 	var sb strings.Builder
-	pos := 0
-	explainCostInto(&sb, p.plan, 0, p.ests, &pos)
+	explainInto(&sb, p.plan, 0, p.ests, new(int))
 	return sb.String()
-}
-
-func explainCostInto(sb *strings.Builder, n Node, depth int, ests []estimate, pos *int) {
-	for i := 0; i < depth; i++ {
-		sb.WriteString("  ")
-	}
-	sb.WriteString(n.label())
-	if *pos < len(ests) {
-		fmt.Fprintf(sb, "  -- rows~%.0f cost~%.0f", ests[*pos].EstRows, ests[*pos].EstCost)
-	}
-	*pos++
-	sb.WriteString("\n")
-	for _, c := range n.children() {
-		explainCostInto(sb, c, depth+1, ests, pos)
-	}
 }
 
 // --- shared plan cache ---------------------------------------------------

@@ -669,7 +669,10 @@ func installBuiltins(m map[string]*Builtin) {
 				if seenKey == nil {
 					seenKey, ids = map[string]bool{}, map[Value]uint64{}
 				}
-				buf = appendValueKey(buf[:0], it, ids)
+				var err error
+				if buf, err = appendValueKey(buf[:0], it, ids, 0); err != nil {
+					return nil, errf(ErrOp, line, "unique(): %s", err)
+				}
 				dup = seenKey[string(buf)]
 				if !dup {
 					seenKey[string(buf)] = true

@@ -303,10 +303,12 @@ func indexValue(container, idx Value, line int) (Value, error) {
 
 func binaryOp(op string, l, r Value, line int) (Value, error) {
 	switch op {
-	case "==":
-		return ValuesEqual(l, r), nil
-	case "!=":
-		return !ValuesEqual(l, r), nil
+	case "==", "!=":
+		eq, err := equalValues(l, r, 0)
+		if err != nil {
+			return nil, errf(ErrOp, line, "%s", err)
+		}
+		return eq == (op == "=="), nil
 	case "in":
 		return containsValue(r, l, line)
 	case "<", "<=", ">", ">=":
@@ -382,59 +384,90 @@ func arithOperand(v Value) Value {
 // asNumber is a number or bool as a float64.
 func asNumber(v Value) (float64, bool) { return scalar.Float(arithOperand(v)) }
 
+// MaxNesting is how deep ==, ordering, unique() and the host bindings'
+// conversions descend into lists and maps. A cyclic value nests without
+// end, so each of them fails on it with ErrNesting instead of overflowing
+// the stack.
+const MaxNesting = 1000
+
+// ErrNesting is the error of a walk that passes MaxNesting.
+var ErrNesting = fmt.Errorf("value nested deeper than %d levels (or cyclic)", MaxNesting)
+
 // ValuesEqual implements NQL ==: scalars are equal under scalar.Equal
 // (numbers across int and float, NaN equal to itself); lists and maps
 // compare deeply, and a list or map equals itself at once; other values
-// compare by identity.
+// compare by identity. Two lists or maps nested past MaxNesting (two
+// cyclic ones) are unequal; == fails on them.
 func ValuesEqual(l, r Value) bool {
+	eq, err := equalValues(l, r, 0)
+	return eq && err == nil
+}
+
+// equalValues is == on values at depth levels of nesting.
+func equalValues(l, r Value, depth int) (bool, error) {
 	switch a := l.(type) {
 	case nil, bool, int64, float64, string:
-		return scalar.Equal(l, r)
+		return scalar.Equal(l, r), nil
 	case *List:
 		b, ok := r.(*List)
 		if !ok || len(a.Items) != len(b.Items) {
-			return false
+			return false, nil
 		}
 		if a == b {
-			return true
+			return true, nil
+		}
+		if depth == MaxNesting {
+			return false, ErrNesting
 		}
 		for i := range a.Items {
-			if !ValuesEqual(a.Items[i], b.Items[i]) {
-				return false
+			if eq, err := equalValues(a.Items[i], b.Items[i], depth+1); !eq || err != nil {
+				return false, err
 			}
 		}
-		return true
+		return true, nil
 	case *Map:
 		b, ok := r.(*Map)
 		if !ok || a.Len() != b.Len() {
-			return false
+			return false, nil
 		}
 		if a == b {
-			return true
+			return true, nil
+		}
+		if depth == MaxNesting {
+			return false, ErrNesting
 		}
 		for i, k := range a.keys {
 			bv, ok := b.Get(k)
-			if !ok || !ValuesEqual(a.vals[i], bv) {
-				return false
+			if !ok {
+				return false, nil
+			}
+			if eq, err := equalValues(a.vals[i], bv, depth+1); !eq || err != nil {
+				return false, err
 			}
 		}
-		return true
+		return true, nil
 	default:
-		return l == r
+		return l == r, nil
 	}
 }
 
 // CompareNQL orders two values for <, sorted() etc.: two numbers, two
 // strings or two bools under scalar.Compare, and two lists element by
-// element. Any other pair is an error.
-func CompareNQL(l, r Value) (int, error) {
+// element. Any other pair is an error, as are lists nested past
+// MaxNesting.
+func CompareNQL(l, r Value) (int, error) { return compareValues(l, r, 0) }
+
+func compareValues(l, r Value, depth int) (int, error) {
 	if scalar.Orderable(l, r) {
 		return scalar.Compare(l, r), nil
 	}
 	if ll, ok := l.(*List); ok {
 		if rl, ok := r.(*List); ok {
+			if depth == MaxNesting {
+				return 0, ErrNesting
+			}
 			for i := 0; i < len(ll.Items) && i < len(rl.Items); i++ {
-				c, err := CompareNQL(ll.Items[i], rl.Items[i])
+				c, err := compareValues(ll.Items[i], rl.Items[i], depth+1)
 				if err != nil {
 					return 0, err
 				}
@@ -452,7 +485,11 @@ func containsValue(container, item Value, line int) (Value, error) {
 	switch c := container.(type) {
 	case *List:
 		for _, it := range c.Items {
-			if ValuesEqual(it, item) {
+			eq, err := equalValues(it, item, 0)
+			if err != nil {
+				return nil, errf(ErrOp, line, "%s", err)
+			}
+			if eq {
 				return true, nil
 			}
 		}

@@ -386,15 +386,18 @@ func Truthy(v Value) bool {
 }
 
 // Repr renders a value for display and result comparison: deterministic,
-// with maps in insertion order and floats minimized.
+// with maps in insertion order and floats minimized. A list or map met
+// again inside itself renders as [...] or {...}.
 func Repr(v Value) string {
 	var buf [64]byte
-	return string(appendRepr(buf[:0], v))
+	var open [8]Value
+	return string(appendRepr(buf[:0], v, open[:0]))
 }
 
-// appendRepr appends Repr(v) to b. Scalars are formatted with strconv,
-// which gives the bytes fmt's %v, %d, %g and %q give.
-func appendRepr(b []byte, v Value) []byte {
+// appendRepr appends Repr(v) to b; open holds the lists and maps being
+// rendered around v. Scalars are formatted with strconv, which gives the
+// bytes fmt's %v, %d, %g and %q give.
+func appendRepr(b []byte, v Value, open []Value) []byte {
 	switch x := v.(type) {
 	case nil:
 		return append(b, "nil"...)
@@ -410,23 +413,31 @@ func appendRepr(b []byte, v Value) []byte {
 	case string:
 		return strconv.AppendQuote(b, x)
 	case *List:
+		if slices.Contains(open, v) {
+			return append(b, "[...]"...)
+		}
+		open = append(open, v)
 		b = append(b, '[')
 		for i, it := range x.Items {
 			if i > 0 {
 				b = append(b, ", "...)
 			}
-			b = appendRepr(b, it)
+			b = appendRepr(b, it, open)
 		}
 		return append(b, ']')
 	case *Map:
+		if slices.Contains(open, v) {
+			return append(b, "{...}"...)
+		}
+		open = append(open, v)
 		b = append(b, '{')
 		for i, k := range x.keys {
 			if i > 0 {
 				b = append(b, ", "...)
 			}
-			b = appendRepr(b, k)
+			b = appendRepr(b, k, open)
 			b = append(b, ": "...)
-			b = appendRepr(b, x.vals[i])
+			b = appendRepr(b, x.vals[i], open)
 		}
 		return append(b, '}')
 	case *Closure:
@@ -454,19 +465,29 @@ func appendRepr(b []byte, v Value) []byte {
 // (a closure, builtin or host object), which == compares by identity, a
 // number ids assigns it. The framing is length-prefixed and its tags are
 // no scalar.Key kind, so two values get the same bytes exactly when ==
-// finds them equal.
-func appendValueKey(b []byte, v Value, ids map[Value]uint64) []byte {
+// finds them equal. v sits depth levels deep; past MaxNesting (a cyclic
+// value) it fails with ErrNesting.
+func appendValueKey(b []byte, v Value, ids map[Value]uint64, depth int) ([]byte, error) {
 	if k, ok := scalar.KeyOf(v); ok {
-		return k.Append(b)
+		return k.Append(b), nil
 	}
+	var err error
 	switch x := v.(type) {
 	case *List:
+		if depth == MaxNesting {
+			return b, ErrNesting
+		}
 		b = binary.AppendUvarint(append(b, 'L'), uint64(len(x.Items)))
 		for _, it := range x.Items {
-			b = appendValueKey(b, it, ids)
+			if b, err = appendValueKey(b, it, ids, depth+1); err != nil {
+				return b, err
+			}
 		}
-		return b
+		return b, nil
 	case *Map:
+		if depth == MaxNesting {
+			return b, ErrNesting
+		}
 		// Entries go in scalar.Compare order of their keys, a total order
 		// that ties exactly the keys a dict merges.
 		var small [8]int
@@ -477,16 +498,21 @@ func appendValueKey(b []byte, v Value, ids map[Value]uint64) []byte {
 		slices.SortFunc(order, func(i, j int) int { return scalar.Compare(x.keys[i], x.keys[j]) })
 		b = binary.AppendUvarint(append(b, 'M'), uint64(len(x.keys)))
 		for _, i := range order {
-			b = appendValueKey(appendValueKey(b, x.keys[i], ids), x.vals[i], ids)
+			if b, err = appendValueKey(b, x.keys[i], ids, depth+1); err != nil {
+				return b, err
+			}
+			if b, err = appendValueKey(b, x.vals[i], ids, depth+1); err != nil {
+				return b, err
+			}
 		}
-		return b
+		return b, nil
 	}
 	id, ok := ids[v]
 	if !ok {
 		id = uint64(len(ids))
 		ids[v] = id
 	}
-	return binary.AppendUvarint(append(b, 'I'), id)
+	return binary.AppendUvarint(append(b, 'I'), id), nil
 }
 
 // ToStr renders a value the way str() and print() do: like Repr but without

@@ -284,7 +284,11 @@ func (o *FrameObject) member(name string) (nql.Value, bool) {
 			if err != nil {
 				return nil, err
 			}
-			out, err := f.FilterEq(col, toGoValue(args[1]))
+			want, err := toGoValue(args[1], line)
+			if err != nil {
+				return nil, err
+			}
+			out, err := f.FilterEq(col, want)
 			if err != nil {
 				return nil, runtimeErr(nql.ErrAttr, line, err)
 			}

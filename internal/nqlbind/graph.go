@@ -336,7 +336,11 @@ func (o *GraphObject) member(name string) (nql.Value, bool) {
 			if err != nil {
 				return nil, err
 			}
-			if err := g.SetNodeAttr(id, key, toGoValue(args[2])); err != nil {
+			val, err := toGoValue(args[2], line)
+			if err != nil {
+				return nil, err
+			}
+			if err := g.SetNodeAttr(id, key, val); err != nil {
 				return nil, runtimeErr(nql.ErrValue, line, err)
 			}
 			return nil, nil
@@ -358,7 +362,11 @@ func (o *GraphObject) member(name string) (nql.Value, bool) {
 			if err != nil {
 				return nil, err
 			}
-			if err := g.SetEdgeAttr(u, v, key, toGoValue(args[3])); err != nil {
+			val, err := toGoValue(args[3], line)
+			if err != nil {
+				return nil, err
+			}
+			if err := g.SetEdgeAttr(u, v, key, val); err != nil {
 				return nil, runtimeErr(nql.ErrValue, line, err)
 			}
 			return nil, nil
@@ -662,32 +670,56 @@ func mapToAttrs(line int, fname string, v nql.Value) (graph.Attrs, error) {
 			return nil, &nql.RuntimeError{Class: nql.ErrArg, Line: line,
 				Msg: fmt.Sprintf("%s() attribute keys must be strings", fname)}
 		}
-		attrs[ks] = toGoValue(vals[i])
+		gv, err := toGoValue(vals[i], line)
+		if err != nil {
+			return nil, err
+		}
+		attrs[ks] = gv
 	}
 	return attrs, nil
 }
 
 // toGoValue converts an NQL value to the attribute domain (lists/maps
-// convert recursively).
-func toGoValue(v nql.Value) any {
+// convert recursively). A list or map nested past nql.MaxNesting (a
+// cyclic one) fails the run at line.
+func toGoValue(v nql.Value, line int) (any, error) {
+	out, err := goValue(v, 0)
+	if err != nil {
+		return nil, runtimeErr(nql.ErrOp, line, err)
+	}
+	return out, nil
+}
+
+func goValue(v nql.Value, depth int) (any, error) {
+	switch v.(type) {
+	case *nql.List, *nql.Map:
+		if depth == nql.MaxNesting {
+			return nil, nql.ErrNesting
+		}
+	}
+	var err error
 	switch x := v.(type) {
 	case *nql.List:
 		out := make([]any, len(x.Items))
 		for i, it := range x.Items {
-			out[i] = toGoValue(it)
+			if out[i], err = goValue(it, depth+1); err != nil {
+				return nil, err
+			}
 		}
-		return out
+		return out, nil
 	case *nql.Map:
 		out := map[string]any{}
 		keys, vals := x.Keys(), x.Values()
 		for i, k := range keys {
 			if ks, ok := k.(string); ok {
-				out[ks] = toGoValue(vals[i])
+				if out[ks], err = goValue(vals[i], depth+1); err != nil {
+					return nil, err
+				}
 			}
 		}
-		return out
+		return out, nil
 	default:
-		return v
+		return v, nil
 	}
 }
 
@@ -897,6 +929,10 @@ func (a *AttrMapObject) SetIndex(idx, v nql.Value, line int) error {
 		return &nql.RuntimeError{Class: nql.ErrIndex, Line: line,
 			Msg: fmt.Sprintf("attribute key must be a string, got %s", nql.TypeName(idx))}
 	}
-	a.mutable()[k] = toGoValue(v)
+	gv, err := toGoValue(v, line)
+	if err != nil {
+		return err
+	}
+	a.mutable()[k] = gv
 	return nil
 }

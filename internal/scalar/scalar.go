@@ -4,6 +4,14 @@
 // sum through it, and NQL compares, keys and adds its scalars through it,
 // so a query's answer does not depend on which substrate ran it.
 //
+// It also holds the operations the three substrates build on the
+// contract, each written once: Groups numbers key tuples in
+// first-appearance order (GroupRows lists each group's rows), Fold
+// computes one aggregate over a column (skipping nil, summing through
+// Sum, keeping the first least or greatest value under Compare), and
+// SortStable stably sorts a row permutation by key columns, a direction
+// per key. The package imports no substrate.
+//
 // The key and order contract:
 //   - Kinds rank nil < bool < number < string.
 //   - int64 and float64 are one kind and compare by value, an int64

@@ -193,7 +193,7 @@ func (db *DB) execUpdate(ctx context.Context, s *UpdateStmt) (int64, error) {
 		if err := cancelled(ctx, i); err != nil {
 			return n, err
 		}
-		row := scope{ws, i}
+		row := scope{ws: ws, r: i}
 		if s.Where != nil {
 			ok, err := evalBool(s.Where, row)
 			if err != nil {
@@ -235,7 +235,7 @@ func (db *DB) execDelete(s *DeleteStmt) (int64, error) {
 		if s.Where == nil {
 			return false, nil
 		}
-		ok, err := evalBool(s.Where, scope{ws, i})
+		ok, err := evalBool(s.Where, scope{ws: ws, r: i})
 		return !ok, err
 	})
 	if err != nil {

@@ -19,6 +19,9 @@ func evalExpr(e Expr, s scope) (any, error) {
 		if s.ws == nil {
 			return nil, fmt.Errorf("sql: column reference %q outside row context", x.Name)
 		}
+		if s.group != nil && len(*s.group) == 0 {
+			return nil, nil
+		}
 		return s.lookup(x)
 	}
 	return evalNode(e, s)
@@ -232,37 +235,41 @@ func binaryOp(op string, l, r any) (any, error) {
 	}
 }
 
-// likeMatch implements SQL LIKE with % (any run) and _ (single char).
+// likeMatch implements SQL LIKE over bytes: % matches any run and _ any
+// one byte. It matches greedily and, on a mismatch, retries the last %
+// one byte further on; an earlier % never needs a retry, since the last
+// one can absorb whatever it would. It allocates nothing.
 func likeMatch(s, pattern string) bool {
-	// Dynamic programming over pattern/string.
-	memo := map[[2]int]bool{}
-	var match func(i, j int) bool
-	match = func(i, j int) bool {
-		key := [2]int{i, j}
-		if v, ok := memo[key]; ok {
-			return v
-		}
-		var res bool
+	i, j := 0, 0
+	star, mark := -1, 0 // the last % and the byte of s it resumes from
+	for i < len(s) {
 		switch {
-		case j == len(pattern):
-			res = i == len(s)
-		case pattern[j] == '%':
-			res = match(i, j+1) || (i < len(s) && match(i+1, j))
-		case i < len(s) && (pattern[j] == '_' || pattern[j] == s[i]):
-			res = match(i+1, j+1)
+		case j < len(pattern) && pattern[j] == '%':
+			star, mark = j, i
+			j++
+		case j < len(pattern) && (pattern[j] == '_' || pattern[j] == s[i]):
+			i++
+			j++
+		case star >= 0:
+			mark++
+			i, j = mark, star+1
 		default:
-			res = false
+			return false
 		}
-		memo[key] = res
-		return res
 	}
-	return match(0, 0)
+	for j < len(pattern) && pattern[j] == '%' {
+		j++
+	}
+	return j == len(pattern)
 }
 
 // evalScalarFunc evaluates non-aggregate SQL functions.
 func evalScalarFunc(f *FuncCall, s scope) (any, error) {
 	if isAggregate(f.Name) {
-		return nil, fmt.Errorf("sql: aggregate %s() not allowed here", f.Name)
+		if s.group == nil {
+			return nil, fmt.Errorf("sql: aggregate %s() not allowed here", f.Name)
+		}
+		return evalAggregateFunc(f, s.ws, *s.group)
 	}
 	args := make([]any, len(f.Args))
 	for i, a := range f.Args {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -75,10 +74,14 @@ func (ws *workingSet) at(s, r int) int {
 	return r
 }
 
-// scope is one row of a working set. The zero scope allows only constants.
+// scope is one row of a working set or, in aggregate context, one group
+// of its rows. The zero scope allows only constants. In a group scope an
+// aggregate call folds the group's rows and every other expression reads
+// the group's first row, r; a column reference in an empty group is NULL.
 type scope struct {
-	ws *workingSet
-	r  int
+	ws    *workingSet
+	r     int
+	group *[]int // the group's rows; nil outside aggregate context
 }
 
 // lookup reads a column reference in the scope's row. The reference caches
@@ -445,7 +448,7 @@ func filter(ctx context.Context, cond Expr, ws *workingSet) error {
 		if err := cancelled(ctx, r); err != nil {
 			return err
 		}
-		ok, err := evalBool(cond, scope{ws, r})
+		ok, err := evalBool(cond, scope{ws: ws, r: r})
 		if err != nil {
 			return err
 		}
@@ -486,7 +489,7 @@ func join(ctx context.Context, ws *workingSet, j JoinClause, right *workingSet) 
 			if err := cancelled(ctx, r); err != nil {
 				return nil, err
 			}
-			v, err := scope{right, r}.lookup(rightKey)
+			v, err := scope{ws: right, r: r}.lookup(rightKey)
 			if err != nil {
 				return nil, err
 			}
@@ -529,7 +532,7 @@ func join(ctx context.Context, ws *workingSet, j JoinClause, right *workingSet) 
 		}
 		candidates := all
 		if index != nil {
-			v, err := scope{ws, l}.lookup(leftKey)
+			v, err := scope{ws: ws, r: l}.lookup(leftKey)
 			if err != nil {
 				return nil, err
 			}
@@ -543,7 +546,7 @@ func join(ctx context.Context, ws *workingSet, j JoinClause, right *workingSet) 
 					cells[s] = ws.at(s, l)
 				}
 				cells[k] = r
-				ok, err := evalBool(cond, scope{pair, 0})
+				ok, err := evalBool(cond, scope{ws: pair, r: 0})
 				if err != nil {
 					return nil, err
 				}
@@ -737,7 +740,7 @@ func projectPlain(ctx context.Context, s *SelectStmt, ws *workingSet) (output, e
 		out.names = append(out.names, outputName(it, i))
 		var col column
 		if ref, bare := it.Expr.(*ColumnRef); bare && ws.n > 0 {
-			if _, err := (scope{ws, 0}).lookup(ref); err != nil {
+			if _, err := (scope{ws: ws, r: 0}).lookup(ref); err != nil {
 				return output{}, err
 			}
 			col = column{data: ref.data, pos: ws.pos[ref.src]}
@@ -766,7 +769,7 @@ func projectPlain(ctx context.Context, s *SelectStmt, ws *workingSet) (output, e
 
 // evalInto evaluates e on row r of ws into dst[r].
 func evalInto(dst []any, e Expr, ws *workingSet, r int) error {
-	v, err := evalExpr(e, scope{ws, r})
+	v, err := evalExpr(e, scope{ws: ws, r: r})
 	dst[r] = v
 	return err
 }
@@ -786,45 +789,24 @@ func dedupeNames(names []string) {
 }
 
 func projectAggregate(ctx context.Context, s *SelectStmt, ws *workingSet) (output, error) {
-	// Partition rows into groups by the GROUP BY key values: a group-id
-	// pass that also counts each group, then every group's row list
-	// carved from one backing array.
+	// Partition rows into groups by the GROUP BY key values.
+	var ids scalar.Groups
 	gid := make([]int, ws.n)
-	var counts []int
-	index := map[string]int{}
-	var key []byte
-	for r := 0; r < ws.n; r++ {
+	keys := make([]scalar.Key, len(s.GroupBy))
+	for r := range gid {
 		if err := cancelled(ctx, r); err != nil {
 			return output{}, err
 		}
-		key = key[:0]
-		for _, ge := range s.GroupBy {
-			v, err := evalExpr(ge, scope{ws, r})
+		for i, ge := range s.GroupBy {
+			v, err := evalExpr(ge, scope{ws: ws, r: r})
 			if err != nil {
 				return output{}, err
 			}
-			k, _ := scalar.KeyOf(v)
-			key = k.Append(key)
+			keys[i], _ = scalar.KeyOf(v)
 		}
-		g, ok := index[string(key)]
-		if !ok {
-			g = len(counts)
-			index[string(key)] = g
-			counts = append(counts, 0)
-		}
-		gid[r] = g
-		counts[g]++
+		gid[r], _ = ids.ID(keys)
 	}
-	groups := make([][]int, len(counts))
-	rows := make([]int, ws.n)
-	off := 0
-	for g, c := range counts {
-		groups[g] = rows[off : off : off+c]
-		off += c
-	}
-	for r, g := range gid {
-		groups[g] = append(groups[g], r)
-	}
+	groups := scalar.GroupRows(gid, ids.Len())
 	if len(s.GroupBy) == 0 && len(groups) == 0 {
 		// Whole-table aggregate over no rows: one empty group.
 		groups = [][]int{nil}
@@ -839,18 +821,22 @@ func projectAggregate(ctx context.Context, s *SelectStmt, ws *workingSet) (outpu
 	}
 	dedupeNames(names)
 	out := output{names: names, cols: make([]column, len(s.Items))}
-	for _, rows := range groups {
+	for g, rows := range groups {
+		gs := scope{ws: ws, group: &groups[g]}
+		if len(rows) > 0 {
+			gs.r = rows[0]
+		}
 		if s.Having != nil {
-			v, err := evalAggExpr(s.Having, ws, rows)
+			ok, err := evalBool(s.Having, gs)
 			if err != nil {
 				return output{}, err
 			}
-			if !truthy(v) {
+			if !ok {
 				continue
 			}
 		}
 		for i, it := range s.Items {
-			v, err := evalAggExpr(it.Expr, ws, rows)
+			v, err := evalExpr(it.Expr, gs)
 			if err != nil {
 				return output{}, err
 			}
@@ -859,78 +845,6 @@ func projectAggregate(ctx context.Context, s *SelectStmt, ws *workingSet) (outpu
 		out.n++
 	}
 	return out, nil
-}
-
-// evalAggExpr evaluates an expression in aggregate context over the group
-// of rows of ws: aggregate functions consume the whole group; bare columns
-// take the group's first row's value (standard loose GROUP BY semantics).
-func evalAggExpr(e Expr, ws *workingSet, rows []int) (any, error) {
-	switch x := e.(type) {
-	case *FuncCall:
-		if !isAggregate(x.Name) {
-			// Scalar function: evaluate args in aggregate context.
-			args := make([]Expr, len(x.Args))
-			for i, a := range x.Args {
-				v, err := evalAggExpr(a, ws, rows)
-				if err != nil {
-					return nil, err
-				}
-				args[i] = &Literal{Value: v}
-			}
-			return evalScalarFunc(&FuncCall{Name: x.Name, Args: args}, scope{})
-		}
-		return evalAggregateFunc(x, ws, rows)
-	case *BinaryExpr:
-		if x.Op == "AND" || x.Op == "OR" {
-			l, err := evalAggExpr(x.Left, ws, rows)
-			if err != nil {
-				return nil, err
-			}
-			// Short-circuit: AND stops at false, OR at true.
-			if truthy(l) == (x.Op == "OR") {
-				return truthy(l), nil
-			}
-			r, err := evalAggExpr(x.Right, ws, rows)
-			if err != nil {
-				return nil, err
-			}
-			return truthy(r), nil
-		}
-		l, err := evalAggExpr(x.Left, ws, rows)
-		if err != nil {
-			return nil, err
-		}
-		r, err := evalAggExpr(x.Right, ws, rows)
-		if err != nil {
-			return nil, err
-		}
-		return binaryOp(x.Op, l, r)
-	case *UnaryExpr:
-		v, err := evalAggExpr(x.X, ws, rows)
-		if err != nil {
-			return nil, err
-		}
-		return evalExpr(&UnaryExpr{Op: x.Op, X: &Literal{Value: v}}, scope{})
-	case *CaseExpr:
-		for _, w := range x.Whens {
-			c, err := evalAggExpr(w.Cond, ws, rows)
-			if err != nil {
-				return nil, err
-			}
-			if truthy(c) {
-				return evalAggExpr(w.Then, ws, rows)
-			}
-		}
-		if x.Else != nil {
-			return evalAggExpr(x.Else, ws, rows)
-		}
-		return nil, nil
-	default:
-		if len(rows) == 0 {
-			return nil, nil
-		}
-		return evalExpr(e, scope{ws, rows[0]})
-	}
 }
 
 // evalAggregateFunc folds one aggregate over a group's rows as it
@@ -944,18 +858,14 @@ func evalAggregateFunc(f *FuncCall, ws *workingSet, rows []int) (any, error) {
 	if len(f.Args) != 1 {
 		return nil, fmt.Errorf("sql: %s() takes exactly one argument", f.Name)
 	}
-	var seen map[scalar.Key]bool
+	var seen *scalar.Groups
 	if f.Distinct {
-		seen = map[scalar.Key]bool{}
+		seen = new(scalar.Groups)
 	}
-	var (
-		n    int64 // non-nil (and, under DISTINCT, distinct) values
-		sum  scalar.Sum
-		best any // MIN/MAX so far
-		bad  any // first non-numeric value under SUM/AVG
-	)
+	fold := scalar.NewFold(sqlFolds[f.Name])
+	var bad any // first non-numeric value under SUM/AVG
 	for _, r := range rows {
-		v, err := evalExpr(f.Args[0], scope{ws, r})
+		v, err := evalExpr(f.Args[0], scope{ws: ws, r: r})
 		if err != nil {
 			return nil, err
 		}
@@ -964,45 +874,24 @@ func evalAggregateFunc(f *FuncCall, ws *workingSet, rows []int) (any, error) {
 		}
 		if seen != nil {
 			k, _ := scalar.KeyOf(v)
-			if seen[k] {
+			if _, fresh := seen.ID([]scalar.Key{k}); !fresh {
 				continue
 			}
-			seen[k] = true
 		}
-		n++
-		switch f.Name {
-		case "SUM", "AVG":
-			if bad == nil && !sum.Add(v) {
-				bad = v
-			}
-		case "MIN", "MAX":
-			if best == nil {
-				best = v
-				continue
-			}
-			cmp := scalar.Compare(v, best)
-			if (f.Name == "MIN" && cmp < 0) || (f.Name == "MAX" && cmp > 0) {
-				best = v
-			}
+		if bad == nil && !fold.Add(v) {
+			bad = v
 		}
 	}
-	switch f.Name {
-	case "COUNT":
-		return n, nil
-	case "SUM", "AVG":
-		switch {
-		case bad != nil:
-			return nil, fmt.Errorf("sql: %s() over non-numeric value %v", f.Name, bad)
-		case sum.N() == 0:
-			return nil, nil
-		case f.Name == "AVG":
-			return sum.Mean(), nil
-		}
-		return sum.Value(), nil
-	case "MIN", "MAX":
-		return best, nil
+	if bad != nil {
+		return nil, fmt.Errorf("sql: %s() over non-numeric value %v", f.Name, bad)
 	}
-	return nil, fmt.Errorf("sql: unknown aggregate %s()", f.Name)
+	return fold.Value(), nil
+}
+
+// sqlFolds maps each aggregate function to its fold.
+var sqlFolds = map[string]scalar.FoldOp{
+	"COUNT": scalar.FoldCount, "SUM": scalar.FoldSum, "AVG": scalar.FoldMean,
+	"MIN": scalar.FoldMin, "MAX": scalar.FoldMax,
 }
 
 // orderRows returns the output's row order under ORDER BY, a stable sort.
@@ -1035,19 +924,19 @@ func orderRows(s *SelectStmt, ws *workingSet, out *output, aggregated bool) ([]i
 			}
 		}
 	}
-	idx := identity(out.n)
-	sort.SliceStable(idx, func(a, b int) bool {
-		for k, key := range keys {
-			cmp := scalar.Compare(key.at(idx[a]), key.at(idx[b]))
-			if cmp != 0 {
-				if s.OrderBy[k].Desc {
-					return cmp > 0
-				}
-				return cmp < 0
+	data := make([][]any, len(keys))
+	desc := make([]bool, len(keys))
+	for k, key := range keys {
+		data[k], desc[k] = key.data, s.OrderBy[k].Desc
+		if key.pos != nil {
+			data[k] = make([]any, out.n)
+			for i := range data[k] {
+				data[k][i] = key.at(i)
 			}
 		}
-		return false
-	})
+	}
+	idx := identity(out.n)
+	scalar.SortStable(idx, data, desc, nil)
 	return idx, nil
 }
 
@@ -1057,17 +946,14 @@ func distinctRows(out *output, idx []int) []int {
 	if idx == nil {
 		idx = identity(out.n)
 	}
-	seen := map[string]bool{}
+	var ids scalar.Groups
 	kept := make([]int, 0, len(idx))
-	var key []byte
+	keys := make([]scalar.Key, len(out.cols))
 	for _, i := range idx {
-		key = key[:0]
-		for _, col := range out.cols {
-			k, _ := scalar.KeyOf(col.at(i))
-			key = k.Append(key)
+		for c, col := range out.cols {
+			keys[c], _ = scalar.KeyOf(col.at(i))
 		}
-		if !seen[string(key)] {
-			seen[string(key)] = true
+		if _, fresh := ids.ID(keys); fresh {
 			kept = append(kept, i)
 		}
 	}

@@ -504,6 +504,113 @@ func TestLikeMatch(t *testing.T) {
 	}
 }
 
+// likeOracle is LIKE by the definition: % takes every run of s in turn.
+func likeOracle(s, p string) bool {
+	if p == "" {
+		return s == ""
+	}
+	switch {
+	case p[0] == '%':
+		for i := 0; i <= len(s); i++ {
+			if likeOracle(s[i:], p[1:]) {
+				return true
+			}
+		}
+		return false
+	case s != "" && (p[0] == '_' || p[0] == s[0]):
+		return likeOracle(s[1:], p[1:])
+	}
+	return false
+}
+
+// TestLikeMatchPathological runs patterns whose %s must retry: the
+// matcher agrees with likeOracle on every short string and pattern over
+// a, b, % and _, finishes a long subject, and allocates nothing.
+func TestLikeMatchPathological(t *testing.T) {
+	const alphabet = "ab%_"
+	var words []string
+	var grow func(w string)
+	grow = func(w string) {
+		words = append(words, w)
+		if len(w) < 5 {
+			for _, c := range alphabet {
+				grow(w + string(c))
+			}
+		}
+	}
+	grow("")
+	for _, p := range words {
+		for _, s := range words {
+			if strings.ContainsAny(s, "%_") {
+				continue
+			}
+			if got, want := likeMatch(s, p), likeOracle(s, p); got != want {
+				t.Fatalf("likeMatch(%q, %q) = %v, want %v", s, p, got, want)
+			}
+		}
+	}
+	long := strings.Repeat("a", 20000)
+	for _, c := range []struct {
+		p    string
+		want bool
+	}{
+		{"%a%a%a%b", false},
+		{"%a%a%a%", true},
+		{"%a_a%a", true},
+		{"%%%%%%%%b", false},
+	} {
+		if got := likeMatch(long, c.p); got != c.want {
+			t.Errorf("likeMatch(long, %q) = %v, want %v", c.p, got, c.want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { likeMatch("15.76.1.2", "%7_._%") }); allocs != 0 {
+		t.Errorf("likeMatch made %v allocations per call, want 0", allocs)
+	}
+}
+
+// TestAggregateContextEvaluates pins aggregate context evaluated by the
+// one evaluator: an aggregate inside IN, BETWEEN or IS NULL folds its
+// group, a constant item over no rows is the constant, and a column
+// reference over no rows is NULL without being resolved.
+func TestAggregateContextEvaluates(t *testing.T) {
+	db := NewDB()
+	f := dataframe.New("k", "v")
+	for _, r := range []struct {
+		k string
+		v int64
+	}{{"x", 1}, {"x", 2}, {"y", 3}, {"z", 4}, {"z", 5}, {"z", 6}} {
+		f.AppendRow(r.k, r.v)
+	}
+	db.CreateTable("t", f)
+	for q, want := range map[string][]map[string]any{
+		"SELECT k, COUNT(*) IN (2, 3) AS hit FROM t GROUP BY k": {
+			{"k": "x", "hit": true}, {"k": "y", "hit": false}, {"k": "z", "hit": true}},
+		"SELECT k, SUM(v) BETWEEN 3 AND 10 AS mid, MAX(v) IS NULL AS none FROM t GROUP BY k HAVING MIN(v) NOT IN (4)": {
+			{"k": "x", "mid": true, "none": false}, {"k": "y", "mid": true, "none": false}},
+		"SELECT 1 AS one, COUNT(*) AS n FROM t WHERE k = 'zz'": {
+			{"one": int64(1), "n": int64(0)}},
+		"SELECT -2 + 1 AS c, SUM(v) AS s FROM t WHERE v > 100": {
+			{"c": int64(-1), "s": nil}},
+		"SELECT nosuch, COUNT(*) AS n FROM t WHERE v > 100": {
+			{"nosuch": nil, "n": int64(0)}},
+	} {
+		out, err := db.Query(q)
+		if err != nil {
+			t.Errorf("%s: %v", q, err)
+			continue
+		}
+		if got := out.Records(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s:\n got %v\nwant %v", q, got, want)
+		}
+	}
+	if _, err := db.Query("SELECT nosuch, COUNT(*) FROM t"); err == nil || !strings.Contains(err.Error(), "unknown column") {
+		t.Errorf("unknown column over rows: error %v", err)
+	}
+	if _, err := db.Query("SELECT SUM(COUNT(v)) FROM t"); err == nil || err.Error() != "sql: aggregate COUNT() not allowed here" {
+		t.Errorf("nested aggregate: error %v", err)
+	}
+}
+
 // --- property-based tests ---
 
 func randTable(r *rand.Rand, n int) *dataframe.Frame {
