@@ -706,7 +706,7 @@ func execAggregate(cat *Catalog, a *Aggregate) (columns, error) {
 		}
 	}
 	// ops[i] is spec i's fold and aidx[i] its column, -1 for count, which
-	// counts the group's rows.
+	// folds one value per row.
 	ops := make([]scalar.FoldOp, len(a.Aggs))
 	aidx := make([]int, len(a.Aggs))
 	for i, sp := range a.Aggs {
@@ -724,7 +724,6 @@ func execAggregate(cat *Catalog, a *Aggregate) (columns, error) {
 	var (
 		groups scalar.Groups
 		first  []int           // each group's first row
-		size   []int64         // each group's rows
 		folds  [][]scalar.Fold // each group's folds, one allocation per group
 		keys   = make([]scalar.Key, len(gidx))
 	)
@@ -733,7 +732,7 @@ func execAggregate(cat *Catalog, a *Aggregate) (columns, error) {
 		for i, op := range ops {
 			f[i] = scalar.NewFold(op)
 		}
-		first, size, folds = append(first, r), append(size, 0), append(folds, f)
+		first, folds = append(first, r), append(folds, f)
 	}
 	for r := 0; r < in.n; r++ {
 		if err := cat.cancelled(r); err != nil {
@@ -750,12 +749,12 @@ func execAggregate(cat *Catalog, a *Aggregate) (columns, error) {
 		if fresh {
 			addGroup(r)
 		}
-		size[g]++
 		for i, j := range aidx {
-			if j < 0 {
-				continue
+			var v nql.Value = true
+			if j >= 0 {
+				v = in.at(j, r)
 			}
-			if v := in.at(j, r); !folds[g][i].Add(v) {
+			if !folds[g][i].Add(v) {
 				sp := a.Aggs[i]
 				return columns{}, fmt.Errorf("federate: %s(%s): value must be a number, got %s", sp.Fn, sp.Col, nql.TypeName(v))
 			}
@@ -784,11 +783,7 @@ func execAggregate(cat *Catalog, a *Aggregate) (columns, error) {
 			row[i] = in.at(j, r)
 		}
 		for i := range a.Aggs {
-			if aidx[i] < 0 {
-				row[len(gidx)+i] = size[g]
-			} else {
-				row[len(gidx)+i] = folds[g][i].Value()
-			}
+			row[len(gidx)+i] = folds[g][i].Value()
 		}
 		out.Rows[g] = row
 	}

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // inChild runs body in a child process of the test binary, under a small
@@ -93,7 +94,8 @@ return m == n`,
 }
 
 // TestDeepValues checks the nesting bound on acyclic values: lists nested
-// to MaxNesting compare, key and render; one level more fails to compare.
+// to MaxNesting compare, key and render in full; one level more fails to
+// compare and renders its innermost list as [...].
 func TestDeepValues(t *testing.T) {
 	inChild(t, func(t *testing.T) {
 		nest := func(depth int) string {
@@ -121,9 +123,45 @@ while i < ` + strconv.Itoa(depth) + ` {
 				}
 			}
 		}
-		v, err := NewInterp(Limits{}, nil).Run(nest(MaxNesting+1) + "return x")
-		if err != nil || !strings.HasPrefix(Repr(v), strings.Repeat("[", MaxNesting+1)+"1]") {
-			t.Errorf("deep Repr: %v", err)
+		for depth, want := range map[int]string{
+			MaxNesting:     strings.Repeat("[", MaxNesting) + "1" + strings.Repeat("]", MaxNesting),
+			MaxNesting + 1: strings.Repeat("[", MaxNesting) + "[...]" + strings.Repeat("]", MaxNesting),
+		} {
+			v, err := NewInterp(Limits{}, nil).Run(nest(depth) + "return x")
+			if got := Repr(v); err != nil || got != want {
+				t.Errorf("depth %d: Repr %.40s...%.40s, %v", depth, got, got[max(0, len(got)-40):], err)
+			}
+		}
+	})
+}
+
+// TestReprDeepValueIsBounded renders lists and maps nested 200,000 deep,
+// which a program fits inside DefaultLimits: Repr walks MaxNesting levels
+// of them, so it finishes at once and its text stays short.
+func TestReprDeepValueIsBounded(t *testing.T) {
+	inChild(t, func(t *testing.T) {
+		const depth = 200_000
+		var list, mixed Value = int64(1), int64(1)
+		for i := 0; i < depth; i++ {
+			list = NewList(list)
+			m := NewMap()
+			if err := m.Set("k", NewList(mixed)); err != nil {
+				t.Fatal(err)
+			}
+			mixed = m
+		}
+		done := make(chan [2]string, 1)
+		go func() { done <- [2]string{Repr(list), Repr(mixed)} }()
+		select {
+		case got := <-done:
+			if want := strings.Repeat("[", MaxNesting) + "[...]" + strings.Repeat("]", MaxNesting); got[0] != want {
+				t.Errorf("deep list renders %d bytes, want %d", len(got[0]), len(want))
+			}
+			if want := strings.Repeat(`{"k": [`, MaxNesting/2) + "{...}" + strings.Repeat("]}", MaxNesting/2); got[1] != want {
+				t.Errorf("deep map renders %d bytes, want %d", len(got[1]), len(want))
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("Repr of a deep value did not finish in 10 s")
 		}
 	})
 }

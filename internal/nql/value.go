@@ -387,17 +387,23 @@ func Truthy(v Value) bool {
 
 // Repr renders a value for display and result comparison: deterministic,
 // with maps in insertion order and floats minimized. A list or map met
-// again inside itself renders as [...] or {...}.
+// again inside itself, or nested past MaxNesting levels, renders as [...]
+// or {...}, so rendering takes time linear in the value's size.
 func Repr(v Value) string {
 	var buf [64]byte
-	var open [8]Value
-	return string(appendRepr(buf[:0], v, open[:0]))
+	var open [reprScan]Value
+	return string(appendRepr(buf[:0], v, open[:0], map[Value]bool{}))
 }
 
-// appendRepr appends Repr(v) to b; open holds the lists and maps being
-// rendered around v. Scalars are formatted with strconv, which gives the
-// bytes fmt's %v, %d, %g and %q give.
-func appendRepr(b []byte, v Value, open []Value) []byte {
+// reprScan is how many of the open lists and maps appendRepr scans for a
+// repeat; it looks those deeper up in a set.
+const reprScan = 16
+
+// appendRepr appends Repr(v) to b. open holds the lists and maps being
+// rendered around v, outermost first, and deep those of them past
+// reprScan. Scalars are formatted with strconv, which gives the bytes
+// fmt's %v, %d, %g and %q give.
+func appendRepr(b []byte, v Value, open []Value, deep map[Value]bool) []byte {
 	switch x := v.(type) {
 	case nil:
 		return append(b, "nil"...)
@@ -413,32 +419,34 @@ func appendRepr(b []byte, v Value, open []Value) []byte {
 	case string:
 		return strconv.AppendQuote(b, x)
 	case *List:
-		if slices.Contains(open, v) {
+		open, ok := enterRepr(open, v, deep)
+		if !ok {
 			return append(b, "[...]"...)
 		}
-		open = append(open, v)
 		b = append(b, '[')
 		for i, it := range x.Items {
 			if i > 0 {
 				b = append(b, ", "...)
 			}
-			b = appendRepr(b, it, open)
+			b = appendRepr(b, it, open, deep)
 		}
+		leaveRepr(open, deep)
 		return append(b, ']')
 	case *Map:
-		if slices.Contains(open, v) {
+		open, ok := enterRepr(open, v, deep)
+		if !ok {
 			return append(b, "{...}"...)
 		}
-		open = append(open, v)
 		b = append(b, '{')
 		for i, k := range x.keys {
 			if i > 0 {
 				b = append(b, ", "...)
 			}
-			b = appendRepr(b, k, open)
+			b = appendRepr(b, k, open, deep)
 			b = append(b, ": "...)
-			b = appendRepr(b, x.vals[i], open)
+			b = appendRepr(b, x.vals[i], open, deep)
 		}
+		leaveRepr(open, deep)
 		return append(b, '}')
 	case *Closure:
 		name := x.Name
@@ -455,6 +463,28 @@ func appendRepr(b []byte, v Value, open []Value) []byte {
 		return append(append(append(b, '<'), x.TypeName()...), '>')
 	default:
 		return fmt.Appendf(b, "%v", x)
+	}
+}
+
+// enterRepr opens the list or map v for appendRepr, or reports false when
+// v is already open or MaxNesting lists and maps are.
+func enterRepr(open []Value, v Value, deep map[Value]bool) ([]Value, bool) {
+	if len(open) == MaxNesting || slices.Contains(open[:min(len(open), reprScan)], v) {
+		return open, false
+	}
+	if len(open) >= reprScan {
+		if deep[v] {
+			return open, false
+		}
+		deep[v] = true
+	}
+	return append(open, v), true
+}
+
+// leaveRepr closes open's innermost list or map.
+func leaveRepr(open []Value, deep map[Value]bool) {
+	if n := len(open); n > reprScan {
+		delete(deep, open[n-1])
 	}
 }
 

@@ -120,7 +120,7 @@ func (f *Fold) Value() any {
 
 // SortStable stably sorts perm, a permutation of rows, by the key columns:
 // row r's key k is keys[k][r], compared under Compare, and desc[k]
-// reverses key k (desc may be shorter than keys, nil for all ascending).
+// reverses key k (desc is as long as keys).
 // When stop is non-nil it is called before each comparison with the
 // number of comparisons so far; once it returns true every comparison
 // ties, so the sort ends in a few passes.
@@ -138,7 +138,7 @@ func SortStable[P ~int | ~int32](perm []P, keys [][]any, desc []bool, stop func(
 		}
 		for k, col := range keys {
 			if c := Compare(col[a], col[b]); c != 0 {
-				if k < len(desc) && desc[k] {
+				if desc[k] {
 					return -c
 				}
 				return c

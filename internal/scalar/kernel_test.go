@@ -127,7 +127,7 @@ func TestSortStable(t *testing.T) {
 	ks := []any{"b", int64(1), nil, 1.0, true, math.NaN(), "a", int64(1)}
 	ids := []any{int64(0), int64(1), int64(2), int64(3), int64(4), int64(5), int64(6), int64(7)}
 	perm := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	SortStable(perm, [][]any{ks}, nil, nil)
+	SortStable(perm, [][]any{ks}, []bool{false}, nil)
 	if got := fmt.Sprint(perm); got != "[2 4 5 1 3 7 6 0]" {
 		t.Errorf("ascending = %s", got)
 	}
@@ -137,7 +137,7 @@ func TestSortStable(t *testing.T) {
 		t.Errorf("descending = %s", got)
 	}
 	calls := 0
-	SortStable(perm, [][]any{ks}, nil, func(n int) bool {
+	SortStable(perm, [][]any{ks}, []bool{false}, func(n int) bool {
 		calls++
 		if n != calls {
 			t.Fatalf("stop %d got count %d", calls, n)

@@ -593,6 +593,10 @@ func TestAggregateContextEvaluates(t *testing.T) {
 			{"c": int64(-1), "s": nil}},
 		"SELECT nosuch, COUNT(*) AS n FROM t WHERE v > 100": {
 			{"nosuch": nil, "n": int64(0)}},
+		// Over an empty group a column reads NULL, and whatever holds it
+		// evaluates as it would over a row holding NULL.
+		"SELECT k IS NULL AS none, k IN ('x') AS hit, COALESCE(k, 'w') AS c, COUNT(*) AS n FROM t WHERE v > 100": {
+			{"none": true, "hit": false, "c": "w", "n": int64(0)}},
 	} {
 		out, err := db.Query(q)
 		if err != nil {
