@@ -391,19 +391,25 @@ func Truthy(v Value) bool {
 // or {...}, so rendering takes time linear in the value's size.
 func Repr(v Value) string {
 	var buf [64]byte
-	var open [reprScan]Value
-	return string(appendRepr(buf[:0], v, open[:0], map[Value]bool{}))
+	var r reprer
+	return string(r.append(buf[:0], v))
 }
 
-// reprScan is how many of the open lists and maps appendRepr scans for a
+// reprScan is how many of the open lists and maps a reprer scans for a
 // repeat; it looks those deeper up in a set.
-const reprScan = 16
+const reprScan = 8
 
-// appendRepr appends Repr(v) to b. open holds the lists and maps being
-// rendered around v, outermost first, and deep those of them past
-// reprScan. Scalars are formatted with strconv, which gives the bytes
-// fmt's %v, %d, %g and %q give.
-func appendRepr(b []byte, v Value, open []Value, deep map[Value]bool) []byte {
+// reprer tracks the lists and maps open around the value Repr is at:
+// depth counts them, open holds the outermost reprScan and deep the rest.
+type reprer struct {
+	open  [reprScan]Value
+	depth int
+	deep  map[Value]bool
+}
+
+// append appends Repr(v) to b. Scalars are formatted with strconv, which
+// gives the bytes fmt's %v, %d, %g and %q give.
+func (r *reprer) append(b []byte, v Value) []byte {
 	switch x := v.(type) {
 	case nil:
 		return append(b, "nil"...)
@@ -419,8 +425,7 @@ func appendRepr(b []byte, v Value, open []Value, deep map[Value]bool) []byte {
 	case string:
 		return strconv.AppendQuote(b, x)
 	case *List:
-		open, ok := enterRepr(open, v, deep)
-		if !ok {
+		if !r.enter(v) {
 			return append(b, "[...]"...)
 		}
 		b = append(b, '[')
@@ -428,13 +433,12 @@ func appendRepr(b []byte, v Value, open []Value, deep map[Value]bool) []byte {
 			if i > 0 {
 				b = append(b, ", "...)
 			}
-			b = appendRepr(b, it, open, deep)
+			b = r.append(b, it)
 		}
-		leaveRepr(open, deep)
+		r.leave(v)
 		return append(b, ']')
 	case *Map:
-		open, ok := enterRepr(open, v, deep)
-		if !ok {
+		if !r.enter(v) {
 			return append(b, "{...}"...)
 		}
 		b = append(b, '{')
@@ -442,11 +446,11 @@ func appendRepr(b []byte, v Value, open []Value, deep map[Value]bool) []byte {
 			if i > 0 {
 				b = append(b, ", "...)
 			}
-			b = appendRepr(b, k, open, deep)
+			b = r.append(b, k)
 			b = append(b, ": "...)
-			b = appendRepr(b, x.vals[i], open, deep)
+			b = r.append(b, x.vals[i])
 		}
-		leaveRepr(open, deep)
+		r.leave(v)
 		return append(b, '}')
 	case *Closure:
 		name := x.Name
@@ -466,25 +470,31 @@ func appendRepr(b []byte, v Value, open []Value, deep map[Value]bool) []byte {
 	}
 }
 
-// enterRepr opens the list or map v for appendRepr, or reports false when
-// v is already open or MaxNesting lists and maps are.
-func enterRepr(open []Value, v Value, deep map[Value]bool) ([]Value, bool) {
-	if len(open) == MaxNesting || slices.Contains(open[:min(len(open), reprScan)], v) {
-		return open, false
-	}
-	if len(open) >= reprScan {
-		if deep[v] {
-			return open, false
+// enter opens the list or map v, or reports false when v is already open
+// or MaxNesting lists and maps are.
+func (r *reprer) enter(v Value) bool {
+	if r.depth < reprScan {
+		if slices.Contains(r.open[:r.depth], v) {
+			return false
 		}
-		deep[v] = true
+		r.open[r.depth] = v
+	} else {
+		if r.depth == MaxNesting || slices.Contains(r.open[:], v) || r.deep[v] {
+			return false
+		}
+		if r.deep == nil {
+			r.deep = map[Value]bool{}
+		}
+		r.deep[v] = true
 	}
-	return append(open, v), true
+	r.depth++
+	return true
 }
 
-// leaveRepr closes open's innermost list or map.
-func leaveRepr(open []Value, deep map[Value]bool) {
-	if n := len(open); n > reprScan {
-		delete(deep, open[n-1])
+// leave closes v, the innermost open list or map.
+func (r *reprer) leave(v Value) {
+	if r.depth--; r.depth >= reprScan {
+		delete(r.deep, v)
 	}
 }
 
